@@ -177,7 +177,7 @@ func BenchmarkBatchScan(b *testing.B) {
 			scan := func() error {
 				matched, sum = 0, 0
 				if cfg.columnar {
-					return query.ScanBatches(set, 1, func(_ int, bt *query.Batch) error {
+					return query.ScanSpec{Set: set}.RunBatches(func(_ int, bt *query.Batch) error {
 						bt.SelU16Range(1, 0, 10)
 						vals := bt.Col(2)
 						for _, r := range bt.Sel() {
@@ -187,7 +187,7 @@ func BenchmarkBatchScan(b *testing.B) {
 						return nil
 					})
 				}
-				in := query.Filter(query.Scan(set, 1), func(r query.Row) bool {
+				in := query.Filter(query.ScanSpec{Set: set}.Iter(), func(r query.Row) bool {
 					return binary.LittleEndian.Uint16(r[8:10]) < 10
 				})
 				return in(func(r query.Row) error {

@@ -328,25 +328,27 @@ func (w *Worker) handleGetSetPages(c *conn, req GetSetPagesReq) {
 
 	nums := set.PageNums()
 	var (
-		mu     sync.Mutex
-		live   = make(map[int64]*core.Page, len(nums))
-		sem    = make(chan struct{}, w.cfg.PinWindow)
-		ackErr = make(chan error, 1)
+		mu      sync.Mutex
+		live    = make(map[int64]*core.Page, len(nums))
+		sem     = make(chan struct{}, w.cfg.PinWindow)
+		ackDone = make(chan struct{})
 	)
 	// Acknowledgement reader: unpin pages the computation has finished.
+	// It exits — closing ackDone — when the scan's handshake completes or
+	// the connection dies; after that nothing drains sem.
 	go func() {
+		defer close(ackDone)
 		for {
 			msg, err := c.recv()
 			if err != nil {
 				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 					w.cfg.Logf("scan ack: %v", err)
 				}
-				ackErr <- err
 				return
 			}
 			pd, ok := msg.(PageDone)
 			if !ok {
-				ackErr <- fmt.Errorf("cluster: unexpected %T during scan", msg)
+				w.cfg.Logf("scan ack: unexpected %T during scan", msg)
 				return
 			}
 			if pd.PageNum < 0 {
@@ -354,7 +356,6 @@ func (w *Worker) handleGetSetPages(c *conn, req GetSetPagesReq) {
 				// order on this connection, so nothing is left pinned.
 				// Confirm so the proxy can return.
 				c.send(OKResp{})
-				ackErr <- nil
 				return
 			}
 			mu.Lock()
@@ -371,8 +372,17 @@ func (w *Worker) handleGetSetPages(c *conn, req GetSetPagesReq) {
 	}()
 
 	aborted := false
+pinAhead:
 	for _, num := range nums {
-		sem <- struct{}{}
+		select {
+		case sem <- struct{}{}:
+		case <-ackDone:
+			// The client went away mid-scan (its callback failed and it
+			// closed the connection): no acknowledgement will ever free a
+			// window slot, so stop pinning and fall through to the cleanup.
+			aborted = true
+			break pinAhead
+		}
 		p, err := set.Pin(num)
 		if err != nil {
 			fail(err)
@@ -392,7 +402,7 @@ func (w *Worker) handleGetSetPages(c *conn, req GetSetPagesReq) {
 	}
 	// Wait for the computation to finish (connection closes) and release
 	// anything still pinned.
-	<-ackErr
+	<-ackDone
 	mu.Lock()
 	for _, p := range live {
 		_ = set.Unpin(p, false)

@@ -106,7 +106,7 @@ func assertQuality(t *testing.T, e *query.Executor, model *Model, dim int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := query.Collect(query.Scan(s, 1))
+		rows, err := query.Collect(query.ScanSpec{Set: s}.Iter())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,12 +28,16 @@ func namedRecv(fn *types.Func) *types.Named {
 	if !ok || sig.Recv() == nil {
 		return nil
 	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
+	named, _ := derefType(sig.Recv().Type()).(*types.Named)
 	return named
+}
+
+// derefType strips one pointer level.
+func derefType(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // fieldSelection resolves expr as a field selection and returns the field
@@ -55,9 +59,16 @@ func fieldSelection(info *types.Info, expr ast.Expr) (field *types.Var, owner *t
 		if !ok || !v.IsField() {
 			return nil, nil
 		}
-		t := sel.Recv()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
+		// A field promoted through embedding (z.mu where z embeds the struct
+		// that declares mu) belongs to the embedded type, not the receiver:
+		// follow the selection's path down to the declaring struct.
+		t := derefType(sel.Recv())
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return v, nil
+			}
+			t = derefType(st.Field(i).Type())
 		}
 		named, _ := t.(*types.Named)
 		return v, named

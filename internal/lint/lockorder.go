@@ -38,8 +38,7 @@ var LockOrderTable = []LockClass{
 	{"pangea/internal/cluster", "setWriter", "mu", locking.RankSetWriter},
 	{"pangea/internal/core", "BufferPool", "regMu", locking.RankRegistry},
 	{"pangea/internal/core", "LocalitySet", "mu", locking.RankSet},
-	{"pangea/internal/services", "ZoneMap", "mu", locking.RankZoneMap},
-	{"pangea/internal/services", "Microindex", "mu", locking.RankMicroindex},
+	{"pangea/internal/services", "sideIndex", "mu", locking.RankSideIndex},
 	{"pangea/internal/memory", "tlsfShard", "cacheMu", locking.RankAllocCache},
 	{"pangea/internal/memory", "TLSF", "mu", locking.RankAllocTLSF},
 	{"pangea/internal/pfs", "PagedFile", "mu", locking.RankPFS},

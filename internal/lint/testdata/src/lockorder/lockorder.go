@@ -17,6 +17,11 @@ type Shard struct {
 	mu locking.Mutex
 }
 
+// Summary embeds Set: its promoted mu is Set.mu's lock class.
+type Summary struct {
+	Set
+}
+
 // --- clean shapes ---
 
 func goodNested(r *Registry, s *Set, sh *Shard) {
@@ -76,6 +81,13 @@ func badSameRank(a, b *Set) {
 	b.mu.Lock() // want "lock order violation"
 	b.mu.Unlock()
 	a.mu.Unlock()
+}
+
+func badPromotedField(z *Summary, r *Registry) {
+	z.mu.Lock()
+	r.mu.Lock() // want "lock order violation: acquiring lockorder.Registry.mu\\(rank 20\\) while holding lockorder.Set.mu\\(rank 30\\)"
+	r.mu.Unlock()
+	z.mu.Unlock()
 }
 
 func badAfterDeferredUnlock(s *Set, r *Registry) {

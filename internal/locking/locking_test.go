@@ -94,7 +94,7 @@ func TestRankString(t *testing.T) {
 // silent in both build modes.
 func TestNestedInOrder(t *testing.T) {
 	ranks := []Rank{
-		RankWorker, RankSetWriter, RankRegistry, RankSet, RankZoneMap,
+		RankWorker, RankSetWriter, RankRegistry, RankSet, RankSideIndex,
 		RankAllocCache, RankAllocTLSF, RankPFS, RankIOQueue, RankDisk,
 	}
 	ms := make([]*Mutex, len(ranks))

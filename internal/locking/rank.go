@@ -13,8 +13,7 @@
 //	rank 15  cluster.setWriter.mu     per-set sequential writer
 //	rank 20  core.BufferPool.regMu    pool set registry
 //	rank 30  core.LocalitySet.mu      per-set page table + residency state
-//	rank 40  services.ZoneMap.mu      per-set zone-map summaries
-//	rank 45  services.Microindex.mu   per-set microindex postings
+//	rank 40  services.sideIndex.mu    per-set side index (zone map, microindex)
 //	rank 50  memory.tlsfShard.cacheMu allocator shard front cache
 //	rank 60  memory.TLSF.mu           allocator shard heap
 //	rank 70  pfs.PagedFile.mu         paged-file extent index
@@ -45,12 +44,11 @@ const (
 	RankRegistry Rank = 20
 	// RankSet orders core.LocalitySet.mu (per-set page table).
 	RankSet Rank = 30
-	// RankZoneMap orders services.ZoneMap.mu (zone-map summaries).
-	RankZoneMap Rank = 40
-	// RankMicroindex orders services.Microindex.mu (microindex postings).
-	// It sits after RankZoneMap so a scan may consult the zone map while
-	// holding index results, never the reverse while holding the index lock.
-	RankMicroindex Rank = 45
+	// RankSideIndex orders services.sideIndex.mu, the one lock every
+	// side-index kind (zone map, microindex) embeds. Kinds are leaves with
+	// respect to each other: a scan consults them one after the other,
+	// never one while holding another's lock.
+	RankSideIndex Rank = 40
 	// RankAllocCache orders memory.tlsfShard.cacheMu (shard front cache).
 	RankAllocCache Rank = 50
 	// RankAllocTLSF orders memory.TLSF.mu (shard heap).
@@ -70,8 +68,7 @@ var rankNames = map[Rank]string{
 	RankSetWriter:  "cluster.setWriter.mu",
 	RankRegistry:   "core.BufferPool.regMu",
 	RankSet:        "core.LocalitySet.mu",
-	RankZoneMap:    "services.ZoneMap.mu",
-	RankMicroindex: "services.Microindex.mu",
+	RankSideIndex:  "services.sideIndex.mu",
 	RankAllocCache: "memory.tlsfShard.cacheMu",
 	RankAllocTLSF:  "memory.TLSF.mu",
 	RankPFS:        "pfs.PagedFile.mu",

@@ -223,15 +223,31 @@ func (t *TLSF) AllocBatch(n int64, max int, dst []int64) []int64 {
 	return dst
 }
 
+// firstFitInClass walks the one size class need itself maps into — the class
+// mappingSearch's round-up skips — for a block that fits. It is the fallback
+// when the constant-time search finds nothing: with uniform page-sized
+// allocations every hole between two live pages is an exact fit that only
+// this walk can see, and without it the arena reports exhaustion while
+// holding free pages.
+func (t *TLSF) firstFitInClass(need int64) int64 {
+	fl, sl := mappingInsert(need)
+	for o := t.freeHead[fl][sl]; o != nullOffset; o = t.nextFree(o) {
+		if t.blockSize(o) >= need {
+			return o
+		}
+	}
+	return nullOffset
+}
+
 // allocLocked carves one block of exactly need total bytes (header included)
 // out of the free lists. Caller holds t.mu.
 func (t *TLSF) allocLocked(need int64) (int64, bool) {
-	fl, sl := mappingSearch(need)
-	fl, sl, ok := t.findSuitable(fl, sl)
-	if !ok {
+	var o int64
+	if fl, sl, ok := t.findSuitable(mappingSearch(need)); ok {
+		o = t.freeHead[fl][sl]
+	} else if o = t.firstFitInClass(need); o == nullOffset {
 		return 0, false
 	}
-	o := t.freeHead[fl][sl]
 	t.remove(o)
 	size := t.blockSize(o)
 

@@ -237,3 +237,41 @@ func BenchmarkTLSFAllocFree(b *testing.B) {
 		tl.Free(off)
 	}
 }
+
+// TestTLSFReusesExactFitHole is the regression test for the good-fit
+// search's blind spot: a request is rounded up to the next size class so
+// whatever the search finds is guaranteed to fit, which skips the class a
+// free block of exactly the requested size sits in. With uniform page-sized
+// allocations that is every hole left between two still-pinned pages: the
+// buffer pool reported "exhausted and nothing evictable" with a third of
+// its arena free (TestQueriesUnderMemoryPressure under -race).
+func TestTLSFReusesExactFitHole(t *testing.T) {
+	const page = 32 << 10
+	tl := NewTLSF(NewArena(8 * (page + 64)))
+	var offs []int64
+	for {
+		off, err := tl.Alloc(page)
+		if err != nil {
+			break
+		}
+		offs = append(offs, off)
+	}
+	if len(offs) < 3 {
+		t.Fatalf("arena held only %d pages", len(offs))
+	}
+	// Free every other page: each hole is exactly one page, walled in by
+	// allocated neighbours, so nothing coalesces.
+	holes := 0
+	for i := 1; i < len(offs)-1; i += 2 {
+		tl.Free(offs[i])
+		holes++
+	}
+	for i := 0; i < holes; i++ {
+		if _, err := tl.Alloc(page); err != nil {
+			t.Fatalf("allocation %d of %d failed with %d exact-fit holes free: %v", i+1, holes, holes-i, err)
+		}
+	}
+	if _, err := tl.Alloc(page); err == nil {
+		t.Fatal("allocated more pages than were freed")
+	}
+}

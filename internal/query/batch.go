@@ -285,21 +285,12 @@ func (b *Batch) SelByteEq(c int, v byte) {
 	b.sel = out
 }
 
-// ScanBatches streams a columnar set batch-at-a-time: numThreads page
-// iterator stripes (with the same read-ahead hinting as the row scan), one
-// Batch per pinned page, each thread reusing a single Batch so the steady
-// state allocates nothing. fn's batch — including any column slice taken
-// from it — is invalid after fn returns, when the page is released.
-//
-// Deprecated: use ScanSpec{Set: set, Threads: numThreads}.RunBatches(fn),
-// which also takes a declarative Predicate the scan can prune pages with.
-func ScanBatches(set *core.LocalitySet, numThreads int, fn func(thread int, b *Batch) error) error {
-	return scanBatchesOver(set, set.PageNums(), numThreads, fn)
-}
-
-// scanBatchesOver is the batch-scan substrate shared by ScanBatches and
-// ScanSpec.RunBatches: the same striped iterator loop, restricted to an
-// explicit page list so a zone-map prune can drop pages up front.
+// scanBatchesOver is the batch-scan substrate under ScanSpec.RunBatches:
+// numThreads page-iterator stripes (with the same read-ahead hinting as the
+// row scan) over an explicit page list, so a prune can drop pages up front.
+// One Batch per pinned page, each thread reusing a single Batch so the
+// steady state allocates nothing; fn's batch — including any column slice
+// taken from it — is invalid after fn returns, when the page is released.
 func scanBatchesOver(set *core.LocalitySet, nums []int64, numThreads int, fn func(thread int, b *Batch) error) error {
 	if set.Layout() != core.LayoutColumnar {
 		return fmt.Errorf("query: batch scan over %q, a %s-layout set", set.Name(), set.Layout())
@@ -388,24 +379,4 @@ func AggBatch(b *Batch, spec BatchAggSpec, m map[string][]byte, keyBuf []byte) [
 		spec.Accumulate(b, int(i), val)
 	}
 	return keyBuf
-}
-
-// AggBatches runs a scan-filter-aggregate pipeline over a columnar set:
-// filter narrows each batch's selection (nil keeps every row), spec folds
-// the survivors into per-thread partial maps, and the partials merge into
-// one result map at the end — the batch counterpart of LocalAggregate +
-// FinalAggregate on a single node.
-//
-// Deprecated: use ScanSpec{Set: set, Threads: numThreads}.AggBatches,
-// which also takes a declarative Predicate the scan can prune pages with.
-func AggBatches(set *core.LocalitySet, numThreads int, filter func(*Batch), spec BatchAggSpec) (map[string][]byte, error) {
-	return ScanSpec{Set: set, Threads: numThreads}.AggBatches(filter, spec)
-}
-
-// CountBatches counts the rows a filter keeps — a batch pipeline ending in
-// a count sink, with per-thread tallies.
-//
-// Deprecated: use ScanSpec{Set: set, Threads: numThreads}.CountBatches.
-func CountBatches(set *core.LocalitySet, numThreads int, filter func(*Batch)) (int64, error) {
-	return ScanSpec{Set: set, Threads: numThreads}.CountBatches(filter)
 }

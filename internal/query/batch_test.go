@@ -30,7 +30,7 @@ func loadColSet(t *testing.T, bp *core.BufferPool, name string, rows []Row) *cor
 func TestScanBatchesRejectsRowLayout(t *testing.T) {
 	bp := newPool(t, 8<<20)
 	s := loadSet(t, bp, "rows", testRows(10))
-	if err := ScanBatches(s, 2, func(int, *Batch) error { return nil }); err == nil {
+	if err := (ScanSpec{Set: s, Threads: 2}).RunBatches(func(int, *Batch) error { return nil }); err == nil {
 		t.Error("batch scan over a row-layout set must error")
 	}
 }
@@ -43,7 +43,7 @@ func TestScanBatchesMatchesRowScan(t *testing.T) {
 	rows := testRows(5000)
 	s := loadColSet(t, bp, "c", rows)
 	var n, idSum, amountSum atomic.Int64
-	err := ScanBatches(s, 4, func(_ int, b *Batch) error {
+	err := ScanSpec{Set: s, Threads: 4}.RunBatches(func(_ int, b *Batch) error {
 		if b.NumCols() != 3 || b.Width(0) != 4 {
 			t.Errorf("batch shape: %d cols, width0 %d", b.NumCols(), b.Width(0))
 		}
@@ -79,7 +79,7 @@ func TestSelectionKernels(t *testing.T) {
 	s := loadColSet(t, bp, "c", rows)
 
 	count := func(filter func(*Batch), pred func(Row) bool) (int64, int64) {
-		got, err := CountBatches(s, 3, filter)
+		got, err := ScanSpec{Set: s, Threads: 3}.CountBatches(filter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestAggBatchesMatchesRowAggregate(t *testing.T) {
 		},
 	}
 	pred := func(r Row) bool { return rowAmount(r) < 30 }
-	want, err := Aggregate(Filter(Scan(rowSet, 3), pred), bp, "agg-row", rowSpec)
+	want, err := Aggregate(Filter(ScanSpec{Set: rowSet, Threads: 3}.Iter(), pred), bp, "agg-row", rowSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestAggBatchesMatchesRowAggregate(t *testing.T) {
 		},
 		Combine: rowSpec.Combine,
 	}
-	got, err := AggBatches(colSet, 3, func(b *Batch) { b.SelU32Range(2, 0, 30) }, batchSpec)
+	got, err := ScanSpec{Set: colSet, Threads: 3}.AggBatches(func(b *Batch) { b.SelU32Range(2, 0, 30) }, batchSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestProjectBatch(t *testing.T) {
 		byID[rowID(r)] = r
 	}
 	var emitted atomic.Int64
-	err := ScanBatches(s, 2, func(_ int, b *Batch) error {
+	err := ScanSpec{Set: s, Threads: 2}.RunBatches(func(_ int, b *Batch) error {
 		b.SelU32Range(1, 5, 6) // group == 5
 		return ProjectBatch(b, func(r Row) error {
 			want := byID[rowID(r)]

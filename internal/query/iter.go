@@ -24,39 +24,12 @@ type Row = []byte
 // error. Operators wrap Iters, forming the paper's Pipeline module.
 type Iter func(emit func(Row) error) error
 
-// Scan streams every row of a locality set with numThreads concurrent page
-// iterators (Table 2: Scan). emit may be called from multiple goroutines;
-// downstream stateful sinks must either lock or use per-thread state via
-// ScanThreaded.
-//
-// Scanning declares a sequential reading pattern on the set, so on a cold
-// set the page iterators read ahead through the buffer pool's per-drive
-// prefetch queues: the whole operator pipeline runs over a pinned page
-// while the drives load the pages behind it, instead of stalling the
-// pipeline on one synchronous read per page. Every TPC-H operator that
-// consumes a base or intermediate set inherits this by scanning through
-// here.
-//
-// Deprecated: use ScanSpec{Set: set, Threads: numThreads}.Iter(), which
-// also takes a declarative Predicate the scan can prune pages with.
-func Scan(set *core.LocalitySet, numThreads int) Iter {
-	return ScanSpec{Set: set, Threads: numThreads}.Iter()
-}
-
 // Warm hints that an imminent operator will read the whole set (e.g. the
 // build side of a join the scheduler has just picked), prefetching every
 // non-resident page that has an on-disk image. Best-effort: it returns the
 // number of reads issued and never blocks on memory.
 func Warm(set *core.LocalitySet) int {
 	return set.Prefetch(set.PageNums())
-}
-
-// ScanThreaded is Scan with the worker-thread index exposed, for sinks that
-// keep per-thread state (e.g. per-thread shuffle buffers).
-//
-// Deprecated: use ScanSpec{Set: set, Threads: numThreads}.Run(fn).
-func ScanThreaded(set *core.LocalitySet, numThreads int, fn func(thread int, row Row) error) error {
-	return ScanSpec{Set: set, Threads: numThreads}.Run(fn)
 }
 
 // Filter drops rows failing the predicate (Table 2: Filter).

@@ -216,42 +216,3 @@ func TestScanSpecValidation(t *testing.T) {
 		t.Error("batch scan over a row-layout set must error")
 	}
 }
-
-// TestDeprecatedWrappersMatchScanSpec: the legacy entry points are thin
-// wrappers — byte-identical visit sets and aggregates.
-func TestDeprecatedWrappersMatchScanSpec(t *testing.T) {
-	bp := newPool(t, 16<<20)
-	rows := testRows(3000)
-	rowSet := loadSet(t, bp, "r", rows)
-	colSet := loadColSet(t, bp, "c", rows)
-
-	sumVia := func(scan func(func(Row) error) error) int64 {
-		t.Helper()
-		var sum atomic.Int64
-		if err := scan(func(r Row) error { sum.Add(int64(rowID(r))); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		return sum.Load()
-	}
-	legacy := sumVia(func(emit func(Row) error) error { return Scan(rowSet, 3)(emit) })
-	speced := sumVia(func(emit func(Row) error) error { return ScanSpec{Set: rowSet, Threads: 3}.Iter()(emit) })
-	threaded := sumVia(func(emit func(Row) error) error {
-		return ScanThreaded(rowSet, 3, func(_ int, r Row) error { return emit(r) })
-	})
-	if legacy != speced || legacy != threaded {
-		t.Errorf("wrapper sums differ: Scan %d, ScanSpec %d, ScanThreaded %d", legacy, speced, threaded)
-	}
-
-	filter := func(b *Batch) { b.SelU32Range(2, 0, 30) }
-	nLegacy, err := CountBatches(colSet, 3, filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nSpec, err := ScanSpec{Set: colSet, Threads: 3, Pred: ColRange{Col: 2, Lo: 0, Hi: 30}}.CountBatches(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nLegacy != nSpec {
-		t.Errorf("CountBatches wrapper %d, ScanSpec %d", nLegacy, nSpec)
-	}
-}

@@ -61,7 +61,7 @@ func testRows(n int) []Row {
 func TestScanFilterCount(t *testing.T) {
 	bp := newPool(t, 4<<20)
 	s := loadSet(t, bp, "rows", testRows(1000))
-	even := Filter(Scan(s, 3), func(r Row) bool { return rowID(r)%2 == 0 })
+	even := Filter(ScanSpec{Set: s, Threads: 3}.Iter(), func(r Row) bool { return rowID(r)%2 == 0 })
 	n, err := Count(even)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestScanFilterCount(t *testing.T) {
 func TestFlattenExpandsRows(t *testing.T) {
 	bp := newPool(t, 4<<20)
 	s := loadSet(t, bp, "rows", testRows(50))
-	dup := Flatten(Scan(s, 1), func(r Row, out func(Row) error) error {
+	dup := Flatten(ScanSpec{Set: s}.Iter(), func(r Row, out func(Row) error) error {
 		if err := out(r); err != nil {
 			return err
 		}
@@ -92,7 +92,7 @@ func TestFlattenExpandsRows(t *testing.T) {
 func TestMapTransforms(t *testing.T) {
 	bp := newPool(t, 4<<20)
 	s := loadSet(t, bp, "rows", testRows(10))
-	doubled := Map(Scan(s, 1), func(r Row) (Row, error) {
+	doubled := Map(ScanSpec{Set: s}.Iter(), func(r Row) (Row, error) {
 		out := append(Row(nil), r...)
 		binary.LittleEndian.PutUint32(out[8:12], rowAmount(r)*2)
 		return out, nil
@@ -136,7 +136,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 		wantCnt[rowGroup(r)]++
 	}
 
-	got, err := Aggregate(Scan(s, 2), bp, "agg-tmp", sumSpec())
+	got, err := Aggregate(ScanSpec{Set: s, Threads: 2}.Iter(), bp, "agg-tmp", sumSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func TestBroadcastJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildBroadcastMap(Scan(bs, 1), mapSet, func(r Row) []byte { return r[0:4] })
+	m, err := BuildBroadcastMap(ScanSpec{Set: bs}.Iter(), mapSet, func(r Row) []byte { return r[0:4] })
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := HashJoin(Scan(probe, 2), m, func(r Row) []byte { return r[4:8] },
+	joined := HashJoin(ScanSpec{Set: probe, Threads: 2}.Iter(), m, func(r Row) []byte { return r[4:8] },
 		func(pr, br Row) Row {
 			out := make(Row, 13)
 			copy(out, pr)
@@ -207,16 +207,16 @@ func TestSemiAndAntiJoin(t *testing.T) {
 	probe := loadSet(t, bp, "fact", testRows(700)) // groups 0..6
 
 	mapSet, _ := bp.CreateSet(core.SetSpec{Name: "jm", PageSize: 64 << 10})
-	m, err := BuildBroadcastMap(Scan(bs, 1), mapSet, func(r Row) []byte { return r[0:4] })
+	m, err := BuildBroadcastMap(ScanSpec{Set: bs}.Iter(), mapSet, func(r Row) []byte { return r[0:4] })
 	if err != nil {
 		t.Fatal(err)
 	}
 	probeKey := func(r Row) []byte { return r[4:8] }
-	semi, err := Count(SemiJoin(Scan(probe, 1), m, probeKey))
+	semi, err := Count(SemiJoin(ScanSpec{Set: probe}.Iter(), m, probeKey))
 	if err != nil {
 		t.Fatal(err)
 	}
-	anti, err := Count(AntiJoin(Scan(probe, 1), m, probeKey))
+	anti, err := Count(AntiJoin(ScanSpec{Set: probe}.Iter(), m, probeKey))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +235,11 @@ func TestMaterializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Materialize(Filter(Scan(s, 2), func(r Row) bool { return rowGroup(r) == 0 }), out)
+	n, err := Materialize(Filter(ScanSpec{Set: s, Threads: 2}.Iter(), func(r Row) bool { return rowGroup(r) == 0 }), out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Count(Scan(out, 1))
+	m, err := Count(ScanSpec{Set: out}.Iter())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestExchangeCoPartitions(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return Scan(s, 2)(emit)
+			return ScanSpec{Set: s, Threads: 2}.Iter()(emit)
 		}
 	}, key, 64<<10)
 	if err != nil {
@@ -315,7 +315,7 @@ func TestExchangeCoPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := Collect(Scan(s, 1))
+		rows, err := Collect(ScanSpec{Set: s}.Iter())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestBroadcastReplicatesEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := Count(Scan(s, 1))
+		n, err := Count(ScanSpec{Set: s}.Iter())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +365,7 @@ func TestDistributedAggregate(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return Scan(s, 2)(emit)
+			return ScanSpec{Set: s, Threads: 2}.Iter()(emit)
 		}
 	}, sumSpec())
 	if err != nil {

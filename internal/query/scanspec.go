@@ -142,9 +142,16 @@ func (sp ScanSpec) pages() ([]int64, func()) {
 	return kept, func() { set.SetPrefetchFilter(nil) }
 }
 
-// Run streams every matching row to fn, which may be called from Threads
-// goroutines (one per page-iterator stripe). Rows alias pinned pages and
-// are invalid after fn returns.
+// Run streams every matching row to fn (Table 2: Scan), which may be called
+// from Threads goroutines (one per page-iterator stripe), so stateful sinks
+// lock or keep per-thread state indexed by thread. Rows alias pinned pages
+// and are invalid after fn returns.
+//
+// Scanning declares a sequential reading pattern on the set, so on a cold
+// set the page iterators read ahead through the buffer pool's per-drive
+// prefetch queues: the whole operator pipeline runs over a pinned page
+// while the drives load the pages behind it, instead of stalling on one
+// synchronous read per page.
 func (sp ScanSpec) Run(fn func(thread int, row Row) error) error {
 	match, err := sp.compile()
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 func TestCountParallel(t *testing.T) {
 	bp := newPool(t, 8<<20)
 	s := loadSet(t, bp, "s", testRows(20000))
-	n, err := Count(Scan(s, 8))
+	n, err := Count(ScanSpec{Set: s, Threads: 8}.Iter())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestCollectParallel(t *testing.T) {
 	bp := newPool(t, 8<<20)
 	rows := testRows(10000)
 	s := loadSet(t, bp, "s", rows)
-	got, err := Collect(Scan(s, 8))
+	got, err := Collect(ScanSpec{Set: s, Threads: 8}.Iter())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestLocalAggregateParallelRace(t *testing.T) {
 				binary.LittleEndian.Uint64(dst[8:16])+binary.LittleEndian.Uint64(src[8:16]))
 		},
 	}
-	got, err := Aggregate(Scan(s, 8), bp, "agg", spec)
+	got, err := Aggregate(ScanSpec{Set: s, Threads: 8}.Iter(), bp, "agg", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPartialsPropagatesError(t *testing.T) {
 	if err := bp.DropSet(dead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LocalAggregate(Scan(s, 4), dead, 4, spec); err == nil {
+	if _, err := LocalAggregate(ScanSpec{Set: s, Threads: 4}.Iter(), dead, 4, spec); err == nil {
 		t.Error("LocalAggregate into a dropped set must error")
 	}
 }

@@ -275,21 +275,6 @@ func (w *ColumnarWriter) Add(rec []byte) error {
 	return nil
 }
 
-// ChainOnSeal adds fn to the writer's seal hook, running after any hook
-// already attached — so side objects that feed off sealed pages (zone map,
-// microindex) compose on one writer instead of silently displacing each
-// other.
-func (w *ColumnarWriter) ChainOnSeal(fn func(pageNum int64, p *ColumnarPage)) {
-	if prev := w.OnSeal; prev != nil {
-		w.OnSeal = func(num int64, p *ColumnarPage) {
-			prev(num, p)
-			fn(num, p)
-		}
-	} else {
-		w.OnSeal = fn
-	}
-}
-
 // seal finishes the current page: runs the OnSeal hook while the page is
 // still pinned, then unpins it dirty.
 func (w *ColumnarWriter) seal() error {

@@ -154,16 +154,16 @@ func TestMixedLayoutsInOnePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := func(s *core.LocalitySet, want []byte) int {
-		got := 0
-		if err := ScanSet(s, 2, func(_ int, rec []byte) error {
+		var got [2]int // one slot per scan thread
+		if err := ScanSet(s, 2, func(thread int, rec []byte) error {
 			if len(rec) == len(want) {
-				got++
+				got[thread]++
 			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return got
+		return got[0] + got[1]
 	}
 	if got := count(rowSet, rowRecs[0]); got != n {
 		t.Errorf("row set scan saw %d records, want %d", got, n)
@@ -213,15 +213,16 @@ func TestColumnarSpillReload(t *testing.T) {
 		t.Fatal("no spills: the pool was not under pressure, test proves nothing")
 	}
 	base := bp.Stats().Loads.Load()
-	var sum uint64
-	got := 0
-	if err := ScanSet(s, 2, func(_ int, rec []byte) error {
-		sum += uint64(binary.LittleEndian.Uint32(rec[0:4]))
-		got++
+	var sums [2]uint64 // one slot per scan thread
+	var gots [2]int
+	if err := ScanSet(s, 2, func(thread int, rec []byte) error {
+		sums[thread] += uint64(binary.LittleEndian.Uint32(rec[0:4]))
+		gots[thread]++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	sum, got := sums[0]+sums[1], gots[0]+gots[1]
 	if got != n {
 		t.Fatalf("reloaded scan saw %d records, want %d", got, n)
 	}

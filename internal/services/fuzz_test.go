@@ -107,11 +107,30 @@ func hugePageCountSeed(t testing.TB) []byte {
 	return data
 }
 
-// TestLoadZoneMapRejectsHugePageCount is the regression test for the
-// npages size-computation overflow.
-func TestLoadZoneMapRejectsHugePageCount(t *testing.T) {
-	if _, err := LoadZoneMap(hugePageCountSeed(t), fuzzZoneSpec()); err == nil {
-		t.Fatal("LoadZoneMap accepted a map claiming 2^61 pages")
+// TestLoadZoneMapRejectsCorruptPageTable pins the shared decoder's page-table
+// checks on the zone-map format: the npages size-computation overflow (its
+// regression test), and the bounds the microindex decoder always had that
+// zone maps gained with the shared codec — a page number repeated or
+// negative, and bytes left over after the last page record.
+func TestLoadZoneMapRejectsCorruptPageTable(t *testing.T) {
+	// validZoneMapSeed: 80 bytes of header and schema, then two 120-byte
+	// page records whose first word is the page number.
+	const page1 = 80 + 120
+	patch := func(v uint64) []byte {
+		data := validZoneMapSeed(t)
+		binary.LittleEndian.PutUint64(data[page1:], v)
+		return data
+	}
+	for name, data := range map[string][]byte{
+		"claims 2^61 pages":                    hugePageCountSeed(t),
+		"repeats page 0":                       patch(0),
+		"has a negative page number":           patch(1 << 63),
+		"has trailing bytes":                   append(validZoneMapSeed(t), 0, 0, 0, 0, 0, 0, 0, 0),
+		"has a trailing unclaimed page record": append(validZoneMapSeed(t), make([]byte, 120)...),
+	} {
+		if _, err := LoadZoneMap(data, fuzzZoneSpec()); err == nil {
+			t.Errorf("LoadZoneMap accepted a map that %s", name)
+		}
 	}
 }
 

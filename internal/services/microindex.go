@@ -1,15 +1,10 @@
 package services
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"os"
-	"sort"
+	"slices"
 
 	"pangea/internal/core"
-	"pangea/internal/locking"
-	"pangea/internal/pfs"
 )
 
 // Microindexes are per-set secondary indexes over designated columns: for
@@ -22,21 +17,15 @@ import (
 // key column whose per-page blooms have saturated, that is the difference
 // between visiting most of the set and visiting one page.
 //
-// Like zone maps, microindexes are built incrementally from the sequential
-// writers' hooks (see AttachMicroindex), persisted as a per-set pfs side
-// object, and healed by a full-scan rebuild when the persisted object is
-// absent, torn, or stale. Authoritative semantics make coverage a
+// They are one kind of side index (see sideindex.go for how they are built,
+// persisted and healed). Authoritative semantics make coverage a
 // correctness gate, not an optimization: the query layer consults a
 // microindex only after Covers confirms every page of the set is described,
-// and pages whose rows could not be parsed stay in every lookup result.
+// and pages whose rows could not be parsed stay in every lookup result,
+// because the index cannot vouch for what they hold.
 
 // MicroindexTag is the pfs side-object name microindexes persist under.
 const MicroindexTag = "midx"
-
-// MicroindexDefault reports whether loads should build microindexes by
-// default, controlled by the PANGEA_MICROINDEX=1 environment toggle (CI
-// runs the query and services suites under both values).
-func MicroindexDefault() bool { return os.Getenv("PANGEA_MICROINDEX") == "1" }
 
 // MicroindexSpec describes what a microindex covers: the fixed-width column
 // schema (same shape rules as ZoneMapSpec), and which columns get posting
@@ -47,74 +36,26 @@ type MicroindexSpec struct {
 	Cols   []int
 }
 
-// idxPage is one page's coverage slot. A page whose rows could not all be
-// parsed (short record, shape mismatch) is marked invalid: it stays covered
-// but is folded into every lookup result, because the index cannot vouch
-// for what it holds.
-type idxPage struct {
-	rows  int64
-	valid bool
-}
+var microindexKind = sideKind{name: "microindex", tag: MicroindexTag, magic: 0x58494D47} // "GMIX"
 
 // Microindex holds the per-column postings of one locality set.
 type Microindex struct {
-	widths  []int
-	offsets []int
-	rowSize int   // bytes of record prefix the schema addresses
-	cols    []int // sorted indexed column indices
-	colPos  map[int]int
-
-	mu       locking.RWMutex
-	pages    map[int64]*idxPage
+	sideIndex
 	postings []map[uint64][]int64 // parallel to cols; page lists ascending
-	invalid  []int64              // ascending pages with valid=false
 }
 
 // NewMicroindex builds an empty microindex for the given spec.
 func NewMicroindex(spec MicroindexSpec) (*Microindex, error) {
-	if len(spec.Schema) == 0 {
-		return nil, fmt.Errorf("services: microindex needs a schema")
-	}
 	if len(spec.Cols) == 0 {
 		return nil, fmt.Errorf("services: microindex needs at least one indexed column")
 	}
-	m := &Microindex{
-		widths:  make([]int, len(spec.Schema)),
-		offsets: make([]int, len(spec.Schema)),
-		colPos:  make(map[int]int),
-		pages:   make(map[int64]*idxPage),
-	}
-	m.mu.Init(locking.RankMicroindex)
-	for i, c := range spec.Schema {
-		if c.Width <= 0 {
-			return nil, fmt.Errorf("services: microindex column %d has width %d", i, c.Width)
-		}
-		if c.Offset < 0 {
-			return nil, fmt.Errorf("services: microindex column %d has offset %d", i, c.Offset)
-		}
-		m.widths[i], m.offsets[i] = c.Width, c.Offset
-		if end := c.Offset + c.Width; end > m.rowSize {
-			m.rowSize = end
-		}
-	}
-	for _, c := range spec.Cols {
-		if c < 0 || c >= len(spec.Schema) {
-			return nil, fmt.Errorf("services: microindex column %d out of range [0,%d)", c, len(spec.Schema))
-		}
-		switch m.widths[c] {
-		case 1, 2, 4, 8:
-		default:
-			return nil, fmt.Errorf("services: microindex column %d has width %d, want 1/2/4/8", c, m.widths[c])
-		}
-		if _, dup := m.colPos[c]; dup {
-			continue
-		}
-		m.colPos[c] = len(m.cols)
-		m.cols = append(m.cols, c)
-	}
-	sort.Ints(m.cols)
-	for pos, c := range m.cols {
-		m.colPos[c] = pos
+	// Postings persist in ascending column order whatever order the spec
+	// names the columns in.
+	cols := slices.Clone(spec.Cols)
+	slices.Sort(cols)
+	m := &Microindex{}
+	if err := m.init(&microindexKind, m, spec.Schema, cols); err != nil {
+		return nil, err
 	}
 	m.postings = make([]map[uint64][]int64, len(m.cols))
 	for i := range m.postings {
@@ -123,168 +64,21 @@ func NewMicroindex(spec MicroindexSpec) (*Microindex, error) {
 	return m, nil
 }
 
-// matches reports whether the index was built for exactly this spec.
-func (m *Microindex) matches(spec MicroindexSpec) bool {
-	if len(spec.Schema) != len(m.widths) {
-		return false
-	}
-	for i, c := range spec.Schema {
-		if m.widths[i] != c.Width || m.offsets[i] != c.Offset {
-			return false
-		}
-	}
-	seen := make(map[int]bool, len(spec.Cols))
-	for _, c := range spec.Cols {
-		if _, ok := m.colPos[c]; !ok {
-			return false
-		}
-		seen[c] = true
-	}
-	return len(seen) == len(m.cols)
-}
-
-// page returns (creating if asked) the coverage slot for pageNum. Caller
-// holds m.mu.
-func (m *Microindex) page(num int64, create bool) *idxPage {
-	p := m.pages[num]
-	if p == nil && create {
-		p = &idxPage{valid: true}
-		m.pages[num] = p
-	}
-	return p
-}
-
-// invalidate marks a page's rows unparseable: it stays covered but joins
-// every lookup result. Caller holds m.mu.
-func (m *Microindex) invalidate(num int64, p *idxPage) {
-	if !p.valid {
-		return
-	}
-	p.valid = false
-	i := sort.Search(len(m.invalid), func(i int) bool { return m.invalid[i] >= num })
-	if i < len(m.invalid) && m.invalid[i] == num {
-		return
-	}
-	m.invalid = append(m.invalid, 0)
-	copy(m.invalid[i+1:], m.invalid[i:])
-	m.invalid[i] = num
-}
-
-// post records that page num holds value v in indexed-column slot pos,
-// keeping each posting list ascending and deduplicated. Caller holds m.mu.
-func (m *Microindex) post(pos int, v uint64, num int64) {
-	list := m.postings[pos][v]
+// fold records that page num holds value v in indexed-column slot, keeping
+// each posting list ascending and deduplicated.
+func (m *Microindex) fold(_ []byte, num int64, _, slot int, v uint64, _ bool) {
+	list := m.postings[slot][v]
 	if n := len(list); n > 0 && list[n-1] >= num {
 		if list[n-1] == num {
 			return // sequential writers restate a page's last value often
 		}
 		// Out-of-order note (a re-sealed earlier page): insert sorted.
-		i := sort.Search(n, func(i int) bool { return list[i] >= num })
-		if i < n && list[i] == num {
-			return
+		if i, found := slices.BinarySearch(list, num); !found {
+			m.postings[slot][v] = slices.Insert(list, i, num)
 		}
-		list = append(list, 0)
-		copy(list[i+1:], list[i:])
-		list[i] = num
-		m.postings[pos][v] = list
 		return
 	}
-	m.postings[pos][v] = append(list, num)
-}
-
-// readU reads an indexed column's unsigned value out of a row record.
-func (m *Microindex) readU(rec []byte, col int) uint64 {
-	off := m.offsets[col]
-	switch m.widths[col] {
-	case 1:
-		return uint64(rec[off])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(rec[off:]))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(rec[off:]))
-	default:
-		return binary.LittleEndian.Uint64(rec[off:])
-	}
-}
-
-// NoteAppend folds one appended row record into the postings — the
-// SeqWriter append hook. A record shorter than the schema's footprint
-// invalidates the page (covered, but a candidate for every lookup).
-func (m *Microindex) NoteAppend(pageNum int64, rec []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := m.page(pageNum, true)
-	if len(rec) < m.rowSize {
-		m.invalidate(pageNum, p)
-		return
-	}
-	for pos, c := range m.cols {
-		m.post(pos, m.readU(rec, c), pageNum)
-	}
-	p.rows++
-}
-
-// NoteColumnarPage folds one sealed columnar page into the postings — the
-// ColumnarWriter seal hook and the vectorized path of rebuilds: each
-// indexed column is a tight loop over its contiguous segment.
-func (m *Microindex) NoteColumnarPage(pageNum int64, cp *ColumnarPage) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := m.page(pageNum, true)
-	n := cp.NumRows()
-	if cp.NumCols() != len(m.widths) {
-		m.invalidate(pageNum, p)
-		return
-	}
-	for _, c := range m.cols {
-		if cp.Width(c) != m.widths[c] {
-			m.invalidate(pageNum, p)
-			return
-		}
-	}
-	for pos, c := range m.cols {
-		seg := cp.Col(c)
-		w := m.widths[c]
-		for i := 0; i < n; i++ {
-			var u uint64
-			switch w {
-			case 1:
-				u = uint64(seg[i])
-			case 2:
-				u = uint64(binary.LittleEndian.Uint16(seg[i*2:]))
-			case 4:
-				u = uint64(binary.LittleEndian.Uint32(seg[i*4:]))
-			default:
-				u = binary.LittleEndian.Uint64(seg[i*8:])
-			}
-			m.post(pos, u, pageNum)
-		}
-	}
-	p.rows = int64(n)
-}
-
-// NumPages returns how many pages have coverage slots.
-func (m *Microindex) NumPages() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.pages)
-}
-
-// Covers reports whether every page 0..n-1 has a coverage slot — the gate
-// the query layer checks before trusting lookups, since an authoritative
-// index that misses a page would wrongly exclude it.
-func (m *Microindex) Covers(n int64) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if int64(len(m.pages)) < n {
-		return false
-	}
-	for i := int64(0); i < n; i++ {
-		if m.pages[i] == nil {
-			return false
-		}
-	}
-	return true
+	m.postings[slot][v] = append(list, num)
 }
 
 // LookupPages returns the ascending candidate pages that may hold value v
@@ -294,11 +88,11 @@ func (m *Microindex) Covers(n int64) bool {
 func (m *Microindex) LookupPages(col int, v uint64) ([]int64, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	pos, ok := m.colPos[col]
+	slot, ok := m.colPos[col]
 	if !ok {
 		return nil, false
 	}
-	list := m.postings[pos][v]
+	list := m.postings[slot][v]
 	out := make([]int64, 0, len(list)+len(m.invalid))
 	i, j := 0, 0
 	for i < len(list) && j < len(m.invalid) {
@@ -319,154 +113,46 @@ func (m *Microindex) LookupPages(col int, v uint64) ([]int64, bool) {
 	return append(out, m.invalid[j:]...), true
 }
 
-// --- persistence -------------------------------------------------------------
-
-const (
-	microindexMagic   = 0x58494D47 // "GMIX"
-	microindexVersion = 1
-
-	miValid = 1 // flags bit: page parsed cleanly, postings are authoritative
-)
-
-// Marshal serializes the index as the compact side object: a versioned
-// header carrying the schema shape and indexed columns (so a stale or
-// reshaped index is rejected on load), the per-page coverage records, then
-// each indexed column's postings sorted by value.
-func (m *Microindex) Marshal() []byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	nums := make([]int64, 0, len(m.pages))
-	for n := range m.pages {
-		nums = append(nums, n)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	size := 40 + 16*len(m.widths) + 8*len(m.cols) + 24*len(nums)
-	for _, post := range m.postings {
-		size += 8
-		for _, list := range post {
-			size += 16 + 8*len(list)
-		}
-	}
-	buf := make([]byte, 0, size)
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	put(microindexMagic)
-	put(microindexVersion)
-	put(uint64(len(m.widths)))
-	put(uint64(len(m.cols)))
-	put(uint64(len(nums)))
-	for i := range m.widths {
-		put(uint64(m.widths[i]))
-		put(uint64(m.offsets[i]))
-	}
-	for _, c := range m.cols {
-		put(uint64(c))
-	}
-	for _, n := range nums {
-		p := m.pages[n]
-		put(uint64(n))
-		put(uint64(p.rows))
-		flags := uint64(0)
-		if p.valid {
-			flags |= miValid
-		}
-		put(flags)
-	}
+// appendBody encodes each indexed column's postings sorted by value.
+func (m *Microindex) appendBody(buf []byte) []byte {
 	for _, post := range m.postings {
 		vals := make([]uint64, 0, len(post))
 		for v := range post {
 			vals = append(vals, v)
 		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		put(uint64(len(vals)))
+		slices.Sort(vals)
+		buf = le.AppendUint64(buf, uint64(len(vals)))
 		for _, v := range vals {
 			list := post[v]
-			put(v)
-			put(uint64(len(list)))
+			buf = le.AppendUint64(buf, v)
+			buf = le.AppendUint64(buf, uint64(len(list)))
 			for _, num := range list {
-				put(uint64(num))
+				buf = le.AppendUint64(buf, uint64(num))
 			}
 		}
 	}
 	return buf
 }
 
-// LoadMicroindex parses a serialized microindex and verifies it was built
-// for spec; a mismatch (schema evolved, indexed columns changed) is an
-// error so callers rebuild instead of trusting stale shapes. Every count in
-// the object is bounded against the bytes actually present before it enters
-// size arithmetic or drives a loop, so a corrupt object errors instead of
-// over-allocating or reading past the buffer.
-func LoadMicroindex(data []byte, spec MicroindexSpec) (*Microindex, error) {
-	m, err := NewMicroindex(spec)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < 40 {
-		return nil, fmt.Errorf("services: microindex side object truncated (%d bytes)", len(data))
-	}
-	off := 0
+// decodeBody parses the postings: values strictly ascending per column,
+// each list non-empty, strictly ascending, and naming only covered pages.
+func (m *Microindex) decodeBody(data []byte) ([]byte, error) {
 	get := func() uint64 {
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
+		v := le.Uint64(data)
+		data = data[8:]
 		return v
 	}
-	if get() != microindexMagic {
-		return nil, fmt.Errorf("services: bad microindex magic")
-	}
-	if v := get(); v != microindexVersion {
-		return nil, fmt.Errorf("services: unsupported microindex version %d", v)
-	}
-	ncols, nidx, npages := int(get()), int(get()), int(get())
-	if ncols != len(m.widths) || nidx != len(m.cols) {
-		return nil, fmt.Errorf("services: microindex shape mismatch (%d cols, %d indexed)", ncols, nidx)
-	}
-	fixed := 40 + 16*ncols + 8*nidx
-	if len(data) < fixed {
-		return nil, fmt.Errorf("services: microindex schema section truncated (%d of %d bytes)", len(data), fixed)
-	}
-	if npages < 0 || npages > (len(data)-fixed)/24 {
-		return nil, fmt.Errorf("services: microindex claims %d pages, %d bytes hold at most %d",
-			npages, len(data), (len(data)-fixed)/24)
-	}
-	for i := 0; i < ncols; i++ {
-		if w, o := int(get()), int(get()); w != m.widths[i] || o != m.offsets[i] {
-			return nil, fmt.Errorf("services: microindex column %d is %d@%d, spec wants %d@%d", i, w, o, m.widths[i], m.offsets[i])
-		}
-	}
-	for i := 0; i < nidx; i++ {
-		if c := int(get()); c != m.cols[i] {
-			return nil, fmt.Errorf("services: microindex indexed columns differ from spec")
-		}
-	}
-	for i := 0; i < npages; i++ {
-		num := int64(get())
-		if num < 0 {
-			return nil, fmt.Errorf("services: microindex page number %d out of range", num)
-		}
-		if m.pages[num] != nil {
-			return nil, fmt.Errorf("services: microindex repeats page %d", num)
-		}
-		p := m.page(num, true)
-		p.rows = int64(get())
-		if get()&miValid == 0 {
-			m.invalidate(num, p)
-		}
-	}
-	for pos := range m.postings {
-		if len(data)-off < 8 {
+	for slot := range m.postings {
+		if len(data) < 8 {
 			return nil, fmt.Errorf("services: microindex postings truncated")
 		}
 		nvals := int(get())
-		if nvals < 0 || nvals > (len(data)-off)/16 {
-			return nil, fmt.Errorf("services: microindex claims %d values, %d bytes left", nvals, len(data)-off)
+		if nvals < 0 || nvals > len(data)/16 {
+			return nil, fmt.Errorf("services: microindex claims %d values, %d bytes left", nvals, len(data))
 		}
 		var prevVal uint64
 		for i := 0; i < nvals; i++ {
-			if len(data)-off < 16 {
+			if len(data) < 16 {
 				return nil, fmt.Errorf("services: microindex postings truncated")
 			}
 			v := get()
@@ -475,8 +161,8 @@ func LoadMicroindex(data []byte, spec MicroindexSpec) (*Microindex, error) {
 			}
 			prevVal = v
 			nlist := int(get())
-			if nlist <= 0 || nlist > (len(data)-off)/8 {
-				return nil, fmt.Errorf("services: microindex claims %d postings, %d bytes left", nlist, len(data)-off)
+			if nlist <= 0 || nlist > len(data)/8 {
+				return nil, fmt.Errorf("services: microindex claims %d postings, %d bytes left", nlist, len(data))
 			}
 			list := make([]int64, nlist)
 			for j := range list {
@@ -489,88 +175,41 @@ func LoadMicroindex(data []byte, spec MicroindexSpec) (*Microindex, error) {
 				}
 				list[j] = num
 			}
-			m.postings[pos][v] = list
+			m.postings[slot][v] = list
 		}
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("services: microindex has %d trailing bytes", len(data)-off)
+	return data, nil
+}
+
+// LoadMicroindex parses a serialized microindex and verifies it was built
+// for spec.
+func LoadMicroindex(data []byte, spec MicroindexSpec) (*Microindex, error) {
+	m, err := NewMicroindex(spec)
+	if err == nil {
+		err = m.unmarshal(data)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }
-
-// Save persists the index as the set's microindex side object.
-func (m *Microindex) Save(set *core.LocalitySet) error {
-	return set.WriteSideObject(MicroindexTag, m.Marshal())
-}
-
-// --- wiring ------------------------------------------------------------------
 
 // AttachMicroindex wires incremental index maintenance into a sequential
-// writer, chaining onto the same seal/append hooks a zone map uses — both
-// side objects ride one writer. The index is registered under the set's
-// microindex side-index key so point-lookup scans find it; call Save after
-// the writer closes to persist it.
+// writer and registers the index on the writer's set (see
+// attachSideIndex).
 func AttachMicroindex(w *SeqWriter, spec MicroindexSpec) (*Microindex, error) {
 	m, err := NewMicroindex(spec)
+	if err == nil {
+		err = attachSideIndex(w, m)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if w.cw != nil {
-		widths := w.set.ColumnWidths()
-		if len(widths) != len(m.widths) {
-			return nil, fmt.Errorf("services: microindex schema has %d columns, columnar set %q has %d",
-				len(m.widths), w.set.Name(), len(widths))
-		}
-		for i, cw := range widths {
-			if m.widths[i] != cw {
-				return nil, fmt.Errorf("services: microindex column %d width %d, columnar set %q stores %d",
-					i, m.widths[i], w.set.Name(), cw)
-			}
-		}
-		w.cw.ChainOnSeal(m.NoteColumnarPage)
-	} else {
-		w.ChainOnAppend(m.NoteAppend)
-	}
-	w.set.SetSideIndex(MicroindexTag, m)
 	return m, nil
 }
 
-// EnsureMicroindex returns a usable microindex for the set, mirroring
-// EnsureZoneMap's heal discipline: the attached index if it matches the
-// spec and covers every page; else the persisted side object if it decodes
-// and covers; else a full-scan rebuild, persisted and attached before
-// returning. Torn or undecodable objects count a side-object rebuild; a
-// real read failure propagates instead of triggering a rebuild.
+// EnsureMicroindex returns a usable microindex for the set — attached,
+// loaded from the persisted side object, or rebuilt (see ensureSideIndex).
 func EnsureMicroindex(set *core.LocalitySet, spec MicroindexSpec) (*Microindex, error) {
-	n := set.NumPages()
-	if m, ok := set.SideIndex(MicroindexTag).(*Microindex); ok && m.matches(spec) && m.Covers(n) {
-		return m, nil
-	}
-	switch data, err := set.ReadSideObject(MicroindexTag); {
-	case err == nil:
-		if m, lerr := LoadMicroindex(data, spec); lerr != nil {
-			set.NoteSideObjectRebuild()
-		} else if m.Covers(n) {
-			set.SetSideIndex(MicroindexTag, m)
-			return m, nil
-		}
-	case errors.Is(err, pfs.ErrNoSideObject):
-		// Never written (seed set): plain rebuild.
-	case errors.Is(err, pfs.ErrCorruptSideObject):
-		set.NoteSideObjectRebuild()
-	default:
-		return nil, fmt.Errorf("services: read microindex of %q: %w", set.Name(), err)
-	}
-	m, err := NewMicroindex(spec)
-	if err != nil {
-		return nil, err
-	}
-	if err := rebuildFromScan(set, n, m.NoteColumnarPage, m.NoteAppend); err != nil {
-		return nil, fmt.Errorf("services: rebuild microindex of %q: %w", set.Name(), err)
-	}
-	if err := m.Save(set); err != nil {
-		return nil, err
-	}
-	set.SetSideIndex(MicroindexTag, m)
-	return m, nil
+	return ensureSideIndex(set, func() (*Microindex, error) { return NewMicroindex(spec) })
 }

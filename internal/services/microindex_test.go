@@ -2,8 +2,6 @@ package services
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"testing"
 
 	"pangea/internal/core"
@@ -123,8 +121,8 @@ func TestMicroindexIncrementalMatchesRebuild(t *testing.T) {
 }
 
 // TestMicroindexPersistRoundTrip: Marshal/Load round-trips every posting; a
-// stale side object (fewer pages than the set) is rejected by coverage and
-// healed by rebuild; a reshaped spec is rejected by the header check.
+// reshaped spec is rejected by the header check and healed by rebuild.
+// (Stale, torn and unreadable objects: TestEnsureSideIndexHeals.)
 func TestMicroindexPersistRoundTrip(t *testing.T) {
 	bp := newPool(t, 1<<20)
 	set := mkColSet(t, bp, "c", 512)
@@ -167,43 +165,6 @@ func TestMicroindexPersistRoundTrip(t *testing.T) {
 	if _, err := EnsureMicroindex(set, reshaped); err != nil {
 		t.Fatalf("Ensure under reshaped spec: %v", err)
 	}
-
-	// Stale: persist, append more pages, then Ensure must rebuild to cover.
-	set2 := mkColSet(t, bp, "c2", 512)
-	w2 := NewSeqWriter(set2)
-	m2, err := AttachMicroindex(w2, miSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := w2.Add(colRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Save(set2); err != nil {
-		t.Fatal(err)
-	}
-	w2 = NewSeqWriter(set2)
-	for i := 50; i < 300; i++ {
-		if err := w2.Add(colRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	set2.SetSideIndex(MicroindexTag, nil)
-	healed, err := EnsureMicroindex(set2, miSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !healed.Covers(set2.NumPages()) {
-		t.Errorf("healed index covers %d of %d pages", healed.NumPages(), set2.NumPages())
-	}
-	miCheckExact(t, set2, healed)
 }
 
 // TestMicroindexInvalidPagesAlwaysCandidates: a page the index could not
@@ -244,114 +205,9 @@ func mustReload(t *testing.T, m *Microindex) *Microindex {
 	return loaded
 }
 
-// TestEnsureMicroindexPropagatesReadFault: a genuine I/O failure reading
-// the persisted side object must surface, not silently trigger a rebuild
-// that overwrites an object which may be intact on disk. (Before the heal
-// discipline distinguished error classes, any read error fell through to
-// rebuild-and-save — a warm set would quietly paper over a failing drive.)
-func TestEnsureMicroindexPropagatesReadFault(t *testing.T) {
-	bp := newPool(t, 1<<20)
-	set := mkColSet(t, bp, "c", 512)
-	w := NewSeqWriter(set)
-	m, err := AttachMicroindex(w, miSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := w.Add(colRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(set); err != nil {
-		t.Fatal(err)
-	}
-	set.SetSideIndex(MicroindexTag, nil)
-
-	fault := errors.New("injected drive fault")
-	bp.Array().Disk(0).SetReadFault(func() error { return fault })
-	_, err = EnsureMicroindex(set, miSpec())
-	bp.Array().Disk(0).SetReadFault(nil)
-	if !errors.Is(err, fault) {
-		t.Fatalf("EnsureMicroindex with a failing drive = %v, want the injected fault", err)
-	}
-	if got := bp.Stats().SideObjectRebuilds.Load(); got != 0 {
-		t.Errorf("read fault counted %d side-object rebuilds, want 0", got)
-	}
-	// With the drive healthy again the persisted object loads as-is.
-	healed, err := EnsureMicroindex(set, miSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	miCheckExact(t, set, healed)
-}
-
-// TestEnsureMicroindexHealsCorruptObject: an undecodable persisted object
-// rebuilds (bumping the side-object rebuild counter) instead of erroring,
-// and the healed object is exact.
-func TestEnsureMicroindexHealsCorruptObject(t *testing.T) {
-	bp := newPool(t, 1<<20)
-	set := mkColSet(t, bp, "c", 512)
-	w := NewSeqWriter(set)
-	m, err := AttachMicroindex(w, miSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := w.Add(colRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(set); err != nil {
-		t.Fatal(err)
-	}
-
-	// Undecodable payload inside a well-formed pfs frame.
-	if err := set.WriteSideObject(MicroindexTag, []byte("not a microindex")); err != nil {
-		t.Fatal(err)
-	}
-	set.SetSideIndex(MicroindexTag, nil)
-	before := bp.Stats().SideObjectRebuilds.Load()
-	healed, err := EnsureMicroindex(set, miSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bp.Stats().SideObjectRebuilds.Load(); got != before+1 {
-		t.Errorf("undecodable object counted %d rebuilds, want %d", got, before+1)
-	}
-	miCheckExact(t, set, healed)
-
-	// A torn pfs frame (crash mid-write) heals the same way.
-	f, err := bp.Array().Disk(0).OpenFile(fmt.Sprintf("c.%d.%s", set.ID(), MicroindexTag))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Truncate(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	set.SetSideIndex(MicroindexTag, nil)
-	before = bp.Stats().SideObjectRebuilds.Load()
-	healed, err = EnsureMicroindex(set, miSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bp.Stats().SideObjectRebuilds.Load(); got != before+1 {
-		t.Errorf("torn object counted %d rebuilds, want %d", got, before+1)
-	}
-	miCheckExact(t, set, healed)
-}
-
 // TestDualHooksBothFire is the regression test for the hook-composability
 // fix: attaching a zone map and a microindex to one writer must chain the
-// seal/append hooks, not overwrite them — before ChainOnSeal/ChainOnAppend,
+// seal/append hooks, not overwrite them — before attachSideIndex chained them,
 // the second Attach silently disconnected the first. Both side objects must
 // come out complete and exact, for both layouts, alongside a caller's own
 // pre-existing hook.

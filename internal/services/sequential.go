@@ -31,22 +31,21 @@ type SeqWriter struct {
 	// with the page's number and the record bytes — the row-path append
 	// hook zone maps fold per-page summaries through, the counterpart of
 	// ColumnarWriter.OnSeal. Not called for columnar sets (attach to the
-	// seal hook instead; AttachZoneMap wires whichever applies).
+	// seal hook instead; attachSideIndex wires whichever applies).
 	OnAppend func(pageNum int64, rec []byte)
 }
 
-// ChainOnAppend adds fn to the writer's row-append hook, running after any
-// hook already attached — the row-path counterpart of
-// ColumnarWriter.ChainOnSeal, so a zone map and a microindex can both ride
-// the same writer.
-func (w *SeqWriter) ChainOnAppend(fn func(pageNum int64, rec []byte)) {
-	if prev := w.OnAppend; prev != nil {
-		w.OnAppend = func(num int64, rec []byte) {
-			prev(num, rec)
-			fn(num, rec)
-		}
-	} else {
-		w.OnAppend = fn
+// chainHook composes fn after a writer hook already attached (OnAppend, or
+// ColumnarWriter.OnSeal), so side objects that feed off one writer — a zone
+// map and a microindex, beside a caller's own hook — compose instead of
+// silently displacing each other.
+func chainHook[A any](prev, fn func(pageNum int64, a A)) func(int64, A) {
+	if prev == nil {
+		return fn
+	}
+	return func(num int64, a A) {
+		prev(num, a)
+		fn(num, a)
 	}
 }
 

@@ -1,0 +1,486 @@
+package services
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"slices"
+
+	"pangea/internal/core"
+	"pangea/internal/locking"
+	"pangea/internal/pfs"
+)
+
+// A side index is per-set scan metadata kept beside the data pages: folded
+// incrementally from the sequential writers' hooks as records land,
+// persisted as one pfs side object, registered on the set under the same
+// tag so predicate scans find it, and healed by a full-scan rebuild when the
+// persisted object is absent, torn or stale. That lifecycle is shared here;
+// a kind (zone map, microindex) supplies a sideKind descriptor and a
+// summarizer, and answers its own queries. Side indexes are valid only for
+// append-once sets (the write pattern every Pangea set has today).
+
+// sideKind describes one side-index kind to the shared lifecycle.
+type sideKind struct {
+	name  string // what error messages call it
+	tag   string // pfs side-object name and LocalitySet side-index key
+	magic uint64 // first header word of the persisted object
+	// foldAll folds every 1/2/4/8-byte column, not only the designated ones.
+	foldAll bool
+}
+
+// summarizer is the kind-specific half of a side index, called with the
+// skeleton's lock held.
+type summarizer interface {
+	// fold adds one value of schema column col on page num. sum is the
+	// page's summary (nil for kinds that keep none), slot is col's position
+	// among the designated columns or -1, and first marks the first row of
+	// a (re)stated page.
+	fold(sum []byte, num int64, col, slot int, u uint64, first bool)
+	// appendBody encodes what the kind keeps beyond the page table;
+	// decodeBody parses it off the front of data into a fresh index whose
+	// page table is already loaded and returns the rest, bounding every
+	// count against len(data) before use.
+	appendBody(buf []byte) []byte
+	decodeBody(data []byte) (rest []byte, err error)
+}
+
+// sidePage is one page's slot in the table. An invalid page (a record
+// shorter than the schema, or a columnar page of another shape, was noted)
+// keeps its slot so coverage still holds, but its summary is never trusted
+// and it stops folding.
+type sidePage struct {
+	rows  int64
+	valid bool
+	sum   []byte // the kind's per-page summary, held in its persisted form
+}
+
+// foldCol is one column the summarizer folds, with its record geometry.
+type foldCol struct{ col, slot, width, offset int }
+
+// sideIndex is the shared skeleton ZoneMap and Microindex embed.
+type sideIndex struct {
+	kind    *sideKind
+	sum     summarizer
+	widths  []int
+	offsets []int
+	rowSize int   // bytes of record prefix the schema addresses
+	cols    []int // designated columns, deduplicated, in persisted order
+	colPos  map[int]int
+	folded  []foldCol
+	// blank is the fixed-size summary a fresh page starts from; a kind that
+	// keeps per-page summaries sets it after init, before any page is noted.
+	blank []byte
+
+	mu      locking.RWMutex
+	pages   map[int64]*sidePage
+	invalid []int64 // ascending pages with valid=false
+}
+
+// sideIndexer is a concrete kind: it embeds the skeleton.
+type sideIndexer interface{ base() *sideIndex }
+
+func (s *sideIndex) base() *sideIndex { return s }
+
+// le is the byte order of every persisted side-object word and of the
+// column values folded out of records.
+var le = binary.LittleEndian
+
+// summarizable reports whether a column of this width has a value domain a
+// side index can fold (payload blobs and packed strings do not).
+func summarizable(width int) bool {
+	return width == 1 || width == 2 || width == 4 || width == 8
+}
+
+// readU reads a 1/2/4/8-byte little-endian column value.
+func readU(b []byte, width int) uint64 {
+	switch width {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(le.Uint16(b))
+	case 4:
+		return uint64(le.Uint32(b))
+	default:
+		return le.Uint64(b)
+	}
+}
+
+// init validates the schema shape and the designated columns (in range,
+// summarizable width; repeats collapse) and readies an empty index.
+func (s *sideIndex) init(kind *sideKind, sum summarizer, schema []ColumnSpec, cols []int) error {
+	if len(schema) == 0 {
+		return fmt.Errorf("services: %s needs a schema", kind.name)
+	}
+	s.kind, s.sum = kind, sum
+	s.widths = make([]int, len(schema))
+	s.offsets = make([]int, len(schema))
+	s.colPos = make(map[int]int)
+	s.pages = make(map[int64]*sidePage)
+	s.mu.Init(locking.RankSideIndex)
+	for i, c := range schema {
+		if c.Width <= 0 {
+			return fmt.Errorf("services: %s column %d has width %d", kind.name, i, c.Width)
+		}
+		if c.Offset < 0 {
+			return fmt.Errorf("services: %s column %d has offset %d", kind.name, i, c.Offset)
+		}
+		s.widths[i], s.offsets[i] = c.Width, c.Offset
+		if end := c.Offset + c.Width; end > s.rowSize {
+			s.rowSize = end
+		}
+	}
+	for _, c := range cols {
+		if c < 0 || c >= len(schema) {
+			return fmt.Errorf("services: %s designates column %d, out of range [0,%d)", kind.name, c, len(schema))
+		}
+		if !summarizable(s.widths[c]) {
+			return fmt.Errorf("services: %s designates column %d of width %d, want 1/2/4/8", kind.name, c, s.widths[c])
+		}
+		if _, dup := s.colPos[c]; !dup {
+			s.colPos[c] = len(s.cols)
+			s.cols = append(s.cols, c)
+		}
+	}
+	for c, w := range s.widths {
+		slot, designated := s.colPos[c]
+		if !designated {
+			slot = -1
+		}
+		if designated || (kind.foldAll && summarizable(w)) {
+			s.folded = append(s.folded, foldCol{col: c, slot: slot, width: w, offset: s.offsets[c]})
+		}
+	}
+	return nil
+}
+
+// sameShape reports whether two indexes were built for the same spec.
+func (s *sideIndex) sameShape(o *sideIndex) bool {
+	return slices.Equal(s.widths, o.widths) && slices.Equal(s.offsets, o.offsets) && slices.Equal(s.cols, o.cols)
+}
+
+// page returns, creating it if needed, the slot for page num. Caller holds
+// s.mu.
+func (s *sideIndex) page(num int64) *sidePage {
+	p := s.pages[num]
+	if p == nil {
+		p = &sidePage{valid: true, sum: append([]byte(nil), s.blank...)}
+		s.pages[num] = p
+	}
+	return p
+}
+
+// invalidate marks a page unparseable: it stays covered, but no summary of
+// it is trusted. Caller holds s.mu.
+func (s *sideIndex) invalidate(num int64, p *sidePage) {
+	if !p.valid {
+		return
+	}
+	p.valid = false
+	i, _ := slices.BinarySearch(s.invalid, num)
+	s.invalid = slices.Insert(s.invalid, i, num)
+}
+
+// NoteAppend folds one appended row record into page pageNum — the
+// SeqWriter append hook. A record shorter than the schema's footprint
+// invalidates the page.
+func (s *sideIndex) NoteAppend(pageNum int64, rec []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.page(pageNum)
+	if len(rec) < s.rowSize {
+		s.invalidate(pageNum, p)
+		return
+	}
+	if !p.valid {
+		return
+	}
+	first := p.rows == 0
+	for _, f := range s.folded {
+		s.sum.fold(p.sum, pageNum, f.col, f.slot, readU(rec[f.offset:], f.width), first)
+	}
+	p.rows++
+}
+
+// NoteColumnarPage folds one sealed columnar page — the ColumnarWriter seal
+// hook, and the vectorized path of rebuilds: each folded column is a tight
+// loop over its contiguous segment. Re-sealing the same page (Close after
+// its last Add already sealed it) restates the same rows; first restarts
+// each column's summary rather than double-folding. A page whose shape
+// differs from the schema is invalidated.
+func (s *sideIndex) NoteColumnarPage(pageNum int64, cp *ColumnarPage) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.page(pageNum)
+	if !slices.Equal(cp.widths, s.widths) {
+		s.invalidate(pageNum, p)
+	}
+	if !p.valid {
+		return
+	}
+	n := cp.NumRows()
+	for _, f := range s.folded {
+		seg := cp.Col(f.col)
+		for i := 0; i < n; i++ {
+			s.sum.fold(p.sum, pageNum, f.col, f.slot, readU(seg[i*f.width:], f.width), i == 0)
+		}
+	}
+	p.rows = int64(n)
+}
+
+// NumPages returns how many pages have slots.
+func (s *sideIndex) NumPages() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.pages)
+}
+
+// Covers reports whether every page 0..n-1 has a slot — the staleness check
+// Ensure applies against the set's page count, and the gate the query layer
+// checks before trusting an authoritative index, which would wrongly
+// exclude a page it never saw.
+func (s *sideIndex) Covers(n int64) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if int64(len(s.pages)) < n {
+		return false
+	}
+	for i := int64(0); i < n; i++ {
+		if s.pages[i] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// --- persistence -------------------------------------------------------------
+
+const (
+	sideIndexVersion = 1
+	sideHeaderBytes  = 40 // magic, version, ncols, ndesignated, npages
+	sidePageBytes    = 24 // page number, rows, flags; the summary follows
+	sidePageValid    = 1  // flags bit: the page parsed cleanly
+)
+
+// Marshal serializes the index as the compact side object: a versioned
+// header carrying the schema shape and designated columns (so a stale or
+// reshaped object is rejected on load), one fixed-size record per page in
+// page order, then the kind's body.
+func (s *sideIndex) Marshal() []byte {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	nums := make([]int64, 0, len(s.pages))
+	for n := range s.pages {
+		nums = append(nums, n)
+	}
+	slices.Sort(nums)
+	buf := make([]byte, 0, sideHeaderBytes+16*len(s.widths)+8*len(s.cols)+(sidePageBytes+len(s.blank))*len(nums))
+	put := func(v uint64) { buf = le.AppendUint64(buf, v) }
+	put(s.kind.magic)
+	put(sideIndexVersion)
+	put(uint64(len(s.widths)))
+	put(uint64(len(s.cols)))
+	put(uint64(len(nums)))
+	for i := range s.widths {
+		put(uint64(s.widths[i]))
+		put(uint64(s.offsets[i]))
+	}
+	for _, c := range s.cols {
+		put(uint64(c))
+	}
+	for _, n := range nums {
+		p := s.pages[n]
+		put(uint64(n))
+		put(uint64(p.rows))
+		flags := uint64(0)
+		if p.valid {
+			flags |= sidePageValid
+		}
+		put(flags)
+		buf = append(buf, p.sum...)
+	}
+	return s.sum.appendBody(buf)
+}
+
+// unmarshal loads a serialized object into a fresh index built for the spec
+// the caller wants, erroring on any mismatch (schema evolved, designated
+// columns changed) so callers rebuild instead of trusting a stale shape.
+// Every count comes off disk as a full u64 and is bounded against the bytes
+// actually present before it enters size arithmetic or drives a loop, so a
+// corrupt object errors instead of over-allocating or reading past the
+// buffer.
+func (s *sideIndex) unmarshal(data []byte) error {
+	name := s.kind.name
+	if len(data) < sideHeaderBytes {
+		return fmt.Errorf("services: %s side object truncated (%d bytes)", name, len(data))
+	}
+	off := 0
+	get := func() uint64 {
+		v := le.Uint64(data[off:])
+		off += 8
+		return v
+	}
+	if get() != s.kind.magic {
+		return fmt.Errorf("services: bad %s magic", name)
+	}
+	if v := get(); v != sideIndexVersion {
+		return fmt.Errorf("services: unsupported %s version %d", name, v)
+	}
+	ncols, ndes, npages := int(get()), int(get()), int(get())
+	if ncols != len(s.widths) || ndes != len(s.cols) {
+		return fmt.Errorf("services: %s shape mismatch (%d cols, %d designated)", name, ncols, ndes)
+	}
+	fixed := sideHeaderBytes + 16*ncols + 8*ndes
+	if len(data) < fixed {
+		return fmt.Errorf("services: %s schema section truncated (%d of %d bytes)", name, len(data), fixed)
+	}
+	perPage := sidePageBytes + len(s.blank)
+	if maxPages := (len(data) - fixed) / perPage; npages < 0 || npages > maxPages {
+		return fmt.Errorf("services: %s claims %d pages, %d bytes hold at most %d", name, npages, len(data), maxPages)
+	}
+	for i := 0; i < ncols; i++ {
+		if w, o := int(get()), int(get()); w != s.widths[i] || o != s.offsets[i] {
+			return fmt.Errorf("services: %s column %d is %d@%d, spec wants %d@%d", name, i, w, o, s.widths[i], s.offsets[i])
+		}
+	}
+	for i := 0; i < ndes; i++ {
+		if c := int(get()); c != s.cols[i] {
+			return fmt.Errorf("services: %s designated columns differ from spec", name)
+		}
+	}
+	for i := 0; i < npages; i++ {
+		num := int64(get())
+		if num < 0 {
+			return fmt.Errorf("services: %s page number %d out of range", name, num)
+		}
+		if s.pages[num] != nil {
+			return fmt.Errorf("services: %s repeats page %d", name, num)
+		}
+		p := s.page(num)
+		p.rows = int64(get())
+		if get()&sidePageValid == 0 {
+			s.invalidate(num, p)
+		}
+		off += copy(p.sum, data[off:])
+	}
+	rest, err := s.sum.decodeBody(data[off:])
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("services: %s has %d trailing bytes", name, len(rest))
+	}
+	return nil
+}
+
+// Save persists the index as the set's side object for its kind.
+func (s *sideIndex) Save(set *core.LocalitySet) error {
+	return set.WriteSideObject(s.kind.tag, s.Marshal())
+}
+
+// --- wiring ------------------------------------------------------------------
+
+// attachSideIndex wires incremental maintenance of x into a sequential
+// writer: columnar sets hook the page-seal callback (computed while the
+// sealed page is still pinned), row sets the per-record append callback.
+// Hooks chain, so several side indexes ride one writer. x is registered as
+// the set's side index for its kind so predicate scans find it; call Save
+// after the writer closes to persist it.
+func attachSideIndex(w *SeqWriter, x sideIndexer) error {
+	s := x.base()
+	if w.cw != nil {
+		if widths := w.set.ColumnWidths(); !slices.Equal(widths, s.widths) {
+			return fmt.Errorf("services: %s schema has column widths %v, columnar set %q stores %v",
+				s.kind.name, s.widths, w.set.Name(), widths)
+		}
+		w.cw.OnSeal = chainHook(w.cw.OnSeal, s.NoteColumnarPage)
+	} else {
+		w.OnAppend = chainHook(w.OnAppend, s.NoteAppend)
+	}
+	w.set.SetSideIndex(s.kind.tag, x)
+	return nil
+}
+
+// ensureSideIndex returns a usable index for the set, of the kind and spec
+// fresh builds an empty one for: the attached one if it has that shape and
+// covers every page; else the persisted side object if it parses against
+// the spec and covers every page; else a rebuild by one full scan,
+// persisted and attached before returning — absent, torn or stale side
+// objects on seed sets heal here, and a torn or undecodable one counts a
+// SideObjectRebuild. A real read failure (a drive fault, not a missing or
+// corrupt object) propagates instead: healing over it would mask the fault
+// and overwrite an object that may be intact on disk.
+func ensureSideIndex[T sideIndexer](set *core.LocalitySet, fresh func() (T, error)) (T, error) {
+	var none T
+	x, err := fresh()
+	if err != nil {
+		return none, err
+	}
+	s, n := x.base(), set.NumPages()
+	tag := s.kind.tag
+	if at, ok := set.SideIndex(tag).(T); ok && at.base().sameShape(s) && at.base().Covers(n) {
+		return at, nil
+	}
+	switch data, err := set.ReadSideObject(tag); {
+	case err == nil:
+		if s.unmarshal(data) != nil {
+			// Read back fine but does not decode against the spec.
+			set.NoteSideObjectRebuild()
+		} else if s.Covers(n) {
+			set.SetSideIndex(tag, x)
+			return x, nil
+		}
+		// Undecodable, or decoded but stale (pages appended since the
+		// save): rebuild into a clean index.
+		if x, err = fresh(); err != nil {
+			return none, err
+		}
+		s = x.base()
+	case errors.Is(err, pfs.ErrNoSideObject):
+		// Never written (seed set): plain rebuild.
+	case errors.Is(err, pfs.ErrCorruptSideObject):
+		// Torn by a crash mid-write.
+		set.NoteSideObjectRebuild()
+	default:
+		return none, fmt.Errorf("services: read %s of %q: %w", s.kind.name, set.Name(), err)
+	}
+	if err := s.rebuildFromScan(set, n); err != nil {
+		return none, fmt.Errorf("services: rebuild %s of %q: %w", s.kind.name, set.Name(), err)
+	}
+	if err := s.Save(set); err != nil {
+		return none, err
+	}
+	set.SetSideIndex(tag, x)
+	return x, nil
+}
+
+// rebuildFromScan drives one full scan of the set's first n pages through
+// the note hooks — vectorized over columnar pages, record-walked over row
+// pages.
+func (s *sideIndex) rebuildFromScan(set *core.LocalitySet, n int64) error {
+	for num := int64(0); num < n; num++ {
+		p, err := set.Pin(num)
+		if err != nil {
+			return err
+		}
+		buf := p.Bytes()
+		if IsColumnarPage(buf) {
+			var view ColumnarPage
+			if err = view.Reset(buf); err == nil {
+				s.NoteColumnarPage(num, &view)
+			}
+		} else {
+			err = WalkPage(buf, func(rec []byte) error {
+				s.NoteAppend(num, rec)
+				return nil
+			})
+		}
+		if uerr := set.Unpin(p, false); err == nil {
+			err = uerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

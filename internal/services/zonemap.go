@@ -1,37 +1,21 @@
 package services
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
-	"os"
 
 	"pangea/internal/core"
-	"pangea/internal/locking"
-	"pangea/internal/pfs"
 )
 
 // Zone maps are per-page column summaries — min/max per fixed-width column,
 // plus an optional small bloom filter per designated equality column — that
 // the predicate scan consults *before* pinning a page: a page whose summary
 // proves no row can match is skipped with zero I/O and zero pin traffic.
-// They are built incrementally as records are appended (the columnar
-// writer's seal hook or the row writer's append hook; see AttachZoneMap),
-// persisted as a compact per-set side object in pfs, and rebuilt by one full
-// scan when the side object is absent or stale — so seed sets keep working.
-//
-// A zone map is valid only for append-once sets (the write pattern every
-// Pangea set has today: load then scan). Summaries are conservative: a page
-// without one is simply never pruned.
+// They are one kind of side index (see sideindex.go for how they are built,
+// persisted and healed). Summaries are conservative: a page without a
+// trusted one is simply never pruned.
 
 // ZoneMapTag is the pfs side-object name zone maps persist under.
 const ZoneMapTag = "zmap"
-
-// ZoneMapsDefault reports whether scans should build zone maps by default,
-// controlled by the PANGEA_ZONEMAPS=1 environment toggle (CI runs the
-// query/tpch/services suites under both values).
-func ZoneMapsDefault() bool { return os.Getenv("PANGEA_ZONEMAPS") == "1" }
 
 // ZoneMapSpec describes what a zone map summarizes: the fixed-width column
 // schema (offsets address the row-record form; for columnar sets the widths
@@ -70,260 +54,100 @@ func bloomHas(b []byte, v uint64) bool {
 	return b[p>>3]&(1<<(p&7)) != 0 && b[q>>3]&(1<<(q&7)) != 0
 }
 
-// zonePage is one page's summary. minU/maxU are the unsigned interpretation
-// of every column; minF/maxF the float64 interpretation of 8-byte columns
-// (NaN = no valid float summary, so float prune checks never fire — NaN
-// comparisons are false). An invalid page (a row shorter than the schema was
-// appended) keeps its slot so coverage checks still pass, but never prunes.
-type zonePage struct {
-	rows   int64
-	valid  bool
-	minU   []uint64
-	maxU   []uint64
-	minF   []float64
-	maxF   []float64
-	blooms [][]byte // parallel to spec.BloomCols
-}
+// A page's summary is zoneColBytes per schema column — minU, maxU (the
+// unsigned interpretation), minF, maxF (the float64 interpretation of
+// 8-byte columns, as bits), each a little-endian u64 at the offsets below —
+// followed by bloomBytes per bloom column. A NaN minF means "no valid float
+// summary", so float prune checks never fire (NaN comparisons are false);
+// it is what every column starts from and what narrower columns keep.
+const (
+	zoneColBytes = 32
+	zMinU        = 0
+	zMaxU        = 8
+	zMinF        = 16
+	zMaxF        = 24
+)
+
+var (
+	zoneMapKind = sideKind{
+		name: "zone map", tag: ZoneMapTag, magic: 0x504D5A47, // "GZMP"
+		foldAll: true,
+	}
+	nanBits = math.Float64bits(math.NaN())
+)
 
 // ZoneMap holds the per-page summaries of one locality set.
-type ZoneMap struct {
-	widths    []int
-	offsets   []int
-	tracked   []bool // width is 1/2/4/8: the column is summarized
-	rowSize   int    // bytes of record prefix the schema addresses
-	bloomCols []int  // sorted column indices with blooms
-	bloomPos  map[int]int
-
-	mu    locking.RWMutex
-	pages map[int64]*zonePage
-}
+type ZoneMap struct{ sideIndex }
 
 // NewZoneMap builds an empty zone map for the given spec.
 func NewZoneMap(spec ZoneMapSpec) (*ZoneMap, error) {
-	if len(spec.Schema) == 0 {
-		return nil, fmt.Errorf("services: zone map needs a schema")
+	z := &ZoneMap{}
+	if err := z.init(&zoneMapKind, z, spec.Schema, spec.BloomCols); err != nil {
+		return nil, err
 	}
-	z := &ZoneMap{
-		widths:   make([]int, len(spec.Schema)),
-		offsets:  make([]int, len(spec.Schema)),
-		tracked:  make([]bool, len(spec.Schema)),
-		bloomPos: make(map[int]int),
-		pages:    make(map[int64]*zonePage),
-	}
-	z.mu.Init(locking.RankZoneMap)
-	for i, c := range spec.Schema {
-		if c.Width <= 0 {
-			return nil, fmt.Errorf("services: zone map column %d has width %d", i, c.Width)
-		}
-		if c.Offset < 0 {
-			return nil, fmt.Errorf("services: zone map column %d has offset %d", i, c.Offset)
-		}
-		switch c.Width {
-		case 1, 2, 4, 8:
-			z.tracked[i] = true
-		}
-		z.widths[i], z.offsets[i] = c.Width, c.Offset
-		if end := c.Offset + c.Width; end > z.rowSize {
-			z.rowSize = end
-		}
-	}
-	for _, c := range spec.BloomCols {
-		if c < 0 || c >= len(spec.Schema) {
-			return nil, fmt.Errorf("services: zone map bloom column %d out of range [0,%d)", c, len(spec.Schema))
-		}
-		if !z.tracked[c] {
-			return nil, fmt.Errorf("services: zone map bloom column %d has width %d, want 1/2/4/8", c, z.widths[c])
-		}
-		if _, dup := z.bloomPos[c]; dup {
-			continue
-		}
-		z.bloomPos[c] = len(z.bloomCols)
-		z.bloomCols = append(z.bloomCols, c)
+	z.blank = make([]byte, zoneColBytes*len(z.widths)+bloomBytes*len(z.cols))
+	for c := range z.widths {
+		le.PutUint64(z.blank[zoneColBytes*c+zMinF:], nanBits)
+		le.PutUint64(z.blank[zoneColBytes*c+zMaxF:], nanBits)
 	}
 	return z, nil
 }
 
-// matches reports whether the map was built for exactly this spec.
-func (z *ZoneMap) matches(spec ZoneMapSpec) bool {
-	if len(spec.Schema) != len(z.widths) || len(z.bloomCols) != len(z.bloomPos) {
-		return false
+// fold widens column col's ranges, and sets its bloom if it has one, with
+// one value.
+func (z *ZoneMap) fold(sum []byte, _ int64, col, slot int, u uint64, first bool) {
+	s := sum[zoneColBytes*col:][:zoneColBytes]
+	if first || u < le.Uint64(s[zMinU:]) {
+		le.PutUint64(s[zMinU:], u)
 	}
-	for i, c := range spec.Schema {
-		if z.widths[i] != c.Width || z.offsets[i] != c.Offset {
-			return false
-		}
-	}
-	seen := 0
-	for _, c := range spec.BloomCols {
-		if _, ok := z.bloomPos[c]; !ok {
-			return false
-		}
-		seen++
-	}
-	return seen == len(z.bloomCols)
-}
-
-// page returns (creating if asked) the summary slot for pageNum. Caller
-// holds z.mu.
-func (z *ZoneMap) page(num int64, create bool) *zonePage {
-	p := z.pages[num]
-	if p == nil && create {
-		p = &zonePage{
-			valid:  true,
-			minU:   make([]uint64, len(z.widths)),
-			maxU:   make([]uint64, len(z.widths)),
-			minF:   make([]float64, len(z.widths)),
-			maxF:   make([]float64, len(z.widths)),
-			blooms: make([][]byte, len(z.bloomCols)),
-		}
-		for i := range p.minF {
-			p.minF[i] = math.NaN()
-			p.maxF[i] = math.NaN()
-		}
-		for i := range p.blooms {
-			p.blooms[i] = make([]byte, bloomBytes)
-		}
-		z.pages[num] = p
-	}
-	return p
-}
-
-// noteValue folds one column value into a page summary. Caller holds z.mu.
-func (z *ZoneMap) noteValue(p *zonePage, col int, u uint64, first bool) {
-	if first || u < p.minU[col] {
-		p.minU[col] = u
-	}
-	if first || u > p.maxU[col] {
-		p.maxU[col] = u
+	if first || u > le.Uint64(s[zMaxU:]) {
+		le.PutUint64(s[zMaxU:], u)
 	}
 	if z.widths[col] == 8 {
 		f := math.Float64frombits(u)
+		minF, maxF := math.Float64frombits(le.Uint64(s[zMinF:])), math.Float64frombits(le.Uint64(s[zMaxF:]))
 		switch {
 		case math.IsNaN(f):
 			// Poison the float interpretation: a NaN is unordered, so no
 			// min/max statement about this page's floats can be trusted.
-			p.minF[col] = math.NaN()
-			p.maxF[col] = math.NaN()
+			le.PutUint64(s[zMinF:], nanBits)
+			le.PutUint64(s[zMaxF:], nanBits)
 		case first:
-			p.minF[col], p.maxF[col] = f, f
-		case !math.IsNaN(p.minF[col]):
-			if f < p.minF[col] {
-				p.minF[col] = f
+			le.PutUint64(s[zMinF:], u)
+			le.PutUint64(s[zMaxF:], u)
+		case !math.IsNaN(minF):
+			if f < minF {
+				le.PutUint64(s[zMinF:], u)
 			}
-			if f > p.maxF[col] {
-				p.maxF[col] = f
+			if f > maxF {
+				le.PutUint64(s[zMaxF:], u)
 			}
 		}
 	}
-	if bi, ok := z.bloomPos[col]; ok {
-		bloomSet(p.blooms[bi], u)
+	if slot >= 0 {
+		bloomSet(z.bloom(sum, slot), u)
 	}
 }
 
-// readU reads column col's unsigned value out of a row record.
-func (z *ZoneMap) readU(rec []byte, col int) uint64 {
-	off := z.offsets[col]
-	switch z.widths[col] {
-	case 1:
-		return uint64(rec[off])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(rec[off:]))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(rec[off:]))
-	default:
-		return binary.LittleEndian.Uint64(rec[off:])
-	}
+// bloom returns bloom column slot's filter within a page summary.
+func (z *ZoneMap) bloom(sum []byte, slot int) []byte {
+	return sum[zoneColBytes*len(z.widths)+bloomBytes*slot:][:bloomBytes]
 }
 
-// NoteAppend folds one appended row record into page pageNum's summary —
-// the SeqWriter.OnAppend hook. A record shorter than the schema's footprint
-// invalidates the page's summary (it stays covered, but never prunes).
-func (z *ZoneMap) NoteAppend(pageNum int64, rec []byte) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	p := z.page(pageNum, true)
-	if len(rec) < z.rowSize {
-		p.valid = false
-		return
-	}
-	if !p.valid {
-		return
-	}
-	first := p.rows == 0
-	for c := range z.widths {
-		if !z.tracked[c] {
-			continue
-		}
-		z.noteValue(p, c, z.readU(rec, c), first)
-	}
-	p.rows++
-}
+// A zone map keeps nothing beyond its per-page summaries.
+func (z *ZoneMap) appendBody(buf []byte) []byte           { return buf }
+func (z *ZoneMap) decodeBody(data []byte) ([]byte, error) { return data, nil }
 
-// NoteColumnarPage folds one sealed columnar page into its summary — the
-// ColumnarWriter.OnSeal hook, and the vectorized path of rebuilds: each
-// column's min/max is a tight loop over its contiguous segment.
-func (z *ZoneMap) NoteColumnarPage(pageNum int64, cp *ColumnarPage) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	p := z.page(pageNum, true)
-	n := cp.NumRows()
-	if cp.NumCols() != len(z.widths) || n == 0 {
-		if cp.NumCols() != len(z.widths) {
-			p.valid = false
-		}
-		return
+// colStats returns column col's zoneColBytes of page pageNum's summary and
+// the whole summary, or nil when the page or the column cannot answer: no
+// slot, an invalid or empty page, or a column that is not summarized.
+// Caller holds z.mu.
+func (z *ZoneMap) colStats(pageNum int64, col int) (s, sum []byte) {
+	p := z.pages[pageNum]
+	if p == nil || !p.valid || p.rows == 0 || col < 0 || col >= len(z.widths) || !summarizable(z.widths[col]) {
+		return nil, nil
 	}
-	// Re-sealing the same page (Close after its last Add already sealed it)
-	// restates the same rows; each column's first value restarts its summary
-	// rather than double-folding.
-	for c, w := range z.widths {
-		if cp.Width(c) != w {
-			p.valid = false
-			return
-		}
-		if !z.tracked[c] {
-			continue
-		}
-		seg := cp.Col(c)
-		for i := 0; i < n; i++ {
-			var u uint64
-			switch w {
-			case 1:
-				u = uint64(seg[i])
-			case 2:
-				u = uint64(binary.LittleEndian.Uint16(seg[i*2:]))
-			case 4:
-				u = uint64(binary.LittleEndian.Uint32(seg[i*4:]))
-			default:
-				u = binary.LittleEndian.Uint64(seg[i*8:])
-			}
-			z.noteValue(p, c, u, i == 0)
-		}
-	}
-	p.rows = int64(n)
-}
-
-// NumPages returns how many pages have summaries.
-func (z *ZoneMap) NumPages() int {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return len(z.pages)
-}
-
-// Covers reports whether every page 0..n-1 has a summary slot — the
-// staleness check EnsureZoneMap applies against the set's page count.
-func (z *ZoneMap) Covers(n int64) bool {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	if int64(len(z.pages)) < n {
-		return false
-	}
-	for i := int64(0); i < n; i++ {
-		if z.pages[i] == nil {
-			return false
-		}
-	}
-	return true
+	return p.sum[zoneColBytes*col:][:zoneColBytes], p.sum
 }
 
 // The three accessors below are the prune surface the query layer's
@@ -335,11 +159,11 @@ func (z *ZoneMap) Covers(n int64) bool {
 func (z *ZoneMap) ColRangeU(pageNum int64, col int) (lo, hi uint64, ok bool) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	p := z.pages[pageNum]
-	if p == nil || !p.valid || p.rows == 0 || col < 0 || col >= len(z.widths) || !z.tracked[col] {
+	s, _ := z.colStats(pageNum, col)
+	if s == nil {
 		return 0, 0, false
 	}
-	return p.minU[col], p.maxU[col], true
+	return le.Uint64(s[zMinU:]), le.Uint64(s[zMaxU:]), true
 }
 
 // ColRangeF64 returns column col's [min,max] under the float64
@@ -348,14 +172,15 @@ func (z *ZoneMap) ColRangeU(pageNum int64, col int) (lo, hi uint64, ok bool) {
 func (z *ZoneMap) ColRangeF64(pageNum int64, col int) (lo, hi float64, ok bool) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	p := z.pages[pageNum]
-	if p == nil || !p.valid || p.rows == 0 || col < 0 || col >= len(z.widths) || z.widths[col] != 8 || !z.tracked[col] {
+	s, _ := z.colStats(pageNum, col)
+	if s == nil || z.widths[col] != 8 {
 		return 0, 0, false
 	}
-	if math.IsNaN(p.minF[col]) {
+	lo, hi = math.Float64frombits(le.Uint64(s[zMinF:])), math.Float64frombits(le.Uint64(s[zMaxF:]))
+	if math.IsNaN(lo) {
 		return 0, 0, false
 	}
-	return p.minF[col], p.maxF[col], true
+	return lo, hi, true
 }
 
 // MayContain reports whether page pageNum may hold value v in column col:
@@ -364,265 +189,47 @@ func (z *ZoneMap) ColRangeF64(pageNum int64, col int) (lo, hi float64, ok bool) 
 func (z *ZoneMap) MayContain(pageNum int64, col int, v uint64) bool {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	p := z.pages[pageNum]
-	if p == nil || !p.valid || p.rows == 0 || col < 0 || col >= len(z.widths) || !z.tracked[col] {
+	s, sum := z.colStats(pageNum, col)
+	if s == nil {
 		return true
 	}
-	if v < p.minU[col] || v > p.maxU[col] {
+	if v < le.Uint64(s[zMinU:]) || v > le.Uint64(s[zMaxU:]) {
 		return false
 	}
-	if bi, ok := z.bloomPos[col]; ok {
-		return bloomHas(p.blooms[bi], v)
+	if slot, ok := z.colPos[col]; ok {
+		return bloomHas(z.bloom(sum, slot), v)
 	}
 	return true
 }
 
-// --- persistence -------------------------------------------------------------
-
-const (
-	zoneMapMagic   = 0x504D5A47 // "GZMP"
-	zoneMapVersion = 1
-
-	zpValid = 1 // flags bit: page summary is usable for pruning
-)
-
-// Marshal serializes the map as the compact side object: a versioned header
-// carrying the schema shape (so a stale or reshaped map is rejected on
-// load), then one fixed-size record per page.
-func (z *ZoneMap) Marshal() []byte {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	nums := make([]int64, 0, len(z.pages))
-	for n := range z.pages {
-		nums = append(nums, n)
-	}
-	// Insertion order is append order; serialize sorted for determinism.
-	for i := 1; i < len(nums); i++ {
-		for j := i; j > 0 && nums[j] < nums[j-1]; j-- {
-			nums[j], nums[j-1] = nums[j-1], nums[j]
-		}
-	}
-	perPage := 8 + 8 + 8 + 32*len(z.widths) + bloomBytes*len(z.bloomCols)
-	buf := make([]byte, 0, 40+16*len(z.widths)+8*len(z.bloomCols)+perPage*len(nums))
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	put(zoneMapMagic)
-	put(zoneMapVersion)
-	put(uint64(len(z.widths)))
-	put(uint64(len(z.bloomCols)))
-	put(uint64(len(nums)))
-	for i := range z.widths {
-		put(uint64(z.widths[i]))
-		put(uint64(z.offsets[i]))
-	}
-	for _, c := range z.bloomCols {
-		put(uint64(c))
-	}
-	for _, n := range nums {
-		p := z.pages[n]
-		put(uint64(n))
-		put(uint64(p.rows))
-		flags := uint64(0)
-		if p.valid {
-			flags |= zpValid
-		}
-		put(flags)
-		for c := range z.widths {
-			put(p.minU[c])
-			put(p.maxU[c])
-			put(math.Float64bits(p.minF[c]))
-			put(math.Float64bits(p.maxF[c]))
-		}
-		for _, b := range p.blooms {
-			buf = append(buf, b...)
-		}
-	}
-	return buf
-}
-
 // LoadZoneMap parses a serialized zone map and verifies it was built for
-// spec; a mismatch (schema evolved, bloom columns changed) is an error so
-// callers rebuild instead of pruning against stale shapes.
+// spec.
 func LoadZoneMap(data []byte, spec ZoneMapSpec) (*ZoneMap, error) {
 	z, err := NewZoneMap(spec)
+	if err == nil {
+		err = z.unmarshal(data)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 40 {
-		return nil, fmt.Errorf("services: zone map side object truncated (%d bytes)", len(data))
-	}
-	off := 0
-	get := func() uint64 {
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v
-	}
-	if get() != zoneMapMagic {
-		return nil, fmt.Errorf("services: bad zone map magic")
-	}
-	if v := get(); v != zoneMapVersion {
-		return nil, fmt.Errorf("services: unsupported zone map version %d", v)
-	}
-	ncols, nbloom, npages := int(get()), int(get()), int(get())
-	if ncols != len(z.widths) || nbloom != len(z.bloomCols) {
-		return nil, fmt.Errorf("services: zone map shape mismatch (%d cols, %d blooms, %d bytes)", ncols, nbloom, len(data))
-	}
-	// The page count comes off disk as a full u64: bound it against the
-	// bytes actually present before it enters any size arithmetic, so a
-	// corrupt count can neither overflow the need computation nor drive
-	// the decode loop past the buffer.
-	fixed := 40 + 16*ncols + 8*nbloom
-	if len(data) < fixed {
-		return nil, fmt.Errorf("services: zone map schema section truncated (%d of %d bytes)", len(data), fixed)
-	}
-	perPage := 24 + 32*ncols + bloomBytes*nbloom
-	maxPages := (len(data) - fixed) / perPage
-	if npages < 0 || npages > maxPages {
-		return nil, fmt.Errorf("services: zone map claims %d pages, %d bytes hold at most %d", npages, len(data), maxPages)
-	}
-	for i := 0; i < ncols; i++ {
-		if w, o := int(get()), int(get()); w != z.widths[i] || o != z.offsets[i] {
-			return nil, fmt.Errorf("services: zone map column %d is %d@%d, spec wants %d@%d", i, w, o, z.widths[i], z.offsets[i])
-		}
-	}
-	for i := 0; i < nbloom; i++ {
-		if c := int(get()); c != z.bloomCols[i] {
-			return nil, fmt.Errorf("services: zone map bloom columns differ from spec")
-		}
-	}
-	for i := 0; i < npages; i++ {
-		num := int64(get())
-		p := z.page(num, true)
-		p.rows = int64(get())
-		p.valid = get()&zpValid != 0
-		for c := 0; c < ncols; c++ {
-			p.minU[c] = get()
-			p.maxU[c] = get()
-			p.minF[c] = math.Float64frombits(get())
-			p.maxF[c] = math.Float64frombits(get())
-		}
-		for b := 0; b < nbloom; b++ {
-			copy(p.blooms[b], data[off:off+bloomBytes])
-			off += bloomBytes
-		}
-	}
 	return z, nil
 }
-
-// Save persists the map as the set's zone-map side object.
-func (z *ZoneMap) Save(set *core.LocalitySet) error {
-	return set.WriteSideObject(ZoneMapTag, z.Marshal())
-}
-
-// --- wiring ------------------------------------------------------------------
 
 // AttachZoneMap wires incremental zone-map maintenance into a sequential
-// writer: columnar sets hook the page-seal callback (vectorized per-segment
-// min/max, computed while the sealed page is still pinned), row sets hook
-// the per-record append callback. The map is registered as the set's side
-// index so predicate scans find it; call Save after the writer closes to
-// persist it.
+// writer and registers the map on the writer's set (see attachSideIndex).
 func AttachZoneMap(w *SeqWriter, spec ZoneMapSpec) (*ZoneMap, error) {
 	z, err := NewZoneMap(spec)
+	if err == nil {
+		err = attachSideIndex(w, z)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if w.cw != nil {
-		widths := w.set.ColumnWidths()
-		if len(widths) != len(z.widths) {
-			return nil, fmt.Errorf("services: zone map schema has %d columns, columnar set %q has %d",
-				len(z.widths), w.set.Name(), len(widths))
-		}
-		for i, cw := range widths {
-			if z.widths[i] != cw {
-				return nil, fmt.Errorf("services: zone map column %d width %d, columnar set %q stores %d",
-					i, z.widths[i], w.set.Name(), cw)
-			}
-		}
-		w.cw.ChainOnSeal(z.NoteColumnarPage)
-	} else {
-		w.ChainOnAppend(z.NoteAppend)
-	}
-	w.set.SetSideIndex(ZoneMapTag, z)
 	return z, nil
 }
 
-// EnsureZoneMap returns a usable zone map for the set: the attached one if
-// it matches the spec and covers every page; else the persisted side object
-// if it parses against the spec and covers every page; else a fresh rebuild
-// by one full scan, persisted and attached before returning — absent, torn
-// or stale side objects on seed sets heal here. A real read failure (a
-// drive fault, not a missing or corrupt object) propagates instead of
-// triggering a rebuild: healing over it would mask the fault and overwrite
-// an object that may be intact on disk.
+// EnsureZoneMap returns a usable zone map for the set — attached, loaded
+// from the persisted side object, or rebuilt (see ensureSideIndex).
 func EnsureZoneMap(set *core.LocalitySet, spec ZoneMapSpec) (*ZoneMap, error) {
-	n := set.NumPages()
-	if z, ok := set.SideIndex(ZoneMapTag).(*ZoneMap); ok && z.matches(spec) && z.Covers(n) {
-		return z, nil
-	}
-	switch data, err := set.ReadSideObject(ZoneMapTag); {
-	case err == nil:
-		if z, lerr := LoadZoneMap(data, spec); lerr != nil {
-			// Read back fine but does not decode against the spec: count
-			// the corrupt-object heal and rebuild.
-			set.NoteSideObjectRebuild()
-		} else if z.Covers(n) {
-			set.SetSideIndex(ZoneMapTag, z)
-			return z, nil
-		}
-		// Decoded but stale (pages appended since the save): plain rebuild.
-	case errors.Is(err, pfs.ErrNoSideObject):
-		// Never written (seed set): plain rebuild.
-	case errors.Is(err, pfs.ErrCorruptSideObject):
-		// Torn by a crash mid-write: count the heal and rebuild.
-		set.NoteSideObjectRebuild()
-	default:
-		return nil, fmt.Errorf("services: read zone map of %q: %w", set.Name(), err)
-	}
-	z, err := NewZoneMap(spec)
-	if err != nil {
-		return nil, err
-	}
-	if err := rebuildFromScan(set, n, z.NoteColumnarPage, z.NoteAppend); err != nil {
-		return nil, fmt.Errorf("services: rebuild zone map of %q: %w", set.Name(), err)
-	}
-	if err := z.Save(set); err != nil {
-		return nil, err
-	}
-	set.SetSideIndex(ZoneMapTag, z)
-	return z, nil
-}
-
-// rebuildFromScan drives one full scan of the set through a side object's
-// note hooks — vectorized over columnar pages, record-walked over row pages.
-// The heal path shared by EnsureZoneMap and EnsureMicroindex.
-func rebuildFromScan(set *core.LocalitySet, n int64, noteCol func(int64, *ColumnarPage), noteRow func(int64, []byte)) error {
-	for num := int64(0); num < n; num++ {
-		p, err := set.Pin(num)
-		if err != nil {
-			return err
-		}
-		buf := p.Bytes()
-		if IsColumnarPage(buf) {
-			var view ColumnarPage
-			if err = view.Reset(buf); err == nil {
-				noteCol(num, &view)
-			}
-		} else {
-			err = WalkPage(buf, func(rec []byte) error {
-				noteRow(num, rec)
-				return nil
-			})
-		}
-		if uerr := set.Unpin(p, false); err == nil {
-			err = uerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return ensureSideIndex(set, func() (*ZoneMap, error) { return NewZoneMap(spec) })
 }

@@ -2,8 +2,6 @@ package services
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 	"testing"
 
@@ -166,9 +164,9 @@ func TestZoneMapBloomExcludesSparseValues(t *testing.T) {
 	}
 }
 
-// TestZoneMapPersistRoundTrip: Save/Load round-trips every summary; a stale
-// side object (fewer pages than the set) is rejected by coverage and healed
-// by rebuild; a reshaped spec is rejected by the header check.
+// TestZoneMapPersistRoundTrip: Save/Load round-trips every summary; a
+// reshaped spec is rejected by the header check and healed by rebuild.
+// (Stale, torn and unreadable objects: TestEnsureSideIndexHeals.)
 func TestZoneMapPersistRoundTrip(t *testing.T) {
 	bp := newPool(t, 1<<20)
 	set := mkColSet(t, bp, "c", 512)
@@ -211,151 +209,6 @@ func TestZoneMapPersistRoundTrip(t *testing.T) {
 	if _, err := EnsureZoneMap(set, reshaped); err != nil {
 		t.Fatalf("Ensure under reshaped spec: %v", err)
 	}
-
-	// Stale: persist a truncated map, append more pages, then Ensure must
-	// rebuild to cover them.
-	set2 := mkColSet(t, bp, "c2", 512)
-	w2 := NewSeqWriter(set2)
-	z2, err := AttachZoneMap(w2, ZoneMapSpec{Schema: zmSchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := w2.Add(colRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := z2.Save(set2); err != nil {
-		t.Fatal(err)
-	}
-	w2 = NewSeqWriter(set2)
-	for i := 50; i < 300; i++ {
-		if err := w2.Add(colRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	set2.SetSideIndex(ZoneMapTag, nil)
-	healed, err := EnsureZoneMap(set2, ZoneMapSpec{Schema: zmSchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !healed.Covers(set2.NumPages()) {
-		t.Errorf("healed map covers %d of %d pages", healed.NumPages(), set2.NumPages())
-	}
-	zmCheckRanges(t, set2, healed)
-}
-
-// TestEnsureZoneMapPropagatesReadFault is the regression test for the heal
-// discipline: EnsureZoneMap must distinguish "no side object" and "corrupt
-// side object" (both heal by rebuild) from a genuine I/O failure, which
-// must surface to the caller. Before the fix, any read error fell through
-// to rebuild-and-save — on a warm set the rebuild succeeded from resident
-// pages, silently masking a failing drive and overwriting an object that
-// may be intact on disk.
-func TestEnsureZoneMapPropagatesReadFault(t *testing.T) {
-	bp := newPool(t, 1<<20)
-	set := mkColSet(t, bp, "c", 512)
-	w := NewSeqWriter(set)
-	z, err := AttachZoneMap(w, ZoneMapSpec{Schema: zmSchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := w.Add(colRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := z.Save(set); err != nil {
-		t.Fatal(err)
-	}
-	set.SetSideIndex(ZoneMapTag, nil)
-
-	fault := errors.New("injected drive fault")
-	bp.Array().Disk(0).SetReadFault(func() error { return fault })
-	_, err = EnsureZoneMap(set, ZoneMapSpec{Schema: zmSchema()})
-	bp.Array().Disk(0).SetReadFault(nil)
-	if !errors.Is(err, fault) {
-		t.Fatalf("EnsureZoneMap with a failing drive = %v, want the injected fault", err)
-	}
-	if got := bp.Stats().SideObjectRebuilds.Load(); got != 0 {
-		t.Errorf("read fault counted %d side-object rebuilds, want 0", got)
-	}
-	// With the drive healthy again the persisted object loads as-is.
-	healed, err := EnsureZoneMap(set, ZoneMapSpec{Schema: zmSchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zmCheckRanges(t, set, healed)
-}
-
-// TestEnsureZoneMapHealsCorruptObject: an undecodable or torn persisted
-// object rebuilds (bumping the side-object rebuild counter) instead of
-// erroring, and the healed summaries are exact.
-func TestEnsureZoneMapHealsCorruptObject(t *testing.T) {
-	bp := newPool(t, 1<<20)
-	set := mkColSet(t, bp, "c", 512)
-	w := NewSeqWriter(set)
-	z, err := AttachZoneMap(w, ZoneMapSpec{Schema: zmSchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := w.Add(colRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := z.Save(set); err != nil {
-		t.Fatal(err)
-	}
-
-	// Undecodable payload inside a well-formed pfs frame.
-	if err := set.WriteSideObject(ZoneMapTag, []byte("not a zone map")); err != nil {
-		t.Fatal(err)
-	}
-	set.SetSideIndex(ZoneMapTag, nil)
-	before := bp.Stats().SideObjectRebuilds.Load()
-	healed, err := EnsureZoneMap(set, ZoneMapSpec{Schema: zmSchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bp.Stats().SideObjectRebuilds.Load(); got != before+1 {
-		t.Errorf("undecodable object counted %d rebuilds, want %d", got, before+1)
-	}
-	zmCheckRanges(t, set, healed)
-
-	// A torn pfs frame (crash mid-write) heals the same way.
-	f, err := bp.Array().Disk(0).OpenFile(fmt.Sprintf("c.%d.%s", set.ID(), ZoneMapTag))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Truncate(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	set.SetSideIndex(ZoneMapTag, nil)
-	before = bp.Stats().SideObjectRebuilds.Load()
-	healed, err = EnsureZoneMap(set, ZoneMapSpec{Schema: zmSchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bp.Stats().SideObjectRebuilds.Load(); got != before+1 {
-		t.Errorf("torn object counted %d rebuilds, want %d", got, before+1)
-	}
-	zmCheckRanges(t, set, healed)
 }
 
 // TestZoneMapConservativeEdges: untracked wide columns never prune, short

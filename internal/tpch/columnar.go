@@ -1,8 +1,6 @@
 package tpch
 
 import (
-	"os"
-
 	"pangea/internal/cluster"
 	"pangea/internal/core"
 	"pangea/internal/query"
@@ -42,11 +40,6 @@ func LineitemSchema() []services.ColumnSpec {
 		[]int{8, 8, 8, 4, 4, 8, 8, 8, 1, 1, 2, 2, 2, 1, 1},
 	)
 }
-
-// ColumnarDefault reports whether TPC-H loads should default the lineitem
-// set to LayoutColumnar, controlled by the PANGEA_COLUMNAR=1 environment
-// toggle (CI runs the query/tpch suites under both values).
-func ColumnarDefault() bool { return os.Getenv("PANGEA_COLUMNAR") == "1" }
 
 // lineitemColumnar reports whether the deployment's lineitem sets were
 // loaded columnar (Load creates the set uniformly on every node, so node 0

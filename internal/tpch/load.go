@@ -26,14 +26,11 @@ const (
 
 // Load creates the six TPC-H source sets across the deployment and
 // dispatches the generated rows randomly — the paper's "randomly dispatched
-// set". The lineitem layout defaults to the PANGEA_COLUMNAR toggle; use
-// LoadLayout to pick explicitly.
+// set" — in row layout with no side index. Use LoadLayout for a columnar
+// lineitem and EnsureLineitemZoneMaps / EnsureLineitemMicroindexes for
+// indexes.
 func Load(e *query.Executor, d *Data, pageSize int64) error {
-	layout := core.LayoutRow
-	if ColumnarDefault() {
-		layout = core.LayoutColumnar
-	}
-	return LoadLayout(e, d, pageSize, layout)
+	return LoadLayout(e, d, pageSize, core.LayoutRow)
 }
 
 // LoadLayout is Load with the scan-heavy lineitem table's page layout
@@ -63,14 +60,6 @@ func LoadLayout(e *query.Executor, d *Data, pageSize int64, layout core.PageLayo
 			return fmt.Errorf("tpch: load %s: %w", name, err)
 		}
 	}
-	if services.ZoneMapsDefault() {
-		if err := EnsureLineitemZoneMaps(e); err != nil {
-			return err
-		}
-	}
-	if services.MicroindexDefault() {
-		return EnsureLineitemMicroindexes(e)
-	}
 	return nil
 }
 
@@ -87,9 +76,7 @@ func LineitemZoneSpec() services.ZoneMapSpec {
 
 // EnsureLineitemZoneMaps builds (or reloads from the persisted side
 // object) a zone map for every node's lineitem partition — one full scan
-// per partition the first time, a side-object read after. Load calls this
-// under the PANGEA_ZONEMAPS toggle; callers with their own deployments can
-// invoke it directly.
+// per partition the first time, a side-object read after.
 func EnsureLineitemZoneMaps(e *query.Executor) error {
 	for node := range e.Workers {
 		s, err := e.Set(node, "lineitem")
@@ -115,8 +102,7 @@ func LineitemMicroindexSpec() services.MicroindexSpec {
 
 // EnsureLineitemMicroindexes builds (or reloads from the persisted side
 // object) a microindex for every node's lineitem partition, mirroring
-// EnsureLineitemZoneMaps. Load calls this under the PANGEA_MICROINDEX
-// toggle; callers with their own deployments can invoke it directly.
+// EnsureLineitemZoneMaps.
 func EnsureLineitemMicroindexes(e *query.Executor) error {
 	for node := range e.Workers {
 		s, err := e.Set(node, "lineitem")

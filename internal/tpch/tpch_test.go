@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pangea/internal/cluster"
+	"pangea/internal/core"
 	"pangea/internal/query"
 )
 
@@ -125,31 +126,73 @@ func TestReferenceQueriesNonTrivial(t *testing.T) {
 	}
 }
 
-// TestQueriesMatchReference runs all nine queries in both modes on a 3-node
-// deployment and compares against the in-memory reference.
+// TestQueriesMatchReference runs all nine queries, with and without
+// replicas, on a 3-node deployment and compares against the in-memory
+// reference — once per lineitem layout × side-index combination, so every
+// plan (row and batch) is checked pruning through a zone map, resolving
+// equality probes through a microindex, and doing both at once.
 func TestQueriesMatchReference(t *testing.T) {
-	e := startExec(t, 3)
 	d := Generate(0.002, 5)
-	if err := Load(e, d, 256<<10); err != nil {
-		t.Fatal(err)
+	want := map[string]Result{}
+	for _, q := range QueryNames {
+		res, err := Reference(q, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q] = res
 	}
-	if _, err := BuildReplicas(e, 256<<10); err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []bool{true, false} {
-		r := NewRunner(e, 2, mode)
-		for _, q := range QueryNames {
-			want, err := Reference(q, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := r.Run(q)
-			if err != nil {
-				t.Fatalf("mode=%v %s: %v", mode, q, err)
-			}
-			if err := ResultsEqual(want, got, 1e-9); err != nil {
-				t.Errorf("mode=%v %s: %v", mode, q, err)
-			}
+	for _, layout := range []core.PageLayout{core.LayoutRow, core.LayoutColumnar} {
+		for _, idx := range []struct {
+			name              string
+			zoneMap, microidx bool
+		}{{"none", false, false}, {"zonemap", true, false}, {"microindex", false, true}, {"both", true, true}} {
+			t.Run(layout.String()+"/"+idx.name, func(t *testing.T) {
+				e := startExec(t, 3)
+				if err := LoadLayout(e, d, 256<<10, layout); err != nil {
+					t.Fatal(err)
+				}
+				if idx.zoneMap {
+					if err := EnsureLineitemZoneMaps(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if idx.microidx {
+					if err := EnsureLineitemMicroindexes(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := BuildReplicas(e, 256<<10); err != nil {
+					t.Fatal(err)
+				}
+				for _, mode := range []bool{true, false} {
+					r := NewRunner(e, 2, mode)
+					for _, q := range QueryNames {
+						got, err := r.Run(q)
+						if err != nil {
+							t.Fatalf("mode=%v %s: %v", mode, q, err)
+						}
+						if err := ResultsEqual(want[q], got, 1e-9); err != nil {
+							t.Errorf("mode=%v %s: %v", mode, q, err)
+						}
+					}
+				}
+				// The indexes must have been consulted, not merely built.
+				var checks, hits int64
+				for node := range e.Workers {
+					s, err := e.Set(node, "lineitem")
+					if err != nil {
+						t.Fatal(err)
+					}
+					checks += s.ZoneMapChecks()
+					hits += s.IndexHits()
+				}
+				if idx.zoneMap != (checks > 0) {
+					t.Errorf("zone map built=%v but scans checked %d pages against it", idx.zoneMap, checks)
+				}
+				if idx.microidx != (hits > 0) {
+					t.Errorf("microindex built=%v but lookups kept %d candidate pages", idx.microidx, hits)
+				}
+			})
 		}
 	}
 }
