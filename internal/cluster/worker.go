@@ -323,10 +323,10 @@ func (w *Worker) handleGetSetPages(c *conn, req GetSetPagesReq) {
 		fail(fmt.Errorf("cluster: no set %q", req.Set))
 		return
 	}
-	set.SetReading(core.SequentialRead)
-	set.SetCurrentOp(core.OpRead)
-
+	// One iterator over the whole set: its cursor stamps the sequential
+	// read and hints the pages ahead of the pin-ahead loop below.
 	nums := set.PageNums()
+	it := services.PageIteratorsFor(set, nums, 1)[0]
 	var (
 		mu      sync.Mutex
 		live    = make(map[int64]*core.Page, len(nums))
@@ -373,7 +373,7 @@ func (w *Worker) handleGetSetPages(c *conn, req GetSetPagesReq) {
 
 	aborted := false
 pinAhead:
-	for _, num := range nums {
+	for {
 		select {
 		case sem <- struct{}{}:
 		case <-ackDone:
@@ -383,16 +383,19 @@ pinAhead:
 			aborted = true
 			break pinAhead
 		}
-		p, err := set.Pin(num)
+		p, err := it.Next()
 		if err != nil {
 			fail(err)
 			aborted = true
 			break
 		}
+		if p == nil {
+			break
+		}
 		mu.Lock()
-		live[num] = p
+		live[p.Num()] = p
 		mu.Unlock()
-		if err := c.send(PageMeta{PageNum: num, Offset: p.Offset(), Size: p.Size()}); err != nil {
+		if err := c.send(PageMeta{PageNum: p.Num(), Offset: p.Offset(), Size: p.Size()}); err != nil {
 			aborted = true
 			break
 		}

@@ -18,14 +18,16 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	}
 }
 
-// waitEvictorIdle waits until no daemon goroutine is live.
+// waitEvictorIdle waits until no daemon goroutine is live and no victim
+// write-back is in flight (a completion re-kicks the daemon, so both must
+// hold at once).
 func waitEvictorIdle(t *testing.T, bp *BufferPool) {
 	t.Helper()
 	e := bp.evictor
 	waitFor(t, 5*time.Second, func() bool {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		return !e.running
+		return !e.running && e.inFlight.Load() == 0
 	}, "eviction daemon to idle")
 }
 

@@ -85,26 +85,19 @@ func (lp *loadPipeline) submit(s *LocalitySet, num, off int64, loc pfs.PageLoc, 
 // own. Speculation is best-effort: pages with no on-disk image are skipped,
 // a set at its memory quota is left alone, and the first allocation failure
 // stops the whole batch — a prefetch never blocks waiting for memory. A
-// refused batch does charge its unfulfilled bytes to the eviction daemon's
+// refused batch does charge its unfulfilled pages to the eviction daemon's
 // background reclaim budget (see noteStarved), so callers that re-hint as
-// they advance — the sequential iterators do — find frames freed for the
+// they advance — the sequential scan cursor does — find frames freed for the
 // retried window instead of stalling speculation for the rest of the scan.
 // Returns the number of reads issued.
 //
-// Sets with a declared sequential reading pattern get hints generated
-// automatically (see PoolConfig.ReadAhead); Prefetch is the explicit surface
-// for callers that know more than the pattern tags say, and it works even
-// with automatic read-ahead disabled.
+// A sequential scan's cursor generates these hints automatically for the
+// pages ahead of its frontier (see PoolConfig.ReadAhead); Prefetch is the
+// explicit surface for callers that know more than the pattern tags say, and
+// it works even with automatic read-ahead disabled.
 func (s *LocalitySet) Prefetch(nums []int64) int {
-	filter := s.prefetchFilterFn()
 	issued := 0
 	for i, num := range nums {
-		if filter != nil && !filter(num) {
-			// A predicate scan pruned this page: it will never be read, so
-			// neither speculate on it nor let it count toward any reclaim
-			// budget below.
-			continue
-		}
 		ok, stop, starved := s.prefetchOne(num)
 		if ok {
 			issued++
@@ -112,23 +105,29 @@ func (s *LocalitySet) Prefetch(nums []int64) int {
 		if starved {
 			// The allocator refused the frame. Arm the eviction daemon's
 			// speculative-reclaim budget with the unfulfilled tail of this
-			// batch — the bytes these hints actually wanted, which excludes
-			// any pruned pages in the tail (they were never going to be
-			// read) — so background reclaim frees enough for the retried
+			// batch, so background reclaim frees enough for the retried
 			// window, not just one frame per batch.
-			want := int64(0)
-			for _, m := range nums[i:] {
-				if filter == nil || filter(m) {
-					want++
-				}
-			}
-			s.pool.noteStarved(want * s.pageSize)
+			s.pool.noteStarved(s, s.shortfall(nums[i:]))
 		}
 		if stop {
 			break
 		}
 	}
 	return issued
+}
+
+// shortfall returns the pages of nums that are neither resident nor loading:
+// what a refused hint batch still wants from the pool.
+func (s *LocalitySet) shortfall(nums []int64) []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var want []int64
+	for _, num := range nums {
+		if num >= 0 && num < s.nextNum && s.resident[num] == nil && s.loading[num] == nil {
+			want = append(want, num)
+		}
+	}
+	return want
 }
 
 // prefetchOne schedules one speculative load; stop reports that the set (or
@@ -181,43 +180,10 @@ func (s *LocalitySet) prefetchOne(num int64) (issued, stop, starved bool) {
 func (s *LocalitySet) ReadAhead() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.readAheadLocked()
-}
-
-// readAheadLocked is ReadAhead with the set's mutex already held.
-func (s *LocalitySet) readAheadLocked() int {
 	if s.attrs.Reading != SequentialRead {
 		return 0
 	}
 	return s.pool.readAhead
-}
-
-// readAheadFrom schedules the k pages after num, clipped at the set's end.
-// The window deliberately does not wrap: a single-pass scan would pay a
-// whole window of wasted reads at its tail, while a looping scan loses
-// almost nothing — its next pass's first miss re-opens the window at the
-// head. With a prefetch filter installed (a predicate scan pruned pages),
-// the window is built from the next k accepted pages — depth extends over
-// pruned runs so the drives still see k useful reads, and pruned pages are
-// never speculated on.
-func (s *LocalitySet) readAheadFrom(num int64, k int) {
-	s.mu.Lock()
-	n := s.nextNum
-	filter := s.prefetchFilter
-	s.mu.Unlock()
-	if num+1 >= n || k <= 0 {
-		return
-	}
-	nums := make([]int64, 0, k)
-	for i := num + 1; i < n && len(nums) < k; i++ {
-		if filter != nil && !filter(i) {
-			continue
-		}
-		nums = append(nums, i)
-	}
-	if len(nums) > 0 {
-		s.Prefetch(nums)
-	}
 }
 
 // finishLoad publishes a load's outcome: on success the frame enters the

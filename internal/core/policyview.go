@@ -91,14 +91,17 @@ type SetSnapshot struct {
 	// whose Location attribute pins them in memory.
 	Evictable []PageRef
 
-	set   *LocalitySet // live handle for victim resolution
-	quota int64        // explicit resident-byte cap, 0 = none
+	set     *LocalitySet // live handle for victim resolution
+	quota   int64        // explicit resident-byte cap, 0 = none
+	leaving int64        // resident bytes already claimed for eviction
 }
 
-// Overage reports how many bytes the set's footprint — resident pages
-// plus blocked allocation demand — exceeds its entitlement by; zero or
-// negative means the set is within its fair share.
-func (s *SetSnapshot) Overage() int64 { return s.ResidentBytes + s.PendingBytes - s.Entitlement }
+// Overage reports how many bytes the set's footprint — resident pages not
+// already on their way out, plus blocked allocation demand — exceeds its
+// entitlement by; zero or negative means the set is within its fair share.
+func (s *SetSnapshot) Overage() int64 {
+	return s.ResidentBytes - s.leaving + s.PendingBytes - s.Entitlement
+}
 
 // PageRef identifies one evictable page within a PolicyView.
 type PageRef struct {
@@ -268,7 +271,9 @@ func (bp *BufferPool) snapshot() *PolicyView {
 		}
 		if !s.attrs.Pinned {
 			for _, p := range s.resident {
-				if p.pin == 0 && !p.evicting {
+				if p.evicting {
+					ss.leaving += p.size
+				} else if p.pin == 0 {
 					ss.Evictable = append(ss.Evictable, PageRef{
 						Set:         ss,
 						Num:         p.num,

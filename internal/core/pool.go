@@ -81,9 +81,9 @@ type PoolConfig struct {
 	// negative is rejected.
 	NUMANodes int
 	// ReadAhead is the automatic prefetch window in pages for sets with a
-	// declared sequential reading pattern: a demand miss — or the first
-	// reference to a frame the prefetcher loaded — schedules asynchronous
-	// reads of the next ReadAhead pages through the per-drive read queues.
+	// declared sequential reading pattern: as a scan's cursor advances
+	// (services.PageIterators) it schedules asynchronous reads of the next
+	// ReadAhead pages of its page list through the per-drive read queues.
 	// 0 selects the default of DefaultReadAheadPerDrive pages per drive in
 	// the array (the window's job is to keep every drive busy — deeper
 	// speculation only displaces pages a looping reader would have re-hit);
@@ -99,9 +99,10 @@ type PoolStats struct {
 	Loads       atomic.Int64 // pages read from disk on pin miss
 	FlushWrites atomic.Int64 // write-through flushes at unpin time
 	// SpillsInFlight is the number of victim write-backs currently queued
-	// on or executing in the per-drive spill writers. It is zero whenever
-	// the daemon is between batches: evictOnce waits for the whole batch
-	// before releasing any page frame.
+	// on or executing in the per-drive spill writers. The daemon does not
+	// wait for them — each write's completion releases its own frame — so
+	// the gauge can be non-zero with the daemon goroutine at rest; it is
+	// zero once every submitted write has completed.
 	SpillsInFlight atomic.Int64
 	// CrossNodeSteals counts allocations that crossed the NUMA
 	// interconnect: page frames served by an allocator shard on a
@@ -154,8 +155,9 @@ var ErrNoEvictable = errors.New("core: buffer pool exhausted and nothing evictab
 // guarding the set tables) and atomics (logical clock, peak usage). All
 // page state — resident maps, pin counts, dirty flags, recency — is guarded
 // by the owning LocalitySet's lock, so traffic on different sets never
-// contends. Spill I/O runs in a background eviction daemon; allocators
-// block on the daemon's broadcast channel instead of polling.
+// contends. Spill I/O is started by a background eviction daemon and ends in
+// the per-drive writers' completions; allocators block on the daemon's
+// broadcast channel instead of polling.
 type BufferPool struct {
 	cfg   PoolConfig
 	topo  numa.Topology
@@ -188,6 +190,10 @@ type BufferPool struct {
 	// sequential scan's read-ahead window keeps rolling instead of stalling
 	// the moment the pool fills.
 	loadStarved atomic.Int64
+	// starvedPages holds the pages the unpaid part of loadStarved was
+	// charged for; starvedMu guards it and orders every budget mutation.
+	starvedMu    sync.Mutex
+	starvedPages map[PageID]struct{}
 
 	stats PoolStats
 }
@@ -246,6 +252,8 @@ func NewPool(cfg PoolConfig) (*BufferPool, error) {
 		sets:     make(map[SetID]*LocalitySet),
 		byName:   make(map[string]*LocalitySet),
 		reserved: make(map[string]bool),
+
+		starvedPages: make(map[PageID]struct{}),
 	}
 	bp.regMu.Init(locking.RankRegistry)
 	bp.readAhead = cfg.ReadAhead
@@ -652,7 +660,7 @@ func (bp *BufferPool) allocMem(s *LocalitySet, size int64) (int64, error) {
 		if err == nil {
 			return charge(off)
 		}
-		e.kick()
+		e.demand(seq)
 		select {
 		case <-ch:
 			// Retry before consulting errSince: a partially failed spill
@@ -721,58 +729,72 @@ func (bp *BufferPool) tryAllocMem(s *LocalitySet, size int64) (int64, error) {
 	return off, nil
 }
 
-// noteStarved records size bytes of speculative demand the allocator turned
-// away and kicks the eviction daemon. The count is a one-shot reclaim
-// budget, not a raised watermark: the daemon keeps background rounds alive
-// while free memory is below LowWater plus the budget and pays the budget
-// down as it frees (consumeStarved), so a burst of starved hints buys one
-// matching burst of reclaim and the pressure then decays — a scan that has
-// ended cannot keep draining the pool. If the freed memory is consumed by
-// demand instead, the retried hints starve again and re-arm the budget.
-// Clamped at pool capacity so a pathological hint stream cannot ask for
-// more memory than exists.
-func (bp *BufferPool) noteStarved(size int64) {
-	if bp.loadStarved.Add(size) > bp.cfg.Memory {
-		bp.loadStarved.Store(bp.cfg.Memory)
+// noteStarved records speculative demand the allocator turned away — pages
+// of set s a hint wanted and could not get a frame for — and kicks the
+// eviction daemon. The count is a one-shot reclaim budget, not a raised
+// watermark: the daemon keeps background rounds alive while free memory is
+// below LowWater plus the budget and pays the budget down as it frees
+// (consumeStarved), so a burst of starved hints buys one matching burst of
+// reclaim and the pressure then decays — a scan that has ended cannot keep
+// draining the pool. Charging is idempotent: a scan re-hints its window on
+// every step, and a page already charged is not charged again until the
+// budget it joined has been paid off — N refused steps ask for one window,
+// not N. If the freed memory is consumed by demand instead, the retried
+// hints starve again and re-arm the budget. Clamped at pool capacity so a
+// pathological hint stream cannot ask for more memory than exists.
+func (bp *BufferPool) noteStarved(s *LocalitySet, nums []int64) {
+	bp.starvedMu.Lock()
+	for _, num := range nums {
+		id := PageID{Set: s.id, Num: num}
+		if _, charged := bp.starvedPages[id]; charged {
+			continue
+		}
+		bp.starvedPages[id] = struct{}{}
+		if bp.loadStarved.Add(s.pageSize) > bp.cfg.Memory {
+			bp.loadStarved.Store(bp.cfg.Memory)
+		}
 	}
+	bp.starvedMu.Unlock()
 	bp.evictor.kick()
 }
 
-// consumeStarved pays freed bytes against the speculative-reclaim budget.
+// consumeStarved pays freed bytes against the speculative-reclaim budget;
+// paying it off forgets which pages it was charged for.
 func (bp *BufferPool) consumeStarved(freed int64) {
 	if bp.loadStarved.Load() <= 0 {
 		return
 	}
-	if bp.loadStarved.Add(-freed) < 0 {
+	bp.starvedMu.Lock()
+	if bp.loadStarved.Add(-freed) <= 0 {
 		bp.loadStarved.Store(0)
+		clear(bp.starvedPages)
 	}
+	bp.starvedMu.Unlock()
 }
 
 // evictOnce runs one round of the paging system (§6) on behalf of the
-// eviction daemon. Admission control shapes the round: if any set holds
-// more than its entitlement, the policy first sees a view restricted to
-// those sets — an over-quota tenant's growth reclaims its own overage
-// before it may steal a byte from an under-quota one — with the round's
-// take from each set capped at its overage. Only when every set is within
-// its share (or the over-entitled ones have nothing evictable) does the
-// policy rank the full pool. Without allocation pressure — a blocked
-// waiter, free memory under the low watermark, or unpaid starved-prefetch
-// budget — only hard quotas justify spilling: weight entitlements bind
-// solely when someone actually needs the memory.
+// eviction daemon and reports whether it claimed any victim. Admission
+// control shapes the round: if any set holds more than its entitlement, the
+// policy first sees a view restricted to those sets — an over-quota tenant's
+// growth reclaims its own overage before it may steal a byte from an
+// under-quota one — with the round's take from each set capped at its
+// overage. Only when every set is within its share (or the over-entitled
+// ones have nothing evictable) does the policy rank the full pool. Without
+// allocation pressure — a blocked waiter, free memory (counting write-backs
+// in flight as free soon) under the low watermark, or unpaid
+// starved-prefetch budget — only hard quotas justify spilling: weight
+// entitlements bind solely when someone actually needs the memory.
 func (bp *BufferPool) evictOnce() (bool, error) {
 	view := bp.snapshot()
 	pressure := bp.evictor.waiters.Load() > 0 ||
-		bp.alloc.FreeBytes() < bp.cfg.LowWater+bp.loadStarved.Load()
+		bp.evictor.freeSoon() < bp.cfg.LowWater+bp.loadStarved.Load()
 	if fair := view.overEntitled(!pressure); fair != nil {
 		victims, err := bp.cfg.Policy.SelectVictims(fair)
 		if err != nil {
 			return false, fmt.Errorf("core: paging policy %s: %w", bp.cfg.Policy.Name(), err)
 		}
-		if victims = capToOverage(victims); len(victims) > 0 {
-			evicted, err := bp.evictVictims(victims)
-			if evicted > 0 || err != nil {
-				return evicted > 0, err
-			}
+		if bp.evictVictims(capToOverage(victims)) {
+			return true, nil
 		}
 		// The over-entitled sets had nothing reclaimable (pinned or already
 		// in flight); fall through to the pool-wide pass, but only under
@@ -785,11 +807,7 @@ func (bp *BufferPool) evictOnce() (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("core: paging policy %s: %w", bp.cfg.Policy.Name(), err)
 	}
-	if len(victims) == 0 {
-		return false, nil
-	}
-	evicted, err := bp.evictVictims(victims)
-	return evicted > 0, err
+	return bp.evictVictims(victims), nil
 }
 
 // capToOverage trims a fairness-pass victim list so one round reclaims at
@@ -809,115 +827,68 @@ func capToOverage(victims []PageRef) []PageRef {
 	return out
 }
 
-// evictVictims claims the policy's chosen victims against live state,
-// spills dirty alive pages with no locks held, then recycles the memory;
-// it returns how many pages were actually evicted.
-func (bp *BufferPool) evictVictims(victims []PageRef) (int, error) {
-	// Group the victim refs by owning set in a single pass, preserving
-	// policy order within each set (the old per-claim rescan of the whole
-	// victims slice made claiming O(sets × victims)).
-	type claim struct {
-		set    *LocalitySet
-		refs   []PageRef
-		pages  []*Page
-		spills []*Page
-	}
-	var claims []*claim
-	bySet := make(map[*LocalitySet]*claim)
+// evictVictims claims the policy's chosen victims against live state and
+// reports whether it claimed any. A clean victim (or one whose set's lifetime
+// ended) is released at once; a dirty alive one is handed to its drive's
+// spill queue, and the write's completion releases it (settle) — the daemon
+// does not wait, so the next round can pick the next victim while every
+// drive is writing.
+func (bp *BufferPool) evictVictims(victims []PageRef) bool {
+	claimed, freed := false, false
 	for _, ref := range victims {
 		s := ref.Set.set
-		c := bySet[s]
-		if c == nil {
-			c = &claim{set: s}
-			bySet[s] = c
-			claims = append(claims, c)
-		}
-		c.refs = append(c.refs, ref)
-	}
-	for _, c := range claims {
-		s := c.set
 		s.mu.Lock()
-		if s.dropped {
+		// Re-validate against live state: the page may have been pinned,
+		// evicted or dropped since the snapshot.
+		p := s.resident[ref.Num]
+		if s.dropped || p == nil || p.pin > 0 || p.evicting {
 			s.mu.Unlock()
 			continue
 		}
-		attrs := s.attrs
-		for _, ref := range c.refs {
-			// Re-validate against live state: the page may have been
-			// pinned, evicted or dropped since the snapshot.
-			p := s.resident[ref.Num]
-			if p == nil || p.pin > 0 || p.evicting {
-				continue
-			}
-			p.evicting = true
-			c.pages = append(c.pages, p)
-			if p.dirty && !attrs.LifetimeEnded {
-				c.spills = append(c.spills, p)
-			}
-		}
+		p.evicting = true
+		spill := p.dirty && !s.attrs.LifetimeEnded
 		s.mu.Unlock()
+		claimed = true
+		if spill {
+			bp.spill.submit(s, p)
+		} else {
+			bp.settle(s, p, nil)
+			freed = true
+		}
 	}
+	if freed {
+		bp.evictor.broadcast(nil)
+	}
+	return claimed
+}
 
-	// Write-back of dirty alive victims, outside all locks: assign every
-	// victim its on-disk location (the only step that needs the file's
-	// index lock), then fan the writes out by drive to the per-drive
-	// writers — a 4-drive array lands ~4 victims concurrently where the
-	// old loop wrote them one at a time. writeBatch returns only after
-	// every writer in the batch has landed, so no page reference outlives
-	// this call and the eviction claims below still cover the frames.
-	var jobs []*spillJob
-	for _, c := range claims {
-		for _, p := range c.spills {
-			jobs = append(jobs, &spillJob{set: c.set, page: p, loc: c.set.file.PlacePage(p.num)})
+// settle ends the eviction claim on p. With the page's image safe on disk
+// (or not needed) the frame is recycled; after a failed write-back the page
+// stays resident and dirty, so a later round (or a healthy drive) can retry.
+// Either way the set's cond is broadcast: Pin, FlushAll and DropSet wait on
+// the claim through it.
+func (bp *BufferPool) settle(s *LocalitySet, p *Page, writeErr error) {
+	s.mu.Lock()
+	p.evicting = false
+	if writeErr == nil {
+		p.dirty = false
+		if p.prefetched {
+			// Reclaimed before any pin referenced it: the speculation was
+			// wrong (or too early).
+			p.prefetched = false
+			bp.stats.PrefetchWasted.Add(1)
 		}
+		delete(s.resident, p.num)
+		s.releaseResident(p.size)
 	}
-	spillErr := bp.spill.writeBatch(jobs)
-	failed := make(map[*Page]bool)
-	if spillErr != nil {
-		for _, j := range jobs {
-			if j.err != nil {
-				failed[j.page] = true
-			}
-		}
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	if writeErr == nil {
+		bp.alloc.Free(p.off)
+		bp.stats.Evictions.Add(1)
+		// Pay the freed frame against the starved-prefetch budget, so
+		// speculation-driven passes are one-shot: the budget buys reclaim
+		// once and then decays.
+		bp.consumeStarved(p.size)
 	}
-
-	evicted := 0
-	for _, c := range claims {
-		s := c.set
-		var offs []int64
-		s.mu.Lock()
-		for _, p := range c.pages {
-			if failed[p] {
-				// This victim's own write-back failed: keep it resident
-				// and dirty, and clear the claim so a later round (or a
-				// healthy drive) can retry. Victims whose writes landed —
-				// and clean victims, which already have an on-disk image —
-				// are still released below.
-				p.evicting = false
-				continue
-			}
-			p.dirty = false
-			p.evicting = false
-			if p.prefetched {
-				// Reclaimed before any pin referenced it: the speculation
-				// was wrong (or too early).
-				p.prefetched = false
-				bp.stats.PrefetchWasted.Add(1)
-			}
-			delete(s.resident, p.num)
-			s.releaseResident(p.size)
-			offs = append(offs, p.off)
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		for _, off := range offs {
-			bp.alloc.Free(off)
-			bp.stats.Evictions.Add(1)
-			evicted++
-		}
-	}
-	if spillErr != nil {
-		return evicted, fmt.Errorf("core: spill during eviction: %w", spillErr)
-	}
-	return evicted, nil
 }

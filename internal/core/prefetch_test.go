@@ -462,3 +462,66 @@ func TestPrefetchCompletionWakesBlockedAllocation(t *testing.T) {
 		t.Errorf("PrefetchWasted = %d, want >= 1 (a speculative frame fed the blocked allocation)", got)
 	}
 }
+
+// TestStarvedBudgetChargedOncePerPage is the regression test for the
+// starved-speculation budget double-counting: a scan re-hints its window on
+// every step, and while the pool stays full every step is refused. The same
+// four pages refused fifty times are one window of demand, not fifty — the
+// budget only clamped at the whole pool, so a stalled scan asked the daemon
+// to drain it. Once memory frees up and the pages load, the budget is paid.
+func TestStarvedBudgetChargedOncePerPage(t *testing.T) {
+	const pageSize = 4 << 10
+	const window = 4
+	// Seven pages of arena hold six carved frames (each frame pays a small
+	// allocator header); six pinned filler pages fill the pool.
+	bp, _ := prefetchPool(t, 1, 7, pageSize)
+	s := writeSpilled(t, bp, "data", 8, pageSize, 0)
+	coolSet(t, bp, s)
+	// Write-through fillers are clean once unpinned and older than anything
+	// the window loads, so they are the policy's cheapest victims throughout.
+	filler, err := bp.CreateSet(SetSpec{Name: "pins", PageSize: pageSize, Durability: WriteThrough})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := make([]*Page, 6)
+	for i := range pinned {
+		if pinned[i], err = filler.NewPage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	nums := s.PageNums()[:window]
+	for i := 0; i < 50; i++ {
+		if issued := s.Prefetch(nums); issued != 0 {
+			t.Fatalf("hint %d against a pinned-full pool issued %d reads, want 0", i, issued)
+		}
+	}
+	if got := bp.loadStarved.Load(); got != window*pageSize {
+		t.Fatalf("starved budget = %d bytes after 50 refused re-hints of %d pages, want %d (charged once per page)",
+			got, window, window*pageSize)
+	}
+
+	// The fillers become evictable; the budget buys exactly the reclaim the
+	// window needs, the retried hints load, and nothing is left owing.
+	for _, p := range pinned {
+		if err := filler.Unpin(p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		s.Prefetch(nums)
+		return s.ResidentPages() == window
+	}, "the starved window to load")
+	if got := bp.loadStarved.Load(); got != 0 {
+		t.Errorf("starved budget = %d bytes with the window loaded, want 0", got)
+	}
+	if got := filler.ResidentPages(); got != len(pinned)-window {
+		t.Errorf("filler holds %d resident pages, want %d: one window of refusals bought more than one window of reclaim",
+			got, len(pinned)-window)
+	}
+	for _, set := range []*LocalitySet{filler, s} {
+		if err := bp.DropSet(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

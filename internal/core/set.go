@@ -86,12 +86,6 @@ type LocalitySet struct {
 	// objects' pfs tags, so one set carries several coexisting summaries;
 	// scans read them through SideIndex to prune pages before pinning.
 	sideIndexes map[string]any
-	// prefetchFilter, when non-nil, limits speculation to pages it accepts:
-	// Prefetch and the automatic read-ahead skip pages the filter rejects,
-	// and rejected pages never charge the starved-speculation reclaim
-	// budget (they were never going to be read). Installed by predicate
-	// scans for the pages their zone map pruned.
-	prefetchFilter func(num int64) bool
 }
 
 // ID returns the set's identifier.
@@ -272,27 +266,6 @@ func (s *LocalitySet) SideIndex(key string) any {
 	return s.sideIndexes[key]
 }
 
-// SetPrefetchFilter installs (or with nil clears) a filter limiting
-// speculation to pages the filter accepts. A predicate scan installs one for
-// the duration of a pruned scan so neither its own hints nor the automatic
-// read-ahead speculate on pages the predicate excludes; pages the filter
-// rejects also never count toward the starved-speculation reclaim budget.
-// Concurrent scans overwrite each other (last writer wins) — the filter is a
-// conservative performance hint, never a correctness gate: demand Pins
-// ignore it.
-func (s *LocalitySet) SetPrefetchFilter(f func(num int64) bool) {
-	s.mu.Lock()
-	s.prefetchFilter = f
-	s.mu.Unlock()
-}
-
-// prefetchFilterFn snapshots the current prefetch filter.
-func (s *LocalitySet) prefetchFilterFn() func(num int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prefetchFilter
-}
-
 // WriteSideObject persists a named per-set side object (e.g. a serialized
 // zone map) through the set's file instance. The object is replaced
 // atomically with respect to readers of this process.
@@ -380,11 +353,9 @@ func (s *LocalitySet) NewPage() (*Page, error) {
 // A pin of a page that is already mid-load — whether by a demand miss or by
 // the prefetcher — coalesces onto the in-flight read single-flight style:
 // one disk read serves every waiter, and if the read fails every waiter gets
-// the loader's error instead of fanning out into its own retry read. On a
-// set with a declared sequential reading pattern, both a demand miss and the
-// first reference to a prefetched frame schedule read-ahead of the next
-// window (see PoolConfig.ReadAhead), overlapping the scan's disk reads with
-// its computation.
+// the loader's error instead of fanning out into its own retry read. Pin
+// itself never speculates: read-ahead belongs to the sequential scan cursor
+// (services.PageIterators), which knows the scan's page list and frontier.
 func (s *LocalitySet) Pin(num int64) (*Page, error) {
 	bp := s.pool
 	s.mu.Lock()
@@ -402,18 +373,13 @@ func (s *LocalitySet) Pin(num int64) (*Page, error) {
 			tick := bp.nextTick()
 			p.lastRef = tick
 			s.lastAccess = tick
-			ra := 0
 			if p.prefetched {
 				// First real reference to a speculative frame: the guess paid
-				// off. Keep the window rolling ahead of the consumer.
+				// off.
 				p.prefetched = false
 				bp.stats.PrefetchHits.Add(1)
-				ra = s.readAheadLocked()
 			}
 			s.mu.Unlock()
-			if ra > 0 {
-				s.readAheadFrom(num, ra)
-			}
 			return p, nil
 		}
 		if op := s.loading[num]; op != nil {
@@ -438,15 +404,8 @@ func (s *LocalitySet) Pin(num int64) (*Page, error) {
 	}
 	op := &loadOp{}
 	s.loading[num] = op
-	ra := s.readAheadLocked()
 	s.mu.Unlock()
 
-	if ra > 0 {
-		// Demand miss on a sequential reader: schedule the window before
-		// paying for the synchronous read below, so the drives work on the
-		// next pages while this one loads.
-		s.readAheadFrom(num, ra)
-	}
 	bp.stats.LoadsInFlight.Add(1)
 	defer bp.stats.LoadsInFlight.Add(-1)
 	off, err := bp.allocMem(s, s.pageSize)

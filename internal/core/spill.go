@@ -1,26 +1,15 @@
 package core
 
 import (
-	"sync"
+	"fmt"
 
 	"pangea/internal/disk"
-	"pangea/internal/pfs"
 )
 
 // spillQueueDepth bounds how many page write-backs may be pending on one
 // drive. A full queue blocks the daemon's submission loop, so eviction can
 // never buffer unbounded page references ahead of what the drives drain.
 const spillQueueDepth = 32
-
-// spillJob is one dirty victim's write-back: the owning set, the page (held
-// under an eviction claim, so its bytes cannot be touched mid-flight), the
-// pre-assigned on-disk location, and the write's outcome.
-type spillJob struct {
-	set  *LocalitySet
-	page *Page
-	loc  pfs.PageLoc
-	err  error
-}
 
 // spillPipeline fans victim write-back out across the disk array with one
 // bounded queue — and one lazy writer goroutine — per drive. The paged file
@@ -42,43 +31,42 @@ func newSpillPipeline(bp *BufferPool, arr *disk.Array) *spillPipeline {
 	return sp
 }
 
-// writeBatch writes every job's page image, routing each job to its
-// drive's writer, and waits for the whole batch to land before returning —
-// the daemon must not broadcast completion, release any page frame, or
-// start the next round while a writer still holds page references. On
-// failure it returns the first error in submission order (the error fan-in
-// that allocMem's errSince/timeoutErr paths surface to blocked allocators);
-// per-job outcomes stay recorded in the jobs for the caller's per-page
-// release decision.
-func (sp *spillPipeline) writeBatch(jobs []*spillJob) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		j := j
-		wg.Add(1)
-		sp.bp.stats.SpillsInFlight.Add(1)
-		sp.queues[j.loc.Drive].Submit(func() {
-			j.err = j.set.file.WritePageAt(j.loc, j.page.num, j.page.Bytes())
-			if j.err == nil {
-				sp.bp.stats.Spills.Add(1)
-				// Attribute the write-back to the owning set: the fairness
-				// experiment reads this gauge to show which tenant's churn
-				// absorbs the eviction I/O. Failed writes count nowhere —
-				// the page stays resident and dirty, so a later retry that
-				// lands will be the one counted.
-				j.set.spills.Add(1)
-			}
-			sp.bp.stats.SpillsInFlight.Add(-1)
-			wg.Done()
-		})
-	}
-	wg.Wait()
-	for _, j := range jobs {
-		if j.err != nil {
-			return j.err
+// submit queues the write-back of p, a dirty victim of set s held under an
+// eviction claim (so its bytes cannot be touched mid-flight), on its drive's
+// writer and returns; it blocks only while that drive's queue is full. The
+// write's completion alone ends the claim: it frees the frame — or, if the
+// write failed, keeps the page resident and dirty — and tells the daemon's
+// waiters the outcome. A landed write re-kicks the daemon, since demand may
+// still exceed what is free or in flight; a failed one only reports, as a
+// failed round always did, and the waiters' own retries ask for the next
+// round.
+func (sp *spillPipeline) submit(s *LocalitySet, p *Page) {
+	bp, e := sp.bp, sp.bp.evictor
+	// Placement is the only step that needs the file's index lock.
+	loc := s.file.PlacePage(p.num)
+	bp.stats.SpillsInFlight.Add(1)
+	e.inFlight.Add(p.size)
+	sp.queues[loc.Drive].Submit(func() {
+		err := s.file.WritePageAt(loc, p.num, p.Bytes())
+		if err == nil {
+			bp.stats.Spills.Add(1)
+			// Attribute the write-back to the owning set: the fairness
+			// experiment reads this gauge to show which tenant's churn
+			// absorbs the eviction I/O. Failed writes count nowhere — the
+			// page stays resident and dirty, so a later retry that lands
+			// will be the one counted.
+			s.spills.Add(1)
 		}
-	}
-	return nil
+		bp.settle(s, p, err)
+		// The frame is free (or known not to become free) before it stops
+		// counting as free soon, so the daemon never sees it missing.
+		e.inFlight.Add(-p.size)
+		bp.stats.SpillsInFlight.Add(-1)
+		if err != nil {
+			e.broadcast(fmt.Errorf("core: spill during eviction: %w", err))
+			return
+		}
+		e.broadcast(nil)
+		e.kick()
+	})
 }

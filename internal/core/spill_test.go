@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pangea/internal/disk"
 )
@@ -298,5 +300,218 @@ func TestSpillPinRaceStress(t *testing.T) {
 	}
 	if bp.UsedBytes() != 0 {
 		t.Errorf("UsedBytes = %d after dropping every set, want 0", bp.UsedBytes())
+	}
+}
+
+// gatedSpill is the fixture of the streaming write-back tests: a two-drive
+// pool whose high watermark admits two write-backs in flight, each drive's
+// writes held at a gate, and one goroutine appending dirty pages until it
+// blocks on the full pool. fault[d], when set, is what drive d's writes
+// return once its gate opens.
+type gatedSpill struct {
+	bp      *BufferPool
+	arr     *disk.Array
+	set     *LocalitySet
+	gate    [2]chan struct{}
+	fault   [2]error
+	entered [2]atomic.Int32
+	// writer reports the appender's outcome: the first NewPage error, or nil
+	// once a NewPage that had to wait for memory has returned.
+	writer chan error
+}
+
+func startGatedSpill(t *testing.T, fault [2]error) *gatedSpill {
+	t.Helper()
+	const pageSize = 4 << 10
+	arr, err := disk.NewArray(t.TempDir(), 2, disk.Unthrottled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = arr.RemoveAll() })
+	bp, err := NewPool(PoolConfig{Memory: 8 * pageSize, Array: arr, AllocShards: 1, HighWater: 2 * pageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedSpill{bp: bp, arr: arr, fault: fault, writer: make(chan error, 1)}
+	for d := range g.gate {
+		g.gate[d] = make(chan struct{})
+		arr.Disk(d).SetWriteFault(func() error {
+			g.entered[d].Add(1)
+			<-g.gate[d]
+			return g.fault[d]
+		})
+	}
+	if g.set, err = bp.CreateSet(SetSpec{Name: "wb", PageSize: pageSize}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			waited := bp.alloc.FreeBytes() < pageSize
+			p, err := g.set.NewPage()
+			if err != nil {
+				g.writer <- err
+				return
+			}
+			stamp(p.Bytes(), 5, p.Num())
+			if err := g.set.Unpin(p, true); err != nil || waited {
+				g.writer <- err
+				return
+			}
+		}
+	}()
+	// The appender fills the pool and blocks; the daemon claims one victim
+	// per round for a set under write, places them round-robin, and stops
+	// once the bytes in flight cover the high watermark: one write per drive.
+	waitFor(t, 5*time.Second, func() bool {
+		return g.entered[0].Load() == 1 && g.entered[1].Load() == 1
+	}, "a write-back to reach each gated drive")
+	if got := bp.Stats().SpillsInFlight.Load(); got != 2 {
+		t.Fatalf("SpillsInFlight = %d with both drives gated, want 2", got)
+	}
+	return g
+}
+
+// victim returns the page whose write-back is in flight on drive d.
+func (g *gatedSpill) victim(t *testing.T, d int32) *Page {
+	t.Helper()
+	g.set.mu.Lock()
+	defer g.set.mu.Unlock()
+	for num, p := range g.set.resident {
+		if loc, err := g.set.file.Locate(num); p.evicting && err == nil && loc.Drive == d {
+			return p
+		}
+	}
+	t.Fatalf("no write-back in flight on drive %d", d)
+	return nil
+}
+
+// finish opens the remaining gates, heals the drives, and checks that the
+// pool comes to rest with its gauges paired and every page intact.
+func (g *gatedSpill) finish(t *testing.T) {
+	t.Helper()
+	for d := range g.gate {
+		select {
+		case <-g.gate[d]:
+		default:
+			close(g.gate[d])
+		}
+		g.arr.Disk(d).SetWriteFault(nil)
+	}
+	waitEvictorIdle(t, g.bp)
+	if got := g.bp.Stats().SpillsInFlight.Load(); got != 0 {
+		t.Fatalf("SpillsInFlight = %d with the daemon at rest, want 0", got)
+	}
+	checkResidencyGauges(t, []*LocalitySet{g.set})
+	for num := int64(0); num < g.set.NumPages(); num++ {
+		p, err := g.set.Pin(num)
+		if err != nil {
+			t.Fatalf("Pin(%d): %v", num, err)
+		}
+		if err := checkStamp(p.Bytes(), 5, num); err != nil {
+			t.Error(err)
+		}
+		if err := g.set.Unpin(p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.bp.DropSet(g.set); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpillCompletionUnblocksWithoutBarrier: with a write-back in flight on
+// each drive, the first one to land frees its frame and wakes the blocked
+// NewPage while the other is still on its drive — completion is per page,
+// there is no batch to wait out.
+func TestSpillCompletionUnblocksWithoutBarrier(t *testing.T) {
+	g := startGatedSpill(t, [2]error{})
+	close(g.gate[0])
+	select {
+	case err := <-g.writer:
+		if err != nil {
+			t.Fatalf("NewPage after drive 0's write landed: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewPage still blocked after one write-back landed: a barrier waits for the other drive")
+	}
+	if p := g.victim(t, 1); !p.dirty {
+		t.Error("drive 1's victim is clean while its write is still gated")
+	}
+	if got := g.bp.Stats().SpillsInFlight.Load(); got < 1 {
+		t.Errorf("SpillsInFlight = %d with drive 1 still gated, want >= 1", got)
+	}
+	g.finish(t)
+}
+
+// TestSpillFailureKeepsVictimAndReportsToWaiter: one drive fails its write.
+// That victim stays resident and dirty with its claim cleared, the blocked
+// allocation gets the error, and the other drive's victim is still released
+// when its own write lands.
+func TestSpillFailureKeepsVictimAndReportsToWaiter(t *testing.T) {
+	sentinel := errors.New("injected drive-1 failure")
+	g := startGatedSpill(t, [2]error{nil, sentinel})
+	ok, failing := g.victim(t, 0), g.victim(t, 1)
+	evictions := g.bp.Stats().Evictions.Load()
+
+	close(g.gate[1])
+	select {
+	case err := <-g.writer:
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("blocked NewPage got %v, want the injected %v", err, sentinel)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failed write-back never reached the blocked allocation")
+	}
+	g.set.mu.Lock()
+	if p := g.set.resident[failing.num]; p != failing || p.evicting || !p.dirty {
+		t.Errorf("failed victim %d: resident=%v evicting=%v dirty=%v, want resident, unclaimed and dirty",
+			failing.num, p == failing, failing.evicting, failing.dirty)
+	}
+	if !ok.evicting {
+		t.Errorf("drive 0's victim %d lost its claim while its write is still gated", ok.num)
+	}
+	g.set.mu.Unlock()
+	if got := g.bp.Stats().Evictions.Load(); got != evictions {
+		t.Errorf("Evictions moved by %d with one write failed and one gated", got-evictions)
+	}
+
+	close(g.gate[0])
+	waitFor(t, 5*time.Second, func() bool { return g.bp.Stats().Evictions.Load() == evictions+1 }, "drive 0's victim to be released")
+	g.set.mu.Lock()
+	if _, still := g.set.resident[ok.num]; still {
+		t.Errorf("page %d still resident after its write-back landed", ok.num)
+	}
+	g.set.mu.Unlock()
+	g.finish(t)
+}
+
+// TestDropSetWaitsOutStreamingWriteBacks: DropSet called with a write-back in
+// flight returns only after its completion has cleared the claim, and leaves
+// no resident byte and no used arena byte behind.
+func TestDropSetWaitsOutStreamingWriteBacks(t *testing.T) {
+	g := startGatedSpill(t, [2]error{})
+	// Let drive 0's write land so the appender gets its page and goes away;
+	// drive 1's is still in flight when the set is dropped.
+	close(g.gate[0])
+	if err := <-g.writer; err != nil {
+		t.Fatal(err)
+	}
+	dropped := make(chan error, 1)
+	go func() { dropped <- g.bp.DropSet(g.set) }()
+	select {
+	case err := <-dropped:
+		t.Fatalf("DropSet returned (%v) with a write-back still on its drive", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(g.gate[1])
+	if err := <-dropped; err != nil {
+		t.Fatalf("DropSet: %v", err)
+	}
+	if got := g.set.ResidentBytes(); got != 0 {
+		t.Errorf("ResidentBytes = %d after DropSet, want 0", got)
+	}
+	waitEvictorIdle(t, g.bp)
+	if got := g.bp.UsedBytes(); got != 0 {
+		t.Errorf("UsedBytes = %d after DropSet, want 0", got)
 	}
 }

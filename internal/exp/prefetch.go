@@ -30,7 +30,7 @@ func S9Prefetch(o Options) (*Table, error) {
 		Title: fmt.Sprintf("async prefetching read path (%d KiB pages, ~%d MiB data through a %d MiB pool)",
 			pageSize>>10, int64(totalPages)*pageSize>>20, mem>>20),
 		Header: []string{"config", "drives", "prefetch", "scan ms", "MB/s", "speedup",
-			"issued", "hits", "wasted", "loads"},
+			"issued", "hits", "wasted", "loads", "reads/pass"},
 	}
 	configs := []struct {
 		name   string
@@ -61,13 +61,15 @@ func S9Prefetch(o Options) (*Table, error) {
 			t.AddRow(cfg.name, fmt.Sprintf("%d", cfg.drives), mode, ms(r.elapsed),
 				fmt.Sprintf("%.0f", mbps), speedup,
 				fmt.Sprintf("%d", r.issued), fmt.Sprintf("%d", r.hits),
-				fmt.Sprintf("%d", r.wasted), fmt.Sprintf("%d", r.loads))
+				fmt.Sprintf("%d", r.wasted), fmt.Sprintf("%d", r.loads),
+				fmt.Sprintf("%.0f of %d", r.readsPerPass, r.pages))
 		}
 	}
 	t.Notes = append(t.Notes,
 		"cold-seq: one cold sequential scan, single consumer thread; loop: three consecutive cold-start passes",
 		"warm: data half the pool, primed resident before timing — prefetch must cost nothing on hits",
-		"issued/hits/wasted are the pool's speculation counters; loads counts demand misses only")
+		"issued/hits/wasted are the pool's speculation counters; loads counts demand misses only",
+		"reads/pass: drive reads per timed pass, of the set's page count — on loop rows, under the page count is what MRU retained across passes")
 	return t, nil
 }
 
@@ -75,6 +77,8 @@ type s9Result struct {
 	elapsed                     time.Duration
 	bytes                       int64
 	issued, hits, wasted, loads int64
+	readsPerPass                float64
+	pages                       int64
 }
 
 // s9Run builds one pool, writes the data set write-through (so every page
@@ -144,7 +148,7 @@ func s9Run(o Options, cfgName string, drives int, prefetch bool, totalPages int,
 			return s9Result{}, err
 		}
 	}
-	base := bp.Stats().Loads.Load()
+	base, reads := bp.Stats().Loads.Load(), arr.Stats().Reads
 	start := time.Now()
 	for l := 0; l < loops; l++ {
 		if err := scan(); err != nil {
@@ -160,6 +164,9 @@ func s9Run(o Options, cfgName string, drives int, prefetch bool, totalPages int,
 		hits:    stats.PrefetchHits.Load(),
 		wasted:  stats.PrefetchWasted.Load(),
 		loads:   stats.Loads.Load() - base,
+
+		readsPerPass: float64(arr.Stats().Reads-reads) / float64(loops),
+		pages:        set.NumPages(),
 	}
 	return res, bp.DropSet(set)
 }

@@ -286,8 +286,9 @@ func (b *Batch) SelByteEq(c int, v byte) {
 }
 
 // scanBatchesOver is the batch-scan substrate under ScanSpec.RunBatches:
-// numThreads page-iterator stripes (with the same read-ahead hinting as the
-// row scan) over an explicit page list, so a prune can drop pages up front.
+// numThreads page iterators sharing one cursor (with the same read-ahead
+// hinting as the row scan) over an explicit page list, so a prune can drop
+// pages up front.
 // One Batch per pinned page, each thread reusing a single Batch so the
 // steady state allocates nothing; fn's batch — including any column slice
 // taken from it — is invalid after fn returns, when the page is released.

@@ -32,7 +32,7 @@ const (
 // scan prunes before it reads: if the set carries a zone map (see
 // services.AttachZoneMap / EnsureZoneMap), pages the predicate provably
 // cannot match are dropped from the page list up front — never pinned,
-// never read — and masked out of the prefetch window, so the drives only
+// never read — and never in the scan's read-ahead window, so the drives only
 // speculate on pages the scan will consume. On a selective scan of a
 // clustered column that is most of the set; on an unselective one the
 // prune pass costs a map lookup per page and changes nothing.
@@ -93,23 +93,21 @@ func (sp ScanSpec) compile() (func(Row) bool, error) {
 	return sp.Pred.compileRow(schema)
 }
 
-// pages runs the pruning passes: the page list the scan will visit, plus a
-// cleanup that must run when the scan ends. With a predicate and pruning
-// allowed, the set's microindex (if attached and covering — its answers are
-// authoritative, so a stale index is never consulted) first narrows the
-// list to the predicate's explicit candidate pages, then the zone map
-// drops candidates whose summaries exclude a match. Surviving pages are the
-// scan's demand reads; everything else is masked out of the set's prefetch
-// window for the scan's duration (the filter is a set-wide hint; concurrent
-// predicate scans of one set may briefly mask each other's speculation,
-// never their demand reads). Pages evaluated against the index count toward
-// the set's IndexChecks and kept candidates toward IndexHits; pages
-// evaluated against the zone map count toward ZoneMapChecks, pruned ones
-// toward ZoneMapSkips.
-func (sp ScanSpec) pages() ([]int64, func()) {
+// pages runs the pruning passes and returns the page list the scan will
+// visit. With a predicate and pruning allowed, the set's microindex (if
+// attached and covering — its answers are authoritative, so a stale index
+// is never consulted) first narrows the list to the predicate's explicit
+// candidate pages, then the zone map drops candidates whose summaries
+// exclude a match. Surviving pages are the scan's demand reads and — because
+// the scan's cursor hints only from its own list — the only pages it reads
+// ahead, so concurrent predicate scans of one set cannot mask each other.
+// Pages evaluated against the index count toward the set's IndexChecks and
+// kept candidates toward IndexHits; pages evaluated against the zone map
+// count toward ZoneMapChecks, pruned ones toward ZoneMapSkips.
+func (sp ScanSpec) pages() []int64 {
 	all := sp.Set.PageNums()
 	if sp.Pred == nil || sp.Hint == HintNoPrune {
-		return all, func() {}
+		return all
 	}
 	kept := all
 	if sp.Hint != HintNoIndex {
@@ -130,25 +128,17 @@ func (sp ScanSpec) pages() ([]int64, func()) {
 		sp.Set.NoteZoneMap(int64(len(kept)), int64(len(kept)-len(pruned)))
 		kept = pruned
 	}
-	if len(kept) == len(all) {
-		return all, func() {}
-	}
-	keep := make(map[int64]bool, len(kept))
-	for _, num := range kept {
-		keep[num] = true
-	}
-	set := sp.Set
-	set.SetPrefetchFilter(func(num int64) bool { return keep[num] })
-	return kept, func() { set.SetPrefetchFilter(nil) }
+	return kept
 }
 
 // Run streams every matching row to fn (Table 2: Scan), which may be called
-// from Threads goroutines (one per page-iterator stripe), so stateful sinks
-// lock or keep per-thread state indexed by thread. Rows alias pinned pages
-// and are invalid after fn returns.
+// from Threads goroutines (one per page iterator; which pages a thread gets
+// is decided as the scan runs, but thread t's calls all come from one
+// goroutine), so stateful sinks lock or keep per-thread state indexed by
+// thread. Rows alias pinned pages and are invalid after fn returns.
 //
 // Scanning declares a sequential reading pattern on the set, so on a cold
-// set the page iterators read ahead through the buffer pool's per-drive
+// set the scan's cursor reads ahead through the buffer pool's per-drive
 // prefetch queues: the whole operator pipeline runs over a pinned page
 // while the drives load the pages behind it, instead of stalling on one
 // synchronous read per page.
@@ -157,8 +147,7 @@ func (sp ScanSpec) Run(fn func(thread int, row Row) error) error {
 	if err != nil {
 		return err
 	}
-	nums, done := sp.pages()
-	defer done()
+	nums := sp.pages()
 	if match == nil {
 		return services.ScanPages(sp.Set, nums, sp.threads(), fn)
 	}
@@ -187,8 +176,7 @@ func (sp ScanSpec) RunBatches(fn func(thread int, b *Batch) error) error {
 	if _, err := sp.compile(); err != nil {
 		return err
 	}
-	nums, done := sp.pages()
-	defer done()
+	nums := sp.pages()
 	if sp.Pred == nil {
 		return scanBatchesOver(sp.Set, nums, sp.threads(), fn)
 	}

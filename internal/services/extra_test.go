@@ -2,12 +2,14 @@ package services
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"pangea/internal/core"
+	"pangea/internal/disk"
 )
 
 // TestRecordFramingProperty: any sequence of records that fits round-trips
@@ -283,5 +285,82 @@ func TestSeqWriterInterleavedWithDifferentSets(t *testing.T) {
 		if n != 500 {
 			t.Errorf("set %s has %d records", name, n)
 		}
+	}
+}
+
+// TestLoopingScanRetention scans a set four times its pool four times over on
+// two threads — the looping sequential read §6 picks MRU eviction for. Every
+// pass must see every record exactly once; what the scan's cursor reads ahead
+// it then pins (nothing wasted, no never-referenced frame squatting in the
+// pool when a pass returns); and from the second pass on, the pages MRU
+// retained are hits, so a pass reads fewer pages than the set holds.
+func TestLoopingScanRetention(t *testing.T) {
+	const pageSize = 4 << 10
+	const poolPages = 48
+	const threads = 2
+	arr, err := disk.NewArray(t.TempDir(), 2, disk.Unthrottled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = arr.RemoveAll() })
+	bp, err := core.NewPool(core.PoolConfig{Memory: poolPages * pageSize, Array: arr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mkSet(t, bp, "loop", pageSize)
+	w := NewSeqWriter(s)
+	rec := make([]byte, 100)
+	n := 0
+	for ; s.NumPages() <= 4*poolPages; n++ {
+		binary.LittleEndian.PutUint32(rec, uint32(n))
+		if err := w.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pages := s.NumPages()
+	reads := func() (total int64) {
+		for _, ds := range arr.PerDriveStats() {
+			total += ds.Reads
+		}
+		return total
+	}
+
+	st := bp.Stats()
+	for pass := 1; pass <= 4; pass++ {
+		before := reads()
+		seen := make([][]uint8, threads)
+		for i := range seen {
+			seen[i] = make([]uint8, n)
+		}
+		err := ScanSet(s, threads, func(thread int, rec []byte) error {
+			seen[thread][binary.LittleEndian.Uint32(rec)]++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		for id := 0; id < n; id++ {
+			if c := seen[0][id] + seen[1][id]; c != 1 {
+				t.Fatalf("pass %d: record %d seen %d times", pass, id, c)
+			}
+		}
+		if issued, used := st.PrefetchesIssued.Load(), st.PrefetchHits.Load()+st.PrefetchWasted.Load(); issued != used {
+			t.Errorf("pass %d: %d of %d prefetched frames still unreferenced when the pass returned", pass, issued-used, issued)
+		}
+		if got := reads() - before; pass > 1 && got >= pages {
+			t.Errorf("pass %d read %d pages of a %d-page set: nothing the previous pass left resident was a hit", pass, got, pages)
+		}
+	}
+	if st.PrefetchesIssued.Load() == 0 {
+		t.Error("the scans never read ahead")
+	}
+	if wasted, pins := st.PrefetchWasted.Load(), 4*pages; wasted*50 > pins {
+		t.Errorf("PrefetchWasted = %d over %d pins, want at most 2%%", wasted, pins)
+	}
+	if err := bp.DropSet(s); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -115,30 +115,41 @@ func (w *SeqWriter) Close() error {
 	return err
 }
 
-// PageIterator scans a stripe of a locality set's pages. Obtain one per
-// worker thread from PageIterators; each Next pins a page that the caller
-// must release with Release (or by unpinning directly).
-type PageIterator struct {
+// scanCursor is the state one scan's iterators share: the scan's page list,
+// the index of the next unclaimed page, and the read-ahead window. It is the
+// pool's only automatic source of read-ahead — Pin itself never speculates —
+// so every hint is made against this scan's own list and frontier.
+type scanCursor struct {
 	set  *core.LocalitySet
 	nums []int64
-	i    int
 	ra   int // read-ahead window (pages), resolved once at construction
+
+	mu   sync.Mutex
+	next int // index into nums of the next unclaimed page: the frontier
+}
+
+// PageIterator hands one worker thread the pages of a scan. Obtain one per
+// thread from PageIterators; the iterators of one scan share a cursor, so
+// which thread gets which page is decided as the scan runs. Each Next pins a
+// page that the caller must release with Release (or by unpinning directly).
+type PageIterator struct {
+	c *scanCursor
 }
 
 // PageIterators is the sequential read service's entry point (§8): it
-// returns n concurrent iterators that partition the set's pages in stripes,
-// and stamps ReadingPattern=sequential-read, CurrentOperation=read on the
-// set. The stamp makes the buffer pool prefetch ahead of each stripe (see
-// PoolConfig.ReadAhead): as an iterator advances it hints the next pages of
-// its own stripe, so the drives read tomorrow's pages while the worker
-// computes over today's — pin misses on a warm window become hits.
+// returns n concurrent iterators that together visit every page of the set
+// exactly once, and stamps ReadingPattern=sequential-read,
+// CurrentOperation=read on the set. The stamp makes the scan read ahead (see
+// PoolConfig.ReadAhead): as its frontier advances it hints the pages that
+// follow, so the drives read tomorrow's pages while the workers compute over
+// today's — pin misses on a warm window become hits.
 func PageIterators(set *core.LocalitySet, n int) []*PageIterator {
 	return PageIteratorsFor(set, set.PageNums(), n)
 }
 
 // PageIteratorsFor is PageIterators over an explicit page list — the entry
 // point for predicate scans whose zone map already pruned some pages: the
-// stripes, and therefore every read-ahead hint they issue, cover only the
+// scan, and therefore every read-ahead hint it issues, covers only the
 // listed pages.
 func PageIteratorsFor(set *core.LocalitySet, all []int64, n int) []*PageIterator {
 	if n < 1 {
@@ -146,51 +157,49 @@ func PageIteratorsFor(set *core.LocalitySet, all []int64, n int) []*PageIterator
 	}
 	set.SetReading(core.SequentialRead)
 	set.SetCurrentOp(core.OpRead)
-	ra := set.ReadAhead()
+	c := &scanCursor{set: set, nums: all, ra: set.ReadAhead()}
 	iters := make([]*PageIterator, n)
-	for k := 0; k < n; k++ {
-		var nums []int64
-		for i := k; i < len(all); i += n {
-			nums = append(nums, all[i])
-		}
-		iters[k] = &PageIterator{set: set, nums: nums, ra: ra}
+	for k := range iters {
+		iters[k] = &PageIterator{c: c}
 	}
 	return iters
 }
 
-// Next pins and returns the iterator's next page, or nil at the end of the
-// stripe.
+// Next claims the scan's next unclaimed page, pins and returns it, or
+// returns nil once every page is claimed. Threads share the work rather than
+// owning a stripe, so none can lag behind the window: before pinning, Next
+// hints the ra pages that follow the scan's frontier — never a page off the
+// list, and, because it hints under the lock it claims under, never a page
+// another thread has already consumed (re-reading one would park a frame
+// nobody will reference in the pool). The hints dedupe against resident and
+// in-flight pages, so a warm window costs a few map lookups, while pages
+// whose earlier hint was starved of memory get retried as the evictor frees
+// frames up.
 func (it *PageIterator) Next() (*core.Page, error) {
-	if it.i >= len(it.nums) {
+	c := it.c
+	c.mu.Lock()
+	i := c.next
+	if i >= len(c.nums) {
+		c.mu.Unlock()
 		return nil, nil
 	}
-	if it.ra > 0 {
-		// Hint the window ahead of the cursor within this stripe, every step:
-		// the hints dedupe against resident and in-flight pages, so a warm
-		// window costs a few map lookups, while pages whose earlier hint was
-		// starved of memory get retried as the evictor frees frames up.
-		lo, hi := it.i+1, it.i+1+it.ra
-		if hi > len(it.nums) {
-			hi = len(it.nums)
-		}
-		if lo < hi {
-			it.set.Prefetch(it.nums[lo:hi])
-		}
+	c.next++
+	if c.ra > 0 && c.next < len(c.nums) {
+		c.set.Prefetch(c.nums[c.next:min(c.next+c.ra, len(c.nums))])
 	}
-	p, err := it.set.Pin(it.nums[it.i])
-	if err != nil {
-		return nil, err
-	}
-	it.i++
-	return p, nil
+	c.mu.Unlock()
+	return c.set.Pin(c.nums[i])
 }
 
 // Release unpins a page returned by Next.
-func (it *PageIterator) Release(p *core.Page) error { return it.set.Unpin(p, false) }
+func (it *PageIterator) Release(p *core.Page) error { return it.c.set.Unpin(p, false) }
 
 // ScanSet runs fn over every record of the set using numThreads concurrent
 // page iterators — the long-living worker-thread model of Fig 2, where each
 // worker pulls pages in a loop rather than scheduling one task per block.
+// Which pages a thread gets is decided as the scan runs (the workers share
+// one cursor), but fn is only ever called with thread t from worker t's
+// goroutine, so callbacks keep per-thread state indexed by thread.
 func ScanSet(set *core.LocalitySet, numThreads int, fn func(thread int, rec []byte) error) error {
 	return ScanPages(set, set.PageNums(), numThreads, fn)
 }
