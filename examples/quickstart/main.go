@@ -69,7 +69,7 @@ func main() {
 	fmt.Printf("scanned %d objects with 4 worker threads\n", scanned.Load())
 
 	// Shuffle service: one locality set per partition, virtual shuffle
-	// buffers let concurrent writers share pages.
+	// buffers let concurrent writers share pages (8 small pages tile each).
 	shuffled, err := services.NewShuffle(pool, "shuffled", 4, 256<<10, 32<<10)
 	if err != nil {
 		log.Fatal(err)

@@ -22,9 +22,10 @@ const loadQueueDepth = 32
 
 // DefaultReadAheadPerDrive scales the automatic read-ahead window with the
 // disk array when PoolConfig.ReadAhead is zero: two pages in flight per
-// drive keeps each drive's queue fed while the previous page streams off it,
-// which is all the depth a scan can use — reads can't go faster than the
-// array. Deeper windows only cost: every speculative frame displaces a
+// drive is exactly what a drive's queue dispatches at once (disk.Queue), so
+// the next read's slot is reserved while the previous page streams off the
+// drive, which is all the depth a scan can use — reads can't go faster than
+// the array. Deeper windows only cost: every speculative frame displaces a
 // resident page, so on a looping scan an oversized window evicts exactly the
 // pages the next pass would have re-hit (measured: a fixed 8-page window on
 // one drive turned ~8% of a looping scan's cross-pass hits back into reads).
@@ -42,13 +43,14 @@ type loadOp struct {
 }
 
 // loadPipeline fans page loads out across the disk array with one bounded
-// queue — and one lazy reader goroutine — per drive, the read-side twin of
+// queue — and its lazy reader goroutines — per drive, the read-side twin of
 // the spill pipeline: the paged file layer places pages round-robin across
 // the array, so N drives deliver ~N× read bandwidth to a scan whose window
-// keeps them all busy. The queues are separate from the spill writers' so a
-// burst of speculative reads never queues behind victim write-backs (and
-// vice versa); on one drive, reads and writes still share the drive's time
-// model, as they would the device.
+// keeps them all busy. Two reads of a drive run at once and may finish in
+// either order; each publishes its own page through finishLoad. The queues
+// are separate from the spill writers' so a burst of speculative reads never
+// queues behind victim write-backs (and vice versa); on one drive, reads and
+// writes still share the drive's time model, as they would the device.
 type loadPipeline struct {
 	bp     *BufferPool
 	queues []*disk.Queue // one per drive, indexed like the Array

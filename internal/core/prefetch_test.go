@@ -183,6 +183,83 @@ func TestPinCoalescesOntoPrefetch(t *testing.T) {
 	}
 }
 
+// TestPrefetchesCompleteOutOfOrderOnOneDrive: two prefetches are at the same
+// drive at once and the second read lands while the first is held. Its frame
+// is resident and a pin of it hits while the first page is still loading; a
+// pin of the held page coalesces onto its load instead of reading again.
+func TestPrefetchesCompleteOutOfOrderOnOneDrive(t *testing.T) {
+	const pageSize = 4 << 10
+	bp, arr := prefetchPool(t, 1, 8, pageSize)
+	s := writeSpilled(t, bp, "data", 2, pageSize, 0)
+	coolSet(t, bp, s)
+
+	var reads atomic.Int64
+	gate := make(chan struct{})
+	arr.Disk(0).SetReadFault(func() error {
+		if reads.Add(1) == 1 {
+			<-gate
+		}
+		return nil
+	})
+	if issued := s.Prefetch([]int64{0, 1}); issued != 2 {
+		t.Fatalf("Prefetch issued %d, want 2", issued)
+	}
+	waitFor(t, 5*time.Second, func() bool { return s.ResidentPages() == 1 },
+		"the second read to land while the first is held")
+	var landed, held int64 = -1, -1
+	s.mu.Lock()
+	for num := range s.resident {
+		landed = num
+	}
+	for num := range s.loading {
+		held = num
+	}
+	s.mu.Unlock()
+	if landed < 0 || held < 0 || landed == held {
+		t.Fatalf("resident page %d, loading page %d: want one of each", landed, held)
+	}
+	pin := func(num int64) error {
+		p, err := s.Pin(num)
+		if err != nil {
+			return err
+		}
+		if err := checkStamp(p.Bytes(), int64(s.ID()), num); err != nil {
+			return err
+		}
+		return s.Unpin(p, false)
+	}
+	if err := pin(landed); err != nil {
+		t.Fatalf("pin of the landed page: %v", err)
+	}
+	if got := bp.Stats().PrefetchHits.Load(); got != 1 {
+		t.Errorf("PrefetchHits = %d after pinning the landed page, want 1", got)
+	}
+	pinned := make(chan error, 1)
+	go func() { pinned <- pin(held) }()
+	select {
+	case err := <-pinned:
+		t.Fatalf("Pin of the held page returned (%v) with its read still gated", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-pinned; err != nil {
+		t.Fatalf("pin of the held page: %v", err)
+	}
+	if got := reads.Load(); got != 2 {
+		t.Errorf("drive saw %d reads for two pages, want 2 — the pin did not coalesce", got)
+	}
+	if got := bp.Stats().Loads.Load(); got != 0 {
+		t.Errorf("demand Loads = %d, want 0", got)
+	}
+	arr.Disk(0).SetReadFault(nil)
+	if err := bp.DropSet(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := bp.UsedBytes(); got != 0 {
+		t.Errorf("UsedBytes = %d after DropSet, want 0", got)
+	}
+}
+
 // TestLoadErrorReachesCoalescedWaiters fails a prefetch's read and verifies
 // the single-flight contract on the error path: every coalesced pinner sees
 // the read's error (not a hang, not a panic), the speculative frame and its

@@ -12,12 +12,14 @@ import (
 const spillQueueDepth = 32
 
 // spillPipeline fans victim write-back out across the disk array with one
-// bounded queue — and one lazy writer goroutine — per drive. The paged file
+// bounded queue — and its lazy writer goroutines — per drive. The paged file
 // layer places pages round-robin across the array precisely so that N
 // drives deliver ~N× write bandwidth (paper §4); writing victims serially
 // from the daemon forfeited that, stalling every blocked allocator behind
-// single-drive spill I/O. Jobs on one drive still serialize (the drive's
-// time model does anyway); jobs on different drives land concurrently.
+// single-drive spill I/O. A drive's queue keeps two writes at the drive
+// (disk.Queue), so one's completion work overlaps the other's device time
+// and two victims on one drive may settle in either order — completion is
+// per page; jobs on different drives land concurrently.
 type spillPipeline struct {
 	bp     *BufferPool
 	queues []*disk.Queue // one per drive, indexed like the Array

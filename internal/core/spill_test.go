@@ -303,27 +303,29 @@ func TestSpillPinRaceStress(t *testing.T) {
 	}
 }
 
-// gatedSpill is the fixture of the streaming write-back tests: a two-drive
-// pool whose high watermark admits two write-backs in flight, each drive's
-// writes held at a gate, and one goroutine appending dirty pages until it
-// blocks on the full pool. fault[d], when set, is what drive d's writes
-// return once its gate opens.
+// gatedSpill is the fixture of the streaming write-back tests: a pool whose
+// high watermark admits two write-backs in flight, every write held at a
+// gate, and one goroutine appending dirty pages until it blocks on the full
+// pool. With two drives, gate d holds drive d's writes; with one, gate 0 holds
+// the first write to reach the drive, gate 1 the second and gate 2 every later
+// one. fault[i], when set, is what the writes held at gate i return once it
+// opens.
 type gatedSpill struct {
 	bp      *BufferPool
 	arr     *disk.Array
 	set     *LocalitySet
-	gate    [2]chan struct{}
-	fault   [2]error
-	entered [2]atomic.Int32
+	gate    [3]chan struct{}
+	fault   [3]error
+	entered [3]atomic.Int32
 	// writer reports the appender's outcome: the first NewPage error, or nil
 	// once a NewPage that had to wait for memory has returned.
 	writer chan error
 }
 
-func startGatedSpill(t *testing.T, fault [2]error) *gatedSpill {
+func startGatedSpill(t *testing.T, drives int, fault [3]error) *gatedSpill {
 	t.Helper()
 	const pageSize = 4 << 10
-	arr, err := disk.NewArray(t.TempDir(), 2, disk.Unthrottled())
+	arr, err := disk.NewArray(t.TempDir(), drives, disk.Unthrottled())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,12 +335,19 @@ func startGatedSpill(t *testing.T, fault [2]error) *gatedSpill {
 		t.Fatal(err)
 	}
 	g := &gatedSpill{bp: bp, arr: arr, fault: fault, writer: make(chan error, 1)}
-	for d := range g.gate {
-		g.gate[d] = make(chan struct{})
+	for i := range g.gate {
+		g.gate[i] = make(chan struct{})
+	}
+	var arrivals atomic.Int32
+	for d := 0; d < drives; d++ {
 		arr.Disk(d).SetWriteFault(func() error {
-			g.entered[d].Add(1)
-			<-g.gate[d]
-			return g.fault[d]
+			i := d
+			if drives == 1 {
+				i = min(int(arrivals.Add(1))-1, 2)
+			}
+			g.entered[i].Add(1)
+			<-g.gate[i]
+			return g.fault[i]
 		})
 	}
 	if g.set, err = bp.CreateSet(SetSpec{Name: "wb", PageSize: pageSize}); err != nil {
@@ -361,12 +370,13 @@ func startGatedSpill(t *testing.T, fault [2]error) *gatedSpill {
 	}()
 	// The appender fills the pool and blocks; the daemon claims one victim
 	// per round for a set under write, places them round-robin, and stops
-	// once the bytes in flight cover the high watermark: one write per drive.
+	// once the bytes in flight cover the high watermark: one write per drive,
+	// or both at the one drive — its queue dispatches two at once.
 	waitFor(t, 5*time.Second, func() bool {
 		return g.entered[0].Load() == 1 && g.entered[1].Load() == 1
-	}, "a write-back to reach each gated drive")
+	}, "two write-backs to reach their gates")
 	if got := bp.Stats().SpillsInFlight.Load(); got != 2 {
-		t.Fatalf("SpillsInFlight = %d with both drives gated, want 2", got)
+		t.Fatalf("SpillsInFlight = %d with both writes gated, want 2", got)
 	}
 	return g
 }
@@ -389,12 +399,14 @@ func (g *gatedSpill) victim(t *testing.T, d int32) *Page {
 // pool comes to rest with its gauges paired and every page intact.
 func (g *gatedSpill) finish(t *testing.T) {
 	t.Helper()
-	for d := range g.gate {
+	for i := range g.gate {
 		select {
-		case <-g.gate[d]:
+		case <-g.gate[i]:
 		default:
-			close(g.gate[d])
+			close(g.gate[i])
 		}
+	}
+	for d := 0; d < g.arr.Len(); d++ {
 		g.arr.Disk(d).SetWriteFault(nil)
 	}
 	waitEvictorIdle(t, g.bp)
@@ -424,7 +436,7 @@ func (g *gatedSpill) finish(t *testing.T) {
 // NewPage while the other is still on its drive — completion is per page,
 // there is no batch to wait out.
 func TestSpillCompletionUnblocksWithoutBarrier(t *testing.T) {
-	g := startGatedSpill(t, [2]error{})
+	g := startGatedSpill(t, 2, [3]error{})
 	close(g.gate[0])
 	select {
 	case err := <-g.writer:
@@ -449,7 +461,7 @@ func TestSpillCompletionUnblocksWithoutBarrier(t *testing.T) {
 // when its own write lands.
 func TestSpillFailureKeepsVictimAndReportsToWaiter(t *testing.T) {
 	sentinel := errors.New("injected drive-1 failure")
-	g := startGatedSpill(t, [2]error{nil, sentinel})
+	g := startGatedSpill(t, 2, [3]error{nil, sentinel})
 	ok, failing := g.victim(t, 0), g.victim(t, 1)
 	evictions := g.bp.Stats().Evictions.Load()
 
@@ -489,7 +501,7 @@ func TestSpillFailureKeepsVictimAndReportsToWaiter(t *testing.T) {
 // flight returns only after its completion has cleared the claim, and leaves
 // no resident byte and no used arena byte behind.
 func TestDropSetWaitsOutStreamingWriteBacks(t *testing.T) {
-	g := startGatedSpill(t, [2]error{})
+	g := startGatedSpill(t, 2, [3]error{})
 	// Let drive 0's write land so the appender gets its page and goes away;
 	// drive 1's is still in flight when the set is dropped.
 	close(g.gate[0])
@@ -511,6 +523,86 @@ func TestDropSetWaitsOutStreamingWriteBacks(t *testing.T) {
 		t.Errorf("ResidentBytes = %d after DropSet, want 0", got)
 	}
 	waitEvictorIdle(t, g.bp)
+	if got := g.bp.UsedBytes(); got != 0 {
+		t.Errorf("UsedBytes = %d after DropSet, want 0", got)
+	}
+}
+
+// TestSpillCompletesOutOfOrderOnOneDrive: two victims are at the same drive at
+// once and the second write lands while the first is held. Completion is per
+// page: the second's frame is freed and the blocked NewPage returns with the
+// first still claimed; when the first then fails, its page stays resident and
+// dirty and the error reaches whoever is blocked at that moment; and a DropSet
+// issued with a third write still in flight waits for it and leaves nothing
+// resident.
+func TestSpillCompletesOutOfOrderOnOneDrive(t *testing.T) {
+	sentinel := errors.New("injected failure of the first write")
+	g := startGatedSpill(t, 1, [3]error{sentinel})
+	evictions := g.bp.Stats().Evictions.Load()
+
+	close(g.gate[1])
+	select {
+	case err := <-g.writer:
+		if err != nil {
+			t.Fatalf("NewPage after the second write landed: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewPage still blocked after the second write-back landed: completion waits for the first")
+	}
+	waitFor(t, 5*time.Second, func() bool { return g.bp.Stats().Evictions.Load() == evictions+1 }, "the second victim to be released")
+	if got := g.bp.Stats().SpillsInFlight.Load(); got != 1 {
+		t.Fatalf("SpillsInFlight = %d with the first write gated, want 1", got)
+	}
+	first := g.victim(t, 0)
+	if !first.dirty {
+		t.Error("the first victim is clean while its write is still gated")
+	}
+
+	// A second allocation blocks behind the first write and a third, which
+	// the daemon claims to cover the high watermark.
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := g.set.NewPage()
+		waiter <- err
+	}()
+	waitFor(t, 5*time.Second, func() bool { return g.entered[2].Load() == 1 }, "a third write-back to reach the drive")
+	close(g.gate[0])
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("blocked NewPage got %v, want the injected %v", err, sentinel)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failed first write-back never reached the blocked allocation")
+	}
+	g.set.mu.Lock()
+	if p := g.set.resident[first.num]; p != first || p.evicting || !p.dirty {
+		t.Errorf("failed victim %d: resident=%v evicting=%v dirty=%v, want resident, unclaimed and dirty",
+			first.num, p == first, first.evicting, first.dirty)
+	}
+	g.set.mu.Unlock()
+	if got := g.bp.Stats().Evictions.Load(); got != evictions+1 {
+		t.Errorf("Evictions moved by %d with one write landed, one failed and one gated, want 1", got-evictions)
+	}
+
+	dropped := make(chan error, 1)
+	go func() { dropped <- g.bp.DropSet(g.set) }()
+	select {
+	case err := <-dropped:
+		t.Fatalf("DropSet returned (%v) with a write-back still on the drive", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(g.gate[2])
+	if err := <-dropped; err != nil {
+		t.Fatalf("DropSet: %v", err)
+	}
+	if got := g.set.ResidentBytes(); got != 0 {
+		t.Errorf("ResidentBytes = %d after DropSet, want 0", got)
+	}
+	waitEvictorIdle(t, g.bp)
+	if got := g.bp.Stats().SpillsInFlight.Load(); got != 0 {
+		t.Errorf("SpillsInFlight = %d with the daemon at rest, want 0", got)
+	}
 	if got := g.bp.UsedBytes(); got != 0 {
 		t.Errorf("UsedBytes = %d after DropSet, want 0", got)
 	}

@@ -94,6 +94,17 @@ func diskConfig() disk.Config {
 	return disk.Config{ReadMBps: 150, WriteMBps: 120, SeekLatency: 150 * time.Microsecond}
 }
 
+// driveUtil is the share of wall × drives that the drive model says arr spent
+// on its traffic since before: near 1, only moving fewer bytes can make the
+// run faster; well below 1, more overlap can.
+func driveUtil(arr *disk.Array, before disk.Stats, wall time.Duration) string {
+	cfg, s := diskConfig(), arr.Stats()
+	busy := float64(s.Reads-before.Reads+s.Writes-before.Writes)*cfg.SeekLatency.Seconds() +
+		float64(s.BytesRead-before.BytesRead)/(cfg.ReadMBps*(1<<20)) +
+		float64(s.BytesWritten-before.BytesWritten)/(cfg.WriteMBps*(1<<20))
+	return fmt.Sprintf("%.2f", busy/(wall.Seconds()*float64(arr.Len())))
+}
+
 // ms renders a duration in milliseconds for table cells.
 func ms(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000) }
 

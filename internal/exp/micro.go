@@ -543,7 +543,8 @@ func Fig9(o Options) (*Table, error) {
 // shuffleRun drives one shuffle write+read cycle under a policy. Shuffle
 // pages are sized to a small fraction of the pool: concurrent writers can
 // keep a few large pages per partition pinned at once, and those pins must
-// never cover the whole pool.
+// never cover the whole pool. pageSize/8 divides the page, so each page holds
+// all 8 small pages.
 func shuffleRun(bp *core.BufferPool, mbPerThread int) (write, read time.Duration, err error) {
 	const writers, partitions = 4, 4
 	pageSize := (bp.Capacity() / 48) &^ ((64 << 10) - 1)

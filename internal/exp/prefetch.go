@@ -29,7 +29,7 @@ func S9Prefetch(o Options) (*Table, error) {
 		ID: "s9",
 		Title: fmt.Sprintf("async prefetching read path (%d KiB pages, ~%d MiB data through a %d MiB pool)",
 			pageSize>>10, int64(totalPages)*pageSize>>20, mem>>20),
-		Header: []string{"config", "drives", "prefetch", "scan ms", "MB/s", "speedup",
+		Header: []string{"config", "drives", "prefetch", "scan ms", "MB/s", "speedup", "drive util",
 			"issued", "hits", "wasted", "loads", "reads/pass"},
 	}
 	configs := []struct {
@@ -59,7 +59,7 @@ func S9Prefetch(o Options) (*Table, error) {
 			}
 			mbps := float64(r.bytes) / (1 << 20) / r.elapsed.Seconds()
 			t.AddRow(cfg.name, fmt.Sprintf("%d", cfg.drives), mode, ms(r.elapsed),
-				fmt.Sprintf("%.0f", mbps), speedup,
+				fmt.Sprintf("%.0f", mbps), speedup, r.util,
 				fmt.Sprintf("%d", r.issued), fmt.Sprintf("%d", r.hits),
 				fmt.Sprintf("%d", r.wasted), fmt.Sprintf("%d", r.loads),
 				fmt.Sprintf("%.0f of %d", r.readsPerPass, r.pages))
@@ -68,6 +68,7 @@ func S9Prefetch(o Options) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"cold-seq: one cold sequential scan, single consumer thread; loop: three consecutive cold-start passes",
 		"warm: data half the pool, primed resident before timing — prefetch must cost nothing on hits",
+		"drive util: modelled device time of the scan's reads over wall × drives — a scan at 1 runs at the array's rate",
 		"issued/hits/wasted are the pool's speculation counters; loads counts demand misses only",
 		"reads/pass: drive reads per timed pass, of the set's page count — on loop rows, under the page count is what MRU retained across passes")
 	return t, nil
@@ -79,6 +80,7 @@ type s9Result struct {
 	issued, hits, wasted, loads int64
 	readsPerPass                float64
 	pages                       int64
+	util                        string // driveUtil of the timed scans
 }
 
 // s9Run builds one pool, writes the data set write-through (so every page
@@ -148,7 +150,7 @@ func s9Run(o Options, cfgName string, drives int, prefetch bool, totalPages int,
 			return s9Result{}, err
 		}
 	}
-	base, reads := bp.Stats().Loads.Load(), arr.Stats().Reads
+	base, before := bp.Stats().Loads.Load(), arr.Stats()
 	start := time.Now()
 	for l := 0; l < loops; l++ {
 		if err := scan(); err != nil {
@@ -165,8 +167,9 @@ func s9Run(o Options, cfgName string, drives int, prefetch bool, totalPages int,
 		wasted:  stats.PrefetchWasted.Load(),
 		loads:   stats.Loads.Load() - base,
 
-		readsPerPass: float64(arr.Stats().Reads-reads) / float64(loops),
+		readsPerPass: float64(arr.Stats().Reads-before.Reads) / float64(loops),
 		pages:        set.NumPages(),
+		util:         driveUtil(arr, before, elapsed),
 	}
 	return res, bp.DropSet(set)
 }

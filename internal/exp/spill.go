@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pangea/internal/core"
+	"pangea/internal/disk"
 )
 
 // S6SpillThroughput measures the eviction daemon's write-back bandwidth
@@ -25,7 +26,7 @@ func S6SpillThroughput(o Options) (*Table, error) {
 	t := &Table{
 		ID:    "s6",
 		Title: fmt.Sprintf("spill throughput vs drive count (%d KiB pages, %d MiB through a %d MiB pool)", pageSize>>10, int64(totalPages)*pageSize>>20, mem>>20),
-		Header: []string{"drives", "write ms", "spill MB/s", "speedup",
+		Header: []string{"drives", "write ms", "spill MB/s", "speedup", "drive util",
 			"per-drive writes", "per-drive reads"},
 	}
 	var base float64
@@ -63,7 +64,7 @@ func S6SpillThroughput(o Options) (*Table, error) {
 			reads[i] = fmt.Sprintf("%d", ds.Reads)
 		}
 		t.AddRow(fmt.Sprintf("%d", drives), ms(elapsed), fmt.Sprintf("%.0f", mbps),
-			fmt.Sprintf("%.2fx", base/elapsed.Seconds()),
+			fmt.Sprintf("%.2fx", base/elapsed.Seconds()), driveUtil(arr, disk.Stats{}, elapsed),
 			strings.Join(writes, "/"), strings.Join(reads, "/"))
 		if err := bp.DropSet(set); err != nil {
 			return nil, err
@@ -71,7 +72,8 @@ func S6SpillThroughput(o Options) (*Table, error) {
 		_ = arr.RemoveAll()
 	}
 	t.Notes = append(t.Notes,
-		"one writer goroutine per drive: victim batches are grouped by the page's round-robin drive and written concurrently",
+		"one spill queue per drive, two writes at the drive at once: victims go to their page's round-robin drive and land concurrently",
+		"drive util: modelled device time of the traffic over wall × drives — the producer is gated by the drives when it reads near 1",
 		"per-drive writes should be near-equal (round-robin balance); the seed wrote every victim serially from one goroutine")
 	return t, nil
 }

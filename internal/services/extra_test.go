@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -79,7 +80,7 @@ func TestWalkPageDetectsCorruptLength(t *testing.T) {
 func TestShuffleSlowWriterHoldsPagePinned(t *testing.T) {
 	bp := newPool(t, 2<<20)
 	set := mkSet(t, bp, "sh", 64<<10)
-	sink, err := NewShuffleSink(set, 16<<10) // 3 regions per page (header)
+	sink, err := NewShuffleSink(set, 16<<10) // 4 regions per page: the split tiles it
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +123,121 @@ func TestShuffleSlowWriterHoldsPagePinned(t *testing.T) {
 	}
 	if recs != 14 {
 		t.Errorf("scanned %d records, want 14", recs)
+	}
+}
+
+// TestShuffleSmallPagesTileThePage: a small-page size that divides the page
+// size yields pageSize/smallSize small pages per page — the page header shrinks
+// each one instead of displacing the last — and any other size keeps the whole
+// regions that fit. Regions never overlap or run off the page.
+func TestShuffleSmallPagesTileThePage(t *testing.T) {
+	for _, tc := range []struct {
+		pageSize   int64
+		small      int
+		wantRegion int
+	}{
+		{512 << 10, 64 << 10, 8},
+		{DefaultSmallPageSize, 0, 1}, // the default on a page of exactly that size
+		{64 << 10, 24 << 10, 2},      // does not divide: whole regions that fit
+	} {
+		bp := newPool(t, 4*tc.pageSize)
+		sink, err := NewShuffleSink(mkSet(t, bp, "tile", tc.pageSize), tc.small)
+		if err != nil {
+			t.Fatalf("page %d, small %d: %v", tc.pageSize, tc.small, err)
+		}
+		var held []*shufflePage
+		end := pageHeaderSize
+		for sink.set.NumPages() < 2 {
+			sp, off, err := sink.acquireRegion()
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, sp)
+			if sink.set.NumPages() == 1 {
+				if off < end || int64(off+sink.smallSize) > tc.pageSize {
+					t.Errorf("page %d, small %d: region %d at [%d,%d) overlaps its neighbour or the page end",
+						tc.pageSize, tc.small, len(held)-1, off, off+sink.smallSize)
+				}
+				end = off + sink.smallSize
+			}
+		}
+		if got := len(held) - 1; got != tc.wantRegion {
+			t.Errorf("page %d, small %d: %d regions handed out before a new page, want %d", tc.pageSize, tc.small, got, tc.wantRegion)
+		}
+		for _, sp := range held {
+			if err := sink.releaseRegion(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShuffleTiledPagesHoldTheirBytes: two writers' known records come back
+// exactly once, in as many pages per partition as their framed bytes need
+// (plus the writers' last, partly filled page), and a record that would fit the
+// requested small-page size but not the effective one is refused cleanly.
+func TestShuffleTiledPagesHoldTheirBytes(t *testing.T) {
+	const (
+		pageSize, small    = 64 << 10, 8 << 10
+		writers, parts     = 2, 2
+		perWriter, recSize = 4368, 100 // 56 full small pages per writer and partition
+	)
+	bp := newPool(t, 8<<20)
+	sh, err := NewShuffle(bp, "tiled", parts, pageSize, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			bufs := sh.Writer()
+			rec := make([]byte, recSize)
+			for i := 0; i < perWriter*parts; i++ {
+				binary.LittleEndian.PutUint32(rec, uint32(w*perWriter*parts+i))
+				if err := bufs[i%parts].Add(rec); err != nil {
+					t.Errorf("add: %v", err)
+					return
+				}
+			}
+			if err := bufs[0].Add(make([]byte, small-recHeaderSize)); err == nil {
+				t.Errorf("a record of %d bytes fit a small page of %d", small-recHeaderSize, sh.Sink(0).smallSize)
+			}
+			if err := CloseWriters(bufs); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]int, writers*perWriter*parts)
+	for p := 0; p < parts; p++ {
+		if err := sh.ReadPartition(p, 1, func(rec []byte) error {
+			id := int(binary.LittleEndian.Uint32(rec))
+			if id%parts != p {
+				t.Errorf("record %d found in partition %d", id, p)
+			}
+			seen[id]++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		framed := int64(writers * perWriter * (recHeaderSize + recSize))
+		limit := (framed+pageSize-pageHeaderSize-1)/(pageSize-pageHeaderSize) + 1
+		if got := sh.Sink(p).Set().NumPages(); got > limit {
+			t.Errorf("partition %d takes %d pages for %d framed bytes, want at most %d", p, got, framed, limit)
+		}
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Fatalf("record %d read back %d times, want once", id, n)
+		}
 	}
 }
 

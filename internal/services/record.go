@@ -22,8 +22,9 @@ import (
 //
 //	[0:4)  u32 regionSize
 //	[4:8)  u32 reserved
-//	[8:)   regions, each regionSize bytes; trailing bytes that do not fit a
-//	       whole region are unused
+//	[8:)   regions, each regionSize bytes. A sequential page's one region
+//	       runs to the page end and a shuffle page's small pages tile it
+//	       (splitPage); at most a few alignment bytes trail the last one
 //
 // Record framing within a region: u32 length, then payload. Length 0 marks
 // the end of the region's records.
@@ -52,9 +53,18 @@ func pageRegionSize(buf []byte) int {
 	return int(binary.LittleEndian.Uint32(buf[0:4]))
 }
 
-// regionsPerPage returns how many whole regions fit in a page buffer.
-func regionsPerPage(pageSize int64, regionSize int) int {
-	return int((pageSize - pageHeaderSize) / int64(regionSize))
+// splitPage returns how many regions a page of pageSize bytes is split into
+// for a requested region size, and the size each one gets. A request that
+// divides the page asks for pageSize/regionSize regions and gets them: every
+// region gives up its share of the page header (rounded down to 8 bytes, so
+// regions stay aligned) instead of the header displacing the whole last one.
+// Any other request keeps its size and gets the whole regions that fit.
+func splitPage(pageSize int64, regionSize int) (n, size int) {
+	if pageSize%int64(regionSize) == 0 {
+		n = int(pageSize / int64(regionSize))
+		return n, int((pageSize-pageHeaderSize)/int64(n)) &^ 7
+	}
+	return int((pageSize - pageHeaderSize) / int64(regionSize)), regionSize
 }
 
 // appendRecord writes one framed record at off within buf and returns the

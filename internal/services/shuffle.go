@@ -19,7 +19,7 @@ const DefaultSmallPageSize = 1 << 20
 // is unpinned only after all of its small pages are fully written.
 type ShuffleSink struct {
 	set       *core.LocalitySet
-	smallSize int
+	smallSize int // effective small-page size (splitPage), not the requested one
 
 	mu         sync.Mutex
 	cur        *shufflePage
@@ -34,18 +34,20 @@ type shufflePage struct {
 }
 
 // NewShuffleSink attaches a small-page allocator to the partition's set.
+// A smallPageSize that divides the set's page size yields that many small
+// pages per page, each slightly smaller than asked for (splitPage).
 // It stamps WritingPattern=concurrent-write, CurrentOperation=write.
 func NewShuffleSink(set *core.LocalitySet, smallPageSize int) (*ShuffleSink, error) {
 	if smallPageSize <= 0 {
 		smallPageSize = DefaultSmallPageSize
 	}
-	perPage := regionsPerPage(set.PageSize(), smallPageSize)
-	if perPage < 1 {
-		return nil, fmt.Errorf("services: small page size %d exceeds page size %d", smallPageSize, set.PageSize())
+	perPage, smallSize := splitPage(set.PageSize(), smallPageSize)
+	if perPage < 1 || smallSize <= recHeaderSize {
+		return nil, fmt.Errorf("services: small page size %d does not fit page size %d", smallPageSize, set.PageSize())
 	}
 	set.SetWriting(core.ConcurrentWrite)
 	set.SetCurrentOp(core.OpWrite)
-	return &ShuffleSink{set: set, smallSize: smallPageSize, perPage: perPage}, nil
+	return &ShuffleSink{set: set, smallSize: smallSize, perPage: perPage}, nil
 }
 
 // Set returns the partition's locality set.
