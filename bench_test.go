@@ -377,8 +377,8 @@ func BenchmarkScanPrefetch(b *testing.B) {
 
 // BenchmarkShardedAlloc measures allocator contention directly: parallel
 // 4 KiB alloc/free against a single TLSF shard (the seed design, every
-// allocation behind one mutex) vs one shard per core with per-size-class
-// front caches. Run with -cpu 1,2,4,8 to see the scaling curve.
+// allocation behind one mutex) vs one shard per core. Run with
+// -cpu 1,2,4,8 to see the scaling curve.
 func BenchmarkShardedAlloc(b *testing.B) {
 	for _, cfg := range []struct {
 		name   string

@@ -71,15 +71,10 @@ type PoolConfig struct {
 	// partitioned across its nodes, each shard's arena region is bound to
 	// its node (mmap-backed arenas on real multi-socket hardware), and a
 	// locality set's home shard is chosen on the node of the worker that
-	// creates it. nil selects numa.Discover(), which honours the
-	// PANGEA_FAKE_NUMA override; single-node machines keep the exact
-	// pre-NUMA behaviour.
+	// creates it. nil selects numa.Discover(); single-node machines keep
+	// the exact pre-NUMA behaviour. Tests and experiments pass a
+	// numa.NewFake shape to exercise the cross-node paths on any machine.
 	Topology numa.Topology
-	// NUMANodes overrides Topology with a synthetic N-node shape
-	// (numa.NewFake over GOMAXPROCS CPUs) so tests and experiments can
-	// exercise the cross-node paths on any machine. 0 defers to Topology;
-	// negative is rejected.
-	NUMANodes int
 	// ReadAhead is the automatic prefetch window in pages for sets with a
 	// declared sequential reading pattern: as a scan's cursor advances
 	// (services.PageIterators) it schedules asynchronous reads of the next
@@ -162,7 +157,7 @@ type BufferPool struct {
 	cfg   PoolConfig
 	topo  numa.Topology
 	arena *memory.Arena
-	alloc memory.Allocator
+	alloc *memory.ShardedTLSF
 	array *disk.Array
 
 	regMu    locking.RWMutex
@@ -209,9 +204,6 @@ func NewPool(cfg PoolConfig) (*BufferPool, error) {
 	if cfg.AllocShards < 0 {
 		return nil, fmt.Errorf("core: negative allocator shard count %d", cfg.AllocShards)
 	}
-	if cfg.NUMANodes < 0 {
-		return nil, fmt.Errorf("core: negative NUMA node count %d", cfg.NUMANodes)
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = NewDataAware()
 	}
@@ -237,9 +229,6 @@ func NewPool(cfg PoolConfig) (*BufferPool, error) {
 		cfg.HighWater = cfg.LowWater
 	}
 	topo := cfg.Topology
-	if cfg.NUMANodes > 0 {
-		topo = numa.NewFakeAuto(cfg.NUMANodes)
-	}
 	if topo == nil {
 		topo = numa.Discover()
 	}

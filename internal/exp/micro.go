@@ -196,11 +196,11 @@ func S5Concurrency(o Options) (*Table, error) {
 
 // S5AllocShards measures parallel page allocation throughput against the
 // pool arena configured as a single TLSF shard (the seed's one shared
-// allocator mutex) vs one shard per core with per-size-class front caches.
-// Workers alloc/free 4 KiB pages with distinct home-shard hints, the way
-// locality sets route their page memory; the sharded layout should scale
-// with the worker count while the single shard serializes — the §5
-// specialize-per-workload argument applied to the allocator itself.
+// allocator mutex) vs one shard per core. Workers alloc/free 4 KiB pages
+// with distinct home-shard hints, the way locality sets route their page
+// memory; the sharded layout should scale with the worker count while the
+// single shard serializes — the §5 specialize-per-workload argument applied
+// to the allocator itself.
 func S5AllocShards(o Options) (*Table, error) {
 	const pageSize = 4 << 10
 	const arenaBytes = 64 << 20
@@ -218,8 +218,8 @@ func S5AllocShards(o Options) (*Table, error) {
 			start := time.Now()
 			for w := 0; w < workers; w++ {
 				go func(w int) {
-					// Hold a small window of live pages so frees hit the
-					// front caches with real churn, not same-block ping-pong.
+					// Hold a small window of live pages so every free and
+					// alloc is real churn, not same-block ping-pong.
 					var held [8]int64
 					h := 0
 					for i := 0; i < ops; i++ {

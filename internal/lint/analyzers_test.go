@@ -27,7 +27,7 @@ func TestLockOrder(t *testing.T) {
 	lint.LockOrderTable = append(lint.LockOrderTable,
 		lint.LockClass{PkgPath: tdBase + "lockorder", Type: "Registry", Field: "mu", Rank: locking.RankRegistry},
 		lint.LockClass{PkgPath: tdBase + "lockorder", Type: "Set", Field: "mu", Rank: locking.RankSet},
-		lint.LockClass{PkgPath: tdBase + "lockorder", Type: "Shard", Field: "mu", Rank: locking.RankAllocCache},
+		lint.LockClass{PkgPath: tdBase + "lockorder", Type: "Shard", Field: "mu", Rank: locking.RankAllocTLSF},
 	)
 	defer func() { lint.LockOrderTable = orig }()
 	linttest.Run(t, "./testdata/src/lockorder", lint.LockOrder)

@@ -39,7 +39,6 @@ var LockOrderTable = []LockClass{
 	{"pangea/internal/core", "BufferPool", "regMu", locking.RankRegistry},
 	{"pangea/internal/core", "LocalitySet", "mu", locking.RankSet},
 	{"pangea/internal/services", "sideIndex", "mu", locking.RankSideIndex},
-	{"pangea/internal/memory", "tlsfShard", "cacheMu", locking.RankAllocCache},
 	{"pangea/internal/memory", "TLSF", "mu", locking.RankAllocTLSF},
 	{"pangea/internal/pfs", "PagedFile", "mu", locking.RankPFS},
 	{"pangea/internal/disk", "Queue", "mu", locking.RankIOQueue},

@@ -1,5 +1,5 @@
 // Package lockorder is lockorder analyzer testdata. The test registers
-// Registry.mu -> Set.mu -> Shard.mu (ranks 20/30/50) in the order table;
+// Registry.mu -> Set.mu -> Shard.mu (ranks 20/30/60) in the order table;
 // acquisitions here exercise in-order, inverted and same-rank shapes.
 package lockorder
 

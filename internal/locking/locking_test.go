@@ -95,7 +95,7 @@ func TestRankString(t *testing.T) {
 func TestNestedInOrder(t *testing.T) {
 	ranks := []Rank{
 		RankWorker, RankSetWriter, RankRegistry, RankSet, RankSideIndex,
-		RankAllocCache, RankAllocTLSF, RankPFS, RankIOQueue, RankDisk,
+		RankAllocTLSF, RankPFS, RankIOQueue, RankDisk,
 	}
 	ms := make([]*Mutex, len(ranks))
 	for i, r := range ranks {

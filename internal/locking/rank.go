@@ -14,7 +14,6 @@
 //	rank 20  core.BufferPool.regMu    pool set registry
 //	rank 30  core.LocalitySet.mu      per-set page table + residency state
 //	rank 40  services.sideIndex.mu    per-set side index (zone map, microindex)
-//	rank 50  memory.tlsfShard.cacheMu allocator shard front cache
 //	rank 60  memory.TLSF.mu           allocator shard heap
 //	rank 70  pfs.PagedFile.mu         paged-file extent index
 //	rank 80  disk.Queue.mu            per-drive I/O queue
@@ -49,8 +48,6 @@ const (
 	// respect to each other: a scan consults them one after the other,
 	// never one while holding another's lock.
 	RankSideIndex Rank = 40
-	// RankAllocCache orders memory.tlsfShard.cacheMu (shard front cache).
-	RankAllocCache Rank = 50
 	// RankAllocTLSF orders memory.TLSF.mu (shard heap).
 	RankAllocTLSF Rank = 60
 	// RankPFS orders pfs.PagedFile.mu (extent index).
@@ -63,17 +60,16 @@ const (
 
 // rankNames maps each rank to the lock class it orders, for diagnostics.
 var rankNames = map[Rank]string{
-	RankNone:       "unranked",
-	RankWorker:     "cluster.Worker.mu",
-	RankSetWriter:  "cluster.setWriter.mu",
-	RankRegistry:   "core.BufferPool.regMu",
-	RankSet:        "core.LocalitySet.mu",
-	RankSideIndex:  "services.sideIndex.mu",
-	RankAllocCache: "memory.tlsfShard.cacheMu",
-	RankAllocTLSF:  "memory.TLSF.mu",
-	RankPFS:        "pfs.PagedFile.mu",
-	RankIOQueue:    "disk.Queue.mu",
-	RankDisk:       "disk.Disk.mu",
+	RankNone:      "unranked",
+	RankWorker:    "cluster.Worker.mu",
+	RankSetWriter: "cluster.setWriter.mu",
+	RankRegistry:  "core.BufferPool.regMu",
+	RankSet:       "core.LocalitySet.mu",
+	RankSideIndex: "services.sideIndex.mu",
+	RankAllocTLSF: "memory.TLSF.mu",
+	RankPFS:       "pfs.PagedFile.mu",
+	RankIOQueue:   "disk.Queue.mu",
+	RankDisk:      "disk.Disk.mu",
 }
 
 // String names the lock class a rank orders.

@@ -67,11 +67,10 @@ func (a *Arena) Mapped() bool { return a.mapped }
 func (a *Arena) Size() int64 { return int64(len(a.buf)) }
 
 // Slice returns the sub-slice [off, off+n) of the arena. It panics if the
-// range is out of bounds, which always indicates allocator corruption.
+// range is out of bounds, which always indicates allocator corruption. The
+// check is the slice expression's own, so that Slice inlines: the TLSF
+// calls it for every boundary-tag word it reads or writes.
 func (a *Arena) Slice(off, n int64) []byte {
-	if off < 0 || n < 0 || off+n > int64(len(a.buf)) {
-		panic(fmt.Sprintf("memory: slice [%d,%d) out of arena bounds %d", off, off+n, len(a.buf)))
-	}
 	return a.buf[off : off+n : off+n]
 }
 

@@ -6,43 +6,8 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"pangea/internal/locking"
 	"pangea/internal/numa"
 )
-
-// Allocator is the arena-allocator interface the buffer pool programs
-// against: shard-affine allocation of variable-sized regions out of a
-// shared arena, identified by 16-byte-aligned offsets, with the shards
-// partitioned across the machine's NUMA nodes. ShardedTLSF is the default
-// implementation.
-type Allocator interface {
-	Alloc(n int64) (int64, error)
-	AllocAffinity(n int64, hint int) (int64, error)
-	Free(off int64)
-	UsableSize(off int64) int64
-	MaxAlloc() int64
-	Used() int64
-	FreeBytes() int64
-	Shards() int
-	HomeShard(hint int) int
-	// HomeShardOn maps an affinity hint to a home shard local to the given
-	// NUMA node, falling back to the global mapping when the node owns no
-	// shards.
-	HomeShardOn(node, hint int) int
-	// NumNodes reports how many NUMA nodes the shards are partitioned over.
-	NumNodes() int
-	// NodeOfShard reports which node a shard's arena region belongs to.
-	NodeOfShard(i int) int
-	// NodeUsed reports the bytes handed out per node (cache-parked blocks
-	// count free, as in Used).
-	NodeUsed() []int64
-	// CrossNodeSteals counts allocations that crossed the interconnect:
-	// served by a shard on a different node than the home shard's.
-	CrossNodeSteals() int64
-	CheckConsistency() error
-}
-
-var _ Allocator = (*ShardedTLSF)(nil)
 
 const (
 	// minShardBytes keeps shards large enough to hold real pages; arenas
@@ -51,25 +16,9 @@ const (
 	minShardBytes = 1 << 20
 	// maxShards caps the shard count regardless of GOMAXPROCS.
 	maxShards = 64
-	// maxClassesPerShard bounds how many distinct hot sizes a shard caches.
-	maxClassesPerShard = 8
-	// classCapMax bounds a front cache's depth in blocks.
-	classCapMax = 32
 )
 
-// classStack is one size class's front cache: a LIFO stack of user offsets
-// whose blocks all have the exact total size `need`. Freed blocks of a hot
-// page size park here and the next same-size allocation pops one back
-// without touching the shard's TLSF bitmaps or boundary tags.
-type classStack struct {
-	need int64 // exact block size (header included) of every cached block
-	cap  int
-	offs []int64 // global user offsets, LIFO
-}
-
-// tlsfShard is one contiguous arena region with its own TLSF instance and
-// front caches. Lock order: cacheMu before the shard's tlsf.mu, never the
-// reverse.
+// tlsfShard is one contiguous arena region with its own TLSF instance.
 type tlsfShard struct {
 	base int64
 	size int64
@@ -79,32 +28,22 @@ type tlsfShard struct {
 	// used mirrors the shard's slice of the allocator-wide used aggregate,
 	// so per-node residency gauges never sweep the shard locks.
 	used atomic.Int64
-
-	// cacheMu guards the front caches: the class table, every class stack,
-	// the cached-offset set (double-free guard) and the cached-bytes total.
-	// Critical sections are a few map/slice operations, so the common
-	// NewPage/Free path of a shard's home sets is a near-lock-free pop/push.
-	cacheMu     locking.Mutex
-	classes     map[int64]*classStack
-	cachedSet   map[int64]struct{}
-	cachedBytes int64
 }
 
 // ShardedTLSF splits one arena into N contiguous TLSF shards (N ≈
 // GOMAXPROCS, power of two), each with its own mutex, bitmaps and free
-// lists, fronted by small per-size-class caches refilled and drained in
-// batches. The shards are partitioned across the topology's NUMA nodes in
+// lists. The shards are partitioned across the topology's NUMA nodes in
 // contiguous runs (shard i belongs to node i·M/N) and each shard's arena
 // region is bound to its node, so a page allocated from a node-local shard
 // is node-local memory. Allocations carry a home-shard hint (the pool
 // routes by locality set, choosing a home on the creating worker's node);
 // on exhaustion the allocator steals in two tiers — every same-node shard
-// first, only then the remote nodes' shards in ring order — and, as a last
-// resort, drains every front cache so parked blocks can coalesce before
+// first, only then the remote nodes' shards in ring order — before
 // reporting ErrOutOfMemory. A single hot set can therefore still consume
 // the whole arena; it just pays the interconnect only once its own node is
-// genuinely full. Used and FreeBytes aggregate across shards and count
-// cache-parked blocks as free.
+// genuinely full. Used and FreeBytes aggregate across shards and are exact:
+// a freed block coalesces in its shard at once, so every free byte can
+// serve any size that fits between its neighbours.
 type ShardedTLSF struct {
 	arena      *Arena
 	topo       numa.Topology
@@ -114,7 +53,7 @@ type ShardedTLSF struct {
 	sameNode   []int   // per home shard: how many stealOrder entries are local
 	shardSize  int64
 	total      int64         // usable (16-aligned) arena bytes across shards
-	used       atomic.Int64  // aggregate bytes handed out; cached blocks count free
+	used       atomic.Int64  // aggregate bytes handed out, headers included
 	rr         atomic.Uint32 // round-robin homes for hint-less Alloc
 
 	crossSteals *atomic.Int64 // cross-node allocations; pool-owned when injected
@@ -150,8 +89,7 @@ func DefaultShardCount(arenaBytes int64) int {
 }
 
 // NewShardedTLSF builds a sharded allocator over the whole arena under the
-// machine's discovered topology (which honours the PANGEA_FAKE_NUMA
-// override); see shardCount for how nshards is resolved.
+// machine's discovered topology; see shardCount for how nshards is resolved.
 func NewShardedTLSF(a *Arena, nshards int) *ShardedTLSF {
 	return NewShardedTLSFNUMA(a, nshards, nil, nil)
 }
@@ -196,16 +134,12 @@ func NewShardedTLSFNUMA(a *Arena, nshards int, topo numa.Topology, crossSteals *
 		}
 		node := i * nodes / n
 		s.nodeShards[node] = append(s.nodeShards[node], i)
-		sh := &tlsfShard{
-			base:      base,
-			size:      size,
-			node:      node,
-			tlsf:      NewTLSF(a.View(base, size)),
-			classes:   make(map[int64]*classStack),
-			cachedSet: make(map[int64]struct{}),
-		}
-		sh.cacheMu.Init(locking.RankAllocCache)
-		s.shards = append(s.shards, sh)
+		s.shards = append(s.shards, &tlsfShard{
+			base: base,
+			size: size,
+			node: node,
+			tlsf: NewTLSF(a.View(base, size)),
+		})
 		if bind {
 			_ = topo.Bind(a.Slice(base, size), node) // best-effort placement
 		}
@@ -300,19 +234,6 @@ func (s *ShardedTLSF) shardFor(userOff int64) *tlsfShard {
 	return s.shards[s.ShardOf(userOff)]
 }
 
-// capFor sizes a front cache so no class can park more than 1/16 of its
-// shard; classes too large to cache at least two blocks are not cached.
-func (sh *tlsfShard) capFor(need int64) int {
-	c := sh.size / (16 * need)
-	if c > classCapMax {
-		c = classCapMax
-	}
-	if c < 2 {
-		return 0
-	}
-	return int(c)
-}
-
 // Alloc reserves n bytes from a round-robin home shard. Pool code uses
 // AllocAffinity so a locality set's pages stay on its home shard.
 func (s *ShardedTLSF) Alloc(n int64) (int64, error) {
@@ -320,72 +241,33 @@ func (s *ShardedTLSF) Alloc(n int64) (int64, error) {
 }
 
 // AllocAffinity reserves n bytes, preferring the home shard that the hint
-// maps to: front cache first, then the home TLSF (refilling the cache in
-// the same batch), then two-tier work-stealing — the home node's other
-// shards before any remote node's — then a full cache drain so parked
-// blocks can coalesce, with a final sweep over every shard (home node
-// first again) before ErrOutOfMemory.
+// maps to, then two-tier work-stealing — the home node's other shards
+// before any remote node's — so every shard has been tried before
+// ErrOutOfMemory.
 func (s *ShardedTLSF) AllocAffinity(n int64, hint int) (int64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("memory: invalid allocation size %d", n)
 	}
-	need := blockNeed(n)
 	h := s.HomeShard(hint)
-
 	home := s.shards[h]
-	if off, ok := home.popCached(need); ok {
-		s.popped(home, need)
-		return off, nil
-	}
-	if off, ok := home.allocRefill(n, need); ok {
-		return s.granted(home, off), nil
-	}
-	for i, si := range s.stealOrder[h] {
-		sh := s.shards[si]
-		if off, ok := sh.popCached(need); ok {
-			s.popped(sh, need)
-			s.noteSteal(h, i)
-			return off, nil
-		}
-		if off, err := sh.tlsf.Alloc(n); err == nil {
-			s.noteSteal(h, i)
-			return s.granted(sh, sh.base+off), nil
-		}
-	}
-	// Retry unconditionally after the drain: even when our own drain found
-	// nothing, a concurrent drain or an in-flight cache overflow may have
-	// just returned blocks to a TLSF our steal loop had already passed.
-	s.drainAll()
 	if off, err := home.tlsf.Alloc(n); err == nil {
 		return s.granted(home, home.base+off), nil
 	}
 	for i, si := range s.stealOrder[h] {
 		sh := s.shards[si]
 		if off, err := sh.tlsf.Alloc(n); err == nil {
-			s.noteSteal(h, i)
+			if i >= s.sameNode[h] { // past the same-node prefix: crossed the interconnect
+				s.crossSteals.Add(1)
+			}
 			return s.granted(sh, sh.base+off), nil
 		}
 	}
 	return 0, ErrOutOfMemory
 }
 
-// noteSteal counts a successful steal from stealOrder[h][i]: entries past
-// the same-node prefix crossed the interconnect.
-func (s *ShardedTLSF) noteSteal(h, i int) {
-	if i >= s.sameNode[h] {
-		s.crossSteals.Add(1)
-	}
-}
-
-// popped books a front-cache hit in the aggregate and per-shard gauges.
-func (s *ShardedTLSF) popped(sh *tlsfShard, need int64) {
-	s.used.Add(need)
-	sh.used.Add(need)
-}
-
-// granted records a fresh TLSF grant in the aggregate and per-shard used
-// counters (the granted block can be slightly larger than requested when a
-// remainder was too small to split) and returns the offset unchanged.
+// granted records a TLSF grant in the aggregate and per-shard used counters
+// (the granted block can be slightly larger than requested when a remainder
+// was too small to split) and returns the offset unchanged.
 func (s *ShardedTLSF) granted(sh *tlsfShard, userOff int64) int64 {
 	size := int64(sh.tlsf.header(userOff-sh.base) &^ 1)
 	s.used.Add(size)
@@ -393,77 +275,8 @@ func (s *ShardedTLSF) granted(sh *tlsfShard, userOff int64) int64 {
 	return userOff
 }
 
-// popCached pops a parked block of the exact class off the front cache.
-func (sh *tlsfShard) popCached(need int64) (int64, bool) {
-	sh.cacheMu.Lock()
-	cls := sh.classes[need]
-	if cls == nil || len(cls.offs) == 0 {
-		sh.cacheMu.Unlock()
-		return 0, false
-	}
-	off := cls.offs[len(cls.offs)-1]
-	cls.offs = cls.offs[:len(cls.offs)-1]
-	delete(sh.cachedSet, off)
-	sh.cachedBytes -= need
-	sh.cacheMu.Unlock()
-	return off, true
-}
-
-// allocRefill allocates from the shard's TLSF, topping up the size class's
-// front cache in the same batch (one TLSF lock acquisition). Hot sizes are
-// discovered here: the first cache miss for a cacheable size creates its
-// class.
-func (sh *tlsfShard) allocRefill(n, need int64) (int64, bool) {
-	sh.cacheMu.Lock()
-	cls := sh.classes[need]
-	if cls == nil && len(sh.classes) < maxClassesPerShard {
-		if c := sh.capFor(need); c > 0 {
-			cls = &classStack{need: need, cap: c}
-			sh.classes[need] = cls
-		}
-	}
-	want := 1
-	if cls != nil {
-		want = cls.cap/4 + 1
-		if want > 8 {
-			want = 8
-		}
-		if room := cls.cap - len(cls.offs); want > room+1 {
-			want = room + 1
-		}
-	}
-	sh.cacheMu.Unlock()
-
-	offs := sh.tlsf.AllocBatch(n, want, nil)
-	if len(offs) == 0 {
-		return 0, false
-	}
-	ret := sh.base + offs[0]
-	if len(offs) == 1 {
-		return ret, true
-	}
-	// Park exact-size spares in the front cache; anything oversized (an
-	// unsplit remainder) or overflowing goes straight back to the TLSF.
-	var freeBack []int64
-	sh.cacheMu.Lock()
-	for _, lo := range offs[1:] {
-		if cls != nil && int64(sh.tlsf.header(lo)&^1) == need && len(cls.offs) < cls.cap {
-			g := sh.base + lo
-			cls.offs = append(cls.offs, g)
-			sh.cachedSet[g] = struct{}{}
-			sh.cachedBytes += need
-		} else {
-			freeBack = append(freeBack, lo)
-		}
-	}
-	sh.cacheMu.Unlock()
-	sh.tlsf.FreeBatch(freeBack)
-	return ret, true
-}
-
-// Free releases a region previously returned by Alloc/AllocAffinity. Blocks
-// of a cached size class park in their shard's front cache; when a cache
-// overflows, the coldest half drains back to the TLSF in one batch.
+// Free releases a region previously returned by Alloc/AllocAffinity back to
+// its shard's TLSF, where it coalesces with its free neighbours at once.
 func (s *ShardedTLSF) Free(userOff int64) {
 	sh := s.shardFor(userOff)
 	local := userOff - sh.base
@@ -472,59 +285,9 @@ func (s *ShardedTLSF) Free(userOff int64) {
 		panic(fmt.Sprintf("memory: double free at offset %d", userOff))
 	}
 	size := int64(hdr &^ 1)
-
-	sh.cacheMu.Lock()
-	if _, dup := sh.cachedSet[userOff]; dup {
-		sh.cacheMu.Unlock()
-		panic(fmt.Sprintf("memory: double free at offset %d (block is parked in a front cache)", userOff))
-	}
 	s.used.Add(-size)
 	sh.used.Add(-size)
-	cls := sh.classes[size]
-	if cls == nil {
-		sh.cacheMu.Unlock()
-		sh.tlsf.Free(local)
-		return
-	}
-	var drain []int64
-	if len(cls.offs) >= cls.cap {
-		half := len(cls.offs) / 2
-		if half == 0 {
-			half = len(cls.offs)
-		}
-		drain = make([]int64, half)
-		for i, g := range cls.offs[:half] {
-			drain[i] = g - sh.base
-			delete(sh.cachedSet, g)
-		}
-		n := copy(cls.offs, cls.offs[half:])
-		cls.offs = cls.offs[:n]
-		sh.cachedBytes -= int64(half) * size
-	}
-	cls.offs = append(cls.offs, userOff)
-	sh.cachedSet[userOff] = struct{}{}
-	sh.cachedBytes += size
-	sh.cacheMu.Unlock()
-	sh.tlsf.FreeBatch(drain)
-}
-
-// drainAll returns every cache-parked block to its shard's TLSF so the
-// memory can coalesce and serve other sizes.
-func (s *ShardedTLSF) drainAll() {
-	for _, sh := range s.shards {
-		sh.cacheMu.Lock()
-		var offs []int64
-		for _, cls := range sh.classes {
-			for _, g := range cls.offs {
-				offs = append(offs, g-sh.base)
-				delete(sh.cachedSet, g)
-			}
-			sh.cachedBytes -= cls.need * int64(len(cls.offs))
-			cls.offs = cls.offs[:0]
-		}
-		sh.cacheMu.Unlock()
-		sh.tlsf.FreeBatch(offs)
-	}
+	sh.tlsf.Free(local)
 }
 
 // UsableSize reports the payload capacity of an allocated region.
@@ -544,10 +307,8 @@ func (s *ShardedTLSF) MaxAlloc() int64 {
 }
 
 // Used returns the bytes currently handed out to callers (including block
-// headers). Blocks parked in front caches count as free: they are
-// reusable by any allocation after a drain. Maintained as one atomic
-// aggregate so the hot allocation path never sweeps every shard's locks
-// for its peak-usage and watermark checks.
+// headers). Maintained as one atomic aggregate so the hot allocation path
+// never sweeps every shard's locks for its peak-usage and watermark checks.
 func (s *ShardedTLSF) Used() int64 { return s.used.Load() }
 
 // FreeBytes returns the bytes not currently allocated, aggregated across
@@ -555,8 +316,7 @@ func (s *ShardedTLSF) Used() int64 { return s.used.Load() }
 func (s *ShardedTLSF) FreeBytes() int64 { return s.total - s.used.Load() }
 
 // NodeUsed returns the bytes currently handed out per NUMA node, summed
-// over each node's shards (cache-parked blocks count free, as in Used).
-// Nodes with no local shards report zero.
+// over each node's shards. Nodes with no local shards report zero.
 func (s *ShardedTLSF) NodeUsed() []int64 {
 	out := make([]int64, len(s.nodeShards))
 	for _, sh := range s.shards {
@@ -565,41 +325,13 @@ func (s *ShardedTLSF) NodeUsed() []int64 {
 	return out
 }
 
-// CheckShard verifies shard i: front-cache accounting (every parked block
-// allocated, exact-sized, and counted once) plus the shard TLSF's physical
-// chain invariants. Safe to call concurrently with allocation traffic.
+// CheckShard verifies shard i's TLSF physical chain invariants. Safe to call
+// concurrently with allocation traffic.
 func (s *ShardedTLSF) CheckShard(i int) error {
 	if i < 0 || i >= len(s.shards) {
 		return fmt.Errorf("memory: no shard %d", i)
 	}
-	sh := s.shards[i]
-	sh.cacheMu.Lock()
-	defer sh.cacheMu.Unlock()
-	var cached int64
-	entries := 0
-	for need, cls := range sh.classes {
-		for _, g := range cls.offs {
-			if _, ok := sh.cachedSet[g]; !ok {
-				return fmt.Errorf("shard %d: cached block %d missing from cached set", i, g)
-			}
-			hdr := sh.tlsf.header(g - sh.base)
-			if hdr&1 == 1 {
-				return fmt.Errorf("shard %d: cached block %d marked free", i, g)
-			}
-			if int64(hdr&^1) != need {
-				return fmt.Errorf("shard %d: cached block %d has size %d in class %d", i, g, hdr&^1, need)
-			}
-			cached += need
-			entries++
-		}
-	}
-	if entries != len(sh.cachedSet) {
-		return fmt.Errorf("shard %d: %d cached blocks but %d set entries", i, entries, len(sh.cachedSet))
-	}
-	if cached != sh.cachedBytes {
-		return fmt.Errorf("shard %d: cachedBytes %d, stacks hold %d", i, sh.cachedBytes, cached)
-	}
-	return sh.tlsf.CheckConsistency()
+	return s.shards[i].tlsf.CheckConsistency()
 }
 
 // CheckConsistency checks every shard plus the per-shard used gauges (a

@@ -152,16 +152,17 @@ func TestTwoTierStealOrder(t *testing.T) {
 	}
 }
 
-// TestCrossNodeDrainBeforeOOM is the regression test that a full cross-node
-// drain still precedes ErrOutOfMemory: with every shard full, freeing one
-// remote block must let a home-node-routed allocation succeed (landing on
-// the remote node), and OOM may be reported only when genuinely nothing is
-// left anywhere.
-func TestCrossNodeDrainBeforeOOM(t *testing.T) {
+// TestCrossNodeSweepBeforeOOM: ErrOutOfMemory is reported only after every
+// shard of every node has been tried. A hog homed on node 0 reaches each
+// remote shard and counts one crossing per block that landed there; with
+// every shard full, freeing one remote region must let a home-node-routed
+// allocation succeed (landing on the remote node).
+func TestCrossNodeSweepBeforeOOM(t *testing.T) {
 	s, _ := newNUMAAlloc(t, 4<<20, 4, 2)
 	// Fill the whole arena with 64 KiB blocks homed on shard 0: the hot
 	// hint must be able to consume every node's shards.
 	var offs []int64
+	perShard := make([]int64, s.Shards())
 	for {
 		off, err := s.AllocAffinity(64<<10, 0)
 		if errors.Is(err, ErrOutOfMemory) {
@@ -171,9 +172,18 @@ func TestCrossNodeDrainBeforeOOM(t *testing.T) {
 			t.Fatal(err)
 		}
 		offs = append(offs, off)
+		perShard[s.ShardOf(off)]++
 	}
 	if len(offs) < 48 {
 		t.Fatalf("only %d×64KiB allocated from a 4 MiB arena; cross-node stealing failed", len(offs))
+	}
+	for i, n := range perShard {
+		if n == 0 {
+			t.Errorf("shard %d (node %d) holds no block at OOM; the sweep skipped it", i, s.NodeOfShard(i))
+		}
+	}
+	if got, want := s.CrossNodeSteals(), perShard[2]+perShard[3]; got != want {
+		t.Errorf("CrossNodeSteals = %d, want %d (one per block on node 1)", got, want)
 	}
 	// Free two adjacent blocks on the remote node (they coalesce into one
 	// region a 64 KiB request is guaranteed to find despite TLSF's class
@@ -196,7 +206,7 @@ func TestCrossNodeDrainBeforeOOM(t *testing.T) {
 	offs = append(offs[:remote], offs[remote+2:]...)
 	off, err := s.AllocAffinity(64<<10, 0)
 	if err != nil {
-		t.Fatalf("alloc after remote free: %v (cross-node drain must precede OOM)", err)
+		t.Fatalf("alloc after remote free: %v (the remote node must be tried before OOM)", err)
 	}
 	if got := s.NodeOfShard(s.ShardOf(off)); got != 1 {
 		t.Errorf("refill landed on node %d, want the freed remote node 1", got)
@@ -316,7 +326,6 @@ func TestNodeUsedGauges(t *testing.T) {
 	}
 	s.Free(n1)
 	used = s.NodeUsed()
-	// The freed block may park in a front cache, but parked counts free.
 	if used[0] != 0 || used[1] != 0 {
 		t.Errorf("NodeUsed = %v after freeing everything", used)
 	}
@@ -413,6 +422,9 @@ func TestShardedNUMAConcurrentStress(t *testing.T) {
 	}
 	if perNode != 0 {
 		t.Fatalf("NodeUsed sums to %d at quiescence, want 0", perNode)
+	}
+	if err := checkQuiesced(s, true); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.CheckConsistency(); err != nil {
 		t.Fatal(err)

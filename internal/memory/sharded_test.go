@@ -2,6 +2,7 @@ package memory
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -91,31 +92,11 @@ func TestShardedSteal(t *testing.T) {
 	}
 }
 
-// TestShardedFrontCacheRecycles: a free followed by a same-size alloc on
-// the same home must be served by the front cache (same block back).
-func TestShardedFrontCacheRecycles(t *testing.T) {
-	s := NewShardedTLSF(NewArena(8<<20), 2)
-	a, err := s.AllocAffinity(4096, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Free(a)
-	b, err := s.AllocAffinity(4096, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("front cache miss: freed %d, re-alloc got %d", a, b)
-	}
-	s.Free(b)
-	if err := s.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardedDrainServesLargeAlloc: blocks parked in front caches must be
-// drained and coalesced when a large allocation needs the space.
-func TestShardedDrainServesLargeAlloc(t *testing.T) {
+// TestShardedFreedSmallBlocksServeMaxAlloc: freed blocks coalesce in their
+// shard at once, so after a shard was filled with small blocks and emptied
+// again, the largest request the allocator promises succeeds on the first
+// sweep — nothing is held back from other sizes.
+func TestShardedFreedSmallBlocksServeMaxAlloc(t *testing.T) {
 	s := NewShardedTLSF(NewArena(2<<20), 1)
 	var offs []int64
 	for {
@@ -129,12 +110,14 @@ func TestShardedDrainServesLargeAlloc(t *testing.T) {
 		offs = append(offs, off)
 	}
 	for _, off := range offs {
-		s.Free(off) // many of these park in the 4 KiB front cache
+		s.Free(off)
 	}
-	// Nearly the whole arena: only possible after a full drain + coalesce.
-	big, err := s.Alloc(2<<20 - 64)
+	if err := checkQuiesced(s, true); err != nil {
+		t.Fatal(err)
+	}
+	big, err := s.Alloc(s.MaxAlloc())
 	if err != nil {
-		t.Fatalf("large alloc after frees: %v", err)
+		t.Fatalf("MaxAlloc()-sized alloc after freeing every small block: %v", err)
 	}
 	s.Free(big)
 	if s.Used() != 0 {
@@ -173,18 +156,47 @@ func TestShardedDoubleFreePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Free(off) // parks in the front cache
+	s.Free(off)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on double free of a cached block")
+			t.Fatal("expected panic on double free")
 		}
 	}()
 	s.Free(off)
 }
 
+// checkQuiesced verifies, with no allocation traffic running, that the
+// allocator's three views of "bytes handed out" are one number — the
+// aggregate gauge, the per-node gauges and what the shards' TLSFs themselves
+// count — and, when the caller has freed everything, that every shard has
+// coalesced back into a single free block spanning it: no freed byte is held
+// anywhere but in a TLSF free list.
+func checkQuiesced(s *ShardedTLSF, allFreed bool) error {
+	var tlsfUsed, nodeUsed int64
+	for _, sh := range s.shards {
+		tlsfUsed += sh.tlsf.Used()
+	}
+	for _, u := range s.NodeUsed() {
+		nodeUsed += u
+	}
+	if s.Used() != tlsfUsed || s.Used() != nodeUsed {
+		return fmt.Errorf("Used() = %d, shard TLSFs hold %d, NodeUsed sums to %d", s.Used(), tlsfUsed, nodeUsed)
+	}
+	if !allFreed {
+		return nil
+	}
+	for i, sh := range s.shards {
+		if !sh.tlsf.isFree(0) || sh.tlsf.blockSize(0) != sh.tlsf.arenaLimit() {
+			return fmt.Errorf("shard %d is not one free block after every free (first block: free=%v, %d of %d bytes)",
+				i, sh.tlsf.isFree(0), sh.tlsf.blockSize(0), sh.tlsf.arenaLimit())
+		}
+	}
+	return nil
+}
+
 // TestShardedRandomized is the single-goroutine property test: any
-// interleaving of affinity allocs and frees leaves every shard consistent
-// and recovers all memory.
+// interleaving of affinity allocs and frees leaves every shard consistent,
+// keeps the gauges exact, and recovers all memory as one block per shard.
 func TestShardedRandomized(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -210,11 +222,19 @@ func TestShardedRandomized(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
+		if err := checkQuiesced(s, false); err != nil {
+			t.Logf("seed %d, blocks live: %v", seed, err)
+			return false
+		}
 		for _, l := range live {
 			s.Free(l.off)
 		}
 		if s.Used() != 0 {
 			t.Logf("seed %d: leaked %d bytes", seed, s.Used())
+			return false
+		}
+		if err := checkQuiesced(s, true); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		return s.CheckConsistency() == nil
@@ -309,6 +329,9 @@ func TestShardedConcurrentStress(t *testing.T) {
 	if s.Used() != 0 {
 		t.Fatalf("leaked %d bytes after concurrent stress", s.Used())
 	}
+	if err := checkQuiesced(s, true); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +340,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 func BenchmarkShardedTLSFAllocFree(b *testing.B) {
 	s := NewShardedTLSF(NewArena(64<<20), 0)
 	b.ReportAllocs()
+	b.ResetTimer() // the 64 MiB arena is set-up, not the allocator
 	for i := 0; i < b.N; i++ {
 		off, err := s.AllocAffinity(4096, 0)
 		if err != nil {

@@ -177,50 +177,42 @@ func (t *TLSF) findSuitable(fl, sl int) (int, int, bool) {
 
 // --- public API -------------------------------------------------------------
 
-// blockNeed returns the total block size (header included) that a request
-// of n payload bytes occupies. Exported within the package so the sharded
-// allocator can key its front caches by exact block size.
-func blockNeed(n int64) int64 {
-	need := align16(n) + headerSize
-	if need < minBlock {
-		need = minBlock
-	}
-	return need
-}
-
 // Alloc reserves n bytes and returns the offset of the usable region within
 // the arena. The region is 16-byte aligned.
 func (t *TLSF) Alloc(n int64) (int64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("memory: invalid allocation size %d", n)
 	}
+	// need is the total block size, header included.
+	need := align16(n) + headerSize
+	if need < minBlock {
+		need = minBlock
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	off, ok := t.allocLocked(blockNeed(n))
-	if !ok {
+
+	var o int64
+	if fl, sl, ok := t.findSuitable(mappingSearch(need)); ok {
+		o = t.freeHead[fl][sl]
+	} else if o = t.firstFitInClass(need); o == nullOffset {
 		return 0, ErrOutOfMemory
 	}
-	return off, nil
-}
+	t.remove(o)
+	size := t.blockSize(o)
 
-// AllocBatch reserves up to max blocks of n bytes each under a single lock
-// acquisition, appending their user offsets to dst. It stops early when the
-// allocator is exhausted; callers check len(result) for how many they got.
-func (t *TLSF) AllocBatch(n int64, max int, dst []int64) []int64 {
-	if n <= 0 || max <= 0 {
-		return dst
-	}
-	need := blockNeed(n)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 0; i < max; i++ {
-		off, ok := t.allocLocked(need)
-		if !ok {
-			break
+	if rem := size - need; rem >= minBlock {
+		remOff := o + need
+		t.setSize(remOff, rem, true)
+		t.setPrevPhys(remOff, o)
+		if nn := remOff + rem; nn < t.arenaLimit() {
+			t.setPrevPhys(nn, remOff)
 		}
-		dst = append(dst, off)
+		t.insert(remOff, rem)
+		size = need
 	}
-	return dst
+	t.setSize(o, size, false)
+	t.used += size
+	return o + headerSize, nil
 }
 
 // firstFitInClass walks the one size class need itself maps into — the class
@@ -239,61 +231,17 @@ func (t *TLSF) firstFitInClass(need int64) int64 {
 	return nullOffset
 }
 
-// allocLocked carves one block of exactly need total bytes (header included)
-// out of the free lists. Caller holds t.mu.
-func (t *TLSF) allocLocked(need int64) (int64, bool) {
-	var o int64
-	if fl, sl, ok := t.findSuitable(mappingSearch(need)); ok {
-		o = t.freeHead[fl][sl]
-	} else if o = t.firstFitInClass(need); o == nullOffset {
-		return 0, false
-	}
-	t.remove(o)
-	size := t.blockSize(o)
-
-	if rem := size - need; rem >= minBlock {
-		remOff := o + need
-		t.setSize(remOff, rem, true)
-		t.setPrevPhys(remOff, o)
-		if nn := remOff + rem; nn < t.arenaLimit() {
-			t.setPrevPhys(nn, remOff)
-		}
-		t.insert(remOff, rem)
-		size = need
-	}
-	t.setSize(o, size, false)
-	t.used += size
-	return o + headerSize, true
-}
-
-// Free releases a region previously returned by Alloc, coalescing with
-// physically adjacent free blocks.
-func (t *TLSF) Free(userOff int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.freeLocked(userOff)
-}
-
-// FreeBatch releases every offset under a single lock acquisition; the
-// sharded allocator drains front caches through it.
-func (t *TLSF) FreeBatch(offs []int64) {
-	if len(offs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, off := range offs {
-		t.freeLocked(off)
-	}
-}
-
 // header returns the raw size|flags word of an allocated block without
 // taking the allocator lock. Safe only for the block's current owner: TLSF
 // never writes the first header word of an allocated block (coalescing
 // touches only its prev-phys word).
 func (t *TLSF) header(userOff int64) uint64 { return t.u64(userOff - headerSize) }
 
-func (t *TLSF) freeLocked(userOff int64) {
+// Free releases a region previously returned by Alloc, coalescing with
+// physically adjacent free blocks.
+func (t *TLSF) Free(userOff int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	o := userOff - headerSize
 	if t.isFree(o) {
 		panic(fmt.Sprintf("memory: double free at offset %d", userOff))

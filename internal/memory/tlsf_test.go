@@ -22,12 +22,17 @@ func TestArenaSlice(t *testing.T) {
 }
 
 func TestArenaSliceOutOfBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-bounds slice")
-		}
-	}()
-	NewArena(64).Slice(60, 8)
+	a := NewArena(64)
+	for _, c := range [][2]int64{{60, 8}, {-8, 8}, {8, -8}, {64, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Slice(%d, %d) of a 64-byte arena did not panic", c[0], c[1])
+				}
+			}()
+			a.Slice(c[0], c[1])
+		}()
+	}
 }
 
 func TestTLSFAllocFree(t *testing.T) {
@@ -229,6 +234,7 @@ func TestTLSFConcurrent(t *testing.T) {
 func BenchmarkTLSFAllocFree(b *testing.B) {
 	tl := NewTLSF(NewArena(64 << 20))
 	b.ReportAllocs()
+	b.ResetTimer() // the 64 MiB arena is set-up, not the allocator
 	for i := 0; i < b.N; i++ {
 		off, err := tl.Alloc(4096)
 		if err != nil {

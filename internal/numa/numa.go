@@ -9,18 +9,7 @@
 // laptop or CI runner.
 package numa
 
-import (
-	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-)
-
-// FakeEnv is the environment variable that overrides topology discovery
-// with a synthetic multi-node shape: PANGEA_FAKE_NUMA=4 makes Discover
-// return a 4-node FakeTopology regardless of the real hardware, so CI can
-// exercise the cross-node allocator paths on a single-node runner.
-const FakeEnv = "PANGEA_FAKE_NUMA"
+import "fmt"
 
 // Topology is the NUMA shape the allocator programs against. Real
 // implementations come from OS discovery (sysfs on Linux, a single-node
@@ -40,42 +29,6 @@ type Topology interface {
 	// (so mmap-backed arenas and mbind make sense) rather than a synthetic
 	// or test shape over ordinary heap memory.
 	Physical() bool
-}
-
-// Discover returns the machine's topology: the PANGEA_FAKE_NUMA override
-// when set (a synthetic multi-node shape for tests and CI), otherwise OS
-// discovery — /sys/devices/system/node on Linux, a single node elsewhere
-// or whenever discovery fails.
-func Discover() Topology {
-	if n := fakeNodesFromEnv(); n > 1 {
-		return NewFakeAuto(n)
-	}
-	return discoverOS()
-}
-
-// NewFakeAuto builds a synthetic topology of the given node count over the
-// machine's GOMAXPROCS CPUs (at least one CPU per node) — the shape the
-// PANGEA_FAKE_NUMA override and PoolConfig.NUMANodes both use.
-func NewFakeAuto(nodes int) *FakeTopology {
-	cpus := runtime.GOMAXPROCS(0)
-	if cpus < nodes {
-		cpus = nodes
-	}
-	return NewFake(nodes, cpus)
-}
-
-// fakeNodesFromEnv parses the PANGEA_FAKE_NUMA override; 0 means unset or
-// unusable.
-func fakeNodesFromEnv() int {
-	v := os.Getenv(FakeEnv)
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 2 || n > 64 {
-		return 0
-	}
-	return n
 }
 
 // singleNode is the degenerate topology: one node, everything local. It is

@@ -6,7 +6,6 @@ import (
 )
 
 func TestDiscoverAlwaysUsable(t *testing.T) {
-	t.Setenv(FakeEnv, "")
 	topo := Discover()
 	if topo.NumNodes() < 1 {
 		t.Fatalf("NumNodes = %d, want >= 1", topo.NumNodes())
@@ -21,28 +20,6 @@ func TestDiscoverAlwaysUsable(t *testing.T) {
 	}
 	if !topo.Physical() {
 		t.Error("discovered topology must report Physical")
-	}
-}
-
-func TestDiscoverFakeEnvOverride(t *testing.T) {
-	t.Setenv(FakeEnv, "4")
-	topo := Discover()
-	if topo.NumNodes() != 4 {
-		t.Fatalf("NumNodes = %d with %s=4, want 4", topo.NumNodes(), FakeEnv)
-	}
-	if topo.Physical() {
-		t.Error("fake topology must not report Physical")
-	}
-	for _, bad := range []string{"1", "0", "-3", "banana", "65"} {
-		t.Setenv(FakeEnv, bad)
-		if n := Discover().NumNodes(); n != 1 && bad != "" {
-			// Unusable overrides fall back to real discovery; on the test
-			// machines that is single-node, but any valid shape is fine —
-			// the point is it did not trust the bad value.
-			if n < 1 {
-				t.Errorf("%s=%q: NumNodes = %d", FakeEnv, bad, n)
-			}
-		}
 	}
 }
 

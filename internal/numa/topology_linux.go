@@ -24,10 +24,11 @@ type sysTopology struct {
 	rr atomic.Uint32
 }
 
-// discoverOS parses /sys/devices/system/node. Any parse failure, and any
-// machine with fewer than two online nodes, degrades to the single-node
-// topology — NUMA placement is an optimisation, never a requirement.
-func discoverOS() Topology {
+// Discover returns the machine's topology, parsed from
+// /sys/devices/system/node. Any parse failure, and any machine with fewer
+// than two online nodes, degrades to the single-node topology — NUMA
+// placement is an optimisation, never a requirement.
+func Discover() Topology {
 	nodes, err := readList(sysNodeDir + "/online")
 	if err != nil || len(nodes) < 2 {
 		return singleNode{}

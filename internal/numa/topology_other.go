@@ -2,6 +2,6 @@
 
 package numa
 
-// discoverOS is the non-Linux fallback: no portable NUMA discovery, so the
+// Discover is the non-Linux fallback: no portable NUMA discovery, so the
 // whole machine is one node and binding is a no-op.
-func discoverOS() Topology { return singleNode{} }
+func Discover() Topology { return singleNode{} }

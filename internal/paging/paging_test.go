@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"pangea/internal/core"
 	"pangea/internal/disk"
@@ -65,6 +66,11 @@ func TestLRUEvictsOldestAcrossSets(t *testing.T) {
 		}
 	}
 	fillMore("pressure", 58)
+	// Victims are claimed oldest first, but their write-backs complete in
+	// any order and a page stays resident until its own write lands.
+	for deadline := time.Now().Add(5 * time.Second); bp.Stats().SpillsInFlight.Load() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if a.ResidentPages() > b.ResidentPages() {
 		t.Errorf("LRU kept older set a (%d pages) over newer set b (%d pages)",
 			a.ResidentPages(), b.ResidentPages())
