@@ -17,9 +17,10 @@ import (
 // s10 schema: u64 key, u16 date, f64 value, 78-byte payload — a 96-byte
 // fact row whose date column drives the selectivity sweep (date = key %
 // 100, so a cutoff of c selects exactly c% of the rows). The payload makes
-// the row realistically wide: the row pipeline drags all 96 bytes of every
-// row through the cache, while the selection kernel reads only the 2-byte
-// date lane and the matching 8-byte values.
+// the row realistically wide: a row page drags all 96 bytes of every record
+// through the cache to gather its date lane, while a columnar page's
+// selection kernel reads only the 2-byte date vector and the matching
+// 8-byte values.
 var s10Widths = []int{8, 2, 8, 78}
 
 const (
@@ -30,22 +31,21 @@ const (
 )
 
 // S10Columnar measures the columnar page layout against the row layout on
-// the workload it exists for: a selective scan-filter-aggregate, expressed
-// in each mode's native pipeline. The row mode runs the row operators a
-// query actually composes — Scan into Filter into an aggregation sink, one
-// emit per row whether it matches or not. The columnar mode runs the batch
-// pipeline: a vectorized selection kernel over the date column, then only
-// the matching lanes of the value column are touched. The warm sweep holds
-// the data resident and varies selectivity, isolating that decode gap; the
-// cold rows stream the same scan through a pool smaller than the data at 1
-// and 4 calibrated drives, showing the batch path rides the same per-drive
-// prefetch pipeline as the row path.
+// the workload it exists for: a selective scan-filter-aggregate through the
+// one engine. The row mode reads the row layout the way a record consumer
+// does — ScanSpec.Run: framing walk, date column gathered, selection
+// kernel, one callback per matching record. The columnar mode runs the same
+// kernel over the page's own date vector, then only the matching lanes of
+// the value column are touched. The warm sweep holds the data resident and
+// varies selectivity, isolating that layout gap; the cold rows stream the
+// same scan through a pool smaller than the data at 1 and 4 calibrated
+// drives, showing both layouts ride the same per-drive prefetch pipeline.
 func S10Columnar(o Options) (*Table, error) {
 	nRows := o.pick(40_000, 600_000)
 	const pageSize = 128 << 10
 	t := &Table{
 		ID: "s10",
-		Title: fmt.Sprintf("columnar scan-filter-agg vs row pipeline (%d rows, %d KiB pages)",
+		Title: fmt.Sprintf("columnar scan-filter-agg vs row layout (%d rows, %d KiB pages)",
 			nRows, pageSize>>10),
 		Header: []string{"mode", "sel %", "layout", "drives", "scan ms", "matched", "speedup"},
 	}
@@ -215,9 +215,9 @@ func s10Sweep(o Options, rows [][]byte, pageSize int64, columnar bool, drives in
 }
 
 // s10Pred is the sweep's date filter in predicate form: one expression
-// that compiles to the row closure, the selection kernel, and (on sets
-// with zone maps — s10's modulo dates make every page unprunable, s11's
-// clustered dates the opposite) the page prune.
+// that drives the selection kernel on either layout and (on sets with zone
+// maps — s10's modulo dates make every page unprunable, s11's clustered
+// dates the opposite) the page prune.
 func s10Pred(cutoff uint16) query.Predicate {
 	return query.ColRange{Col: s10ColDate, Lo: 0, Hi: uint64(cutoff)}
 }
@@ -228,10 +228,10 @@ func s10Schema() []services.ColumnSpec {
 	return services.MakeSchema([]string{"key", "date", "val", "pad"}, s10Widths)
 }
 
-// s10Scan runs one scan-filter-sum pass over the set with either pipeline.
-// Both modes express the filter as the same ScanSpec predicate; the sink's
+// s10Scan runs one scan-filter-sum pass over the set in either layout's
+// mode. Both express the filter as the same ScanSpec predicate; the sink's
 // lock is taken only for rows that survive it, so the row mode's
-// per-unmatched-row cost is purely the pipeline's.
+// per-unmatched-row cost is purely the engine's.
 func s10Scan(set *core.LocalitySet, cutoff uint16, columnar bool) (s10Result, error) {
 	var mu sync.Mutex
 	var res s10Result

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -167,6 +169,22 @@ func TestTab3SparkNeedsMoreFiles(t *testing.T) {
 	pangeaRead := cell(t, tab, last, 4)
 	if pangeaRead >= sparkRead {
 		t.Errorf("pangea shuffle read %.1fms not faster than spark-style %.1fms", pangeaRead, sparkRead)
+	}
+}
+
+// TestTab2FilesExist runs in -short: every file Tab2 counts must exist, so a
+// deletion cannot silently break `pangea-bench -exp tab2`.
+func TestTab2FilesExist(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range tab2Components {
+		for _, f := range c.files {
+			if _, err := os.Stat(filepath.Join(root, f)); err != nil {
+				t.Errorf("tab2 component %q: %v", c.name, err)
+			}
+		}
 	}
 }
 

@@ -213,50 +213,48 @@ func assignAndSum(e *query.Executor, normsSet string, centroids [][]float64, cfg
 		}
 	}
 
-	valSize := 8 * (cfg.Dim + 1) // coordinate sums + count
-	spec := query.AggSpec{
-		Key:     func(row query.Row) []byte { return row[:4] }, // cluster id
-		ValSize: valSize,
-		Init: func(row query.Row, val []byte) {
-			copy(val, row[4:]) // pre-summed single-point contribution
+	// Group by nearest centroid; the accumulator is the coordinate sums
+	// followed by the point count. Records are [norm][coordinates], read as
+	// rows: the points set declares no columns.
+	f64 := func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+	add := func(dst []byte, x float64) { binary.LittleEndian.PutUint64(dst, math.Float64bits(f64(dst)+x)) }
+	spec := query.BatchAggSpec{
+		Key: func(b *query.Batch, row int, dst []byte) []byte {
+			rec := b.MaterializeRow(row, nil)
+			best, bestDist := 0, math.Inf(1)
+			for c, cen := range centroids {
+				dot := 0.0
+				for j := 0; j < cfg.Dim; j++ {
+					dot += f64(rec[8+8*j:]) * cen[j]
+				}
+				if d := f64(rec) - 2*dot + cNorm[c]; d < bestDist {
+					best, bestDist = c, d
+				}
+			}
+			return binary.LittleEndian.AppendUint32(dst, uint32(best))
+		},
+		ValSize: 8 * (cfg.Dim + 1),
+		Accumulate: func(b *query.Batch, row int, val []byte) {
+			rec := b.MaterializeRow(row, nil)
+			for j := 0; j < cfg.Dim; j++ {
+				add(val[8*j:], f64(rec[8+8*j:]))
+			}
+			add(val[8*cfg.Dim:], 1)
 		},
 		Combine: func(dst, src []byte) {
-			for i := 0; i+8 <= valSize; i += 8 {
-				a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-				b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-				binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(a+b))
+			for i := 0; i+8 <= len(dst); i += 8 {
+				add(dst[i:], f64(src[i:]))
 			}
 		},
 	}
 
-	merged, err := e.DistributedAggregate("kmeans", func(node int) query.Iter {
-		return func(emit func(query.Row) error) error {
-			set, err := e.Set(node, normsSet)
-			if err != nil {
-				return err
-			}
-			return (query.ScanSpec{Set: set, Threads: cfg.Threads}).Run(func(_ int, rec []byte) error {
-				norm := math.Float64frombits(binary.LittleEndian.Uint64(rec[0:8]))
-				best, bestDist := 0, math.Inf(1)
-				for c, cen := range centroids {
-					dot := 0.0
-					for j := 0; j < cfg.Dim; j++ {
-						x := math.Float64frombits(binary.LittleEndian.Uint64(rec[8+8*j:]))
-						dot += x * cen[j]
-					}
-					d := norm - 2*dot + cNorm[c]
-					if d < bestDist {
-						best, bestDist = c, d
-					}
-				}
-				out := make(query.Row, 4+valSize)
-				binary.LittleEndian.PutUint32(out[0:4], uint32(best))
-				copy(out[4:4+8*cfg.Dim], rec[8:])
-				binary.LittleEndian.PutUint64(out[4+8*cfg.Dim:], math.Float64bits(1))
-				return emit(out)
-			})
+	merged, err := e.DistributedMerge(func(node int, w *cluster.Worker) (map[string][]byte, error) {
+		set, err := e.Set(node, normsSet)
+		if err != nil {
+			return nil, err
 		}
-	}, spec)
+		return query.ScanSpec{Set: set, Threads: cfg.Threads}.AggBatches(w.Pool(), normsSet+":sums", nil, spec)
+	}, spec.Combine)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -269,9 +267,9 @@ func assignAndSum(e *query.Executor, normsSet string, centroids [][]float64, cfg
 	for k, v := range merged {
 		c := int(binary.LittleEndian.Uint32([]byte(k)))
 		for j := 0; j < cfg.Dim; j++ {
-			sums[c][j] = math.Float64frombits(binary.LittleEndian.Uint64(v[8*j:]))
+			sums[c][j] = f64(v[8*j:])
 		}
-		counts[c] = int64(math.Float64frombits(binary.LittleEndian.Uint64(v[8*cfg.Dim:])))
+		counts[c] = int64(f64(v[8*cfg.Dim:]))
 	}
 	return sums, counts, nil
 }

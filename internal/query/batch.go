@@ -2,50 +2,162 @@ package query
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
-	"sync"
 
 	"pangea/internal/core"
 	"pangea/internal/services"
 )
 
-// Batch is one page worth of a columnar set presented batch-at-a-time: the
-// column vectors of a pinned page plus a selection index vector that
-// predicates narrow. The column slices are zero-copy views of the pinned
-// page (late materialization: rows are only reassembled at sinks, and only
-// for selected lanes) — they alias the buffer pool's arena and are invalid
-// once the scan moves past the page.
+// Batch is the engine's one substrate: a page worth of rows presented
+// column-at-a-time — contiguous fixed-width column vectors plus a selection
+// index vector that predicates and joins narrow (late materialization: rows
+// are only reassembled at sinks, and only for selected lanes).
+//
+// A batch comes from one of three places, and operators cannot tell which:
+//
+//   - a columnar page: the vectors are zero-copy views of the pinned page;
+//   - a row page: one framing walk records where each record starts, and a
+//     column the plan touches is gathered on first use into a vector the
+//     scan thread reuses page after page (columns it never touches cost
+//     nothing); lanes of records too short to hold the column read as zero;
+//   - a hash join's output (Join.Inner): vectors the batch owns.
+//
+// Either way the vectors are invalid once the scan moves past the page.
 type Batch struct {
-	page   services.ColumnarPage
 	n      int
-	sel    []int32 // selected row indices; nil = all n rows selected
-	selBuf []int32 // reused selection storage across pages
-	rowBuf []byte  // reused MaterializeRow scratch
+	widths []int    // byte width of each column
+	cols   [][]byte // column vectors; a row page's nil entry is gathered on first use
+	store  [][]byte // backing of gathered and joined columns, reused across pages
+
+	// Row pages only: the pinned page, each record's payload offset, the
+	// layout Col gathers by with the bytes a record needs to hold all of it,
+	// and the length of the page's shortest record.
+	buf    []byte
+	offs   []int32
+	schema []services.ColumnSpec
+	extent int
+	minLen int
+
+	page services.ColumnarPage // columnar header parser, reused across pages
+
+	sel    []int32   // selected row indices; nil = all n rows selected
+	selBuf []int32   // reused selection storage across pages
+	spare  [][]int32 // idle scratch vectors (Or's branches)
+	rowBuf []byte    // reused MaterializeRow scratch
+
+	// Join output only (see Join.Inner): matched build records and their
+	// gathered payloads.
+	recs []int32
+	pay  []byte
+	gs   services.GatherScratch
 }
 
-// reset points the batch at a new page buffer and selects every row.
-func (b *Batch) reset(buf []byte) error {
-	if err := b.page.Reset(buf); err != nil {
+// reset points the batch at a new page buffer and selects every row. schema
+// is the record layout of a row page; columnar pages describe themselves.
+func (b *Batch) reset(buf []byte, schema []services.ColumnSpec) error {
+	b.sel = nil
+	if services.IsColumnarPage(buf) {
+		if err := b.page.Reset(buf); err != nil {
+			return err
+		}
+		b.buf, b.n = nil, b.page.NumRows()
+		b.shape(b.page.NumCols())
+		for c := range b.cols {
+			b.widths[c], b.cols[c] = b.page.Width(c), b.page.Col(c)
+		}
+		return nil
+	}
+	offs, minLen, err := services.RecordOffsets(buf, b.offs[:0])
+	b.offs = offs
+	if err != nil {
 		return err
 	}
-	b.n = b.page.NumRows()
-	b.sel = nil
+	b.buf, b.schema, b.minLen, b.n = buf, schema, minLen, len(offs)
+	b.shape(len(schema))
+	b.extent = 0
+	for c, spec := range schema {
+		b.widths[c], b.cols[c] = spec.Width, nil
+		b.extent = max(b.extent, spec.Offset+spec.Width)
+	}
 	return nil
+}
+
+// shape sizes the per-column slices for ncols columns, keeping their storage.
+func (b *Batch) shape(ncols int) {
+	if cap(b.cols) < ncols {
+		b.cols, b.widths = make([][]byte, ncols), make([]int, ncols)
+		b.store = append(b.store, make([][]byte, ncols-len(b.store))...)
+	}
+	b.cols, b.widths = b.cols[:ncols], b.widths[:ncols]
 }
 
 // NumRows returns the page's row count, before selection.
 func (b *Batch) NumRows() int { return b.n }
 
 // NumCols returns the number of columns.
-func (b *Batch) NumCols() int { return b.page.NumCols() }
-
-// Col returns column c's full vector (NumRows values, selection not
-// applied). The slice aliases the pinned page.
-func (b *Batch) Col(c int) []byte { return b.page.Col(c) }
+func (b *Batch) NumCols() int { return len(b.widths) }
 
 // Width returns the byte width of column c.
-func (b *Batch) Width(c int) int { return b.page.Width(c) }
+func (b *Batch) Width(c int) int { return b.widths[c] }
+
+// Col returns column c's full vector (NumRows values, selection not
+// applied), contiguous whatever the page's layout.
+func (b *Batch) Col(c int) []byte {
+	if v := b.cols[c]; v != nil || b.buf == nil {
+		return v
+	}
+	return b.gather(c)
+}
+
+// gather transposes column c of a row page into its reused vector.
+func (b *Batch) gather(c int) []byte {
+	w, off := b.widths[c], b.schema[c].Offset
+	v := growBytes(b.store[c], b.n*w)
+	b.store[c], b.cols[c] = v, v
+	buf, le := b.buf, binary.LittleEndian
+	if b.minLen < off+w {
+		// Ragged page: lanes of records that end before the column read zero.
+		for i, o := range b.offs {
+			if lane := v[i*w : i*w+w]; services.RecordLen(buf, o) >= off+w {
+				copy(lane, buf[int(o)+off:])
+			} else {
+				clear(lane)
+			}
+		}
+		return v
+	}
+	switch w {
+	case 1:
+		for i, o := range b.offs {
+			v[i] = buf[int(o)+off]
+		}
+	case 2:
+		for i, o := range b.offs {
+			le.PutUint16(v[i*2:], le.Uint16(buf[int(o)+off:]))
+		}
+	case 4:
+		for i, o := range b.offs {
+			le.PutUint32(v[i*4:], le.Uint32(buf[int(o)+off:]))
+		}
+	case 8:
+		for i, o := range b.offs {
+			le.PutUint64(v[i*8:], le.Uint64(buf[int(o)+off:]))
+		}
+	default:
+		for i, o := range b.offs {
+			copy(v[i*w:i*w+w], buf[int(o)+off:])
+		}
+	}
+	return v
+}
+
+// dropShort deselects the records of a row page that are too short to hold
+// every schema column: no predicate matches them.
+func (b *Batch) dropShort() {
+	if b.buf != nil && b.minLen < b.extent {
+		b.narrow(func(i int32) bool { return services.RecordLen(b.buf, b.offs[i]) >= b.extent })
+	}
+}
 
 // Selected returns how many rows the current selection keeps.
 func (b *Batch) Selected() int {
@@ -70,34 +182,49 @@ func (b *Batch) Sel() []int32 {
 
 // Typed lane accessors; row is a row index (typically drawn from Sel).
 
-func (b *Batch) Byte(c, row int) byte { return b.page.Col(c)[row] }
+func (b *Batch) Byte(c, row int) byte { return b.Col(c)[row] }
 
 func (b *Batch) U16(c, row int) uint16 {
-	return binary.LittleEndian.Uint16(b.page.Col(c)[row*2:])
+	return binary.LittleEndian.Uint16(b.Col(c)[row*2:])
 }
 
 func (b *Batch) U32(c, row int) uint32 {
-	return binary.LittleEndian.Uint32(b.page.Col(c)[row*4:])
+	return binary.LittleEndian.Uint32(b.Col(c)[row*4:])
 }
 
 func (b *Batch) U64(c, row int) uint64 {
-	return binary.LittleEndian.Uint64(b.page.Col(c)[row*8:])
+	return binary.LittleEndian.Uint64(b.Col(c)[row*8:])
 }
 
 func (b *Batch) F64(c, row int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b.page.Col(c)[row*8:]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(b.Col(c)[row*8:]))
 }
 
-// MaterializeRow reassembles one row into record form by appending its
-// column values to dst — the late-materialization sink, paid only for rows
-// that survived selection. The default dst of nil uses (and returns) a
-// scratch buffer owned by the batch, overwritten by the next call.
+// MaterializeRow returns one row in record form, appended to dst — the
+// late-materialization sink, paid only for rows that survived selection. On
+// a row page that is the stored record itself; elsewhere the concatenation
+// of the row's column values. With dst nil the result aliases the pinned
+// page or a scratch buffer the batch owns, overwritten by the next call.
 func (b *Batch) MaterializeRow(row int, dst []byte) []byte {
-	if dst == nil {
-		b.rowBuf = b.page.AppendRow(b.rowBuf[:0], row)
-		return b.rowBuf
+	if b.buf != nil {
+		o := b.offs[row]
+		rec := b.buf[o : int(o)+services.RecordLen(b.buf, o)]
+		if dst == nil {
+			return rec
+		}
+		return append(dst, rec...)
 	}
-	return b.page.AppendRow(dst, row)
+	own := dst == nil
+	if own {
+		dst = b.rowBuf[:0]
+	}
+	for c, w := range b.widths {
+		dst = append(dst, b.cols[c][row*w:row*w+w]...)
+	}
+	if own {
+		b.rowBuf = dst
+	}
+	return dst
 }
 
 func grow(s []int32, n int) []int32 {
@@ -106,6 +233,26 @@ func grow(s []int32, n int) []int32 {
 	}
 	return s[:n]
 }
+
+func growBytes(s []byte, n int) []byte {
+	if cap(s) < n {
+		return make([]byte, n)
+	}
+	return s[:n]
+}
+
+// scratch borrows an n-lane vector from the batch's idle list; release
+// returns it.
+func (b *Batch) scratch(n int) []int32 {
+	if k := len(b.spare); k > 0 {
+		s := b.spare[k-1]
+		b.spare = b.spare[:k-1]
+		return grow(s, n)
+	}
+	return make([]int32, n)
+}
+
+func (b *Batch) release(s []int32) { b.spare = append(b.spare, s) }
 
 // narrow runs keep over the current selection and installs the surviving
 // indices as the new selection. The survivors are written into the batch's
@@ -132,9 +279,9 @@ func (b *Batch) narrow(keep func(row int32) bool) {
 }
 
 // FilterBatch narrows the selection with an arbitrary row predicate — the
-// generic kernel; the typed Sel* kernels below are the fast paths for
-// common fixed-width comparisons, each a branch-light loop over one column
-// vector.
+// generic kernel, for the shapes the algebra does not express (cross-column
+// comparisons); the typed Sel* kernels below are the fast paths for common
+// fixed-width comparisons, each a branch-light loop over one column vector.
 func FilterBatch(b *Batch, pred func(b *Batch, row int) bool) {
 	b.narrow(func(i int32) bool { return pred(b, int(i)) })
 }
@@ -146,7 +293,7 @@ func FilterBatch(b *Batch, pred func(b *Batch, row int) bool) {
 
 // SelU16Range keeps rows with lo <= col[row] < hi.
 func (b *Batch) SelU16Range(c int, lo, hi uint16) {
-	col := b.page.Col(c)
+	col := b.Col(c)
 	if b.sel == nil {
 		b.selBuf = grow(b.selBuf, b.n)
 		out := b.selBuf[:0]
@@ -169,7 +316,7 @@ func (b *Batch) SelU16Range(c int, lo, hi uint16) {
 
 // SelU32Range keeps rows with lo <= col[row] < hi.
 func (b *Batch) SelU32Range(c int, lo, hi uint32) {
-	col := b.page.Col(c)
+	col := b.Col(c)
 	if b.sel == nil {
 		b.selBuf = grow(b.selBuf, b.n)
 		out := b.selBuf[:0]
@@ -193,7 +340,7 @@ func (b *Batch) SelU32Range(c int, lo, hi uint32) {
 // SelF64Range keeps rows with lo <= col[row] <= hi (closed interval, the
 // shape of TPC-H's discount band predicate).
 func (b *Batch) SelF64Range(c int, lo, hi float64) {
-	col := b.page.Col(c)
+	col := b.Col(c)
 	if b.sel == nil {
 		b.selBuf = grow(b.selBuf, b.n)
 		out := b.selBuf[:0]
@@ -216,7 +363,7 @@ func (b *Batch) SelF64Range(c int, lo, hi float64) {
 
 // SelU64Range keeps rows with lo <= col[row] < hi.
 func (b *Batch) SelU64Range(c int, lo, hi uint64) {
-	col := b.page.Col(c)
+	col := b.Col(c)
 	if b.sel == nil {
 		b.selBuf = grow(b.selBuf, b.n)
 		out := b.selBuf[:0]
@@ -241,7 +388,7 @@ func (b *Batch) SelU64Range(c int, lo, hi uint64) {
 // Bounds are uint64 — the predicate algebra's value domain — so hi=256
 // still expresses a half-open interval covering the whole byte range.
 func (b *Batch) SelByteRange(c int, lo, hi uint64) {
-	col := b.page.Col(c)
+	col := b.Col(c)
 	if b.sel == nil {
 		b.selBuf = grow(b.selBuf, b.n)
 		out := b.selBuf[:0]
@@ -264,7 +411,7 @@ func (b *Batch) SelByteRange(c int, lo, hi uint64) {
 
 // SelByteEq keeps rows whose 1-byte column equals v.
 func (b *Batch) SelByteEq(c int, v byte) {
-	col := b.page.Col(c)
+	col := b.Col(c)
 	if b.sel == nil {
 		b.selBuf = grow(b.selBuf, b.n)
 		out := b.selBuf[:0]
@@ -285,62 +432,10 @@ func (b *Batch) SelByteEq(c int, v byte) {
 	b.sel = out
 }
 
-// scanBatchesOver is the batch-scan substrate under ScanSpec.RunBatches:
-// numThreads page iterators sharing one cursor (with the same read-ahead
-// hinting as the row scan) over an explicit page list, so a prune can drop
-// pages up front.
-// One Batch per pinned page, each thread reusing a single Batch so the
-// steady state allocates nothing; fn's batch — including any column slice
-// taken from it — is invalid after fn returns, when the page is released.
-func scanBatchesOver(set *core.LocalitySet, nums []int64, numThreads int, fn func(thread int, b *Batch) error) error {
-	if set.Layout() != core.LayoutColumnar {
-		return fmt.Errorf("query: batch scan over %q, a %s-layout set", set.Name(), set.Layout())
-	}
-	iters := services.PageIteratorsFor(set, nums, numThreads)
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(iters))
-	for t, it := range iters {
-		wg.Add(1)
-		go func(t int, it *services.PageIterator) {
-			defer wg.Done()
-			var b Batch
-			for {
-				p, err := it.Next()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if p == nil {
-					return
-				}
-				if err = b.reset(p.Bytes()); err == nil {
-					err = fn(t, &b)
-				}
-				if uerr := it.Release(p); err == nil {
-					err = uerr
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(t, it)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return err
-		}
-	}
-	set.SetCurrentOp(core.OpNone)
-	return nil
-}
-
 // ProjectBatch materializes the selected rows of a batch and feeds them to
-// emit in record form — the bridge from a batch pipeline into row sinks.
-// Rows alias a scratch buffer reused per row (the same validity contract as
-// rows emitted by Scan).
+// emit in record form — the bridge from the batch pipeline to row sinks,
+// and all that ScanSpec.Run adds to RunBatches. Rows alias the pinned page
+// or a scratch buffer reused per row, and are invalid after emit returns.
 func ProjectBatch(b *Batch, emit func(Row) error) error {
 	for _, i := range b.Sel() {
 		if err := emit(b.MaterializeRow(int(i), nil)); err != nil {
@@ -350,10 +445,11 @@ func ProjectBatch(b *Batch, emit func(Row) error) error {
 	return nil
 }
 
-// BatchAggSpec defines a hash aggregation over batches. Unlike AggSpec's
-// init-into-scratch contract, Accumulate folds a selected lane directly
-// into the group's accumulator, so one group touched by many rows never
-// round-trips through a per-row scratch value.
+// BatchAggSpec defines a hash aggregation (Table 2: Hash + Aggregate).
+// Accumulate folds a selected lane directly into the group's accumulator,
+// so one group touched by many rows never round-trips through a per-row
+// scratch value; Combine merges two accumulators, which is what makes
+// per-thread and per-node partials mergeable in a final stage.
 type BatchAggSpec struct {
 	// Key appends the grouping key of the given row to dst and returns the
 	// extended slice (dst arrives empty with reused capacity).
@@ -366,18 +462,74 @@ type BatchAggSpec struct {
 	Combine func(dst, src []byte)
 }
 
-// AggBatch folds a batch's selected rows into the partial result map.
-// keyBuf is reused scratch for key extraction; the returned slice replaces
-// it.
-func AggBatch(b *Batch, spec BatchAggSpec, m map[string][]byte, keyBuf []byte) []byte {
-	for _, i := range b.Sel() {
-		keyBuf = spec.Key(b, int(i), keyBuf[:0])
-		val, ok := m[string(keyBuf)]
-		if !ok {
-			val = make([]byte, spec.ValSize)
-			m[string(keyBuf)] = val
-		}
-		spec.Accumulate(b, int(i), val)
+// aggRoots is the root partition count of each scan thread's hash buffer.
+const aggRoots = 4
+
+// agg is one node's local aggregation stage (Table 2: "Aggregate: local
+// stage"): each scan thread folds into its own virtual hash buffer, all
+// paging into one temp locality set, so execution state lives in the buffer
+// pool and spills as partial aggregates under pressure like any other set.
+type agg struct {
+	spec BatchAggSpec
+	pool *core.BufferPool
+	set  *core.LocalitySet
+	bufs []*services.VirtualHashBuffer // indexed by scan thread
+	keys [][]byte                      // per-thread key scratch
+}
+
+// newAgg creates the temp set and one hash buffer per thread. Every buffer
+// pins one active page per root partition; the page size keeps all of them
+// together within a sixteenth of the pool, so the aggregation composes with
+// the scan feeding it and a join map beside it under memory pressure.
+func newAgg(bp *core.BufferPool, name string, threads int, spec BatchAggSpec) (*agg, error) {
+	pageSize := min(max(bp.Capacity()/int64(16*aggRoots*threads), 8<<10), 256<<10)
+	set, err := bp.CreateSet(core.SetSpec{Name: name, PageSize: pageSize})
+	if err != nil {
+		return nil, err
 	}
-	return keyBuf
+	a := &agg{spec: spec, pool: bp, set: set, keys: make([][]byte, threads)}
+	for range threads {
+		h, err := services.NewVirtualHashBuffer(set, aggRoots, spec.ValSize, spec.Combine)
+		if err != nil {
+			_ = bp.DropSet(set) // reporting the constructor's error
+			return nil, err
+		}
+		a.bufs = append(a.bufs, h)
+	}
+	return a, nil
+}
+
+// add folds a batch's selected rows into the thread's partial state.
+func (a *agg) add(thread int, b *Batch) error {
+	h, key := a.bufs[thread], a.keys[thread]
+	for _, i := range b.Sel() {
+		key = a.spec.Key(b, int(i), key[:0])
+		val, _, err := h.Slot(key)
+		if err != nil {
+			return err
+		}
+		a.spec.Accumulate(b, int(i), val)
+	}
+	a.keys[thread] = key
+	return nil
+}
+
+// result merges every thread's partials — resident and spilled — into one
+// map and drops the temp set. Call it exactly once, after a failed scan too.
+func (a *agg) result() (map[string][]byte, error) {
+	var err error
+	for _, h := range a.bufs {
+		if cerr := h.Close(); err == nil {
+			err = cerr
+		}
+	}
+	var out map[string][]byte
+	if err == nil {
+		// Result walks every hash page of the set, whichever buffer wrote it.
+		out, err = a.bufs[0].Result()
+	}
+	if derr := a.pool.DropSet(a.set); err == nil {
+		err = derr
+	}
+	return out, err
 }

@@ -27,46 +27,49 @@ func loadColSet(t *testing.T, bp *core.BufferPool, name string, rows []Row) *cor
 	return s
 }
 
-func TestScanBatchesRejectsRowLayout(t *testing.T) {
-	bp := newPool(t, 8<<20)
-	s := loadSet(t, bp, "rows", testRows(10))
-	if err := (ScanSpec{Set: s, Threads: 2}).RunBatches(func(int, *Batch) error { return nil }); err == nil {
-		t.Error("batch scan over a row-layout set must error")
+// bothLayouts loads rows twice, as a row set (scanned under testSchema) and
+// as a columnar set, and returns one ScanSpec per layout.
+func bothLayouts(t *testing.T, bp *core.BufferPool, rows []Row, threads int) map[string]ScanSpec {
+	t.Helper()
+	return map[string]ScanSpec{
+		"row":      {Set: loadSet(t, bp, "r", rows), Threads: threads, Schema: testSchema()},
+		"columnar": {Set: loadColSet(t, bp, "c", rows), Threads: threads},
 	}
 }
 
 // TestScanBatchesMatchesRowScan: a multi-threaded batch scan visits every
-// row exactly once, with column accessors agreeing with the row decode.
-// Run under -race this is the multi-threaded batch-scan regression test.
+// row exactly once on either layout, with column accessors agreeing with the
+// row decode. Run under -race this is the multi-threaded batch-scan
+// regression test.
 func TestScanBatchesMatchesRowScan(t *testing.T) {
 	bp := newPool(t, 8<<20)
 	rows := testRows(5000)
-	s := loadColSet(t, bp, "c", rows)
-	var n, idSum, amountSum atomic.Int64
-	err := ScanSpec{Set: s, Threads: 4}.RunBatches(func(_ int, b *Batch) error {
-		if b.NumCols() != 3 || b.Width(0) != 4 {
-			t.Errorf("batch shape: %d cols, width0 %d", b.NumCols(), b.Width(0))
-		}
-		ids, amounts := b.Col(0), b.Col(2)
-		for i := 0; i < b.NumRows(); i++ {
-			idSum.Add(int64(binary.LittleEndian.Uint32(ids[i*4:])))
-			amountSum.Add(int64(b.U32(2, i)))
-			_ = amounts
-		}
-		n.Add(int64(b.NumRows()))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wantID, wantAmount int64
 	for _, r := range rows {
 		wantID += int64(rowID(r))
 		wantAmount += int64(rowAmount(r))
 	}
-	if n.Load() != int64(len(rows)) || idSum.Load() != wantID || amountSum.Load() != wantAmount {
-		t.Fatalf("batch scan: n=%d idSum=%d amountSum=%d, want %d/%d/%d",
-			n.Load(), idSum.Load(), amountSum.Load(), int64(len(rows)), wantID, wantAmount)
+	for layout, spec := range bothLayouts(t, bp, rows, 4) {
+		var n, idSum, amountSum atomic.Int64
+		err := spec.RunBatches(func(_ int, b *Batch) error {
+			if b.NumCols() != 3 || b.Width(0) != 4 {
+				t.Errorf("%s batch shape: %d cols, width0 %d", layout, b.NumCols(), b.Width(0))
+			}
+			ids := b.Col(0)
+			for i := 0; i < b.NumRows(); i++ {
+				idSum.Add(int64(binary.LittleEndian.Uint32(ids[i*4:])))
+				amountSum.Add(int64(b.U32(2, i)))
+			}
+			n.Add(int64(b.NumRows()))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Load() != int64(len(rows)) || idSum.Load() != wantID || amountSum.Load() != wantAmount {
+			t.Errorf("%s batch scan: n=%d idSum=%d amountSum=%d, want %d/%d/%d",
+				layout, n.Load(), idSum.Load(), amountSum.Load(), int64(len(rows)), wantID, wantAmount)
+		}
 	}
 }
 
@@ -79,7 +82,11 @@ func TestSelectionKernels(t *testing.T) {
 	s := loadColSet(t, bp, "c", rows)
 
 	count := func(filter func(*Batch), pred func(Row) bool) (int64, int64) {
-		got, err := ScanSpec{Set: s, Threads: 3}.CountBatches(filter)
+		var stage Stage
+		if filter != nil {
+			stage = func(_ int, b *Batch) (*Batch, error) { filter(b); return b, nil }
+		}
+		got, err := ScanSpec{Set: s, Threads: 3}.CountBatches(stage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,53 +127,20 @@ func TestSelectionKernels(t *testing.T) {
 	}
 }
 
-// TestAggBatchesMatchesRowAggregate: the batch scan-filter-agg pipeline
-// computes the same groups as the row-path Aggregate over the same data.
+// TestAggBatchesMatchesRowAggregate: the scan-filter-aggregate pipeline
+// computes, on either layout, the groups a plain map over the same rows does.
 func TestAggBatchesMatchesRowAggregate(t *testing.T) {
 	bp := newPool(t, 8<<20)
 	rows := testRows(3000)
-	colSet := loadColSet(t, bp, "c", rows)
-	rowSet := loadSet(t, bp, "r", rows)
-
-	rowSpec := AggSpec{
-		Key:     func(r Row) []byte { return r[4:8] },
-		ValSize: 8,
-		Init: func(r Row, val []byte) {
-			binary.LittleEndian.PutUint64(val, uint64(rowAmount(r)))
-		},
-		Combine: func(dst, src []byte) {
-			binary.LittleEndian.PutUint64(dst,
-				binary.LittleEndian.Uint64(dst)+binary.LittleEndian.Uint64(src))
-		},
-	}
-	pred := func(r Row) bool { return rowAmount(r) < 30 }
-	want, err := Aggregate(Filter(ScanSpec{Set: rowSet, Threads: 3}.Iter(), pred), bp, "agg-row", rowSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	batchSpec := BatchAggSpec{
-		Key: func(b *Batch, row int, dst []byte) []byte {
-			return append(dst, b.Col(1)[row*4:row*4+4]...)
-		},
-		ValSize: 8,
-		Accumulate: func(b *Batch, row int, val []byte) {
-			binary.LittleEndian.PutUint64(val,
-				binary.LittleEndian.Uint64(val)+uint64(b.U32(2, row)))
-		},
-		Combine: rowSpec.Combine,
-	}
-	got, err := ScanSpec{Set: colSet, Threads: 3}.AggBatches(func(b *Batch) { b.SelU32Range(2, 0, 30) }, batchSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d groups, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if !bytes.Equal(got[k], v) {
-			t.Errorf("group %x: %x, want %x", k, got[k], v)
+	for layout, spec := range bothLayouts(t, bp, rows, 3) {
+		got, err := spec.AggBatches(bp, "tmp-agg", func(_ int, b *Batch) (*Batch, error) {
+			b.SelU32Range(2, 0, 30)
+			return b, nil
+		}, sumSpec())
+		if err != nil {
+			t.Fatalf("%s: %v", layout, err)
 		}
+		checkSums(t, got, rows, func(r Row) bool { return rowAmount(r) < 30 })
 	}
 }
 
@@ -175,13 +149,13 @@ func TestAggBatchesMatchesRowAggregate(t *testing.T) {
 func TestProjectBatch(t *testing.T) {
 	bp := newPool(t, 8<<20)
 	rows := testRows(1000)
-	s := loadColSet(t, bp, "c", rows)
 	byID := make(map[uint32]Row, len(rows))
 	for _, r := range rows {
 		byID[rowID(r)] = r
 	}
 	var emitted atomic.Int64
-	err := ScanSpec{Set: s, Threads: 2}.RunBatches(func(_ int, b *Batch) error {
+	specs := bothLayouts(t, bp, rows, 2)
+	err := specs["columnar"].RunBatches(func(_ int, b *Batch) error {
 		b.SelU32Range(1, 5, 6) // group == 5
 		return ProjectBatch(b, func(r Row) error {
 			want := byID[rowID(r)]
@@ -203,5 +177,23 @@ func TestProjectBatch(t *testing.T) {
 	}
 	if emitted.Load() != want {
 		t.Errorf("projected %d rows, want %d", emitted.Load(), want)
+	}
+	// The row adapter is ProjectBatch under the predicate.
+	emitted.Store(0)
+	for _, spec := range specs {
+		spec.Pred = ColEq{Col: 1, V: 5}
+		err := spec.Run(func(_ int, r Row) error {
+			if !bytes.Equal(r, byID[rowID(r)]) {
+				t.Errorf("Run emitted %x, want %x", r, byID[rowID(r)])
+			}
+			emitted.Add(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if emitted.Load() != 2*want {
+		t.Errorf("Run emitted %d rows over both layouts, want %d", emitted.Load(), 2*want)
 	}
 }

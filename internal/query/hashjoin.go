@@ -1,0 +1,161 @@
+package query
+
+import (
+	"fmt"
+	"sync"
+
+	"pangea/internal/core"
+	"pangea/internal/services"
+)
+
+// Join is a hash join's build side (Table 2: "Build broadcast/partitioned
+// hash map" + Join) — one plain binary hash join; whether the build input
+// is a broadcast copy or a co-partitioned replica is the plan's choice of
+// set, not a different operator.
+//
+// Build: Add inserts a batch's selected rows — the key is one column's
+// value, and of the rest only the columns the plan will read after the join
+// are projected, into pages of the join map service's temp set, so a large
+// build side spills like any other set. Probe: Semi and Anti narrow a
+// batch's selection to the rows with (without) a match; Inner expands it,
+// emitting one output row per matching (probe row, build record) pair. The
+// probe is a loop over the key vector with no per-row closure or
+// allocation, and pins each build page a batch's matches touch once.
+type Join struct {
+	pool   *core.BufferPool
+	set    *core.LocalitySet
+	m      *services.JoinMap
+	widths []int // widths of the projected build columns
+
+	mu  sync.Mutex // serializes builders
+	rec []byte     // Add's payload scratch, under mu
+}
+
+// NewJoin creates the build side's temp set, named name, in bp. payload
+// lists the byte widths of the build columns Add will project; none keeps
+// keys only, which is all a semi or anti join needs.
+func NewJoin(bp *core.BufferPool, name string, pageSize int64, payload ...int) (*Join, error) {
+	set, err := bp.CreateSet(core.SetSpec{Name: name, PageSize: pageSize})
+	if err != nil {
+		return nil, err
+	}
+	width := 0
+	for _, w := range payload {
+		width += w
+	}
+	m, err := services.NewJoinMap(set, width)
+	if err != nil {
+		_ = bp.DropSet(set) // reporting the constructor's error
+		return nil, err
+	}
+	return &Join{pool: bp, set: set, m: m, widths: payload, rec: make([]byte, 0, width)}, nil
+}
+
+// Insert adds one build record from raw bytes — for build sides that are not
+// scans, such as an aggregate's result. Safe for concurrent use.
+func (j *Join) Insert(key, payload []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.m.Insert(key, payload)
+}
+
+// Add inserts b's selected rows: keyCol's value is the key, the values of
+// cols (whose widths must be NewJoin's payload widths) the payload. Safe to
+// call from every thread of the build scan.
+func (j *Join) Add(b *Batch, keyCol int, cols ...int) error {
+	if len(cols) != len(j.widths) {
+		return fmt.Errorf("query: join build projects %d columns, join made for %d", len(cols), len(j.widths))
+	}
+	for k, c := range cols {
+		if b.Width(c) != j.widths[k] {
+			return fmt.Errorf("query: join build column %d is %d bytes wide, join made for %d", c, b.Width(c), j.widths[k])
+		}
+	}
+	key, kw := b.Col(keyCol), b.Width(keyCol)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, i := range b.Sel() {
+		rec := j.rec[:0]
+		for k, c := range cols {
+			w := j.widths[k]
+			rec = append(rec, b.Col(c)[int(i)*w:int(i)*w+w]...)
+		}
+		if err := j.m.Insert(key[int(i)*kw:int(i)*kw+kw], rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Seal ends the build; the join is probe-only from here on, from any number
+// of threads.
+func (j *Join) Seal() error { return j.m.Seal() }
+
+// Drop releases the build side's temp set.
+func (j *Join) Drop() error { return j.pool.DropSet(j.set) }
+
+// Semi narrows b's selection to the rows whose keyCol value has a match on
+// the build side (EXISTS).
+func (j *Join) Semi(b *Batch, keyCol int) { j.narrow(b, keyCol, true) }
+
+// Anti narrows b's selection to the rows with no match (NOT EXISTS).
+func (j *Join) Anti(b *Batch, keyCol int) { j.narrow(b, keyCol, false) }
+
+func (j *Join) narrow(b *Batch, keyCol int, want bool) {
+	key, w := b.Col(keyCol), b.Width(keyCol)
+	sel := b.Sel()
+	out := sel[:0]
+	for _, i := range sel {
+		if (j.m.Head(key[int(i)*w:int(i)*w+w]) >= 0) == want {
+			out = append(out, i)
+		}
+	}
+	b.sel = out
+}
+
+// Inner joins b's selected rows with the build side on keyCol and emits the
+// result into out, a batch the calling thread owns and reuses: one row per
+// matching (probe row, build record) pair, every row selected, whose columns
+// are b's columns listed in carry followed by the build side's projected
+// columns. out is valid until the thread's next Inner into it.
+func (j *Join) Inner(b *Batch, keyCol int, carry []int, out *Batch) error {
+	key, w := b.Col(keyCol), b.Width(keyCol)
+	rows, recs := out.selBuf[:0], out.recs[:0]
+	for _, i := range b.Sel() {
+		for r := j.m.Head(key[int(i)*w : int(i)*w+w]); r >= 0; r = j.m.Next(r) {
+			rows, recs = append(rows, i), append(recs, r)
+		}
+	}
+	out.selBuf, out.recs = rows[:cap(rows)], recs
+	out.buf, out.sel, out.n = nil, nil, len(rows)
+	out.shape(len(carry) + len(j.widths))
+	for k, c := range carry {
+		cw, src := b.Width(c), b.Col(c)
+		v := growBytes(out.store[k], len(rows)*cw)
+		for lane, i := range rows {
+			copy(v[lane*cw:lane*cw+cw], src[int(i)*cw:])
+		}
+		out.widths[k], out.cols[k], out.store[k] = cw, v, v
+	}
+	var err error
+	if out.pay, err = j.m.Gather(recs, out.pay, &out.gs); err != nil {
+		return err
+	}
+	// The gathered payloads are the build columns row by row; split them
+	// into vectors (a lone column already is one).
+	stride, off := j.m.Width(), 0
+	for k, cw := range j.widths {
+		c := len(carry) + k
+		v := out.pay
+		if len(j.widths) > 1 {
+			v = growBytes(out.store[c], len(recs)*cw)
+			for lane := range recs {
+				copy(v[lane*cw:lane*cw+cw], out.pay[lane*stride+off:])
+			}
+			out.store[c] = v
+		}
+		out.widths[c], out.cols[c] = cw, v
+		off += cw
+	}
+	return nil
+}

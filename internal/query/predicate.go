@@ -1,7 +1,6 @@
 package query
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -9,12 +8,13 @@ import (
 )
 
 // The predicate algebra: declarative filter expressions over fixed-width
-// columns that one ScanSpec pushes down through all three layers of a scan —
-// compiled to a row closure for record scans, to the typed Sel* batch
-// kernels for columnar scans, and to a zone-map prune check that drops whole
-// pages before they are pinned, read, or speculated on. An opaque
-// func(Row) bool can only do the first; the scanner cannot see inside it,
-// which is why the scan API takes a Predicate instead.
+// columns that one ScanSpec pushes down through every layer of a scan — a
+// microindex lookup and a zone-map prune check that drop whole pages before
+// they are pinned, read, or speculated on, and one evaluator, the typed Sel*
+// batch kernels, for the rows of the pages that remain, whichever layout
+// they are stored in. An opaque func(Row) bool can only do the last; the
+// scanner cannot see inside it, which is why the scan API takes a Predicate
+// instead.
 //
 // Column indices address the scan's schema ([]services.ColumnSpec): for
 // columnar sets the set's own column order, for row sets whatever schema the
@@ -56,15 +56,13 @@ type PointIndex interface {
 // are unexported because the set of compilation targets is the scan API's
 // concern, not an extension point.
 type Predicate interface {
-	// compileRow compiles the predicate to a row closure over the schema —
-	// and is also the validation gate: a column index out of range or a
-	// width the node cannot handle errors here, for the batch path too.
-	compileRow(schema []services.ColumnSpec) (func(Row) bool, error)
-	// applyBatch narrows a batch's selection to the matching rows.
-	applyBatch(b *Batch) error
-	// evalBatchRow evaluates one row of a batch — the composition path Or
-	// uses, where child selections cannot simply intersect.
-	evalBatchRow(b *Batch, row int) bool
+	// check validates the predicate against the scan's schema before any
+	// page is read: a column index out of range or a width the node cannot
+	// handle errors here.
+	check(schema []services.ColumnSpec) error
+	// applyBatch narrows a batch's selection to the matching rows — the
+	// predicate's one evaluator.
+	applyBatch(b *Batch)
 	// prune reports whether the page provably holds no matching row.
 	prune(stats PruneStats, pageNum int64) bool
 	// indexPages answers the predicate from a point index: the sorted pages
@@ -83,27 +81,25 @@ func schemaCol(schema []services.ColumnSpec, c int) (services.ColumnSpec, error)
 	return schema[c], nil
 }
 
+// uintCol validates that column c exists and has an unsigned-integer width.
+func uintCol(node string, schema []services.ColumnSpec, c int) error {
+	spec, err := schemaCol(schema, c)
+	if err != nil {
+		return err
+	}
+	switch spec.Width {
+	case 1, 2, 4, 8:
+		return nil
+	}
+	return fmt.Errorf("query: %s over column %d of width %d", node, c, spec.Width)
+}
+
 // widthMax returns the largest value a w-byte unsigned column can hold.
 func widthMax(w int) uint64 {
 	if w >= 8 {
 		return math.MaxUint64
 	}
 	return 1<<(8*w) - 1
-}
-
-// readU builds a width-specialized unsigned reader at offset off; short
-// records read as "no match" through the caller's length guard.
-func readU(off, w int) func(Row) uint64 {
-	switch w {
-	case 1:
-		return func(r Row) uint64 { return uint64(r[off]) }
-	case 2:
-		return func(r Row) uint64 { return uint64(binary.LittleEndian.Uint16(r[off:])) }
-	case 4:
-		return func(r Row) uint64 { return uint64(binary.LittleEndian.Uint32(r[off:])) }
-	default:
-		return func(r Row) uint64 { return binary.LittleEndian.Uint64(r[off:]) }
-	}
 }
 
 // batchU reads one unsigned lane from a batch, any width.
@@ -134,44 +130,23 @@ type ColRange struct {
 	Lo, Hi uint64
 }
 
-func (p ColRange) compileRow(schema []services.ColumnSpec) (func(Row) bool, error) {
-	spec, err := schemaCol(schema, p.Col)
-	if err != nil {
-		return nil, err
-	}
-	switch spec.Width {
-	case 1, 2, 4, 8:
-	default:
-		return nil, fmt.Errorf("query: ColRange over column %d of width %d", p.Col, spec.Width)
-	}
-	end := spec.Offset + spec.Width
-	read := readU(spec.Offset, spec.Width)
-	lo, hi := p.Lo, p.Hi
-	return func(r Row) bool {
-		if len(r) < end {
-			return false
-		}
-		v := read(r)
-		return v >= lo && v < hi
-	}, nil
+func (p ColRange) check(schema []services.ColumnSpec) error {
+	return uintCol("ColRange", schema, p.Col)
 }
 
-func (p ColRange) applyBatch(b *Batch) error {
+func (p ColRange) applyBatch(b *Batch) {
 	w := b.Width(p.Col)
 	maxV := widthMax(w)
 	if p.Hi <= p.Lo || p.Lo > maxV {
 		selNone(b)
-		return nil
+		return
 	}
 	if w < 8 && p.Hi > maxV {
 		// The range is unbounded above within this column's domain.
-		if p.Lo == 0 {
-			return nil // matches every value: nothing to narrow
+		if p.Lo > 0 {
+			b.narrow(func(i int32) bool { return batchU(b, p.Col, int(i)) >= p.Lo })
 		}
-		lo := p.Lo
-		c := p.Col
-		b.narrow(func(i int32) bool { return batchU(b, c, int(i)) >= lo })
-		return nil
+		return
 	}
 	switch w {
 	case 1:
@@ -183,12 +158,6 @@ func (p ColRange) applyBatch(b *Batch) error {
 	default:
 		b.SelU64Range(p.Col, p.Lo, p.Hi)
 	}
-	return nil
-}
-
-func (p ColRange) evalBatchRow(b *Batch, row int) bool {
-	v := batchU(b, p.Col, row)
-	return v >= p.Lo && v < p.Hi
 }
 
 func (p ColRange) prune(stats PruneStats, pageNum int64) bool {
@@ -209,35 +178,15 @@ type ColRangeF64 struct {
 	Lo, Hi float64
 }
 
-func (p ColRangeF64) compileRow(schema []services.ColumnSpec) (func(Row) bool, error) {
+func (p ColRangeF64) check(schema []services.ColumnSpec) error {
 	spec, err := schemaCol(schema, p.Col)
-	if err != nil {
-		return nil, err
+	if err == nil && spec.Width != 8 {
+		err = fmt.Errorf("query: ColRangeF64 over column %d of width %d, want 8", p.Col, spec.Width)
 	}
-	if spec.Width != 8 {
-		return nil, fmt.Errorf("query: ColRangeF64 over column %d of width %d, want 8", p.Col, spec.Width)
-	}
-	end := spec.Offset + 8
-	off := spec.Offset
-	lo, hi := p.Lo, p.Hi
-	return func(r Row) bool {
-		if len(r) < end {
-			return false
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(r[off:]))
-		return v >= lo && v <= hi
-	}, nil
+	return err
 }
 
-func (p ColRangeF64) applyBatch(b *Batch) error {
-	b.SelF64Range(p.Col, p.Lo, p.Hi)
-	return nil
-}
-
-func (p ColRangeF64) evalBatchRow(b *Batch, row int) bool {
-	v := b.F64(p.Col, row)
-	return v >= p.Lo && v <= p.Hi
-}
+func (p ColRangeF64) applyBatch(b *Batch) { b.SelF64Range(p.Col, p.Lo, p.Hi) }
 
 func (p ColRangeF64) prune(stats PruneStats, pageNum int64) bool {
 	min, max, ok := stats.ColRangeF64(pageNum, p.Col)
@@ -254,35 +203,20 @@ type ColEq struct {
 	V   uint64
 }
 
-func (p ColEq) compileRow(schema []services.ColumnSpec) (func(Row) bool, error) {
-	spec, err := schemaCol(schema, p.Col)
-	if err != nil {
-		return nil, err
-	}
-	switch spec.Width {
-	case 1, 2, 4, 8:
-	default:
-		return nil, fmt.Errorf("query: ColEq over column %d of width %d", p.Col, spec.Width)
-	}
-	end := spec.Offset + spec.Width
-	read := readU(spec.Offset, spec.Width)
-	v := p.V
-	return func(r Row) bool { return len(r) >= end && read(r) == v }, nil
+func (p ColEq) check(schema []services.ColumnSpec) error {
+	return uintCol("ColEq", schema, p.Col)
 }
 
-func (p ColEq) applyBatch(b *Batch) error {
+func (p ColEq) applyBatch(b *Batch) {
 	w := b.Width(p.Col)
-	if p.V > widthMax(w) {
-		selNone(b)
-		return nil
-	}
 	switch {
+	case p.V > widthMax(w):
+		selNone(b)
 	case w == 1:
 		b.SelByteEq(p.Col, byte(p.V))
 	case p.V == widthMax(w):
 		// V+1 would wrap the kernel's exclusive bound; evaluate directly.
-		c, v := p.Col, p.V
-		b.narrow(func(i int32) bool { return batchU(b, c, int(i)) == v })
+		b.narrow(func(i int32) bool { return batchU(b, p.Col, int(i)) == p.V })
 	case w == 2:
 		b.SelU16Range(p.Col, uint16(p.V), uint16(p.V)+1)
 	case w == 4:
@@ -290,11 +224,6 @@ func (p ColEq) applyBatch(b *Batch) error {
 	default:
 		b.SelU64Range(p.Col, p.V, p.V+1)
 	}
-	return nil
-}
-
-func (p ColEq) evalBatchRow(b *Batch, row int) bool {
-	return batchU(b, p.Col, row) == p.V
 }
 
 func (p ColEq) prune(stats PruneStats, pageNum int64) bool {
@@ -312,41 +241,21 @@ func (p ColEq) indexPages(idx PointIndex) ([]int64, bool) {
 // matches everything.
 type And []Predicate
 
-func (p And) compileRow(schema []services.ColumnSpec) (func(Row) bool, error) {
-	fns := make([]func(Row) bool, len(p))
-	for i, c := range p {
-		fn, err := c.compileRow(schema)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = fn
-	}
-	return func(r Row) bool {
-		for _, fn := range fns {
-			if !fn(r) {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
+func (p And) check(schema []services.ColumnSpec) error { return checkAll(p, schema) }
 
-func (p And) applyBatch(b *Batch) error {
-	for _, c := range p {
-		if err := c.applyBatch(b); err != nil {
+func checkAll(ps []Predicate, schema []services.ColumnSpec) error {
+	for _, c := range ps {
+		if err := c.check(schema); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (p And) evalBatchRow(b *Batch, row int) bool {
+func (p And) applyBatch(b *Batch) {
 	for _, c := range p {
-		if !c.evalBatchRow(b, row) {
-			return false
-		}
+		c.applyBatch(b)
 	}
-	return true
 }
 
 func (p And) prune(stats PruneStats, pageNum int64) bool {
@@ -384,39 +293,31 @@ func (p And) indexPages(idx PointIndex) ([]int64, bool) {
 // special case in the prune path).
 type Or []Predicate
 
-func (p Or) compileRow(schema []services.ColumnSpec) (func(Row) bool, error) {
-	fns := make([]func(Row) bool, len(p))
-	for i, c := range p {
-		fn, err := c.compileRow(schema)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = fn
-	}
-	return func(r Row) bool {
-		for _, fn := range fns {
-			if fn(r) {
-				return true
-			}
-		}
-		return false
-	}, nil
-}
+func (p Or) check(schema []services.ColumnSpec) error { return checkAll(p, schema) }
 
-func (p Or) applyBatch(b *Batch) error {
-	// Children cannot narrow sequentially (each would intersect); evaluate
-	// the union row-at-a-time over the current selection.
-	b.narrow(func(i int32) bool { return p.evalBatchRow(b, int(i)) })
-	return nil
-}
-
-func (p Or) evalBatchRow(b *Batch, row int) bool {
+// applyBatch cannot let the children narrow in turn (each would intersect):
+// every child narrows its own copy of the incoming selection and marks its
+// survivors, and the incoming lanes any child marked are the union.
+func (p Or) applyBatch(b *Batch) {
+	in := append(b.scratch(0), b.Sel()...)
+	marks := b.scratch(b.n)
+	clear(marks)
 	for _, c := range p {
-		if c.evalBatchRow(b, row) {
-			return true
+		b.sel = append(b.sel[:0], in...)
+		c.applyBatch(b)
+		for _, i := range b.sel {
+			marks[i] = 1
 		}
 	}
-	return false
+	out := b.sel[:0]
+	for _, i := range in {
+		if marks[i] != 0 {
+			out = append(out, i)
+		}
+	}
+	b.sel = out
+	b.release(in)
+	b.release(marks)
 }
 
 func (p Or) prune(stats PruneStats, pageNum int64) bool {
@@ -452,26 +353,21 @@ func (p Or) indexPages(idx PointIndex) ([]int64, bool) {
 
 // RowPred is the escape hatch: an opaque row closure for the filter shapes
 // the algebra cannot express (cross-column comparisons, decoded string
-// probes). It pushes down to the row layer only — batch evaluation
-// materializes each candidate row, and no page is ever pruned by it —
-// so keep the selective, column-local parts of a filter in algebra nodes
-// and put only the residual here, typically under an And.
+// probes). Evaluation materializes each candidate row — free on a row page,
+// a re-stitch on a columnar one — and no page is ever pruned by it, so keep
+// the selective, column-local parts of a filter in algebra nodes and put
+// only the residual here, typically under an And.
 type RowPred func(Row) bool
 
-func (p RowPred) compileRow([]services.ColumnSpec) (func(Row) bool, error) {
+func (p RowPred) check([]services.ColumnSpec) error {
 	if p == nil {
-		return nil, fmt.Errorf("query: nil RowPred")
+		return fmt.Errorf("query: nil RowPred")
 	}
-	return p, nil
-}
-
-func (p RowPred) applyBatch(b *Batch) error {
-	b.narrow(func(i int32) bool { return p(b.MaterializeRow(int(i), nil)) })
 	return nil
 }
 
-func (p RowPred) evalBatchRow(b *Batch, row int) bool {
-	return p(b.MaterializeRow(row, nil))
+func (p RowPred) applyBatch(b *Batch) {
+	b.narrow(func(i int32) bool { return p(b.MaterializeRow(int(i), nil)) })
 }
 
 func (p RowPred) prune(PruneStats, int64) bool { return false }

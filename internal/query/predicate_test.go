@@ -48,58 +48,129 @@ func testPredicates() []struct {
 	}
 }
 
-// TestPredicateEquivalence: every predicate selects exactly the rows its
-// closure form selects, on all three execution paths — the row pipeline over
-// a row set (Schema-compiled), the row pipeline over a columnar set, and the
-// batch kernels — with identical counts and id-sums.
+// raggedRows is testRows with every fifth record cut short of the schema's
+// 12 bytes (4 or 8 bytes) and every seventh carrying trailing bytes.
+func raggedRows(n int) []Row {
+	rows := testRows(n)
+	for i, r := range rows {
+		switch {
+		case i%5 == 0:
+			rows[i] = r[:4+4*(i%2)]
+		case i%7 == 0:
+			rows[i] = append(r, 0xEE, 0xEE, 0xEE)
+		}
+	}
+	return rows
+}
+
+// shufflePage frames rows into one multi-region service page, the layout
+// the shuffle service's small pages give a buffer-pool page: rows fill
+// regionSize-byte regions in turn. It returns the rows that fit.
+func shufflePage(t *testing.T, pageSize, regionSize int, rows []Row) ([]byte, []Row) {
+	t.Helper()
+	buf := make([]byte, pageSize)
+	services.InitServicePage(buf, regionSize)
+	var placed []Row
+	base := services.PageHeaderSize
+	off := base
+	for _, r := range rows {
+		next, ok := services.AppendServiceRecord(buf, off, base+regionSize, r)
+		if !ok {
+			if base += regionSize; base+regionSize > len(buf) {
+				break
+			}
+			if next, ok = services.AppendServiceRecord(buf, base, base+regionSize, r); !ok {
+				t.Fatalf("record of %d bytes does not fit an empty %d-byte region", len(r), regionSize)
+			}
+		}
+		off = next
+		placed = append(placed, r)
+	}
+	return buf, placed
+}
+
+// TestPredicateEquivalence: every predicate selects exactly the rows a plain
+// Go closure — the reference kept here in the test — selects, wherever the
+// one evaluator runs: batches of a row set's pages, batches of the columnar
+// pages of the same records, the row adapter over both, a row set whose
+// records are ragged (a record too short to hold every schema column never
+// matches), and a multi-region shuffle page presented as a batch.
 func TestPredicateEquivalence(t *testing.T) {
 	bp := newPool(t, 16<<20)
 	rows := testRows(5000)
 	rowSet := loadSet(t, bp, "r", rows)
 	colSet := loadColSet(t, bp, "c", rows)
+	ragged := raggedRows(3000)
+	raggedSet := loadSet(t, bp, "ragged", ragged)
+	page, paged := shufflePage(t, 8<<10, 1000, raggedRows(600))
+	if len(paged) < 300 {
+		t.Fatalf("shuffle page holds %d rows; want several regions' worth", len(paged))
+	}
 
 	for _, tc := range testPredicates() {
 		t.Run(tc.name, func(t *testing.T) {
-			var wantN, wantSum int64
-			for _, r := range rows {
-				if tc.want(r) {
-					wantN++
-					wantSum += int64(rowID(r))
+			// want is the reference: the closure, and a record long enough.
+			want := func(rows []Row) (n, sum int64) {
+				for _, r := range rows {
+					if len(r) >= 12 && tc.want(r) {
+						n++
+						sum += int64(rowID(r))
+					}
 				}
+				return n, sum
 			}
-			check := func(path string, n, sum int64, err error) {
+			check := func(path string, data []Row, n, sum int64, err error) {
 				t.Helper()
 				if err != nil {
 					t.Fatalf("%s: %v", path, err)
 				}
-				if n != wantN || sum != wantSum {
+				if wantN, wantSum := want(data); n != wantN || sum != wantSum {
 					t.Errorf("%s: n=%d sum=%d, want %d/%d", path, n, sum, wantN, wantSum)
 				}
 			}
-			runRows := func(set *core.LocalitySet, schema []services.ColumnSpec) (int64, int64, error) {
+			for _, in := range []struct {
+				name   string
+				set    *core.LocalitySet
+				schema []services.ColumnSpec
+				data   []Row
+			}{{"row", rowSet, testSchema(), rows}, {"columnar", colSet, nil, rows}, {"ragged-row", raggedSet, testSchema(), ragged}} {
+				spec := ScanSpec{Set: in.set, Threads: 3, Pred: tc.pred, Schema: in.schema}
 				var n, sum atomic.Int64
-				err := ScanSpec{Set: set, Threads: 3, Pred: tc.pred, Schema: schema}.Run(func(_ int, r Row) error {
+				err := spec.RunBatches(func(_ int, b *Batch) error {
+					ids := b.Col(0)
+					for _, r := range b.Sel() {
+						sum.Add(int64(binary.LittleEndian.Uint32(ids[int(r)*4:])))
+					}
+					n.Add(int64(b.Selected()))
+					return nil
+				})
+				check(in.name+"/batches", in.data, n.Load(), sum.Load(), err)
+
+				n.Store(0)
+				sum.Store(0)
+				err = spec.Run(func(_ int, r Row) error {
 					n.Add(1)
 					sum.Add(int64(rowID(r)))
 					return nil
 				})
-				return n.Load(), sum.Load(), err
+				check(in.name+"/rows", in.data, n.Load(), sum.Load(), err)
 			}
-			n, sum, err := runRows(rowSet, testSchema())
-			check("row-set", n, sum, err)
-			n, sum, err = runRows(colSet, nil)
-			check("columnar-row-pipeline", n, sum, err)
 
-			var bn, bsum atomic.Int64
-			err = ScanSpec{Set: colSet, Threads: 3, Pred: tc.pred}.RunBatches(func(_ int, b *Batch) error {
-				ids := b.Col(0)
-				for _, r := range b.Sel() {
-					bsum.Add(int64(binary.LittleEndian.Uint32(ids[int(r)*4:])))
-				}
-				bn.Add(int64(b.Selected()))
-				return nil
-			})
-			check("batch", bn.Load(), bsum.Load(), err)
+			var b Batch
+			if err := b.reset(page, testSchema()); err != nil {
+				t.Fatal(err)
+			}
+			if b.NumRows() != len(paged) {
+				t.Fatalf("shuffle page presented %d rows, holds %d", b.NumRows(), len(paged))
+			}
+			b.dropShort()
+			tc.pred.applyBatch(&b)
+			var n, sum int64
+			for _, r := range b.Sel() {
+				n++
+				sum += int64(rowID(b.MaterializeRow(int(r), nil)))
+			}
+			check("shuffle-page", paged, n, sum, nil)
 		})
 	}
 }
@@ -210,9 +281,9 @@ func TestScanSpecValidation(t *testing.T) {
 	if err := (ScanSpec{Set: colSet, Pred: RowPred(nil)}).Run(func(int, Row) error { return nil }); err == nil {
 		t.Error("nil RowPred must error")
 	}
-	// Batch scans still reject row layouts.
-	err = ScanSpec{Set: rowSet, Pred: ColEq{Col: 1, V: 3}, Schema: testSchema()}.RunBatches(func(int, *Batch) error { return nil })
-	if err == nil {
-		t.Error("batch scan over a row-layout set must error")
+	// A node over a width it cannot compare.
+	wide := services.MakeSchema([]string{"id", "rest"}, []int{4, 8})
+	if err := (ScanSpec{Set: rowSet, Pred: ColRangeF64{Col: 0, Lo: 0, Hi: 1}, Schema: wide}).Run(func(int, Row) error { return nil }); err == nil {
+		t.Error("ColRangeF64 over a 4-byte column must error")
 	}
 }

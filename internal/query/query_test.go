@@ -2,7 +2,10 @@ package query
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pangea/internal/cluster"
@@ -58,11 +61,15 @@ func testRows(n int) []Row {
 	return rows
 }
 
+// TestScanFilterCount: a residual row filter after a multi-threaded scan of
+// a row set keeps exactly the rows it should.
 func TestScanFilterCount(t *testing.T) {
 	bp := newPool(t, 4<<20)
 	s := loadSet(t, bp, "rows", testRows(1000))
-	even := Filter(ScanSpec{Set: s, Threads: 3}.Iter(), func(r Row) bool { return rowID(r)%2 == 0 })
-	n, err := Count(even)
+	n, err := ScanSpec{Set: s, Threads: 3, Schema: testSchema()}.CountBatches(func(_ int, b *Batch) (*Batch, error) {
+		FilterBatch(b, func(b *Batch, row int) bool { return b.U32(0, row)%2 == 0 })
+		return b, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,77 +78,41 @@ func TestScanFilterCount(t *testing.T) {
 	}
 }
 
-func TestFlattenExpandsRows(t *testing.T) {
-	bp := newPool(t, 4<<20)
-	s := loadSet(t, bp, "rows", testRows(50))
-	dup := Flatten(ScanSpec{Set: s}.Iter(), func(r Row, out func(Row) error) error {
-		if err := out(r); err != nil {
-			return err
-		}
-		return out(r)
-	})
-	n, err := Count(dup)
-	if err != nil {
-		t.Fatal(err)
+// sumSpec groups by the group column and accumulates [sum u64][count u64]
+// of the amount column.
+func sumSpec() BatchAggSpec {
+	add := func(dst []byte, x uint64) {
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)+x)
 	}
-	if n != 100 {
-		t.Errorf("count = %d, want 100", n)
-	}
-}
-
-func TestMapTransforms(t *testing.T) {
-	bp := newPool(t, 4<<20)
-	s := loadSet(t, bp, "rows", testRows(10))
-	doubled := Map(ScanSpec{Set: s}.Iter(), func(r Row) (Row, error) {
-		out := append(Row(nil), r...)
-		binary.LittleEndian.PutUint32(out[8:12], rowAmount(r)*2)
-		return out, nil
-	})
-	rows, err := Collect(doubled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if rowAmount(r) != (rowID(r)%100)*2 {
-			t.Errorf("row %d amount = %d", rowID(r), rowAmount(r))
-		}
-	}
-}
-
-func sumSpec() AggSpec {
-	return AggSpec{
-		Key: func(r Row) []byte { return r[4:8] },
-		// Accumulator: [sum u64][count u64]
+	return BatchAggSpec{
+		Key: func(b *Batch, row int, dst []byte) []byte {
+			return append(dst, b.Col(1)[row*4:row*4+4]...)
+		},
 		ValSize: 16,
-		Init: func(r Row, val []byte) {
-			binary.LittleEndian.PutUint64(val[0:8], uint64(rowAmount(r)))
-			binary.LittleEndian.PutUint64(val[8:16], 1)
+		Accumulate: func(b *Batch, row int, val []byte) {
+			add(val[0:8], uint64(b.U32(2, row)))
+			add(val[8:16], 1)
 		},
 		Combine: func(dst, src []byte) {
-			binary.LittleEndian.PutUint64(dst[0:8], binary.LittleEndian.Uint64(dst[0:8])+binary.LittleEndian.Uint64(src[0:8]))
-			binary.LittleEndian.PutUint64(dst[8:16], binary.LittleEndian.Uint64(dst[8:16])+binary.LittleEndian.Uint64(src[8:16]))
+			add(dst[0:8], binary.LittleEndian.Uint64(src[0:8]))
+			add(dst[8:16], binary.LittleEndian.Uint64(src[8:16]))
 		},
 	}
 }
 
-func TestAggregateMatchesReference(t *testing.T) {
-	bp := newPool(t, 8<<20)
-	rows := testRows(5000)
-	s := loadSet(t, bp, "rows", rows)
-
+// checkSums compares a sumSpec result with the map reference over rows.
+func checkSums(t *testing.T, got map[string][]byte, rows []Row, keep func(Row) bool) {
+	t.Helper()
 	wantSum := make(map[uint32]uint64)
 	wantCnt := make(map[uint32]uint64)
 	for _, r := range rows {
-		wantSum[rowGroup(r)] += uint64(rowAmount(r))
-		wantCnt[rowGroup(r)]++
+		if keep == nil || keep(r) {
+			wantSum[rowGroup(r)] += uint64(rowAmount(r))
+			wantCnt[rowGroup(r)]++
+		}
 	}
-
-	got, err := Aggregate(ScanSpec{Set: s, Threads: 2}.Iter(), bp, "agg-tmp", sumSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 7 {
-		t.Fatalf("groups = %d, want 7", len(got))
+	if len(got) != len(wantSum) {
+		t.Fatalf("%d groups, want %d", len(got), len(wantSum))
 	}
 	for k, v := range got {
 		g := binary.LittleEndian.Uint32([]byte(k))
@@ -153,79 +124,27 @@ func TestAggregateMatchesReference(t *testing.T) {
 	}
 }
 
-func TestBroadcastJoin(t *testing.T) {
-	bp := newPool(t, 8<<20)
-	// Build side: group -> name row [group u32][tag byte].
-	var build []Row
-	for g := uint32(0); g < 7; g++ {
-		r := make(Row, 5)
-		binary.LittleEndian.PutUint32(r[0:4], g)
-		r[4] = byte('a' + g)
-		build = append(build, r)
-	}
-	bs := loadSet(t, bp, "dim", build)
-	probe := loadSet(t, bp, "fact", testRows(700))
-
-	mapSet, err := bp.CreateSet(core.SetSpec{Name: "joinmap", PageSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := BuildBroadcastMap(ScanSpec{Set: bs}.Iter(), mapSet, func(r Row) []byte { return r[0:4] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := HashJoin(ScanSpec{Set: probe, Threads: 2}.Iter(), m, func(r Row) []byte { return r[4:8] },
-		func(pr, br Row) Row {
-			out := make(Row, 13)
-			copy(out, pr)
-			out[12] = br[4]
-			return out
-		})
-	rows, err := Collect(joined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 700 {
-		t.Fatalf("joined rows = %d, want 700", len(rows))
-	}
-	for _, r := range rows {
-		if r[12] != byte('a'+rowGroup(r)) {
-			t.Errorf("row %d joined wrong dim tag %c", rowID(r), r[12])
+// noTempSets fails the test if the pool still holds a set whose name starts
+// with "tmp".
+func noTempSets(t *testing.T, bp *core.BufferPool, where string) {
+	t.Helper()
+	for _, s := range bp.Sets() {
+		if strings.HasPrefix(s.Name(), "tmp") {
+			t.Errorf("%s: temp set %q left behind", where, s.Name())
 		}
 	}
 }
 
-func TestSemiAndAntiJoin(t *testing.T) {
+func TestAggregateMatchesReference(t *testing.T) {
 	bp := newPool(t, 8<<20)
-	var build []Row
-	for g := uint32(0); g < 3; g++ { // groups 0..2 exist
-		r := make(Row, 4)
-		binary.LittleEndian.PutUint32(r, g)
-		build = append(build, r)
-	}
-	bs := loadSet(t, bp, "dim", build)
-	probe := loadSet(t, bp, "fact", testRows(700)) // groups 0..6
-
-	mapSet, _ := bp.CreateSet(core.SetSpec{Name: "jm", PageSize: 64 << 10})
-	m, err := BuildBroadcastMap(ScanSpec{Set: bs}.Iter(), mapSet, func(r Row) []byte { return r[0:4] })
+	rows := testRows(5000)
+	s := loadSet(t, bp, "rows", rows)
+	got, err := ScanSpec{Set: s, Threads: 2, Schema: testSchema()}.AggBatches(bp, "tmp-agg", nil, sumSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	probeKey := func(r Row) []byte { return r[4:8] }
-	semi, err := Count(SemiJoin(ScanSpec{Set: probe}.Iter(), m, probeKey))
-	if err != nil {
-		t.Fatal(err)
-	}
-	anti, err := Count(AntiJoin(ScanSpec{Set: probe}.Iter(), m, probeKey))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if semi+anti != 700 {
-		t.Errorf("semi %d + anti %d != 700", semi, anti)
-	}
-	if semi != 300 { // groups 0,1,2 of 0..6 -> 3/7 of 700
-		t.Errorf("semi = %d, want 300", semi)
-	}
+	checkSums(t, got, rows, nil)
+	noTempSets(t, bp, "after AggBatches")
 }
 
 func TestMaterializeRoundTrip(t *testing.T) {
@@ -235,16 +154,16 @@ func TestMaterializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Materialize(Filter(ScanSpec{Set: s, Threads: 2}.Iter(), func(r Row) bool { return rowGroup(r) == 0 }), out)
+	n, err := Materialize(ScanSpec{Set: s, Threads: 2, Schema: testSchema(), Pred: ColEq{Col: 1, V: 0}}.Iter(), out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Count(ScanSpec{Set: out}.Iter())
+	m, err := ScanSpec{Set: out}.CountBatches(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != m {
-		t.Errorf("materialized %d but re-scan found %d", n, m)
+	if want := int64(300/7 + 1); n != want || m != want {
+		t.Errorf("materialized %d, re-scan found %d, want %d", n, m, want)
 	}
 }
 
@@ -345,7 +264,7 @@ func TestBroadcastReplicatesEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := Count(ScanSpec{Set: s}.Iter())
+		n, err := ScanSpec{Set: s}.CountBatches(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,31 +274,79 @@ func TestBroadcastReplicatesEverywhere(t *testing.T) {
 	}
 }
 
-func TestDistributedAggregate(t *testing.T) {
+// TestDistributedMergeOfLocalAggregates: the two aggregation stages across
+// a cluster — AggBatches per node, DistributedMerge at the coordinator.
+func TestDistributedMergeOfLocalAggregates(t *testing.T) {
 	e := startExec(t, 3)
 	rows := testRows(3000)
 	loadDistributed(t, e, "fact", rows)
-	got, err := e.DistributedAggregate("t", func(node int) Iter {
-		return func(emit func(Row) error) error {
-			s, err := e.Set(node, "fact")
-			if err != nil {
-				return err
-			}
-			return ScanSpec{Set: s, Threads: 2}.Iter()(emit)
+	spec := sumSpec()
+	got, err := e.DistributedMerge(func(node int, w *cluster.Worker) (map[string][]byte, error) {
+		s, err := e.Set(node, "fact")
+		if err != nil {
+			return nil, err
 		}
-	}, sumSpec())
+		return ScanSpec{Set: s, Threads: 2, Schema: testSchema()}.AggBatches(w.Pool(), "tmp-agg", nil, spec)
+	}, spec.Combine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 7 {
-		t.Fatalf("groups = %d, want 7", len(got))
+	checkSums(t, got, rows, nil)
+}
+
+// failingSource emits a few rows of a node's "src" partition and then fails.
+func failingSource(e *Executor) func(node int) Iter {
+	return func(node int) Iter {
+		return func(emit func(Row) error) error {
+			s, err := e.Set(node, "src")
+			if err != nil {
+				return err
+			}
+			var n atomic.Int64
+			return ScanSpec{Set: s}.Run(func(_ int, r Row) error {
+				if n.Add(1) > 20 {
+					return errors.New("source failed mid-stream")
+				}
+				return emit(r)
+			})
+		}
 	}
-	var totalCnt uint64
-	for _, v := range got {
-		totalCnt += binary.LittleEndian.Uint64(v[8:16])
+}
+
+// TestExchangeAndBroadcastDropTargetOnFailure: both operations create their
+// target set on every node first; when they then fail, no worker may be left
+// holding it. At the parent commit both returned the error and leaked the
+// set, and their callers only deferred the drop after the error check.
+func TestExchangeAndBroadcastDropTargetOnFailure(t *testing.T) {
+	e := startExec(t, 3)
+	loadDistributed(t, e, "src", testRows(600))
+	err := e.Exchange("tmp-exchanged", failingSource(e), func(r Row) []byte { return r[4:8] }, 64<<10)
+	if err == nil {
+		t.Fatal("exchange from a failing source must fail")
 	}
-	if totalCnt != 3000 {
-		t.Errorf("total count = %d, want 3000", totalCnt)
+	// A broadcast whose target pages cannot hold one source record fails
+	// after the target exists everywhere.
+	if err := e.Broadcast("src", "tmp-broadcast", 16); err == nil {
+		t.Fatal("broadcast of 12-byte records onto 16-byte pages must fail")
+	}
+	for node, w := range e.Workers {
+		noTempSets(t, w.Pool(), fmt.Sprintf("node %d", node))
+	}
+	// The same calls still work, and leave their set, when nothing fails.
+	key := func(r Row) []byte { return r[4:8] }
+	if err := e.Exchange("tmp-exchanged", func(node int) Iter {
+		return func(emit func(Row) error) error {
+			s, err := e.Set(node, "src")
+			if err != nil {
+				return err
+			}
+			return ScanSpec{Set: s}.Iter()(emit)
+		}
+	}, key, 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Set(0, "tmp-exchanged"); err != nil {
+		t.Error("a successful exchange must leave its set to the caller")
 	}
 }
 
@@ -396,19 +363,4 @@ func TestChooseReplicaConsultsStatistics(t *testing.T) {
 	if ok || set != "lineitem" {
 		t.Errorf("missing scheme: got %q, %v; want lineitem, false", set, ok)
 	}
-}
-
-func ExampleFilter() {
-	pred := func(r Row) bool { return len(r) > 0 && r[0] == 'x' }
-	in := Iter(func(emit func(Row) error) error {
-		for _, s := range []string{"x1", "y2", "x3"} {
-			if err := emit(Row(s)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	n, _ := Count(Filter(in, pred))
-	fmt.Println(n)
-	// Output: 2
 }

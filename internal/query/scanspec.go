@@ -24,9 +24,11 @@ const (
 	HintNoIndex
 )
 
-// ScanSpec is the unified scan entry point: one declarative description —
-// which set, how many worker threads, what predicate — that drives the row
-// path (Run/Iter) and the batch path (RunBatches and friends) identically.
+// ScanSpec is the one scan entry point: a declarative description — which
+// set, how many worker threads, what predicate — executed batch-at-a-time by
+// RunBatches over either page layout; Run and Iter hand the selected rows of
+// each batch out in record form, and AggBatches/CountBatches put a sink on
+// the end.
 //
 // Because the predicate is algebraic rather than an opaque closure, the
 // scan prunes before it reads: if the set carries a zone map (see
@@ -39,16 +41,17 @@ const (
 //
 // The zero value of everything but Set is usable: Threads defaults to 1, a
 // nil Pred scans every row, and Schema is derived from the set's column
-// widths for columnar sets (row sets need an explicit Schema only when Pred
-// is non-nil).
+// widths for columnar sets. A row set needs an explicit Schema when Pred is
+// non-nil or the callback reads columns; without one its batches have no
+// columns, only rows (Batch.MaterializeRow).
 type ScanSpec struct {
 	Set     *core.LocalitySet
 	Threads int
 	// Pred filters rows declaratively; nil keeps every row.
 	Pred Predicate
-	// Schema describes the record layout Pred's column indices address.
-	// Optional for columnar sets (the set knows its widths); required for
-	// row sets when Pred is non-nil.
+	// Schema describes the record layout column indices address — Pred's,
+	// and those of the batch a row page is presented as. Optional for
+	// columnar sets (the set knows its widths).
 	Schema []services.ColumnSpec
 	Hint   ScanHint
 }
@@ -60,7 +63,7 @@ func (sp ScanSpec) threads() int {
 	return sp.Threads
 }
 
-// schema resolves the record layout Pred compiles against.
+// schema resolves the record layout column indices address.
 func (sp ScanSpec) schema() ([]services.ColumnSpec, error) {
 	if sp.Schema != nil {
 		return sp.Schema, nil
@@ -78,19 +81,6 @@ func (sp ScanSpec) schema() ([]services.ColumnSpec, error) {
 		return nil, nil
 	}
 	return nil, fmt.Errorf("query: predicate scan over row set %q needs ScanSpec.Schema", sp.Set.Name())
-}
-
-// compile validates the predicate against the schema and returns its row
-// closure (nil when there is no predicate).
-func (sp ScanSpec) compile() (func(Row) bool, error) {
-	if sp.Pred == nil {
-		return nil, nil
-	}
-	schema, err := sp.schema()
-	if err != nil {
-		return nil, err
-	}
-	return sp.Pred.compileRow(schema)
 }
 
 // pages runs the pruning passes and returns the page list the scan will
@@ -131,105 +121,111 @@ func (sp ScanSpec) pages() []int64 {
 	return kept
 }
 
-// Run streams every matching row to fn (Table 2: Scan), which may be called
-// from Threads goroutines (one per page iterator; which pages a thread gets
-// is decided as the scan runs, but thread t's calls all come from one
-// goroutine), so stateful sinks lock or keep per-thread state indexed by
-// thread. Rows alias pinned pages and are invalid after fn returns.
+// RunBatches streams the set batch-at-a-time, one batch per page, whichever
+// layout the page has (see Batch); each batch arrives with its selection
+// already narrowed to the predicate's matches, and pages the side indexes
+// pruned never arrive at all. A record of a row page too short to hold every
+// Schema column matches no predicate.
+//
+// fn may be called from Threads goroutines (which pages a thread gets is
+// decided as the scan runs, but thread t's calls all come from one
+// goroutine), so stateful sinks keep per-thread state indexed by thread.
+// Each thread reuses one Batch, so the steady state allocates nothing; the
+// batch — including any column slice taken from it — is invalid after fn
+// returns, when the page is released.
 //
 // Scanning declares a sequential reading pattern on the set, so on a cold
 // set the scan's cursor reads ahead through the buffer pool's per-drive
 // prefetch queues: the whole operator pipeline runs over a pinned page
 // while the drives load the pages behind it, instead of stalling on one
 // synchronous read per page.
-func (sp ScanSpec) Run(fn func(thread int, row Row) error) error {
-	match, err := sp.compile()
+func (sp ScanSpec) RunBatches(fn func(thread int, b *Batch) error) error {
+	schema, err := sp.schema()
 	if err != nil {
 		return err
 	}
-	nums := sp.pages()
-	if match == nil {
-		return services.ScanPages(sp.Set, nums, sp.threads(), fn)
-	}
-	return services.ScanPages(sp.Set, nums, sp.threads(), func(t int, rec []byte) error {
-		if !match(rec) {
-			return nil
+	if sp.Pred != nil {
+		if err := sp.Pred.check(schema); err != nil {
+			return err
 		}
-		return fn(t, rec)
+	}
+	batches := make([]Batch, sp.threads())
+	return services.ForEachPage(sp.Set, sp.pages(), len(batches), func(t int, page []byte) error {
+		b := &batches[t]
+		if err := b.reset(page, schema); err != nil {
+			return err
+		}
+		if sp.Pred != nil {
+			b.dropShort()
+			sp.Pred.applyBatch(b)
+		}
+		return fn(t, b)
 	})
 }
 
-// Iter adapts the scan to the push-based operator pipeline, predicate
-// already applied.
+// Run streams every matching row to fn in record form (Table 2: Scan) — the
+// row adapter over RunBatches, with its threading contract. Over RunBatches
+// it costs one callback per selected row, plus on columnar pages the
+// re-stitching of that row; rows of a row page are the stored records
+// themselves. Rows alias the pinned page (or a per-thread scratch buffer)
+// and are invalid after fn returns.
+func (sp ScanSpec) Run(fn func(thread int, row Row) error) error {
+	return sp.RunBatches(func(t int, b *Batch) error {
+		return ProjectBatch(b, func(r Row) error { return fn(t, r) })
+	})
+}
+
+// Iter adapts the scan to a push-based row stream, predicate already
+// applied.
 func (sp ScanSpec) Iter() Iter {
 	return func(emit func(Row) error) error {
 		return sp.Run(func(_ int, r Row) error { return emit(r) })
 	}
 }
 
-// RunBatches streams a columnar set batch-at-a-time; each batch arrives
-// with its selection already narrowed to the predicate's matches (pages the
-// zone map pruned never arrive at all).
-func (sp ScanSpec) RunBatches(fn func(thread int, b *Batch) error) error {
-	// compileRow doubles as predicate-vs-schema validation for the batch
-	// path; the closure itself is unused here.
-	if _, err := sp.compile(); err != nil {
-		return err
+// Stage is one step of a per-batch pipeline between a scan and its sink: it
+// narrows b's selection in place (a residual filter, a semi or anti join)
+// and returns b, or returns the batch that replaces it downstream (an inner
+// join's output).
+type Stage func(thread int, b *Batch) (*Batch, error)
+
+// runStaged is RunBatches with stage (nil allowed) applied to each batch
+// before fn sees it.
+func (sp ScanSpec) runStaged(stage Stage, fn func(thread int, b *Batch) error) error {
+	if stage == nil {
+		return sp.RunBatches(fn)
 	}
-	nums := sp.pages()
-	if sp.Pred == nil {
-		return scanBatchesOver(sp.Set, nums, sp.threads(), fn)
-	}
-	return scanBatchesOver(sp.Set, nums, sp.threads(), func(t int, b *Batch) error {
-		if err := sp.Pred.applyBatch(b); err != nil {
+	return sp.RunBatches(func(t int, b *Batch) error {
+		b, err := stage(t, b)
+		if err != nil {
 			return err
 		}
 		return fn(t, b)
 	})
 }
 
-// AggBatches runs the scan-filter-aggregate pipeline under the spec's
-// predicate: filter (nil allowed) further narrows each batch after the
-// predicate — the residual for shapes the algebra doesn't express — and
-// spec folds the survivors into one merged result map.
-func (sp ScanSpec) AggBatches(filter func(*Batch), spec BatchAggSpec) (map[string][]byte, error) {
-	n := sp.threads()
-	maps := make([]map[string][]byte, n)
-	keys := make([][]byte, n)
-	err := sp.RunBatches(func(t int, b *Batch) error {
-		if filter != nil {
-			filter(b)
-		}
-		if maps[t] == nil {
-			maps[t] = make(map[string][]byte)
-		}
-		keys[t] = AggBatch(b, spec, maps[t], keys[t])
-		return nil
-	})
+// AggBatches runs the scan → stage → hash-aggregate pipeline on one node:
+// stage (nil allowed) runs on each batch after the predicate, and spec folds
+// the survivors into per-thread partials held in hash-service pages of a
+// temp set named tmp in bp, merged into one map when the scan ends.
+// Executor.DistributedMerge combines the per-node maps.
+func (sp ScanSpec) AggBatches(bp *core.BufferPool, tmp string, stage Stage, spec BatchAggSpec) (map[string][]byte, error) {
+	a, err := newAgg(bp, tmp, sp.threads(), spec)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]byte)
-	for _, m := range maps {
-		for k, v := range m {
-			if old, ok := out[k]; ok {
-				spec.Combine(old, v)
-			} else {
-				out[k] = v
-			}
-		}
+	err = sp.runStaged(stage, a.add)
+	out, rerr := a.result()
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return out, rerr
 }
 
-// CountBatches counts the rows the predicate (and optional residual filter)
-// keeps.
-func (sp ScanSpec) CountBatches(filter func(*Batch)) (int64, error) {
+// CountBatches counts the rows the predicate and stage (nil allowed) keep.
+func (sp ScanSpec) CountBatches(stage Stage) (int64, error) {
 	counts := make([]int64, sp.threads())
-	err := sp.RunBatches(func(t int, b *Batch) error {
-		if filter != nil {
-			filter(b)
-		}
+	err := sp.runStaged(stage, func(t int, b *Batch) error {
 		counts[t] += int64(b.Selected())
 		return nil
 	})

@@ -7,7 +7,6 @@ import (
 	"pangea/internal/cluster"
 	"pangea/internal/core"
 	"pangea/internal/placement"
-	"pangea/internal/services"
 )
 
 // Executor runs query pipelines over a Pangea deployment (Table 2:
@@ -87,7 +86,10 @@ func (e *Executor) ChooseReplica(source, scheme string) (set string, coPartition
 // keyed by key — the runtime shuffle a query needs when no co-partitioned
 // replica exists. The new set is created on every node; rows are routed
 // with the same partition->node placement the data placement system uses.
-func (e *Executor) Exchange(name string, sources func(node int) Iter, key func(Row) []byte, pageSize int64) error {
+// On failure the set is dropped again everywhere; on success it is the
+// caller's to drop.
+func (e *Executor) Exchange(name string, sources func(node int) Iter, key func(Row) []byte, pageSize int64) (err error) {
+	defer e.dropOnFailure(name, &err)
 	if err := e.Client.CreateSet(name, pageSize, uint8(core.WriteBack)); err != nil {
 		return err
 	}
@@ -137,8 +139,9 @@ func (e *Executor) Exchange(name string, sources func(node int) Iter, key func(R
 
 // Broadcast replicates the union of a distributed set onto every node as a
 // fresh local set, through the cluster's fetch stream — the broadcast
-// service feeding broadcast joins.
-func (e *Executor) Broadcast(source, target string, pageSize int64) error {
+// service feeding broadcast joins. Like Exchange, it leaves no target set
+// behind when it fails.
+func (e *Executor) Broadcast(source, target string, pageSize int64) (err error) {
 	// Gather the full set once.
 	var rows [][]byte
 	for _, addr := range e.Addrs {
@@ -150,6 +153,7 @@ func (e *Executor) Broadcast(source, target string, pageSize int64) error {
 			return err
 		}
 	}
+	defer e.dropOnFailure(target, &err)
 	if err := e.Client.CreateSet(target, pageSize, uint8(core.WriteBack)); err != nil {
 		return err
 	}
@@ -168,6 +172,15 @@ func (e *Executor) Broadcast(source, target string, pageSize int64) error {
 	})
 }
 
+// dropOnFailure, deferred by the operations that create a set on every node,
+// removes it again if they go on to fail — a CreateSet that failed half-way
+// included.
+func (e *Executor) dropOnFailure(name string, err *error) {
+	if *err != nil {
+		e.DropEverywhere(name)
+	}
+}
+
 // DropEverywhere removes a set from every node, ignoring missing-set
 // errors (a node may hold no pages of a sparse set).
 func (e *Executor) DropEverywhere(name string) {
@@ -176,58 +189,25 @@ func (e *Executor) DropEverywhere(name string) {
 	}
 }
 
-// DistributedAggregate runs the two aggregation stages across the cluster:
-// local hash aggregation per node over in(node), then a final merge of the
-// per-node partials at the coordinator.
-func (e *Executor) DistributedAggregate(tag string, in func(node int) Iter, spec AggSpec) (map[string][]byte, error) {
-	return e.DistributedMerge(func(node int, w *cluster.Worker) (map[string][]byte, error) {
-		setName := fmt.Sprintf("%s-agg-%d", tag, node)
-		// The hash service pins one active page per root partition; keep
-		// their combined footprint a small fraction of the pool so the
-		// aggregation composes with concurrent scans under memory pressure.
-		pageSize := w.Pool().Capacity() / 32
-		if pageSize > 256<<10 {
-			pageSize = 256 << 10
-		}
-		if pageSize < 8<<10 {
-			pageSize = 8 << 10
-		}
-		set, err := w.Pool().CreateSet(core.SetSpec{Name: setName, PageSize: pageSize})
-		if err != nil {
-			return nil, err
-		}
-		h, err := LocalAggregate(in(node), set, 4, spec)
-		if err != nil {
-			_ = w.Pool().DropSet(set)
-			return nil, err
-		}
-		res, err := FinalAggregate([]*services.VirtualHashBuffer{h}, spec)
-		if derr := w.Pool().DropSet(set); err == nil {
-			err = derr
-		}
-		return res, err
-	}, spec.Combine)
-}
-
 // DistributedMerge runs one partial-result producer per node in parallel
-// and merges the per-node maps with combine — the cross-node final stage
-// shared by the row aggregation above and the columnar batch pipelines
-// (query.AggBatches per node, merged here).
+// and merges the per-node maps with combine — the cross-node final stage of
+// the two-stage aggregation (Table 2: "Aggregate: final stage"), whose local
+// stage is ScanSpec.AggBatches on each node.
 func (e *Executor) DistributedMerge(run func(node int, w *cluster.Worker) (map[string][]byte, error), combine func(dst, src []byte)) (map[string][]byte, error) {
-	partials := make([]map[string][]byte, len(e.Workers))
+	perNode := make([]map[string][]byte, len(e.Workers))
 	err := e.Parallel(func(node int, w *cluster.Worker) error {
 		m, err := run(node, w)
 		if err != nil {
 			return err
 		}
-		partials[node] = m
+		perNode[node] = m
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]byte)
-	for _, p := range partials {
+	for _, p := range perNode {
 		for k, v := range p {
 			if old, ok := out[k]; ok {
 				combine(old, v)

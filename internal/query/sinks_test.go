@@ -1,20 +1,18 @@
 package query
 
 import (
-	"encoding/binary"
+	"bytes"
 	"testing"
 )
 
-// The sinks below used to serialize every emitted row behind one mutex
-// (and LocalAggregate shared one scratch buffer across threads under it).
-// These regression tests drive each sink from a many-threaded Scan; run
-// under -race they fail if per-thread partials ever share state, and their
-// assertions fail if a partial is lost in the merge.
+// These regression tests drive each sink from a many-threaded scan; run
+// under -race they fail if per-thread state is ever shared, and their
+// assertions fail if a thread's partial is lost in the merge.
 
 func TestCountParallel(t *testing.T) {
 	bp := newPool(t, 8<<20)
 	s := loadSet(t, bp, "s", testRows(20000))
-	n, err := Count(ScanSpec{Set: s, Threads: 8}.Iter())
+	n, err := ScanSpec{Set: s, Threads: 8}.CountBatches(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,70 +47,51 @@ func TestCollectParallel(t *testing.T) {
 	}
 }
 
-// TestLocalAggregateParallelRace: a many-threaded aggregation must produce
-// exact group sums. Before the per-thread accumulator fix, all threads
-// zeroed and filled one shared val buffer, so -race flags the old design
-// and lost updates skew the sums.
-func TestLocalAggregateParallelRace(t *testing.T) {
+// TestAggBatchesParallelRace: a many-threaded aggregation must produce exact
+// group sums — every thread folds into its own hash buffer and key scratch.
+func TestAggBatchesParallelRace(t *testing.T) {
 	bp := newPool(t, 16<<20)
 	rows := testRows(30000)
 	s := loadSet(t, bp, "s", rows)
-	spec := AggSpec{
-		Key:     func(r Row) []byte { return r[4:8] },
-		ValSize: 16,
-		Init: func(r Row, val []byte) {
-			binary.LittleEndian.PutUint64(val[0:8], uint64(rowAmount(r)))
-			binary.LittleEndian.PutUint64(val[8:16], 1)
-		},
-		Combine: func(dst, src []byte) {
-			binary.LittleEndian.PutUint64(dst[0:8],
-				binary.LittleEndian.Uint64(dst[0:8])+binary.LittleEndian.Uint64(src[0:8]))
-			binary.LittleEndian.PutUint64(dst[8:16],
-				binary.LittleEndian.Uint64(dst[8:16])+binary.LittleEndian.Uint64(src[8:16]))
-		},
-	}
-	got, err := Aggregate(ScanSpec{Set: s, Threads: 8}.Iter(), bp, "agg", spec)
+	got, err := ScanSpec{Set: s, Threads: 8, Schema: testSchema()}.AggBatches(bp, "tmp-agg", nil, sumSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSum := make(map[uint32]uint64)
-	wantCnt := make(map[uint32]uint64)
-	for _, r := range rows {
-		wantSum[rowGroup(r)] += uint64(rowAmount(r))
-		wantCnt[rowGroup(r)]++
+	checkSums(t, got, rows, nil)
+}
+
+// TestAggBatchesSpillsPartials: with more groups than the hash pages of a
+// small pool can hold at once, pages retire and spill as partial aggregates
+// mid-scan, and the merge still finds every group exactly once.
+func TestAggBatchesSpillsPartials(t *testing.T) {
+	bp := newPool(t, 512<<10)
+	rows := testRows(40000)
+	s := loadSet(t, bp, "s", rows)
+	spec := sumSpec()
+	spec.Key = func(b *Batch, row int, dst []byte) []byte { return append(dst, b.Col(0)[row*4:row*4+4]...) }
+	got, err := ScanSpec{Set: s, Threads: 2, Schema: testSchema()}.AggBatches(bp, "tmp-agg", nil, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != len(wantSum) {
-		t.Fatalf("%d groups, want %d", len(got), len(wantSum))
+	if len(got) != len(rows) {
+		t.Fatalf("%d groups, want one per row (%d)", len(got), len(rows))
 	}
-	for k, v := range got {
-		g := binary.LittleEndian.Uint32([]byte(k))
-		sum := binary.LittleEndian.Uint64(v[0:8])
-		cnt := binary.LittleEndian.Uint64(v[8:16])
-		if sum != wantSum[g] || cnt != wantCnt[g] {
-			t.Errorf("group %d: sum/cnt %d/%d, want %d/%d", g, sum, cnt, wantSum[g], wantCnt[g])
-		}
+	if bp.Stats().Spills.Load() == 0 {
+		t.Error("expected hash pages to spill; shrink the pool")
 	}
 }
 
-// TestPartialsPropagatesError: an error from the sink body must surface,
-// not vanish into a pooled state.
-func TestPartialsPropagatesError(t *testing.T) {
+// TestAggBatchesPropagatesError: a failure inside the sink — here a key no
+// hash page can hold — surfaces from AggBatches, and the temp set is dropped
+// on that path too.
+func TestAggBatchesPropagatesError(t *testing.T) {
 	bp := newPool(t, 8<<20)
 	s := loadSet(t, bp, "s", testRows(100))
-	spec := AggSpec{
-		Key:     func(r Row) []byte { return r[0:4] },
-		ValSize: 4,
-		Init:    func(Row, []byte) {},
-		Combine: func([]byte, []byte) {},
+	spec := sumSpec()
+	huge := bytes.Repeat([]byte{7}, 512<<10)
+	spec.Key = func(_ *Batch, _ int, dst []byte) []byte { return append(dst, huge...) }
+	if _, err := (ScanSpec{Set: s, Threads: 4, Schema: testSchema()}).AggBatches(bp, "tmp-agg", nil, spec); err == nil {
+		t.Error("aggregating under a key larger than a hash page must error")
 	}
-	// Aggregating into a dropped set makes every thread's hash-page
-	// allocation fail; LocalAggregate must report it, not swallow it in a
-	// pooled partial.
-	dead := loadSet(t, bp, "dead", nil)
-	if err := bp.DropSet(dead); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LocalAggregate(ScanSpec{Set: s, Threads: 4}.Iter(), dead, 4, spec); err == nil {
-		t.Error("LocalAggregate into a dropped set must error")
-	}
+	noTempSets(t, bp, "after a failed AggBatches")
 }

@@ -3,8 +3,10 @@ package services
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -331,42 +333,94 @@ func TestScanEmptySet(t *testing.T) {
 	}
 }
 
-// TestJoinMapEmptyKeyAndPayload: degenerate shapes are stored faithfully.
+// TestScanStopsOnFirstError: when one thread's callback fails, the scan ends
+// there — the sibling thread finishes the page it holds and finds the shared
+// cursor stopped — and the set is not left stamped as being read. At the
+// parent commit the sibling walked on to the end of the set (every page
+// visited) and the stamp was cleared only on success, so DataAware went on
+// treating an idle set as one being read.
+func TestScanStopsOnFirstError(t *testing.T) {
+	bp := newPool(t, 1<<20)
+	set := mkSet(t, bp, "s", 4096)
+	const pages = 64
+	rec := make([]byte, 3000) // one record a page
+	w := NewSeqWriter(set)
+	for i := 0; i < pages; i++ {
+		if err := w.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if set.NumPages() != pages {
+		t.Fatalf("set has %d pages, want %d", set.NumPages(), pages)
+	}
+	boom := errors.New("boom")
+	var visited atomic.Int64
+	failed := make(chan struct{})
+	err := ScanSet(set, 2, func(int, []byte) error {
+		if visited.Add(1) == 1 {
+			close(failed)
+			return boom
+		}
+		// The sibling holds its first page until the failure is on its way
+		// out, and takes any further page slowly: for this test to pass by
+		// accident the failing thread would have to stall for 60 ms between
+		// returning and stopping the cursor.
+		<-failed
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("scan returned %v, want the callback's error", err)
+	}
+	if n := visited.Load(); n >= pages {
+		t.Errorf("scan visited %d of %d pages after its first callback failed", n, pages)
+	}
+	if op := set.Attrs().CurrentOp; op != core.OpNone {
+		t.Errorf("failed scan left CurrentOp=%v, want none", op)
+	}
+}
+
+// TestJoinMapEmptyKeyAndPayload: degenerate shapes are stored faithfully —
+// an empty key is a key, and a width-0 map keeps keys and multiplicities
+// without ever allocating a page.
 func TestJoinMapEmptyKeyAndPayload(t *testing.T) {
 	bp := newPool(t, 1<<20)
 	set := mkSet(t, bp, "jm", 4096)
-	m := NewJoinMap(set)
-	if err := m.Insert([]byte{}, []byte("payload-under-empty-key")); err != nil {
+	m, err := NewJoinMap(set, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert([]byte("key"), []byte{}); err != nil {
-		t.Fatal(err)
+	for _, key := range []string{"", "key", "key"} {
+		if err := m.Insert([]byte(key), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Insert([]byte("key"), []byte("x")); err == nil {
+		t.Error("a payload wider than the map's must be rejected")
 	}
 	if err := m.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	var got string
-	if err := m.Probe([]byte{}, func(p []byte) error {
-		got = string(p)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != "payload-under-empty-key" {
-		t.Errorf("empty-key payload = %q", got)
-	}
-	var hits int
-	if err := m.Probe([]byte("key"), func(p []byte) error {
-		hits++
-		if len(p) != 0 {
-			t.Errorf("payload = %q, want empty", p)
+	chain := func(key string) (n int) {
+		for r := m.Head([]byte(key)); r >= 0; r = m.Next(r) {
+			n++
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+		return n
 	}
-	if hits != 1 {
-		t.Errorf("hits = %d", hits)
+	if chain("") != 1 || chain("key") != 2 || chain("absent") != 0 {
+		t.Errorf("chains: empty=%d key=%d absent=%d, want 1, 2, 0", chain(""), chain("key"), chain("absent"))
+	}
+	if m.Keys() != 2 || m.Len() != 3 || set.NumPages() != 0 {
+		t.Errorf("Keys=%d Len=%d pages=%d, want 2, 3, 0", m.Keys(), m.Len(), set.NumPages())
+	}
+	if out, err := m.Gather([]int32{0, 1, 2}, nil, &GatherScratch{}); err != nil || len(out) != 0 {
+		t.Errorf("gather from a width-0 map: %d bytes, err %v", len(out), err)
+	}
+	if _, err := NewJoinMap(set, 8192); err == nil {
+		t.Error("a payload wider than a page must be rejected")
 	}
 }
 

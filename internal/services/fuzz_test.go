@@ -81,6 +81,67 @@ func FuzzColumnarPageReset(f *testing.F) {
 	})
 }
 
+// raggedRowPageSeed frames records of mixed lengths — runs of equal lengths,
+// which RecordOffsets steps over by stride, broken by other lengths — into a
+// three-region page.
+func raggedRowPageSeed() []byte {
+	buf := make([]byte, 8+3*200)
+	initPage(buf, 200)
+	for region, lens := range [][]int{{12, 12, 12, 5, 12, 12}, {1, 1, 1, 1, 40}, {}} {
+		off := pageHeaderSize + region*200
+		for _, n := range lens {
+			off, _ = appendRecord(buf, off, pageHeaderSize+(region+1)*200, make([]byte, n))
+		}
+	}
+	return buf
+}
+
+// FuzzRecordOffsets holds the batch engine's framing walk to WalkPage's: on
+// arbitrary bytes standing in for a row page off a drive, RecordOffsets must
+// fail exactly when WalkPage does, and otherwise name exactly the records
+// WalkPage visits, in order, with the shortest one's length.
+func FuzzRecordOffsets(f *testing.F) {
+	f.Add(raggedRowPageSeed())
+	overrun := raggedRowPageSeed()
+	binary.LittleEndian.PutUint32(overrun[pageHeaderSize+16:], 4000) // second record overruns its region
+	f.Add(overrun)
+	f.Add([]byte{8, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 1, 2, 3, 4})
+	f.Add(make([]byte, 16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < pageHeaderSize || IsColumnarPage(data) {
+			return
+		}
+		var want [][]byte
+		werr := WalkPage(data, func(rec []byte) error {
+			want = append(want, rec)
+			return nil
+		})
+		offs, minLen, err := RecordOffsets(data, nil)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("RecordOffsets error %v, WalkPage error %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if len(offs) != len(want) {
+			t.Fatalf("RecordOffsets found %d records, WalkPage %d", len(offs), len(want))
+		}
+		shortest := 0
+		for i, off := range offs {
+			n := RecordLen(data, off)
+			if n != len(want[i]) || (n > 0 && &data[off] != &want[i][0]) {
+				t.Fatalf("record %d: offset %d length %d, WalkPage saw length %d elsewhere", i, off, n, len(want[i]))
+			}
+			if i == 0 || n < shortest {
+				shortest = n
+			}
+		}
+		if minLen != shortest {
+			t.Fatalf("minLen %d, shortest record is %d", minLen, shortest)
+		}
+	})
+}
+
 // validZoneMapSeed marshals a real two-page map under fuzzZoneSpec.
 func validZoneMapSeed(t testing.TB) []byte {
 	z, err := NewZoneMap(fuzzZoneSpec())

@@ -64,9 +64,11 @@ func fnv1a(key []byte) uint64 {
 // initHashPage formats a fresh page as an empty hash partition.
 func initHashPage(p *core.Page, valSize int) *hashPartition {
 	buf := p.Bytes()
-	nb := uint32(len(buf) / (hashFillDenom * 32))
-	if nb < 16 {
-		nb = 16
+	// The bucket count is a power of two (at least 16), so a key's bucket is
+	// a mask of its hash, not a division on every lookup.
+	nb := uint32(16)
+	for int(nb)*2*hashFillDenom*32 <= len(buf) {
+		nb *= 2
 	}
 	binary.LittleEndian.PutUint32(buf[0:4], nb)
 	binary.LittleEndian.PutUint32(buf[4:8], 0)
@@ -110,10 +112,10 @@ func (hp *hashPartition) entry(off uint32) []byte {
 	return hp.page.Bytes()[base:]
 }
 
-// find returns the slab offset (+1) of the entry holding key, or 0.
-func (hp *hashPartition) find(key []byte) uint32 {
-	b := uint32(fnv1a(key) % uint64(hp.nb))
-	for off := hp.bucketHead(b); off != 0; {
+// find returns the slab offset (+1) of the entry holding key, whose hash is
+// h, or 0.
+func (hp *hashPartition) find(h uint64, key []byte) uint32 {
+	for off := hp.bucketHead(uint32(h) & (hp.nb - 1)); off != 0; {
 		e := hp.entry(off)
 		klen := binary.LittleEndian.Uint32(e[4:8])
 		if int(klen) == len(key) && string(e[entryHdrSize+hp.vs:entryHdrSize+hp.vs+int(klen)]) == string(key) {
@@ -129,23 +131,24 @@ func (hp *hashPartition) value(off uint32) []byte {
 	return hp.entry(off)[entryHdrSize : entryHdrSize+hp.vs]
 }
 
-// insert allocates a new entry; returns false when the page's slab is full.
-func (hp *hashPartition) insert(key, val []byte) bool {
+// insert allocates a new entry for key, whose hash is h, with a zeroed value
+// and returns its slab offset (+1), or 0 when the page's slab is full.
+func (hp *hashPartition) insert(h uint64, key []byte) uint32 {
 	chunk, ok := hp.slab.Alloc(entryHdrSize + hp.vs + len(key))
 	if !ok {
-		return false
+		return 0
 	}
 	off := uint32(chunk + 1)
 	e := hp.entry(off)
-	b := uint32(fnv1a(key) % uint64(hp.nb))
+	b := uint32(h) & (hp.nb - 1)
 	binary.LittleEndian.PutUint32(e[0:4], hp.bucketHead(b))
 	binary.LittleEndian.PutUint32(e[4:8], uint32(len(key)))
-	copy(e[entryHdrSize:entryHdrSize+hp.vs], val)
+	clear(e[entryHdrSize : entryHdrSize+hp.vs])
 	copy(e[entryHdrSize+hp.vs:], key)
 	hp.setBucketHead(b, off)
 	buf := hp.page.Bytes()
 	binary.LittleEndian.PutUint32(buf[4:8], binary.LittleEndian.Uint32(buf[4:8])+1)
-	return true
+	return off
 }
 
 // walk calls fn for every (key, value) in the partition.
@@ -214,44 +217,66 @@ func (h *VirtualHashBuffer) Upsert(key, val []byte) error {
 	if len(val) != h.valSize {
 		return fmt.Errorf("services: value size %d, buffer configured for %d", len(val), h.valSize)
 	}
-	r := fnv1a(key) % h.k
+	slot, fresh, err := h.Slot(key)
+	if err != nil {
+		return err
+	}
+	if fresh {
+		copy(slot, val)
+	} else {
+		h.combine(slot, val)
+	}
+	return nil
+}
+
+// Slot returns the key's value in its partition's active page for the
+// caller to fold into in place, inserting a zeroed one (fresh=true) if the
+// key is not there — it may still exist in a retired page; Result merges the
+// partials. The slice aliases the pinned page and is valid until the
+// buffer's next Slot, Upsert or Close.
+func (h *VirtualHashBuffer) Slot(key []byte) (val []byte, fresh bool, err error) {
+	// One hash serves both levels: its high half picks the root partition,
+	// its low half the bucket within the partition's page.
+	hash := fnv1a(key)
+	r := (hash >> 32) % h.k
 	hp := h.parts[r]
 	if hp != nil {
-		if off := hp.find(key); off != 0 {
-			h.combine(hp.value(off), val)
-			return nil
+		if off := hp.find(hash, key); off != 0 {
+			return hp.value(off), false, nil
 		}
-		if hp.insert(key, val) {
-			return nil
+		if off := hp.insert(hash, key); off != 0 {
+			return hp.value(off), true, nil
 		}
 		// Page full: retire it (unpin dirty; it becomes a spill candidate)
 		// and split a fresh child partition below.
 		if err := h.set.Unpin(hp.page, true); err != nil {
-			return err
+			return nil, false, err
 		}
 		h.parts[r] = nil
 	}
 	p, err := h.set.NewPage()
 	if err != nil {
-		return err
+		return nil, false, err
 	}
 	hp = initHashPage(p, h.valSize)
 	h.parts[r] = hp
-	if !hp.insert(key, val) {
-		return fmt.Errorf("services: key of %d bytes does not fit an empty hash page of %d bytes", len(key), h.set.PageSize())
+	off := hp.insert(hash, key)
+	if off == 0 {
+		return nil, false, fmt.Errorf("services: key of %d bytes does not fit an empty hash page of %d bytes", len(key), h.set.PageSize())
 	}
-	return nil
+	return hp.value(off), true, nil
 }
 
 // Find returns a copy of the key's value in its partition's active page. ok
 // is false if the key is absent there (it may still exist in spilled
 // partials).
 func (h *VirtualHashBuffer) Find(key []byte) (val []byte, ok bool) {
-	hp := h.parts[fnv1a(key)%h.k]
+	hash := fnv1a(key)
+	hp := h.parts[(hash>>32)%h.k]
 	if hp == nil {
 		return nil, false
 	}
-	off := hp.find(key)
+	off := hp.find(hash, key)
 	if off == 0 {
 		return nil, false
 	}

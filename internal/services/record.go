@@ -136,3 +136,53 @@ func WalkPage(buf []byte, fn func(rec []byte) error) error {
 	}
 	return nil
 }
+
+// RecordOffsets is WalkPage's framing walk of a row page without the
+// callback: it appends the payload offset of every record — every region, in
+// page order — to offs, and returns the extended slice with the length of
+// the shortest record (0 for an empty page). Record i is
+// buf[offs[i]:offs[i]+RecordLen(buf, offs[i])]; the query layer presents a
+// row page as a batch through this vector.
+func RecordOffsets(buf []byte, offs []int32) (_ []int32, minLen int, err error) {
+	rs := pageRegionSize(buf)
+	if rs <= 0 {
+		return offs, 0, fmt.Errorf("services: page has invalid region size %d", rs)
+	}
+	start := len(offs)
+	minLen = len(buf)
+	for base := pageHeaderSize; base+rs <= len(buf); base += rs {
+		end := base + rs
+		for off := base; off+recHeaderSize <= end; {
+			n := int(binary.LittleEndian.Uint32(buf[off : off+4]))
+			if n == 0 {
+				break
+			}
+			stride := recHeaderSize + n
+			if off+stride > end {
+				return offs, 0, fmt.Errorf("services: corrupt record of %d bytes at offset %d (region end %d)", n, off, end)
+			}
+			minLen = min(minLen, n)
+			// A run of records of this same length — every record, in a
+			// fixed-width table — is stepped over by the known stride: the
+			// next header's address then does not wait on this header's
+			// load, which is what bounds a walk that follows the lengths.
+			for {
+				offs = append(offs, int32(off+recHeaderSize))
+				off += stride
+				if off+stride > end || int(binary.LittleEndian.Uint32(buf[off:off+4])) != n {
+					break
+				}
+			}
+		}
+	}
+	if len(offs) == start {
+		minLen = 0
+	}
+	return offs, minLen, nil
+}
+
+// RecordLen returns the length of the record whose payload starts at off, as
+// RecordOffsets reported it.
+func RecordLen(buf []byte, off int32) int {
+	return int(binary.LittleEndian.Uint32(buf[off-recHeaderSize : off]))
+}

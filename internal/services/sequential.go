@@ -194,6 +194,14 @@ func (it *PageIterator) Next() (*core.Page, error) {
 // Release unpins a page returned by Next.
 func (it *PageIterator) Release(p *core.Page) error { return it.c.set.Unpin(p, false) }
 
+// stop ends the scan early: every page not yet claimed stays unclaimed, so
+// the scan's other threads finish the page they hold and then see the end.
+func (c *scanCursor) stop() {
+	c.mu.Lock()
+	c.next = len(c.nums)
+	c.mu.Unlock()
+}
+
 // ScanSet runs fn over every record of the set using numThreads concurrent
 // page iterators — the long-living worker-thread model of Fig 2, where each
 // worker pulls pages in a loop rather than scheduling one task per block.
@@ -201,48 +209,51 @@ func (it *PageIterator) Release(p *core.Page) error { return it.c.set.Unpin(p, f
 // one cursor), but fn is only ever called with thread t from worker t's
 // goroutine, so callbacks keep per-thread state indexed by thread.
 func ScanSet(set *core.LocalitySet, numThreads int, fn func(thread int, rec []byte) error) error {
-	return ScanPages(set, set.PageNums(), numThreads, fn)
+	return ForEachPage(set, set.PageNums(), numThreads, func(t int, page []byte) error {
+		return WalkPage(page, func(rec []byte) error { return fn(t, rec) })
+	})
 }
 
-// ScanPages is ScanSet restricted to an explicit page list — the row-scan
-// substrate for predicate pushdown, where the query layer's zone-map prune
-// has already dropped pages no matching row can live in.
-func ScanPages(set *core.LocalitySet, nums []int64, numThreads int, fn func(thread int, rec []byte) error) error {
+// ForEachPage is the one page loop under every scan — ScanSet's record walk
+// and the query layer's batches alike: numThreads workers share one cursor
+// over the listed pages (a predicate scan lists only what its side indexes
+// kept), and fn sees each page's bytes while the page is pinned. The first
+// error — fn's, a pin's or an unpin's — stops the cursor, so the other
+// workers finish the page they hold instead of walking to the end of the
+// set, and is returned once they have; CurrentOperation is cleared on every
+// exit, so a failed scan does not leave an idle set looking read to the
+// paging policy.
+func ForEachPage(set *core.LocalitySet, nums []int64, numThreads int, fn func(thread int, page []byte) error) error {
 	iters := PageIteratorsFor(set, nums, numThreads)
+	defer set.SetCurrentOp(core.OpNone)
+	errs := make([]error, len(iters))
 	var wg sync.WaitGroup
-	errCh := make(chan error, numThreads)
 	for t, it := range iters {
 		wg.Add(1)
 		go func(t int, it *PageIterator) {
 			defer wg.Done()
-			for {
+			for errs[t] == nil {
 				p, err := it.Next()
-				if err != nil {
-					errCh <- err
-					return
+				if err != nil || p == nil {
+					errs[t] = err
+					break
 				}
-				if p == nil {
-					return
+				errs[t] = fn(t, p.Bytes())
+				if uerr := it.Release(p); errs[t] == nil {
+					errs[t] = uerr
 				}
-				err = WalkPage(p.Bytes(), func(rec []byte) error { return fn(t, rec) })
-				if uerr := it.Release(p); err == nil {
-					err = uerr
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
+			}
+			if errs[t] != nil {
+				it.c.stop()
 			}
 		}(t, it)
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	set.SetCurrentOp(core.OpNone)
 	return nil
 }
 

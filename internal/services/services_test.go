@@ -417,10 +417,32 @@ func TestHashBufferPropertySumMatchesMap(t *testing.T) {
 	}
 }
 
+// probeAll returns the payloads stored under key, through the two-step
+// probe: walk the key's records, then gather them.
+func probeAll(t *testing.T, m *JoinMap, key string) [][]byte {
+	t.Helper()
+	var recs []int32
+	for r := m.Head([]byte(key)); r >= 0; r = m.Next(r) {
+		recs = append(recs, r)
+	}
+	flat, err := m.Gather(recs, nil, &GatherScratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]byte, len(recs))
+	for i := range out {
+		out[i] = flat[i*m.Width() : (i+1)*m.Width()]
+	}
+	return out
+}
+
 func TestJoinMapProbe(t *testing.T) {
 	bp := newPool(t, 1<<20)
 	s := mkSet(t, bp, "jm", 4096)
-	m := NewJoinMap(s)
+	m, err := NewJoinMap(s, len("payload-000"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 200; i++ {
 		key := []byte(fmt.Sprintf("k%02d", i%20))
 		if err := m.Insert(key, []byte(fmt.Sprintf("payload-%03d", i))); err != nil {
@@ -433,37 +455,36 @@ func TestJoinMapProbe(t *testing.T) {
 	if m.Keys() != 20 || m.Len() != 200 {
 		t.Errorf("Keys=%d Len=%d, want 20, 200", m.Keys(), m.Len())
 	}
-	var hits int
-	if err := m.Probe([]byte("k03"), func(payload []byte) error {
-		hits++
+	hits := probeAll(t, m, "k03")
+	for _, payload := range hits {
 		var i int
 		if _, err := fmt.Sscanf(string(payload), "payload-%d", &i); err != nil {
-			return err
+			t.Fatal(err)
 		}
 		if i%20 != 3 {
 			t.Errorf("payload %q under wrong key", payload)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
-	if hits != 10 {
-		t.Errorf("hits = %d, want 10", hits)
+	if len(hits) != 10 {
+		t.Errorf("hits = %d, want 10", len(hits))
 	}
-	if err := m.Probe([]byte("absent"), func([]byte) error {
-		t.Error("probe of absent key must not call fn")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if m.Head([]byte("absent")) >= 0 {
+		t.Error("probe of absent key must find no record")
 	}
 }
 
-func TestJoinMapProbeAfterSpill(t *testing.T) {
+// TestJoinMapGatherAfterSpill: a build side eight times the pool spills as
+// it is written; gathering records scattered over all of it returns each
+// one's payload, in the order asked, pinning every page touched once.
+func TestJoinMapGatherAfterSpill(t *testing.T) {
 	bp := newPool(t, 64<<10)
 	s := mkSet(t, bp, "jm", 8<<10)
-	m := NewJoinMap(s)
+	m, err := NewJoinMap(s, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
 	payload := make([]byte, 128)
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 4000; i++ {
 		binary.LittleEndian.PutUint64(payload, uint64(i))
 		if err := m.Insert([]byte(fmt.Sprintf("key-%04d", i)), payload); err != nil {
 			t.Fatal(err)
@@ -475,46 +496,34 @@ func TestJoinMapProbeAfterSpill(t *testing.T) {
 	if bp.Stats().Spills.Load() == 0 {
 		t.Fatal("expected join map pages to spill")
 	}
-	for _, i := range []int{0, 517, 1999} {
-		var got uint64
-		var hits int
-		if err := m.Probe([]byte(fmt.Sprintf("key-%04d", i)), func(p []byte) error {
-			got = binary.LittleEndian.Uint64(p)
-			hits++
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if hits != 1 || got != uint64(i) {
-			t.Errorf("probe %d: hits=%d got=%d", i, hits, got)
+	for _, i := range []int{0, 517, 3999} {
+		hits := probeAll(t, m, fmt.Sprintf("key-%04d", i))
+		if len(hits) != 1 || binary.LittleEndian.Uint64(hits[0]) != uint64(i) {
+			t.Errorf("probe %d: %d hits", i, len(hits))
 		}
 	}
-}
-
-func TestBuildBroadcastMap(t *testing.T) {
-	bp := newPool(t, 1<<20)
-	src := mkSet(t, bp, "src", 4096)
-	var recs [][]byte
-	for i := 0; i < 100; i++ {
-		recs = append(recs, []byte(fmt.Sprintf("%02d:value-%03d", i%10, i)))
+	// One gather over records scattered across every page: consecutive lanes
+	// live on different pages, so only visiting them in page order keeps the
+	// loads of this 8-frame pool down to one a page.
+	var recs []int32
+	var want []uint64
+	for k := 0; k < 1000; k++ {
+		i := k * 617 % 4000
+		recs = append(recs, m.Head([]byte(fmt.Sprintf("key-%04d", i))))
+		want = append(want, uint64(i))
 	}
-	if err := WriteAll(src, recs); err != nil {
-		t.Fatal(err)
-	}
-	dst := mkSet(t, bp, "bcast", 4096)
-	m, err := BuildBroadcastMap(src, dst, func(rec []byte) ([]byte, error) {
-		return rec[:2], nil
-	})
+	loads := bp.Stats().Loads.Load()
+	flat, err := m.Gather(recs, nil, &GatherScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Keys() != 10 || m.Len() != 100 {
-		t.Errorf("Keys=%d Len=%d, want 10, 100", m.Keys(), m.Len())
+	for k, i := range want {
+		if got := binary.LittleEndian.Uint64(flat[k*128:]); got != i {
+			t.Fatalf("gathered lane %d holds record %d, want %d", k, got, i)
+		}
 	}
-	var hits int
-	_ = m.Probe([]byte("07"), func(payload []byte) error { hits++; return nil })
-	if hits != 10 {
-		t.Errorf("hits = %d, want 10", hits)
+	if loads = bp.Stats().Loads.Load() - loads; loads > s.NumPages() {
+		t.Errorf("gather of %d records loaded %d pages of %d; want each at most once", len(recs), loads, s.NumPages())
 	}
 }
 

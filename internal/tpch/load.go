@@ -37,7 +37,7 @@ func Load(e *query.Executor, d *Data, pageSize int64) error {
 // chosen by the caller. With LayoutColumnar the set is created with the
 // lineitem column widths and the workers' sequential writers transpose the
 // dispatched records into columnar pages; the other five tables stay
-// row-layout (they feed joins and point lookups through the row API).
+// row-layout (the plans read either layout through the same batches).
 func LoadLayout(e *query.Executor, d *Data, pageSize int64, layout core.PageLayout) error {
 	tables := map[string][][]byte{
 		"lineitem": d.Lineitem,

@@ -2,21 +2,22 @@ package tpch
 
 import (
 	"fmt"
-	"sync"
+	"math"
 	"sync/atomic"
 
 	"pangea/internal/cluster"
-	"pangea/internal/core"
 	"pangea/internal/query"
-	"pangea/internal/services"
 )
 
-// Runner executes the nine benchmark queries over a loaded deployment.
-// With UseReplicas set, the query scheduler consults the statistics service
-// and picks the co-partitioned replica for each join, so joins pipeline
-// locally with no repartition (the Pangea plan of §9.1.2). Without it, every
-// join input is repartitioned at runtime through a shuffle — the plan a
-// Spark application is forced into when loading from HDFS.
+// Runner executes the nine benchmark queries over a loaded deployment, each
+// written once against the batch engine: predicate scans over either page
+// layout, hash joins that build from and probe with batches, and per-thread
+// hash aggregation merged across nodes. With UseReplicas set, the query
+// scheduler consults the statistics service and picks the co-partitioned
+// replica for each join, so joins pipeline locally with no repartition (the
+// Pangea plan of §9.1.2). Without it, every join input is repartitioned at
+// runtime through a shuffle — the plan a Spark application is forced into
+// when loading from HDFS.
 type Runner struct {
 	E           *query.Executor
 	Threads     int
@@ -59,34 +60,12 @@ func (r *Runner) Run(q string) (Result, error) {
 	return nil, fmt.Errorf("tpch: unknown query %q", q)
 }
 
-// scan streams one node's partition of a set.
-func (r *Runner) scan(node int, set string) query.Iter {
-	return r.scanPred(node, set, nil, nil)
-}
-
-// scanPred streams one node's partition through the predicate scan API:
-// pred pushes down to the row closure, to the batch kernels on columnar
-// sets, and — when the set carries a zone map — to the page prune, so a
-// selective query never reads pages its filter excludes. schema describes
-// the record layout pred's column indices address (nil derives it for
-// columnar sets; row sets with a nil pred don't need one).
-func (r *Runner) scanPred(node int, set string, schema []services.ColumnSpec, pred query.Predicate) query.Iter {
-	return func(emit func(query.Row) error) error {
-		s, err := r.E.Set(node, set)
-		if err != nil {
-			return err
-		}
-		return query.ScanSpec{Set: s, Threads: r.Threads, Pred: pred, Schema: schema}.Iter()(emit)
-	}
-}
-
 // --- declarative benchmark filters -------------------------------------------
 //
-// The selective scans below express their filters in the predicate algebra,
-// one definition driving the row closure, the columnar kernels, and the
-// zone-map prune. Cross-column comparisons (Q04/Q12's commit-vs-receipt
-// dates) stay RowPred residuals under an And: they cannot prune, but the
-// algebraic siblings still can.
+// The scans below express their filters in the predicate algebra, one
+// definition driving the microindex lookup, the zone-map prune and the
+// selection kernels. Cross-column comparisons (Q04/Q12's commit-vs-receipt
+// dates) run as residual FilterBatch steps after the predicate.
 
 func q01Pred() query.Predicate {
 	return query.ColRange{Col: LiColShipDate, Lo: 0, Hi: uint64(Q01Cutoff) + 1}
@@ -100,13 +79,6 @@ func q06Pred() query.Predicate {
 	}
 }
 
-func q04LiPred() query.Predicate {
-	return query.RowPred(func(row query.Row) bool {
-		l := DecodeLineitem(row)
-		return l.CommitDate < l.ReceiptDate
-	})
-}
-
 func q12LiPred() query.Predicate {
 	return query.And{
 		query.Or{
@@ -114,10 +86,6 @@ func q12LiPred() query.Predicate {
 			query.ColEq{Col: LiColShipMode, V: uint64(Q12ModeB)},
 		},
 		query.ColRange{Col: LiColReceiptDate, Lo: uint64(Q12Lo), Hi: uint64(Q12Hi)},
-		query.RowPred(func(row query.Row) bool {
-			l := DecodeLineitem(row)
-			return l.CommitDate < l.ReceiptDate && l.ShipDate < l.CommitDate
-		}),
 	}
 }
 
@@ -125,153 +93,254 @@ func q14LiPred() query.Predicate {
 	return query.ColRange{Col: LiColShipDate, Lo: uint64(Q14Lo), Hi: uint64(Q14Hi)}
 }
 
-// ordersPredSchema exposes the two orders columns the benchmark filters on
-// to the predicate algebra; the rest of the record stays decode-accessed.
-func ordersPredSchema() []services.ColumnSpec {
-	return []services.ColumnSpec{
-		{Name: "o_orderdate", Width: 2, Offset: 17},
-		{Name: "o_special", Width: 1, Offset: 28},
-	}
-}
-
-const (
-	ordColOrderDate = 0
-	ordColSpecial   = 1
-)
-
 func q04OrdPred() query.Predicate {
-	return query.ColRange{Col: ordColOrderDate, Lo: uint64(Q04Lo), Hi: uint64(Q04Hi)}
+	return query.ColRange{Col: OrdColOrderDate, Lo: uint64(Q04Lo), Hi: uint64(Q04Hi)}
 }
 
 func q13OrdPred() query.Predicate {
-	return query.ColEq{Col: ordColSpecial, V: 0}
+	return query.ColEq{Col: OrdColSpecial, V: 0}
 }
+
+// q02SuppPred keeps the suppliers of Q02's region.
+func q02SuppPred() query.Predicate {
+	var nations query.Or
+	for n := byte(0); n < NationCount; n++ {
+		if NationRegion(n) == Q02Region {
+			nations = append(nations, query.ColEq{Col: SuppColNationKey, V: uint64(n)})
+		}
+	}
+	return nations
+}
+
+// q22CustPred keeps customers in the seven phone codes whose balance
+// exceeds minBal.
+func q22CustPred(minBal float64) query.Predicate {
+	var codes query.Or
+	for _, c := range Q22Codes {
+		codes = append(codes, query.ColEq{Col: CustColPhoneCode, V: uint64(c)})
+	}
+	return query.And{codes, query.ColRangeF64{
+		Col: CustColAcctBal, Lo: math.Nextafter(minBal, math.Inf(1)), Hi: math.Inf(1)}}
+}
+
+// late keeps the lineitems received after their commit date (Q04, Q12).
+func late(b *query.Batch, row int) bool {
+	return b.U16(LiColCommitDate, row) < b.U16(LiColReceiptDate, row)
+}
+
+// --- plan plumbing ------------------------------------------------------------
 
 // tempName mints a unique temp set name.
 func (r *Runner) tempName(tag string) string {
 	return fmt.Sprintf("tmp-%s-%d", tag, r.seq.Add(1))
 }
 
+// spec describes the scan of one node's partition of set, which holds
+// table's records — a source table, one of its replicas, or a temp set it
+// was exchanged or broadcast onto.
+func (r *Runner) spec(node int, set, table string, pred query.Predicate) (query.ScanSpec, error) {
+	s, err := r.E.Set(node, set)
+	return query.ScanSpec{Set: s, Threads: r.Threads, Pred: pred, Schema: Schemas[table]}, err
+}
+
+// rowFilter is a residual filter over a batch's rows, for the shapes the
+// predicate algebra does not express; nil keeps every row.
+type rowFilter func(b *query.Batch, row int) bool
+
 // input resolves a join input: in replica mode the statistics service
-// supplies the replica partitioned under scheme; otherwise the (filtered)
-// source is repartitioned at runtime onto a temp set — the shuffle a
-// layered engine cannot avoid. src supplies each node's (typically
-// predicate-filtered) source stream; nil scans the whole table. cleanup
-// drops any temp set.
-func (r *Runner) input(table, scheme string, key func(query.Row) []byte, src func(node int) query.Iter) (string, func(), error) {
+// supplies the replica partitioned under scheme; otherwise the source,
+// filtered by pred and filter, is repartitioned at runtime onto a temp set —
+// the shuffle a layered engine cannot avoid. cleanup drops any temp set.
+func (r *Runner) input(table, scheme string, key func(query.Row) []byte, pred query.Predicate, filter rowFilter) (string, func(), error) {
 	if r.UseReplicas {
 		if set, ok := r.E.ChooseReplica(table, scheme); ok {
 			return set, func() {}, nil
 		}
 	}
 	tmp := r.tempName(table)
-	if src == nil {
-		src = func(node int) query.Iter { return r.scan(node, table) }
-	}
-	if err := r.E.Exchange(tmp, src, key, r.PageSize); err != nil {
+	if err := r.exchange(tmp, table, key, pred, filter); err != nil {
 		return "", nil, err
 	}
 	return tmp, func() { r.E.DropEverywhere(tmp) }, nil
 }
 
-// --- aggregation plumbing ---------------------------------------------------
+// exchange repartitions table's rows matching pred and filter onto the new
+// set tmp.
+func (r *Runner) exchange(tmp, table string, key func(query.Row) []byte, pred query.Predicate, filter rowFilter) error {
+	return r.E.Exchange(tmp, func(node int) query.Iter {
+		return func(emit func(query.Row) error) error {
+			sp, err := r.spec(node, table, table, pred)
+			if err != nil {
+				return err
+			}
+			return sp.RunBatches(func(_ int, b *query.Batch) error {
+				if filter != nil {
+					query.FilterBatch(b, filter)
+				}
+				return query.ProjectBatch(b, emit)
+			})
+		}
+	}, key, r.PageSize)
+}
 
-// f64Spec builds an AggSpec whose accumulator is a vector of n float64s
-// combined element-wise with +.
-func f64Spec(n int, key func(query.Row) []byte, init func(query.Row, []float64)) query.AggSpec {
-	return query.AggSpec{
-		Key:     key,
-		ValSize: 8 * n,
-		Init: func(row query.Row, val []byte) {
-			v := make([]float64, n)
-			init(row, v)
-			for i, x := range v {
-				putF64(val[8*i:], x)
-			}
-		},
-		Combine: func(dst, src []byte) {
-			for i := 0; i < n; i++ {
-				putF64(dst[8*i:], getF64(dst[8*i:])+getF64(src[8*i:]))
-			}
-		},
+// build constructs one node's join build side from the rows of set matching
+// pred and filter (nil allowed): keyCol is the join key, cols the columns
+// the probe side will read. The caller must drop the returned join.
+func (r *Runner) build(node int, tag, set, table string, pred query.Predicate, filter rowFilter, keyCol int, cols ...int) (*query.Join, error) {
+	sp, err := r.spec(node, set, table, pred)
+	if err != nil {
+		return nil, err
+	}
+	widths := make([]int, len(cols))
+	for i, c := range cols {
+		widths[i] = Schemas[table][c].Width
+	}
+	j, err := query.NewJoin(r.E.Workers[node].Pool(), r.tempName(tag), r.PageSize, widths...)
+	if err != nil {
+		return nil, err
+	}
+	err = sp.RunBatches(func(_ int, b *query.Batch) error {
+		if filter != nil {
+			query.FilterBatch(b, filter)
+		}
+		return j.Add(b, keyCol, cols...)
+	})
+	if err == nil {
+		err = j.Seal()
+	}
+	if err != nil {
+		drop(j)
+		return nil, err
+	}
+	return j, nil
+}
+
+// drop releases a join's temp set on a cleanup path, where a failure to has
+// nobody to report to.
+func drop(j *query.Join) { _ = j.Drop() }
+
+// aggregate runs one node's scan → stage → hash-aggregate pipeline.
+func (r *Runner) aggregate(node int, tag, set, table string, pred query.Predicate, stage query.Stage, spec query.BatchAggSpec) (map[string][]byte, error) {
+	sp, err := r.spec(node, set, table, pred)
+	if err != nil {
+		return nil, err
+	}
+	return sp.AggBatches(r.E.Workers[node].Pool(), r.tempName(tag), stage, spec)
+}
+
+// semi is the pipeline stage that keeps the rows with a match in j.
+func semi(j *query.Join, keyCol int) query.Stage {
+	return func(_ int, b *query.Batch) (*query.Batch, error) {
+		j.Semi(b, keyCol)
+		return b, nil
 	}
 }
 
-// decodeF64s converts an aggregated byte map into a Result.
-func decodeF64s(m map[string][]byte) Result {
+// chain runs stages in turn, each on the batch the one before it returned.
+func chain(stages ...query.Stage) query.Stage {
+	return func(t int, b *query.Batch) (_ *query.Batch, err error) {
+		for _, stage := range stages {
+			if b, err = stage(t, b); err != nil {
+				return nil, err
+			}
+		}
+		return b, nil
+	}
+}
+
+// inner is the pipeline stage that joins each batch with j: downstream
+// sees carry's columns followed by j's projected build columns, narrowed by
+// filter (nil allowed).
+func (r *Runner) inner(j *query.Join, keyCol int, carry []int, filter rowFilter) query.Stage {
+	outs := make([]query.Batch, r.Threads)
+	return func(t int, b *query.Batch) (*query.Batch, error) {
+		out := &outs[t]
+		if err := j.Inner(b, keyCol, carry, out); err != nil {
+			return nil, err
+		}
+		if filter != nil {
+			query.FilterBatch(out, filter)
+		}
+		return out, nil
+	}
+}
+
+// --- aggregation plumbing ---------------------------------------------------
+
+// Accumulators are vectors of float64s combined element-wise with +.
+
+func addF64(val []byte, i int, x float64) { putF64(val[8*i:], getF64(val[8*i:])+x) }
+
+func addF64s(dst, src []byte) {
+	for i := 0; i+8 <= len(dst); i += 8 {
+		putF64(dst[i:], getF64(dst[i:])+getF64(src[i:]))
+	}
+}
+
+// starKey is the grouping key of single-row results.
+func starKey(_ *query.Batch, _ int, dst []byte) []byte { return append(dst, '*') }
+
+// colKey groups by one column's value.
+func colKey(c int) func(*query.Batch, int, []byte) []byte {
+	return func(b *query.Batch, row int, dst []byte) []byte {
+		w := b.Width(c)
+		return append(dst, b.Col(c)[row*w:row*w+w]...)
+	}
+}
+
+// decodeF64s converts an aggregated byte map into a Result, renaming each
+// group key through name (nil keeps it).
+func decodeF64s(m map[string][]byte, name func(key string) string) Result {
 	out := Result{}
 	for k, v := range m {
 		fs := make([]float64, len(v)/8)
 		for i := range fs {
 			fs[i] = getF64(v[8*i:])
 		}
+		if name != nil {
+			k = name(k)
+		}
 		out[k] = fs
 	}
 	return out
 }
 
-var starKey = []byte("*")
-
-// --- joins: per-node build helpers ------------------------------------------
-
-// buildMap constructs a node-local join map from a pipeline. The caller
-// must drop the returned set when done probing.
-func (r *Runner) buildMap(node int, tag string, in query.Iter, key func(query.Row) []byte) (*joinHandle, error) {
-	w := r.E.Workers[node]
-	set, err := w.Pool().CreateSet(core.SetSpec{Name: r.tempName(tag), PageSize: r.PageSize})
-	if err != nil {
-		return nil, err
-	}
-	m, err := query.BuildPartitionedMap(in, set, key)
-	if err != nil {
-		_ = w.Pool().DropSet(set)
-		return nil, err
-	}
-	return &joinHandle{m: m, set: set, pool: w.Pool()}, nil
-}
-
-type joinHandle struct {
-	m    *services.JoinMap
-	set  *core.LocalitySet
-	pool *core.BufferPool
-}
-
-func (h *joinHandle) drop() { _ = h.pool.DropSet(h.set) }
-
 // --- Q01: pricing summary report -------------------------------------------
 
 // Q01 scans lineitem with a date filter and aggregates five metrics by
-// (returnflag, linestatus). No join: both modes share the plan. Columnar
-// lineitem runs the vectorized batch pipeline instead of the row iterators.
+// (returnflag, linestatus). No join: both modes share the plan.
 func (r *Runner) Q01() (Result, error) {
-	if r.lineitemColumnar() {
-		return r.q01Batch()
+	spec := query.BatchAggSpec{
+		Key: func(b *query.Batch, row int, dst []byte) []byte {
+			return append(dst, b.Byte(LiColReturnFlag, row), b.Byte(LiColLineStatus, row))
+		},
+		ValSize: 40,
+		Accumulate: func(b *query.Batch, row int, val []byte) {
+			price := b.F64(LiColExtendedPrice, row)
+			disc := price * (1 - b.F64(LiColDiscount, row))
+			addF64(val, 0, float64(b.U32(LiColQuantity, row)))
+			addF64(val, 1, price)
+			addF64(val, 2, disc)
+			addF64(val, 3, disc*(1+b.F64(LiColTax, row)))
+			addF64(val, 4, 1)
+		},
+		Combine: addF64s,
 	}
-	spec := f64Spec(5,
-		func(row query.Row) []byte { return row[56:58] }, // returnflag, linestatus
-		func(row query.Row, v []float64) {
-			l := DecodeLineitem(row)
-			disc := l.ExtendedPrice * (1 - l.Discount)
-			v[0] = float64(l.Quantity)
-			v[1] = l.ExtendedPrice
-			v[2] = disc
-			v[3] = disc * (1 + l.Tax)
-			v[4] = 1
-		})
-	m, err := r.E.DistributedAggregate("q01", func(node int) query.Iter {
-		return r.scanPred(node, "lineitem", LineitemSchema(), q01Pred())
-	}, spec)
+	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
+		return r.aggregate(node, "q01", "lineitem", "lineitem", q01Pred(), nil, spec)
+	}, spec.Combine)
 	if err != nil {
 		return nil, err
 	}
-	return decodeF64s(m), nil
+	return decodeF64s(m, nil), nil
 }
 
 // --- Q02: minimum cost supplier ---------------------------------------------
 
-// Q02 broadcasts the small part and supplier tables, then makes two
-// distributed passes over partsupp: one to find each wanted part's minimum
-// supply cost in the region, one to count the pairs achieving it.
+// Q02 broadcasts the small part and supplier tables, builds each node's two
+// dimension joins from them once, then makes two distributed passes over
+// partsupp: one to find each wanted part's minimum supply cost in the
+// region, one to count the pairs achieving it.
 func (r *Runner) Q02() (Result, error) {
 	partB, suppB := r.tempName("q02part"), r.tempName("q02supp")
 	if err := r.E.Broadcast("part", partB, r.PageSize); err != nil {
@@ -283,101 +352,99 @@ func (r *Runner) Q02() (Result, error) {
 	}
 	defer r.E.DropEverywhere(suppB)
 
-	// Per-node dimension maps (broadcast map service).
-	type dims struct {
-		wanted map[uint64]bool
-		nation map[uint64]byte
-		bal    map[uint64]float64
-	}
-	nodeDims := make([]dims, len(r.E.Workers))
-	buildDims := func(node int) (dims, error) {
-		d := dims{wanted: map[uint64]bool{}, nation: map[uint64]byte{}, bal: map[uint64]float64{}}
-		if err := r.scan(node, partB)(func(row query.Row) error {
-			p := DecodePart(row)
-			if p.Size == Q02Size && p.TypeSuffix == TypeSuffixBrass {
-				d.wanted[p.PartKey] = true
+	// Per-node dimension joins: the wanted parts (keys only) and the
+	// region's suppliers with their balance.
+	wanted := make([]*query.Join, len(r.E.Workers))
+	supp := make([]*query.Join, len(r.E.Workers))
+	defer func() {
+		for node := range wanted {
+			if wanted[node] != nil {
+				drop(wanted[node])
 			}
-			return nil
-		}); err != nil {
-			return d, err
+			if supp[node] != nil {
+				drop(supp[node])
+			}
 		}
-		if err := r.scan(node, suppB)(func(row query.Row) error {
-			s := DecodeSupplier(row)
-			d.nation[s.SuppKey] = s.NationKey
-			d.bal[s.SuppKey] = s.AcctBal
-			return nil
-		}); err != nil {
-			return d, err
-		}
-		return d, nil
-	}
-
-	// Pass 1: minimum supply cost per wanted part, min-combined.
-	minSpec := query.AggSpec{
-		Key:     func(row query.Row) []byte { return PsPartKey(row) },
-		ValSize: 8,
-		Init: func(row query.Row, val []byte) {
-			putF64(val, DecodePartSupp(row).SupplyCost)
-		},
-		Combine: func(dst, src []byte) {
-			if getF64(src) < getF64(dst) {
-				putF64(dst, getF64(src))
-			}
-		},
-	}
-	minRaw, err := r.E.DistributedAggregate("q02min", func(node int) query.Iter {
-		return func(emit func(query.Row) error) error {
-			d, err := buildDims(node)
-			if err != nil {
-				return err
-			}
-			nodeDims[node] = d
-			return query.Filter(r.scan(node, "partsupp"), func(row query.Row) bool {
-				ps := DecodePartSupp(row)
-				return d.wanted[ps.PartKey] && NationRegion(d.nation[ps.SuppKey]) == Q02Region
-			})(emit)
-		}
-	}, minSpec)
-	if err != nil {
-		return nil, err
-	}
-	minCost := make(map[uint64]float64, len(minRaw))
-	for k, v := range minRaw {
-		minCost[le.Uint64([]byte(k))] = getF64(v)
-	}
-
-	// Pass 2: count pairs at the minimum and sum supplier balances.
-	out := Result{"*": {0, 0}}
-	var mu sync.Mutex
-	err = r.E.Parallel(func(node int, _ *cluster.Worker) error {
-		d := nodeDims[node]
-		var rows, bal float64
-		err := r.scan(node, "partsupp")(func(row query.Row) error {
-			ps := DecodePartSupp(row)
-			c, ok := minCost[ps.PartKey]
-			if !ok || ps.SupplyCost != c {
-				return nil
-			}
-			if NationRegion(d.nation[ps.SuppKey]) != Q02Region {
-				return nil
-			}
-			rows++
-			bal += d.bal[ps.SuppKey]
-			return nil
-		})
+	}()
+	err := r.E.Parallel(func(node int, _ *cluster.Worker) (err error) {
+		wanted[node], err = r.build(node, "q02wanted", partB, "part", query.And{
+			query.ColEq{Col: PartColSize, V: uint64(Q02Size)},
+			query.ColEq{Col: PartColTypeSuffix, V: TypeSuffixBrass},
+		}, nil, PartColPartKey)
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		out["*"][0] += rows
-		out["*"][1] += bal
-		mu.Unlock()
-		return nil
+		supp[node], err = r.build(node, "q02region", suppB, "supplier", q02SuppPred(), nil, SuppColSuppKey, SuppColAcctBal)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+
+	// Pass 1: minimum supply cost per wanted part among the region's
+	// suppliers. The accumulator is [min f64][seen byte]: a new group's
+	// zeroed value is not a cost yet.
+	minSpec := query.BatchAggSpec{
+		Key:     colKey(PsColPartKey),
+		ValSize: 9,
+		Accumulate: func(b *query.Batch, row int, val []byte) {
+			if c := b.F64(PsColSupplyCost, row); val[8] == 0 || c < getF64(val) {
+				putF64(val, c)
+				val[8] = 1
+			}
+		},
+		Combine: func(dst, src []byte) {
+			if getF64(src) < getF64(dst) {
+				copy(dst, src)
+			}
+		},
+	}
+	minCost, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
+		return r.aggregate(node, "q02min", "partsupp", "partsupp", nil,
+			chain(semi(wanted[node], PsColPartKey), semi(supp[node], PsColSuppKey)), minSpec)
+	}, minSpec.Combine)
+	if err != nil {
+		return nil, err
+	}
+
+	// Pass 2: join partsupp with the minima, keep the pairs at the minimum,
+	// join those with the region's suppliers, count them and sum balances.
+	sumSpec := query.BatchAggSpec{
+		Key:     starKey,
+		ValSize: 16,
+		Accumulate: func(b *query.Batch, row int, val []byte) {
+			addF64(val, 0, 1)
+			addF64(val, 1, b.F64(0, row)) // s_acctbal
+		},
+		Combine: addF64s,
+	}
+	m, err := r.E.DistributedMerge(func(node int, w *cluster.Worker) (map[string][]byte, error) {
+		best, err := query.NewJoin(w.Pool(), r.tempName("q02best"), r.PageSize, 8)
+		if err != nil {
+			return nil, err
+		}
+		defer drop(best)
+		for part, v := range minCost {
+			if err := best.Insert([]byte(part), v[:8]); err != nil {
+				return nil, err
+			}
+		}
+		if err := best.Seal(); err != nil {
+			return nil, err
+		}
+		// After the first join: ps_suppkey, ps_supplycost, minimum cost.
+		atMin := r.inner(best, PsColPartKey, []int{PsColSuppKey, PsColSupplyCost},
+			func(b *query.Batch, row int) bool { return b.F64(1, row) == b.F64(2, row) })
+		withSupp := r.inner(supp[node], 0, nil, nil)
+		return r.aggregate(node, "q02", "partsupp", "partsupp", nil, chain(atMin, withSupp), sumSpec)
+	}, sumSpec.Combine)
+	if err != nil {
+		return nil, err
+	}
+	if len(m) == 0 {
+		return Result{"*": {0, 0}}, nil
+	}
+	return decodeF64s(m, nil), nil
 }
 
 // --- Q04: order priority checking -------------------------------------------
@@ -386,69 +453,58 @@ func (r *Runner) Q02() (Result, error) {
 // the o_orderkey/l_orderkey replicas the join is node-local; otherwise both
 // inputs are repartitioned first.
 func (r *Runner) Q04() (Result, error) {
-	liSet, liClean, err := r.input("lineitem", SchemeLOrderKey,
-		func(row query.Row) []byte { return LOrderKey(row) },
-		func(node int) query.Iter {
-			return r.scanPred(node, "lineitem", LineitemSchema(), q04LiPred())
-		})
+	liSet, liClean, err := r.input("lineitem", SchemeLOrderKey, LOrderKey, nil, late)
 	if err != nil {
 		return nil, err
 	}
 	defer liClean()
-	ordSet, ordClean, err := r.input("orders", SchemeOOrderKey,
-		func(row query.Row) []byte { return OOrderKey(row) },
-		func(node int) query.Iter {
-			return r.scanPred(node, "orders", ordersPredSchema(), q04OrdPred())
-		})
+	ordSet, ordClean, err := r.input("orders", SchemeOOrderKey, OOrderKey, q04OrdPred(), nil)
 	if err != nil {
 		return nil, err
 	}
 	defer ordClean()
 
-	spec := f64Spec(1,
-		func(row query.Row) []byte { return []byte(OrderPriorityName(row[19])) },
-		func(query.Row, []float64) {})
-	spec2 := spec
-	spec2.Init = func(row query.Row, val []byte) { putF64(val, 1) }
-
-	m, err := r.E.DistributedAggregate("q04", func(node int) query.Iter {
-		return func(emit func(query.Row) error) error {
-			h, err := r.buildMap(node, "q04map",
-				r.scanPred(node, liSet, LineitemSchema(), q04LiPred()),
-				func(row query.Row) []byte { return LOrderKey(row) })
-			if err != nil {
-				return err
-			}
-			defer h.drop()
-			probe := r.scanPred(node, ordSet, ordersPredSchema(), q04OrdPred())
-			return query.SemiJoin(probe, h.m, func(row query.Row) []byte { return OOrderKey(row) })(emit)
+	spec := query.BatchAggSpec{
+		Key:        colKey(OrdColOrderPriority),
+		ValSize:    8,
+		Accumulate: func(_ *query.Batch, _ int, val []byte) { addF64(val, 0, 1) },
+		Combine:    addF64s,
+	}
+	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
+		lateLines, err := r.build(node, "q04late", liSet, "lineitem", nil, late, LiColOrderKey)
+		if err != nil {
+			return nil, err
 		}
-	}, spec2)
+		defer drop(lateLines)
+		return r.aggregate(node, "q04", ordSet, "orders", q04OrdPred(), semi(lateLines, OrdColOrderKey), spec)
+	}, spec.Combine)
 	if err != nil {
 		return nil, err
 	}
-	return decodeF64s(m), nil
+	return decodeF64s(m, func(k string) string { return OrderPriorityName(k[0]) }), nil
 }
 
 // --- Q06: forecasting revenue change -----------------------------------------
 
-// Q06 is a pure filter + sum over lineitem; columnar lineitem runs the
-// selection-kernel batch pipeline.
+// Q06 is a pure filter + sum over lineitem: three selection kernels narrow
+// each batch (shipdate band, discount band, quantity cap), then only the
+// surviving lanes' price and discount columns are touched.
 func (r *Runner) Q06() (Result, error) {
-	if r.lineitemColumnar() {
-		return r.q06Batch()
+	spec := query.BatchAggSpec{
+		Key:     starKey,
+		ValSize: 8,
+		Accumulate: func(b *query.Batch, row int, val []byte) {
+			addF64(val, 0, b.F64(LiColExtendedPrice, row)*b.F64(LiColDiscount, row))
+		},
+		Combine: addF64s,
 	}
-	spec := f64Spec(1, func(query.Row) []byte { return starKey },
-		func(row query.Row, v []float64) {
-			v[0] = LExtendedPrice(row) * LDiscount(row)
-		})
-	m, err := r.E.DistributedAggregate("q06", func(node int) query.Iter {
-		return r.scanPred(node, "lineitem", LineitemSchema(), q06Pred())
-	}, spec)
+	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
+		return r.aggregate(node, "q06", "lineitem", "lineitem", q06Pred(), nil, spec)
+	}, spec.Combine)
 	if err != nil {
 		return nil, err
 	}
-	return decodeF64s(m), nil
+	return decodeF64s(m, nil), nil
 }
 
 // --- Q12: shipping modes and order priority ----------------------------------
@@ -456,58 +512,46 @@ func (r *Runner) Q06() (Result, error) {
 // Q12 joins filtered lineitems with orders on orderkey and counts
 // high/low-priority lines per shipmode.
 func (r *Runner) Q12() (Result, error) {
-	liSet, liClean, err := r.input("lineitem", SchemeLOrderKey,
-		func(row query.Row) []byte { return LOrderKey(row) },
-		func(node int) query.Iter {
-			return r.scanPred(node, "lineitem", LineitemSchema(), q12LiPred())
-		})
+	onTime := func(b *query.Batch, row int) bool {
+		return late(b, row) && b.U16(LiColShipDate, row) < b.U16(LiColCommitDate, row)
+	}
+	liSet, liClean, err := r.input("lineitem", SchemeLOrderKey, LOrderKey, q12LiPred(), onTime)
 	if err != nil {
 		return nil, err
 	}
 	defer liClean()
-	ordSet, ordClean, err := r.input("orders", SchemeOOrderKey,
-		func(row query.Row) []byte { return OOrderKey(row) }, nil)
+	ordSet, ordClean, err := r.input("orders", SchemeOOrderKey, OOrderKey, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer ordClean()
 
-	// Joined rows are [shipmode byte, highPriority byte].
-	spec := f64Spec(2,
-		func(row query.Row) []byte { return []byte(ShipModeName(row[0])) },
-		func(row query.Row, v []float64) {
-			if row[1] == 1 {
-				v[0] = 1
+	// Joined rows are (o_orderpriority, l_shipmode).
+	spec := query.BatchAggSpec{
+		Key:     colKey(1),
+		ValSize: 16,
+		Accumulate: func(b *query.Batch, row int, val []byte) {
+			if b.Byte(0, row) <= 1 {
+				addF64(val, 0, 1)
 			} else {
-				v[1] = 1
+				addF64(val, 1, 1)
 			}
-		})
-	m, err := r.E.DistributedAggregate("q12", func(node int) query.Iter {
-		return func(emit func(query.Row) error) error {
-			h, err := r.buildMap(node, "q12map",
-				r.scanPred(node, liSet, LineitemSchema(), q12LiPred()),
-				func(row query.Row) []byte { return LOrderKey(row) })
-			if err != nil {
-				return err
-			}
-			defer h.drop()
-			joined := query.HashJoin(r.scan(node, ordSet), h.m,
-				func(row query.Row) []byte { return OOrderKey(row) },
-				func(ord, li query.Row) query.Row {
-					out := make(query.Row, 2)
-					out[0] = li[64] // shipmode
-					if p := ord[19]; p == 0 || p == 1 {
-						out[1] = 1
-					}
-					return out
-				})
-			return joined(emit)
+		},
+		Combine: addF64s,
+	}
+	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
+		lines, err := r.build(node, "q12lines", liSet, "lineitem", q12LiPred(), onTime, LiColOrderKey, LiColShipMode)
+		if err != nil {
+			return nil, err
 		}
-	}, spec)
+		defer drop(lines)
+		return r.aggregate(node, "q12", ordSet, "orders", nil,
+			r.inner(lines, OrdColOrderKey, []int{OrdColOrderPriority}, nil), spec)
+	}, spec.Combine)
 	if err != nil {
 		return nil, err
 	}
-	return decodeF64s(m), nil
+	return decodeF64s(m, func(k string) string { return ShipModeName(k[0]) }), nil
 }
 
 // --- Q13: customer distribution ----------------------------------------------
@@ -515,36 +559,34 @@ func (r *Runner) Q12() (Result, error) {
 // Q13 counts non-special orders per customer on the o_custkey organization,
 // then histograms customers by order count (including zero).
 func (r *Runner) Q13() (Result, error) {
-	ordSet, ordClean, err := r.input("orders", SchemeOCustKey,
-		func(row query.Row) []byte { return OCustKey(row) },
-		func(node int) query.Iter {
-			return r.scanPred(node, "orders", ordersPredSchema(), q13OrdPred())
-		})
+	ordSet, ordClean, err := r.input("orders", SchemeOCustKey, OCustKey, q13OrdPred(), nil)
 	if err != nil {
 		return nil, err
 	}
 	defer ordClean()
 
-	spec := f64Spec(1, func(row query.Row) []byte { return OCustKey(row) },
-		func(row query.Row, v []float64) { v[0] = 1 })
-	counts, err := r.E.DistributedAggregate("q13", func(node int) query.Iter {
-		return r.scanPred(node, ordSet, ordersPredSchema(), q13OrdPred())
-	}, spec)
+	spec := query.BatchAggSpec{
+		Key:        colKey(OrdColCustKey),
+		ValSize:    8,
+		Accumulate: func(_ *query.Batch, _ int, val []byte) { addF64(val, 0, 1) },
+		Combine:    addF64s,
+	}
+	counts, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
+		return r.aggregate(node, "q13", ordSet, "orders", q13OrdPred(), nil, spec)
+	}, spec.Combine)
 	if err != nil {
 		return nil, err
 	}
 
-	var totalCustomers int64
-	var mu sync.Mutex
+	var totalCustomers atomic.Int64
 	err = r.E.Parallel(func(node int, _ *cluster.Worker) error {
-		n, err := query.Count(r.scan(node, "customer"))
+		sp, err := r.spec(node, "customer", "customer", nil)
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		totalCustomers += n
-		mu.Unlock()
-		return nil
+		n, err := sp.CountBatches(nil)
+		totalCustomers.Add(n)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -554,7 +596,7 @@ func (r *Runner) Q13() (Result, error) {
 	for _, v := range counts {
 		hist[int(getF64(v))]++
 	}
-	hist[0] += float64(totalCustomers - int64(len(counts)))
+	hist[0] += float64(totalCustomers.Load() - int64(len(counts)))
 	if hist[0] == 0 {
 		delete(hist, 0)
 	}
@@ -570,55 +612,44 @@ func (r *Runner) Q13() (Result, error) {
 // Q14 joins one ship-month of lineitem with part on partkey and computes
 // the promo revenue share.
 func (r *Runner) Q14() (Result, error) {
-	liSet, liClean, err := r.input("lineitem", SchemeLPartKey,
-		func(row query.Row) []byte { return LPartKey(row) },
-		func(node int) query.Iter {
-			return r.scanPred(node, "lineitem", LineitemSchema(), q14LiPred())
-		})
+	liSet, liClean, err := r.input("lineitem", SchemeLPartKey, LPartKey, q14LiPred(), nil)
 	if err != nil {
 		return nil, err
 	}
 	defer liClean()
-	partSet, partClean, err := r.input("part", SchemePPartKey,
-		func(row query.Row) []byte { return PPartKey(row) }, nil)
+	partSet, partClean, err := r.input("part", SchemePPartKey, PPartKey, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer partClean()
 
-	spec := f64Spec(2, func(query.Row) []byte { return starKey },
-		func(row query.Row, v []float64) {
-			rev := getF64(row[1:9])
-			v[1] = rev
-			if row[0] == 1 {
-				v[0] = rev
+	// Joined rows are (l_extendedprice, l_discount, p_promo); the
+	// accumulator is [promo revenue, revenue].
+	spec := query.BatchAggSpec{
+		Key:     starKey,
+		ValSize: 16,
+		Accumulate: func(b *query.Batch, row int, val []byte) {
+			rev := b.F64(0, row) * (1 - b.F64(1, row))
+			addF64(val, 1, rev)
+			if b.Byte(2, row) == 1 {
+				addF64(val, 0, rev)
 			}
-		})
-	m, err := r.E.DistributedAggregate("q14", func(node int) query.Iter {
-		return func(emit func(query.Row) error) error {
-			h, err := r.buildMap(node, "q14map", r.scan(node, partSet),
-				func(row query.Row) []byte { return PPartKey(row) })
-			if err != nil {
-				return err
-			}
-			defer h.drop()
-			joined := query.HashJoin(r.scanPred(node, liSet, LineitemSchema(), q14LiPred()), h.m,
-				func(row query.Row) []byte { return LPartKey(row) },
-				func(li, part query.Row) query.Row {
-					out := make(query.Row, 9)
-					out[0] = part[10] // promo flag
-					l := DecodeLineitem(li)
-					putF64(out[1:9], l.ExtendedPrice*(1-l.Discount))
-					return out
-				})
-			return joined(emit)
+		},
+		Combine: addF64s,
+	}
+	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
+		parts, err := r.build(node, "q14part", partSet, "part", nil, nil, PartColPartKey, PartColPromo)
+		if err != nil {
+			return nil, err
 		}
-	}, spec)
+		defer drop(parts)
+		return r.aggregate(node, "q14", liSet, "lineitem", q14LiPred(),
+			r.inner(parts, LiColPartKey, []int{LiColExtendedPrice, LiColDiscount}, nil), spec)
+	}, spec.Combine)
 	if err != nil {
 		return nil, err
 	}
-	res := decodeF64s(m)
-	v := res["*"]
+	v := decodeF64s(m, nil)["*"]
 	if v == nil || v[1] == 0 {
 		return Result{"*": {0}}, nil
 	}
@@ -627,89 +658,79 @@ func (r *Runner) Q14() (Result, error) {
 
 // --- Q17: small-quantity-order revenue ----------------------------------------
 
-// Q17 needs each part's average lineitem quantity, which is node-local on
-// the l_partkey organization: two local passes over lineitem plus a local
-// part map, no data movement at all in replica mode.
+// Q17 needs each wanted part's average lineitem quantity, which is
+// node-local on the l_partkey organization: two local passes over lineitem
+// against local joins, no data movement at all in replica mode.
 func (r *Runner) Q17() (Result, error) {
-	liSet, liClean, err := r.input("lineitem", SchemeLPartKey,
-		func(row query.Row) []byte { return LPartKey(row) }, nil)
+	liSet, liClean, err := r.input("lineitem", SchemeLPartKey, LPartKey, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer liClean()
-	partSet, partClean, err := r.input("part", SchemePPartKey,
-		func(row query.Row) []byte { return PPartKey(row) }, nil)
+	partSet, partClean, err := r.input("part", SchemePPartKey, PPartKey, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer partClean()
 
-	spec := f64Spec(1, func(query.Row) []byte { return starKey },
-		func(row query.Row, v []float64) { v[0] = getF64(row) })
-	m, err := r.E.DistributedAggregate("q17", func(node int) query.Iter {
-		return func(emit func(query.Row) error) error {
-			// Local pass 1: average quantity per partkey through the hash
-			// service (exact under partkey co-partitioning).
-			w := r.E.Workers[node]
-			aggSet, err := w.Pool().CreateSet(core.SetSpec{Name: r.tempName("q17avg"), PageSize: r.PageSize})
-			if err != nil {
-				return err
-			}
-			defer func() { _ = w.Pool().DropSet(aggSet) }()
-			avgSpec := f64Spec(2, func(row query.Row) []byte { return LPartKey(row) },
-				func(row query.Row, v []float64) {
-					v[0] = float64(LQuantity(row))
-					v[1] = 1
-				})
-			h, err := query.LocalAggregate(r.scan(node, liSet), aggSet, 8, avgSpec)
-			if err != nil {
-				return err
-			}
-			// Merge partials (keys may repeat across spilled pages).
-			qtySum := make(map[uint64]float64)
-			qtyCnt := make(map[uint64]float64)
-			if err := h.Walk(func(key, val []byte) error {
-				pk := le.Uint64(key)
-				qtySum[pk] += getF64(val[0:8])
-				qtyCnt[pk] += getF64(val[8:16])
-				return nil
-			}); err != nil {
-				return err
-			}
-
-			// Local part filter (brand + container).
-			wanted := make(map[uint64]bool)
-			if err := r.scan(node, partSet)(func(row query.Row) error {
-				p := DecodePart(row)
-				if p.Brand == Q17Brand && p.Container == Q17Container {
-					wanted[p.PartKey] = true
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-
-			// Local pass 2: sum prices of small-quantity lines.
-			return r.scan(node, liSet)(func(row query.Row) error {
-				l := DecodeLineitem(row)
-				if !wanted[l.PartKey] {
-					return nil
-				}
-				avg := qtySum[l.PartKey] / qtyCnt[l.PartKey]
-				if float64(l.Quantity) >= 0.2*avg {
-					return nil
-				}
-				out := make(query.Row, 8)
-				putF64(out, l.ExtendedPrice)
-				return emit(out)
-			})
+	// Pass 1 accumulates [quantity sum, line count] per wanted part.
+	avgSpec := query.BatchAggSpec{
+		Key:     colKey(LiColPartKey),
+		ValSize: 16,
+		Accumulate: func(b *query.Batch, row int, val []byte) {
+			addF64(val, 0, float64(b.U32(LiColQuantity, row)))
+			addF64(val, 1, 1)
+		},
+		Combine: addF64s,
+	}
+	// Pass 2's joined rows are (l_quantity, l_extendedprice, 0.2 × the
+	// part's average quantity).
+	sumSpec := query.BatchAggSpec{
+		Key:        starKey,
+		ValSize:    8,
+		Accumulate: func(b *query.Batch, row int, val []byte) { addF64(val, 0, b.F64(1, row)) },
+		Combine:    addF64s,
+	}
+	m, err := r.E.DistributedMerge(func(node int, w *cluster.Worker) (map[string][]byte, error) {
+		// The local part filter (brand + container), keys only.
+		wanted, err := r.build(node, "q17part", partSet, "part", query.And{
+			query.ColEq{Col: PartColBrand, V: uint64(Q17Brand)},
+			query.ColEq{Col: PartColContainer, V: uint64(Q17Container)},
+		}, nil, PartColPartKey)
+		if err != nil {
+			return nil, err
 		}
-	}, spec)
+		defer drop(wanted)
+		// Local pass 1 (exact under partkey co-partitioning).
+		avgs, err := r.aggregate(node, "q17avg", liSet, "lineitem", nil, semi(wanted, LiColPartKey), avgSpec)
+		if err != nil {
+			return nil, err
+		}
+		small, err := query.NewJoin(w.Pool(), r.tempName("q17small"), r.PageSize, 8)
+		if err != nil {
+			return nil, err
+		}
+		defer drop(small)
+		var limit [8]byte
+		for part, v := range avgs {
+			putF64(limit[:], 0.2*(getF64(v)/getF64(v[8:])))
+			if err := small.Insert([]byte(part), limit[:]); err != nil {
+				return nil, err
+			}
+		}
+		if err := small.Seal(); err != nil {
+			return nil, err
+		}
+		// Local pass 2: sum prices of the wanted parts' small-quantity lines.
+		return r.aggregate(node, "q17", liSet, "lineitem", nil,
+			r.inner(small, LiColPartKey, []int{LiColQuantity, LiColExtendedPrice},
+				func(b *query.Batch, row int) bool { return float64(b.U32(0, row)) < b.F64(2, row) }),
+			sumSpec)
+	}, sumSpec.Combine)
 	if err != nil {
 		return nil, err
 	}
-	res := decodeF64s(m)
-	v := res["*"]
+	v := decodeF64s(m, nil)["*"]
 	if v == nil {
 		return Result{"*": {0}}, nil
 	}
@@ -720,31 +741,31 @@ func (r *Runner) Q17() (Result, error) {
 
 // Q22 anti-joins qualifying customers with orders on custkey.
 func (r *Runner) Q22() (Result, error) {
-	// Pass 1: average positive balance of customers in the seven codes.
-	avgSpec := f64Spec(2, func(query.Row) []byte { return starKey },
-		func(row query.Row, v []float64) {
-			c := DecodeCustomer(row)
-			v[0] = c.AcctBal
-			v[1] = 1
-		})
-	avgRaw, err := r.E.DistributedAggregate("q22avg", func(node int) query.Iter {
-		return query.Filter(r.scan(node, "customer"), func(row query.Row) bool {
-			c := DecodeCustomer(row)
-			return q22CodeIn(c.PhoneCode) && c.AcctBal > 0
-		})
-	}, avgSpec)
+	// Pass 1: average positive balance of customers in the seven codes;
+	// accumulators are [count, balance sum] here and per phone code below.
+	spec := query.BatchAggSpec{
+		Key:     starKey,
+		ValSize: 16,
+		Accumulate: func(b *query.Batch, row int, val []byte) {
+			addF64(val, 0, 1)
+			addF64(val, 1, b.F64(CustColAcctBal, row))
+		},
+		Combine: addF64s,
+	}
+	avgRaw, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
+		return r.aggregate(node, "q22avg", "customer", "customer", q22CustPred(0), nil, spec)
+	}, spec.Combine)
 	if err != nil {
 		return nil, err
 	}
 	v := avgRaw["*"]
-	if v == nil || getF64(v[8:]) == 0 {
+	if v == nil {
 		return Result{}, nil
 	}
-	avg := getF64(v[0:8]) / getF64(v[8:16])
+	avg := getF64(v[8:]) / getF64(v)
 
 	// Orders organized by custkey (replica or runtime exchange).
-	ordSet, ordClean, err := r.input("orders", SchemeOCustKey,
-		func(row query.Row) []byte { return OCustKey(row) }, nil)
+	ordSet, ordClean, err := r.input("orders", SchemeOCustKey, OCustKey, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -753,40 +774,26 @@ func (r *Runner) Q22() (Result, error) {
 	// customer table has no registered replica, so both modes exchange it
 	// (it is an order of magnitude smaller than orders).
 	custSet := r.tempName("q22cust")
-	if err := r.E.Exchange(custSet, func(node int) query.Iter {
-		return query.Filter(r.scan(node, "customer"), func(row query.Row) bool {
-			c := DecodeCustomer(row)
-			return q22CodeIn(c.PhoneCode) && c.AcctBal > avg
-		})
-	}, func(row query.Row) []byte { return CCustKey(row) }, r.PageSize); err != nil {
+	if err := r.exchange(custSet, "customer", CCustKey, q22CustPred(avg), nil); err != nil {
 		return nil, err
 	}
 	defer r.E.DropEverywhere(custSet)
 
-	spec := f64Spec(2,
-		func(row query.Row) []byte {
-			c := DecodeCustomer(row)
-			return []byte(fmt.Sprintf("%d", c.PhoneCode))
-		},
-		func(row query.Row, v []float64) {
-			v[0] = 1
-			v[1] = DecodeCustomer(row).AcctBal
-		})
-	m, err := r.E.DistributedAggregate("q22", func(node int) query.Iter {
-		return func(emit func(query.Row) error) error {
-			h, err := r.buildMap(node, "q22map", r.scan(node, ordSet),
-				func(row query.Row) []byte { return OCustKey(row) })
-			if err != nil {
-				return err
-			}
-			defer h.drop()
-			anti := query.AntiJoin(r.scan(node, custSet), h.m,
-				func(row query.Row) []byte { return CCustKey(row) })
-			return anti(emit)
+	spec.Key = colKey(CustColPhoneCode)
+	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
+		buyers, err := r.build(node, "q22buyers", ordSet, "orders", nil, nil, OrdColCustKey)
+		if err != nil {
+			return nil, err
 		}
-	}, spec)
+		defer drop(buyers)
+		return r.aggregate(node, "q22", custSet, "customer", nil,
+			func(_ int, b *query.Batch) (*query.Batch, error) {
+				buyers.Anti(b, CustColCustKey)
+				return b, nil
+			}, spec)
+	}, spec.Combine)
 	if err != nil {
 		return nil, err
 	}
-	return decodeF64s(m), nil
+	return decodeF64s(m, func(k string) string { return fmt.Sprintf("%d", le.Uint16([]byte(k))) }), nil
 }

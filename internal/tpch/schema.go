@@ -15,6 +15,8 @@ package tpch
 import (
 	"encoding/binary"
 	"math"
+
+	"pangea/internal/services"
 )
 
 // Dates are u16 days since 1992-01-01; the 7-year TPC-H date range spans
@@ -38,6 +40,99 @@ var le = binary.LittleEndian
 
 func putF64(b []byte, v float64) { le.PutUint64(b, math.Float64bits(v)) }
 func getF64(b []byte) float64    { return math.Float64frombits(le.Uint64(b)) }
+
+// Column indices into each table's schema, in record order. The widths in
+// Schemas mirror the fixed offsets of the Encode methods below exactly, so a
+// columnar page's reconstructed rows are byte-identical to row-layout
+// records, and a row page's gathered column vectors hold what the record
+// accessors read.
+const (
+	LiColOrderKey = iota
+	LiColPartKey
+	LiColSuppKey
+	LiColLineNumber
+	LiColQuantity
+	LiColExtendedPrice
+	LiColDiscount
+	LiColTax
+	LiColReturnFlag
+	LiColLineStatus
+	LiColShipDate
+	LiColCommitDate
+	LiColReceiptDate
+	LiColShipMode
+	LiColShipInstruct
+)
+
+const (
+	OrdColOrderKey = iota
+	OrdColCustKey
+	OrdColOrderStatus
+	OrdColOrderDate
+	OrdColOrderPriority
+	OrdColTotalPrice
+	OrdColSpecial
+)
+
+const (
+	CustColCustKey = iota
+	CustColAcctBal
+	CustColPhoneCode
+	CustColMktSegment
+)
+
+const (
+	PartColPartKey = iota
+	PartColBrand
+	PartColContainer
+	PartColPromo
+	PartColSize
+	PartColTypeSuffix
+)
+
+const (
+	SuppColSuppKey = iota
+	SuppColAcctBal
+	SuppColNationKey
+)
+
+const (
+	PsColPartKey = iota
+	PsColSuppKey
+	PsColSupplyCost
+)
+
+// Schemas describes every table's fixed-width columns — what the query
+// plans address batches by, and what core.SetSpec.Columns / the services
+// columnar writer lay a columnar set out by.
+var Schemas = map[string][]services.ColumnSpec{
+	"lineitem": services.MakeSchema(
+		[]string{"l_orderkey", "l_partkey", "l_suppkey", "l_linenumber",
+			"l_quantity", "l_extendedprice", "l_discount", "l_tax",
+			"l_returnflag", "l_linestatus", "l_shipdate", "l_commitdate",
+			"l_receiptdate", "l_shipmode", "l_shipinstruct"},
+		[]int{8, 8, 8, 4, 4, 8, 8, 8, 1, 1, 2, 2, 2, 1, 1}),
+	"orders": services.MakeSchema(
+		[]string{"o_orderkey", "o_custkey", "o_orderstatus", "o_orderdate",
+			"o_orderpriority", "o_totalprice", "o_special"},
+		[]int{8, 8, 1, 2, 1, 8, 1}),
+	"customer": services.MakeSchema(
+		[]string{"c_custkey", "c_acctbal", "c_phonecode", "c_mktsegment"},
+		[]int{8, 8, 2, 1}),
+	"part": services.MakeSchema(
+		[]string{"p_partkey", "p_brand", "p_container", "p_promo", "p_size", "p_typesuffix"},
+		[]int{8, 1, 1, 1, 1, 1}),
+	"supplier": services.MakeSchema(
+		[]string{"s_suppkey", "s_acctbal", "s_nationkey"},
+		[]int{8, 8, 1}),
+	"partsupp": services.MakeSchema(
+		[]string{"ps_partkey", "ps_suppkey", "ps_supplycost"},
+		[]int{8, 8, 8}),
+}
+
+// LineitemSchema is Schemas["lineitem"], the one table loaded columnar and
+// indexed.
+func LineitemSchema() []services.ColumnSpec { return Schemas["lineitem"] }
 
 // --- lineitem ---------------------------------------------------------------
 
@@ -121,25 +216,13 @@ func DecodeLineitem(r []byte) Lineitem {
 	}
 }
 
-// Field accessors that avoid a full decode on hot paths.
+// Key accessors for the partitioners and the exchange path.
 
 // LOrderKey reads l_orderkey from an encoded row.
 func LOrderKey(r []byte) []byte { return r[0:8] }
 
 // LPartKey reads l_partkey from an encoded row.
 func LPartKey(r []byte) []byte { return r[8:16] }
-
-// LShipDate reads l_shipdate.
-func LShipDate(r []byte) uint16 { return le.Uint16(r[58:60]) }
-
-// LQuantity reads l_quantity.
-func LQuantity(r []byte) uint32 { return le.Uint32(r[28:32]) }
-
-// LDiscount reads l_discount.
-func LDiscount(r []byte) float64 { return getF64(r[40:48]) }
-
-// LExtendedPrice reads l_extendedprice.
-func LExtendedPrice(r []byte) float64 { return getF64(r[32:40]) }
 
 // --- orders -----------------------------------------------------------------
 
@@ -202,9 +285,6 @@ func OOrderKey(r []byte) []byte { return r[0:8] }
 
 // OCustKey reads o_custkey from an encoded row.
 func OCustKey(r []byte) []byte { return r[8:16] }
-
-// OOrderDate reads o_orderdate.
-func OOrderDate(r []byte) uint16 { return le.Uint16(r[17:19]) }
 
 // --- customer ---------------------------------------------------------------
 
@@ -340,9 +420,6 @@ func (ps *PartSupp) Encode(dst []byte) {
 func DecodePartSupp(r []byte) PartSupp {
 	return PartSupp{PartKey: le.Uint64(r[0:8]), SuppKey: le.Uint64(r[8:16]), SupplyCost: getF64(r[16:24])}
 }
-
-// PsPartKey reads ps_partkey from an encoded row.
-func PsPartKey(r []byte) []byte { return r[0:8] }
 
 // --- nation / region ----------------------------------------------------------
 
