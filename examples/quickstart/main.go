@@ -87,12 +87,16 @@ func main() {
 	if err := shuffled.Close(); err != nil {
 		log.Fatal(err)
 	}
+	// A partition is read once: each page is freed as its reader releases it.
 	for p := 0; p < shuffled.Partitions(); p++ {
 		var n int
 		if err := shuffled.ReadPartition(p, 1, func([]byte) error { n++; return nil }); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("partition %d holds %d objects\n", p, n)
+	}
+	if err := shuffled.Drop(); err != nil {
+		log.Fatal(err)
 	}
 
 	// Hash service: virtual hash buffer with page-local tables.

@@ -61,8 +61,11 @@ type ReadingPattern uint8
 const (
 	// ReadNone means the set is not being read.
 	ReadNone ReadingPattern = iota
-	// SequentialRead: pages scanned front to back (sequential read
-	// service, shuffle read side).
+	// SequentialRead: every page visited once per scan by the sequential
+	// read service, with no reuse inside a scan. A scan walks its page list
+	// front to back, except over a ReadOnce set (the shuffle read side),
+	// whose order carries no meaning: there the cursor takes the resident
+	// pages first.
 	SequentialRead
 	// RandomRead: pages probed in arbitrary order (hash service).
 	RandomRead
@@ -113,9 +116,10 @@ func (o CurrentOperation) String() string {
 func (o CurrentOperation) involvesWrite() bool { return o == OpWrite || o == OpReadWrite }
 
 // Attributes is the tag vector of one locality set (Table 1). Reading,
-// Writing and CurrentOp are stamped by services at runtime; Durability and
-// Pinned are chosen by the application at set creation; LifetimeEnded is
-// raised by the application when the data will never be referenced again.
+// Writing, CurrentOp and ReadOnce are stamped by services at runtime;
+// Durability and Pinned are chosen by the application at set creation;
+// LifetimeEnded is raised by the application when the data will never be
+// referenced again.
 type Attributes struct {
 	Durability    DurabilityType
 	Writing       WritingPattern
@@ -123,6 +127,12 @@ type Attributes struct {
 	CurrentOp     CurrentOperation
 	Pinned        bool // Location attribute: pinned sets are never evicted
 	LifetimeEnded bool
+	// ReadOnce is the Lifetime attribute applied per page: each page of the
+	// set is read exactly once, so its lifetime ends when its reader releases
+	// it (LocalitySet.Retire) rather than when the whole set's does. Stamped
+	// by the shuffle service on its partitions (SetReadOnce); never set on
+	// write-through data, which other applications must be able to read.
+	ReadOnce bool
 }
 
 // EvictStrategy is the per-locality-set page replacement order, selected

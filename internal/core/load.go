@@ -84,9 +84,10 @@ func (lp *loadPipeline) submit(s *LocalitySet, num, off int64, loc pfs.PageLoc, 
 // at pin count zero (a later Pin is a hit; the evictor may also reclaim them
 // first if the guess was wrong), and in-flight ones are registered in the
 // loading map so a racing Pin coalesces onto the read instead of issuing its
-// own. Speculation is best-effort: pages with no on-disk image are skipped,
-// a set at its memory quota is left alone, and the first allocation failure
-// stops the whole batch — a prefetch never blocks waiting for memory. A
+// own. Speculation is best-effort: pages with no on-disk image, and pages of a
+// read-once set that were already consumed, are skipped, a set at its memory
+// quota is left alone, and the first allocation failure stops the whole
+// batch — a prefetch never blocks waiting for memory. A
 // refused batch does charge its unfulfilled pages to the eviction daemon's
 // background reclaim budget (see noteStarved), so callers that re-hint as
 // they advance — the sequential scan cursor does — find frames freed for the
@@ -118,14 +119,14 @@ func (s *LocalitySet) Prefetch(nums []int64) int {
 	return issued
 }
 
-// shortfall returns the pages of nums that are neither resident nor loading:
-// what a refused hint batch still wants from the pool.
+// shortfall returns the pages of nums that are neither resident nor loading
+// (nor consumed): what a refused hint batch still wants from the pool.
 func (s *LocalitySet) shortfall(nums []int64) []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var want []int64
 	for _, num := range nums {
-		if num >= 0 && num < s.nextNum && s.resident[num] == nil && s.loading[num] == nil {
+		if num >= 0 && num < s.nextNum && s.resident[num] == nil && s.loading[num] == nil && !s.isConsumed(num) {
 			want = append(want, num)
 		}
 	}
@@ -147,7 +148,8 @@ func (s *LocalitySet) prefetchOne(num int64) (issued, stop, starved bool) {
 		s.mu.Unlock()
 		return false, false, false
 	}
-	if _, ok := s.resident[num]; ok || s.loading[num] != nil {
+	if _, ok := s.resident[num]; ok || s.loading[num] != nil || s.isConsumed(num) {
+		// Nothing to read ahead — least of all a consumed page's stale image.
 		s.mu.Unlock()
 		return false, false, false
 	}

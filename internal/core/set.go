@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,12 @@ import (
 
 // SetID identifies a locality set within one Pangea deployment.
 type SetID int32
+
+// ErrConsumed is wrapped by Pin when the page asked for belonged to a
+// read-once set and its reader has released it (Retire): the page's lifetime
+// is over and its bytes are gone, so the pin fails rather than return stale
+// or empty data.
+var ErrConsumed = errors.New("read-once page was consumed by its reader")
 
 // LocalitySet is a set of pages associated with one dataset that an
 // application uses in a uniform way (paper §3.2). All pages of a set share
@@ -34,9 +41,9 @@ type LocalitySet struct {
 	// once per frame transition — charged the moment allocMem carves a
 	// frame for the set (before the page is even inserted, so the daemon
 	// can never observe an under-quota set that is in fact mid-growth) and
-	// released when the frame is freed (eviction, DropSet, or an abandoned
-	// load). At quiescence residentBytes == len(resident)·pageSize, the
-	// invariant the stress tests check. It is an atomic so the eviction
+	// released when the frame is freed (eviction, Retire, DropSet, or an
+	// abandoned load). At quiescence residentBytes == len(resident)·pageSize,
+	// the invariant the stress tests check. It is an atomic so the eviction
 	// daemon and the per-set gauges read it without taking the set's lock.
 	residentBytes atomic.Int64
 	// pendingBytes counts allocation demand currently blocked in allocMem
@@ -80,6 +87,12 @@ type LocalitySet struct {
 	nextNum    int64
 	lastAccess int64 // AccessRecency: tick of the set's last page access
 	dropped    bool
+	// consumed is a bitset over page numbers: the pages of a read-once set
+	// whose last reader retired them. They are neither resident nor worth
+	// reading back — Pin refuses them and Prefetch skips them — but they still
+	// count in NumPages/PageNums, and any image a spill left on disk stays in
+	// DiskBytes until DropSet.
+	consumed []uint64
 	// sideIndexes is a small keyed registry of opaque scan-side summaries
 	// attached to the set (the services zone map and microindex; core
 	// cannot name the types without an import cycle). Keys are the side
@@ -151,6 +164,57 @@ func (s *LocalitySet) SetPinnedLocation(pinned bool) {
 		// allocations so their retry re-kicks the daemon.
 		s.pool.evictor.broadcast(nil)
 	}
+}
+
+// SetReadOnce stamps the per-page Lifetime attribute (Attributes.ReadOnce):
+// each page will be read exactly once, and its reader's Retire ends it. The
+// stamp is refused on write-through sets — their pages are user data that
+// other applications must be able to read after this one has.
+func (s *LocalitySet) SetReadOnce() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.attrs.Durability == WriteThrough {
+		return fmt.Errorf("core: set %q is write-through: its pages outlive their first reader", s.name)
+	}
+	s.attrs.ReadOnce = true
+	return nil
+}
+
+// BeginScan is the sequential read service's one call into the set when a
+// scan of the listed pages starts. Under a single hold of the set's lock it
+// stamps ReadingPattern=sequential-read and CurrentOperation=read and returns
+// what the scan's cursor needs to know: the order to visit the pages in, the
+// read-ahead window in pages (see PoolConfig.ReadAhead), and whether the set
+// is read-once — in which case the cursor releases each page with Retire
+// instead of Unpin.
+//
+// For every set without the read-once stamp the order is nums itself. A
+// read-once set's pages carry no order, so its scan takes the pages that are
+// resident right now first and the spilled ones after, each half in nums'
+// order: the reader frees frames before it needs any, instead of evicting —
+// and writing back — resident pages it would have consumed a moment later.
+// The order is a hint taken once, here: a page evicted before its turn is
+// simply loaded.
+func (s *LocalitySet) BeginScan(nums []int64) (order []int64, readAhead int, readOnce bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.attrs.Reading = SequentialRead
+	s.attrs.CurrentOp = OpRead
+	if !s.attrs.ReadOnce {
+		return nums, s.pool.readAhead, false
+	}
+	order = make([]int64, 0, len(nums))
+	var spilled []int64
+	for _, num := range nums {
+		// A page the evictor has claimed is on its way out: its turn comes
+		// with the spilled ones.
+		if p := s.resident[num]; p != nil && !p.evicting {
+			order = append(order, num)
+		} else {
+			spilled = append(spilled, num)
+		}
+	}
+	return append(order, spilled...), s.pool.readAhead, true
 }
 
 // EndLifetime declares that the data will never be accessed again. Pages of
@@ -402,6 +466,10 @@ func (s *LocalitySet) Pin(num int64) (*Page, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: set %q has no page %d", s.name, num)
 	}
+	if s.isConsumed(num) {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("core: pin page %d of set %q: %w", num, s.name, ErrConsumed)
+	}
 	op := &loadOp{}
 	s.loading[num] = op
 	s.mu.Unlock()
@@ -456,6 +524,62 @@ func (s *LocalitySet) Unpin(p *Page, dirty bool) error {
 		bp.evictor.broadcast(nil)
 	}
 	return flushErr
+}
+
+// Retire is the release of a read-once set's reader (Attributes.ReadOnce):
+// it drops one reference like Unpin, and when that was the last one the
+// page's lifetime is over. The page leaves the resident map and its frame goes
+// back to the allocator at once — never written back, even if it is dirty and
+// was never spilled: nobody will read those bytes again — and its number is
+// recorded as consumed, so a later Pin fails with ErrConsumed and Prefetch
+// skips it. A page another reader still holds stays until that reader's own
+// release. Retire fails, leaving the pin in place, on a set without the
+// read-once stamp.
+func (s *LocalitySet) Retire(p *Page) error {
+	bp := s.pool
+	s.mu.Lock()
+	if !s.attrs.ReadOnce {
+		s.mu.Unlock()
+		return fmt.Errorf("core: retire page %d of set %q: the set is not read-once", p.num, s.name)
+	}
+	if p.pin <= 0 {
+		s.mu.Unlock()
+		return fmt.Errorf("core: retire of unpinned page %d of set %q", p.num, s.name)
+	}
+	p.pin--
+	if p.pin > 0 {
+		s.mu.Unlock()
+		return nil
+	}
+	// A pinned page is never under an eviction claim, and with the lock held
+	// from the last pin's drop to the removal the evictor cannot take one.
+	delete(s.resident, p.num)
+	s.markConsumed(p.num)
+	s.releaseResident(p.size)
+	s.mu.Unlock()
+	bp.alloc.Free(p.off)
+	// The freed frame pays down the starved-prefetch budget like an evicted
+	// one (settle), and is what a blocked allocation is waiting for.
+	bp.consumeStarved(p.size)
+	if bp.evictor.waiters.Load() > 0 {
+		bp.evictor.broadcast(nil)
+	}
+	return nil
+}
+
+// isConsumed reports whether page num was retired. The caller holds s.mu and
+// has checked 0 <= num < nextNum.
+func (s *LocalitySet) isConsumed(num int64) bool {
+	w := int(num >> 6)
+	return w < len(s.consumed) && s.consumed[w]&(1<<(uint(num)&63)) != 0
+}
+
+// markConsumed records page num as retired. The caller holds s.mu.
+func (s *LocalitySet) markConsumed(num int64) {
+	if w := int(s.nextNum+63) >> 6; w > len(s.consumed) {
+		s.consumed = append(s.consumed, make([]uint64, w-len(s.consumed))...)
+	}
+	s.consumed[num>>6] |= 1 << (uint(num) & 63)
 }
 
 // Touch bumps the page's recency without re-pinning, for long computations

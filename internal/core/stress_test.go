@@ -38,14 +38,17 @@ func checkStamp(buf []byte, set, num int64) error {
 
 // TestPoolConcurrentStress hammers Pin/Unpin/NewPage/Touch across several
 // locality sets from many goroutines while a churn goroutine creates,
-// fills, lifetime-ends and drops extra sets — all under enough memory
-// pressure that the eviction daemon runs constantly. Run with -race; the
-// content stamps verify that no page's memory is recycled while reachable.
+// fills, lifetime-ends and drops extra sets, and two read-once sets are each
+// written and then consumed page by page (Prefetch/Pin/Retire) by a pair of
+// readers — all under enough memory pressure that the eviction daemon runs
+// constantly. Run with -race; the content stamps verify that no page's memory
+// is recycled while reachable.
 func TestPoolConcurrentStress(t *testing.T) {
 	const (
 		pageSize = 4 << 10
 		nSets    = 4
-		pages    = 24 // logical pages per set: 96 total vs a 40-page pool
+		nOnce    = 2
+		pages    = 24 // logical pages per set: 96 (+48 read-once) vs a 40-page pool
 		workers  = 8
 		iters    = 300
 	)
@@ -76,6 +79,68 @@ func TestPoolConcurrentStress(t *testing.T) {
 		case errCh <- err:
 		default:
 		}
+	}
+
+	// Read-once actors: each set is written, then two readers share its pages
+	// through one frontier, hinting ahead of it like the scan cursor does, and
+	// retire what they read. Some pages are consumed straight from memory,
+	// others only after the evictor spilled them and a reader loaded them back.
+	once := make([]*LocalitySet, nOnce)
+	for i := range once {
+		s, err := bp.CreateSet(SetSpec{Name: fmt.Sprintf("once%d", i), PageSize: pageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetReadOnce(); err != nil {
+			t.Fatal(err)
+		}
+		once[i] = s
+		id := int64(nSets + i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for num := int64(0); num < pages; num++ {
+				p, err := s.NewPage()
+				if err != nil {
+					fail(fmt.Errorf("%s: NewPage: %w", s.Name(), err))
+					return
+				}
+				stamp(p.Bytes(), id, p.Num())
+				if err := s.Unpin(p, true); err != nil {
+					fail(err)
+					return
+				}
+			}
+			order, _, _ := s.BeginScan(s.PageNums())
+			var next atomic.Int64
+			var readers sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						i := int(next.Add(1)) - 1
+						if i >= len(order) {
+							return
+						}
+						s.Prefetch(order[i+1 : min(i+3, len(order))])
+						p, err := s.Pin(order[i])
+						if err != nil {
+							fail(fmt.Errorf("%s: Pin(%d): %w", s.Name(), order[i], err))
+							return
+						}
+						if err := checkStamp(p.Bytes(), id, order[i]); err != nil {
+							fail(err)
+						}
+						if err := s.Retire(p); err != nil {
+							fail(err)
+							return
+						}
+					}
+				}()
+			}
+			readers.Wait()
+		}()
 	}
 
 	for w := 0; w < workers; w++ {
@@ -167,12 +232,35 @@ func TestPoolConcurrentStress(t *testing.T) {
 
 	// Invariants after the storm: accounting is sane, every allocator
 	// shard's physical chain is intact, every set's admission gauge matches
-	// its resident map (each release path unwound it exactly once), and
-	// every page that was fully written survives with its contents intact.
+	// its resident map (each release path unwound it exactly once), no page
+	// is left pinned, every page of the read-once sets is consumed and none
+	// of them resident (no hint read a retired page's stale image back in),
+	// and every page that was fully written survives with its contents intact.
 	if err := bp.alloc.CheckConsistency(); err != nil {
 		t.Fatalf("allocator inconsistent after stress: %v", err)
 	}
-	checkResidencyGauges(t, sets)
+	all := append(append([]*LocalitySet(nil), sets...), once...)
+	checkResidencyGauges(t, all)
+	for _, s := range all {
+		s.mu.Lock()
+		for num, p := range s.resident {
+			if p.pin != 0 {
+				t.Errorf("set %s: page %d left with %d pins", s.Name(), num, p.pin)
+			}
+		}
+		s.mu.Unlock()
+	}
+	for _, s := range once {
+		for num := int64(0); num < pages; num++ {
+			wantConsumed(t, s, num)
+		}
+		if got := s.ResidentPages(); got != 0 {
+			t.Errorf("set %s: %d pages resident with every page consumed", s.Name(), got)
+		}
+		if err := bp.DropSet(s); err != nil {
+			t.Fatalf("DropSet(%s): %v", s.Name(), err)
+		}
+	}
 	if used := bp.UsedBytes(); used < 0 || used > bp.Capacity() {
 		t.Fatalf("UsedBytes %d outside [0, %d]", used, bp.Capacity())
 	}

@@ -540,12 +540,29 @@ func Fig9(o Options) (*Table, error) {
 	return t, nil
 }
 
-// shuffleRun drives one shuffle write+read cycle under a policy. Shuffle
-// pages are sized to a small fraction of the pool: concurrent writers can
-// keep a few large pages per partition pinned at once, and those pins must
-// never cover the whole pool. pageSize/8 divides the page, so each page holds
-// all 8 small pages.
-func shuffleRun(bp *core.BufferPool, mbPerThread int) (write, read time.Duration, err error) {
+// shuffleResult is what one shuffleRun measured: the two phases' wall time
+// and the drive traffic of the read phase alone, in pages (every drive
+// operation of a shuffle moves one page).
+type shuffleResult struct {
+	write, read                     time.Duration
+	readPhaseWrites, readPhaseReads int64
+}
+
+// times renders the write and read phases' milliseconds as table cells.
+func (r shuffleResult) times() []string { return []string{ms(r.write), ms(r.read)} }
+
+// counts renders the read phase's page writes and page reads as table cells.
+func (r shuffleResult) counts() []string {
+	return []string{fmt.Sprintf("%d", r.readPhaseWrites), fmt.Sprintf("%d", r.readPhaseReads)}
+}
+
+// shuffleRun drives one shuffle write+read cycle under a policy and drops
+// the shuffle again, whether or not the cycle succeeded. Shuffle pages are
+// sized to a small fraction of the pool: concurrent writers can keep a few
+// large pages per partition pinned at once, and those pins must never cover
+// the whole pool. pageSize/8 divides the page, so each page holds all 8 small
+// pages.
+func shuffleRun(bp *core.BufferPool, mbPerThread int) (res shuffleResult, err error) {
 	const writers, partitions = 4, 4
 	pageSize := (bp.Capacity() / 48) &^ ((64 << 10) - 1)
 	if pageSize < 64<<10 {
@@ -553,37 +570,53 @@ func shuffleRun(bp *core.BufferPool, mbPerThread int) (write, read time.Duration
 	}
 	sh, err := services.NewShuffle(bp, "sh", partitions, pageSize, int(pageSize/8))
 	if err != nil {
-		return 0, 0, err
+		return res, err
+	}
+	defer func() {
+		if derr := sh.Drop(); err == nil {
+			err = derr
+		}
+	}()
+	// wait collects one outcome per goroutine — all of them, so nothing is
+	// still pinning a page when the shuffle is dropped — and keeps the first
+	// error.
+	errs := make(chan error, writers)
+	wait := func(n int) (first error) {
+		for i := 0; i < n; i++ {
+			if e := <-errs; e != nil && first == nil {
+				first = e
+			}
+		}
+		return first
 	}
 	rec := make([]byte, 100)
 	perThread := mbPerThread << 20 / len(rec)
 	start := time.Now()
-	errs := make(chan error, writers)
 	for w := 0; w < writers; w++ {
 		go func(w int) {
 			bufs := sh.Writer()
 			r := make([]byte, len(rec))
-			copy(r, rec)
-			for i := 0; i < perThread; i++ {
+			var err error
+			for i := 0; i < perThread && err == nil; i++ {
 				r[0] = byte(i)
-				if err := bufs[(w+i)%partitions].Add(r); err != nil {
-					errs <- err
-					return
-				}
+				err = bufs[(w+i)%partitions].Add(r)
 			}
-			errs <- services.CloseWriters(bufs)
+			if cerr := services.CloseWriters(bufs); err == nil {
+				err = cerr
+			}
+			errs <- err
 		}(w)
 	}
-	for w := 0; w < writers; w++ {
-		if e := <-errs; e != nil {
-			return 0, 0, e
-		}
+	err = wait(writers)
+	if cerr := sh.Close(); err == nil {
+		err = cerr
 	}
-	if err := sh.Close(); err != nil {
-		return 0, 0, err
+	if err != nil {
+		return res, err
 	}
-	write = time.Since(start)
+	res.write = time.Since(start)
 
+	before := bp.Array().Stats()
 	start = time.Now()
 	for p := 0; p < partitions; p++ {
 		go func(p int) {
@@ -595,20 +628,13 @@ func shuffleRun(bp *core.BufferPool, mbPerThread int) (write, read time.Duration
 			_ = sink
 		}(p)
 	}
-	for p := 0; p < partitions; p++ {
-		if e := <-errs; e != nil {
-			return write, 0, e
-		}
+	if err := wait(partitions); err != nil {
+		return res, err
 	}
-	read = time.Since(start)
-	for p := 0; p < partitions; p++ {
-		if s, ok := bp.GetSet(fmt.Sprintf("sh-%d", p)); ok {
-			if err := bp.DropSet(s); err != nil {
-				return write, read, err
-			}
-		}
-	}
-	return write, read, nil
+	res.read = time.Since(start)
+	after := bp.Array().Stats()
+	res.readPhaseWrites, res.readPhaseReads = after.Writes-before.Writes, after.Reads-before.Reads
+	return res, nil
 }
 
 // Fig10 compares the paging policies on the shuffle workload.
@@ -625,7 +651,7 @@ func Fig10(o Options) (*Table, error) {
 		Header: []string{"MB/thread"},
 	}
 	for _, p := range policySet() {
-		t.Header = append(t.Header, p.Name+" write", p.Name+" read")
+		t.Header = append(t.Header, p.Name+" write", p.Name+" read", p.Name+" read-phase writes", p.Name+" read-phase reads")
 	}
 	for _, mbT := range sweep {
 		row := []string{fmt.Sprintf("%d", mbT)}
@@ -634,17 +660,18 @@ func Fig10(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			w, r, err := shuffleRun(bp, mbT)
+			res, err := shuffleRun(bp, mbT)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, ms(w), ms(r))
+			row = append(append(row, res.times()...), res.counts()...)
 			_ = arr.RemoveAll()
 		}
 		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
-		"paper Fig 10: data-aware reads up to 3× faster than LRU, ~10% over tuned DBMIN; ~10% faster writes than LRU/MRU")
+		"paper Fig 10: data-aware reads up to 3× faster than LRU, ~10% over tuned DBMIN; ~10% faster writes than LRU/MRU",
+		"read-phase writes/reads: pages the drives wrote and read during the read phase. Shuffle partitions are read-once — a page dies at its reader's release, under every policy — so the read phase writes nothing of its own (what it shows is the map's last write-backs landing) and the policies differ on the map side: read-phase reads is what each policy's map left on disk, and the read ms follow it")
 	return t, nil
 }
 
@@ -658,9 +685,10 @@ func Tab3(o Options) (*Table, error) {
 		mem = 4 << 20
 	}
 	t := &Table{
-		ID:     "tab3",
-		Title:  "shuffle write/read latency, 4 writers 4 readers (ms)",
-		Header: []string{"MB/thread", "spark write", "spark read", "pangea-1d write", "pangea-1d read", "pangea-2d write", "pangea-2d read"},
+		ID:    "tab3",
+		Title: "shuffle write/read latency, 4 writers 4 readers (ms)",
+		Header: []string{"MB/thread", "spark write", "spark read", "pangea-1d write", "pangea-1d read", "pangea-2d write", "pangea-2d read",
+			"pangea-1d read-phase writes", "pangea-1d read-phase reads", "pangea-2d read-phase writes", "pangea-2d read-phase reads"},
 	}
 	for _, mbT := range sweep {
 		row := []string{fmt.Sprintf("%d", mbT)}
@@ -706,23 +734,26 @@ func Tab3(o Options) (*Table, error) {
 			_ = arr.RemoveAll()
 		}
 
-		// Pangea shuffle, 1 and 2 disks.
+		// Pangea shuffle, 1 and 2 disks: the timings first, the read phase's
+		// page counts in the columns after them.
+		var counts []string
 		for _, disks := range []int{1, 2} {
 			bp, arr, err := newPool(o, fmt.Sprintf("tab3-p%dd-%d", disks, mbT), mem, disks, nil)
 			if err != nil {
 				return nil, err
 			}
-			w, r, err := shuffleRun(bp, mbT)
+			res, err := shuffleRun(bp, mbT)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, ms(w), ms(r))
+			row, counts = append(row, res.times()...), append(counts, res.counts()...)
 			_ = arr.RemoveAll()
 		}
-		t.AddRow(row...)
+		t.AddRow(append(row, counts...)...)
 	}
 	t.Notes = append(t.Notes,
-		"paper Table 3: Pangea 1.1–1.4× faster shuffle writes and 2.2–27× faster reads than the simulated Spark shuffle")
+		"paper Table 3: Pangea 1.1–1.4× faster shuffle writes and 2.2–27× faster reads than the simulated Spark shuffle",
+		"read-phase writes/reads: pages the drives wrote and read during the Pangea read phase — partitions are read-once, so a released page is freed, not spilled: the reduce reads back only what the write phase spilled, and the few writes it shows are the write phase's last write-backs landing")
 	return t, nil
 }
 

@@ -16,7 +16,7 @@ func TestPinLeak(t *testing.T) {
 		PkgPath: tdBase + "pinleak",
 		Type:    "Set",
 		Pins:    []string{"Pin", "NewPage"},
-		Release: "Unpin",
+		Release: []string{"Unpin", "Retire"},
 	})
 	defer func() { lint.PinSources = orig }()
 	linttest.Run(t, "./testdata/src/pinleak", lint.PinLeak)

@@ -4,25 +4,27 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // PinSource describes methods that return a pinned page the caller must
-// release, and the method that releases it.
+// release, and the methods that release it.
 type PinSource struct {
 	PkgPath string
 	Type    string
 	Pins    []string // methods returning (page, error) with the page pinned
-	Release string   // method taking the page as first argument
+	Release []string // methods taking the page as an argument and ending the pin
 }
 
 // PinSources is the default registry: core.LocalitySet.Pin/NewPage hand
-// out pinned pages; core.LocalitySet.Unpin releases them. Tests may append.
+// out pinned pages; core.LocalitySet.Unpin releases them, as does Retire, the
+// release of a read-once set's reader. Tests may append.
 var PinSources = []PinSource{
 	{
 		PkgPath: "pangea/internal/core",
 		Type:    "LocalitySet",
 		Pins:    []string{"Pin", "NewPage"},
-		Release: "Unpin",
+		Release: []string{"Unpin", "Retire"},
 	},
 }
 
@@ -41,8 +43,8 @@ var PinSources = []PinSource{
 // understood: no page exists on that branch.
 var PinLeak = &Analyzer{
 	Name: "pinleak",
-	Doc: "flags LocalitySet.Pin/NewPage results that may not reach Unpin on " +
-		"all paths, including error returns",
+	Doc: "flags LocalitySet.Pin/NewPage results that may not reach Unpin (or Retire) " +
+		"on all paths, including error returns",
 	Run: runPinLeak,
 }
 
@@ -67,25 +69,18 @@ func isPinCall(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	src := pinSourceFor(fn)
-	if src == nil {
-		return false
-	}
-	for _, m := range src.Pins {
-		if m == fn.Name() {
-			return true
-		}
-	}
-	return false
+	return src != nil && slices.Contains(src.Pins, fn.Name())
 }
 
-// isReleaseCall reports whether call releases obj (s.Unpin(p, ...)).
+// isReleaseCall reports whether call releases obj (s.Unpin(p, ...),
+// s.Retire(p)).
 func isReleaseCall(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
 	fn := calleeFunc(info, call)
 	if fn == nil {
 		return false
 	}
 	src := pinSourceFor(fn)
-	if src == nil || fn.Name() != src.Release {
+	if src == nil || !slices.Contains(src.Release, fn.Name()) {
 		return false
 	}
 	for _, arg := range call.Args {

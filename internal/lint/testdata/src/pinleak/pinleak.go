@@ -17,6 +17,7 @@ type Set struct{}
 func (s *Set) Pin(num int64) (*Page, error)    { return &Page{}, nil }
 func (s *Set) NewPage() (*Page, error)         { return &Page{}, nil }
 func (s *Set) Unpin(p *Page, dirty bool) error { return nil }
+func (s *Set) Retire(p *Page) error            { return nil }
 
 func consume(p *Page) {}
 
@@ -88,6 +89,20 @@ func goodClosureCapture(s *Set) (func(), error) {
 	return func() { _ = s.Unpin(p, false) }, nil
 }
 
+func goodRetire(s *Set, once bool) error {
+	p, err := s.Pin(6)
+	if err != nil {
+		return err
+	}
+	if len(p.Bytes()) == 0 {
+		return s.Retire(p)
+	}
+	if once {
+		return s.Retire(p) // the read-once release ends the pin like Unpin
+	}
+	return s.Unpin(p, false)
+}
+
 // --- flagged shapes ---
 
 func badDiscard(s *Set) error {
@@ -104,6 +119,17 @@ func badEarlyReturn(s *Set, work func() error) error {
 		return err // want "pinned page 'p' .* not unpinned on this return path"
 	}
 	return s.Unpin(p, false)
+}
+
+func badEarlyReturnBeforeRetire(s *Set, work func() error) error {
+	p, err := s.Pin(14)
+	if err != nil {
+		return err
+	}
+	if err := work(); err != nil {
+		return err // want "pinned page 'p' .* not unpinned on this return path"
+	}
+	return s.Retire(p)
 }
 
 func badScopeEnd(s *Set) {

@@ -364,3 +364,45 @@ func TestChooseReplicaConsultsStatistics(t *testing.T) {
 		t.Errorf("missing scheme: got %q, %v; want lineitem, false", set, ok)
 	}
 }
+
+// TestRunBatchesConsumesShufflePartition: the batch scan reaches a shuffle
+// partition through the same cursor as ReadPartition, so it consumes it — the
+// rows come back once, and a second scan fails with core.ErrConsumed before
+// any batch reaches fn.
+func TestRunBatchesConsumesShufflePartition(t *testing.T) {
+	bp := newPool(t, 4<<20)
+	sh, err := services.NewShuffle(bp, "part", 1, 64<<10, 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := sh.Writer()
+	for _, r := range testRows(5000) {
+		if err := bufs[0].Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := services.CloseWriters(bufs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spec := ScanSpec{Set: sh.Sink(0).Set(), Threads: 2, Schema: testSchema()}
+	var rows atomic.Int64
+	count := func(_ int, b *Batch) error { rows.Add(int64(b.Selected())); return nil }
+	if err := spec.RunBatches(count); err != nil {
+		t.Fatal(err)
+	}
+	if got := rows.Load(); got != 5000 {
+		t.Errorf("first scan saw %d rows, want 5000", got)
+	}
+	if err := spec.RunBatches(count); !errors.Is(err, core.ErrConsumed) {
+		t.Errorf("second scan = %v, want core.ErrConsumed", err)
+	}
+	if got := rows.Load(); got != 5000 {
+		t.Errorf("the second scan delivered %d rows of a consumed partition", got-5000)
+	}
+	if err := sh.Drop(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -121,8 +121,9 @@ func (w *SeqWriter) Close() error {
 // so every hint is made against this scan's own list and frontier.
 type scanCursor struct {
 	set  *core.LocalitySet
-	nums []int64
-	ra   int // read-ahead window (pages), resolved once at construction
+	nums []int64 // in visiting order (core.LocalitySet.BeginScan)
+	ra   int     // read-ahead window (pages), resolved once at construction
+	once bool    // the set is read-once: Release retires the page
 
 	mu   sync.Mutex
 	next int // index into nums of the next unclaimed page: the frontier
@@ -151,13 +152,17 @@ func PageIterators(set *core.LocalitySet, n int) []*PageIterator {
 // point for predicate scans whose zone map already pruned some pages: the
 // scan, and therefore every read-ahead hint it issues, covers only the
 // listed pages.
+//
+// Over a read-once set (core.Attributes.ReadOnce — a shuffle partition) the
+// scan consumes what it reads: the cursor visits the pages resident at this
+// call before the spilled ones, whatever their order in the list, and Release
+// frees each page for good.
 func PageIteratorsFor(set *core.LocalitySet, all []int64, n int) []*PageIterator {
 	if n < 1 {
 		n = 1
 	}
-	set.SetReading(core.SequentialRead)
-	set.SetCurrentOp(core.OpRead)
-	c := &scanCursor{set: set, nums: all, ra: set.ReadAhead()}
+	c := &scanCursor{set: set}
+	c.nums, c.ra, c.once = set.BeginScan(all)
 	iters := make([]*PageIterator, n)
 	for k := range iters {
 		iters[k] = &PageIterator{c: c}
@@ -191,8 +196,14 @@ func (it *PageIterator) Next() (*core.Page, error) {
 	return c.set.Pin(c.nums[i])
 }
 
-// Release unpins a page returned by Next.
-func (it *PageIterator) Release(p *core.Page) error { return it.c.set.Unpin(p, false) }
+// Release unpins a page returned by Next; a read-once set's page dies with
+// it (core.LocalitySet.Retire).
+func (it *PageIterator) Release(p *core.Page) error {
+	if it.c.once {
+		return it.c.set.Retire(p)
+	}
+	return it.c.set.Unpin(p, false)
+}
 
 // stop ends the scan early: every page not yet claimed stays unclaimed, so
 // the scan's other threads finish the page they hold and then see the end.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -236,21 +237,22 @@ func TestShuffleConcurrentWritersOnePartition(t *testing.T) {
 	if a := sh.Sink(0).Set().Attrs(); a.Writing != core.ConcurrentWrite {
 		t.Errorf("Writing = %v, want concurrent-write", a.Writing)
 	}
-	// Every record must land in exactly the partition its hash names.
-	var total int
+	// Every record must land in exactly the partition its hash names. A
+	// two-thread read calls back from two goroutines: the count is atomic.
+	var total atomic.Int64
 	for p := 0; p < 4; p++ {
 		if err := sh.ReadPartition(p, 2, func(rec []byte) error {
 			if int(fnv1a(rec)%4) != p {
 				t.Errorf("record %q found in wrong partition %d", rec, p)
 			}
-			total++
+			total.Add(1)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if total != writers*perWriter {
-		t.Errorf("read %d records, want %d", total, writers*perWriter)
+	if got := total.Load(); got != writers*perWriter {
+		t.Errorf("read %d records, want %d", got, writers*perWriter)
 	}
 }
 

@@ -175,28 +175,44 @@ func (b *VirtualShuffleBuffer) Close() error {
 // set) per partition, so that spilled shuffle data produces at most
 // numPartitions files instead of Spark's numCores × numPartitions (§9.2.2).
 type Shuffle struct {
+	bp    *core.BufferPool
 	sinks []*ShuffleSink
 }
 
 // NewShuffle creates one locality set per partition in the pool, named
-// prefix-<partition>.
+// prefix-<partition>, and stamps each read-once (core.Attributes.ReadOnce): a
+// partition is read exactly once (ReadPartition), so a page's lifetime ends
+// when its reader releases it. If a partition cannot be set up, the ones
+// already created are dropped again.
 func NewShuffle(bp *core.BufferPool, prefix string, partitions int, pageSize int64, smallPageSize int) (*Shuffle, error) {
-	sh := &Shuffle{}
+	sh := &Shuffle{bp: bp}
 	for i := 0; i < partitions; i++ {
-		set, err := bp.CreateSet(core.SetSpec{
-			Name:     fmt.Sprintf("%s-%d", prefix, i),
-			PageSize: pageSize,
-		})
+		sink, err := newPartition(bp, fmt.Sprintf("%s-%d", prefix, i), pageSize, smallPageSize)
 		if err != nil {
-			return nil, err
-		}
-		sink, err := NewShuffleSink(set, smallPageSize)
-		if err != nil {
+			_ = sh.Drop() // report why the shuffle could not be made, not the clean-up
 			return nil, err
 		}
 		sh.sinks = append(sh.sinks, sink)
 	}
 	return sh, nil
+}
+
+// newPartition creates one partition's set with its sink attached; on failure
+// the set is gone again.
+func newPartition(bp *core.BufferPool, name string, pageSize int64, smallPageSize int) (*ShuffleSink, error) {
+	set, err := bp.CreateSet(core.SetSpec{Name: name, PageSize: pageSize})
+	if err != nil {
+		return nil, err
+	}
+	sink, err := NewShuffleSink(set, smallPageSize)
+	if err == nil {
+		err = set.SetReadOnce()
+	}
+	if err != nil {
+		_ = bp.DropSet(set)
+		return nil, err
+	}
+	return sink, nil
 }
 
 // Partitions returns the number of shuffle partitions.
@@ -239,7 +255,26 @@ func (sh *Shuffle) Close() error {
 }
 
 // ReadPartition scans one partition's records with numThreads workers via
-// the sequential read service.
+// the sequential read service. It consumes the partition: the sets are
+// read-once, so each page is freed — never spilled — as its reader releases
+// it, and a partition can be read only once; a second read fails on its first
+// pin with core.ErrConsumed rather than scan nothing. Records arrive in no
+// particular order (pages still resident are read before spilled ones), and
+// with numThreads > 1 fn is called from several goroutines at once, with
+// nothing to tell them apart: it must synchronize what it shares.
 func (sh *Shuffle) ReadPartition(partition, numThreads int, fn func(rec []byte) error) error {
 	return ScanSet(sh.sinks[partition].set, numThreads, func(_ int, rec []byte) error { return fn(rec) })
+}
+
+// Drop drops every partition's set — memory, registry entry and files — and
+// returns the first error. Every page must have been released: call it after
+// Close, once no reader is running.
+func (sh *Shuffle) Drop() error {
+	var first error
+	for _, sk := range sh.sinks {
+		if err := sh.bp.DropSet(sk.set); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
