@@ -29,15 +29,6 @@ type PolicyView struct {
 	// CrossNodeSteals is the pool-lifetime count of allocations that had
 	// to cross the interconnect because their home node was exhausted.
 	CrossNodeSteals int64
-	// PrefetchesIssued, PrefetchHits and PrefetchWasted are the pool's
-	// lifetime speculation counters (see PoolStats), and LoadsInFlight the
-	// number of reads outstanding, at snapshot time. A policy can read the
-	// hit/wasted ratio to judge how trustworthy speculative frames are
-	// before deciding whether to victimize them.
-	PrefetchesIssued int64
-	PrefetchHits     int64
-	PrefetchWasted   int64
-	LoadsInFlight    int64
 	// Sets holds one snapshot per live locality set.
 	Sets []*SetSnapshot
 
@@ -76,16 +67,6 @@ type SetSnapshot struct {
 	// TotalPages is the total logical page count (resident or spilled),
 	// which DBMIN's looping/random size estimates use.
 	TotalPages int64
-	// ZoneMapChecks and ZoneMapSkips are the set's lifetime page-skipping
-	// gauges at snapshot time: pages predicate scans evaluated against the
-	// set's zone map, and the subset pruned without any pin or I/O.
-	ZoneMapChecks int64
-	ZoneMapSkips  int64
-	// IndexChecks and IndexHits are the set's lifetime microindex gauges at
-	// snapshot time: pages point-lookup scans evaluated against the set's
-	// microindex, and the candidate subset the index kept.
-	IndexChecks int64
-	IndexHits   int64
 	// Evictable lists the set's pages that were evictable at snapshot time:
 	// resident, unpinned, and not already being evicted. Empty for sets
 	// whose Location attribute pins them in memory.
@@ -226,17 +207,13 @@ func (bp *BufferPool) snapshot() *PolicyView {
 	bp.regMu.RUnlock()
 
 	view := &PolicyView{
-		Capacity:         bp.cfg.Memory,
-		Used:             bp.alloc.Used(),
-		Tick:             bp.tick.Load(),
-		NodeUsed:         bp.alloc.NodeUsed(),
-		CrossNodeSteals:  bp.stats.CrossNodeSteals.Load(),
-		PrefetchesIssued: bp.stats.PrefetchesIssued.Load(),
-		PrefetchHits:     bp.stats.PrefetchHits.Load(),
-		PrefetchWasted:   bp.stats.PrefetchWasted.Load(),
-		LoadsInFlight:    bp.stats.LoadsInFlight.Load(),
-		horizon:          bp.cfg.Horizon,
-		profile:          bp.cfg.Profile,
+		Capacity:        bp.cfg.Memory,
+		Used:            bp.alloc.Used(),
+		Tick:            bp.tick.Load(),
+		NodeUsed:        bp.alloc.NodeUsed(),
+		CrossNodeSteals: bp.stats.CrossNodeSteals.Load(),
+		horizon:         bp.cfg.Horizon,
+		profile:         bp.cfg.Profile,
 	}
 	// Entitlements: one weight sum over the listed sets (weights are
 	// immutable, so a set dropped between here and its lock below only
@@ -262,10 +239,6 @@ func (bp *BufferPool) snapshot() *PolicyView {
 			PendingBytes:  s.pendingBytes.Load(),
 			Entitlement:   bp.entitlementWith(totalWeight, s),
 			TotalPages:    s.nextNum,
-			ZoneMapChecks: s.zmChecks.Load(),
-			ZoneMapSkips:  s.zmSkips.Load(),
-			IndexChecks:   s.idxChecks.Load(),
-			IndexHits:     s.idxHits.Load(),
 			set:           s,
 			quota:         s.quota,
 		}

@@ -388,7 +388,7 @@ func Fig6(o Options) (*Table, error) {
 			tc.close()
 			return nil, err
 		}
-		np := k * 4
+		np := placement.PartitionsFor(k)
 		key := func(f func([]byte) []byte) placement.KeyFunc {
 			return func(rec []byte) ([]byte, error) { return f(rec), nil }
 		}
@@ -438,8 +438,8 @@ func S7Colliding(o Options) (*Table, error) {
 	}
 	for _, k := range []int{10, 20, 30} {
 		parts := []*placement.Partitioner{
-			{Scheme: "hash(l_orderkey)", NumPartitions: k * 4, Key: key(tpch.LOrderKey)},
-			{Scheme: "hash(l_partkey)", NumPartitions: k * 4, Key: key(tpch.LPartKey)},
+			{Scheme: "hash(l_orderkey)", NumPartitions: placement.PartitionsFor(k), Key: key(tpch.LOrderKey)},
+			{Scheme: "hash(l_partkey)", NumPartitions: placement.PartitionsFor(k), Key: key(tpch.LPartKey)},
 		}
 		c := placement.CountColliding(d.Lineitem, parts, k)
 		ratio := float64(c) / float64(len(d.Lineitem))

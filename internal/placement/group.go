@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pangea/internal/cluster"
 )
@@ -15,112 +16,168 @@ type Member struct {
 
 // Group is a replication group (§7): every member contains exactly the same
 // objects under a different physical organization, so any member can serve
-// a computation and any member can be rebuilt from any other after a node
-// failure. The group also owns a separate locality set holding the
-// colliding objects — objects all of whose copies happen to land on one
-// node — replicated HDFS-style so single-node failures lose nothing.
+// a computation and any member can be rebuilt from the others after a node
+// failure. The colliding objects — those all of whose copies happen to land
+// on one node — get an extra copy, HDFS-style, in a separate safety set.
 type Group struct {
 	Source    string
 	Members   []Member
-	Colliding string // name of the colliding-object set
+	Colliding string // name of the colliding-object (safety) set
 	PageSize  int64
 
-	// NumColliding is filled by Build: how many objects collide.
+	// NumColliding counts the objects whose copies span too few nodes.
 	NumColliding int64
 	// Total is the object count observed while building.
 	Total int64
 }
 
-// nodesOf computes the nodes holding each copy of a record across all
-// members, returning the bitmask of distinct nodes.
-func (g *Group) nodesOf(rec []byte, k int) (uint64, error) {
-	mask := uint64(1) << uint(RandomNode(rec, k))
-	for _, m := range g.Members[1:] {
-		node, err := m.Part.NodeOf(rec, k)
-		if err != nil {
+// SafeGroup is a replication group hardened against R concurrent failures
+// (the §7 extension): every object whose member copies span fewer than R+1
+// distinct nodes gets enough extra copies in the safety set to reach R+1.
+// The paper accepts the expected extra-space ratio
+// 1 − k·(k−1)·…·(k−R)/k^{R+1} because analytics clusters are small.
+type SafeGroup struct {
+	*Group
+	// R is the tolerated concurrent failure count.
+	R int
+	// ExtraCopies counts the object copies stored in the safety set.
+	ExtraCopies int64
+}
+
+// maxNodes is the widest cluster a node mask describes.
+const maxNodes = 64
+
+// copies fills nodes[i] with the node holding member i's copy of rec in a
+// k-node cluster and returns the mask of the distinct nodes.
+func (g *Group) copies(rec []byte, k int, nodes []int) (mask uint64, err error) {
+	for i, m := range g.Members {
+		if m.Part == nil {
+			nodes[i] = RandomNode(rec, k)
+		} else if nodes[i], err = m.Part.NodeOf(rec, k); err != nil {
 			return 0, err
 		}
-		mask |= 1 << uint(node)
+		mask |= 1 << uint(nodes[i])
 	}
 	return mask, nil
 }
 
-// collides reports whether all copies of a record share one node.
-func collides(mask uint64) bool { return mask&(mask-1) == 0 }
+// extraPlacement picks the nodes for the safety copies of a record whose
+// member copies occupy mask, enough to reach r+1 distinct nodes: the free
+// nodes met walking the cluster cyclically from the one after home, the
+// record's random node. home is uniform, so the extras load every node alike.
+func extraPlacement(mask uint64, home, k, r int) []int {
+	need := r + 1 - bits.OnesCount64(mask)
+	var out []int
+	for i := 1; i <= k && len(out) < need; i++ {
+		if node := (home + i) % k; mask&(1<<uint(node)) == 0 {
+			out = append(out, node)
+		}
+	}
+	return out
+}
 
-// BuildGroup creates the replicas of a populated source set and assembles
-// the replication group:
-//
-//  1. For each partitioner, a target set is created on every worker and
-//     filled by PartitionSet.
-//  2. Colliding objects are identified at partitioning time and stored in a
-//     separate locality set, placed on a node that does NOT hold their
-//     copies (the HDFS-style extra replica).
-//  3. Every replica is registered in the manager's statistics database so
-//     query schedulers can pick the best organization (§9.1.2).
-//
-// The source set must already exist on every worker and have been loaded
-// with DispatchRandom (recovery relies on re-deriving the random node of
-// each record from its content).
+// BuildGroup is BuildSafeGroup for one node failure. A single worker is
+// accepted too: with nowhere to put a second copy, its safety set stays empty.
 func BuildGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, pageSize int64) (*Group, error) {
+	sg, err := buildGroup(cl, addrs, source, parts, pageSize, 1)
+	if err != nil {
+		return nil, err
+	}
+	return sg.Group, nil
+}
+
+// BuildSafeGroup creates one replica of a populated source set per
+// partitioner, and the safety set that lets the group survive r concurrent
+// node failures, in one pass over the source: each record is routed to its
+// node in every replica and, when its copies span fewer than r+1 nodes, to
+// the extraPlacement nodes of the safety set. Only then are the replicas
+// registered in the manager's statistics database for query schedulers to
+// choose from (§9.1.2); a failed build drops every set it created. The source
+// must have been loaded with DispatchRandom: recovery re-derives each
+// record's random node from its content.
+func BuildSafeGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, pageSize int64, r int) (*SafeGroup, error) {
+	if k := len(addrs); r < 1 || r >= k {
+		return nil, fmt.Errorf("placement: r=%d invalid for a %d-node cluster", r, k)
+	}
+	return buildGroup(cl, addrs, source, parts, pageSize, r)
+}
+
+func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, pageSize int64, r int) (sg *SafeGroup, err error) {
+	k := len(addrs)
+	if k > maxNodes {
+		return nil, fmt.Errorf("placement: a replication group spans at most %d workers, not %d", maxNodes, k)
+	}
 	g := &Group{
 		Source:    source,
-		Colliding: source + ":colliding",
+		Colliding: fmt.Sprintf("%s:safety-r%d", source, r),
 		PageSize:  pageSize,
 		Members:   []Member{{Set: source}},
 	}
 	for _, p := range parts {
-		target := fmt.Sprintf("%s_pt_%s", source, sanitize(p.Scheme))
-		g.Members = append(g.Members, Member{Set: target, Part: p})
+		g.Members = append(g.Members, Member{Set: fmt.Sprintf("%s_pt_%s", source, sanitize(p.Scheme)), Part: p})
 	}
+	sg = &SafeGroup{Group: g, R: r}
 
-	// Build each replica.
-	for _, m := range g.Members[1:] {
+	// senders[i] fills member i, but slot 0 — the source's — the safety set.
+	var senders []*Sender
+	defer func() {
+		if err == nil {
+			return
+		}
+		sg = nil
+		for _, s := range senders {
+			for _, addr := range addrs {
+				_ = cl.DropSet(addr, s.set)
+			}
+		}
+	}()
+	for i, m := range g.Members {
+		if i == 0 {
+			m.Set = g.Colliding
+		}
 		if err := cl.CreateSet(m.Set, pageSize, 0); err != nil {
 			return nil, err
 		}
-		if _, err := PartitionSet(cl, addrs, source, m.Set, m.Part); err != nil {
-			return nil, err
-		}
-		if err := cl.RegisterReplica(source, m.Set, m.Part.Scheme); err != nil {
-			return nil, err
-		}
+		senders = append(senders, NewSender(cl, addrs, m.Set))
 	}
-
-	// Identify and store colliding objects (one pass over the source).
-	if err := cl.CreateSet(g.Colliding, pageSize, 0); err != nil {
-		return nil, err
-	}
-	k := len(addrs)
-	b := newBatcher(cl, addrs, g.Colliding, 256)
-	for _, addr := range addrs {
-		err := cl.FetchSet(addr, source, func(rec []byte) error {
-			g.Total++
-			mask, err := g.nodesOf(rec, k)
-			if err != nil {
+	nodes := make([]int, len(g.Members))
+	err = Stream(cl, addrs, source, func(_ int, rec []byte) error {
+		g.Total++
+		mask, err := g.copies(rec, k, nodes)
+		if err != nil {
+			return err
+		}
+		for i := 1; i < len(nodes); i++ {
+			if err := senders[i].Send(nodes[i], rec); err != nil {
 				return err
 			}
-			if !collides(mask) {
-				return nil
-			}
+		}
+		if bits.OnesCount64(mask) <= r {
 			g.NumColliding++
-			// Place the extra copy off the colliding node.
-			node := (RandomNode(rec, k) + 1) % k
-			return b.add(node, rec)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("placement: collision pass: %w", err)
+		}
+		for _, node := range extraPlacement(mask, nodes[0], k, r) {
+			sg.ExtraCopies++
+			if err := senders[0].Send(node, rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, s := range senders {
+		if err == nil {
+			err = s.Flush()
 		}
 	}
-	if err := b.flush(); err != nil {
-		return nil, err
+	for _, m := range g.Members[1:] {
+		if err == nil {
+			err = cl.RegisterReplica(source, m.Set, m.Part.Scheme)
+		}
 	}
-	return g, nil
+	return sg, err
 }
 
-// CollidingRatio returns the fraction of objects whose copies all share a
-// node. For random organizations on k nodes with r+1 copies the expectation
-// is roughly k^{-r} (§7 reports ~1/k for two partitionings).
+// CollidingRatio returns the fraction of objects that needed a safety copy: in
+// a plain group of m+1 random organizations on k nodes, roughly k^{-m} (§7).
 func (g *Group) CollidingRatio() float64 {
 	if g.Total == 0 {
 		return 0
@@ -135,13 +192,10 @@ func CountColliding(records [][]byte, parts []*Partitioner, k int) int64 {
 	for _, p := range parts {
 		g.Members = append(g.Members, Member{Part: p})
 	}
+	nodes := make([]int, len(g.Members))
 	var n int64
 	for _, rec := range records {
-		mask, err := g.nodesOf(rec, k)
-		if err != nil {
-			continue
-		}
-		if collides(mask) {
+		if mask, err := g.copies(rec, k, nodes); err == nil && bits.OnesCount64(mask) == 1 {
 			n++
 		}
 	}

@@ -1,0 +1,159 @@
+package placement
+
+import (
+	"encoding/binary"
+	"errors"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"pangea/internal/cluster"
+)
+
+// replicaSets lists the sets on every worker that are not the source.
+func replicaSets(workers []*cluster.Worker, source string) []string {
+	var names []string
+	for _, w := range workers {
+		for _, s := range w.Pool().Sets() {
+			if s.Name() != source {
+				names = append(names, s.Name())
+			}
+		}
+	}
+	return names
+}
+
+// TestFailedGroupBuildLeavesNothing: a build that fails mid-stream must
+// leave no replica or safety set on any worker and register no replica, so
+// that the retry succeeds. At the parent commit the half-filled sets
+// stayed, the first replica was already registered, and the retry died on
+// "already exists".
+func TestFailedGroupBuildLeavesNothing(t *testing.T) {
+	workers, addrs, cl := startCluster(t, 3)
+	if err := cl.CreateSet("tbl", 64<<10, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := DispatchRandom(cl, addrs, "tbl", mkRecords(900)); err != nil {
+		t.Fatal(err)
+	}
+	parts := twoPartitioners(12)
+	var seen int
+	parts[1].Key = func(rec []byte) ([]byte, error) {
+		if seen++; seen > 500 {
+			return nil, errors.New("key failed mid-stream")
+		}
+		return keyPart(rec)
+	}
+	if _, err := BuildSafeGroup(cl, addrs, "tbl", parts, 64<<10, 2); err == nil {
+		t.Fatal("a build whose partitioner fails must fail")
+	}
+	if left := replicaSets(workers, "tbl"); len(left) != 0 {
+		t.Errorf("failed build left sets behind: %v", left)
+	}
+	if group, err := cl.Replicas("tbl"); err != nil || len(group) != 1 {
+		t.Errorf("failed build registered replicas: %v (err %v)", group, err)
+	}
+	if _, err := BuildSafeGroup(cl, addrs, "tbl", twoPartitioners(12), 64<<10, 2); err != nil {
+		t.Errorf("retry after a failed build: %v", err)
+	}
+}
+
+// TestGroupBuildStreamsSourceOnce: the build streams its source once per
+// worker however many partitioners it has. A source record's random node is
+// the worker it is stored on, so the records a partitioner's Key is shown
+// come in one run per stream of a worker: three workers, three runs. At the
+// parent commit every partitioner streamed the source in a pass of its own
+// and the collision pass streamed it again — six runs and two calls a record.
+func TestGroupBuildStreamsSourceOnce(t *testing.T) {
+	_, addrs, cl := startCluster(t, 3)
+	if err := cl.CreateSet("tbl", 64<<10, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := DispatchRandom(cl, addrs, "tbl", mkRecords(900)); err != nil {
+		t.Fatal(err)
+	}
+	parts := twoPartitioners(12)
+	seen := make([]struct{ calls, runs, last int }, len(parts))
+	for i, p := range parts {
+		key, st := p.Key, &seen[i]
+		st.last = -1
+		p.Key = func(rec []byte) ([]byte, error) {
+			st.calls++
+			if node := RandomNode(rec, len(addrs)); node != st.last {
+				st.runs, st.last = st.runs+1, node
+			}
+			return key(rec)
+		}
+	}
+	if _, err := BuildGroup(cl, addrs, "tbl", parts, 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range seen {
+		if st.calls != 900 || st.runs != len(addrs) {
+			t.Errorf("%s: Key saw %d records in %d per-worker runs, want 900 in %d", parts[i].Scheme, st.calls, st.runs, len(addrs))
+		}
+	}
+}
+
+// TestSenderConcurrentSends: many goroutines share one sender, with enough
+// bytes that batches ship mid-stream. Every record must arrive exactly once
+// at each node it was sent to; a node whose AddRecords fails must report it
+// to the senders from then on, and to Flush, while the other nodes still get
+// everything.
+func TestSenderConcurrentSends(t *testing.T) {
+	_, addrs, cl := startCluster(t, 3)
+	for _, addr := range addrs[:2] { // node 2 has no "dst": every batch to it fails
+		if err := cl.CreateSetOn(addr, "dst", 64<<10, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const senders, each = 8, 400
+	recs := mkRecords(senders * each)
+	for i, rec := range recs { // 1 KiB each, 3.2 MB a node: several batches
+		recs[i] = append(rec, make([]byte, 1000)...)
+	}
+	s := NewSender(cl, addrs, "dst")
+	var wg sync.WaitGroup
+	var failedSends atomic.Int64
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, rec := range recs[g*each : (g+1)*each] {
+				for node := range addrs {
+					if err := s.Send(node, rec); err != nil {
+						if node != 2 || !strings.Contains(err.Error(), "node 2") {
+							t.Errorf("send to node %d: %v", node, err)
+						}
+						failedSends.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if failedSends.Load() == 0 {
+		t.Error("node 2's batches filled mid-stream, yet no Send reported their failure")
+	}
+	if err := s.Flush(); err == nil || !strings.Contains(err.Error(), "node 2") {
+		t.Errorf("Flush = %v, want node 2's error", err)
+	}
+	if err := s.Send(2, recs[0]); err == nil {
+		t.Error("a send to a failed node must keep failing")
+	}
+	for node, addr := range addrs[:2] {
+		counts := make(map[uint64]int, len(recs))
+		if err := cl.FetchSet(addr, "dst", func(rec []byte) error {
+			counts[binary.LittleEndian.Uint64(rec[16:24])]++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for id := range recs {
+			if counts[uint64(id)] != 1 {
+				t.Fatalf("node %d holds record %d %d times, want once", node, id, counts[uint64(id)])
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math/bits"
 	"testing"
 )
 
@@ -8,23 +9,45 @@ func TestExtraPlacementReachesRPlusOneNodes(t *testing.T) {
 	const k = 6
 	for r := 1; r < 4; r++ {
 		for mask := uint64(1); mask < 1<<k; mask++ {
-			extra := extraPlacement(mask, k, r)
-			have := len(distinctNodes(mask, k))
-			want := r + 1 - have
-			if want < 0 {
-				want = 0
-			}
-			if have+want > k {
-				continue // cannot spread wider than the cluster
-			}
-			if len(extra) != want {
-				t.Fatalf("mask %b r=%d: extra=%v want %d nodes", mask, r, extra, want)
-			}
-			for _, e := range extra {
-				if mask&(1<<uint(e)) != 0 {
-					t.Fatalf("mask %b: extra copy on an occupied node %d", mask, e)
+			for home := 0; home < k; home++ {
+				extra := extraPlacement(mask, home, k, r)
+				have := bits.OnesCount64(mask)
+				want := r + 1 - have
+				if want < 0 {
+					want = 0
+				}
+				if have+want > k {
+					continue // cannot spread wider than the cluster
+				}
+				if len(extra) != want {
+					t.Fatalf("mask %b r=%d: extra=%v want %d nodes", mask, r, extra, want)
+				}
+				seen := mask
+				for _, e := range extra {
+					if seen&(1<<uint(e)) != 0 {
+						t.Fatalf("mask %b: extra copy on an occupied node %d", mask, e)
+					}
+					seen |= 1 << uint(e)
 				}
 			}
+		}
+	}
+	// The rule walks cyclically from the node after home: a colliding
+	// object's one extra copy at r = 1 goes to (home+1) % k — where the
+	// plain group build has always put it — and over uniform homes the
+	// extras of r = 2 load every node alike, not nodes 0 and 1.
+	load := make([]int, k)
+	for home := 0; home < k; home++ {
+		if extra := extraPlacement(1<<uint(home), home, k, 1); len(extra) != 1 || extra[0] != (home+1)%k {
+			t.Errorf("r=1 home %d: extra=%v, want [%d]", home, extra, (home+1)%k)
+		}
+		for _, e := range extraPlacement(1<<uint(home), home, k, 2) {
+			load[e]++
+		}
+	}
+	for node, n := range load {
+		if n != 2 {
+			t.Errorf("r=2: node %d takes %d of the 12 extra copies, want 2 (load %v)", node, n, load)
 		}
 	}
 }
@@ -36,6 +59,16 @@ func TestBuildSafeGroupValidation(t *testing.T) {
 	}
 	if _, err := BuildSafeGroup(cl, addrs, "x", nil, 64<<10, 3); err == nil {
 		t.Error("r=k must be rejected")
+	}
+	// A node mask has 64 bits; a wider cluster would read every object as
+	// colliding.
+	if _, err := BuildSafeGroup(cl, make([]string, maxNodes+1), "x", nil, 64<<10, 1); err == nil {
+		t.Errorf("%d workers must be rejected", maxNodes+1)
+	}
+	for _, addr := range addrs {
+		if _, err := cl.SetStats(addr, "x:safety-r1"); err == nil {
+			t.Error("a rejected build created its safety set")
+		}
 	}
 }
 
@@ -111,6 +144,17 @@ func TestRecoverMultiRejectsTooManyFailures(t *testing.T) {
 	}
 	if _, err := sg.RecoverMulti(cl, addrs, []int{0, 1}); err == nil {
 		t.Error("recovering 2 failures with r=1 must be rejected")
+	}
+	// Indices outside the cluster used to panic, and a repeated index
+	// counted twice against r.
+	for _, failed := range [][]int{{4}, {-1}, {2, 2}} {
+		if _, err := sg.RecoverMulti(cl, addrs, failed); err == nil {
+			t.Errorf("failed nodes %v on 4 workers must be rejected", failed)
+		}
+	}
+	sg.R = 2
+	if _, err := sg.RecoverMulti(cl, addrs, []int{2, 2}); err == nil {
+		t.Error("a repeated failed node must be rejected even within r")
 	}
 }
 

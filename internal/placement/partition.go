@@ -2,15 +2,11 @@
 // (paper §7): partition computations that turn one locality set into a
 // differently-organized replica, replication groups in which heterogeneous
 // replicas do double duty for computational efficiency and failure
-// recovery, colliding-object detection, and single-node failure recovery
+// recovery, colliding-object detection, and recovery from node failures
 // that re-runs a replica's partitioner over a surviving replica.
 package placement
 
-import (
-	"fmt"
-
-	"pangea/internal/cluster"
-)
+import "pangea/internal/cluster"
 
 // KeyFunc extracts the partitioning key from a record — the paper's
 // PartitionComp UDF (getKeyUdf).
@@ -47,16 +43,11 @@ func (p *Partitioner) PartitionOf(rec []byte) (int, error) {
 	return int(fnv1a(key) % uint64(p.NumPartitions)), nil
 }
 
-// NodeOfPartition places partition idx on a node in a k-node cluster.
-func NodeOfPartition(idx, k int) int { return idx % k }
-
-// NodeOf maps a record directly to the node holding its partition.
+// NodeOf maps a record to the node holding its partition in a k-node
+// cluster: partitions are dealt to the nodes round-robin.
 func (p *Partitioner) NodeOf(rec []byte, k int) (int, error) {
 	idx, err := p.PartitionOf(rec)
-	if err != nil {
-		return 0, err
-	}
-	return NodeOfPartition(idx, k), nil
+	return idx % k, err
 }
 
 // RandomNode is the placement of a randomly dispatched source set: a
@@ -68,81 +59,41 @@ func RandomNode(rec []byte, k int) int {
 	return int((fnv1a(rec) ^ 0x9e3779b97f4a7c15) % uint64(k))
 }
 
-// batcher accumulates per-node record batches and flushes them to workers.
-type batcher struct {
-	cl    *cluster.Client
-	addrs []string
-	set   string
-	size  int
-	buf   [][][]byte
-}
-
-func newBatcher(cl *cluster.Client, addrs []string, set string, size int) *batcher {
-	return &batcher{cl: cl, addrs: addrs, set: set, size: size, buf: make([][][]byte, len(addrs))}
-}
-
-func (b *batcher) add(node int, rec []byte) error {
-	b.buf[node] = append(b.buf[node], append([]byte(nil), rec...))
-	if len(b.buf[node]) >= b.size {
-		return b.flushNode(node)
-	}
-	return nil
-}
-
-func (b *batcher) flushNode(node int) error {
-	if len(b.buf[node]) == 0 {
-		return nil
-	}
-	err := b.cl.AddRecords(b.addrs[node], b.set, b.buf[node])
-	b.buf[node] = b.buf[node][:0]
-	if err != nil {
-		return fmt.Errorf("placement: dispatch to node %d: %w", node, err)
-	}
-	return nil
-}
-
-func (b *batcher) flush() error {
-	for node := range b.buf {
-		if err := b.flushNode(node); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// PartitionsFor is the partition count every organization of a k-node
+// deployment uses. Two sets co-partition node by node — a replica with a
+// replica, an exchanged set with a replica — only if they agree on it.
+func PartitionsFor(k int) int { return 4 * k }
 
 // DispatchRandom loads records into a source set spread over the cluster by
 // content hash — the "randomly dispatched set" of §9.1.2. The set must
 // already exist on every worker.
 func DispatchRandom(cl *cluster.Client, addrs []string, set string, records [][]byte) error {
-	b := newBatcher(cl, addrs, set, 256)
+	s := NewSender(cl, addrs, set)
 	for _, rec := range records {
-		if err := b.add(RandomNode(rec, len(addrs)), rec); err != nil {
+		if err := s.Send(RandomNode(rec, len(addrs)), rec); err != nil {
 			return err
 		}
 	}
-	return b.flush()
+	return s.Flush()
 }
 
-// PartitionSet runs a partition computation (§7): it scans the source set
-// on every worker, extracts each record's key with the partitioner, and
-// dispatches the record to the node owning its partition in the target set.
-// The target set must already exist on every worker. It returns the number
-// of records moved.
+// PartitionSet runs a partition computation (§7): it streams the source set
+// from every worker and sends each record to the node owning its partition
+// in the target set, which must already exist on every worker. It returns
+// the number of records moved.
 func PartitionSet(cl *cluster.Client, addrs []string, source, target string, part *Partitioner) (int64, error) {
-	b := newBatcher(cl, addrs, target, 256)
+	s := NewSender(cl, addrs, target)
 	var n int64
-	for _, addr := range addrs {
-		err := cl.FetchSet(addr, source, func(rec []byte) error {
-			node, err := part.NodeOf(rec, len(addrs))
-			if err != nil {
-				return err
-			}
-			n++
-			return b.add(node, rec)
-		})
+	err := Stream(cl, addrs, source, func(_ int, rec []byte) error {
+		node, err := part.NodeOf(rec, len(addrs))
 		if err != nil {
-			return n, fmt.Errorf("placement: partition %s -> %s: %w", source, target, err)
+			return err
 		}
+		n++
+		return s.Send(node, rec)
+	})
+	if err != nil {
+		return n, err
 	}
-	return n, b.flush()
+	return n, s.Flush()
 }

@@ -334,11 +334,17 @@ func TestRecoverRestoresExactMultiset(t *testing.T) {
 }
 
 func TestReassignNodeSkipsFailed(t *testing.T) {
-	for idx := 0; idx < 100; idx++ {
-		for failed := 0; failed < 5; failed++ {
-			n := reassignNode(idx, failed, 5)
+	for failed := 0; failed < 5; failed++ {
+		var surviving []int
+		for n := 0; n < 5; n++ {
+			if n != failed {
+				surviving = append(surviving, n)
+			}
+		}
+		for idx := 0; idx < 100; idx++ {
+			n := reassignNode(idx, surviving)
 			if n == failed {
-				t.Fatalf("reassignNode(%d, %d, 5) chose the failed node", idx, failed)
+				t.Fatalf("reassignNode(%d, %v) chose the failed node", idx, surviving)
 			}
 			if n < 0 || n >= 5 {
 				t.Fatalf("reassignNode out of range: %d", n)

@@ -18,159 +18,131 @@ func (r RecoveryReport) Recovered() int64 { return r.FromSource + r.FromCollidin
 
 // reassignNode maps a lost partition (or lost random placement) to a
 // surviving node, round-robin over the survivors.
-func reassignNode(idx, failed, k int) int {
-	node := idx % (k - 1)
-	if node >= failed {
-		node++
-	}
-	return node
-}
+func reassignNode(idx int, surviving []int) int { return surviving[idx%len(surviving)] }
 
-// memberNode computes where member m stores a record in a k-node cluster.
-func memberNode(m Member, rec []byte, k int) (int, error) {
-	if m.Part == nil {
-		return RandomNode(rec, k), nil
-	}
-	p, err := m.Part.PartitionOf(rec)
-	if err != nil {
-		return 0, err
-	}
-	return NodeOfPartition(p, k), nil
-}
-
-// Recover rebuilds every member of a replication group after the failure of
-// node failedIdx (paper §7). For each target member, the lost key range is
-// the set of partitions placed on the failed node. Source replicas are the
-// other members of the group: the target's partitioner is re-run over their
-// surviving records, and records falling in the lost range are dispatched
-// to the surviving nodes now owning them. Because every member stores the
-// same objects, a record is dispatched only by the lowest-indexed member
-// whose copy survived, which both avoids duplicates and covers records lost
-// in several members at once. Colliding objects — whose every copy lived on
-// the failed node — are restored from the group's dedicated
-// colliding-object set. addrs lists all original workers; addrs[failedIdx]
-// must be considered lost.
+// Recover is RecoverMulti for a group built by BuildGroup and the one failed
+// node addrs[failedIdx].
 func Recover(cl *cluster.Client, addrs []string, g *Group, failedIdx int) ([]RecoveryReport, error) {
-	k := len(addrs)
-	if k < 2 {
-		return nil, fmt.Errorf("placement: cannot recover a %d-node cluster", k)
+	return (&SafeGroup{Group: g, R: 1}).RecoverMulti(cl, addrs, []int{failedIdx})
+}
+
+// RecoverMulti rebuilds every member of the group after up to R concurrent
+// node failures (paper §7). A member lost the records it placed on a failed
+// node; its partitioner, re-run over a surviving copy, says which those are,
+// and they go to the surviving nodes that take the lost partitions over.
+// Every member stores the same objects, so each surviving member set is
+// streamed once and a record is dispatched, to every member that lost it,
+// only by the lowest-indexed member whose copy survived — no duplicates, and
+// records lost in several members at once are covered. A record no member
+// kept is dispatched by the first surviving node of its safety placement.
+// addrs lists all the original workers, failed the indices of the lost ones.
+func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []int) ([]RecoveryReport, error) {
+	k, g := len(addrs), sg.Group
+	if k > maxNodes {
+		return nil, fmt.Errorf("placement: a replication group spans at most %d workers, not %d", maxNodes, k)
 	}
-	surviving := make([]int, 0, k-1)
-	for i := range addrs {
-		if i != failedIdx {
+	live := append([]string(nil), addrs...) // failed workers blanked, as Stream wants them
+	for _, f := range failed {
+		if f < 0 || f >= k {
+			return nil, fmt.Errorf("placement: failed node %d is outside the %d-node cluster", f, k)
+		}
+		if live[f] == "" {
+			return nil, fmt.Errorf("placement: failed node %d is listed twice", f)
+		}
+		live[f] = ""
+	}
+	if len(failed) > sg.R {
+		return nil, fmt.Errorf("placement: %d failures exceed the tolerated r=%d", len(failed), sg.R)
+	}
+	var surviving []int
+	for i, addr := range live {
+		if addr != "" {
 			surviving = append(surviving, i)
 		}
 	}
+	if len(surviving) == 0 {
+		return nil, fmt.Errorf("placement: no surviving nodes")
+	}
 
-	reports := make([]RecoveryReport, 0, len(g.Members))
-	for ti, target := range g.Members {
-		rep := RecoveryReport{Member: target.Set}
-
-		// lostNode reports whether the record's copy in the target lived on
-		// the failed node, and which surviving node now owns it.
-		lostNode := func(rec []byte) (bool, int, error) {
-			if target.Part == nil {
-				if RandomNode(rec, k) != failedIdx {
-					return false, 0, nil
-				}
-				return true, reassignNode(int(fnv1a(rec)%uint64(k)), failedIdx, k), nil
+	reports := make([]RecoveryReport, len(g.Members))
+	senders := make([]*Sender, len(g.Members))
+	for i, m := range g.Members {
+		reports[i].Member = m.Set
+		senders[i] = NewSender(cl, addrs, m.Set)
+	}
+	nodes := make([]int, len(g.Members)) // where each member placed the record in hand
+	// dispatcher returns the lowest-indexed member other than ti whose copy
+	// of that record survived, or -1.
+	dispatcher := func(ti int) int {
+		for mi, node := range nodes {
+			if mi != ti && live[node] != "" {
+				return mi
 			}
-			p, err := target.Part.PartitionOf(rec)
-			if err != nil {
-				return false, 0, err
-			}
-			if NodeOfPartition(p, k) != failedIdx {
-				return false, 0, nil
-			}
-			return true, reassignNode(p, failedIdx, k), nil
 		}
+		return -1
+	}
+	// restore sends the record to the survivor taking over its partition in
+	// member ti; the random source has none, so an unsalted hash stands in.
+	restore := func(ti int, rec []byte) error {
+		idx := int(fnv1a(rec) % uint64(k))
+		if p := g.Members[ti].Part; p != nil {
+			var err error
+			if idx, err = p.PartitionOf(rec); err != nil {
+				return err
+			}
+		}
+		return senders[ti].Send(reassignNode(idx, surviving), rec)
+	}
 
-		// responsible reports whether member si is the lowest-indexed
-		// non-target member whose copy of rec survived the failure. Only
-		// that member dispatches the record, preventing duplicates.
-		responsible := func(si int, rec []byte) (bool, error) {
-			for mi, m := range g.Members {
-				if mi == ti {
+	// Surviving member copies. A member's own stream never feeds its
+	// sender, and a record restored into it earlier is passed over here
+	// because its original node is a failed one.
+	for si, m := range g.Members {
+		err := Stream(cl, live, m.Set, func(_ int, rec []byte) error {
+			if _, err := g.copies(rec, k, nodes); err != nil {
+				return err
+			}
+			for ti := range g.Members {
+				if live[nodes[ti]] != "" || dispatcher(ti) != si {
 					continue
 				}
-				node, err := memberNode(m, rec, k)
-				if err != nil {
-					return false, err
-				}
-				if node != failedIdx {
-					return mi == si, nil
-				}
-			}
-			return false, nil // colliding: no surviving copy in any member
-		}
-
-		b := newBatcher(cl, addrs, target.Set, 256)
-		dispatch := func(rec []byte) (bool, error) {
-			lost, node, err := lostNode(rec)
-			if err != nil || !lost {
-				return false, err
-			}
-			return true, b.add(node, rec)
-		}
-
-		// Pass 1: re-run the target's partitioner over the surviving
-		// records of the other members.
-		for si, source := range g.Members {
-			if si == ti {
-				continue
-			}
-			for _, i := range surviving {
-				err := cl.FetchSet(addrs[i], source.Set, func(rec []byte) error {
-					ok, err := responsible(si, rec)
-					if err != nil || !ok {
-						return err
-					}
-					hit, err := dispatch(rec)
-					if hit {
-						rep.FromSource++
-					}
+				reports[ti].FromSource++
+				if err := restore(ti, rec); err != nil {
 					return err
-				})
-				if err != nil {
-					return reports, fmt.Errorf("placement: recover %s from %s: %w", target.Set, source.Set, err)
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-
-		// Pass 2: restore colliding objects. Their every copy lived on the
-		// failed node, so pass 1 cannot see them; the dedicated set holds
-		// an extra copy placed off the colliding node.
-		for _, i := range surviving {
-			err := cl.FetchSet(addrs[i], g.Colliding, func(rec []byte) error {
-				if RandomNode(rec, k) != failedIdx {
-					// The colliding node survived; nothing was lost.
-					return nil
-				}
-				hit, err := dispatch(rec)
-				if hit {
-					rep.FromColliding++
-				}
+	}
+	// Safety copies of the records no member kept.
+	err := Stream(cl, live, g.Colliding, func(at int, rec []byte) error {
+		mask, err := g.copies(rec, k, nodes)
+		if err != nil || dispatcher(-1) >= 0 {
+			return err
+		}
+		for _, node := range extraPlacement(mask, nodes[0], k, sg.R) {
+			if node == at {
+				break
+			}
+			if live[node] != "" {
+				return nil // an earlier surviving safety copy dispatches
+			}
+		}
+		for ti := range g.Members {
+			reports[ti].FromColliding++
+			if err := restore(ti, rec); err != nil {
 				return err
-			})
-			if err != nil {
-				return reports, fmt.Errorf("placement: recover %s colliding objects: %w", target.Set, err)
 			}
 		}
-		if err := b.flush(); err != nil {
-			return reports, err
-		}
-		reports = append(reports, rep)
-	}
-	return reports, nil
-}
-
-// CountSet totals a set's records over the given workers.
-func CountSet(cl *cluster.Client, addrs []string, set string) (int64, error) {
-	var n int64
-	for _, addr := range addrs {
-		if err := cl.FetchSet(addr, set, func([]byte) error { n++; return nil }); err != nil {
-			return n, err
+		return nil
+	})
+	for _, s := range senders {
+		if err == nil {
+			err = s.Flush()
 		}
 	}
-	return n, nil
+	return reports, err
 }

@@ -11,6 +11,7 @@ import (
 	"pangea/internal/cluster"
 	"pangea/internal/core"
 	"pangea/internal/disk"
+	"pangea/internal/placement"
 	"pangea/internal/services"
 )
 
@@ -252,10 +253,22 @@ func TestExchangeCoPartitions(t *testing.T) {
 	}
 }
 
+// TestBroadcastReplicatesEverywhere: every node ends up with exactly the
+// source's multiset of rows, for a source of several send batches spread over
+// three nodes.
 func TestBroadcastReplicatesEverywhere(t *testing.T) {
 	e := startExec(t, 3)
-	rows := testRows(90)
-	loadDistributed(t, e, "dim", rows)
+	rows := make([][]byte, 3000) // 3 MB, so batches also ship mid-stream
+	for i := range rows {
+		rows[i] = make([]byte, 1024)
+		binary.LittleEndian.PutUint32(rows[i], uint32(i/2)) // every row twice
+	}
+	if err := e.Client.CreateSet("dim", 64<<10, uint8(core.WriteBack)); err != nil {
+		t.Fatal(err)
+	}
+	if err := placement.DispatchRandom(e.Client, e.Addrs, "dim", rows); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Broadcast("dim", "dim-b", 64<<10); err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +277,24 @@ func TestBroadcastReplicatesEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := ScanSpec{Set: s}.CountBatches(nil)
+		counts := make(map[uint32]int)
+		err = ScanSpec{Set: s}.Run(func(_ int, r Row) error {
+			if len(r) != 1024 {
+				return fmt.Errorf("row of %d bytes", len(r))
+			}
+			counts[rowID(r)]++
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != 90 {
-			t.Errorf("node %d broadcast copy has %d rows, want 90", node, n)
+		for id := uint32(0); id < 1500; id++ {
+			if counts[id] != 2 {
+				t.Fatalf("node %d holds row %d %d times, want 2", node, id, counts[id])
+			}
+		}
+		if len(counts) != 1500 {
+			t.Errorf("node %d holds %d distinct rows, want 1500", node, len(counts))
 		}
 	}
 }

@@ -84,10 +84,9 @@ func (e *Executor) ChooseReplica(source, scheme string) (set string, coPartition
 
 // Exchange repartitions per-node row streams onto a fresh distributed set
 // keyed by key — the runtime shuffle a query needs when no co-partitioned
-// replica exists. The new set is created on every node; rows are routed
-// with the same partition->node placement the data placement system uses.
-// On failure the set is dropped again everywhere; on success it is the
-// caller's to drop.
+// replica exists. Rows are routed with the same partition->node placement
+// the replicas use. On failure the set is dropped again everywhere; on
+// success it is the caller's to drop.
 func (e *Executor) Exchange(name string, sources func(node int) Iter, key func(Row) []byte, pageSize int64) (err error) {
 	defer e.dropOnFailure(name, &err)
 	if err := e.Client.CreateSet(name, pageSize, uint8(core.WriteBack)); err != nil {
@@ -95,81 +94,50 @@ func (e *Executor) Exchange(name string, sources func(node int) Iter, key func(R
 	}
 	part := &placement.Partitioner{
 		Scheme:        "exchange",
-		NumPartitions: len(e.Workers) * 4,
+		NumPartitions: placement.PartitionsFor(len(e.Workers)),
 		Key:           func(rec []byte) ([]byte, error) { return key(rec), nil },
 	}
+	// One sender per source node: the nodes' scan threads share nothing.
 	return e.Parallel(func(node int, w *cluster.Worker) error {
-		const batchSize = 256
-		batches := make([][][]byte, len(e.Workers))
-		flush := func(dst int) error {
-			if len(batches[dst]) == 0 {
-				return nil
-			}
-			err := e.Client.AddRecords(e.Addrs[dst], name, batches[dst])
-			batches[dst] = batches[dst][:0]
-			return err
-		}
-		var mu sync.Mutex
+		s := placement.NewSender(e.Client, e.Addrs, name)
 		err := sources(node)(func(r Row) error {
 			dst, err := part.NodeOf(r, len(e.Workers))
 			if err != nil {
 				return err
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			batches[dst] = append(batches[dst], append(Row(nil), r...))
-			if len(batches[dst]) >= batchSize {
-				return flush(dst)
-			}
-			return nil
+			return s.Send(dst, r)
 		})
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		for dst := range batches {
-			if err := flush(dst); err != nil {
-				return err
-			}
-		}
-		return nil
+		return s.Flush()
 	})
 }
 
 // Broadcast replicates the union of a distributed set onto every node as a
-// fresh local set, through the cluster's fetch stream — the broadcast
-// service feeding broadcast joins. Like Exchange, it leaves no target set
-// behind when it fails.
+// fresh local set — the broadcast service feeding broadcast joins. Each
+// source node is streamed by its own goroutine into one shared sender, so
+// sends to different nodes overlap. A failed broadcast leaves no target set.
 func (e *Executor) Broadcast(source, target string, pageSize int64) (err error) {
-	// Gather the full set once.
-	var rows [][]byte
-	for _, addr := range e.Addrs {
-		err := e.Client.FetchSet(addr, source, func(rec []byte) error {
-			rows = append(rows, append([]byte(nil), rec...))
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
 	defer e.dropOnFailure(target, &err)
 	if err := e.Client.CreateSet(target, pageSize, uint8(core.WriteBack)); err != nil {
 		return err
 	}
-	return e.Parallel(func(node int, w *cluster.Worker) error {
-		const batch = 512
-		for i := 0; i < len(rows); i += batch {
-			j := i + batch
-			if j > len(rows) {
-				j = len(rows)
+	s := placement.NewSender(e.Client, e.Addrs, target)
+	err = e.Parallel(func(node int, w *cluster.Worker) error {
+		return placement.Stream(e.Client, e.Addrs[node:node+1], source, func(_ int, rec []byte) error {
+			for dst := range e.Addrs {
+				if err := s.Send(dst, rec); err != nil {
+					return err
+				}
 			}
-			if err := e.Client.AddRecords(e.Addrs[node], target, rows[i:j]); err != nil {
-				return err
-			}
-		}
-		return nil
+			return nil
+		})
 	})
+	if err != nil {
+		return err
+	}
+	return s.Flush()
 }
 
 // dropOnFailure, deferred by the operations that create a set on every node,

@@ -120,7 +120,7 @@ func EnsureLineitemMicroindexes(e *query.Executor) error {
 // NumPartitions is fixed per deployment so that two replicas built with the
 // same key layout are co-partitioned node-by-node.
 func partitioners(numNodes int) map[string]map[string]*placement.Partitioner {
-	np := numNodes * 4
+	np := placement.PartitionsFor(numNodes)
 	key := func(f func([]byte) []byte) placement.KeyFunc {
 		return func(rec []byte) ([]byte, error) { return f(rec), nil }
 	}
