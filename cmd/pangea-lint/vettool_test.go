@@ -23,7 +23,7 @@ func buildLintTool(t *testing.T, dir string) string {
 
 // TestVettoolProtocol drives the binary through the real `go vet -vettool`
 // driver: the probe handshake, a clean run over the shipped tree, and a
-// firing run over a scratch package that violates the errdrop invariant.
+// firing run over a testdata package that violates the errdrop invariant.
 func TestVettoolProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool and runs go vet over the module; skipped in -short")
@@ -46,30 +46,17 @@ func TestVettoolProtocol(t *testing.T) {
 		t.Fatalf("go vet -vettool over clean tree failed: %v\n%s", err, out)
 	}
 
-	// Firing run: a scratch package inside the module that drops a
-	// pfs.PagedFile.Close error, which the default errdrop rules flag.
-	scratch := filepath.Join(repoRoot(t), "vettoolscratch_test_pkg")
-	if err := os.MkdirAll(scratch, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(scratch)
-	src := `package vettoolscratch
-
-import "pangea/internal/pfs"
-
-func drop(pf *pfs.PagedFile) {
-	pf.Close()
-}
-`
-	if err := os.WriteFile(filepath.Join(scratch, "scratch.go"), []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	vet = exec.Command("go", "vet", "-vettool="+bin, "./vettoolscratch_test_pkg")
+	// Firing run: testdata/firing drops a pfs.PagedFile.Close error, which
+	// the default errdrop rules flag. It is checked in, and vetted by explicit
+	// path: no test writes inside the module tree, where a package that comes
+	// and goes races every other test that loads ./... (internal/lint's
+	// TestRealTreeClean runs beside this one).
+	vet = exec.Command("go", "vet", "-vettool="+bin, "./cmd/pangea-lint/testdata/firing")
 	vet.Dir = repoRoot(t)
 	var stderr bytes.Buffer
 	vet.Stderr = &stderr
 	if err := vet.Run(); err == nil {
-		t.Fatalf("go vet -vettool did not fail on the scratch package; stderr:\n%s", stderr.String())
+		t.Fatalf("go vet -vettool did not fail on testdata/firing; stderr:\n%s", stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "errdrop") {
 		t.Fatalf("vet output lacks the errdrop diagnostic:\n%s", stderr.String())

@@ -30,29 +30,14 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	mgr, err := cluster.NewManager("127.0.0.1:0", key)
+	dep, err := cluster.StartLocal(key, 5, func(i int) cluster.WorkerConfig {
+		return cluster.WorkerConfig{Memory: 16 << 20, DiskDir: filepath.Join(dir, fmt.Sprintf("w%d", i))}
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer mgr.Close()
-	cl := cluster.NewClient(mgr.Addr(), key)
-	var workers []*cluster.Worker
-	var addrs []string
-	for i := 0; i < 5; i++ {
-		w, err := cluster.NewWorker("127.0.0.1:0", cluster.WorkerConfig{
-			PrivateKey: key, Memory: 16 << 20,
-			DiskDir: filepath.Join(dir, fmt.Sprintf("w%d", i)),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer w.Close()
-		if _, err := cl.RegisterWorker(w.Addr()); err != nil {
-			log.Fatal(err)
-		}
-		workers = append(workers, w)
-		addrs = append(addrs, w.Addr())
-	}
+	defer dep.Close()
+	cl, workers, addrs := dep.Client, dep.Workers, dep.Addrs
 
 	d := tpch.Generate(0.003, 41)
 	fmt.Printf("lineitem: %d rows\n", len(d.Lineitem))

@@ -31,28 +31,14 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	mgr, err := cluster.NewManager("127.0.0.1:0", key)
+	dep, err := cluster.StartLocal(key, 3, func(i int) cluster.WorkerConfig {
+		return cluster.WorkerConfig{Memory: 48 << 20, DiskDir: filepath.Join(dir, fmt.Sprintf("w%d", i))}
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer mgr.Close()
-	cl := cluster.NewClient(mgr.Addr(), key)
-	var workers []*cluster.Worker
-	for i := 0; i < 3; i++ {
-		w, err := cluster.NewWorker("127.0.0.1:0", cluster.WorkerConfig{
-			PrivateKey: key, Memory: 48 << 20,
-			DiskDir: filepath.Join(dir, fmt.Sprintf("w%d", i)),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer w.Close()
-		if _, err := cl.RegisterWorker(w.Addr()); err != nil {
-			log.Fatal(err)
-		}
-		workers = append(workers, w)
-	}
-	e := query.NewExecutor(cl, workers, 2)
+	defer dep.Close()
+	e := query.NewExecutor(dep.Client, dep.Workers, 2)
 
 	const sf = 0.005
 	d := tpch.Generate(sf, 7)

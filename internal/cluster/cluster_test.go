@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pangea/internal/core"
 )
@@ -11,32 +14,49 @@ import (
 const testKey = "test-private-key"
 
 // startCluster spins up a manager and n workers on localhost, registering
-// the workers.
+// the workers. Its cleanup closes them and fails the test if anything of this
+// package is still running afterwards.
 func startCluster(t *testing.T, n int, memPerWorker int64) (*Manager, []*Worker, *Client) {
 	t.Helper()
-	mgr, err := NewManager("127.0.0.1:0", testKey)
+	l, err := StartLocal(testKey, n, func(int) WorkerConfig {
+		return WorkerConfig{Memory: memPerWorker, DiskDir: t.TempDir()}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = mgr.Close() })
-	cl := NewClient(mgr.Addr(), testKey)
-	var workers []*Worker
-	for i := 0; i < n; i++ {
-		w, err := NewWorker("127.0.0.1:0", WorkerConfig{
-			PrivateKey: testKey,
-			Memory:     memPerWorker,
-			DiskDir:    t.TempDir(),
-		})
-		if err != nil {
-			t.Fatal(err)
+	t.Cleanup(func() {
+		if err := l.Close(); err != nil {
+			t.Errorf("closing the cluster: %v", err)
 		}
-		t.Cleanup(func() { _ = w.Close() })
-		if _, err := cl.RegisterWorker(w.Addr()); err != nil {
-			t.Fatal(err)
+		checkNoGoroutines(t)
+	})
+	return l.Manager, l.Workers, l.Client
+}
+
+// checkNoGoroutines fails the test if a goroutine with a frame of this
+// package — a connection handler, an accept loop, a scan's computation thread
+// — is still alive. It gives goroutines that are on their way out a moment.
+func checkNoGoroutines(t *testing.T) {
+	t.Helper()
+	var leaked []string
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+		leaked = leaked[:0]
+		for _, g := range stacks[1:] { // stacks[0] is this goroutine
+			// Test goroutines (this test's parents) have package frames too.
+			if strings.Contains(g, "pangea/internal/cluster.") && !strings.Contains(g, "testing.tRunner") {
+				leaked = append(leaked, g)
+			}
 		}
-		workers = append(workers, w)
+		if len(leaked) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			break
+		}
 	}
-	return mgr, workers, cl
+	t.Errorf("%d goroutine(s) of the cluster package outlived Close:\n\n%s", len(leaked), strings.Join(leaked, "\n\n"))
 }
 
 func TestRegisterAndListWorkers(t *testing.T) {
@@ -55,23 +75,64 @@ func TestRegisterAndListWorkers(t *testing.T) {
 	}
 }
 
+// everyRequest is one well-formed request of every type a node can be sent,
+// the two streaming ones and a scan's acknowledgement included. The key test
+// and the fuzz seeds both walk it.
+var everyRequest = []any{
+	RegisterWorkerReq{Addr: "127.0.0.1:1"},
+	ListWorkersReq{},
+	RegisterReplicaReq{Source: "s", Target: "s_by_k", Scheme: "hash(k)"},
+	GetReplicasReq{Source: "s"},
+	CreateSetReq{Name: "made", PageSize: 4096},
+	AddRecordsReq{Set: "s", Records: [][]byte{[]byte("rec")}},
+	FetchSetReq{Set: "s"},
+	GetSetPagesReq{Set: "s"},
+	PageDone{PageNum: -1},
+	PinPageReq{Set: "s"},
+	UnpinPageReq{Set: "s", PageNum: 0, Dirty: true},
+	DropSetReq{Set: "s"},
+	SetStatsReq{Set: "s"},
+	NodeStatsReq{},
+	ShutdownReq{},
+}
+
+// TestInvalidKeyRejected: the key is checked before dispatch, so a wrong one
+// is refused for every request type on either kind of node, and the refused
+// request has done nothing.
 func TestInvalidKeyRejected(t *testing.T) {
-	mgr, err := NewManager("127.0.0.1:0", testKey)
-	if err != nil {
+	mgr, workers, good := startCluster(t, 1, 1<<20)
+	w := workers[0]
+	if err := good.CreateSet("s", 4096, 0); err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
+	for _, addr := range []string{mgr.Addr(), w.Addr()} {
+		for _, req := range everyRequest {
+			_, err := call[any](addr, AuthToken("wrong-key"), req)
+			if err == nil || !strings.Contains(err.Error(), "invalid private key") {
+				t.Errorf("%T to %s with a wrong key: err = %v, want the key refused", req, addr, err)
+			}
+		}
+	}
 	bad := NewClient(mgr.Addr(), "wrong-key")
 	if _, err := bad.Workers(); err == nil {
 		t.Error("manager accepted an invalid key")
 	}
-	w, err := NewWorker("127.0.0.1:0", WorkerConfig{PrivateKey: testKey, Memory: 1 << 20, DiskDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := bad.CreateSetOn(w.Addr(), "s", 4096, 0); err == nil {
+	if err := bad.CreateSetOn(w.Addr(), "made", 4096, 0); err == nil {
 		t.Error("worker accepted an invalid key")
+	}
+	// Nothing refused took effect: no set made or dropped, no worker
+	// registered, and both nodes — sent a ShutdownReq each — still serve.
+	if _, ok := w.Pool().GetSet("made"); ok {
+		t.Error("a refused CreateSetReq made its set")
+	}
+	if _, ok := w.Pool().GetSet("s"); !ok {
+		t.Error("a refused DropSetReq dropped its set")
+	}
+	if addrs, err := good.Workers(); err != nil || len(addrs) != 1 {
+		t.Errorf("manager after the refusals: workers = %v, err = %v, want the one registered", addrs, err)
+	}
+	if _, err := good.NodeStats(w.Addr()); err != nil {
+		t.Errorf("worker after the refusals: %v", err)
 	}
 }
 

@@ -147,19 +147,21 @@ func TestWriterSealedBeforeScan(t *testing.T) {
 
 // TestWorkerShutdownMessage: the shutdown protocol honours the key.
 func TestWorkerShutdownMessage(t *testing.T) {
-	_, workers, _ := startCluster(t, 1, 1<<20)
+	_, workers, cl := startCluster(t, 1, 1<<20)
 	w := workers[0]
-	// Wrong key: refused.
-	msg, err := call(w.Addr(), ShutdownReq{Auth: AuthToken("wrong")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok := msg.(OKResp); ok.Err == "" {
+	// Wrong key: refused, and the worker goes on serving.
+	if _, err := call[any](w.Addr(), AuthToken("wrong"), ShutdownReq{}); err == nil {
 		t.Error("shutdown with wrong key must be refused")
 	}
-	// Right key: accepted; worker stops accepting.
-	if _, err := call(w.Addr(), ShutdownReq{Auth: AuthToken(testKey)}); err != nil {
+	if _, err := cl.NodeStats(w.Addr()); err != nil {
+		t.Fatalf("worker after a refused shutdown: %v", err)
+	}
+	// Right key: acknowledged; the worker stops accepting.
+	if _, err := call[any](w.Addr(), AuthToken(testKey), ShutdownReq{}); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := cl.NodeStats(w.Addr()); err == nil {
+		t.Error("worker still serves after an acknowledged shutdown")
 	}
 }
 

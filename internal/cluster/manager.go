@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -16,15 +15,11 @@ import (
 // stores considerably less metadata: per-page locations live in the worker
 // meta files, not here (§4).
 type Manager struct {
-	auth string
-	ln   net.Listener
+	*server
 
 	mu       sync.Mutex
 	workers  []string
 	replicas map[string][]ReplicaInfo // source set -> replica group
-	closed   bool
-
-	wg sync.WaitGroup
 }
 
 // NewManager starts a manager listening on addr.
@@ -33,112 +28,39 @@ func NewManager(addr, privateKey string) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{
-		auth:     AuthToken(privateKey),
-		ln:       ln,
-		replicas: make(map[string][]ReplicaInfo),
-	}
-	m.wg.Add(1)
-	go m.serve()
+	m := &Manager{replicas: make(map[string][]ReplicaInfo)}
+	m.server = newServer(ln, privateKey, m.handle, nil)
+	m.start()
 	return m, nil
 }
 
-// Addr returns the manager's listen address.
-func (m *Manager) Addr() string { return m.ln.Addr().String() }
-
-// Close stops the manager.
-func (m *Manager) Close() error {
+// handle serves the manager's requests: the worker registry and the
+// statistics database.
+func (m *Manager) handle(_ *conn, msg any) (any, error) {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closed = true
-	m.mu.Unlock()
-	err := m.ln.Close()
-	m.wg.Wait()
-	return err
-}
-
-func (m *Manager) serve() {
-	defer m.wg.Done()
-	for {
-		c, err := m.ln.Accept()
-		if err != nil {
-			return
-		}
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			m.handleConn(newConn(c))
-		}()
-	}
-}
-
-func (m *Manager) handleConn(c *conn) {
-	defer c.close()
-	msg, err := c.recv()
-	if err != nil {
-		return
-	}
+	defer m.mu.Unlock()
 	switch req := msg.(type) {
 	case RegisterWorkerReq:
-		if req.Auth != m.auth {
-			c.send(RegisterWorkerResp{Err: "invalid key"})
-			return
-		}
-		m.mu.Lock()
-		id := len(m.workers)
 		m.workers = append(m.workers, req.Addr)
-		m.mu.Unlock()
-		c.send(RegisterWorkerResp{ID: id})
+		return RegisterWorkerResp{ID: len(m.workers) - 1}, nil
 	case ListWorkersReq:
-		if req.Auth != m.auth {
-			c.send(ListWorkersResp{Err: "invalid key"})
-			return
-		}
-		m.mu.Lock()
-		addrs := append([]string(nil), m.workers...)
-		m.mu.Unlock()
-		c.send(ListWorkersResp{Addrs: addrs})
+		return ListWorkersResp{Addrs: append([]string(nil), m.workers...)}, nil
 	case RegisterReplicaReq:
-		if req.Auth != m.auth {
-			c.send(OKResp{Err: "invalid key"})
-			return
-		}
-		m.mu.Lock()
-		group := m.replicas[req.Source]
-		if len(group) == 0 {
-			// The source itself is the first member of its replication
-			// group, with its native (random-dispatch) organization.
-			group = append(group, ReplicaInfo{Set: req.Source, Scheme: "random"})
-		}
-		group = append(group, ReplicaInfo{Set: req.Target, Scheme: req.Scheme})
-		m.replicas[req.Source] = group
-		m.mu.Unlock()
-		c.send(OKResp{})
+		m.replicas[req.Source] = append(m.group(req.Source), ReplicaInfo{Set: req.Target, Scheme: req.Scheme})
+		return nil, nil
 	case GetReplicasReq:
-		if req.Auth != m.auth {
-			c.send(GetReplicasResp{Err: "invalid key"})
-			return
-		}
-		m.mu.Lock()
-		group := append([]ReplicaInfo(nil), m.replicas[req.Source]...)
-		m.mu.Unlock()
-		if len(group) == 0 {
-			group = []ReplicaInfo{{Set: req.Source, Scheme: "random"}}
-		}
-		c.send(GetReplicasResp{Replicas: group})
-	case ShutdownReq:
-		if req.Auth == m.auth {
-			c.send(OKResp{})
-			go m.Close()
-		} else {
-			c.send(OKResp{Err: "invalid key"})
-		}
-	default:
-		c.send(OKResp{Err: fmt.Sprintf("manager: unexpected message %T", msg)})
+		return GetReplicasResp{Replicas: append([]ReplicaInfo(nil), m.group(req.Source)...)}, nil
 	}
+	return nil, fmt.Errorf("manager: unexpected message %T", msg)
+}
+
+// group returns a source's replication group. The source itself is its first
+// member, with its native (random-dispatch) organization, registered or not.
+func (m *Manager) group(source string) []ReplicaInfo {
+	if g := m.replicas[source]; len(g) > 0 {
+		return g
+	}
+	return []ReplicaInfo{{Set: source, Scheme: "random"}}
 }
 
 // Client is an application's handle on a Pangea deployment: it talks to the
@@ -156,56 +78,16 @@ func NewClient(managerAddr, privateKey string) *Client {
 	return &Client{managerAddr: managerAddr, auth: AuthToken(privateKey)}
 }
 
-// respErr converts a transport or in-band error to a Go error.
-func respErr(msg any, err error) error {
-	if err != nil {
-		return err
-	}
-	switch r := msg.(type) {
-	case OKResp:
-		if r.Err != "" {
-			return errors.New(r.Err)
-		}
-	case RegisterWorkerResp:
-		if r.Err != "" {
-			return errors.New(r.Err)
-		}
-	case ListWorkersResp:
-		if r.Err != "" {
-			return errors.New(r.Err)
-		}
-	case GetReplicasResp:
-		if r.Err != "" {
-			return errors.New(r.Err)
-		}
-	case SetStatsResp:
-		if r.Err != "" {
-			return errors.New(r.Err)
-		}
-	case NodeStatsResp:
-		if r.Err != "" {
-			return errors.New(r.Err)
-		}
-	}
-	return nil
-}
-
 // RegisterWorker announces a worker to the manager and returns its index.
 func (cl *Client) RegisterWorker(workerAddr string) (int, error) {
-	msg, err := call(cl.managerAddr, RegisterWorkerReq{Auth: cl.auth, Addr: workerAddr})
-	if err := respErr(msg, err); err != nil {
-		return 0, err
-	}
-	return msg.(RegisterWorkerResp).ID, nil
+	resp, err := call[RegisterWorkerResp](cl.managerAddr, cl.auth, RegisterWorkerReq{Addr: workerAddr})
+	return resp.ID, err
 }
 
 // Workers lists the registered worker addresses.
 func (cl *Client) Workers() ([]string, error) {
-	msg, err := call(cl.managerAddr, ListWorkersReq{Auth: cl.auth})
-	if err := respErr(msg, err); err != nil {
-		return nil, err
-	}
-	return msg.(ListWorkersResp).Addrs, nil
+	resp, err := call[ListWorkersResp](cl.managerAddr, cl.auth, ListWorkersReq{})
+	return resp.Addrs, err
 }
 
 // CreateSet creates a locality set with the same name on every worker.
@@ -216,17 +98,23 @@ func (cl *Client) CreateSet(name string, pageSize int64, durability uint8) error
 
 // CreateSetSpec creates a locality set on every worker from a full spec,
 // carrying the admission-control fields (memory quota / fair-share weight)
-// to each node's buffer pool; CreateSet is the unconstrained shorthand.
+// to each node's buffer pool; CreateSet is the unconstrained shorthand. A
+// create that fails on one worker drops the set from the workers before it,
+// where this call made it — never from the one that refused, whose set of
+// that name, if it has one, is somebody else's.
 func (cl *Client) CreateSetSpec(spec core.SetSpec) error {
 	addrs, err := cl.Workers()
 	if err != nil {
 		return err
 	}
-	for _, a := range addrs {
-		msg, err := call(a, CreateSetReq{Auth: cl.auth, Name: spec.Name, PageSize: spec.PageSize,
+	for i, a := range addrs {
+		_, err := call[any](a, cl.auth, CreateSetReq{Name: spec.Name, PageSize: spec.PageSize,
 			Durability: uint8(spec.Durability), MemoryQuota: spec.MemoryQuota, Weight: spec.Weight,
 			Layout: uint8(spec.Layout), Columns: spec.Columns})
-		if err := respErr(msg, err); err != nil {
+		if err != nil {
+			for _, made := range addrs[:i] {
+				_ = cl.DropSet(made, spec.Name) // report why the create failed, not the clean-up
+			}
 			return fmt.Errorf("create %q on %s: %w", spec.Name, a, err)
 		}
 	}
@@ -235,88 +123,61 @@ func (cl *Client) CreateSetSpec(spec core.SetSpec) error {
 
 // CreateSetOn creates a locality set on one worker only.
 func (cl *Client) CreateSetOn(addr, name string, pageSize int64, durability uint8) error {
-	msg, err := call(addr, CreateSetReq{Auth: cl.auth, Name: name, PageSize: pageSize, Durability: durability})
-	return respErr(msg, err)
+	_, err := call[any](addr, cl.auth, CreateSetReq{Name: name, PageSize: pageSize, Durability: durability})
+	return err
 }
 
 // AddRecords appends records to a set on one worker.
 func (cl *Client) AddRecords(addr, set string, records [][]byte) error {
-	msg, err := call(addr, AddRecordsReq{Auth: cl.auth, Set: set, Records: records})
-	return respErr(msg, err)
+	_, err := call[any](addr, cl.auth, AddRecordsReq{Set: set, Records: records})
+	return err
 }
 
 // FetchSet streams every record of a set on one worker to fn.
 func (cl *Client) FetchSet(addr, set string, fn func(rec []byte) error) error {
-	c, err := dial(addr)
+	c, err := start(addr, cl.auth, FetchSetReq{Set: set})
 	if err != nil {
 		return err
 	}
 	defer c.close()
-	if err := c.send(FetchSetReq{Auth: cl.auth, Set: set}); err != nil {
-		return err
-	}
-	for {
-		msg, err := c.recv()
-		if err != nil {
-			return err
-		}
-		b, ok := msg.(RecordBatch)
-		if !ok {
-			return fmt.Errorf("cluster: unexpected %T in fetch stream", msg)
-		}
-		if b.Err != "" {
-			return errors.New(b.Err)
-		}
+	return replies(c, func(b RecordBatch) (bool, error) {
 		for _, rec := range b.Records {
 			if err := fn(rec); err != nil {
-				return err
+				return false, err
 			}
 		}
-		if b.Last {
-			return nil
-		}
-	}
+		return b.Last, nil
+	})
 }
 
 // DropSet removes a set from one worker.
 func (cl *Client) DropSet(addr, set string) error {
-	msg, err := call(addr, DropSetReq{Auth: cl.auth, Set: set})
-	return respErr(msg, err)
+	_, err := call[any](addr, cl.auth, DropSetReq{Set: set})
+	return err
 }
 
 // SetStats queries one worker's statistics for a set.
 func (cl *Client) SetStats(addr, set string) (SetStatsResp, error) {
-	msg, err := call(addr, SetStatsReq{Auth: cl.auth, Set: set})
-	if err := respErr(msg, err); err != nil {
-		return SetStatsResp{}, err
-	}
-	return msg.(SetStatsResp), nil
+	return call[SetStatsResp](addr, cl.auth, SetStatsReq{Set: set})
 }
 
 // NodeStats queries one worker's NUMA placement gauges: per-node resident
 // bytes, shard partitioning, and cross-node steal count.
 func (cl *Client) NodeStats(addr string) (NodeStatsResp, error) {
-	msg, err := call(addr, NodeStatsReq{Auth: cl.auth})
-	if err := respErr(msg, err); err != nil {
-		return NodeStatsResp{}, err
-	}
-	return msg.(NodeStatsResp), nil
+	return call[NodeStatsResp](addr, cl.auth, NodeStatsReq{})
 }
 
 // RegisterReplica records target as a replica of source in the statistics
 // database (§7).
 func (cl *Client) RegisterReplica(source, target, scheme string) error {
-	msg, err := call(cl.managerAddr, RegisterReplicaReq{Auth: cl.auth, Source: source, Target: target, Scheme: scheme})
-	return respErr(msg, err)
+	_, err := call[any](cl.managerAddr, cl.auth, RegisterReplicaReq{Source: source, Target: target, Scheme: scheme})
+	return err
 }
 
 // Replicas returns the replica group of a source set. Query schedulers use
 // this to choose the physical organization that co-partitions a join (§7,
 // §9.1.2).
 func (cl *Client) Replicas(source string) ([]ReplicaInfo, error) {
-	msg, err := call(cl.managerAddr, GetReplicasReq{Auth: cl.auth, Source: source})
-	if err := respErr(msg, err); err != nil {
-		return nil, err
-	}
-	return msg.(GetReplicasResp).Replicas, nil
+	resp, err := call[GetReplicasResp](cl.managerAddr, cl.auth, GetReplicasReq{Source: source})
+	return resp.Replicas, err
 }

@@ -6,8 +6,9 @@
 // access with the storage process over sockets while touching page bytes
 // through shared memory (Fig 2).
 //
-// All wire messages are gob-encoded envelopes over TCP, standing in for the
-// paper's hand-rolled message protocols on top of TCP/IP.
+// All wire messages are gob-encoded over TCP, standing in for the paper's
+// hand-rolled message protocols on top of TCP/IP. This file declares the
+// messages; rpc.go carries them.
 package cluster
 
 import (
@@ -15,44 +16,32 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
-	"net"
-
-	"pangea/internal/core"
 )
 
-// Messages. Every request carries an Auth token derived from the cluster's
-// private key; a non-valid key terminates the request (the paper's
-// public-key bootstrap, §3.3).
-
-// envelope wraps one message for gob transport.
-type envelope struct {
-	Msg any
-}
+// Messages. A message says only what is particular to it: the cluster key
+// and a failure travel in the envelopes (rpc.go), and a reply with nothing to
+// say is an envelope with no message.
 
 // RegisterWorkerReq announces a worker to the manager.
 type RegisterWorkerReq struct {
-	Auth string
 	Addr string // the worker's listen address
 }
 
 // RegisterWorkerResp acknowledges registration with the worker's index.
 type RegisterWorkerResp struct {
-	ID  int
-	Err string
+	ID int
 }
 
 // ListWorkersReq asks the manager for the live worker addresses.
-type ListWorkersReq struct{ Auth string }
+type ListWorkersReq struct{}
 
 // ListWorkersResp lists worker addresses in registration order.
 type ListWorkersResp struct {
 	Addrs []string
-	Err   string
 }
 
 // CreateSetReq creates a locality set on one worker.
 type CreateSetReq struct {
-	Auth       string
 	Name       string
 	PageSize   int64
 	Durability uint8 // core.DurabilityType
@@ -69,13 +58,9 @@ type CreateSetReq struct {
 	Columns []int
 }
 
-// OKResp is the generic acknowledgement.
-type OKResp struct{ Err string }
-
 // AddRecordsReq appends a batch of records to a set through the worker's
 // sequential write service.
 type AddRecordsReq struct {
-	Auth    string
 	Set     string
 	Records [][]byte
 }
@@ -83,22 +68,19 @@ type AddRecordsReq struct {
 // FetchSetReq streams every record of a set back to the caller, batched.
 // Used by broadcast and recovery, which must cross node boundaries.
 type FetchSetReq struct {
-	Auth string
-	Set  string
+	Set string
 }
 
 // RecordBatch is one streamed batch; Last marks the end of the stream.
 type RecordBatch struct {
 	Records [][]byte
 	Last    bool
-	Err     string
 }
 
 // GetSetPagesReq starts the Fig 2 scan flow: the storage process pins the
 // set's pages and streams their metadata; the proxy feeds a circular buffer.
 type GetSetPagesReq struct {
-	Auth string
-	Set  string
+	Set string
 }
 
 // PageMeta is the metadata of one pinned page, shipped over the socket. The
@@ -110,7 +92,6 @@ type PageMeta struct {
 	Size    int64
 	// NoMorePage marks the end of the scan stream.
 	NoMorePage bool
-	Err        string
 }
 
 // PageDone tells the storage process a computation thread has finished one
@@ -120,23 +101,13 @@ type PageDone struct {
 }
 
 // PinPageReq asks the storage process to pin a fresh page of a set for
-// writing (the PinPage message of §5).
+// writing (the PinPage message of §5); the reply is the page's PageMeta.
 type PinPageReq struct {
-	Auth string
-	Set  string
-}
-
-// PinPageResp returns the pinned page's location in shared memory.
-type PinPageResp struct {
-	PageNum int64
-	Offset  int64
-	Size    int64
-	Err     string
+	Set string
 }
 
 // UnpinPageReq releases a page pinned via PinPageReq.
 type UnpinPageReq struct {
-	Auth    string
 	Set     string
 	PageNum int64
 	Dirty   bool
@@ -144,14 +115,12 @@ type UnpinPageReq struct {
 
 // DropSetReq removes a set from one worker.
 type DropSetReq struct {
-	Auth string
-	Set  string
+	Set string
 }
 
 // SetStatsReq asks a worker for a set's page counts.
 type SetStatsReq struct {
-	Auth string
-	Set  string
+	Set string
 }
 
 // SetStatsResp reports one worker's view of a set, including the
@@ -176,11 +145,10 @@ type SetStatsResp struct {
 	// the postings kept.
 	IndexChecks int64
 	IndexHits   int64
-	Err         string
 }
 
 // NodeStatsReq asks a worker for its buffer pool's NUMA placement gauges.
-type NodeStatsReq struct{ Auth string }
+type NodeStatsReq struct{}
 
 // NodeStatsResp reports one worker's memory-placement and read-path view:
 // how the allocator shards are partitioned over the node's NUMA topology,
@@ -204,13 +172,11 @@ type NodeStatsResp struct {
 	ZoneMapSkips  int64
 	IndexChecks   int64
 	IndexHits     int64
-	Err           string
 }
 
 // RegisterReplicaReq records replica metadata in the manager's statistics
 // database (§7): target set is a replica of source set under scheme.
 type RegisterReplicaReq struct {
-	Auth   string
 	Source string
 	Target string
 	Scheme string // partitioner name, e.g. "hash(l_orderkey)"
@@ -218,7 +184,6 @@ type RegisterReplicaReq struct {
 
 // GetReplicasReq queries the statistics database for a set's replica group.
 type GetReplicasReq struct {
-	Auth   string
 	Source string
 }
 
@@ -232,11 +197,10 @@ type ReplicaInfo struct {
 // itself.
 type GetReplicasResp struct {
 	Replicas []ReplicaInfo
-	Err      string
 }
 
 // ShutdownReq asks a node to stop serving.
-type ShutdownReq struct{ Auth string }
+type ShutdownReq struct{}
 
 func init() {
 	gob.Register(RegisterWorkerReq{})
@@ -244,7 +208,6 @@ func init() {
 	gob.Register(ListWorkersReq{})
 	gob.Register(ListWorkersResp{})
 	gob.Register(CreateSetReq{})
-	gob.Register(OKResp{})
 	gob.Register(AddRecordsReq{})
 	gob.Register(FetchSetReq{})
 	gob.Register(RecordBatch{})
@@ -252,7 +215,6 @@ func init() {
 	gob.Register(PageMeta{})
 	gob.Register(PageDone{})
 	gob.Register(PinPageReq{})
-	gob.Register(PinPageResp{})
 	gob.Register(UnpinPageReq{})
 	gob.Register(DropSetReq{})
 	gob.Register(SetStatsReq{})
@@ -265,64 +227,10 @@ func init() {
 	gob.Register(ShutdownReq{})
 }
 
-// conn wraps a TCP connection with gob codecs.
-type conn struct {
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func newConn(c net.Conn) *conn {
-	return &conn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
-}
-
-func dial(addr string) (*conn, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
-	}
-	return newConn(c), nil
-}
-
-func (c *conn) send(msg any) error {
-	return c.enc.Encode(envelope{Msg: msg})
-}
-
-func (c *conn) recv() (any, error) {
-	var env envelope
-	if err := c.dec.Decode(&env); err != nil {
-		return nil, err
-	}
-	return env.Msg, nil
-}
-
-func (c *conn) close() error { return c.c.Close() }
-
-// call performs one request/response round trip on a fresh connection.
-func call(addr string, req any) (any, error) {
-	c, err := dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.close()
-	if err := c.send(req); err != nil {
-		return nil, err
-	}
-	return c.recv()
-}
-
 // AuthToken derives the wire token from the cluster's private key. A
 // deployment shares one key pair; the HMAC keeps the raw key off the wire.
 func AuthToken(privateKey string) string {
 	m := hmac.New(sha256.New, []byte(privateKey))
 	m.Write([]byte("pangea-cluster-v1"))
 	return fmt.Sprintf("%x", m.Sum(nil))
-}
-
-// durabilityFromWire converts the wire byte back to a core type.
-func durabilityFromWire(d uint8) core.DurabilityType {
-	if d == uint8(core.WriteThrough) {
-		return core.WriteThrough
-	}
-	return core.WriteBack
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -37,52 +36,13 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 	if numThreads < 1 {
 		numThreads = 1
 	}
-	c, err := dial(dp.workerAddr)
+	c, err := start(dp.workerAddr, dp.auth, GetSetPagesReq{Set: set})
 	if err != nil {
 		return err
 	}
 	defer c.close()
-	if err := c.send(GetSetPagesReq{Auth: dp.auth, Set: set}); err != nil {
-		return err
-	}
-
 	cb := NewCircularBuffer(16)
-	var ackMu sync.Mutex // gob encoder is not concurrency-safe
-	ack := func(num int64) error {
-		ackMu.Lock()
-		defer ackMu.Unlock()
-		return c.send(PageDone{PageNum: num})
-	}
-
-	// Receiver: socket -> circular buffer.
-	recvErr := make(chan error, 1)
-	go func() {
-		defer cb.Close()
-		for {
-			msg, err := c.recv()
-			if err != nil {
-				recvErr <- err
-				return
-			}
-			pm, ok := msg.(PageMeta)
-			if !ok {
-				recvErr <- fmt.Errorf("cluster: unexpected %T in scan stream", msg)
-				return
-			}
-			if pm.Err != "" {
-				recvErr <- errors.New(pm.Err)
-				return
-			}
-			if pm.NoMorePage {
-				recvErr <- nil
-				return
-			}
-			if !cb.Push(pm) {
-				recvErr <- nil
-				return
-			}
-		}
-	}()
+	ack := func(num int64) error { return c.send(request{Auth: dp.auth, Msg: PageDone{PageNum: num}}) }
 
 	// Long-living computation threads: pull page metadata, touch shared
 	// memory, acknowledge.
@@ -100,6 +60,9 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 				}
 				buf := arena.Slice(pm.Offset, pm.Size)
 				err := services.WalkPage(buf, func(rec []byte) error { return fn(t, rec) })
+				if err != nil {
+					cb.Close() // before the ack: the PageMeta that provokes must end the receiver, not be pushed
+				}
 				if aerr := ack(pm.PageNum); err == nil {
 					err = aerr
 				}
@@ -111,15 +74,19 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 			}
 		}(t)
 	}
+	// Receiver: socket -> circular buffer, until NoMorePage, the stream's
+	// error, or a computation thread closing the buffer under it.
+	recvErr := replies(c, func(pm PageMeta) (bool, error) {
+		return pm.NoMorePage || !cb.Push(pm), nil
+	})
+	cb.Close()
 	wg.Wait()
 	close(workErrs)
-	for err := range workErrs {
-		if err != nil {
-			return err
-		}
-	}
-	if err := <-recvErr; err != nil {
+	if err := <-workErrs; err != nil { // the first failure, if a thread had one
 		return err
+	}
+	if recvErr != nil {
+		return recvErr
 	}
 	// End-of-scan handshake: the storage process confirms every page
 	// acknowledgement has been applied before we return, so the set can be
@@ -127,10 +94,8 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 	if err := ack(-1); err != nil {
 		return err
 	}
-	if _, err := c.recv(); err != nil {
-		return err
-	}
-	return nil
+	_, err = next[any](c)
+	return err
 }
 
 // PageWriter writes records into a set through PinPage/UnpinPage messages:
@@ -138,13 +103,14 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 // offset; the computation thread fills it in place and unpins it when full
 // (§5). One PageWriter per thread.
 type PageWriter struct {
-	dp   *DataProxy
-	set  string
-	meta PinPageResp
-	buf  []byte
-	off  int
-	open bool
-	n    int64
+	dp     *DataProxy
+	set    string
+	region int // record bytes a page holds, learned from the set on first Add
+	meta   PageMeta
+	buf    []byte
+	off    int
+	open   bool
+	n      int64
 }
 
 // NewPageWriter creates a proxy-side writer for a set on the co-located
@@ -155,22 +121,25 @@ func (dp *DataProxy) NewPageWriter(set string) *PageWriter {
 
 // Add appends one record, pinning a new shared-memory page when needed.
 func (pw *PageWriter) Add(rec []byte) error {
+	if pw.region == 0 {
+		set, ok := pw.dp.pool.GetSet(pw.set)
+		if !ok {
+			return fmt.Errorf("cluster: no set %q on worker %s", pw.set, pw.dp.workerAddr)
+		}
+		pw.region = int(set.PageSize()) - services.PageHeaderSize
+	}
+	if err := services.CheckRecordSize(len(rec), pw.region); err != nil {
+		return err
+	}
 	for {
 		if !pw.open {
-			msg, err := call(pw.dp.workerAddr, PinPageReq{Auth: pw.dp.auth, Set: pw.set})
+			meta, err := call[PageMeta](pw.dp.workerAddr, pw.dp.auth, PinPageReq{Set: pw.set})
 			if err != nil {
 				return err
 			}
-			resp, ok := msg.(PinPageResp)
-			if !ok {
-				return fmt.Errorf("cluster: unexpected %T", msg)
-			}
-			if resp.Err != "" {
-				return errors.New(resp.Err)
-			}
-			pw.meta = resp
-			pw.buf = pw.dp.pool.SharedMemory().Slice(resp.Offset, resp.Size)
-			services.InitServicePage(pw.buf, int(resp.Size)-services.PageHeaderSize)
+			pw.meta = meta
+			pw.buf = pw.dp.pool.SharedMemory().Slice(meta.Offset, meta.Size)
+			services.InitServicePage(pw.buf, pw.region)
 			pw.off = services.PageHeaderSize
 			pw.open = true
 		}
@@ -194,8 +163,8 @@ func (pw *PageWriter) unpin() error {
 		return nil
 	}
 	pw.open = false
-	msg, err := call(pw.dp.workerAddr, UnpinPageReq{Auth: pw.dp.auth, Set: pw.set, PageNum: pw.meta.PageNum, Dirty: true})
-	return respErr(msg, err)
+	_, err := call[any](pw.dp.workerAddr, pw.dp.auth, UnpinPageReq{Set: pw.set, PageNum: pw.meta.PageNum, Dirty: true})
+	return err
 }
 
 // Close unpins the writer's current page.

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -39,11 +37,9 @@ type WorkerConfig struct {
 // buffer pool, file system and services, serving the data-proxy protocol
 // over TCP.
 type Worker struct {
-	cfg   WorkerConfig
-	auth  string
-	pool  *core.BufferPool
-	array *disk.Array
-	ln    net.Listener
+	*server
+	pool      *core.BufferPool
+	pinWindow int
 
 	// mu guards only the maps below; each setWriter carries its own lock so
 	// record appends to different locality sets proceed in parallel, the
@@ -51,9 +47,6 @@ type Worker struct {
 	mu      locking.RWMutex
 	writers map[string]*setWriter
 	pinned  map[string]map[int64]*core.Page // pages pinned via PinPageReq
-	closed  bool
-
-	wg sync.WaitGroup
 }
 
 // setWriter is one locality set's server-side sequential writer plus the
@@ -73,9 +66,6 @@ func NewWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 	if cfg.PinWindow <= 0 {
 		cfg.PinWindow = 8
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	array, err := disk.NewArray(cfg.DiskDir, cfg.Disks, cfg.DiskConfig)
 	if err != nil {
 		return nil, err
@@ -89,122 +79,66 @@ func NewWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	w := &Worker{
-		cfg:     cfg,
-		auth:    AuthToken(cfg.PrivateKey),
-		pool:    pool,
-		array:   array,
-		ln:      ln,
-		writers: make(map[string]*setWriter),
-		pinned:  make(map[string]map[int64]*core.Page),
+		pool:      pool,
+		pinWindow: cfg.PinWindow,
+		writers:   make(map[string]*setWriter),
+		pinned:    make(map[string]map[int64]*core.Page),
 	}
 	w.mu.Init(locking.RankWorker)
-	w.wg.Add(1)
-	go w.serve()
+	w.server = newServer(ln, cfg.PrivateKey, w.handle, cfg.Logf)
+	w.start()
 	return w, nil
 }
-
-// Addr returns the worker's listen address.
-func (w *Worker) Addr() string { return w.ln.Addr().String() }
 
 // Pool exposes the node's buffer pool to co-located computation processes,
 // which touch page bytes through the pool's shared memory.
 func (w *Worker) Pool() *core.BufferPool { return w.pool }
 
-// Close stops serving and releases the node's resources. Data on disk is
-// preserved (the node may be "revived" by a recovery test).
-func (w *Worker) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	w.mu.Unlock()
-	err := w.ln.Close()
-	w.wg.Wait()
-	return err
-}
-
-func (w *Worker) serve() {
-	defer w.wg.Done()
-	for {
-		c, err := w.ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			w.cfg.Logf("worker accept: %v", err)
-			return
-		}
-		w.wg.Add(1)
-		go func() {
-			defer w.wg.Done()
-			w.handleConn(newConn(c))
-		}()
-	}
-}
-
-func (w *Worker) handleConn(c *conn) {
-	defer c.close()
-	msg, err := c.recv()
-	if err != nil {
-		return
-	}
+// handle serves the worker's requests.
+func (w *Worker) handle(c *conn, msg any) (any, error) {
 	switch req := msg.(type) {
 	case CreateSetReq:
-		c.send(w.handleCreateSet(req))
+		return nil, w.createSet(req)
 	case AddRecordsReq:
-		c.send(w.handleAddRecords(req))
+		return nil, w.addRecords(req)
 	case FetchSetReq:
-		w.handleFetchSet(c, req)
+		return w.fetchSet(c, req)
 	case GetSetPagesReq:
-		w.handleGetSetPages(c, req)
+		return nil, w.scanPages(c, req)
 	case PinPageReq:
-		c.send(w.handlePinPage(req))
+		return w.pinPage(req)
 	case UnpinPageReq:
-		c.send(w.handleUnpinPage(req))
+		return nil, w.unpinPage(req)
 	case DropSetReq:
-		c.send(w.handleDropSet(req))
+		return nil, w.dropSet(req)
 	case SetStatsReq:
-		c.send(w.handleSetStats(req))
+		return w.setStats(req)
 	case NodeStatsReq:
-		c.send(w.handleNodeStats(req))
-	case ShutdownReq:
-		if w.checkAuth(req.Auth) == nil {
-			c.send(OKResp{})
-			go w.Close()
-		} else {
-			c.send(OKResp{Err: "invalid key"})
-		}
-	default:
-		c.send(OKResp{Err: fmt.Sprintf("worker: unexpected message %T", msg)})
+		return w.nodeStats(), nil
 	}
+	return nil, fmt.Errorf("worker: unexpected message %T", msg)
 }
 
-func (w *Worker) checkAuth(token string) error {
-	if token != w.auth {
-		return errors.New("cluster: invalid private key")
+// set looks a locality set up by name.
+func (w *Worker) set(name string) (*core.LocalitySet, error) {
+	set, ok := w.pool.GetSet(name)
+	if !ok {
+		return nil, fmt.Errorf("cluster: no set %q on worker %s", name, w.Addr())
 	}
-	return nil
+	return set, nil
 }
 
-func (w *Worker) handleCreateSet(req CreateSetReq) OKResp {
-	if err := w.checkAuth(req.Auth); err != nil {
-		return OKResp{Err: err.Error()}
-	}
+func (w *Worker) createSet(req CreateSetReq) error {
 	_, err := w.pool.CreateSet(core.SetSpec{
 		Name:        req.Name,
 		PageSize:    req.PageSize,
-		Durability:  durabilityFromWire(req.Durability),
+		Durability:  core.DurabilityType(req.Durability),
 		MemoryQuota: req.MemoryQuota,
 		Weight:      req.Weight,
 		Layout:      core.PageLayout(req.Layout),
 		Columns:     req.Columns,
 	})
-	if err != nil {
-		return OKResp{Err: err.Error()}
-	}
-	return OKResp{}
+	return err
 }
 
 // writerFor returns the set's server-side sequential writer, creating it on
@@ -216,9 +150,9 @@ func (w *Worker) writerFor(name string) (*setWriter, error) {
 	if ok {
 		return sw, nil
 	}
-	set, ok := w.pool.GetSet(name)
-	if !ok {
-		return nil, fmt.Errorf("cluster: no set %q on worker %s", name, w.Addr())
+	set, err := w.set(name)
+	if err != nil {
+		return nil, err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -231,28 +165,28 @@ func (w *Worker) writerFor(name string) (*setWriter, error) {
 	return sw, nil
 }
 
-// closeWriter seals the set's pending writer page so scans observe all
-// records.
-func (w *Worker) closeWriter(name string) error {
+// sealed seals the set's pending writer page, so that a scan observes every
+// record, and returns the set.
+func (w *Worker) sealed(name string) (*core.LocalitySet, error) {
 	w.mu.Lock()
 	sw := w.writers[name]
 	delete(w.writers, name)
 	w.mu.Unlock()
-	if sw == nil {
-		return nil
+	if sw != nil {
+		sw.mu.Lock()
+		err := sw.wr.Close()
+		sw.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.wr.Close()
+	return w.set(name)
 }
 
-func (w *Worker) handleAddRecords(req AddRecordsReq) OKResp {
-	if err := w.checkAuth(req.Auth); err != nil {
-		return OKResp{Err: err.Error()}
-	}
+func (w *Worker) addRecords(req AddRecordsReq) error {
 	sw, err := w.writerFor(req.Set)
 	if err != nil {
-		return OKResp{Err: err.Error()}
+		return err
 	}
 	// Appends to this set serialize on its writer; appends to other sets on
 	// this worker proceed concurrently.
@@ -260,172 +194,128 @@ func (w *Worker) handleAddRecords(req AddRecordsReq) OKResp {
 	defer sw.mu.Unlock()
 	for _, rec := range req.Records {
 		if err := sw.wr.Add(rec); err != nil {
-			return OKResp{Err: err.Error()}
+			return err
 		}
 	}
-	return OKResp{}
+	return nil
 }
 
 const fetchBatch = 512
 
-func (w *Worker) handleFetchSet(c *conn, req FetchSetReq) {
-	fail := func(err error) { c.send(RecordBatch{Last: true, Err: err.Error()}) }
-	if err := w.checkAuth(req.Auth); err != nil {
-		fail(err)
-		return
-	}
-	if err := w.closeWriter(req.Set); err != nil {
-		fail(err)
-		return
-	}
-	set, ok := w.pool.GetSet(req.Set)
-	if !ok {
-		fail(fmt.Errorf("cluster: no set %q", req.Set))
-		return
+// fetchSet streams the set's records in batches; the batch it returns is the
+// stream's last.
+func (w *Worker) fetchSet(c *conn, req FetchSetReq) (any, error) {
+	set, err := w.sealed(req.Set)
+	if err != nil {
+		return nil, err
 	}
 	batch := make([][]byte, 0, fetchBatch)
-	flush := func(last bool) error {
-		err := c.send(RecordBatch{Records: batch, Last: last})
+	err = services.ScanSet(set, 1, func(_ int, rec []byte) error {
+		batch = append(batch, append([]byte(nil), rec...))
+		if len(batch) < fetchBatch {
+			return nil
+		}
+		err := c.reply(RecordBatch{Records: batch}, nil)
 		batch = batch[:0]
 		return err
-	}
-	err := services.ScanSet(set, 1, func(_ int, rec []byte) error {
-		batch = append(batch, append([]byte(nil), rec...))
-		if len(batch) >= fetchBatch {
-			return flush(false)
-		}
-		return nil
 	})
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := flush(true); err != nil {
-		w.cfg.Logf("fetch %s: %v", req.Set, err)
-	}
+	return RecordBatch{Records: batch, Last: true}, err
 }
 
-// handleGetSetPages implements the Fig 2 scan protocol: storage threads pin
-// pages ahead (bounded by PinWindow), stream their shared-memory metadata,
-// and unpin each page when the computation acknowledges it with PageDone.
-func (w *Worker) handleGetSetPages(c *conn, req GetSetPagesReq) {
-	fail := func(err error) { c.send(PageMeta{NoMorePage: true, Err: err.Error()}) }
-	if err := w.checkAuth(req.Auth); err != nil {
-		fail(err)
-		return
-	}
-	if err := w.closeWriter(req.Set); err != nil {
-		fail(err)
-		return
-	}
-	set, ok := w.pool.GetSet(req.Set)
-	if !ok {
-		fail(fmt.Errorf("cluster: no set %q", req.Set))
-		return
+// scanPages implements the Fig 2 scan protocol: the storage process pins
+// pages ahead of the computation (at most PinWindow unacknowledged), streams
+// their shared-memory metadata, and unpins each page when the computation
+// acknowledges it with PageDone. The stream ends with NoMorePage or the error
+// that cut it short; the computation's PageDone{-1} ends the exchange, and
+// the reply to it — sent by the caller, once nothing is left pinned — lets
+// the proxy return.
+func (w *Worker) scanPages(c *conn, req GetSetPagesReq) error {
+	set, err := w.sealed(req.Set)
+	if err != nil {
+		return err
 	}
 	// One iterator over the whole set: its cursor stamps the sequential
 	// read and hints the pages ahead of the pin-ahead loop below.
-	nums := set.PageNums()
-	it := services.PageIteratorsFor(set, nums, 1)[0]
+	it := services.PageIteratorsFor(set, set.PageNums(), 1)[0]
 	var (
-		mu      sync.Mutex
-		live    = make(map[int64]*core.Page, len(nums))
-		sem     = make(chan struct{}, w.cfg.PinWindow)
-		ackDone = make(chan struct{})
+		mu   sync.Mutex
+		live = make(map[int64]*core.Page, w.pinWindow)
+		sem  = make(chan struct{}, w.pinWindow)
+
+		ackDone = make(chan struct{}) // closed when the acknowledgements end,
+		ackErr  error                 // with a handshake (nil) or this error
 	)
-	// Acknowledgement reader: unpin pages the computation has finished.
-	// It exits — closing ackDone — when the scan's handshake completes or
-	// the connection dies; after that nothing drains sem.
+	// Acknowledgement reader: unpin the pages the computation has finished,
+	// until its PageDone{-1} (nil) or the connection's end. It runs beside the
+	// pin-ahead loop because a pin may be waiting for the very memory an
+	// acknowledgement frees.
 	go func() {
 		defer close(ackDone)
 		for {
-			msg, err := c.recv()
-			if err != nil {
-				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-					w.cfg.Logf("scan ack: %v", err)
-				}
-				return
+			msg, err := w.recv(c, messageTimeout)
+			done, ok := msg.(PageDone)
+			if err == nil && !ok {
+				err = fmt.Errorf("cluster: unexpected %T during scan", msg)
 			}
-			pd, ok := msg.(PageDone)
-			if !ok {
-				w.cfg.Logf("scan ack: unexpected %T during scan", msg)
-				return
-			}
-			if pd.PageNum < 0 {
-				// End-of-scan handshake: all pages were acknowledged in
-				// order on this connection, so nothing is left pinned.
-				// Confirm so the proxy can return.
-				c.send(OKResp{})
+			if err != nil || done.PageNum < 0 {
+				ackErr = err
 				return
 			}
 			mu.Lock()
-			p := live[pd.PageNum]
-			delete(live, pd.PageNum)
+			p := live[done.PageNum]
+			delete(live, done.PageNum)
 			mu.Unlock()
 			if p != nil {
 				if err := set.Unpin(p, false); err != nil {
-					w.cfg.Logf("scan unpin %d: %v", pd.PageNum, err)
+					w.logf("scan unpin %d: %v", done.PageNum, err)
 				}
 				<-sem
 			}
 		}
 	}()
-
-	aborted := false
 pinAhead:
 	for {
 		select {
 		case sem <- struct{}{}:
 		case <-ackDone:
-			// The client went away mid-scan (its callback failed and it
-			// closed the connection): no acknowledgement will ever free a
-			// window slot, so stop pinning and fall through to the cleanup.
-			aborted = true
+			// The computation went away mid-scan: no acknowledgement will
+			// ever free a window slot.
 			break pinAhead
 		}
 		p, err := it.Next()
-		if err != nil {
-			fail(err)
-			aborted = true
-			break
-		}
-		if p == nil {
+		if err != nil || p == nil {
+			// The stream is over. The computation may still be reading the
+			// pages in flight, so they stay pinned until it says otherwise.
+			_ = c.reply(PageMeta{NoMorePage: true}, err) // a dead connection ends the acknowledgements too
 			break
 		}
 		mu.Lock()
 		live[p.Num()] = p
 		mu.Unlock()
-		if err := c.send(PageMeta{PageNum: p.Num(), Offset: p.Offset(), Size: p.Size()}); err != nil {
-			aborted = true
+		if c.reply(PageMeta{PageNum: p.Num(), Offset: p.Offset(), Size: p.Size()}, nil) != nil {
 			break
 		}
 	}
-	if !aborted {
-		c.send(PageMeta{NoMorePage: true})
-	}
-	// Wait for the computation to finish (connection closes) and release
-	// anything still pinned.
+	// Wait for the computation to finish, or go away, and release whatever it
+	// did not acknowledge.
 	<-ackDone
 	mu.Lock()
 	for _, p := range live {
 		_ = set.Unpin(p, false)
 	}
-	live = nil
 	mu.Unlock()
 	set.SetCurrentOp(core.OpNone)
+	return ackErr
 }
 
-func (w *Worker) handlePinPage(req PinPageReq) PinPageResp {
-	if err := w.checkAuth(req.Auth); err != nil {
-		return PinPageResp{Err: err.Error()}
-	}
-	set, ok := w.pool.GetSet(req.Set)
-	if !ok {
-		return PinPageResp{Err: fmt.Sprintf("cluster: no set %q", req.Set)}
+func (w *Worker) pinPage(req PinPageReq) (any, error) {
+	set, err := w.set(req.Set)
+	if err != nil {
+		return nil, err
 	}
 	p, err := set.NewPage()
 	if err != nil {
-		return PinPageResp{Err: err.Error()}
+		return nil, err
 	}
 	w.mu.Lock()
 	m := w.pinned[req.Set]
@@ -435,54 +325,36 @@ func (w *Worker) handlePinPage(req PinPageReq) PinPageResp {
 	}
 	m[p.Num()] = p
 	w.mu.Unlock()
-	return PinPageResp{PageNum: p.Num(), Offset: p.Offset(), Size: p.Size()}
+	return PageMeta{PageNum: p.Num(), Offset: p.Offset(), Size: p.Size()}, nil
 }
 
-func (w *Worker) handleUnpinPage(req UnpinPageReq) OKResp {
-	if err := w.checkAuth(req.Auth); err != nil {
-		return OKResp{Err: err.Error()}
-	}
-	set, ok := w.pool.GetSet(req.Set)
-	if !ok {
-		return OKResp{Err: fmt.Sprintf("cluster: no set %q", req.Set)}
+func (w *Worker) unpinPage(req UnpinPageReq) error {
+	set, err := w.set(req.Set)
+	if err != nil {
+		return err
 	}
 	w.mu.Lock()
 	p := w.pinned[req.Set][req.PageNum]
 	delete(w.pinned[req.Set], req.PageNum)
 	w.mu.Unlock()
 	if p == nil {
-		return OKResp{Err: fmt.Sprintf("cluster: page %d of %q not pinned via proxy", req.PageNum, req.Set)}
+		return fmt.Errorf("cluster: page %d of %q not pinned via proxy", req.PageNum, req.Set)
 	}
-	if err := set.Unpin(p, req.Dirty); err != nil {
-		return OKResp{Err: err.Error()}
-	}
-	return OKResp{}
+	return set.Unpin(p, req.Dirty)
 }
 
-func (w *Worker) handleDropSet(req DropSetReq) OKResp {
-	if err := w.checkAuth(req.Auth); err != nil {
-		return OKResp{Err: err.Error()}
+func (w *Worker) dropSet(req DropSetReq) error {
+	set, err := w.sealed(req.Set)
+	if err != nil {
+		return err
 	}
-	if err := w.closeWriter(req.Set); err != nil {
-		return OKResp{Err: err.Error()}
-	}
-	set, ok := w.pool.GetSet(req.Set)
-	if !ok {
-		return OKResp{Err: fmt.Sprintf("cluster: no set %q", req.Set)}
-	}
-	if err := w.pool.DropSet(set); err != nil {
-		return OKResp{Err: err.Error()}
-	}
-	return OKResp{}
+	return w.pool.DropSet(set)
 }
 
-func (w *Worker) handleSetStats(req SetStatsReq) SetStatsResp {
-	if err := w.checkAuth(req.Auth); err != nil {
-		return SetStatsResp{Err: err.Error()}
-	}
-	set, ok := w.pool.GetSet(req.Set)
-	if !ok {
-		return SetStatsResp{Err: fmt.Sprintf("cluster: no set %q", req.Set)}
+func (w *Worker) setStats(req SetStatsReq) (any, error) {
+	set, err := w.set(req.Set)
+	if err != nil {
+		return nil, err
 	}
 	return SetStatsResp{
 		NumPages:      set.NumPages(),
@@ -496,13 +368,10 @@ func (w *Worker) handleSetStats(req SetStatsReq) SetStatsResp {
 		ZoneMapSkips:  set.ZoneMapSkips(),
 		IndexChecks:   set.IndexChecks(),
 		IndexHits:     set.IndexHits(),
-	}
+	}, nil
 }
 
-func (w *Worker) handleNodeStats(req NodeStatsReq) NodeStatsResp {
-	if err := w.checkAuth(req.Auth); err != nil {
-		return NodeStatsResp{Err: err.Error()}
-	}
+func (w *Worker) nodeStats() NodeStatsResp {
 	stats := w.pool.Stats()
 	return NodeStatsResp{
 		Nodes:            w.pool.NUMANodes(),

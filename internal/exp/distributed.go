@@ -26,51 +26,26 @@ const clusterKey = "pangea-bench-key"
 // testCluster is one in-process deployment: a manager plus workers on
 // localhost, each with its own buffer pool and throttled drives.
 type testCluster struct {
-	mgr     *cluster.Manager
-	workers []*cluster.Worker
-	exec    *query.Executor
+	*cluster.Local
+	exec *query.Executor
 }
 
 func startCluster(o Options, tag string, nodes int, memPerNode int64, policy func() core.Policy) (*testCluster, error) {
-	mgr, err := cluster.NewManager("127.0.0.1:0", clusterKey)
-	if err != nil {
-		return nil, err
-	}
-	cl := cluster.NewClient(mgr.Addr(), clusterKey)
-	tc := &testCluster{mgr: mgr}
-	for i := 0; i < nodes; i++ {
-		var p core.Policy
-		if policy != nil {
-			p = policy()
-		}
-		w, err := cluster.NewWorker("127.0.0.1:0", cluster.WorkerConfig{
-			PrivateKey: clusterKey,
+	l, err := cluster.StartLocal(clusterKey, nodes, func(i int) cluster.WorkerConfig {
+		cfg := cluster.WorkerConfig{
 			Memory:     memPerNode,
 			DiskDir:    filepath.Join(o.Dir, tag, fmt.Sprintf("w%d", i)),
 			DiskConfig: diskConfig(),
-			Policy:     p,
-		})
-		if err != nil {
-			tc.close()
-			return nil, err
 		}
-		tc.workers = append(tc.workers, w)
-		if _, err := cl.RegisterWorker(w.Addr()); err != nil {
-			tc.close()
-			return nil, err
+		if policy != nil {
+			cfg.Policy = policy()
 		}
+		return cfg
+	})
+	if err != nil {
+		return nil, err
 	}
-	tc.exec = query.NewExecutor(cl, tc.workers, 2)
-	return tc, nil
-}
-
-func (tc *testCluster) close() {
-	for _, w := range tc.workers {
-		_ = w.Close()
-	}
-	if tc.mgr != nil {
-		_ = tc.mgr.Close()
-	}
+	return &testCluster{Local: l, exec: query.NewExecutor(l.Client, l.Workers, 2)}, nil
 }
 
 // --- Figs 3 and 4: the k-means study -----------------------------------------
@@ -158,7 +133,7 @@ func runKMeansStudy(o Options) (*kmeansStudy, error) {
 					return err
 				}
 				res.latency = model.TotalTime()
-				for _, w := range tc.workers {
+				for _, w := range tc.Workers {
 					res.memory += w.Pool().PeakBytes()
 				}
 				return nil
@@ -173,7 +148,7 @@ func runKMeansStudy(o Options) (*kmeansStudy, error) {
 				}
 			}
 			record(pp.Name, scale, res)
-			tc.close()
+			_ = tc.Close()
 		}
 
 		// The layered Spark configurations (single-node engine over the
@@ -319,7 +294,7 @@ func Fig5(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer tc.close()
+	defer tc.Close()
 	d := tpch.Generate(sf, 17)
 	if err := tpch.Load(tc.exec, d, 256<<10); err != nil {
 		return nil, err
@@ -381,11 +356,11 @@ func Fig6(o Options) (*Table, error) {
 		}
 		d := tpch.Generate(sf, 23)
 		if err := tc.exec.Client.CreateSet("lineitem", 128<<10, 0); err != nil {
-			tc.close()
+			_ = tc.Close()
 			return nil, err
 		}
 		if err := placement.DispatchRandom(tc.exec.Client, tc.exec.Addrs, "lineitem", d.Lineitem); err != nil {
-			tc.close()
+			_ = tc.Close()
 			return nil, err
 		}
 		np := placement.PartitionsFor(k)
@@ -398,21 +373,21 @@ func Fig6(o Options) (*Table, error) {
 		}
 		g, err := placement.BuildGroup(tc.exec.Client, tc.exec.Addrs, "lineitem", parts, 128<<10)
 		if err != nil {
-			tc.close()
+			_ = tc.Close()
 			return nil, err
 		}
 		const failed = 0
-		_ = tc.workers[failed].Close()
+		_ = tc.Workers[failed].Close()
 		start := time.Now()
 		if _, err := placement.Recover(tc.exec.Client, tc.exec.Addrs, g, failed); err != nil {
-			tc.close()
+			_ = tc.Close()
 			return nil, err
 		}
 		elapsed := time.Since(start)
 		t.AddRow(fmt.Sprintf("%d", k), ms(elapsed),
 			fmt.Sprintf("%d", g.NumColliding),
 			fmt.Sprintf("%.2f%%", 100*g.CollidingRatio()))
-		tc.close()
+		_ = tc.Close()
 	}
 	t.Notes = append(t.Notes,
 		"paper Fig 6 / §7: ~5s to recover 79GB on 10 nodes; colliding ratio falls from <9% (10 nodes) to 3% (20) to ~0 (30)")

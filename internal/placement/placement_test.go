@@ -14,31 +14,14 @@ const testKey = "placement-test-key"
 
 func startCluster(t *testing.T, n int) ([]*cluster.Worker, []string, *cluster.Client) {
 	t.Helper()
-	mgr, err := cluster.NewManager("127.0.0.1:0", testKey)
+	l, err := cluster.StartLocal(testKey, n, func(int) cluster.WorkerConfig {
+		return cluster.WorkerConfig{Memory: 8 << 20, DiskDir: t.TempDir()}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = mgr.Close() })
-	cl := cluster.NewClient(mgr.Addr(), testKey)
-	var workers []*cluster.Worker
-	var addrs []string
-	for i := 0; i < n; i++ {
-		w, err := cluster.NewWorker("127.0.0.1:0", cluster.WorkerConfig{
-			PrivateKey: testKey,
-			Memory:     8 << 20,
-			DiskDir:    t.TempDir(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = w.Close() })
-		if _, err := cl.RegisterWorker(w.Addr()); err != nil {
-			t.Fatal(err)
-		}
-		workers = append(workers, w)
-		addrs = append(addrs, w.Addr())
-	}
-	return workers, addrs, cl
+	t.Cleanup(func() { _ = l.Close() })
+	return l.Workers, l.Addrs, l.Client
 }
 
 // mkRecords builds records shaped like tiny lineitems: two int keys and a

@@ -67,6 +67,18 @@ func splitPage(pageSize int64, regionSize int) (n, size int) {
 	return int((pageSize - pageHeaderSize) / int64(regionSize)), regionSize
 }
 
+// CheckRecordSize is the row format's one record-size rule, applied by every
+// writer before it touches a page: a record of n bytes can go into regions of
+// regionSize bytes only if it fits one with its header, and is not empty — a
+// zero length is a region's end marker, so an empty record would hide itself
+// and every record after it from readers.
+func CheckRecordSize(n, regionSize int) error {
+	if n == 0 || n+recHeaderSize > regionSize {
+		return fmt.Errorf("services: record of %d bytes is empty or does not fit a %d-byte region", n, regionSize)
+	}
+	return nil
+}
+
 // appendRecord writes one framed record at off within buf and returns the
 // next offset. end is the exclusive limit of the region. ok is false when
 // the record (plus its trailing terminator slot) does not fit.

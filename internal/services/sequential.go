@@ -1,7 +1,6 @@
 package services
 
 import (
-	"fmt"
 	"sync"
 
 	"pangea/internal/core"
@@ -65,8 +64,8 @@ func (w *SeqWriter) Add(rec []byte) error {
 	if w.cw != nil {
 		return w.cw.Add(rec)
 	}
-	if int64(len(rec)+recHeaderSize+pageHeaderSize) > w.set.PageSize() {
-		return fmt.Errorf("services: record of %d bytes exceeds page size %d", len(rec), w.set.PageSize())
+	if err := CheckRecordSize(len(rec), int(w.set.PageSize())-pageHeaderSize); err != nil {
+		return err
 	}
 	for {
 		if w.page == nil {

@@ -3,6 +3,7 @@ package services
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -162,6 +163,55 @@ func TestSeqWriterRejectsOversizedRecord(t *testing.T) {
 		t.Error("record exceeding page size must be rejected")
 	}
 	_ = w.Close()
+}
+
+// TestRecordSizeRule: every row writer applies CheckRecordSize. An empty
+// record is its own end-of-region marker — written, it would hide itself and
+// every record after it in the page from readers while Count said otherwise —
+// so it is refused, like a record no region can hold; the largest record that
+// fits round-trips.
+func TestRecordSizeRule(t *testing.T) {
+	bp := newPool(t, 1<<20)
+	if err := WriteAll(mkSet(t, bp, "holed", 256), [][]byte{[]byte("a"), {}, []byte("b")}); err == nil {
+		t.Error("a batch with an empty record was written; a scan would stop short at it")
+	}
+	seq := NewSeqWriter(mkSet(t, bp, "seq", 256))
+	sink, err := NewShuffleSink(mkSet(t, bp, "shuf", 256), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuf := NewVirtualShuffleBuffer(sink)
+	for _, wr := range []struct {
+		name   string
+		region int
+		add    func([]byte) error
+		close  func() error
+		set    string
+	}{
+		{"SeqWriter", 256 - pageHeaderSize, seq.Add, seq.Close, "seq"},
+		{"VirtualShuffleBuffer", sink.smallSize, shuf.Add, func() error { return errors.Join(shuf.Close(), sink.Close()) }, "shuf"},
+	} {
+		most := wr.region - recHeaderSize
+		for _, n := range []int{0, most + 1, 1 << 20} {
+			if err := wr.add(make([]byte, n)); err == nil {
+				t.Errorf("%s took a %d-byte record; a region holds 1 to %d", wr.name, n, most)
+			}
+		}
+		if err := wr.add(make([]byte, most)); err != nil {
+			t.Errorf("%s refused the largest record that fits (%d bytes): %v", wr.name, most, err)
+		}
+		if err := wr.close(); err != nil {
+			t.Fatal(err)
+		}
+		set, _ := bp.GetSet(wr.set)
+		var got []int
+		if err := ScanSet(set, 1, func(_ int, rec []byte) error {
+			got = append(got, len(rec))
+			return nil
+		}); err != nil || len(got) != 1 || got[0] != most {
+			t.Errorf("%s: scanned record lengths %v, err %v, want the one of %d bytes", wr.name, got, err, most)
+		}
+	}
 }
 
 func TestPageIteratorsCoverAllPagesDisjointly(t *testing.T) {

@@ -133,8 +133,8 @@ func NewVirtualShuffleBuffer(sink *ShuffleSink) *VirtualShuffleBuffer {
 
 // Add appends one record to the partition.
 func (b *VirtualShuffleBuffer) Add(rec []byte) error {
-	if len(rec)+recHeaderSize > b.sink.smallSize {
-		return fmt.Errorf("services: record of %d bytes exceeds small page size %d", len(rec), b.sink.smallSize)
+	if err := CheckRecordSize(len(rec), b.sink.smallSize); err != nil {
+		return err
 	}
 	for {
 		if b.sp == nil {

@@ -17,27 +17,14 @@ func startExec(t *testing.T, nodes int) *query.Executor {
 
 func startExecMem(t *testing.T, nodes int, mem int64) *query.Executor {
 	t.Helper()
-	mgr, err := cluster.NewManager("127.0.0.1:0", testKey)
+	l, err := cluster.StartLocal(testKey, nodes, func(int) cluster.WorkerConfig {
+		return cluster.WorkerConfig{Memory: mem, DiskDir: t.TempDir()}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = mgr.Close() })
-	cl := cluster.NewClient(mgr.Addr(), testKey)
-	var workers []*cluster.Worker
-	for i := 0; i < nodes; i++ {
-		w, err := cluster.NewWorker("127.0.0.1:0", cluster.WorkerConfig{
-			PrivateKey: testKey, Memory: mem, DiskDir: t.TempDir(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = w.Close() })
-		if _, err := cl.RegisterWorker(w.Addr()); err != nil {
-			t.Fatal(err)
-		}
-		workers = append(workers, w)
-	}
-	return query.NewExecutor(cl, workers, 2)
+	t.Cleanup(func() { _ = l.Close() })
+	return query.NewExecutor(l.Client, l.Workers, 2)
 }
 
 func TestGenerateDeterministic(t *testing.T) {
