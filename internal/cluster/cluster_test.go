@@ -84,7 +84,7 @@ var everyRequest = []any{
 	RegisterReplicaReq{Source: "s", Target: "s_by_k", Scheme: "hash(k)"},
 	GetReplicasReq{Source: "s"},
 	CreateSetReq{Name: "made", PageSize: 4096},
-	AddRecordsReq{Set: "s", Records: [][]byte{[]byte("rec")}},
+	AddRecordsReq{Set: "s", Frames: frames("rec")},
 	FetchSetReq{Set: "s"},
 	GetSetPagesReq{Set: "s"},
 	PageDone{PageNum: -1},

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"pangea/internal/core"
+	"pangea/internal/services"
 )
 
 // Manager is Pangea's light-weight manager node (§3.3): it accepts user
@@ -127,13 +128,25 @@ func (cl *Client) CreateSetOn(addr, name string, pageSize int64, durability uint
 	return err
 }
 
-// AddRecords appends records to a set on one worker.
+// AddRecords appends records to a set on one worker: it frames them into one
+// run and sends that with AddFrames.
 func (cl *Client) AddRecords(addr, set string, records [][]byte) error {
-	_, err := call[any](addr, cl.auth, AddRecordsReq{Set: set, Records: records})
+	var run []byte
+	for _, rec := range records {
+		run = services.AppendFrame(run, rec)
+	}
+	return cl.AddFrames(addr, set, run)
+}
+
+// AddFrames appends a run of framed records (services.AppendFrame) to a set on
+// one worker. The worker refuses a malformed run whole.
+func (cl *Client) AddFrames(addr, set string, frames []byte) error {
+	_, err := call[any](addr, cl.auth, AddRecordsReq{Set: set, Frames: frames})
 	return err
 }
 
-// FetchSet streams every record of a set on one worker to fn.
+// FetchSet streams every record of a set on one worker to fn. rec is a slice
+// of the message it came in, only valid during the call.
 func (cl *Client) FetchSet(addr, set string, fn func(rec []byte) error) error {
 	c, err := start(addr, cl.auth, FetchSetReq{Set: set})
 	if err != nil {
@@ -141,12 +154,7 @@ func (cl *Client) FetchSet(addr, set string, fn func(rec []byte) error) error {
 	}
 	defer c.close()
 	return replies(c, func(b RecordBatch) (bool, error) {
-		for _, rec := range b.Records {
-			if err := fn(rec); err != nil {
-				return false, err
-			}
-		}
-		return b.Last, nil
+		return b.Last, services.WalkFrames(b.Frames, fn)
 	})
 }
 

@@ -59,22 +59,23 @@ type CreateSetReq struct {
 }
 
 // AddRecordsReq appends a batch of records to a set through the worker's
-// sequential write service.
+// sequential write service. Records cross the wire, in both directions, as one
+// run of frames (services.AppendFrame): one byte slice a message for gob.
 type AddRecordsReq struct {
-	Set     string
-	Records [][]byte
+	Set    string
+	Frames []byte
 }
 
-// FetchSetReq streams every record of a set back to the caller, batched.
-// Used by broadcast and recovery, which must cross node boundaries.
+// FetchSetReq streams every record of a set back to the caller, a page at a
+// time. Used by broadcast and recovery, which must cross node boundaries.
 type FetchSetReq struct {
 	Set string
 }
 
-// RecordBatch is one streamed batch; Last marks the end of the stream.
+// RecordBatch is one page's records of the stream; Last marks its end.
 type RecordBatch struct {
-	Records [][]byte
-	Last    bool
+	Frames []byte
+	Last   bool
 }
 
 // GetSetPagesReq starts the Fig 2 scan flow: the storage process pins the

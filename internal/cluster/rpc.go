@@ -38,15 +38,15 @@ var (
 	dialTimeout = 5 * time.Second
 	// requestTimeout bounds the wait for an accepted connection's first
 	// request: a client dials in order to send, so a silent one is dead. The
-	// slowest seen to arrive, a 1 MiB AddRecords batch, took 7 ms.
+	// slowest seen to arrive, a 1 MiB AddRecords batch, took 8 ms.
 	requestTimeout = 10 * time.Second
 	// messageTimeout bounds every later read and every write, re-armed per
 	// message, so a long stream is not a slow one. A reply waits on the
 	// peer's work: over `go test ./internal/exp ./internal/tpch
 	// ./internal/placement` (throttled drives, pools smaller than their data)
-	// the slowest was 28 ms, an acknowledged 1 MiB AddRecords; the slowest a
+	// the slowest was 21 ms, an acknowledged 1 MiB AddRecords; the slowest a
 	// healthy worker can be is a handler that waits out the pool's 5 s
-	// AllocTimeout. A minute is 12 times the latter, 2000 times the former.
+	// AllocTimeout. A minute is 12 times the latter, 2900 times the former.
 	messageTimeout = time.Minute
 )
 

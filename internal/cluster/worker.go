@@ -183,6 +183,10 @@ func (w *Worker) sealed(name string) (*core.LocalitySet, error) {
 	return w.set(name)
 }
 
+// addRecords appends a run's records to the set. The run's framing is checked
+// in full before the first Add, so a malformed run leaves the set as it was; a
+// record too large for the set's page still fails at that record, through
+// CheckRecordSize, with the records before it appended.
 func (w *Worker) addRecords(req AddRecordsReq) error {
 	sw, err := w.writerFor(req.Set)
 	if err != nil {
@@ -192,34 +196,26 @@ func (w *Worker) addRecords(req AddRecordsReq) error {
 	// this worker proceed concurrently.
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	for _, rec := range req.Records {
-		if err := sw.wr.Add(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return services.WalkFrames(req.Frames, sw.wr.Add)
 }
 
-const fetchBatch = 512
-
-// fetchSet streams the set's records in batches; the batch it returns is the
-// stream's last.
+// fetchSet streams the set a page at a time, each page's records as one run:
+// a sequential row page's as they lie in the pinned page, any other page's
+// framed into one reused buffer. The reply it returns ends the stream.
 func (w *Worker) fetchSet(c *conn, req FetchSetReq) (any, error) {
 	set, err := w.sealed(req.Set)
 	if err != nil {
 		return nil, err
 	}
-	batch := make([][]byte, 0, fetchBatch)
-	err = services.ScanSet(set, 1, func(_ int, rec []byte) error {
-		batch = append(batch, append([]byte(nil), rec...))
-		if len(batch) < fetchBatch {
-			return nil
+	var framed []byte
+	err = services.ForEachPage(set, set.PageNums(), 1, func(_ int, page []byte) error {
+		run, err := services.PageFrames(page, &framed)
+		if err != nil || len(run) == 0 {
+			return err
 		}
-		err := c.reply(RecordBatch{Records: batch}, nil)
-		batch = batch[:0]
-		return err
+		return c.reply(RecordBatch{Frames: run}, nil)
 	})
-	return RecordBatch{Records: batch, Last: true}, err
+	return RecordBatch{Last: true}, err
 }
 
 // scanPages implements the Fig 2 scan protocol: the storage process pins

@@ -163,9 +163,9 @@ func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Part
 		}
 		return nil
 	})
-	for _, s := range senders {
-		if err == nil {
-			err = s.Flush()
+	for _, s := range senders { // a failed build's too: nothing may be in flight when its sets are dropped
+		if ferr := s.Flush(); err == nil {
+			err = ferr
 		}
 	}
 	for _, m := range g.Members[1:] {

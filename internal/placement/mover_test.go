@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pangea/internal/cluster"
 )
@@ -109,10 +110,7 @@ func TestSenderConcurrentSends(t *testing.T) {
 		}
 	}
 	const senders, each = 8, 400
-	recs := mkRecords(senders * each)
-	for i, rec := range recs { // 1 KiB each, 3.2 MB a node: several batches
-		recs[i] = append(rec, make([]byte, 1000)...)
-	}
+	recs := kibRecords(senders * each) // 3.2 MB a node: several batches
 	s := NewSender(cl, addrs, "dst")
 	var wg sync.WaitGroup
 	var failedSends atomic.Int64
@@ -156,4 +154,106 @@ func TestSenderConcurrentSends(t *testing.T) {
 			}
 		}
 	}
+}
+
+// kibRecords is mkRecords with every record padded to 1 KiB, so that a few
+// thousand of them fill batches.
+func kibRecords(n int) [][]byte {
+	recs := mkRecords(n)
+	for i, rec := range recs {
+		recs[i] = append(rec, make([]byte, 1000)...)
+	}
+	return recs
+}
+
+// addInFlight is the frame of a goroutine whose AddRecords is unanswered. A
+// mover that has returned has none, not even for a moment: its senders were
+// drained, on the failure paths too.
+const addInFlight = "pangea/internal/cluster.(*Client).AddFrames"
+
+// returnsWithin fails the test if the mover has not returned after d.
+func returnsWithin(t *testing.T, d time.Duration, mover func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		mover()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("the mover has not returned %v after its worker was closed", d)
+	}
+}
+
+// TestBuildGroupWorkerKilledMidBuild: worker 1 is closed from inside the build
+// — by a partitioner's Key, once the first batch of a replica has reached that
+// worker, so with a batch in flight or just answered, the next one filling and
+// the source still streaming. (Every node is sent three batches a replica, and
+// the second waits for the first to be answered: the Key cannot miss it.) The
+// build must fail, not hang;
+// when it returns no request of its is in flight and no goroutine of it alive;
+// and the workers that survive hold none of its sets, the manager none of its
+// replicas.
+func TestBuildGroupWorkerKilledMidBuild(t *testing.T) {
+	workers, addrs, cl := startCluster(t, 3)
+	if err := cl.CreateSet("tbl", 64<<10, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := DispatchRandom(cl, addrs, "tbl", kibRecords(9000)); err != nil { // 3 MB a worker and a replica
+		t.Fatal(err)
+	}
+	parts := twoPartitioners(12)
+	key, killed := parts[1].Key, false
+	parts[1].Key = func(rec []byte) ([]byte, error) {
+		if set, ok := workers[1].Pool().GetSet("tbl_pt_hash_orderkey_"); !killed && ok && set.NumPages() > 0 {
+			killed = true
+			if err := workers[1].Close(); err != nil {
+				t.Errorf("closing worker 1: %v", err)
+			}
+		}
+		return key(rec)
+	}
+	returnsWithin(t, 30*time.Second, func() {
+		if _, err := BuildGroup(cl, addrs, "tbl", parts, 64<<10); err == nil {
+			t.Error("a build whose worker was closed under it reported success")
+		}
+	})
+	if !killed {
+		t.Fatal("no batch reached worker 1 in mid-build: the test closed nothing")
+	}
+	checkNoGoroutines(t, 0, addInFlight)
+	if left := replicaSets([]*cluster.Worker{workers[0], workers[2]}, "tbl"); len(left) != 0 {
+		t.Errorf("the failed build left sets on the surviving workers: %v", left)
+	}
+	if group, err := cl.Replicas("tbl"); err != nil || len(group) != 1 {
+		t.Errorf("the failed build registered replicas: %v (err %v)", group, err)
+	}
+}
+
+// TestDispatchRandomWorkerKilledMidLoad: the same for a load, which has no
+// hook to be closed from: a goroutine beside it closes worker 1 the moment the
+// load's first batch has reached it, five batches a node before the end.
+func TestDispatchRandomWorkerKilledMidLoad(t *testing.T) {
+	workers, addrs, cl := startCluster(t, 3)
+	if err := cl.CreateSet("tbl", 64<<10, 0); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() {
+		for set, _ := workers[1].Pool().GetSet("tbl"); set.NumPages() == 0; {
+			time.Sleep(50 * time.Microsecond)
+		}
+		closed <- workers[1].Close()
+	}()
+	returnsWithin(t, 30*time.Second, func() {
+		err := DispatchRandom(cl, addrs, "tbl", kibRecords(18000)) // 6 MB a worker
+		if err == nil || !strings.Contains(err.Error(), "node 1") {
+			t.Errorf("a load whose worker 1 was closed under it: err = %v, want node 1's failure", err)
+		}
+	})
+	if err := <-closed; err != nil {
+		t.Errorf("closing worker 1: %v", err)
+	}
+	checkNoGoroutines(t, 0, addInFlight)
 }

@@ -70,8 +70,8 @@ func PartitionsFor(k int) int { return 4 * k }
 func DispatchRandom(cl *cluster.Client, addrs []string, set string, records [][]byte) error {
 	s := NewSender(cl, addrs, set)
 	for _, rec := range records {
-		if err := s.Send(RandomNode(rec, len(addrs)), rec); err != nil {
-			return err
+		if s.Send(RandomNode(rec, len(addrs)), rec) != nil {
+			break // Flush reports it, once the batches in flight have been answered
 		}
 	}
 	return s.Flush()
@@ -92,8 +92,8 @@ func PartitionSet(cl *cluster.Client, addrs []string, source, target string, par
 		n++
 		return s.Send(node, rec)
 	})
-	if err != nil {
-		return n, err
+	if ferr := s.Flush(); err == nil {
+		err = ferr
 	}
-	return n, s.Flush()
+	return n, err
 }

@@ -4,14 +4,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pangea/internal/cluster"
 )
 
 const testKey = "placement-test-key"
 
+// startCluster stands up n workers. Its cleanup closes them and fails the
+// test if a goroutine of the movers or of the cluster — a batch still in
+// flight, a handler still serving one — is alive afterwards.
 func startCluster(t *testing.T, n int) ([]*cluster.Worker, []string, *cluster.Client) {
 	t.Helper()
 	l, err := cluster.StartLocal(testKey, n, func(int) cluster.WorkerConfig {
@@ -20,8 +26,38 @@ func startCluster(t *testing.T, n int) ([]*cluster.Worker, []string, *cluster.Cl
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = l.Close() })
+	t.Cleanup(func() {
+		_ = l.Close() // a test may have closed a worker already
+		checkNoGoroutines(t, 2*time.Second, "pangea/internal/placement.", "pangea/internal/cluster.")
+	})
 	return l.Workers, l.Addrs, l.Client
+}
+
+// checkNoGoroutines fails the test if a goroutine with one of the frames — a
+// function's name, or a package's prefix — is alive, the test's own apart.
+// grace is how long one that is on its way out is given to leave.
+func checkNoGoroutines(t *testing.T, grace time.Duration, frames ...string) {
+	t.Helper()
+	var leaked []string
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(grace); ; time.Sleep(5 * time.Millisecond) {
+		leaked = leaked[:0]
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")[1:] { // [0] is this goroutine
+			for _, frame := range frames {
+				if strings.Contains(g, frame) && !strings.Contains(g, "testing.tRunner") {
+					leaked = append(leaked, g)
+					break
+				}
+			}
+		}
+		if len(leaked) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			break
+		}
+	}
+	t.Errorf("%d goroutine(s) outlived their mover:\n\n%s", len(leaked), strings.Join(leaked, "\n\n"))
 }
 
 // mkRecords builds records shaped like tiny lineitems: two int keys and a

@@ -36,7 +36,7 @@ func Recover(cl *cluster.Client, addrs []string, g *Group, failedIdx int) ([]Rec
 // records lost in several members at once are covered. A record no member
 // kept is dispatched by the first surviving node of its safety placement.
 // addrs lists all the original workers, failed the indices of the lost ones.
-func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []int) ([]RecoveryReport, error) {
+func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []int) (reports []RecoveryReport, err error) {
 	k, g := len(addrs), sg.Group
 	if k > maxNodes {
 		return nil, fmt.Errorf("placement: a replication group spans at most %d workers, not %d", maxNodes, k)
@@ -64,12 +64,19 @@ func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []i
 		return nil, fmt.Errorf("placement: no surviving nodes")
 	}
 
-	reports := make([]RecoveryReport, len(g.Members))
+	reports = make([]RecoveryReport, len(g.Members))
 	senders := make([]*Sender, len(g.Members))
 	for i, m := range g.Members {
 		reports[i].Member = m.Set
 		senders[i] = NewSender(cl, addrs, m.Set)
 	}
+	defer func() { // on every path out: a failed recovery leaves nothing in flight either
+		for _, s := range senders {
+			if ferr := s.Flush(); err == nil {
+				err = ferr
+			}
+		}
+	}()
 	nodes := make([]int, len(g.Members)) // where each member placed the record in hand
 	// dispatcher returns the lowest-indexed member other than ti whose copy
 	// of that record survived, or -1.
@@ -118,7 +125,7 @@ func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []i
 		}
 	}
 	// Safety copies of the records no member kept.
-	err := Stream(cl, live, g.Colliding, func(at int, rec []byte) error {
+	return reports, Stream(cl, live, g.Colliding, func(at int, rec []byte) error {
 		mask, err := g.copies(rec, k, nodes)
 		if err != nil || dispatcher(-1) >= 0 {
 			return err
@@ -139,10 +146,4 @@ func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []i
 		}
 		return nil
 	})
-	for _, s := range senders {
-		if err == nil {
-			err = s.Flush()
-		}
-	}
-	return reports, err
 }

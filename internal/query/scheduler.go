@@ -107,10 +107,10 @@ func (e *Executor) Exchange(name string, sources func(node int) Iter, key func(R
 			}
 			return s.Send(dst, r)
 		})
-		if err != nil {
-			return err
+		if ferr := s.Flush(); err == nil {
+			err = ferr
 		}
-		return s.Flush()
+		return err
 	})
 }
 
@@ -134,10 +134,10 @@ func (e *Executor) Broadcast(source, target string, pageSize int64) (err error) 
 			return nil
 		})
 	})
-	if err != nil {
-		return err
+	if ferr := s.Flush(); err == nil {
+		err = ferr
 	}
-	return s.Flush()
+	return err
 }
 
 // dropOnFailure, deferred by the operations that create a set on every node,

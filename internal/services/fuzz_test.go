@@ -1,6 +1,7 @@
 package services
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 )
@@ -140,6 +141,72 @@ func FuzzRecordOffsets(f *testing.F) {
 			t.Fatalf("minLen %d, shortest record is %d", minLen, shortest)
 		}
 	})
+}
+
+// FuzzWalkFrames holds the wire's record decoder to its contract on arbitrary
+// bytes standing in for a run off a socket: it never panics; it either refuses
+// the run before its callback has seen a record, or yields records that lie
+// inside the run, in order, and whose re-framing is the run byte for byte.
+// Seeds are checked in under testdata/fuzz/FuzzWalkFrames.
+func FuzzWalkFrames(f *testing.F) {
+	f.Fuzz(func(t *testing.T, run []byte) {
+		var again []byte
+		calls, next := 0, 0
+		err := WalkFrames(run, func(rec []byte) error {
+			calls++
+			// The record must be run[next+4 : next+4+len(rec)]: inside the
+			// run, after its own header, right behind the record before it.
+			if len(rec) == 0 || next+recHeaderSize+len(rec) > len(run) || &rec[0] != &run[next+recHeaderSize] {
+				t.Fatalf("record %d (%d bytes) is not the frame at offset %d of the %d-byte run", calls, len(rec), next, len(run))
+			}
+			next += recHeaderSize + len(rec)
+			again = AppendFrame(again, rec)
+			return nil
+		})
+		if err != nil {
+			if calls != 0 {
+				t.Fatalf("a run refused with %q had %d records shown first", err, calls)
+			}
+			return
+		}
+		if !bytes.Equal(again, run) {
+			t.Fatalf("the %d records of an accepted %d-byte run re-frame to %d other bytes", calls, len(run), len(again))
+		}
+	})
+}
+
+// TestPageFrames: a page's records as one run — a slice of the page itself
+// for a sequential row page, a framed copy in the caller's buffer for a page
+// of several regions or a columnar one — are the records WalkPage visits.
+func TestPageFrames(t *testing.T) {
+	seq := make([]byte, 256)
+	initPage(seq, len(seq)-pageHeaderSize)
+	for off, i := pageHeaderSize, 1; i < 9; i++ {
+		off, _ = appendRecord(seq, off, len(seq), bytes.Repeat([]byte{byte(i)}, i))
+	}
+	full := make([]byte, 8+20) // its last record ends 2 bytes short of the page: no terminator fits
+	initPage(full, 20)
+	appendRecord(full, pageHeaderSize, len(full), make([]byte, 14))
+	col := validColumnarSeed()
+	var buf []byte
+	for name, page := range map[string][]byte{"sequential": seq, "brim-full": full, "three regions": raggedRowPageSeed(), "columnar": col} {
+		var want []byte
+		if err := WalkPage(page, func(rec []byte) error { want = AppendFrame(want, rec); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		run, err := PageFrames(page, &buf)
+		if err != nil || !bytes.Equal(run, want) || len(want) == 0 {
+			t.Errorf("%s page: run of %d bytes (err %v), want the %d bytes of its records framed", name, len(run), err, len(want))
+		}
+		if inPage := len(run) > 0 && &run[0] == &page[pageHeaderSize]; inPage != (name == "sequential" || name == "brim-full") {
+			t.Errorf("%s page: run is a slice of the page = %v", name, inPage)
+		}
+	}
+	overrun := bytes.Clone(seq)
+	binary.LittleEndian.PutUint32(overrun[pageHeaderSize+5:], 4000) // the second record overruns the page
+	if _, err := PageFrames(overrun, &buf); err == nil {
+		t.Error("a sequential page whose record overruns it was framed without an error")
+	}
 }
 
 // validZoneMapSeed marshals a real two-page map under fuzzZoneSpec.

@@ -198,3 +198,55 @@ func RecordOffsets(buf []byte, offs []int32) (_ []int32, minLen int, err error) 
 func RecordLen(buf []byte, off int32) int {
 	return int(binary.LittleEndian.Uint32(buf[off-recHeaderSize : off]))
 }
+
+// AppendFrame appends rec to run as one frame. A run of frames — records in
+// the region framing, back to back, ended by the run's length: no terminator,
+// no zero length — is how records cross the cluster. A run that must grow
+// doubles: append's growth by quarters would copy a 1 MiB batch five times.
+func AppendFrame(run, rec []byte) []byte {
+	if n := len(run) + recHeaderSize + len(rec); n > cap(run) {
+		run = append(make([]byte, 0, max(n, 2*cap(run))), run...)
+	}
+	return append(binary.LittleEndian.AppendUint32(run, uint32(len(rec))), rec...)
+}
+
+// framesEnd walks buf's frames from off and returns where they stop: at a zero
+// length, or where no header fits. A frame that overruns buf is an error.
+func framesEnd(buf []byte, off int) (int, error) {
+	for off+recHeaderSize <= len(buf) {
+		n := int(binary.LittleEndian.Uint32(buf[off:]))
+		if n == 0 {
+			break
+		}
+		if n > len(buf)-off-recHeaderSize {
+			return off, fmt.Errorf("services: frame of %d bytes at offset %d is cut short by the end of its %d bytes", n, off, len(buf))
+		}
+		off += recHeaderSize + n
+	}
+	return off, nil
+}
+
+// WalkFrames calls fn with every record of run, a slice of it, once it has
+// checked the whole framing: a run with a frame cut short, a zero length or
+// trailing bytes is refused, with the offset, before fn has seen a record.
+func WalkFrames(run []byte, fn func(rec []byte) error) error {
+	if end, err := framesEnd(run, 0); err != nil {
+		return err
+	} else if end != len(run) {
+		return fmt.Errorf("services: zero length or trailing bytes at offset %d of a %d-byte run", end, len(run))
+	}
+	return walkRegion(run, 0, len(run), fn)
+}
+
+// PageFrames returns a service page's records as one run: a sequential row
+// page's as they lie, a slice of page only valid while it is pinned; any other
+// page's — columnar, several regions — framed into *buf, the caller's to reuse.
+func PageFrames(page []byte, buf *[]byte) ([]byte, error) {
+	if !IsColumnarPage(page) && pageRegionSize(page) == len(page)-pageHeaderSize {
+		end, err := framesEnd(page, pageHeaderSize)
+		return page[pageHeaderSize:end], err
+	}
+	*buf = (*buf)[:0]
+	err := WalkPage(page, func(rec []byte) error { *buf = AppendFrame(*buf, rec); return nil })
+	return *buf, err
+}
