@@ -214,6 +214,135 @@ func BenchmarkBatchScan(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmScan is the repository benchmark's warm_query battery at the
+// query layer's own level: one op is one query of the sub-benchmark's type,
+// one thread, over warm_query's 64-byte fact rows (key u64, a permutation;
+// date u16, clustered; cat u16 = row mod 100; val f64; pad) loaded warm in
+// both layouts through one writer carrying a zone map with a bloom on key and
+// a microindex on key, as warm_query's set-up does.
+//
+//   - point: key = v over the columnar set — one microindex candidate page;
+//   - range: a 1 % date window over the row set — zone-map pruned;
+//   - agg: cat < 10 over the columnar set's vectors;
+//   - rowscan: cat < 10 through the row adapter, every page.
+//
+// What a scan costs beside its rows (goroutines, batches, page lists) is
+// most of point's ns/op and shows in every sub-benchmark's allocs/op.
+func BenchmarkWarmScan(b *testing.B) {
+	const (
+		pageSize    = 256 << 10
+		nRows       = 250_000
+		nDates      = 500
+		rowsPerDate = nRows / nDates
+		stride      = 7919 // prime, so row i's key i*stride mod nRows is a permutation
+	)
+	le := binary.LittleEndian
+	widths := []int{8, 2, 2, 8, 44}
+	schema := services.MakeSchema([]string{"key", "date", "cat", "val", "pad"}, widths)
+	rows := make([][]byte, nRows)
+	flat := make([]byte, nRows*64)
+	var catRows int64
+	for i := range rows {
+		r := flat[i*64 : (i+1)*64]
+		le.PutUint64(r[0:], uint64(i)*stride%nRows)
+		le.PutUint16(r[8:], uint16(i/rowsPerDate))
+		le.PutUint16(r[10:], uint16(i%100))
+		le.PutUint64(r[12:], math.Float64bits(float64(i%1000)))
+		rows[i] = r
+		if i%100 < 10 {
+			catRows++
+		}
+	}
+	arr, err := disk.NewArray(b.TempDir(), 1, disk.Unthrottled())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = arr.RemoveAll() })
+	bp, err := core.NewPool(core.PoolConfig{Memory: 64 << 20, Array: arr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	load := func(spec core.SetSpec) *core.LocalitySet {
+		set, err := bp.CreateSet(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := services.NewSeqWriter(set)
+		if _, err := services.AttachZoneMap(w, services.ZoneMapSpec{Schema: schema, BloomCols: []int{0}}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := services.AttachMicroindex(w, services.MicroindexSpec{Schema: schema, Cols: []int{0}}); err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range rows {
+			if err := w.Add(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return set
+	}
+	colSet := load(core.SetSpec{Name: "facts_col", PageSize: pageSize, Layout: core.LayoutColumnar, Columns: widths})
+	rowSet := load(core.SetSpec{Name: "facts_row", PageSize: pageSize})
+
+	// Each query counts the rows it matched (the batch queries also sum
+	// their val column, as warm_query's do); op i's answer is want(i).
+	cat := query.ColRange{Col: 2, Lo: 0, Hi: 10}
+	var valSum float64
+	countBatches := func(set *core.LocalitySet, pred query.Predicate) (n int64, err error) {
+		err = query.ScanSpec{Set: set, Pred: pred}.RunBatches(func(_ int, bt *query.Batch) error {
+			vals := bt.Col(3)
+			for _, r := range bt.Sel() {
+				valSum += math.Float64frombits(le.Uint64(vals[int(r)*8:]))
+			}
+			n += int64(bt.Selected())
+			return nil
+		})
+		return n, err
+	}
+	countRows := func(pred query.Predicate) (n int64, err error) {
+		err = query.ScanSpec{Set: rowSet, Schema: schema, Pred: pred}.Run(func(int, query.Row) error {
+			n++
+			return nil
+		})
+		return n, err
+	}
+	for _, q := range []struct {
+		name string
+		run  func(i int) (int64, error)
+		want func(i int) int64
+	}{
+		{"point", func(i int) (int64, error) {
+			return countBatches(colSet, query.ColEq{Col: 0, V: uint64(i*7+3) % nRows})
+		}, func(int) int64 { return 1 }},
+		{"range", func(i int) (int64, error) {
+			lo := uint64(i*37) % (nDates - 5)
+			return countRows(query.ColRange{Col: 1, Lo: lo, Hi: lo + 5})
+		}, func(int) int64 { return 5 * rowsPerDate }},
+		{"agg", func(int) (int64, error) { return countBatches(colSet, cat) }, func(int) int64 { return catRows }},
+		{"rowscan", func(int) (int64, error) { return countRows(cat) }, func(int) int64 { return catRows }},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			if _, err := q.run(0); err != nil { // warm the pages and the batch pool
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n, err := q.run(i)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n != q.want(i) {
+					b.Fatalf("op %d matched %d rows, want %d", i, n, q.want(i))
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkNUMAAffinity measures the allocation path under a fake 4-node
 // topology: local placement (each goroutine homed on its own node's shards,
 // what the pool does at CreateSet) vs interleaved placement (homes walk

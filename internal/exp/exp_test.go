@@ -151,10 +151,10 @@ func TestFig9LRUReadSlowerThanMRUFamily(t *testing.T) {
 	last := len(tab.Rows) - 1
 	daRead := cell(t, tab, last, 3)
 	lruRead := cell(t, tab, last, 9)
-	// 5% tolerance: at quick sizes the data-aware margin over LRU can fall
-	// within scheduler noise on slow single-core machines; the assertion is
-	// that LRU is not meaningfully ahead.
-	if daRead >= lruRead*1.05 {
+	// No tolerance: the quick shape gives the pool 32 frames of the set, so
+	// data-aware keeps about a third of it across loops and LRU none — a
+	// margin of tens of percent, not the ≈3 % four 512 KiB frames left.
+	if daRead >= lruRead {
 		t.Errorf("data-aware read %.1fms not faster than LRU %.1fms on loop-sequential", daRead, lruRead)
 	}
 }

@@ -227,8 +227,10 @@ func (b *Batch) MaterializeRow(row int, dst []byte) []byte {
 	return dst
 }
 
+// grow returns s resized to n lanes, reallocating when it is too small. The
+// result is never nil, so a zero-row selection built from it is not "all".
 func grow(s []int32, n int) []int32 {
-	if cap(s) < n {
+	if s == nil || cap(s) < n {
 		return make([]int32, n)
 	}
 	return s[:n]
@@ -259,177 +261,217 @@ func (b *Batch) release(s []int32) { b.spare = append(b.spare, s) }
 // reused selection buffer; writing lane j always trails reading lane i
 // (j ≤ i), so narrowing in place over the previous selection is safe.
 func (b *Batch) narrow(keep func(row int32) bool) {
-	if b.sel == nil {
-		out := grow(b.selBuf, b.n)[:0]
-		for i := int32(0); i < int32(b.n); i++ {
-			if keep(i) {
-				out = append(out, i)
-			}
+	out, k := b.selOut(), 0
+	if b.sel != nil {
+		for _, i := range b.sel {
+			out[k] = i
+			k += b2i(keep(i))
 		}
-		b.selBuf, b.sel = out[:cap(out)], out
-		return
-	}
-	out := b.sel[:0]
-	for _, i := range b.sel {
-		if keep(i) {
-			out = append(out, i)
+	} else {
+		for i := range int32(b.n) {
+			out[k] = i
+			k += b2i(keep(i))
 		}
 	}
-	b.sel = out
+	b.sel = out[:k]
 }
 
 // FilterBatch narrows the selection with an arbitrary row predicate — the
 // generic kernel, for the shapes the algebra does not express (cross-column
 // comparisons); the typed Sel* kernels below are the fast paths for common
-// fixed-width comparisons, each a branch-light loop over one column vector.
+// fixed-width comparisons, each a branch-free loop over one column vector.
 func FilterBatch(b *Batch, pred func(b *Batch, row int) bool) {
 	b.narrow(func(i int32) bool { return pred(b, int(i)) })
 }
 
 // The typed Sel* kernels below spell their loops out instead of going
 // through narrow: the per-row indirect call a closure costs is the
-// difference between a vectorizable compare loop and a row-at-a-time
-// dispatch, and these kernels sit on the hot path of every selective scan.
+// difference between a tight compare loop and a row-at-a-time dispatch, and
+// these kernels sit on the hot path of every selective scan. No loop
+// branches on the data: every candidate lane's index is written to the
+// output and the output advances by the comparison's outcome, 0 or 1, so a
+// page that keeps half its rows costs what one that keeps none does. A
+// half-open range lo <= v < hi is the one unsigned compare v-lo < hi-lo
+// (lanes below lo wrap past the span), and an empty one (hi <= lo) is an
+// explicit empty selection. Each kernel re-slices its column once, to the
+// rows it reads; SelU16Range reads four lanes per 8-byte load, and an
+// 8-byte equality (hi == lo+1, what ColEq compiles to) skips 8-lane blocks
+// that hold no match behind one predictable branch. On the narrowed path
+// the survivors overwrite the prior selection in place: lane j is written
+// only after lane i >= j was read.
+
+// le is the byte order of column vectors.
+var le = binary.LittleEndian
+
+// b2i is a comparison's outcome as 0 or 1, set from the flags, not branched
+// on.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// selOut returns the vector a kernel writes its survivors into: the prior
+// selection, narrowed in place, or the batch's reused buffer sized for every
+// row. It is never nil, so an empty result selects nothing, not everything.
+func (b *Batch) selOut() []int32 {
+	if b.sel != nil {
+		return b.sel
+	}
+	b.selBuf = grow(b.selBuf, b.n)
+	return b.selBuf
+}
 
 // SelU16Range keeps rows with lo <= col[row] < hi.
 func (b *Batch) SelU16Range(c int, lo, hi uint16) {
-	col := b.Col(c)
-	if b.sel == nil {
-		b.selBuf = grow(b.selBuf, b.n)
-		out := b.selBuf[:0]
-		for i := 0; i < b.n; i++ {
-			if v := binary.LittleEndian.Uint16(col[i*2:]); v >= lo && v < hi {
-				out = append(out, int32(i))
+	out, k, n := b.selOut(), 0, b.n
+	if hi > lo {
+		col, span := b.Col(c)[:2*n], hi-lo
+		if b.sel != nil {
+			for _, i := range b.sel {
+				out[k] = i
+				k += b2i(le.Uint16(col[2*int(i):])-lo < span)
+			}
+		} else {
+			i := 0
+			for ; i+4 <= n; i += 4 {
+				w := le.Uint64(col[2*i:])
+				out[k] = int32(i)
+				k += b2i(uint16(w)-lo < span)
+				out[k] = int32(i + 1)
+				k += b2i(uint16(w>>16)-lo < span)
+				out[k] = int32(i + 2)
+				k += b2i(uint16(w>>32)-lo < span)
+				out[k] = int32(i + 3)
+				k += b2i(uint16(w>>48)-lo < span)
+			}
+			for ; i < n; i++ {
+				out[k] = int32(i)
+				k += b2i(le.Uint16(col[2*i:])-lo < span)
 			}
 		}
-		b.sel = out
-		return
 	}
-	out := b.sel[:0]
-	for _, i := range b.sel {
-		if v := binary.LittleEndian.Uint16(col[i*2:]); v >= lo && v < hi {
-			out = append(out, i)
-		}
-	}
-	b.sel = out
+	b.sel = out[:k]
 }
 
 // SelU32Range keeps rows with lo <= col[row] < hi.
 func (b *Batch) SelU32Range(c int, lo, hi uint32) {
-	col := b.Col(c)
-	if b.sel == nil {
-		b.selBuf = grow(b.selBuf, b.n)
-		out := b.selBuf[:0]
-		for i := 0; i < b.n; i++ {
-			if v := binary.LittleEndian.Uint32(col[i*4:]); v >= lo && v < hi {
-				out = append(out, int32(i))
+	out, k, n := b.selOut(), 0, b.n
+	if hi > lo {
+		col, span := b.Col(c)[:4*n], hi-lo
+		if b.sel != nil {
+			for _, i := range b.sel {
+				out[k] = i
+				k += b2i(le.Uint32(col[4*int(i):])-lo < span)
+			}
+		} else {
+			for i := 0; i < n; i++ {
+				out[k] = int32(i)
+				k += b2i(le.Uint32(col[4*i:])-lo < span)
 			}
 		}
-		b.sel = out
-		return
 	}
-	out := b.sel[:0]
-	for _, i := range b.sel {
-		if v := binary.LittleEndian.Uint32(col[i*4:]); v >= lo && v < hi {
-			out = append(out, i)
-		}
-	}
-	b.sel = out
+	b.sel = out[:k]
 }
 
 // SelF64Range keeps rows with lo <= col[row] <= hi (closed interval, the
-// shape of TPC-H's discount band predicate).
+// shape of TPC-H's discount band predicate). NaN lanes never match.
 func (b *Batch) SelF64Range(c int, lo, hi float64) {
-	col := b.Col(c)
-	if b.sel == nil {
-		b.selBuf = grow(b.selBuf, b.n)
-		out := b.selBuf[:0]
-		for i := 0; i < b.n; i++ {
-			if v := math.Float64frombits(binary.LittleEndian.Uint64(col[i*8:])); v >= lo && v <= hi {
-				out = append(out, int32(i))
-			}
+	out, k, n := b.selOut(), 0, b.n
+	col := b.Col(c)[:8*n]
+	if b.sel != nil {
+		for _, i := range b.sel {
+			v := math.Float64frombits(le.Uint64(col[8*int(i):]))
+			out[k] = i
+			k += b2i(lo <= v) & b2i(v <= hi)
 		}
-		b.sel = out
-		return
-	}
-	out := b.sel[:0]
-	for _, i := range b.sel {
-		if v := math.Float64frombits(binary.LittleEndian.Uint64(col[i*8:])); v >= lo && v <= hi {
-			out = append(out, i)
+	} else {
+		for i := 0; i < n; i++ {
+			v := math.Float64frombits(le.Uint64(col[8*i:]))
+			out[k] = int32(i)
+			k += b2i(lo <= v) & b2i(v <= hi)
 		}
 	}
-	b.sel = out
+	b.sel = out[:k]
 }
 
 // SelU64Range keeps rows with lo <= col[row] < hi.
 func (b *Batch) SelU64Range(c int, lo, hi uint64) {
-	col := b.Col(c)
-	if b.sel == nil {
-		b.selBuf = grow(b.selBuf, b.n)
-		out := b.selBuf[:0]
-		for i := 0; i < b.n; i++ {
-			if v := binary.LittleEndian.Uint64(col[i*8:]); v >= lo && v < hi {
-				out = append(out, int32(i))
+	out, k, n := b.selOut(), 0, b.n
+	if hi > lo {
+		col, span := b.Col(c)[:8*n], hi-lo
+		if b.sel != nil {
+			for _, i := range b.sel {
+				out[k] = i
+				k += b2i(le.Uint64(col[8*int(i):])-lo < span)
+			}
+		} else {
+			i := 0
+			if span == 1 {
+				// Equality: a block with no match costs its loads and one
+				// branch that is almost never taken.
+				for ; i+8 <= n; i += 8 {
+					blk := (*[64]byte)(col[8*i:])
+					if b2i(le.Uint64(blk[0:]) == lo)|b2i(le.Uint64(blk[8:]) == lo)|
+						b2i(le.Uint64(blk[16:]) == lo)|b2i(le.Uint64(blk[24:]) == lo)|
+						b2i(le.Uint64(blk[32:]) == lo)|b2i(le.Uint64(blk[40:]) == lo)|
+						b2i(le.Uint64(blk[48:]) == lo)|b2i(le.Uint64(blk[56:]) == lo) == 0 {
+						continue
+					}
+					for j := 0; j < 8; j++ {
+						out[k] = int32(i + j)
+						k += b2i(le.Uint64(blk[8*j:]) == lo)
+					}
+				}
+			}
+			for ; i < n; i++ {
+				out[k] = int32(i)
+				k += b2i(le.Uint64(col[8*i:])-lo < span)
 			}
 		}
-		b.sel = out
-		return
 	}
-	out := b.sel[:0]
-	for _, i := range b.sel {
-		if v := binary.LittleEndian.Uint64(col[i*8:]); v >= lo && v < hi {
-			out = append(out, i)
-		}
-	}
-	b.sel = out
+	b.sel = out[:k]
 }
 
 // SelByteRange keeps rows with lo <= col[row] < hi over a 1-byte column.
 // Bounds are uint64 — the predicate algebra's value domain — so hi=256
 // still expresses a half-open interval covering the whole byte range.
 func (b *Batch) SelByteRange(c int, lo, hi uint64) {
-	col := b.Col(c)
-	if b.sel == nil {
-		b.selBuf = grow(b.selBuf, b.n)
-		out := b.selBuf[:0]
-		for i := 0; i < b.n; i++ {
-			if v := uint64(col[i]); v >= lo && v < hi {
-				out = append(out, int32(i))
+	out, k, n := b.selOut(), 0, b.n
+	if hi > lo {
+		col, span := b.Col(c)[:n], hi-lo
+		if b.sel != nil {
+			for _, i := range b.sel {
+				out[k] = i
+				k += b2i(uint64(col[i])-lo < span)
+			}
+		} else {
+			for i, v := range col {
+				out[k] = int32(i)
+				k += b2i(uint64(v)-lo < span)
 			}
 		}
-		b.sel = out
-		return
 	}
-	out := b.sel[:0]
-	for _, i := range b.sel {
-		if v := uint64(col[i]); v >= lo && v < hi {
-			out = append(out, i)
-		}
-	}
-	b.sel = out
+	b.sel = out[:k]
 }
 
 // SelByteEq keeps rows whose 1-byte column equals v.
 func (b *Batch) SelByteEq(c int, v byte) {
-	col := b.Col(c)
-	if b.sel == nil {
-		b.selBuf = grow(b.selBuf, b.n)
-		out := b.selBuf[:0]
-		for i := 0; i < b.n; i++ {
-			if col[i] == v {
-				out = append(out, int32(i))
-			}
+	out, k, n := b.selOut(), 0, b.n
+	col := b.Col(c)[:n]
+	if b.sel != nil {
+		for _, i := range b.sel {
+			out[k] = i
+			k += b2i(col[i] == v)
 		}
-		b.sel = out
-		return
-	}
-	out := b.sel[:0]
-	for _, i := range b.sel {
-		if col[i] == v {
-			out = append(out, i)
+	} else {
+		for i, x := range col {
+			out[k] = int32(i)
+			k += b2i(x == v)
 		}
 	}
-	b.sel = out
+	b.sel = out[:k]
 }
 
 // ProjectBatch materializes the selected rows of a batch and feeds them to

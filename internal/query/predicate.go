@@ -46,8 +46,9 @@ type PointIndex interface {
 	// Covers reports whether every page 0..n-1 is described by the index.
 	Covers(n int64) bool
 	// LookupPages returns the sorted candidate pages that may hold value v
-	// in column col. ok=false means the column is not indexed and nothing
-	// can be concluded; ok=true with an empty result means no page holds v.
+	// in column col, in a slice the caller owns (the scan filters it in
+	// place). ok=false means the column is not indexed and nothing can be
+	// concluded; ok=true with an empty result means no page holds v.
 	LookupPages(col int, v uint64) (pages []int64, ok bool)
 }
 
@@ -118,7 +119,7 @@ func batchU(b *Batch, c, row int) uint64 {
 
 // selNone clears a batch's selection — the compiled form of a vacuously
 // false predicate (e.g. an empty range).
-func selNone(b *Batch) { b.narrow(func(int32) bool { return false }) }
+func selNone(b *Batch) { b.sel = b.selOut()[:0] }
 
 // ColRange keeps rows with Lo <= col < Hi under the column's unsigned
 // interpretation — the half-open integer range node (dates, quantities,

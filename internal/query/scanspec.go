@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"pangea/internal/core"
 	"pangea/internal/services"
@@ -56,6 +58,11 @@ type ScanSpec struct {
 	Hint   ScanHint
 }
 
+// batchPool holds the scan threads' batches between scans (see RunBatches).
+// reset re-derives everything a batch says about its page, so nothing one
+// scan left in a batch is visible to the next.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
 func (sp ScanSpec) threads() int {
 	if sp.Threads < 1 {
 		return 1
@@ -94,29 +101,32 @@ func (sp ScanSpec) schema() ([]services.ColumnSpec, error) {
 // Pages evaluated against the index count toward the set's IndexChecks and
 // kept candidates toward IndexHits; pages evaluated against the zone map
 // count toward ZoneMapChecks, pruned ones toward ZoneMapSkips.
+//
+// The work is O(answer), not O(set): an index that answers never has the
+// set's page list built beside it, and the zone-map pass filters the list in
+// place — every list it sees is the scan's own (PageNums and an index answer
+// are fresh copies).
 func (sp ScanSpec) pages() []int64 {
-	all := sp.Set.PageNums()
 	if sp.Pred == nil || sp.Hint == HintNoPrune {
-		return all
+		return sp.Set.PageNums()
 	}
-	kept := all
+	var kept []int64
+	answered := false
 	if sp.Hint != HintNoIndex {
-		if idx, ok := sp.Set.SideIndex(services.MicroindexTag).(PointIndex); ok && idx.Covers(int64(len(all))) {
-			if cand, answered := sp.Pred.indexPages(idx); answered {
-				kept = cand
-				sp.Set.NoteMicroindex(int64(len(all)), int64(len(cand)))
+		n := sp.Set.NumPages()
+		if idx, ok := sp.Set.SideIndex(services.MicroindexTag).(PointIndex); ok && idx.Covers(n) {
+			if kept, answered = sp.Pred.indexPages(idx); answered {
+				sp.Set.NoteMicroindex(n, int64(len(kept)))
 			}
 		}
+	}
+	if !answered {
+		kept = sp.Set.PageNums()
 	}
 	if stats, ok := sp.Set.SideIndex(services.ZoneMapTag).(PruneStats); ok {
-		pruned := make([]int64, 0, len(kept))
-		for _, num := range kept {
-			if !sp.Pred.prune(stats, num) {
-				pruned = append(pruned, num)
-			}
-		}
-		sp.Set.NoteZoneMap(int64(len(kept)), int64(len(kept)-len(pruned)))
-		kept = pruned
+		checked := len(kept)
+		kept = slices.DeleteFunc(kept, func(num int64) bool { return sp.Pred.prune(stats, num) })
+		sp.Set.NoteZoneMap(int64(checked), int64(checked-len(kept)))
 	}
 	return kept
 }
@@ -129,9 +139,12 @@ func (sp ScanSpec) pages() []int64 {
 //
 // fn may be called from Threads goroutines (which pages a thread gets is
 // decided as the scan runs, but thread t's calls all come from one
-// goroutine), so stateful sinks keep per-thread state indexed by thread.
-// Each thread reuses one Batch, so the steady state allocates nothing; the
-// batch — including any column slice taken from it — is invalid after fn
+// goroutine; thread 0's is the caller's), so stateful sinks keep per-thread
+// state indexed by thread. Each thread reuses one Batch, page after page and
+// — the batches come from a process-wide pool and go back when the scan ends
+// — scan after scan, so the steady state allocates nothing page-sized: the
+// selection, row-offset and gathered-column vectors are all reused. The
+// batch, including any column slice taken from it, is invalid after fn
 // returns, when the page is released.
 //
 // Scanning declares a sequential reading pattern on the set, so on a cold
@@ -149,9 +162,17 @@ func (sp ScanSpec) RunBatches(fn func(thread int, b *Batch) error) error {
 			return err
 		}
 	}
-	batches := make([]Batch, sp.threads())
+	batches := make([]*Batch, sp.threads())
+	for t := range batches {
+		batches[t] = batchPool.Get().(*Batch)
+	}
+	defer func() {
+		for _, b := range batches {
+			batchPool.Put(b)
+		}
+	}()
 	return services.ForEachPage(sp.Set, sp.pages(), len(batches), func(t int, page []byte) error {
-		b := &batches[t]
+		b := batches[t]
 		if err := b.reset(page, schema); err != nil {
 			return err
 		}

@@ -82,9 +82,9 @@ func (m *Microindex) fold(_ []byte, num int64, _, slot int, v uint64, _ bool) {
 }
 
 // LookupPages returns the ascending candidate pages that may hold value v
-// in column col — the value's posting list plus every invalid page — and
-// ok=false when the column is not indexed. The query layer's
-// query.PointIndex surface.
+// in column col — the value's posting list plus every invalid page, in a
+// fresh slice the caller owns — and ok=false when the column is not indexed.
+// The query layer's query.PointIndex surface.
 func (m *Microindex) LookupPages(col int, v uint64) ([]int64, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -196,6 +196,49 @@ func TestMicroindexInvalidPagesAlwaysCandidates(t *testing.T) {
 	}
 }
 
+// TestCoversCountsThePrefix: Covers(n) is "pages 0..n-1 all have slots",
+// answered from the covered prefix — which a slot noted out of order (page 2
+// before page 1) must not advance past the gap, and which filling the gap
+// must carry past every slot already beyond it; a loaded index covers what
+// the saved one did.
+func TestCoversCountsThePrefix(t *testing.T) {
+	m, err := NewMicroindex(miSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(idx *Microindex, covered int64) {
+		t.Helper()
+		for n := int64(0); n <= covered; n++ {
+			if !idx.Covers(n) {
+				t.Fatalf("Covers(%d) = false, want true up to %d", n, covered)
+			}
+		}
+		if idx.Covers(covered + 1) {
+			t.Fatalf("Covers(%d) = true, want false past %d", covered+1, covered)
+		}
+	}
+	want(m, 0)
+	m.NoteAppend(2, colRec(3))
+	m.NoteAppend(4, colRec(5))
+	want(m, 0)
+	m.NoteAppend(0, colRec(1))
+	want(m, 1)
+	m.NoteAppend(1, colRec(2)) // joins 0..2
+	want(m, 3)
+	m.NoteAppend(3, colRec(4)) // joins 0..4
+	want(m, 5)
+	want(mustReload(t, m), 5)
+
+	gap, err := NewMicroindex(miSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gap.NoteAppend(1, colRec(1))
+	gap.NoteAppend(2, colRec(2))
+	want(gap, 0)
+	want(mustReload(t, gap), 0)
+}
+
 func mustReload(t *testing.T, m *Microindex) *Microindex {
 	t.Helper()
 	loaded, err := LoadMicroindex(m.Marshal(), miSpec())

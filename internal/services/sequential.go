@@ -157,16 +157,19 @@ func PageIterators(set *core.LocalitySet, n int) []*PageIterator {
 // call before the spilled ones, whatever their order in the list, and Release
 // frees each page for good.
 func PageIteratorsFor(set *core.LocalitySet, all []int64, n int) []*PageIterator {
-	if n < 1 {
-		n = 1
-	}
-	c := &scanCursor{set: set}
-	c.nums, c.ra, c.once = set.BeginScan(all)
-	iters := make([]*PageIterator, n)
+	c := newScanCursor(set, all)
+	iters := make([]*PageIterator, max(n, 1))
 	for k := range iters {
 		iters[k] = &PageIterator{c: c}
 	}
 	return iters
+}
+
+// newScanCursor starts a scan of the listed pages (core.LocalitySet.BeginScan).
+func newScanCursor(set *core.LocalitySet, nums []int64) *scanCursor {
+	c := &scanCursor{set: set}
+	c.nums, c.ra, c.once = set.BeginScan(nums)
+	return c
 }
 
 // Next claims the scan's next unclaimed page, pins and returns it, or
@@ -214,10 +217,11 @@ func (c *scanCursor) stop() {
 
 // ScanSet runs fn over every record of the set using numThreads concurrent
 // page iterators — the long-living worker-thread model of Fig 2, where each
-// worker pulls pages in a loop rather than scheduling one task per block.
-// Which pages a thread gets is decided as the scan runs (the workers share
-// one cursor), but fn is only ever called with thread t from worker t's
-// goroutine, so callbacks keep per-thread state indexed by thread.
+// worker pulls pinned pages in a loop rather than scheduling one task per
+// block; the calling goroutine is worker 0 (see ForEachPage). Which pages a
+// thread gets is decided as the scan runs (the workers share one cursor), but
+// fn is only ever called with thread t from worker t's goroutine, so
+// callbacks keep per-thread state indexed by thread.
 func ScanSet(set *core.LocalitySet, numThreads int, fn func(thread int, rec []byte) error) error {
 	return ForEachPage(set, set.PageNums(), numThreads, func(t int, page []byte) error {
 		return WalkPage(page, func(rec []byte) error { return fn(t, rec) })
@@ -227,37 +231,27 @@ func ScanSet(set *core.LocalitySet, numThreads int, fn func(thread int, rec []by
 // ForEachPage is the one page loop under every scan — ScanSet's record walk
 // and the query layer's batches alike: numThreads workers share one cursor
 // over the listed pages (a predicate scan lists only what its side indexes
-// kept), and fn sees each page's bytes while the page is pinned. The first
-// error — fn's, a pin's or an unpin's — stops the cursor, so the other
+// kept), and fn sees each page's bytes while the page is pinned. The caller's
+// goroutine is worker 0 and only workers 1..numThreads-1 get goroutines of
+// their own, so a one-thread scan costs no goroutine and no handoff. The
+// first error — fn's, a pin's or an unpin's — stops the cursor, so the other
 // workers finish the page they hold instead of walking to the end of the
 // set, and is returned once they have; CurrentOperation is cleared on every
 // exit, so a failed scan does not leave an idle set looking read to the
 // paging policy.
 func ForEachPage(set *core.LocalitySet, nums []int64, numThreads int, fn func(thread int, page []byte) error) error {
-	iters := PageIteratorsFor(set, nums, numThreads)
+	c := newScanCursor(set, nums)
 	defer set.SetCurrentOp(core.OpNone)
-	errs := make([]error, len(iters))
+	errs := make([]error, max(numThreads, 1))
 	var wg sync.WaitGroup
-	for t, it := range iters {
+	for t := 1; t < len(errs); t++ {
 		wg.Add(1)
-		go func(t int, it *PageIterator) {
+		go func() {
 			defer wg.Done()
-			for errs[t] == nil {
-				p, err := it.Next()
-				if err != nil || p == nil {
-					errs[t] = err
-					break
-				}
-				errs[t] = fn(t, p.Bytes())
-				if uerr := it.Release(p); errs[t] == nil {
-					errs[t] = uerr
-				}
-			}
-			if errs[t] != nil {
-				it.c.stop()
-			}
-		}(t, it)
+			errs[t] = c.work(t, fn)
+		}()
 	}
+	errs[0] = c.work(0, fn)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -265,6 +259,29 @@ func ForEachPage(set *core.LocalitySet, nums []int64, numThreads int, fn func(th
 		}
 	}
 	return nil
+}
+
+// work is one ForEachPage worker: it claims, pins, hands to fn and releases
+// pages until the cursor runs out or something fails, and on failure stops
+// the cursor for the other workers.
+func (c *scanCursor) work(t int, fn func(thread int, page []byte) error) error {
+	it := PageIterator{c: c}
+	for {
+		p, err := it.Next()
+		if p == nil && err == nil {
+			return nil
+		}
+		if err == nil {
+			err = fn(t, p.Bytes())
+			if uerr := it.Release(p); err == nil {
+				err = uerr
+			}
+		}
+		if err != nil {
+			c.stop()
+			return err
+		}
+	}
 }
 
 // WriteAll writes records to the set with a single sequential writer and

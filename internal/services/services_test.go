@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -249,6 +250,100 @@ func TestPageIteratorsCoverAllPagesDisjointly(t *testing.T) {
 				t.Errorf("n=%d: page %d visited %d times", nThreads, num, c)
 			}
 		}
+	}
+}
+
+// goid returns the calling goroutine's id, off its stack header
+// ("goroutine 18 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// TestForEachPageCallerIsThreadZero pins ForEachPage's contract at one and at
+// three threads: thread 0 runs on the calling goroutine and thread t's calls
+// all come from one goroutine of its own; an error from whichever thread is
+// the one returned, and the worker that hit it stops the shared cursor; and
+// however the scan ends, no page stays pinned (the set drops) and the set's
+// current operation is back to none.
+func TestForEachPageCallerIsThreadZero(t *testing.T) {
+	boom := errors.New("boom")
+	for _, threads := range []int{1, 3} {
+		for failer := -1; failer < threads; failer++ { // -1: nothing fails
+			t.Run(fmt.Sprintf("threads=%d/failer=%d", threads, failer), func(t *testing.T) {
+				bp := newPool(t, 1<<20)
+				s := mkSet(t, bp, "s", 512)
+				w := NewSeqWriter(s)
+				for i := 0; i < 400; i++ {
+					if err := w.Add([]byte("0123456789")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				caller := goid()
+				var mu sync.Mutex
+				gids := make([]map[string]bool, threads)
+				visited := 0
+				// Every thread holds a page before any goes on, so each one
+				// runs and the error comes from the thread the failer names.
+				var holding sync.WaitGroup
+				holding.Add(threads)
+				err := ForEachPage(s, s.PageNums(), threads, func(th int, _ []byte) error {
+					mu.Lock()
+					first := gids[th] == nil
+					if first {
+						gids[th] = map[string]bool{}
+					}
+					gids[th][goid()] = true
+					visited++
+					mu.Unlock()
+					if first {
+						holding.Done()
+						holding.Wait()
+					}
+					if th == failer {
+						return boom
+					}
+					return nil
+				})
+				switch {
+				case failer < 0 && (err != nil || int64(visited) != s.NumPages()):
+					t.Errorf("clean scan: err %v, visited %d of %d pages", err, visited, s.NumPages())
+				case failer >= 0 && err != boom:
+					t.Errorf("scan whose thread %d failed returned %v", failer, err)
+				}
+				if !gids[0][caller] || len(gids[0]) != 1 {
+					t.Errorf("thread 0 ran on goroutines %v, want only the caller's %s", gids[0], caller)
+				}
+				for th := 1; th < threads; th++ {
+					if len(gids[th]) > 1 || gids[th][caller] {
+						t.Errorf("thread %d ran on goroutines %v (caller %s), want one of its own", th, gids[th], caller)
+					}
+				}
+				if op := s.Attrs().CurrentOp; op != core.OpNone {
+					t.Errorf("current operation %v after the scan, want none", op)
+				}
+				if err := bp.DropSet(s); err != nil {
+					t.Errorf("a page stayed pinned: %v", err)
+				}
+			})
+		}
+	}
+	// The stop itself, without the scheduler in the way: a worker that hits
+	// an error leaves nothing for the other workers to claim.
+	bp := newPool(t, 1<<20)
+	s := mkSet(t, bp, "s", 512)
+	if err := WriteAll(s, [][]byte{make([]byte, 300), make([]byte, 300), make([]byte, 300)}); err != nil {
+		t.Fatal(err)
+	}
+	c := newScanCursor(s, s.PageNums())
+	if err := c.work(1, func(int, []byte) error { return boom }); err != boom || c.next != len(c.nums) {
+		t.Errorf("failing worker returned %v with %d of %d pages claimed, want boom and all", err, c.next, len(c.nums))
+	}
+	if err := c.work(0, func(int, []byte) error { t.Error("a page was handed out after the stop"); return nil }); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -74,6 +74,7 @@ type sideIndex struct {
 
 	mu      locking.RWMutex
 	pages   map[int64]*sidePage
+	covered int64   // pages 0..covered-1 all have slots; slots are never removed
 	invalid []int64 // ascending pages with valid=false
 }
 
@@ -159,13 +160,16 @@ func (s *sideIndex) sameShape(o *sideIndex) bool {
 	return slices.Equal(s.widths, o.widths) && slices.Equal(s.offsets, o.offsets) && slices.Equal(s.cols, o.cols)
 }
 
-// page returns, creating it if needed, the slot for page num. Caller holds
-// s.mu.
+// page returns, creating it if needed, the slot for page num, advancing the
+// covered prefix past it and any later slots it joins up. Caller holds s.mu.
 func (s *sideIndex) page(num int64) *sidePage {
 	p := s.pages[num]
 	if p == nil {
 		p = &sidePage{valid: true, sum: append([]byte(nil), s.blank...)}
 		s.pages[num] = p
+		for s.pages[s.covered] != nil {
+			s.covered++
+		}
 	}
 	return p
 }
@@ -238,19 +242,12 @@ func (s *sideIndex) NumPages() int {
 // Covers reports whether every page 0..n-1 has a slot — the staleness check
 // Ensure applies against the set's page count, and the gate the query layer
 // checks before trusting an authoritative index, which would wrongly
-// exclude a page it never saw.
+// exclude a page it never saw. O(1): the covered prefix is kept as slots are
+// created.
 func (s *sideIndex) Covers(n int64) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if int64(len(s.pages)) < n {
-		return false
-	}
-	for i := int64(0); i < n; i++ {
-		if s.pages[i] == nil {
-			return false
-		}
-	}
-	return true
+	return n <= s.covered
 }
 
 // --- persistence -------------------------------------------------------------
