@@ -123,7 +123,7 @@ func BenchmarkS10Columnar(b *testing.B) { runExperiment(b, "s10") }
 func BenchmarkS11ZoneMap(b *testing.B) { runExperiment(b, "s11") }
 
 // BenchmarkS12Microindex regenerates the microindex experiment: point
-// lookups on a non-clustered key column with posting lists vs zone-map
+// lookups on a non-clustered key column with the microindex vs zone-map
 // blooms alone vs no pruning, warm and cold.
 func BenchmarkS12Microindex(b *testing.B) { runExperiment(b, "s12") }
 
@@ -339,6 +339,74 @@ func BenchmarkWarmScan(b *testing.B) {
 					b.Fatalf("op %d matched %d rows, want %d", i, n, q.want(i))
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkMicroindexBuild is the microindex's own build cost: one op writes
+// a million 16-byte rows (key u64, a permutation, so every key is its own
+// posting; val u64) through one SeqWriter carrying a microindex on key, and
+// closes it, so the postings are in order when the op ends. The set is
+// dropped outside the timer. ns/row is the writer plus the index; B/op and
+// allocs/op are what the index costs the Go heap, since pages come from the
+// pool.
+func BenchmarkMicroindexBuild(b *testing.B) {
+	const (
+		nRows  = 1_000_000
+		stride = 7919 // prime, coprime with nRows
+	)
+	le := binary.LittleEndian
+	widths := []int{8, 8}
+	schema := services.MakeSchema([]string{"key", "val"}, widths)
+	rows := make([][]byte, nRows)
+	flat := make([]byte, nRows*16)
+	for i := range rows {
+		r := flat[i*16 : (i+1)*16]
+		le.PutUint64(r[0:], uint64(i)*stride%nRows)
+		le.PutUint64(r[8:], uint64(i))
+		rows[i] = r
+	}
+	arr, err := disk.NewArray(b.TempDir(), 1, disk.Unthrottled())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = arr.RemoveAll() })
+	bp, err := core.NewPool(core.PoolConfig{Memory: 64 << 20, Array: arr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, columnar := range []bool{false, true} {
+		name := map[bool]string{false: "layout=row", true: "layout=columnar"}[columnar]
+		b.Run(name, func(b *testing.B) {
+			spec := core.SetSpec{Name: "keys", PageSize: 256 << 10}
+			if columnar {
+				spec.Layout, spec.Columns = core.LayoutColumnar, widths
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				set, err := bp.CreateSet(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				w := services.NewSeqWriter(set)
+				if _, err := services.AttachMicroindex(w, services.MicroindexSpec{Schema: schema, Cols: []int{0}}); err != nil {
+					b.Fatal(err)
+				}
+				for _, r := range rows {
+					if err := w.Add(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := bp.DropSet(set); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRows), "ns/row")
 		})
 	}
 }

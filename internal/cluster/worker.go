@@ -208,7 +208,7 @@ func (w *Worker) fetchSet(c *conn, req FetchSetReq) (any, error) {
 		return nil, err
 	}
 	var framed []byte
-	err = services.ForEachPage(set, set.PageNums(), 1, func(_ int, page []byte) error {
+	err = services.ForEachPage(set, set.PageNums(), 1, func(_ int, _ int64, page []byte) error {
 		run, err := services.PageFrames(page, &framed)
 		if err != nil || len(run) == 0 {
 			return err

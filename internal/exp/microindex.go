@@ -20,7 +20,7 @@ import (
 // anti-shape for a zone map — every page's min/max spans nearly the whole
 // key domain, and with a thousand-plus distinct keys per page the 256-bit
 // blooms are saturated — and exactly the shape microindexes exist for: the
-// posting list for any key names the single page holding it.
+// index's answer for any key names the single row holding it.
 
 const s12Stride = 7919 // prime, coprime with both workload sizes
 
@@ -49,7 +49,7 @@ func S12Microindex(o Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"the key column is a permutation of 0..n-1: every page spans nearly the whole key domain, so min/max never prunes and the per-page blooms are saturated",
-		"variant=index consults the microindex posting lists (candidate pages up front); zonemap probes every page's bloom; noprune visits everything",
+		"variant=index consults the microindex (candidate pages, and the rows to test on each, up front); zonemap probes every page's bloom; noprune visits everything",
 		"pages visited counts pages the scan actually evaluated rows on (zone-map checks minus skips per variant); page reads counts pages read off the drives",
 		"both side objects ride one writer's chained seal hooks, are persisted to pfs, and are reloaded from the side objects before the sweep",
 		"every lookup's matched count and value are cross-checked against the generator; the full-range scan must match all rows and leave the index counters untouched")

@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"pangea/internal/core"
 	"pangea/internal/services"
@@ -157,6 +158,25 @@ func (b *Batch) dropShort() {
 	if b.buf != nil && b.minLen < b.extent {
 		b.narrow(func(i int32) bool { return services.RecordLen(b.buf, b.offs[i]) >= b.extent })
 	}
+}
+
+// seedLanes starts a fresh batch's selection from the lanes a point index's
+// answer (see PointIndex) names on page num: the only rows it says may match.
+// Without an answer, or on a page the answer scans whole, every row stays
+// selected. Lanes past the page's rows select nothing.
+func (b *Batch) seedLanes(locs []uint64, num int64) {
+	i, _ := slices.BinarySearch(locs, uint64(num)<<32)
+	j, all := slices.BinarySearch(locs, uint64(num)<<32|services.LaneAll)
+	if locs == nil || all {
+		return
+	}
+	sel := b.selOut()[:0]
+	for _, loc := range locs[i:j] {
+		if lane := uint64(uint32(loc)); lane < uint64(b.n) {
+			sel = append(sel, int32(lane))
+		}
+	}
+	b.sel = sel
 }
 
 // Selected returns how many rows the current selection keeps.

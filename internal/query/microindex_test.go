@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -220,5 +221,176 @@ func TestScanSpecIgnoresStaleIndex(t *testing.T) {
 	}
 	if set.IndexChecks() != ic0 {
 		t.Error("scan consulted an index that does not cover the set")
+	}
+}
+
+// refEval is the reference evaluator of the predicate trees
+// TestLaneSeededScansMatchUnpruned draws.
+func refEval(p Predicate, r Row) bool {
+	switch p := p.(type) {
+	case ColEq:
+		return uint64(le.Uint32(r[4*p.Col:])) == p.V
+	case ColRange:
+		v := uint64(le.Uint32(r[4*p.Col:]))
+		return p.Lo <= v && v < p.Hi
+	case And:
+		for _, c := range p {
+			if !refEval(c, r) {
+				return false
+			}
+		}
+		return true
+	case Or:
+		for _, c := range p {
+			if refEval(c, r) {
+				return true
+			}
+		}
+		return false
+	}
+	panic("unexpected predicate node")
+}
+
+// indexAnswers reports whether a microindex on columns 1 and 2 answers p.
+func indexAnswers(p Predicate) bool {
+	switch p := p.(type) {
+	case ColEq:
+		return p.Col != 0
+	case And:
+		return slices.ContainsFunc(p, indexAnswers)
+	case Or:
+		return len(p) > 0 && !slices.ContainsFunc(p, func(c Predicate) bool { return !indexAnswers(c) })
+	}
+	return false
+}
+
+// randPred draws a ColEq/ColRange/And/Or tree over the three columns:
+// group (col 1) and amount (col 2) are indexed, id (col 0) is not.
+func randPred(rng *rand.Rand, depth int) Predicate {
+	switch k := rng.Intn(6); {
+	case depth > 0 && k == 0:
+		return And(randPreds(rng, depth-1))
+	case depth > 0 && k == 1:
+		return Or(randPreds(rng, depth-1))
+	case k == 2:
+		lo := uint64(rng.Intn(50))
+		return ColRange{Col: 2, Lo: lo, Hi: lo + uint64(rng.Intn(10))}
+	case k == 3:
+		return ColEq{Col: 0, V: uint64(rng.Intn(6000))}
+	default:
+		col := 1 + rng.Intn(2)
+		return ColEq{Col: col, V: uint64(rng.Intn([]int{0, 310, 55}[col]))} // a few values no row holds
+	}
+}
+
+func randPreds(rng *rand.Rand, depth int) []Predicate {
+	ps := make([]Predicate, 1+rng.Intn(3))
+	for i := range ps {
+		ps[i] = randPred(rng, depth)
+	}
+	return ps
+}
+
+// TestLaneSeededScansMatchUnpruned: when the microindex answers, each page's
+// batch starts from the lanes the answer names on it, and the predicate runs
+// over those alone. On random ColEq/ColRange/And/Or trees mixing indexed and
+// unindexed columns, over a row set and a columnar set that both hold pages
+// the index cannot vouch for (short records on the row set, pages the
+// columnar set's index was told it could not parse), the indexed scan must
+// select exactly the rows — the same ids — that the unpruned scan and a
+// reference evaluator do. The zone-map pass still runs after the
+// index pass, over the candidate pages alone, and counts its checks.
+func TestLaneSeededScansMatchUnpruned(t *testing.T) {
+	bp := newPool(t, 32<<20)
+	rng := rand.New(rand.NewSource(26))
+	const n = 6000
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = mkRow(uint32(i), uint32(rng.Intn(300)), uint32(rng.Intn(50)))
+	}
+	withShort := make([]Row, 0, n+n/500)
+	for i, r := range rows {
+		if i%500 == 250 {
+			withShort = append(withShort, Row{0xAB, 0xCD}) // too short for the schema
+		}
+		withShort = append(withShort, r)
+	}
+	colSet := loadColSet(t, bp, "c", rows)
+	rowSet, err := bp.CreateSet(core.SetSpec{Name: "r", PageSize: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := services.WriteAll(rowSet, withShort); err != nil {
+		t.Fatal(err)
+	}
+	ispec := services.MicroindexSpec{Schema: testSchema(), Cols: []int{1, 2}}
+	for _, set := range []*core.LocalitySet{colSet, rowSet} {
+		if _, err := services.EnsureZoneMap(set, services.ZoneMapSpec{Schema: testSchema(), BloomCols: []int{1}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := services.EnsureMicroindex(set, ispec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	colIdx := colSet.SideIndex(services.MicroindexTag).(*services.Microindex)
+	for _, num := range []int64{2, 9} {
+		colIdx.NoteAppend(num, []byte{1})
+	}
+	for _, set := range []*core.LocalitySet{colSet, rowSet} {
+		if locs, _ := set.SideIndex(services.MicroindexTag).(PointIndex).Lookup(1, 1000); len(locs) < 2 {
+			t.Fatalf("set %s has %d pages the index cannot vouch for, want several", set.Name(), len(locs))
+		}
+	}
+
+	// ids scans the set and returns the selected rows' ids, ascending.
+	ids := func(set *core.LocalitySet, pred Predicate, hint ScanHint) []uint32 {
+		t.Helper()
+		perThread := make([][]uint32, 2)
+		err := ScanSpec{Set: set, Threads: 2, Pred: pred, Schema: testSchema(), Hint: hint}.RunBatches(func(th int, b *Batch) error {
+			for _, i := range b.Sel() {
+				perThread[th] = append(perThread[th], b.U32(0, int(i)))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := append(perThread[0], perThread[1]...)
+		slices.Sort(out)
+		return out
+	}
+	answered := 0
+	for k := 0; k < 150; k++ {
+		pred := randPred(rng, 3)
+		var want []uint32
+		for _, r := range rows {
+			if refEval(pred, r) {
+				want = append(want, rowID(r))
+			}
+		}
+		for _, set := range []*core.LocalitySet{colSet, rowSet} {
+			ic, ih, zc := set.IndexChecks(), set.IndexHits(), set.ZoneMapChecks()
+			got := ids(set, pred, HintNone)
+			checks, hits, zchecks := set.IndexChecks()-ic, set.IndexHits()-ih, set.ZoneMapChecks()-zc
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, pred %d %#v: indexed scan selected %d rows, the reference %d", set.Name(), k, pred, len(got), len(want))
+			}
+			if unpruned := ids(set, pred, HintNoPrune); !slices.Equal(unpruned, want) {
+				t.Fatalf("%s, pred %d: unpruned scan selected %d rows, the reference %d", set.Name(), k, len(unpruned), len(want))
+			}
+			if indexAnswers(pred) {
+				answered++
+				if checks != set.NumPages() || zchecks != hits {
+					t.Errorf("%s, pred %d: index checked %d of %d pages and kept %d, then the zone map checked %d, want the kept ones",
+						set.Name(), k, checks, set.NumPages(), hits, zchecks)
+				}
+			} else if checks != 0 || zchecks != set.NumPages() {
+				t.Errorf("%s, pred %d: unanswerable predicate made %d index checks and %d zone-map checks, want 0 and %d",
+					set.Name(), k, checks, zchecks, set.NumPages())
+			}
+		}
+	}
+	if answered < 100 {
+		t.Errorf("only %d of 300 scans were answered by the index", answered)
 	}
 }

@@ -38,18 +38,23 @@ type PruneStats interface {
 // PointIndex is the candidate-lookup surface a microindex exposes to
 // equality predicates — implemented by *services.Microindex. Unlike
 // PruneStats it is authoritative, not conservative: an answered lookup
-// asserts that every page holding the value is in the result, so pages
-// absent from it are excluded outright. ScanSpec therefore only consults a
-// PointIndex after Covers confirms the index describes every page the scan
-// would visit.
+// asserts that every row holding the value is in the result, so pages
+// absent from it are excluded outright and so are the rows of a page it does
+// not name. ScanSpec therefore only consults a PointIndex after Covers
+// confirms the index describes every page the scan would visit.
+//
+// An answer is a list of ascending locations, page<<32 | lane, where a lane
+// is a record's index on its page (its position in RecordOffsets order, or
+// its row on a columnar page). A page whose rows the index cannot vouch for
+// appears once, with lane services.LaneAll, and is scanned whole.
 type PointIndex interface {
 	// Covers reports whether every page 0..n-1 is described by the index.
 	Covers(n int64) bool
-	// LookupPages returns the sorted candidate pages that may hold value v
-	// in column col, in a slice the caller owns (the scan filters it in
-	// place). ok=false means the column is not indexed and nothing can be
-	// concluded; ok=true with an empty result means no page holds v.
-	LookupPages(col int, v uint64) (pages []int64, ok bool)
+	// Lookup returns the locations of the rows that may hold value v in
+	// column col, in a slice the caller owns. ok=false means the column is
+	// not indexed and nothing can be concluded; ok=true with an empty
+	// result means no row holds v.
+	Lookup(col int, v uint64) (locs []uint64, ok bool)
 }
 
 // Predicate is one filter expression. Implementations are the algebra's
@@ -66,12 +71,12 @@ type Predicate interface {
 	applyBatch(b *Batch)
 	// prune reports whether the page provably holds no matching row.
 	prune(stats PruneStats, pageNum int64) bool
-	// indexPages answers the predicate from a point index: the sorted pages
-	// that may hold a matching row. ok=false means the predicate's shape (or
-	// the index's column set) cannot answer it, and the scan falls back to
-	// visiting every page; an answered result is authoritative and must not
-	// omit any page that could match.
-	indexPages(idx PointIndex) (pages []int64, ok bool)
+	// indexPages answers the predicate from a point index: the locations
+	// (see PointIndex) of the rows that may match. ok=false means the
+	// predicate's shape (or the index's column set) cannot answer it, and
+	// the scan falls back to every row of every page; an answered result is
+	// authoritative and must not omit any row that could match.
+	indexPages(idx PointIndex) (locs []uint64, ok bool)
 }
 
 // schemaCol validates a column index against the schema.
@@ -169,7 +174,7 @@ func (p ColRange) prune(stats PruneStats, pageNum int64) bool {
 	return ok && (max < p.Lo || min >= p.Hi)
 }
 
-func (p ColRange) indexPages(PointIndex) ([]int64, bool) { return nil, false }
+func (p ColRange) indexPages(PointIndex) ([]uint64, bool) { return nil, false }
 
 // ColRangeF64 keeps rows with Lo <= col <= Hi under the float64
 // interpretation of an 8-byte column — closed on both ends, the shape of
@@ -194,7 +199,7 @@ func (p ColRangeF64) prune(stats PruneStats, pageNum int64) bool {
 	return ok && (max < p.Lo || min > p.Hi)
 }
 
-func (p ColRangeF64) indexPages(PointIndex) ([]int64, bool) { return nil, false }
+func (p ColRangeF64) indexPages(PointIndex) ([]uint64, bool) { return nil, false }
 
 // ColEq keeps rows whose column equals V — the equality node, and the one
 // that exploits a zone map's bloom filter: min/max cannot prune a point
@@ -232,9 +237,9 @@ func (p ColEq) prune(stats PruneStats, pageNum int64) bool {
 }
 
 // indexPages is the node the microindex exists for: a point probe answers
-// directly from the value's posting list.
-func (p ColEq) indexPages(idx PointIndex) ([]int64, bool) {
-	return idx.LookupPages(p.Col, p.V)
+// directly from the value's postings.
+func (p ColEq) indexPages(idx PointIndex) ([]uint64, bool) {
+	return idx.Lookup(p.Col, p.V)
 }
 
 // And is the conjunction of its children: each child narrows the batch
@@ -271,8 +276,8 @@ func (p And) prune(stats PruneStats, pageNum int64) bool {
 // indexPages intersects the answers of whichever children the index can
 // answer: a conjunction's matches lie in every child's candidate set, so one
 // answered child is enough, and unanswerable children simply don't narrow.
-func (p And) indexPages(idx PointIndex) ([]int64, bool) {
-	var out []int64
+func (p And) indexPages(idx PointIndex) ([]uint64, bool) {
+	var out []uint64
 	answered := false
 	for _, c := range p {
 		pages, ok := c.indexPages(idx)
@@ -283,7 +288,7 @@ func (p And) indexPages(idx PointIndex) ([]int64, bool) {
 			out, answered = pages, true
 			continue
 		}
-		out = intersectSorted(out, pages)
+		out = intersectLocs(out, pages)
 	}
 	return out, answered
 }
@@ -337,17 +342,17 @@ func (p Or) prune(stats PruneStats, pageNum int64) bool {
 // answered, since a single unanswerable child could match anywhere. An empty
 // Or stays unanswered, mirroring the prune path's treatment of vacuous
 // disjunctions.
-func (p Or) indexPages(idx PointIndex) ([]int64, bool) {
+func (p Or) indexPages(idx PointIndex) ([]uint64, bool) {
 	if len(p) == 0 {
 		return nil, false
 	}
-	var out []int64
+	var out []uint64
 	for _, c := range p {
 		pages, ok := c.indexPages(idx)
 		if !ok {
 			return nil, false
 		}
-		out = unionSorted(out, pages)
+		out = unionLocs(out, pages)
 	}
 	return out, true
 }
@@ -373,45 +378,50 @@ func (p RowPred) applyBatch(b *Batch) {
 
 func (p RowPred) prune(PruneStats, int64) bool { return false }
 
-func (p RowPred) indexPages(PointIndex) ([]int64, bool) { return nil, false }
+func (p RowPred) indexPages(PointIndex) ([]uint64, bool) { return nil, false }
 
-// intersectSorted merges two ascending page lists into their intersection.
-func intersectSorted(a, b []int64) []int64 {
-	out := make([]int64, 0, len(a))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
+// whole reports whether a location stands for every row of its page.
+func whole(loc uint64) bool { return uint32(loc) == services.LaneAll }
+
+func samePage(a, b uint64) bool { return a>>32 == b>>32 }
+
+// intersectLocs merges two answers into their intersection: the lanes both
+// name survive, and a page one answer scans whole keeps the other's lanes
+// (or stays whole). LaneAll is the largest lane, so a page's whole location
+// sorts after its lanes.
+func intersectLocs(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, min(len(a), len(b)))
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch x, y := a[i], b[j]; {
+		case x == y || samePage(x, y) && (whole(x) || whole(y)):
+			out = append(out, min(x, y))
+			i, j = i+b2i(x <= y), j+b2i(y <= x)
+		case x < y:
 			i++
-		case a[i] > b[j]:
-			j++
 		default:
-			out = append(out, a[i])
-			i++
 			j++
 		}
 	}
 	return out
 }
 
-// unionSorted merges two ascending page lists into their deduplicated union.
-func unionSorted(a, b []int64) []int64 {
-	out := make([]int64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+// unionLocs merges two answers into their deduplicated union, in which a page
+// either answer scans whole is scanned whole.
+func unionLocs(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		var loc uint64
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			loc, i = a[i], i+1
+		} else {
+			loc, j = b[j], j+1
+		}
+		for whole(loc) && len(out) > 0 && samePage(out[len(out)-1], loc) {
+			out = out[:len(out)-1] // the page's lanes, which sort before it
+		}
+		if n := len(out); n == 0 || out[n-1] != loc {
+			out = append(out, loc)
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return out
 }

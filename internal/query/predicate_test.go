@@ -2,6 +2,7 @@ package query
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -285,5 +286,30 @@ func TestScanSpecValidation(t *testing.T) {
 	wide := services.MakeSchema([]string{"id", "rest"}, []int{4, 8})
 	if err := (ScanSpec{Set: rowSet, Pred: ColRangeF64{Col: 0, Lo: 0, Hi: 1}, Schema: wide}).Run(func(int, Row) error { return nil }); err == nil {
 		t.Error("ColRangeF64 over a 4-byte column must error")
+	}
+}
+
+// TestLocMerges pins how And and Or combine two index answers: lanes
+// intersect or unite page by page, and a page either side scans whole
+// (lane services.LaneAll) keeps the other's lanes under And and is scanned
+// whole under Or.
+func TestLocMerges(t *testing.T) {
+	all := uint64(services.LaneAll)
+	loc := func(page, lane uint64) uint64 { return page<<32 | lane }
+	a := []uint64{loc(1, 3), loc(1, 5), loc(2, all), loc(3, 1), loc(4, 2), loc(6, all)}
+	b := []uint64{loc(1, 5), loc(1, 9), loc(2, 4), loc(3, all), loc(4, 7), loc(5, 0), loc(6, all)}
+	if got, want := intersectLocs(a, b), []uint64{loc(1, 5), loc(2, 4), loc(3, 1), loc(6, all)}; !slices.Equal(got, want) {
+		t.Errorf("intersectLocs = %x, want %x", got, want)
+	}
+	if got, want := unionLocs(a, b), []uint64{loc(1, 3), loc(1, 5), loc(1, 9), loc(2, all), loc(3, all), loc(4, 2), loc(4, 7), loc(5, 0), loc(6, all)}; !slices.Equal(got, want) {
+		t.Errorf("unionLocs = %x, want %x", got, want)
+	}
+	for _, p := range [][]uint64{a, b} {
+		if got := unionLocs(p, nil); !slices.Equal(got, p) {
+			t.Errorf("unionLocs(%x, nil) = %x", p, got)
+		}
+		if got := intersectLocs(p, p); !slices.Equal(got, p) {
+			t.Errorf("intersectLocs(%x, itself) = %x", p, got)
+		}
 	}
 }

@@ -91,51 +91,66 @@ func (sp ScanSpec) schema() ([]services.ColumnSpec, error) {
 }
 
 // pages runs the pruning passes and returns the page list the scan will
-// visit. With a predicate and pruning allowed, the set's microindex (if
-// attached and covering — its answers are authoritative, so a stale index
-// is never consulted) first narrows the list to the predicate's explicit
-// candidate pages, then the zone map drops candidates whose summaries
-// exclude a match. Surviving pages are the scan's demand reads and — because
-// the scan's cursor hints only from its own list — the only pages it reads
-// ahead, so concurrent predicate scans of one set cannot mask each other.
-// Pages evaluated against the index count toward the set's IndexChecks and
-// kept candidates toward IndexHits; pages evaluated against the zone map
-// count toward ZoneMapChecks, pruned ones toward ZoneMapSkips.
+// visit, and the microindex's answer (see PointIndex) when it gave one. With
+// a predicate and pruning allowed, the set's microindex (if attached and
+// covering — its answers are authoritative, so a stale index is never
+// consulted) first narrows the list to the pages its answer names, then the
+// zone map drops candidates whose summaries exclude a match. Surviving pages
+// are the scan's demand reads and — because the scan's cursor hints only from
+// its own list — the only pages it reads ahead, so concurrent predicate scans
+// of one set cannot mask each other. Pages evaluated against the index count
+// toward the set's IndexChecks and kept candidates toward IndexHits; pages
+// evaluated against the zone map count toward ZoneMapChecks, pruned ones
+// toward ZoneMapSkips.
 //
 // The work is O(answer), not O(set): an index that answers never has the
 // set's page list built beside it, and the zone-map pass filters the list in
-// place — every list it sees is the scan's own (PageNums and an index answer
-// are fresh copies).
-func (sp ScanSpec) pages() []int64 {
+// place — every list it sees is the scan's own (PageNums and pagesOf return
+// fresh copies).
+func (sp ScanSpec) pages() (nums []int64, locs []uint64) {
 	if sp.Pred == nil || sp.Hint == HintNoPrune {
-		return sp.Set.PageNums()
+		return sp.Set.PageNums(), nil
 	}
-	var kept []int64
 	answered := false
 	if sp.Hint != HintNoIndex {
 		n := sp.Set.NumPages()
 		if idx, ok := sp.Set.SideIndex(services.MicroindexTag).(PointIndex); ok && idx.Covers(n) {
-			if kept, answered = sp.Pred.indexPages(idx); answered {
-				sp.Set.NoteMicroindex(n, int64(len(kept)))
+			if locs, answered = sp.Pred.indexPages(idx); answered {
+				nums = pagesOf(locs)
+				sp.Set.NoteMicroindex(n, int64(len(nums)))
 			}
 		}
 	}
 	if !answered {
-		kept = sp.Set.PageNums()
+		nums, locs = sp.Set.PageNums(), nil
 	}
 	if stats, ok := sp.Set.SideIndex(services.ZoneMapTag).(PruneStats); ok {
-		checked := len(kept)
-		kept = slices.DeleteFunc(kept, func(num int64) bool { return sp.Pred.prune(stats, num) })
-		sp.Set.NoteZoneMap(int64(checked), int64(checked-len(kept)))
+		checked := len(nums)
+		nums = slices.DeleteFunc(nums, func(num int64) bool { return sp.Pred.prune(stats, num) })
+		sp.Set.NoteZoneMap(int64(checked), int64(checked-len(nums)))
 	}
-	return kept
+	return nums, locs
+}
+
+// pagesOf returns the distinct pages of an answer, ascending.
+func pagesOf(locs []uint64) []int64 {
+	var nums []int64
+	for i, loc := range locs {
+		if i == 0 || !samePage(locs[i-1], loc) {
+			nums = append(nums, int64(loc>>32))
+		}
+	}
+	return nums
 }
 
 // RunBatches streams the set batch-at-a-time, one batch per page, whichever
 // layout the page has (see Batch); each batch arrives with its selection
 // already narrowed to the predicate's matches, and pages the side indexes
-// pruned never arrive at all. A record of a row page too short to hold every
-// Schema column matches no predicate.
+// pruned never arrive at all. When the microindex answered, a page's
+// selection starts from the lanes the answer names on it, so the predicate
+// tests those rows alone: the index narrows, the predicate still decides. A
+// record of a row page too short to hold every Schema column matches no
+// predicate.
 //
 // fn may be called from Threads goroutines (which pages a thread gets is
 // decided as the scan runs, but thread t's calls all come from one
@@ -171,14 +186,17 @@ func (sp ScanSpec) RunBatches(fn func(thread int, b *Batch) error) error {
 			batchPool.Put(b)
 		}
 	}()
-	return services.ForEachPage(sp.Set, sp.pages(), len(batches), func(t int, page []byte) error {
+	nums, locs := sp.pages()
+	pred := sp.Pred
+	return services.ForEachPage(sp.Set, nums, len(batches), func(t int, num int64, page []byte) error {
 		b := batches[t]
 		if err := b.reset(page, schema); err != nil {
 			return err
 		}
-		if sp.Pred != nil {
+		if pred != nil {
+			b.seedLanes(locs, num)
 			b.dropShort()
-			sp.Pred.applyBatch(b)
+			pred.applyBatch(b)
 		}
 		return fn(t, b)
 	})

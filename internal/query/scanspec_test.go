@@ -85,9 +85,10 @@ func TestPooledBatchesCarryNothingAcrossScans(t *testing.T) {
 }
 
 // TestZoneMapPassLeavesIndexAnswerAlone: the zone-map pass filters the
-// microindex's candidate list in place, which is only sound because the list
-// is the scan's own copy. A point probe whose one candidate page the zone map
-// then prunes must leave the index answering exactly what it did before.
+// page list of the microindex's answer in place, which is only sound because
+// the list is the scan's own copy. A point probe whose one candidate page the
+// zone map then prunes must leave the index answering exactly what it did
+// before.
 func TestZoneMapPassLeavesIndexAnswerAlone(t *testing.T) {
 	bp := newPool(t, 32<<20)
 	const n = 20000
@@ -96,9 +97,9 @@ func TestZoneMapPassLeavesIndexAnswerAlone(t *testing.T) {
 	ensureBoth(t, set)
 	idx := set.SideIndex(services.MicroindexTag).(PointIndex)
 	const key = 4242
-	before, ok := idx.LookupPages(1, key)
+	before, ok := idx.Lookup(1, key)
 	if !ok || len(before) != 1 {
-		t.Fatalf("LookupPages(1, %d) = %v ok=%v, want one page", key, before, ok)
+		t.Fatalf("Lookup(1, %d) = %v ok=%v, want one row", key, before, ok)
 	}
 	before = slices.Clone(before) // were the answer the index's own, the scan would edit this too
 	// id (col 0) is clustered, so an id off the key's page is one the zone
@@ -121,7 +122,7 @@ func TestZoneMapPassLeavesIndexAnswerAlone(t *testing.T) {
 	if got != 0 || set.ZoneMapSkips()-skips != 1 {
 		t.Fatalf("probe found %d rows with %d pages pruned, want 0 rows and its one candidate pruned", got, set.ZoneMapSkips()-skips)
 	}
-	if after, _ := idx.LookupPages(1, key); !slices.Equal(after, before) {
-		t.Errorf("LookupPages(1, %d) = %v after the scan, %v before", key, after, before)
+	if after, _ := idx.Lookup(1, key); !slices.Equal(after, before) {
+		t.Errorf("Lookup(1, %d) = %v after the scan, %v before", key, after, before)
 	}
 }

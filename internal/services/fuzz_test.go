@@ -3,6 +3,7 @@ package services
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -321,6 +322,36 @@ func TestLoadMicroindexRejectsHugePageCount(t *testing.T) {
 	}
 }
 
+// TestLoadMicroindexRejectsCorruptPairs pins the v2 body checks on
+// validMicroindexSeed, whose body starts at byte 152 with its pair count and
+// holds page 0's keys 0..3 at lanes 0..3, then page 1's keys 100..103: pairs
+// that do not strictly ascend, a page the table does not cover, a lane at or
+// past its page's row count (invalid page 2 has none), and a count larger
+// than the bytes left.
+func TestLoadMicroindexRejectsCorruptPairs(t *testing.T) {
+	const count, pairs = 152, 160
+	// patch overwrites one word at off, or two at off and off+8.
+	patch := func(off int, words ...uint64) []byte {
+		data := validMicroindexSeed(t)
+		for i, v := range words {
+			binary.LittleEndian.PutUint64(data[off+8*i:], v)
+		}
+		return data
+	}
+	for name, data := range map[string][]byte{
+		"pairs out of order":        patch(pairs, 5),
+		"a repeated pair":           patch(pairs+16, 0, 0),
+		"an uncovered page":         patch(pairs+7*16+8, 9<<32),
+		"a lane past its page":      patch(pairs+8, 4),
+		"a lane of an invalid page": patch(pairs+7*16+8, 2<<32),
+		"more pairs than bytes":     patch(count, 1<<60),
+	} {
+		if _, err := LoadMicroindex(data, fuzzMISpec()); err == nil {
+			t.Errorf("LoadMicroindex accepted an index with %s", name)
+		}
+	}
+}
+
 // TestMicroindexSeedRoundTrip pins the happy path the fuzzer mutates from.
 func TestMicroindexSeedRoundTrip(t *testing.T) {
 	m, err := LoadMicroindex(validMicroindexSeed(t), fuzzMISpec())
@@ -333,16 +364,18 @@ func TestMicroindexSeedRoundTrip(t *testing.T) {
 	if !m.Covers(3) || m.Covers(4) {
 		t.Fatalf("coverage: Covers(3)=%v Covers(4)=%v, want true/false", m.Covers(3), m.Covers(4))
 	}
-	// Key 101 lives on page 1; invalid page 2 joins every lookup.
-	if pages, ok := m.LookupPages(0, 101); !ok || len(pages) != 2 || pages[0] != 1 || pages[1] != 2 {
-		t.Fatalf("LookupPages(0, 101) = %v ok=%v, want [1 2] true", pages, ok)
+	// Key 101 is page 1's lane 1; invalid page 2 joins every lookup whole.
+	if locs, ok := m.Lookup(0, 101); !ok || !slices.Equal(locs, []uint64{1<<32 | 1, 2<<32 | LaneAll}) {
+		t.Fatalf("Lookup(0, 101) = %x ok=%v, want [1:1 2:all] true", locs, ok)
 	}
 }
 
 // FuzzLoadMicroindex throws arbitrary bytes at the microindex side-object
 // decoder: it must either reject the buffer or return an index whose
-// lookups stay sorted and in bounds — the authoritative-semantics contract
-// the query layer builds candidate page lists from.
+// lookups stay sorted and in bounds — every page they name covered, every
+// lane below its page's row count, and only invalid pages whole — the
+// authoritative-semantics contract the query layer seeds batch selections
+// from. Seeds are checked in under testdata/fuzz/FuzzLoadMicroindex.
 func FuzzLoadMicroindex(f *testing.F) {
 	f.Add(validMicroindexSeed(f))
 	f.Add(hugeMicroindexCountSeed(f))
@@ -358,16 +391,25 @@ func FuzzLoadMicroindex(f *testing.F) {
 		}
 		for _, v := range []uint64{0, 1, 101, ^uint64(0)} {
 			for c := -1; c < 3; c++ {
-				pages, ok := m.LookupPages(c, v)
+				locs, ok := m.Lookup(c, v)
 				if !ok {
-					if pages != nil {
-						t.Fatalf("unindexed column %d answered %v", c, pages)
+					if locs != nil {
+						t.Fatalf("unindexed column %d answered %x", c, locs)
 					}
 					continue
 				}
-				for i := range pages {
-					if pages[i] < 0 || (i > 0 && pages[i] <= pages[i-1]) {
-						t.Fatalf("LookupPages(%d, %d) not strictly ascending: %v", c, v, pages)
+				for i, loc := range locs {
+					if i > 0 && loc <= locs[i-1] {
+						t.Fatalf("Lookup(%d, %d) not strictly ascending: %x", c, v, locs)
+					}
+					p, lane := m.pages[int64(loc>>32)], int64(uint32(loc))
+					switch {
+					case p == nil:
+						t.Fatalf("Lookup(%d, %d) names uncovered page %d", c, v, loc>>32)
+					case lane == LaneAll && p.valid:
+						t.Fatalf("Lookup(%d, %d) scans valid page %d whole", c, v, loc>>32)
+					case lane != LaneAll && (!p.valid || lane >= p.rows):
+						t.Fatalf("Lookup(%d, %d) names lane %d of page %d (%d rows, valid %v)", c, v, lane, loc>>32, p.rows, p.valid)
 					}
 				}
 			}

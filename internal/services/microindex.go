@@ -1,31 +1,37 @@
 package services
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"pangea/internal/core"
 )
 
 // Microindexes are per-set secondary indexes over designated columns: for
-// each indexed column, a sorted map from column value to the list of pages
-// holding at least one row with that value. Where a zone map is a
-// conservative filter (a page it cannot exclude must still be visited), a
-// microindex is authoritative — a covered lookup returns *every* page that
-// may hold the value — so a point predicate gets an explicit candidate page
-// list up front instead of testing every page's summary. On a non-clustered
+// each indexed column, every row's (value, location) pair in value order,
+// where a location is page<<32 | lane and a lane is the record's index on its
+// page. Where a zone map is a conservative filter (a page it cannot exclude
+// must still be visited), a microindex is authoritative — a covered lookup
+// returns *every* row that may hold the value — so a point predicate gets its
+// candidate pages, and the rows to test on each, up front. On a non-clustered
 // key column whose per-page blooms have saturated, that is the difference
-// between visiting most of the set and visiting one page.
+// between visiting most of the set and testing one row.
 //
 // They are one kind of side index (see sideindex.go for how they are built,
 // persisted and healed). Authoritative semantics make coverage a
 // correctness gate, not an optimization: the query layer consults a
 // microindex only after Covers confirms every page of the set is described,
 // and pages whose rows could not be parsed stay in every lookup result,
-// because the index cannot vouch for what they hold.
+// whole, because the index cannot vouch for what they hold.
 
 // MicroindexTag is the pfs side-object name microindexes persist under.
 const MicroindexTag = "midx"
+
+// LaneAll is the lane of a location that stands for every row of its page:
+// a lookup names each invalid page once, with it.
+const LaneAll = math.MaxUint32
 
 // MicroindexSpec describes what a microindex covers: the fixed-width column
 // schema (same shape rules as ZoneMapSpec), and which columns get posting
@@ -36,12 +42,40 @@ type MicroindexSpec struct {
 	Cols   []int
 }
 
-var microindexKind = sideKind{name: "microindex", tag: MicroindexTag, magic: 0x58494D47} // "GMIX"
+var microindexKind = sideKind{name: "microindex", tag: MicroindexTag, magic: 0x58494D47, version: 2} // "GMIX"
+
+// posting is one row of one indexed column.
+type posting struct{ v, loc uint64 }
+
+func comparePostings(a, b posting) int {
+	return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.loc, b.loc))
+}
+
+// digit returns byte d of the pair's sort key, least significant first:
+// the location's bytes are digits 0-7, the value's 8-15.
+func (p posting) digit(d uint) uint64 {
+	w := p.loc
+	if d >= 8 {
+		w = p.v
+	}
+	return w >> (8 * (d % 8)) & 0xff
+}
+
+// Notes land in a tail of chunkPairs-long chunks, which grows without
+// copying and is the radix sort's second buffer.
+const chunkPairs = 1 << 12
+
+// postings is one indexed column: the sorted body lookups read, and the
+// notes folded since the last seal, in arrival order.
+type postings struct {
+	body []posting   // ordered by (value, loc), no repeats
+	tail [][]posting // full chunks, the last one possibly short
+}
 
 // Microindex holds the per-column postings of one locality set.
 type Microindex struct {
 	sideIndex
-	postings []map[uint64][]int64 // parallel to cols; page lists ascending
+	post []postings // parallel to cols
 }
 
 // NewMicroindex builds an empty microindex for the given spec.
@@ -57,126 +91,189 @@ func NewMicroindex(spec MicroindexSpec) (*Microindex, error) {
 	if err := m.init(&microindexKind, m, spec.Schema, cols); err != nil {
 		return nil, err
 	}
-	m.postings = make([]map[uint64][]int64, len(m.cols))
-	for i := range m.postings {
-		m.postings[i] = make(map[uint64][]int64)
-	}
+	m.post = make([]postings, len(m.cols))
 	return m, nil
 }
 
-// fold records that page num holds value v in indexed-column slot, keeping
-// each posting list ascending and deduplicated.
-func (m *Microindex) fold(_ []byte, num int64, _, slot int, v uint64, _ bool) {
-	list := m.postings[slot][v]
-	if n := len(list); n > 0 && list[n-1] >= num {
-		if list[n-1] == num {
-			return // sequential writers restate a page's last value often
-		}
-		// Out-of-order note (a re-sealed earlier page): insert sorted.
-		if i, found := slices.BinarySearch(list, num); !found {
-			m.postings[slot][v] = slices.Insert(list, i, num)
-		}
-		return
+// fold appends the row at loc holding v to indexed-column slot's tail.
+func (m *Microindex) fold(_ []byte, loc uint64, _, slot int, v uint64, _ bool) {
+	p := &m.post[slot]
+	if n := len(p.tail); n == 0 || len(p.tail[n-1]) == chunkPairs {
+		p.tail = append(p.tail, make([]posting, 0, chunkPairs))
 	}
-	m.postings[slot][v] = append(list, num)
+	p.tail[len(p.tail)-1] = append(p.tail[len(p.tail)-1], posting{v, loc})
 }
 
-// LookupPages returns the ascending candidate pages that may hold value v
-// in column col — the value's posting list plus every invalid page, in a
-// fresh slice the caller owns — and ok=false when the column is not indexed.
-// The query layer's query.PointIndex surface.
-func (m *Microindex) LookupPages(col int, v uint64) ([]int64, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+// seal puts every column's tail in order and into its body: one radix sort
+// of the tail, a merge with the body, and repeated pairs dropped (a second
+// note of a page, such as a columnar page sealed again, restates its rows).
+func (m *Microindex) seal() {
+	for i := range m.post {
+		p := &m.post[i]
+		if len(p.tail) == 0 {
+			continue
+		}
+		sorted := radixSort(p.tail)
+		if len(p.body) > 0 {
+			sorted = mergePostings(p.body, sorted)
+		}
+		p.body, p.tail = slices.Compact(sorted), nil
+	}
+}
+
+// mergePostings merges two ordered runs into a new one.
+func mergePostings(a, b []posting) []posting {
+	out := make([]posting, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if comparePostings(a[0], b[0]) <= 0 {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// radixSort returns the tail's pairs ordered by (value, loc) in one new
+// slice: an LSD radix sort, a digit a pass, that skips every digit all the
+// pairs share. When the locations already ascend — a sequential writer notes
+// rows in page order — it skips the location's digits as well, since each
+// pass is stable. Passes alternate between the new slice and the tail.
+func radixSort(tail [][]posting) []posting {
+	first, prev := tail[0][0], tail[0][0]
+	var diff posting // the bits in which some pair differs from the first
+	n, locsAscend := 0, true
+	for _, c := range tail {
+		n += len(c)
+		for _, p := range c {
+			diff.v |= p.v ^ first.v
+			diff.loc |= p.loc ^ first.loc
+			locsAscend = locsAscend && p.loc >= prev.loc
+			prev = p
+		}
+	}
+	out := make([]posting, n)
+	var outChunks [][]posting
+	for i := 0; i < n; i += chunkPairs {
+		outChunks = append(outChunks, out[i:min(i+chunkPairs, n)])
+	}
+	src, dst, passes := tail, outChunks, 0
+	for d := uint(0); d < 16; d++ {
+		if diff.digit(d) == 0 || (d < 8 && locsAscend) {
+			continue
+		}
+		var count [256]int
+		for _, c := range src {
+			for _, p := range c {
+				count[p.digit(d)]++
+			}
+		}
+		sum := 0
+		for b, c := range count {
+			count[b], sum = sum, sum+c
+		}
+		for _, c := range src {
+			for _, p := range c {
+				b := p.digit(d)
+				dst[count[b]/chunkPairs][count[b]%chunkPairs] = p
+				count[b]++
+			}
+		}
+		src, dst, passes = dst, src, passes+1
+	}
+	if passes%2 == 0 {
+		// An even number of passes, or none, leaves the pairs in the tail.
+		i := 0
+		for _, c := range tail {
+			i += copy(out[i:], c)
+		}
+	}
+	return out
+}
+
+// Lookup returns the rows that may hold value v in column col as ascending
+// locations in a fresh slice, sealing first if need be: the value's rows on
+// valid pages, and every invalid page once, with lane LaneAll. ok=false when
+// the column is not indexed, or when an invalid page's number is past what a
+// location can name. The query layer's query.PointIndex surface.
+func (m *Microindex) Lookup(col int, v uint64) ([]uint64, bool) {
 	slot, ok := m.colPos[col]
 	if !ok {
 		return nil, false
 	}
-	list := m.postings[slot][v]
-	out := make([]int64, 0, len(list)+len(m.invalid))
-	i, j := 0, 0
-	for i < len(list) && j < len(m.invalid) {
-		switch {
-		case list[i] < m.invalid[j]:
-			out = append(out, list[i])
-			i++
-		case list[i] > m.invalid[j]:
-			out = append(out, m.invalid[j])
-			j++
-		default:
-			out = append(out, list[i])
-			i++
-			j++
+	m.mu.RLock()
+	if len(m.post[slot].tail) > 0 {
+		m.mu.RUnlock()
+		m.lockedSeal()
+		m.mu.RLock()
+	}
+	defer m.mu.RUnlock()
+	inv := m.invalid
+	if len(inv) > 0 && inv[len(inv)-1] > math.MaxUint32 {
+		return nil, false
+	}
+	body := m.post[slot].body
+	i, _ := slices.BinarySearchFunc(body, v, func(p posting, v uint64) int { return cmp.Compare(p.v, v) })
+	j := i
+	for j < len(body) && body[j].v == v {
+		j++
+	}
+	out := make([]uint64, 0, j-i+len(inv))
+	for _, p := range body[i:j] {
+		page := int64(p.loc >> 32)
+		for len(inv) > 0 && inv[0] < page {
+			out = append(out, uint64(inv[0])<<32|LaneAll)
+			inv = inv[1:]
+		}
+		if len(inv) == 0 || inv[0] != page {
+			out = append(out, p.loc)
 		}
 	}
-	out = append(out, list[i:]...)
-	return append(out, m.invalid[j:]...), true
+	for _, num := range inv {
+		out = append(out, uint64(num)<<32|LaneAll)
+	}
+	return out, true
 }
 
-// appendBody encodes each indexed column's postings sorted by value.
+// appendBody encodes each indexed column's body: its pair count, then the
+// pairs, value and location each a u64.
 func (m *Microindex) appendBody(buf []byte) []byte {
-	for _, post := range m.postings {
-		vals := make([]uint64, 0, len(post))
-		for v := range post {
-			vals = append(vals, v)
-		}
-		slices.Sort(vals)
-		buf = le.AppendUint64(buf, uint64(len(vals)))
-		for _, v := range vals {
-			list := post[v]
-			buf = le.AppendUint64(buf, v)
-			buf = le.AppendUint64(buf, uint64(len(list)))
-			for _, num := range list {
-				buf = le.AppendUint64(buf, uint64(num))
-			}
+	for _, p := range m.post {
+		buf = le.AppendUint64(buf, uint64(len(p.body)))
+		for _, q := range p.body {
+			buf = le.AppendUint64(le.AppendUint64(buf, q.v), q.loc)
 		}
 	}
 	return buf
 }
 
-// decodeBody parses the postings: values strictly ascending per column,
-// each list non-empty, strictly ascending, and naming only covered pages.
+// decodeBody copies each column's pairs, checking that they strictly
+// ascend, that every page they name is covered, and that every lane is
+// below its page's row count.
 func (m *Microindex) decodeBody(data []byte) ([]byte, error) {
-	get := func() uint64 {
-		v := le.Uint64(data)
-		data = data[8:]
-		return v
-	}
-	for slot := range m.postings {
+	for slot := range m.post {
 		if len(data) < 8 {
 			return nil, fmt.Errorf("services: microindex postings truncated")
 		}
-		nvals := int(get())
-		if nvals < 0 || nvals > len(data)/16 {
-			return nil, fmt.Errorf("services: microindex claims %d values, %d bytes left", nvals, len(data))
+		n := le.Uint64(data)
+		data = data[8:]
+		if n > uint64(len(data)/16) {
+			return nil, fmt.Errorf("services: microindex claims %d postings, %d bytes left", n, len(data))
 		}
-		var prevVal uint64
-		for i := 0; i < nvals; i++ {
-			if len(data) < 16 {
-				return nil, fmt.Errorf("services: microindex postings truncated")
+		body := make([]posting, n)
+		for i := range body {
+			q := posting{le.Uint64(data[16*i:]), le.Uint64(data[16*i+8:])}
+			if i > 0 && comparePostings(body[i-1], q) >= 0 {
+				return nil, fmt.Errorf("services: microindex postings out of order")
 			}
-			v := get()
-			if i > 0 && v <= prevVal {
-				return nil, fmt.Errorf("services: microindex values out of order")
+			num, lane := int64(q.loc>>32), int64(uint32(q.loc))
+			if p := m.pages[num]; p == nil || lane >= p.rows || !fitsLoc(num, lane) {
+				return nil, fmt.Errorf("services: microindex posting names lane %d of page %d, which is not covered or holds fewer rows", lane, num)
 			}
-			prevVal = v
-			nlist := int(get())
-			if nlist <= 0 || nlist > len(data)/8 {
-				return nil, fmt.Errorf("services: microindex claims %d postings, %d bytes left", nlist, len(data))
-			}
-			list := make([]int64, nlist)
-			for j := range list {
-				num := int64(get())
-				if num < 0 || (j > 0 && num <= list[j-1]) {
-					return nil, fmt.Errorf("services: microindex posting list malformed")
-				}
-				if m.pages[num] == nil {
-					return nil, fmt.Errorf("services: microindex posting references uncovered page %d", num)
-				}
-				list[j] = num
-			}
-			m.postings[slot][v] = list
+			body[i] = q
 		}
+		m.post[slot].body = body
+		data = data[16*n:]
 	}
 	return data, nil
 }

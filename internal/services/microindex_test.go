@@ -2,6 +2,10 @@ package services
 
 import (
 	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"pangea/internal/core"
@@ -12,60 +16,26 @@ func miSpec() MicroindexSpec {
 	return MicroindexSpec{Schema: zmSchema(), Cols: []int{1}}
 }
 
-// miTruth rescans the set and returns, per tag value, the exact set of
-// pages holding at least one row with that value.
-func miTruth(t *testing.T, set *core.LocalitySet) map[uint64]map[int64]bool {
-	t.Helper()
-	truth := make(map[uint64]map[int64]bool)
-	for _, num := range set.PageNums() {
-		p, err := set.Pin(num)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = WalkPage(p.Bytes(), func(rec []byte) error {
-			v := uint64(binary.LittleEndian.Uint16(rec[4:6]))
-			if truth[v] == nil {
-				truth[v] = make(map[int64]bool)
-			}
-			truth[v][num] = true
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := set.Unpin(p, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return truth
-}
-
 // miCheckExact verifies the index's lookups against a rescan of the set's
-// actual bytes: for every present value the posting list is exactly the
-// pages holding it, and absent in-domain values return no candidates. The
-// index is authoritative, so this is equality, not containment.
+// actual bytes: for every present value the answer is exactly the rows
+// holding it, and absent in-domain values return no candidates. The index is
+// authoritative, so this is equality, not containment.
 func miCheckExact(t *testing.T, set *core.LocalitySet, m *Microindex) {
 	t.Helper()
-	truth := miTruth(t, set)
+	truth := make(map[uint64][]uint64)
+	for _, p := range pairsOf(t, set)[0] {
+		truth[p.v] = append(truth[p.v], p.loc)
+	}
 	for v := uint64(0); v < 256; v++ {
-		pages, ok := m.LookupPages(1, v)
+		locs, ok := m.Lookup(1, v)
 		if !ok {
 			t.Fatalf("indexed column did not answer value %d", v)
 		}
-		want := truth[v]
-		if len(pages) != len(want) {
-			t.Fatalf("value %d: lookup returned %d pages, set holds it on %d", v, len(pages), len(want))
-		}
-		for i, num := range pages {
-			if !want[num] {
-				t.Errorf("value %d: lookup includes page %d which does not hold it", v, num)
-			}
-			if i > 0 && pages[i-1] >= num {
-				t.Errorf("value %d: lookup pages not ascending: %v", v, pages)
-			}
+		if !slices.Equal(locs, truth[v]) {
+			t.Fatalf("value %d: lookup returned %x, the set holds it at %x", v, locs, truth[v])
 		}
 	}
-	if _, ok := m.LookupPages(0, 1); ok {
+	if _, ok := m.Lookup(0, 1); ok {
 		t.Error("unindexed column answered a lookup")
 	}
 }
@@ -168,30 +138,33 @@ func TestMicroindexPersistRoundTrip(t *testing.T) {
 }
 
 // TestMicroindexInvalidPagesAlwaysCandidates: a page the index could not
-// parse (short record) stays covered but joins every lookup result — an
-// authoritative index must never vouch for a page it could not read. The
-// property survives a marshal/load round trip.
+// parse (short record) stays covered but joins every lookup result whole — an
+// authoritative index must never vouch for a page it could not read, not even
+// for the rows it noted before it gave up on it. The property survives a
+// marshal/load round trip.
 func TestMicroindexInvalidPagesAlwaysCandidates(t *testing.T) {
 	m, err := NewMicroindex(miSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.NoteAppend(0, colRec(1)) // tag 1%251 = 1
-	m.NoteAppend(1, colRec(2))
+	m.NoteAppend(0, colRec(2))
+	m.NoteAppend(0, colRec(1)) // tag 1%251 = 1, lane 1
+	m.NoteAppend(1, colRec(1))
 	m.NoteAppend(1, []byte{9}) // short: page 1 unparseable
 	m.NoteAppend(2, colRec(3))
 	if !m.Covers(3) {
 		t.Fatal("invalid page lost coverage")
 	}
+	whole1 := uint64(1)<<32 | LaneAll
 	for _, idx := range []*Microindex{m, mustReload(t, m)} {
-		pages, ok := idx.LookupPages(1, 1)
-		if !ok || len(pages) != 2 || pages[0] != 0 || pages[1] != 1 {
-			t.Fatalf("lookup(tag=1) = %v ok=%v, want [0 1] (hit page + invalid page)", pages, ok)
+		locs, ok := idx.Lookup(1, 1)
+		if want := []uint64{1, whole1}; !ok || !slices.Equal(locs, want) {
+			t.Fatalf("lookup(tag=1) = %x ok=%v, want %x (page 0 lane 1, invalid page 1 whole)", locs, ok, want)
 		}
 		// Even a value nothing holds must surface the invalid page.
-		pages, _ = idx.LookupPages(1, 200)
-		if len(pages) != 1 || pages[0] != 1 {
-			t.Fatalf("lookup(absent tag) = %v, want just the invalid page [1]", pages)
+		locs, _ = idx.Lookup(1, 200)
+		if want := []uint64{whole1}; !slices.Equal(locs, want) {
+			t.Fatalf("lookup(absent tag) = %x, want just the invalid page %x", locs, want)
 		}
 	}
 }
@@ -310,5 +283,368 @@ func TestDualHooksBothFire(t *testing.T) {
 				t.Error("side-index registry lost one of the two attached objects")
 			}
 		})
+	}
+}
+
+// diffSpec indexes the tag (col 1, u16) and val (col 2, u64) columns of the
+// colRec shape; diffRec draws both from small domains, so values repeat
+// within and across pages.
+func diffSpec() MicroindexSpec {
+	return MicroindexSpec{Schema: zmSchema(), Cols: []int{2, 1}}
+}
+
+func diffRec(rng *rand.Rand, i int) []byte {
+	r := colRec(i)
+	binary.LittleEndian.PutUint16(r[4:6], uint16(rng.Intn(40)))
+	binary.LittleEndian.PutUint64(r[6:14], uint64(rng.Intn(7))<<40)
+	return r
+}
+
+// pairsOf rescans the set and returns, for the tag and val columns (the
+// slots of diffSpec), the (value, location) pair of every row in (value,
+// location) order: the reference an index must equal, built from the rows
+// themselves.
+func pairsOf(t *testing.T, set *core.LocalitySet) [][]posting {
+	t.Helper()
+	want := make([][]posting, 2)
+	for _, num := range set.PageNums() {
+		p, err := set.Pin(num)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lane := uint64(0)
+		err = WalkPage(p.Bytes(), func(rec []byte) error {
+			loc := uint64(num)<<32 | lane
+			want[0] = append(want[0], posting{uint64(binary.LittleEndian.Uint16(rec[4:6])), loc})
+			want[1] = append(want[1], posting{binary.LittleEndian.Uint64(rec[6:14]), loc})
+			lane++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Unpin(p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range want {
+		slices.SortFunc(w, comparePostings)
+	}
+	return want
+}
+
+// bodies returns an index's sealed pairs per indexed column.
+func bodies(m *Microindex) [][]posting {
+	m.lockedSeal()
+	out := make([][]posting, len(m.post))
+	for i, p := range m.post {
+		out[i] = p.body
+	}
+	return out
+}
+
+// TestMicroindexBuildsAgree is the flat index's differential test: on random
+// rows with repeated values, the ways an index comes to be — the writer's row
+// hook, its columnar seal hook, a rebuild by scan, and a load of the
+// marshaled object — all hold the same pairs, and those are exactly the
+// rows' own (value, page, lane) triples.
+func TestMicroindexBuildsAgree(t *testing.T) {
+	for _, columnar := range []bool{false, true} {
+		name := map[bool]string{false: "row hook", true: "columnar seal"}[columnar]
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(26))
+			bp := newPool(t, 1<<20)
+			spec := core.SetSpec{Name: "s", PageSize: 512}
+			if columnar {
+				spec.Layout, spec.Columns = core.LayoutColumnar, colWidths
+			}
+			set, err := bp.CreateSet(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := NewSeqWriter(set)
+			hooked, err := AttachMicroindex(w, diffSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3000; i++ {
+				if err := w.Add(diffRec(rng, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := pairsOf(t, set)
+			if len(want[0]) != 3000 {
+				t.Fatalf("reference holds %d rows, want 3000", len(want[0]))
+			}
+			rebuilt, err := NewMicroindex(diffSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rebuilt.rebuildFromScan(set, set.NumPages()); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadMicroindex(hooked.Marshal(), diffSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for build, m := range map[string]*Microindex{name: hooked, "rebuild": rebuilt, "load": loaded} {
+				for slot, got := range bodies(m) {
+					if !slices.Equal(got, want[slot]) {
+						t.Errorf("%s: column slot %d holds %d pairs, the rows %d, or they differ", build, slot, len(got), len(want[slot]))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMicroindexNotesInAnyOrder covers the notes a writer's hooks alone do
+// not make, checking each lookup against the pairs noted: a columnar page
+// sealed twice (its rows appear once), pages noted out of order, invalid
+// pages (a short record, a reshaped columnar page, a page number no
+// location can name) and lookups and a Marshal that meet an unsealed tail.
+func TestMicroindexNotesInAnyOrder(t *testing.T) {
+	bp := newPool(t, 1<<20)
+	set := mkColSet(t, bp, "c", 512)
+	if err := WriteAll(set, [][]byte{colRec(1), colRec(2), colRec(1)}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := set.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = set.Unpin(p, false) }()
+	view, err := OpenColumnarPage(p.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A columnar page of another shape, to stand for a reshaped page.
+	other := make([]byte, 256)
+	initColumnarPage(other, []int{4, 2}, 8)
+	binary.LittleEndian.PutUint32(other[8:12], 1)
+	reshaped, err := OpenColumnarPage(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := NewMicroindex(miSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookup := func(v uint64, want ...uint64) {
+		t.Helper()
+		if got, ok := m.Lookup(1, v); !ok || !slices.Equal(got, want) {
+			t.Fatalf("Lookup(tag %d) = %x ok=%v, want %x", v, got, ok, want)
+		}
+	}
+	m.NoteColumnarPage(3, view) // tags 1, 2, 1 at lanes 0, 1, 2
+	m.NoteColumnarPage(3, view) // restated before the first seal
+	m.NoteAppend(1, colRec(1))  // page 1 before page 0
+	m.NoteAppend(0, colRec(2))
+	m.NoteAppend(0, colRec(1))
+	lookup(1, 0<<32|1, 1<<32|0, 3<<32|0, 3<<32|2) // the first lookup seals
+	m.NoteColumnarPage(3, view)                   // the same page, sealed again
+	m.NoteColumnarPage(2, view)
+	lookup(1, 0<<32|1, 1<<32|0, 2<<32|0, 2<<32|2, 3<<32|0, 3<<32|2) // merged, no repeats
+	m.NoteAppend(4, colRec(1))
+	m.NoteAppend(4, []byte{9})      // a short record: page 4 is invalid
+	m.NoteColumnarPage(2, reshaped) // a page of another shape: page 2 is invalid
+	lookup(1, 0<<32|1, 1<<32|0, 2<<32|LaneAll, 3<<32|0, 3<<32|2, 4<<32|LaneAll)
+	lookup(2, 0<<32|0, 2<<32|LaneAll, 3<<32|1, 4<<32|LaneAll)
+	lookup(7, 2<<32|LaneAll, 4<<32|LaneAll)
+
+	m.NoteAppend(5, colRec(2)) // unsealed when Marshal runs
+	loaded, err := LoadMicroindex(m.Marshal(), miSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := loaded.Lookup(1, 2); !slices.Equal(got, []uint64{0 << 32, 2<<32 | LaneAll, 3<<32 | 1, 4<<32 | LaneAll, 5 << 32}) {
+		t.Errorf("reloaded Lookup(tag 2) = %x, missing the note Marshal sealed", got)
+	}
+
+	// A page no location can name is invalid, and because a lookup cannot
+	// name it either, the index stops answering rather than wrap.
+	m.NoteAppend(1<<32, colRec(1))
+	if got, ok := m.Lookup(1, 1); ok {
+		t.Errorf("Lookup with page 2^32 invalid = %x, want no answer", got)
+	}
+	if pg := m.pages[1<<32]; pg == nil || pg.valid {
+		t.Error("a note on page 2^32 left the page valid")
+	}
+	// So is a page whose next lane would not fit a selection index.
+	m.page(6).rows = math.MaxInt32 + 1
+	m.NoteAppend(6, colRec(1))
+	if m.pages[6].valid {
+		t.Error("a note past lane 2^31-1 left the page valid")
+	}
+}
+
+// TestRadixSortMatchesSort holds the seal's radix sort to a comparison sort
+// over tails of one pair to several chunks, with values and locations that
+// vary in no byte, in the low bytes only, or in all of them, so both pass
+// parities and every skip run.
+func TestRadixSortMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	domains := []func() uint64{
+		func() uint64 { return 7 },
+		func() uint64 { return uint64(rng.Intn(300)) },
+		func() uint64 { return rng.Uint64() },
+	}
+	for _, n := range []int{1, 5, chunkPairs, 3*chunkPairs + 17} {
+		for vi, v := range domains {
+			for li, loc := range domains {
+				var tail [][]posting
+				var want []posting
+				for i := 0; i < n; i++ {
+					if i%chunkPairs == 0 {
+						tail = append(tail, make([]posting, 0, chunkPairs))
+					}
+					p := posting{v(), loc()}
+					tail[len(tail)-1] = append(tail[len(tail)-1], p)
+					want = append(want, p)
+				}
+				slices.SortStableFunc(want, comparePostings)
+				if got := radixSort(tail); !slices.Equal(got, want) {
+					t.Errorf("n=%d, value domain %d, loc domain %d: radix order differs", n, vi, li)
+				}
+			}
+		}
+	}
+}
+
+// v1Object re-encodes a v2 microindex object in the v1 format: the same
+// header and page table with version 1, and per column the distinct values,
+// each with its ascending page list.
+func v1Object(t *testing.T, m *Microindex) []byte {
+	t.Helper()
+	data := m.Marshal()
+	body := sideHeaderBytes + 16*len(m.widths) + 8*len(m.cols) + sidePageBytes*len(m.pages)
+	out := append([]byte(nil), data[:body]...)
+	le.PutUint64(out[8:], 1)
+	for _, p := range m.post {
+		var vals []uint64
+		lists := map[uint64][]uint64{}
+		for _, q := range p.body {
+			if len(lists[q.v]) == 0 {
+				vals = append(vals, q.v)
+			}
+			if l := lists[q.v]; len(l) == 0 || l[len(l)-1] != q.loc>>32 {
+				lists[q.v] = append(l, q.loc>>32)
+			}
+		}
+		out = le.AppendUint64(out, uint64(len(vals)))
+		for _, v := range vals {
+			out = le.AppendUint64(le.AppendUint64(out, v), uint64(len(lists[v])))
+			for _, num := range lists[v] {
+				out = le.AppendUint64(out, num)
+			}
+		}
+	}
+	return out
+}
+
+// TestMicroindexV1ObjectHeals: a microindex persisted in the v1 format fails
+// the version check, so EnsureMicroindex rebuilds it by scan, counts the heal
+// in SideObjectRebuilds and persists v2 in its place — which the next Ensure
+// loads without healing. A zone map, whose format did not change, keeps
+// loading.
+func TestMicroindexV1ObjectHeals(t *testing.T) {
+	bp := newPool(t, 1<<20)
+	set := mkColSet(t, bp, "c", 512)
+	w := NewSeqWriter(set)
+	m, err := AttachMicroindex(w, miSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AttachZoneMap(w, ZoneMapSpec{Schema: zmSchema()}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if err := w.Add(colRec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := v1Object(t, m)
+	if _, err := LoadMicroindex(old, miSpec()); err == nil {
+		t.Fatal("a v1 object loaded as v2")
+	}
+	if err := set.WriteSideObject(MicroindexTag, old); err != nil {
+		t.Fatal(err)
+	}
+	z := set.SideIndex(ZoneMapTag).(*ZoneMap)
+	if err := z.Save(set); err != nil {
+		t.Fatal(err)
+	}
+	set.SetSideIndex(MicroindexTag, nil)
+	set.SetSideIndex(ZoneMapTag, nil)
+	for round := 0; round < 2; round++ {
+		healed, err := EnsureMicroindex(set, miSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		miCheckExact(t, set, healed)
+		if got := bp.Stats().SideObjectRebuilds.Load(); got != 1 {
+			t.Fatalf("round %d: counted %d side-object rebuilds, want the v1 heal alone", round, got)
+		}
+		set.SetSideIndex(MicroindexTag, nil)
+	}
+	if _, err := EnsureZoneMap(set, ZoneMapSpec{Schema: zmSchema()}); err != nil {
+		t.Fatal(err)
+	}
+	if got := bp.Stats().SideObjectRebuilds.Load(); got != 1 {
+		t.Errorf("the zone map's unchanged format healed too: %d rebuilds", got)
+	}
+}
+
+// TestMicroindexConcurrentNotesAndLookups: lookups that find an unsealed
+// tail seal it under the write lock while a writer keeps noting rows, so
+// under -race every lookup sees ascending locations and, once the notes end,
+// every row.
+func TestMicroindexConcurrentNotesAndLookups(t *testing.T) {
+	m, err := NewMicroindex(miSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages, perPage = 40, 50
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				locs, _ := m.Lookup(1, 7)
+				if !slices.IsSorted(locs) {
+					t.Errorf("lookup during notes returned %x, not ascending", locs)
+					return
+				}
+			}
+		}()
+	}
+	var want []uint64
+	for page := int64(0); page < pages; page++ {
+		for lane := 0; lane < perPage; lane++ {
+			i := int(page)*perPage + lane
+			m.NoteAppend(page, colRec(i))
+			if i%251 == 7 {
+				want = append(want, uint64(page)<<32|uint64(lane))
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	if got, _ := m.Lookup(1, 7); !slices.Equal(got, want) {
+		t.Fatalf("Lookup(tag 7) after the notes = %x, want %x", got, want)
 	}
 }

@@ -32,6 +32,10 @@ type SeqWriter struct {
 	// ColumnarWriter.OnSeal. Not called for columnar sets (attach to the
 	// seal hook instead; attachSideIndex wires whichever applies).
 	OnAppend func(pageNum int64, rec []byte)
+
+	// OnClose, when set, is called last by Close, for either layout — the
+	// hook a microindex sorts what it folded at.
+	OnClose func()
 }
 
 // chainHook composes fn after a writer hook already attached (OnAppend, or
@@ -100,8 +104,12 @@ func (w *SeqWriter) Count() int64 {
 	return w.n
 }
 
-// Close releases the current page and clears the set's current operation.
+// Close releases the current page, clears the set's current operation and
+// then runs the close hook.
 func (w *SeqWriter) Close() error {
+	if w.OnClose != nil {
+		defer w.OnClose()
+	}
 	if w.cw != nil {
 		return w.cw.Close()
 	}
@@ -223,7 +231,7 @@ func (c *scanCursor) stop() {
 // fn is only ever called with thread t from worker t's goroutine, so
 // callbacks keep per-thread state indexed by thread.
 func ScanSet(set *core.LocalitySet, numThreads int, fn func(thread int, rec []byte) error) error {
-	return ForEachPage(set, set.PageNums(), numThreads, func(t int, page []byte) error {
+	return ForEachPage(set, set.PageNums(), numThreads, func(t int, _ int64, page []byte) error {
 		return WalkPage(page, func(rec []byte) error { return fn(t, rec) })
 	})
 }
@@ -231,7 +239,8 @@ func ScanSet(set *core.LocalitySet, numThreads int, fn func(thread int, rec []by
 // ForEachPage is the one page loop under every scan — ScanSet's record walk
 // and the query layer's batches alike: numThreads workers share one cursor
 // over the listed pages (a predicate scan lists only what its side indexes
-// kept), and fn sees each page's bytes while the page is pinned. The caller's
+// kept), and fn sees each page's number and bytes while the page is pinned,
+// in the cursor's order (a read-once set's resident pages go first). The caller's
 // goroutine is worker 0 and only workers 1..numThreads-1 get goroutines of
 // their own, so a one-thread scan costs no goroutine and no handoff. The
 // first error — fn's, a pin's or an unpin's — stops the cursor, so the other
@@ -239,7 +248,7 @@ func ScanSet(set *core.LocalitySet, numThreads int, fn func(thread int, rec []by
 // set, and is returned once they have; CurrentOperation is cleared on every
 // exit, so a failed scan does not leave an idle set looking read to the
 // paging policy.
-func ForEachPage(set *core.LocalitySet, nums []int64, numThreads int, fn func(thread int, page []byte) error) error {
+func ForEachPage(set *core.LocalitySet, nums []int64, numThreads int, fn func(thread int, num int64, page []byte) error) error {
 	c := newScanCursor(set, nums)
 	defer set.SetCurrentOp(core.OpNone)
 	errs := make([]error, max(numThreads, 1))
@@ -264,7 +273,7 @@ func ForEachPage(set *core.LocalitySet, nums []int64, numThreads int, fn func(th
 // work is one ForEachPage worker: it claims, pins, hands to fn and releases
 // pages until the cursor runs out or something fails, and on failure stops
 // the cursor for the other workers.
-func (c *scanCursor) work(t int, fn func(thread int, page []byte) error) error {
+func (c *scanCursor) work(t int, fn func(thread int, num int64, page []byte) error) error {
 	it := PageIterator{c: c}
 	for {
 		p, err := it.Next()
@@ -272,7 +281,7 @@ func (c *scanCursor) work(t int, fn func(thread int, page []byte) error) error {
 			return nil
 		}
 		if err == nil {
-			err = fn(t, p.Bytes())
+			err = fn(t, p.Num(), p.Bytes())
 			if uerr := it.Release(p); err == nil {
 				err = uerr
 			}

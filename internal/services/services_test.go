@@ -290,7 +290,7 @@ func TestForEachPageCallerIsThreadZero(t *testing.T) {
 				// runs and the error comes from the thread the failer names.
 				var holding sync.WaitGroup
 				holding.Add(threads)
-				err := ForEachPage(s, s.PageNums(), threads, func(th int, _ []byte) error {
+				err := ForEachPage(s, s.PageNums(), threads, func(th int, _ int64, _ []byte) error {
 					mu.Lock()
 					first := gids[th] == nil
 					if first {
@@ -339,10 +339,10 @@ func TestForEachPageCallerIsThreadZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newScanCursor(s, s.PageNums())
-	if err := c.work(1, func(int, []byte) error { return boom }); err != boom || c.next != len(c.nums) {
+	if err := c.work(1, func(int, int64, []byte) error { return boom }); err != boom || c.next != len(c.nums) {
 		t.Errorf("failing worker returned %v with %d of %d pages claimed, want boom and all", err, c.next, len(c.nums))
 	}
-	if err := c.work(0, func(int, []byte) error { t.Error("a page was handed out after the stop"); return nil }); err != nil {
+	if err := c.work(0, func(int, int64, []byte) error { t.Error("a page was handed out after the stop"); return nil }); err != nil {
 		t.Error(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"pangea/internal/core"
@@ -22,9 +23,10 @@ import (
 
 // sideKind describes one side-index kind to the shared lifecycle.
 type sideKind struct {
-	name  string // what error messages call it
-	tag   string // pfs side-object name and LocalitySet side-index key
-	magic uint64 // first header word of the persisted object
+	name    string // what error messages call it
+	tag     string // pfs side-object name and LocalitySet side-index key
+	magic   uint64 // first header word of the persisted object
+	version uint64 // second header word: the kind's body format
 	// foldAll folds every 1/2/4/8-byte column, not only the designated ones.
 	foldAll bool
 }
@@ -32,11 +34,14 @@ type sideKind struct {
 // summarizer is the kind-specific half of a side index, called with the
 // skeleton's lock held.
 type summarizer interface {
-	// fold adds one value of schema column col on page num. sum is the
-	// page's summary (nil for kinds that keep none), slot is col's position
-	// among the designated columns or -1, and first marks the first row of
-	// a (re)stated page.
-	fold(sum []byte, num int64, col, slot int, u uint64, first bool)
+	// fold adds one value of schema column col at location loc (see
+	// LaneAll: the row's page and lane). sum is the page's summary (nil for
+	// kinds that keep none), slot is col's position among the designated
+	// columns or -1, and first marks the first row of a (re)stated page.
+	fold(sum []byte, loc uint64, col, slot int, u uint64, first bool)
+	// seal puts in order whatever fold left unordered; lookups and Marshal
+	// see only sealed state.
+	seal()
 	// appendBody encodes what the kind keeps beyond the page table;
 	// decodeBody parses it off the front of data into a fresh index whose
 	// page table is already loaded and returns the rest, bounding every
@@ -174,6 +179,10 @@ func (s *sideIndex) page(num int64) *sidePage {
 	return p
 }
 
+// fitsLoc reports whether a location can name lane on page num: the page
+// number fits 32 bits and the lane 31, the largest selection index.
+func fitsLoc(num, lane int64) bool { return num <= math.MaxUint32 && lane <= math.MaxInt32 }
+
 // invalidate marks a page unparseable: it stays covered, but no summary of
 // it is trusted. Caller holds s.mu.
 func (s *sideIndex) invalidate(num int64, p *sidePage) {
@@ -186,22 +195,23 @@ func (s *sideIndex) invalidate(num int64, p *sidePage) {
 }
 
 // NoteAppend folds one appended row record into page pageNum — the
-// SeqWriter append hook. A record shorter than the schema's footprint
-// invalidates the page.
+// SeqWriter append hook. The record's lane is the page's row count so far,
+// its index in RecordOffsets order. A record shorter than the schema's
+// footprint, or one no location can name, invalidates the page.
 func (s *sideIndex) NoteAppend(pageNum int64, rec []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.page(pageNum)
-	if len(rec) < s.rowSize {
+	if len(rec) < s.rowSize || !fitsLoc(pageNum, p.rows) {
 		s.invalidate(pageNum, p)
 		return
 	}
 	if !p.valid {
 		return
 	}
-	first := p.rows == 0
+	first, loc := p.rows == 0, uint64(pageNum)<<32|uint64(p.rows)
 	for _, f := range s.folded {
-		s.sum.fold(p.sum, pageNum, f.col, f.slot, readU(rec[f.offset:], f.width), first)
+		s.sum.fold(p.sum, loc, f.col, f.slot, readU(rec[f.offset:], f.width), first)
 	}
 	p.rows++
 }
@@ -210,26 +220,35 @@ func (s *sideIndex) NoteAppend(pageNum int64, rec []byte) {
 // hook, and the vectorized path of rebuilds: each folded column is a tight
 // loop over its contiguous segment. Re-sealing the same page (Close after
 // its last Add already sealed it) restates the same rows; first restarts
-// each column's summary rather than double-folding. A page whose shape
-// differs from the schema is invalidated.
+// each column's summary rather than double-folding. Row i's lane is i. A
+// page whose shape differs from the schema, or whose rows no location can
+// name, is invalidated.
 func (s *sideIndex) NoteColumnarPage(pageNum int64, cp *ColumnarPage) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.page(pageNum)
-	if !slices.Equal(cp.widths, s.widths) {
+	n := cp.NumRows()
+	if !slices.Equal(cp.widths, s.widths) || !fitsLoc(pageNum, int64(n)-1) {
 		s.invalidate(pageNum, p)
 	}
 	if !p.valid {
 		return
 	}
-	n := cp.NumRows()
 	for _, f := range s.folded {
 		seg := cp.Col(f.col)
 		for i := 0; i < n; i++ {
-			s.sum.fold(p.sum, pageNum, f.col, f.slot, readU(seg[i*f.width:], f.width), i == 0)
+			s.sum.fold(p.sum, uint64(pageNum)<<32|uint64(i), f.col, f.slot, readU(seg[i*f.width:], f.width), i == 0)
 		}
 	}
 	p.rows = int64(n)
+}
+
+// lockedSeal runs the kind's seal under the write lock: the writer's close
+// hook and the end of a rebuild.
+func (s *sideIndex) lockedSeal() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sum.seal()
 }
 
 // NumPages returns how many pages have slots.
@@ -253,19 +272,19 @@ func (s *sideIndex) Covers(n int64) bool {
 // --- persistence -------------------------------------------------------------
 
 const (
-	sideIndexVersion = 1
-	sideHeaderBytes  = 40 // magic, version, ncols, ndesignated, npages
-	sidePageBytes    = 24 // page number, rows, flags; the summary follows
-	sidePageValid    = 1  // flags bit: the page parsed cleanly
+	sideHeaderBytes = 40 // magic, version, ncols, ndesignated, npages
+	sidePageBytes   = 24 // page number, rows, flags; the summary follows
+	sidePageValid   = 1  // flags bit: the page parsed cleanly
 )
 
-// Marshal serializes the index as the compact side object: a versioned
-// header carrying the schema shape and designated columns (so a stale or
-// reshaped object is rejected on load), one fixed-size record per page in
-// page order, then the kind's body.
+// Marshal seals the index and serializes it as the compact side object: a
+// header carrying the kind's format version, the schema shape and designated
+// columns (so an older-format, stale or reshaped object is rejected on load),
+// one fixed-size record per page in page order, then the kind's body.
 func (s *sideIndex) Marshal() []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sum.seal()
 	nums := make([]int64, 0, len(s.pages))
 	for n := range s.pages {
 		nums = append(nums, n)
@@ -274,7 +293,7 @@ func (s *sideIndex) Marshal() []byte {
 	buf := make([]byte, 0, sideHeaderBytes+16*len(s.widths)+8*len(s.cols)+(sidePageBytes+len(s.blank))*len(nums))
 	put := func(v uint64) { buf = le.AppendUint64(buf, v) }
 	put(s.kind.magic)
-	put(sideIndexVersion)
+	put(s.kind.version)
 	put(uint64(len(s.widths)))
 	put(uint64(len(s.cols)))
 	put(uint64(len(nums)))
@@ -320,7 +339,7 @@ func (s *sideIndex) unmarshal(data []byte) error {
 	if get() != s.kind.magic {
 		return fmt.Errorf("services: bad %s magic", name)
 	}
-	if v := get(); v != sideIndexVersion {
+	if v := get(); v != s.kind.version {
 		return fmt.Errorf("services: unsupported %s version %d", name, v)
 	}
 	ncols, ndes, npages := int(get()), int(get()), int(get())
@@ -379,10 +398,10 @@ func (s *sideIndex) Save(set *core.LocalitySet) error {
 
 // attachSideIndex wires incremental maintenance of x into a sequential
 // writer: columnar sets hook the page-seal callback (computed while the
-// sealed page is still pinned), row sets the per-record append callback.
-// Hooks chain, so several side indexes ride one writer. x is registered as
-// the set's side index for its kind so predicate scans find it; call Save
-// after the writer closes to persist it.
+// sealed page is still pinned), row sets the per-record append callback,
+// and both seal at close. Hooks chain, so several side indexes ride one
+// writer. x is registered as the set's side index for its kind so predicate
+// scans find it; call Save after the writer closes to persist it.
 func attachSideIndex(w *SeqWriter, x sideIndexer) error {
 	s := x.base()
 	if w.cw != nil {
@@ -393,6 +412,13 @@ func attachSideIndex(w *SeqWriter, x sideIndexer) error {
 		w.cw.OnSeal = chainHook(w.cw.OnSeal, s.NoteColumnarPage)
 	} else {
 		w.OnAppend = chainHook(w.OnAppend, s.NoteAppend)
+	}
+	prev := w.OnClose
+	w.OnClose = func() {
+		if prev != nil {
+			prev()
+		}
+		s.lockedSeal()
 	}
 	w.set.SetSideIndex(s.kind.tag, x)
 	return nil
@@ -453,7 +479,7 @@ func ensureSideIndex[T sideIndexer](set *core.LocalitySet, fresh func() (T, erro
 
 // rebuildFromScan drives one full scan of the set's first n pages through
 // the note hooks — vectorized over columnar pages, record-walked over row
-// pages.
+// pages — and seals the result.
 func (s *sideIndex) rebuildFromScan(set *core.LocalitySet, n int64) error {
 	for num := int64(0); num < n; num++ {
 		p, err := set.Pin(num)
@@ -479,5 +505,6 @@ func (s *sideIndex) rebuildFromScan(set *core.LocalitySet, n int64) error {
 			return err
 		}
 	}
+	s.lockedSeal()
 	return nil
 }

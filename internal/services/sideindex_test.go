@@ -85,17 +85,18 @@ func goldenSideObjects(t *testing.T) map[string][]byte {
 }
 
 // TestSideObjectGoldenBytes pins the persisted format of both side-index
-// kinds: the SHA-256 of each marshaled object was captured at the commit
-// before the two lifecycles were folded onto the shared skeleton, so any
-// byte the refactor (or a later change) moves in either format fails here.
+// kinds: the SHA-256 of each marshaled object — the zone maps' captured at
+// the commit before the two lifecycles were folded onto the shared skeleton,
+// the microindexes' when the v2 pair body replaced the v1 posting lists — so
+// any byte a later change moves in either format fails here.
 func TestSideObjectGoldenBytes(t *testing.T) {
 	want := map[string]string{
 		"zonemap/row":         "2a78f7474cf7234394af5ea6e891d353d12f5373a5040529e1b698ae4edf8ee8",
 		"zonemap/columnar":    "ca7d5c3373b9dc255b832774a9849c7b40f76cd69430e2b6eb0eda280d6fd23b",
 		"zonemap/edges":       "9986f043ffd74681951458c60ea4139c2998263b9fb454c67d4f07b69ccbc8c1",
-		"microindex/row":      "1f873c06a3bb5e4129a6f4574c49fa1fa2d06db3555988654cf5718d8d8a741f",
-		"microindex/columnar": "2fb7c0036b9d1fdf3530e241f53ab901700f64ecda5364b8713d99a8db5999e9",
-		"microindex/edges":    "3aa2fd6b63034dde441041f02b30a3b42f75f6a130130766c128550036798209",
+		"microindex/row":      "9a7b005ffb024451116376b958baa6f4935767820f6376483460779709df4a28",
+		"microindex/columnar": "4542e6e063e0f2ee81f9b37fad63f27ff20b15182152032a5fd0e508f5371621",
+		"microindex/edges":    "93f161253dadb538203bf2468f89854a3cb181bbd784362315b07513ed5e9fa6",
 	}
 	got := goldenSideObjects(t)
 	if len(got) != len(want) {

@@ -71,7 +71,7 @@ const (
 var (
 	zoneMapKind = sideKind{
 		name: "zone map", tag: ZoneMapTag, magic: 0x504D5A47, // "GZMP"
-		foldAll: true,
+		version: 1, foldAll: true,
 	}
 	nanBits = math.Float64bits(math.NaN())
 )
@@ -95,7 +95,7 @@ func NewZoneMap(spec ZoneMapSpec) (*ZoneMap, error) {
 
 // fold widens column col's ranges, and sets its bloom if it has one, with
 // one value.
-func (z *ZoneMap) fold(sum []byte, _ int64, col, slot int, u uint64, first bool) {
+func (z *ZoneMap) fold(sum []byte, _ uint64, col, slot int, u uint64, first bool) {
 	s := sum[zoneColBytes*col:][:zoneColBytes]
 	if first || u < le.Uint64(s[zMinU:]) {
 		le.PutUint64(s[zMinU:], u)
@@ -134,7 +134,8 @@ func (z *ZoneMap) bloom(sum []byte, slot int) []byte {
 	return sum[zoneColBytes*len(z.widths)+bloomBytes*slot:][:bloomBytes]
 }
 
-// A zone map keeps nothing beyond its per-page summaries.
+// A zone map folds in place and keeps nothing beyond its page summaries.
+func (z *ZoneMap) seal()                                  {}
 func (z *ZoneMap) appendBody(buf []byte) []byte           { return buf }
 func (z *ZoneMap) decodeBody(data []byte) ([]byte, error) { return data, nil }
 
