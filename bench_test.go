@@ -22,7 +22,6 @@ import (
 	"pangea/internal/disk"
 	"pangea/internal/exp"
 	"pangea/internal/memory"
-	"pangea/internal/numa"
 	"pangea/internal/query"
 	"pangea/internal/services"
 )
@@ -104,10 +103,6 @@ func BenchmarkS5AllocShards(b *testing.B) { runExperiment(b, "s5b") }
 // BenchmarkS6SpillThroughput regenerates the spill-pipeline ablation:
 // write-back bandwidth vs drive count with one spill writer per drive.
 func BenchmarkS6SpillThroughput(b *testing.B) { runExperiment(b, "s6") }
-
-// BenchmarkS8Locality regenerates the NUMA placement experiment: node-affine
-// vs interleaved shard placement over real and fake topologies.
-func BenchmarkS8Locality(b *testing.B) { runExperiment(b, "s8") }
 
 // BenchmarkS9Prefetch regenerates the async read-path experiment: cold
 // sequential and looping scans vs drive count, read-ahead on vs off.
@@ -407,47 +402,6 @@ func BenchmarkMicroindexBuild(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRows), "ns/row")
-		})
-	}
-}
-
-// BenchmarkNUMAAffinity measures the allocation path under a fake 4-node
-// topology: local placement (each goroutine homed on its own node's shards,
-// what the pool does at CreateSet) vs interleaved placement (homes walk
-// every shard regardless of node, the pre-NUMA behaviour). On single-socket
-// machines the two tie — the benchmark exists so the bench gate catches a
-// regression in the two-tier routing itself, and on multi-socket hardware
-// the local variant additionally keeps its pages out of remote DRAM.
-func BenchmarkNUMAAffinity(b *testing.B) {
-	const shards = 8
-	topo := numa.NewFake(4, shards)
-	for _, cfg := range []struct {
-		name  string
-		local bool
-	}{{"placement=local", true}, {"placement=interleaved", false}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			alloc := memory.NewShardedTLSFNUMA(memory.NewArena(256<<20), shards, topo, nil)
-			var next atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				w := int(next.Add(1))
-				node := topo.NodeOfCPU(w % topo.NumCPUs())
-				i := 0
-				for pb.Next() {
-					home := alloc.HomeShardOn(node, w)
-					if !cfg.local {
-						home = alloc.HomeShard(w + i)
-					}
-					off, err := alloc.AllocAffinity(4<<10, home)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					alloc.Free(off)
-					i++
-				}
-			})
 		})
 	}
 }

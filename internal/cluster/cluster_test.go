@@ -369,10 +369,9 @@ func TestSetStats(t *testing.T) {
 	}
 }
 
-// TestNodeStats: a worker reports its pool's NUMA placement gauges over
-// the wire — topology shape, per-node residency that accounts for the
-// resident pages, and the cross-node steal counter (zero on the test
-// machines' single-node or synthetic shapes with no memory pressure).
+// TestNodeStats: a worker reports its pool's gauges over the wire — the
+// allocator's shard count, the prefetch counters, and no loads in flight
+// once the writes have returned.
 func TestNodeStats(t *testing.T) {
 	_, workers, cl := startCluster(t, 1, 4<<20)
 	w := workers[0]
@@ -390,21 +389,8 @@ func TestNodeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Nodes < 1 || st.Shards < 1 {
-		t.Fatalf("NodeStats = %+v, want at least one node and shard", st)
-	}
-	if len(st.NodeUsedBytes) != st.Nodes {
-		t.Fatalf("NodeUsedBytes has %d entries for %d nodes", len(st.NodeUsedBytes), st.Nodes)
-	}
-	var sum int64
-	for _, u := range st.NodeUsedBytes {
-		sum += u
-	}
-	if sum != w.Pool().UsedBytes() || sum == 0 {
-		t.Errorf("NodeUsedBytes sums to %d, pool uses %d (want equal and nonzero)", sum, w.Pool().UsedBytes())
-	}
-	if st.CrossNodeSteals != w.Pool().Stats().CrossNodeSteals.Load() {
-		t.Errorf("CrossNodeSteals = %d over the wire, pool reports %d", st.CrossNodeSteals, w.Pool().Stats().CrossNodeSteals.Load())
+	if st.Shards != w.Pool().AllocatorShards() {
+		t.Errorf("Shards = %d over the wire, pool has %d", st.Shards, w.Pool().AllocatorShards())
 	}
 	pstats := w.Pool().Stats()
 	if st.PrefetchesIssued != pstats.PrefetchesIssued.Load() ||

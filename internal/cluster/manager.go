@@ -169,8 +169,8 @@ func (cl *Client) SetStats(addr, set string) (SetStatsResp, error) {
 	return call[SetStatsResp](addr, cl.auth, SetStatsReq{Set: set})
 }
 
-// NodeStats queries one worker's NUMA placement gauges: per-node resident
-// bytes, shard partitioning, and cross-node steal count.
+// NodeStats queries one worker's pool-wide gauges: its allocator shard
+// count, prefetch and load counters, and page-skipping totals.
 func (cl *Client) NodeStats(addr string) (NodeStatsResp, error) {
 	return call[NodeStatsResp](addr, cl.auth, NodeStatsReq{})
 }

@@ -148,20 +148,14 @@ type SetStatsResp struct {
 	IndexHits   int64
 }
 
-// NodeStatsReq asks a worker for its buffer pool's NUMA placement gauges.
+// NodeStatsReq asks a worker for its buffer pool's pool-wide gauges.
 type NodeStatsReq struct{}
 
-// NodeStatsResp reports one worker's memory-placement and read-path view:
-// how the allocator shards are partitioned over the node's NUMA topology,
-// how many arena bytes are resident per node, how often allocations had to
-// cross the interconnect, and the buffer pool's prefetch counters (issued /
-// hit / wasted speculative reads, plus loads currently in flight). Single-
-// node workers report one node and zero steals.
+// NodeStatsResp reports one worker's pool-wide view: how many allocator
+// shards its arena is split into, and the buffer pool's read-path counters
+// (issued / hit / wasted speculative reads, plus loads currently in flight).
 type NodeStatsResp struct {
-	Nodes            int
 	Shards           int
-	NodeUsedBytes    []int64
-	CrossNodeSteals  int64
 	PrefetchesIssued int64
 	PrefetchHits     int64
 	PrefetchWasted   int64

@@ -370,10 +370,7 @@ func (w *Worker) setStats(req SetStatsReq) (any, error) {
 func (w *Worker) nodeStats() NodeStatsResp {
 	stats := w.pool.Stats()
 	return NodeStatsResp{
-		Nodes:            w.pool.NUMANodes(),
 		Shards:           w.pool.AllocatorShards(),
-		NodeUsedBytes:    w.pool.NodeUsedBytes(),
-		CrossNodeSteals:  stats.CrossNodeSteals.Load(),
 		PrefetchesIssued: stats.PrefetchesIssued.Load(),
 		PrefetchHits:     stats.PrefetchHits.Load(),
 		PrefetchWasted:   stats.PrefetchWasted.Load(),

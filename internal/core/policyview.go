@@ -20,15 +20,6 @@ type PolicyView struct {
 	Used int64
 	// Tick is the pool's logical clock at snapshot time.
 	Tick int64
-	// NodeUsed is the per-NUMA-node residency gauge at snapshot time: the
-	// arena bytes allocated from each node's shards. One entry on
-	// single-node machines; a lopsided profile on a multi-node box tells a
-	// policy (or an operator reading the node stats) which node's memory
-	// the pressure is on.
-	NodeUsed []int64
-	// CrossNodeSteals is the pool-lifetime count of allocations that had
-	// to cross the interconnect because their home node was exhausted.
-	CrossNodeSteals int64
 	// Sets holds one snapshot per live locality set.
 	Sets []*SetSnapshot
 
@@ -44,8 +35,6 @@ type SetSnapshot struct {
 	Attrs Attributes
 	// PageSize is the fixed page size shared by the set's pages.
 	PageSize int64
-	// HomeNode is the NUMA node of the set's home allocator shard.
-	HomeNode int
 	// LastAccess is the set-level AccessRecency tick.
 	LastAccess int64
 	// Resident is the number of pages cached at snapshot time.
@@ -207,13 +196,11 @@ func (bp *BufferPool) snapshot() *PolicyView {
 	bp.regMu.RUnlock()
 
 	view := &PolicyView{
-		Capacity:        bp.cfg.Memory,
-		Used:            bp.alloc.Used(),
-		Tick:            bp.tick.Load(),
-		NodeUsed:        bp.alloc.NodeUsed(),
-		CrossNodeSteals: bp.stats.CrossNodeSteals.Load(),
-		horizon:         bp.cfg.Horizon,
-		profile:         bp.cfg.Profile,
+		Capacity: bp.cfg.Memory,
+		Used:     bp.alloc.Used(),
+		Tick:     bp.tick.Load(),
+		horizon:  bp.cfg.Horizon,
+		profile:  bp.cfg.Profile,
 	}
 	// Entitlements: one weight sum over the listed sets (weights are
 	// immutable, so a set dropped between here and its lock below only
@@ -232,7 +219,6 @@ func (bp *BufferPool) snapshot() *PolicyView {
 			Name:          s.name,
 			Attrs:         s.attrs,
 			PageSize:      s.pageSize,
-			HomeNode:      s.homeNode,
 			LastAccess:    s.lastAccess,
 			Resident:      len(s.resident),
 			ResidentBytes: s.residentBytes.Load(),

@@ -10,7 +10,6 @@ import (
 	"pangea/internal/disk"
 	"pangea/internal/locking"
 	"pangea/internal/memory"
-	"pangea/internal/numa"
 	"pangea/internal/pfs"
 )
 
@@ -67,14 +66,6 @@ type PoolConfig struct {
 	// 1 restores the seed's single shared allocator; negative is rejected.
 	// The effective count is AllocatorShards.
 	AllocShards int
-	// Topology is the machine's NUMA topology. Allocator shards are
-	// partitioned across its nodes, each shard's arena region is bound to
-	// its node (mmap-backed arenas on real multi-socket hardware), and a
-	// locality set's home shard is chosen on the node of the worker that
-	// creates it. nil selects numa.Discover(); single-node machines keep
-	// the exact pre-NUMA behaviour. Tests and experiments pass a
-	// numa.NewFake shape to exercise the cross-node paths on any machine.
-	Topology numa.Topology
 	// ReadAhead is the automatic prefetch window in pages for sets with a
 	// declared sequential reading pattern: as a scan's cursor advances
 	// (services.PageIterators) it schedules asynchronous reads of the next
@@ -99,12 +90,6 @@ type PoolStats struct {
 	// the gauge can be non-zero with the daemon goroutine at rest; it is
 	// zero once every submitted write has completed.
 	SpillsInFlight atomic.Int64
-	// CrossNodeSteals counts allocations that crossed the NUMA
-	// interconnect: page frames served by an allocator shard on a
-	// different node than the home shard's, after the home node was
-	// exhausted. Bumped by the allocator itself; stays zero on single-node
-	// topologies.
-	CrossNodeSteals atomic.Int64
 	// PrefetchesIssued counts speculative page reads handed to the
 	// per-drive read queues. PrefetchHits counts prefetched frames a Pin
 	// later referenced (the speculation paid off); PrefetchWasted counts
@@ -155,7 +140,6 @@ var ErrNoEvictable = errors.New("core: buffer pool exhausted and nothing evictab
 // broadcast channel instead of polling.
 type BufferPool struct {
 	cfg   PoolConfig
-	topo  numa.Topology
 	arena *memory.Arena
 	alloc *memory.ShardedTLSF
 	array *disk.Array
@@ -175,7 +159,12 @@ type BufferPool struct {
 	// read-ahead disabled). Immutable after NewPool.
 	readAhead int
 
+	// tick is written by every page access on every core. The pads give it
+	// a cache line of its own, so a pin on one core does not take the
+	// read-mostly fields beside it (evictor, readAhead) from the others.
+	_    [64]byte
 	tick atomic.Int64
+	_    [64]byte
 	peak atomic.Int64
 
 	// loadStarved is the speculative-reclaim budget, in bytes: how much
@@ -228,14 +217,9 @@ func NewPool(cfg PoolConfig) (*BufferPool, error) {
 	if cfg.HighWater < cfg.LowWater {
 		cfg.HighWater = cfg.LowWater
 	}
-	topo := cfg.Topology
-	if topo == nil {
-		topo = numa.Discover()
-	}
-	arena := memory.NewNUMAArena(cfg.Memory, topo)
+	arena := memory.NewArena(cfg.Memory)
 	bp := &BufferPool{
 		cfg:      cfg,
-		topo:     topo,
 		arena:    arena,
 		array:    cfg.Array,
 		sets:     make(map[SetID]*LocalitySet),
@@ -252,7 +236,7 @@ func NewPool(cfg PoolConfig) (*BufferPool, error) {
 	if bp.readAhead < 0 {
 		bp.readAhead = 0
 	}
-	bp.alloc = memory.NewShardedTLSFNUMA(arena, cfg.AllocShards, topo, &bp.stats.CrossNodeSteals)
+	bp.alloc = memory.NewShardedTLSF(arena, cfg.AllocShards)
 	bp.evictor = newEvictor(bp)
 	bp.spill = newSpillPipeline(bp, cfg.Array)
 	bp.load = newLoadPipeline(bp, cfg.Array)
@@ -390,12 +374,6 @@ func (bp *BufferPool) CreateSet(spec SetSpec) (*LocalitySet, error) {
 		bp.regMu.Unlock()
 		return nil, err
 	}
-	// Node-affine home: the set's page memory prefers a shard local to the
-	// NUMA node of the worker creating the set — the paper's locality-set
-	// model extended down to the DRAM the pages land in. CurrentNode is a
-	// hint (the goroutine can migrate), but locality sets are overwhelmingly
-	// created and consumed by the same worker, so it is the right prior.
-	home := bp.alloc.HomeShardOn(bp.topo.CurrentNode(), int(id))
 	s := &LocalitySet{
 		pool:     bp,
 		id:       id,
@@ -403,8 +381,7 @@ func (bp *BufferPool) CreateSet(spec SetSpec) (*LocalitySet, error) {
 		pageSize: spec.PageSize,
 		layout:   spec.Layout,
 		columns:  append([]int(nil), spec.Columns...),
-		home:     home,
-		homeNode: bp.alloc.NodeOfShard(home),
+		home:     bp.alloc.HomeShard(int(id)),
 		quota:    spec.MemoryQuota,
 		weight:   spec.Weight,
 		attrs:    Attributes{Durability: spec.Durability, Pinned: spec.Pinned},
@@ -509,18 +486,6 @@ func (bp *BufferPool) Capacity() int64 { return bp.cfg.Memory }
 
 // AllocatorShards reports how many TLSF shards the arena was split into.
 func (bp *BufferPool) AllocatorShards() int { return bp.alloc.Shards() }
-
-// NUMANodes reports how many NUMA nodes the allocator shards are
-// partitioned over (1 on single-node machines).
-func (bp *BufferPool) NUMANodes() int { return bp.alloc.NumNodes() }
-
-// NodeUsedBytes returns the arena bytes currently allocated per NUMA node;
-// the per-node residency gauges that PolicyView and the cluster's node
-// stats expose.
-func (bp *BufferPool) NodeUsedBytes() []int64 { return bp.alloc.NodeUsed() }
-
-// Topology returns the topology the pool was built over.
-func (bp *BufferPool) Topology() numa.Topology { return bp.topo }
 
 // UsedBytes returns the bytes currently allocated from the arena.
 func (bp *BufferPool) UsedBytes() int64 { return bp.alloc.Used() }
@@ -687,8 +652,8 @@ func (bp *BufferPool) allocMem(s *LocalitySet, size int64) (int64, error) {
 }
 
 // tryAllocMem is allocMem's non-blocking sibling for speculative loads: one
-// affinity attempt (so prefetched frames land on the set's home NUMA node,
-// like demand frames) with the same charge-at-carve admission accounting,
+// affinity attempt (so prefetched frames land on the set's home shard, like
+// demand frames) with the same charge-at-carve admission accounting,
 // but it never enlists the eviction daemon's waiter machinery — a prefetch
 // that cannot get memory is skipped, not paid for with synchronous reclaim
 // (the caller records the refusal as starved-budget pressure instead; see

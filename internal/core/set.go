@@ -33,7 +33,6 @@ type LocalitySet struct {
 	layout   PageLayout // page layout; immutable after CreateSet
 	columns  []int      // columnar column widths; immutable after CreateSet
 	home     int        // home allocator shard; page memory prefers this shard
-	homeNode int        // NUMA node of the home shard (the creating worker's)
 	quota    int64      // admission control: resident-byte cap, 0 = unlimited
 	weight   float64    // fair-share weight, 0 = unweighted
 
@@ -117,12 +116,6 @@ func (s *LocalitySet) Layout() PageLayout { return s.layout }
 // ColumnWidths returns the fixed byte width of each column for columnar
 // sets (nil for row layout). The slice is shared and must not be mutated.
 func (s *LocalitySet) ColumnWidths() []int { return s.columns }
-
-// HomeNode returns the NUMA node of the set's home allocator shard — the
-// node of the worker that created the set, when that node owns shards. The
-// set's page memory is node-local to it unless the node was exhausted at
-// allocation time.
-func (s *LocalitySet) HomeNode() int { return s.homeNode }
 
 // Attrs returns a snapshot of the set's attribute tags.
 func (s *LocalitySet) Attrs() Attributes {

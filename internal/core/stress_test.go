@@ -310,9 +310,11 @@ func TestPoolAllocatorShardStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = arr.RemoveAll() })
-	// 8 MiB arena: sharded when the machine has multiple cores (1 MiB
-	// minimum shard size), so workers exercise home routing and stealing.
-	bp, err := NewPool(PoolConfig{Memory: 8 << 20, Array: arr})
+	// 8 MiB arena in four 2 MiB shards whatever the core count, so workers
+	// route to different home shards and the checker walks all four. (At
+	// this size no shard fills; TestShuffleMixLeavesWholePoolToSurvivor is
+	// the pool-level test that steals.)
+	bp, err := NewPool(PoolConfig{Memory: 8 << 20, Array: arr, AllocShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,6 @@ var Registry = []struct {
 	{"s5b", S5AllocShards, "parallel page alloc/free throughput: 1 TLSF shard vs one per core"},
 	{"s6", S6SpillThroughput, "spill throughput vs drive count: per-drive write-back pipeline"},
 	{"s7", S7Fairness, "multi-tenant fairness: per-set admission control vs an aggressive hot set"},
-	{"s8", S8Locality, "NUMA shard placement: node-affine vs interleaved allocation, real and fake topologies"},
 	{"s9", S9Prefetch, "async prefetching read path: cold sequential/looping scans vs drive count, read-ahead on/off"},
 	{"s10", S10Columnar, "columnar page layout: selective scan-filter-agg, batch kernels vs row decode, warm and cold"},
 	{"s11", S11ZoneMap, "zone-map page skipping: selective scans with maps on/off, warm and cold, 1 and 4 drives"},

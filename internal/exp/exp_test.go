@@ -268,63 +268,6 @@ func TestS7FairnessProtectsPolite(t *testing.T) {
 	}
 }
 
-// TestS8LocalityShape: on the fake multi-node topologies, node-affine
-// placement must be fully node-local with zero interconnect crossings,
-// the interleaved baseline must push a large share of allocations remote,
-// and the hot-node overflow must be served by crossing the interconnect
-// rather than failing.
-func TestS8LocalityShape(t *testing.T) {
-	tab, err := S8Locality(quickOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := func(row []string) float64 {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "%"), 64)
-		if err != nil {
-			t.Fatalf("remote cell %q not numeric", row[3])
-		}
-		return v
-	}
-	steals := func(row []string) int {
-		v, err := strconv.Atoi(row[4])
-		if err != nil {
-			t.Fatalf("steals cell %q not numeric", row[4])
-		}
-		return v
-	}
-	rows := map[string][]string{}
-	for _, row := range tab.Rows {
-		rows[row[0]+"/"+row[1]] = row
-	}
-	for _, shape := range []string{"fake-2", "fake-4"} {
-		affine := rows[shape+"/node-affine"]
-		if affine == nil {
-			t.Fatalf("missing %s node-affine row in %v", shape, tab.Rows)
-		}
-		if remote(affine) != 0 || steals(affine) != 0 {
-			t.Errorf("%s node-affine: remote %.1f%%, steals %d — want fully node-local", shape, remote(affine), steals(affine))
-		}
-		inter := rows[shape+"/interleaved"]
-		if got := remote(inter); got < 30 {
-			t.Errorf("%s interleaved: remote %.1f%%, want the baseline to scatter pages off-node", shape, got)
-		}
-		hot := rows[shape+"/affine-hot-node"]
-		if steals(hot) == 0 {
-			t.Errorf("%s affine-hot-node: no cross-node steals — overflowing node 0 never crossed the interconnect", shape)
-		}
-	}
-	// The real-topology rows must exist and run green whatever the machine.
-	found := false
-	for key := range rows {
-		if strings.HasPrefix(key, "real") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no real-topology rows in %v", tab.Rows)
-	}
-}
-
 // TestS10ColumnarBeatsRowWhenSelective: the warm sweep's batch pipeline
 // must beat the row decode at the selective end — that is the layout's
 // reason to exist. The margin is asserted loosely (quick sizes on shared CI

@@ -6,20 +6,14 @@
 // allocation for one hash partition to the memory of its host page (§8).
 package memory
 
-import (
-	"fmt"
-	"runtime"
-
-	"pangea/internal/numa"
-)
+import "fmt"
 
 // Arena is a contiguous region of bytes from which page memory is allocated.
 // It models the shared-memory buffer pool: allocators hand out offsets, and
 // both the "storage process" and "computation process" sides of Pangea view
 // pages as slices of the same arena.
 type Arena struct {
-	buf    []byte
-	mapped bool // anonymous mmap, placed per-node at first touch
+	buf []byte
 }
 
 // NewArena allocates an arena of the given size in bytes.
@@ -29,39 +23,6 @@ func NewArena(size int64) *Arena {
 	}
 	return &Arena{buf: make([]byte, size)}
 }
-
-// NewMmapArena allocates an arena backed by an anonymous private mmap — the
-// paper's shared-memory region (§5) for real this time — so that its
-// physical pages are placed at first touch and per-shard regions can be
-// bound to NUMA nodes. Falls back to an ordinary heap arena when mmap is
-// unavailable (non-Linux, or a failed map). The mapping is unmapped by a
-// finalizer when the Arena is collected, so slices of a mapped arena are
-// valid only while the Arena itself is reachable.
-func NewMmapArena(size int64) *Arena {
-	if size <= 0 {
-		panic(fmt.Sprintf("memory: non-positive arena size %d", size))
-	}
-	if buf, ok := mmapBytes(size); ok {
-		a := &Arena{buf: buf, mapped: true}
-		runtime.SetFinalizer(a, finalizeMmap)
-		return a
-	}
-	return NewArena(size)
-}
-
-// NewNUMAArena picks the arena backing for a topology: a real multi-node
-// machine gets the mmap-backed variant (so shard regions can be mbind-ed to
-// their nodes), everything else — single-node boxes, synthetic test
-// topologies — keeps the seed's plain heap arena.
-func NewNUMAArena(size int64, topo numa.Topology) *Arena {
-	if topo != nil && topo.Physical() && topo.NumNodes() > 1 {
-		return NewMmapArena(size)
-	}
-	return NewArena(size)
-}
-
-// Mapped reports whether the arena is mmap-backed (bindable to NUMA nodes).
-func (a *Arena) Mapped() bool { return a.mapped }
 
 // Size returns the arena capacity in bytes.
 func (a *Arena) Size() int64 { return int64(len(a.buf)) }

@@ -92,6 +92,108 @@ func TestShardedSteal(t *testing.T) {
 	}
 }
 
+// TestShardedStealRingOrder: the steal walks one ring from the home shard,
+// and ErrOutOfMemory comes only once every shard has been tried. 4 shards,
+// all traffic homed on shard 1.
+//
+// "order" exhausts shards one allocation at a time, each sized to fill a
+// whole shard: they land in shards 1, 2, 3, 0, and a 5th fails. A region
+// freed off the home shard then serves the next home-routed allocation.
+//
+// "sweep" fills the arena with 64 KiB blocks: every shard holds some at OOM,
+// and two adjacent blocks freed off the home shard serve the next
+// home-routed allocation.
+func TestShardedStealRingOrder(t *testing.T) {
+	const shards, home = 4, 1
+	t.Run("order", func(t *testing.T) {
+		s := NewShardedTLSF(NewArena(4<<20), shards)
+		big := s.MaxAlloc() // one block fills one shard
+		var offs []int64
+		for i, want := range []int{1, 2, 3, 0} {
+			off, err := s.AllocAffinity(big, home)
+			if err != nil {
+				t.Fatalf("alloc %d: %v", i, err)
+			}
+			if got := s.ShardOf(off); got != want {
+				t.Errorf("alloc %d landed in shard %d, want %d (ring order from home 1)", i, got, want)
+			}
+			offs = append(offs, off)
+		}
+		if _, err := s.AllocAffinity(big, home); !errors.Is(err, ErrOutOfMemory) {
+			t.Fatalf("5th shard-filling alloc: err = %v, want ErrOutOfMemory", err)
+		}
+		s.Free(offs[2])
+		off, err := s.AllocAffinity(big, home)
+		if err != nil {
+			t.Fatalf("alloc after freeing shard %d: %v (every shard must be tried before OOM)", s.ShardOf(offs[2]), err)
+		}
+		if got, want := s.ShardOf(off), s.ShardOf(offs[2]); got != want {
+			t.Errorf("refill landed in shard %d, want the freed shard %d", got, want)
+		}
+		offs[2] = off
+		for _, off := range offs {
+			s.Free(off)
+		}
+		if err := checkQuiesced(s, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("sweep", func(t *testing.T) {
+		s := NewShardedTLSF(NewArena(4<<20), shards)
+		var offs []int64
+		perShard := make([]int64, s.Shards())
+		for {
+			off, err := s.AllocAffinity(64<<10, home)
+			if errors.Is(err, ErrOutOfMemory) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs = append(offs, off)
+			perShard[s.ShardOf(off)]++
+		}
+		if len(offs) < 48 {
+			t.Fatalf("only %d×64KiB allocated from a 4 MiB arena; stealing failed", len(offs))
+		}
+		for i, n := range perShard {
+			if n == 0 {
+				t.Errorf("shard %d holds no block at OOM; the sweep skipped it", i)
+			}
+		}
+		// Two adjacent blocks off the home shard coalesce into one region a
+		// 64 KiB request is sure to find despite TLSF's class round-up.
+		other := -1
+		for i, off := range offs {
+			if s.ShardOf(off) != home && i+1 < len(offs) && s.ShardOf(offs[i+1]) == s.ShardOf(off) {
+				other = i
+				break
+			}
+		}
+		if other < 0 {
+			t.Fatal("no adjacent allocations landed off the home shard")
+		}
+		freed := s.ShardOf(offs[other])
+		s.Free(offs[other])
+		s.Free(offs[other+1])
+		offs = append(offs[:other], offs[other+2:]...)
+		off, err := s.AllocAffinity(64<<10, home)
+		if err != nil {
+			t.Fatalf("alloc after freeing in shard %d: %v (every shard must be tried before OOM)", freed, err)
+		}
+		if got := s.ShardOf(off); got != freed {
+			t.Errorf("refill landed in shard %d, want the freed shard %d", got, freed)
+		}
+		offs = append(offs, off)
+		for _, off := range offs {
+			s.Free(off)
+		}
+		if err := checkQuiesced(s, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestShardedFreedSmallBlocksServeMaxAlloc: freed blocks coalesce in their
 // shard at once, so after a shard was filled with small blocks and emptied
 // again, the largest request the allocator promises succeeds on the first
@@ -150,6 +252,15 @@ func TestShardedMaxAllocSatisfiable(t *testing.T) {
 	}
 }
 
+func TestNegativeShardCountPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewShardedTLSF(-1 shards) must panic")
+		}
+	}()
+	NewShardedTLSF(NewArena(1<<20), -1)
+}
+
 func TestShardedDoubleFreePanics(t *testing.T) {
 	s := NewShardedTLSF(NewArena(8<<20), 2)
 	off, err := s.AllocAffinity(4096, 0)
@@ -166,21 +277,17 @@ func TestShardedDoubleFreePanics(t *testing.T) {
 }
 
 // checkQuiesced verifies, with no allocation traffic running, that the
-// allocator's three views of "bytes handed out" are one number — the
-// aggregate gauge, the per-node gauges and what the shards' TLSFs themselves
-// count — and, when the caller has freed everything, that every shard has
+// allocator's two views of "bytes handed out" are one number — the aggregate
+// gauge and what the shards' TLSFs themselves count — and, when the caller has freed everything, that every shard has
 // coalesced back into a single free block spanning it: no freed byte is held
 // anywhere but in a TLSF free list.
 func checkQuiesced(s *ShardedTLSF, allFreed bool) error {
-	var tlsfUsed, nodeUsed int64
+	var tlsfUsed int64
 	for _, sh := range s.shards {
 		tlsfUsed += sh.tlsf.Used()
 	}
-	for _, u := range s.NodeUsed() {
-		nodeUsed += u
-	}
-	if s.Used() != tlsfUsed || s.Used() != nodeUsed {
-		return fmt.Errorf("Used() = %d, shard TLSFs hold %d, NodeUsed sums to %d", s.Used(), tlsfUsed, nodeUsed)
+	if s.Used() != tlsfUsed {
+		return fmt.Errorf("Used() = %d, shard TLSFs hold %d", s.Used(), tlsfUsed)
 	}
 	if !allFreed {
 		return nil
