@@ -61,8 +61,8 @@ func TestMalformedRunRefusedWhole(t *testing.T) {
 			t.Errorf("a run with %s: err = %v, want a refusal that names offset 19", name, err)
 		}
 	}
-	if after, err := cl.SetStats(addr, "s"); err != nil || after.NumPages != before.NumPages {
-		t.Errorf("after the refused runs: %d pages (err %v), want the %d before them", after.NumPages, err, before.NumPages)
+	if after, err := cl.SetStats(addr, "s"); err != nil || after["NumPages"] != before["NumPages"] {
+		t.Errorf("after the refused runs: %d pages (err %v), want the %d before them", after["NumPages"], err, before["NumPages"])
 	}
 	if got := fetchAll(t, cl, addr, "s"); fmt.Sprint(got) != "[first second]" {
 		t.Errorf("after the refused runs the set holds %q, want only what was there before", got)

@@ -109,9 +109,7 @@ func (cl *Client) CreateSetSpec(spec core.SetSpec) error {
 		return err
 	}
 	for i, a := range addrs {
-		_, err := call[any](a, cl.auth, CreateSetReq{Name: spec.Name, PageSize: spec.PageSize,
-			Durability: uint8(spec.Durability), MemoryQuota: spec.MemoryQuota, Weight: spec.Weight,
-			Layout: uint8(spec.Layout), Columns: spec.Columns})
+		_, err := call[any](a, cl.auth, CreateSetReq{Spec: spec})
 		if err != nil {
 			for _, made := range addrs[:i] {
 				_ = cl.DropSet(made, spec.Name) // report why the create failed, not the clean-up
@@ -124,7 +122,8 @@ func (cl *Client) CreateSetSpec(spec core.SetSpec) error {
 
 // CreateSetOn creates a locality set on one worker only.
 func (cl *Client) CreateSetOn(addr, name string, pageSize int64, durability uint8) error {
-	_, err := call[any](addr, cl.auth, CreateSetReq{Name: name, PageSize: pageSize, Durability: durability})
+	_, err := call[any](addr, cl.auth, CreateSetReq{Spec: core.SetSpec{Name: name, PageSize: pageSize,
+		Durability: core.DurabilityType(durability)}})
 	return err
 }
 
@@ -164,15 +163,19 @@ func (cl *Client) DropSet(addr, set string) error {
 	return err
 }
 
-// SetStats queries one worker's statistics for a set.
-func (cl *Client) SetStats(addr, set string) (SetStatsResp, error) {
-	return call[SetStatsResp](addr, cl.auth, SetStatsReq{Set: set})
+// SetStats returns one worker's snapshot of a set: every core.SetStats
+// counter by its field name, plus the set's page and byte gauges (see
+// core.LocalitySet.Snapshot). It fails if the worker has no such set.
+func (cl *Client) SetStats(addr, set string) (Stats, error) {
+	return call[Stats](addr, cl.auth, SetStatsReq{Set: set})
 }
 
-// NodeStats queries one worker's pool-wide gauges: its allocator shard
-// count, prefetch and load counters, and page-skipping totals.
-func (cl *Client) NodeStats(addr string) (NodeStatsResp, error) {
-	return call[NodeStatsResp](addr, cl.auth, NodeStatsReq{})
+// NodeStats returns one worker's pool-wide snapshot: every core.PoolStats
+// counter, every core.SetStats counter summed over the pool's sets (dropped
+// ones included), and the allocator's shard count (see
+// core.BufferPool.Snapshot).
+func (cl *Client) NodeStats(addr string) (Stats, error) {
+	return call[Stats](addr, cl.auth, NodeStatsReq{})
 }
 
 // RegisterReplica records target as a replica of source in the statistics

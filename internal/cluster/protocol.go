@@ -16,6 +16,8 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
+
+	"pangea/internal/core"
 )
 
 // Messages. A message says only what is particular to it: the cluster key
@@ -40,22 +42,9 @@ type ListWorkersResp struct {
 	Addrs []string
 }
 
-// CreateSetReq creates a locality set on one worker.
+// CreateSetReq creates a locality set on one worker from the whole spec.
 type CreateSetReq struct {
-	Name       string
-	PageSize   int64
-	Durability uint8 // core.DurabilityType
-	// MemoryQuota and Weight are the set's admission-control fields: a
-	// hard resident-byte cap and a fair-share weight (see core.SetSpec).
-	// Zero values leave the set unconstrained, so old clients keep the
-	// pre-admission behaviour.
-	MemoryQuota int64
-	Weight      float64
-	// Layout selects the page layout (core.PageLayout); Columns carries
-	// the per-column byte widths for columnar sets. Zero values keep the
-	// row layout, so old clients are unaffected.
-	Layout  uint8
-	Columns []int
+	Spec core.SetSpec
 }
 
 // AddRecordsReq appends a batch of records to a set through the worker's
@@ -119,55 +108,18 @@ type DropSetReq struct {
 	Set string
 }
 
-// SetStatsReq asks a worker for a set's page counts.
+// SetStatsReq asks a worker for one set's Stats (core.LocalitySet.Snapshot).
 type SetStatsReq struct {
 	Set string
 }
 
-// SetStatsResp reports one worker's view of a set, including the
-// admission-control gauges (resident footprint vs entitlement) and the
-// set's I/O attribution: dirty pages spilled by eviction and pages read
-// back from disk (demand misses plus prefetches).
-type SetStatsResp struct {
-	NumPages      int64
-	Resident      int
-	ResidentBytes int64
-	Entitlement   int64
-	DiskBytes     int64
-	SpillWrites   int64
-	LoadReads     int64
-	// ZoneMapChecks and ZoneMapSkips are the set's page-skipping gauges:
-	// pages predicate scans evaluated against the set's zone map, and the
-	// subset pruned without any pin or read.
-	ZoneMapChecks int64
-	ZoneMapSkips  int64
-	// IndexChecks and IndexHits are the microindex gauges: pages point
-	// lookups evaluated through the set's microindex, and the candidates
-	// the postings kept.
-	IndexChecks int64
-	IndexHits   int64
-}
-
-// NodeStatsReq asks a worker for its buffer pool's pool-wide gauges.
+// NodeStatsReq asks a worker for its pool's Stats (core.BufferPool.Snapshot).
 type NodeStatsReq struct{}
 
-// NodeStatsResp reports one worker's pool-wide view: how many allocator
-// shards its arena is split into, and the buffer pool's read-path counters
-// (issued / hit / wasted speculative reads, plus loads currently in flight).
-type NodeStatsResp struct {
-	Shards           int
-	PrefetchesIssued int64
-	PrefetchHits     int64
-	PrefetchWasted   int64
-	LoadsInFlight    int64
-	// ZoneMapChecks and ZoneMapSkips aggregate the page-skipping gauges
-	// over every set in the worker's pool; IndexChecks and IndexHits do
-	// the same for the microindex gauges.
-	ZoneMapChecks int64
-	ZoneMapSkips  int64
-	IndexChecks   int64
-	IndexHits     int64
-}
+// Stats is a worker's reply to SetStatsReq and NodeStatsReq: every counter
+// and gauge of the snapshot it asked for, by name, as the worker's core
+// reported it.
+type Stats map[string]int64
 
 // RegisterReplicaReq records replica metadata in the manager's statistics
 // database (§7): target set is a replica of source set under scheme.
@@ -213,9 +165,8 @@ func init() {
 	gob.Register(UnpinPageReq{})
 	gob.Register(DropSetReq{})
 	gob.Register(SetStatsReq{})
-	gob.Register(SetStatsResp{})
 	gob.Register(NodeStatsReq{})
-	gob.Register(NodeStatsResp{})
+	gob.Register(Stats{})
 	gob.Register(RegisterReplicaReq{})
 	gob.Register(GetReplicasReq{})
 	gob.Register(GetReplicasResp{})

@@ -262,8 +262,8 @@ func TestPageWriterRejectsBadRecordSizes(t *testing.T) {
 			}
 		})
 	}
-	if st, err := cl.SetStats(w.Addr(), "out"); err != nil || st.NumPages != 0 {
-		t.Errorf("after the refused records: %d pages, err %v, want the set not grown", st.NumPages, err)
+	if st, err := cl.SetStats(w.Addr(), "out"); err != nil || st["NumPages"] != 0 {
+		t.Errorf("after the refused records: %d pages, err %v, want the set not grown", st["NumPages"], err)
 	}
 	if err := pw.Add([]byte("fits")); err != nil {
 		t.Errorf("a good record after the refused ones: %v", err)

@@ -98,7 +98,8 @@ func (w *Worker) Pool() *core.BufferPool { return w.pool }
 func (w *Worker) handle(c *conn, msg any) (any, error) {
 	switch req := msg.(type) {
 	case CreateSetReq:
-		return nil, w.createSet(req)
+		_, err := w.pool.CreateSet(req.Spec)
+		return nil, err
 	case AddRecordsReq:
 		return nil, w.addRecords(req)
 	case FetchSetReq:
@@ -114,7 +115,7 @@ func (w *Worker) handle(c *conn, msg any) (any, error) {
 	case SetStatsReq:
 		return w.setStats(req)
 	case NodeStatsReq:
-		return w.nodeStats(), nil
+		return Stats(w.pool.Snapshot()), nil
 	}
 	return nil, fmt.Errorf("worker: unexpected message %T", msg)
 }
@@ -126,19 +127,6 @@ func (w *Worker) set(name string) (*core.LocalitySet, error) {
 		return nil, fmt.Errorf("cluster: no set %q on worker %s", name, w.Addr())
 	}
 	return set, nil
-}
-
-func (w *Worker) createSet(req CreateSetReq) error {
-	_, err := w.pool.CreateSet(core.SetSpec{
-		Name:        req.Name,
-		PageSize:    req.PageSize,
-		Durability:  core.DurabilityType(req.Durability),
-		MemoryQuota: req.MemoryQuota,
-		Weight:      req.Weight,
-		Layout:      core.PageLayout(req.Layout),
-		Columns:     req.Columns,
-	})
-	return err
 }
 
 // writerFor returns the set's server-side sequential writer, creating it on
@@ -352,32 +340,5 @@ func (w *Worker) setStats(req SetStatsReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SetStatsResp{
-		NumPages:      set.NumPages(),
-		Resident:      set.ResidentPages(),
-		ResidentBytes: set.ResidentBytes(),
-		Entitlement:   set.Entitlement(),
-		DiskBytes:     set.DiskBytes(),
-		SpillWrites:   set.SpillWrites(),
-		LoadReads:     set.LoadReads(),
-		ZoneMapChecks: set.ZoneMapChecks(),
-		ZoneMapSkips:  set.ZoneMapSkips(),
-		IndexChecks:   set.IndexChecks(),
-		IndexHits:     set.IndexHits(),
-	}, nil
-}
-
-func (w *Worker) nodeStats() NodeStatsResp {
-	stats := w.pool.Stats()
-	return NodeStatsResp{
-		Shards:           w.pool.AllocatorShards(),
-		PrefetchesIssued: stats.PrefetchesIssued.Load(),
-		PrefetchHits:     stats.PrefetchHits.Load(),
-		PrefetchWasted:   stats.PrefetchWasted.Load(),
-		LoadsInFlight:    stats.LoadsInFlight.Load(),
-		ZoneMapChecks:    stats.ZoneMapChecks.Load(),
-		ZoneMapSkips:     stats.ZoneMapSkips.Load(),
-		IndexChecks:      stats.IndexChecks.Load(),
-		IndexHits:        stats.IndexHits.Load(),
-	}
+	return Stats(set.Snapshot()), nil
 }

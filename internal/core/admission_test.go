@@ -194,10 +194,10 @@ func TestOverQuotaSelfEvictsBeforeCrossSetSteal(t *testing.T) {
 			t.Fatalf("after %d aggressor pages the polite set holds %d resident pages, want %d: cross-set steal before self-eviction", i+1, got, politePages)
 		}
 	}
-	if polite.SpillWrites() != 0 {
-		t.Errorf("polite set absorbed %d spill writes, want 0", polite.SpillWrites())
+	if polite.Stats().SpillWrites.Load() != 0 {
+		t.Errorf("polite set absorbed %d spill writes, want 0", polite.Stats().SpillWrites.Load())
 	}
-	if aggr.SpillWrites() == 0 {
+	if aggr.Stats().SpillWrites.Load() == 0 {
 		t.Error("aggressor streamed 60 dirty pages through an 8-page quota without spilling")
 	}
 	checkResidencyGauges(t, []*LocalitySet{polite, aggr})

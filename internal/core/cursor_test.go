@@ -78,7 +78,7 @@ func TestCursorNeverSpeculatesOffItsList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.LoadReads(); got != int64(len(list)) {
+	if got := s.Stats().LoadReads.Load(); got != int64(len(list)) {
 		t.Errorf("LoadReads = %d, want %d: a page off the scan's list reached a drive", got, len(list))
 	}
 	if got := s.ResidentPages(); got != len(list) {
@@ -120,7 +120,7 @@ func TestConcurrentPrunedScansKeepTheirOwnPages(t *testing.T) {
 		}
 	}
 	want := int64(len(lists[0]) + len(lists[1]))
-	if got := s.LoadReads(); got != want {
+	if got := s.Stats().LoadReads.Load(); got != want {
 		t.Errorf("LoadReads = %d, want %d: the scans read outside their own lists", got, want)
 	}
 	if got := int64(s.ResidentPages()); got != want {

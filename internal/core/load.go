@@ -217,7 +217,7 @@ func (s *LocalitySet) finishLoad(num int64, op *loadOp, off int64, readErr error
 		}
 		return nil, fmt.Errorf("core: set %q is dropped", s.name)
 	}
-	s.loads.Add(1)
+	s.stats.LoadReads.Add(1)
 	tick := bp.nextTick()
 	p := &Page{set: s, num: num, off: off, size: s.pageSize, lastRef: tick}
 	if prefetch {

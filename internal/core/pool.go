@@ -78,50 +78,6 @@ type PoolConfig struct {
 	ReadAhead int
 }
 
-// PoolStats counts buffer pool activity.
-type PoolStats struct {
-	Evictions   atomic.Int64 // pages evicted
-	Spills      atomic.Int64 // dirty pages written back on eviction
-	Loads       atomic.Int64 // pages read from disk on pin miss
-	FlushWrites atomic.Int64 // write-through flushes at unpin time
-	// SpillsInFlight is the number of victim write-backs currently queued
-	// on or executing in the per-drive spill writers. The daemon does not
-	// wait for them — each write's completion releases its own frame — so
-	// the gauge can be non-zero with the daemon goroutine at rest; it is
-	// zero once every submitted write has completed.
-	SpillsInFlight atomic.Int64
-	// PrefetchesIssued counts speculative page reads handed to the
-	// per-drive read queues. PrefetchHits counts prefetched frames a Pin
-	// later referenced (the speculation paid off); PrefetchWasted counts
-	// prefetched frames evicted or dropped before any reference. Issued
-	// reads still in flight — or resident and not yet referenced — are in
-	// neither bucket, so Hits+Wasted ≤ Issued at any instant.
-	PrefetchesIssued atomic.Int64
-	PrefetchHits     atomic.Int64
-	PrefetchWasted   atomic.Int64
-	// LoadsInFlight is the number of page loads — demand misses and
-	// prefetches — currently queued on or executing in the read path.
-	LoadsInFlight atomic.Int64
-	// ZoneMapChecks counts pages a scan evaluated against a set's zone-map
-	// summaries before pinning; ZoneMapSkips counts the subset those checks
-	// pruned — pages a selective scan never pinned, read, or speculated on.
-	// Bumped through LocalitySet.NoteZoneMap by the query layer.
-	ZoneMapChecks atomic.Int64
-	ZoneMapSkips  atomic.Int64
-	// IndexChecks counts pages a point-lookup scan evaluated against a
-	// set's microindex; IndexHits counts the candidate subset the index
-	// kept — checks minus hits is the pages dropped before the zone-map
-	// pass, any pin, or any I/O. Bumped through LocalitySet.NoteMicroindex
-	// by the query layer.
-	IndexChecks atomic.Int64
-	IndexHits   atomic.Int64
-	// SideObjectRebuilds counts persisted side objects (zone maps,
-	// microindexes) that were present but unusable — torn by a crash
-	// mid-write, or undecodable — and were healed by a full-scan rebuild.
-	// Absent side objects (seed sets) rebuild without bumping it.
-	SideObjectRebuilds atomic.Int64
-}
-
 // ErrNoEvictable is returned when an allocation cannot be satisfied because
 // every resident page is pinned or the policy refuses to evict.
 var ErrNoEvictable = errors.New("core: buffer pool exhausted and nothing evictable")
@@ -180,6 +136,9 @@ type BufferPool struct {
 	starvedPages map[PageID]struct{}
 
 	stats PoolStats
+	// dropped sums the counters of the sets DropSet removed; it changes only
+	// under regMu's write lock (foldDropped).
+	dropped SetStats
 }
 
 // NewPool builds a buffer pool over a fresh arena.
@@ -463,6 +422,7 @@ func (bp *BufferPool) DropSet(s *LocalitySet) error {
 	bp.regMu.Lock()
 	delete(bp.sets, s.id)
 	delete(bp.byName, s.name)
+	bp.foldDropped(s)
 	bp.regMu.Unlock()
 	if len(offs) > 0 {
 		bp.evictor.broadcast(nil) // memory reclaimed

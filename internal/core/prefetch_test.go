@@ -120,7 +120,7 @@ func TestPrefetchLoadsAndHits(t *testing.T) {
 	if got := st.Loads.Load(); got != 0 {
 		t.Errorf("demand Loads = %d, want 0 — pins of prefetched frames must not count as misses", got)
 	}
-	if got := s.LoadReads(); got != n {
+	if got := s.Stats().LoadReads.Load(); got != n {
 		t.Errorf("set LoadReads = %d, want %d (prefetch reads count as set reads)", got, n)
 	}
 	if err := bp.DropSet(s); err != nil {

@@ -51,23 +51,8 @@ type LocalitySet struct {
 	// next page would push it over self-evicts for that page instead of
 	// stealing from an under-quota set. Touched only on the blocked path.
 	pendingBytes atomic.Int64
-	// spills counts dirty write-backs of this set's pages, attributed by
-	// the spill pipeline; loads counts pages read back from disk on a pin
-	// miss. The fairness experiment reads both to show which tenant
-	// absorbs the eviction I/O and who is forced to re-read.
-	spills atomic.Int64
-	loads  atomic.Int64
-	// zmChecks counts pages a scan evaluated against this set's zone map;
-	// zmSkips the pages those checks pruned (never pinned or read). Bumped
-	// by NoteZoneMap from the query layer's predicate scans.
-	zmChecks atomic.Int64
-	zmSkips  atomic.Int64
-	// idxChecks counts pages a point-lookup scan evaluated against this
-	// set's microindex; idxHits the candidate pages the index kept — the
-	// rest never reached the zone-map pass, a pin, or a drive. Bumped by
-	// NoteMicroindex from the query layer's predicate scans.
-	idxChecks atomic.Int64
-	idxHits   atomic.Int64
+	// stats is the set's counters (Stats, Snapshot).
+	stats SetStats
 
 	// mu guards everything below, plus the mutable fields of this set's
 	// Pages. Each set has its own lock so Pin/Unpin/NewPage traffic on
@@ -248,55 +233,11 @@ func (s *LocalitySet) Weight() float64 { return s.weight }
 // else the whole arena (an unconstrained set is never over-entitled).
 func (s *LocalitySet) Entitlement() int64 { return s.pool.entitlement(s) }
 
-// SpillWrites returns how many of this set's dirty pages the eviction
-// daemon has written back.
-func (s *LocalitySet) SpillWrites() int64 { return s.spills.Load() }
-
-// LoadReads returns how many of this set's pages were read from disk — on
-// demand pin misses and by the prefetcher alike. For a set that never
-// declared a sequential reading pattern it counts exactly the pages the set
-// once had resident and lost.
-func (s *LocalitySet) LoadReads() int64 { return s.loads.Load() }
-
-// ZoneMapChecks returns how many pages scans evaluated against this set's
-// zone map before pinning.
-func (s *LocalitySet) ZoneMapChecks() int64 { return s.zmChecks.Load() }
-
-// ZoneMapSkips returns how many of those checked pages the zone map pruned —
-// pages a selective scan never pinned, read, or speculated on.
-func (s *LocalitySet) ZoneMapSkips() int64 { return s.zmSkips.Load() }
-
-// NoteZoneMap attributes one scan's zone-map consultation to the set and the
-// pool: checks pages evaluated, skips the subset pruned.
-func (s *LocalitySet) NoteZoneMap(checks, skips int64) {
-	s.zmChecks.Add(checks)
-	s.zmSkips.Add(skips)
-	s.pool.stats.ZoneMapChecks.Add(checks)
-	s.pool.stats.ZoneMapSkips.Add(skips)
-}
-
-// IndexChecks returns how many pages point-lookup scans evaluated against
-// this set's microindex.
-func (s *LocalitySet) IndexChecks() int64 { return s.idxChecks.Load() }
-
-// IndexHits returns how many of those checked pages the microindex kept as
-// candidates — every other page was dropped before the zone-map pass, any
-// pin, or any I/O.
-func (s *LocalitySet) IndexHits() int64 { return s.idxHits.Load() }
-
-// NoteMicroindex attributes one scan's microindex consultation to the set
-// and the pool: checks pages evaluated, hits the candidate subset kept.
-func (s *LocalitySet) NoteMicroindex(checks, hits int64) {
-	s.idxChecks.Add(checks)
-	s.idxHits.Add(hits)
-	s.pool.stats.IndexChecks.Add(checks)
-	s.pool.stats.IndexHits.Add(hits)
-}
-
-// NoteSideObjectRebuild records that one of the set's persisted side
-// objects (zone map, microindex) was present but unusable — torn or
-// undecodable — and was healed by a full-scan rebuild.
-func (s *LocalitySet) NoteSideObjectRebuild() { s.pool.stats.SideObjectRebuilds.Add(1) }
+// ZoneMapChecks, ZoneMapSkips and IndexHits read the set's Stats counters
+// of those names.
+func (s *LocalitySet) ZoneMapChecks() int64 { return s.stats.ZoneMapChecks.Load() }
+func (s *LocalitySet) ZoneMapSkips() int64  { return s.stats.ZoneMapSkips.Load() }
+func (s *LocalitySet) IndexHits() int64     { return s.stats.IndexHits.Load() }
 
 // SetSideIndex attaches an opaque scan-side summary (e.g. the services zone
 // map or microindex) under key — conventionally the summary's pfs

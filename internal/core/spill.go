@@ -57,7 +57,7 @@ func (sp *spillPipeline) submit(s *LocalitySet, p *Page) {
 			// absorbs the eviction I/O. Failed writes count nowhere — the
 			// page stays resident and dirty, so a later retry that lands
 			// will be the one counted.
-			s.spills.Add(1)
+			s.stats.SpillWrites.Add(1)
 		}
 		bp.settle(s, p, err)
 		// The frame is free (or known not to become free) before it stops

@@ -146,7 +146,7 @@ func S7Fairness(o Options) (*Table, error) {
 		}
 		t.AddRow(tag, pct(sumShare/float64(politeOps)), pct(minShare), entitled,
 			ms(p50), ms(p99),
-			fmt.Sprintf("%d", polite.LoadReads()), fmt.Sprintf("%d", aggr.SpillWrites()))
+			fmt.Sprintf("%d", polite.Stats().LoadReads.Load()), fmt.Sprintf("%d", aggr.Stats().SpillWrites.Load()))
 		for _, s := range []*core.LocalitySet{polite, aggr} {
 			if err := bp.DropSet(s); err != nil {
 				return err

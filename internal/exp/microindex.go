@@ -166,7 +166,7 @@ func s12Config(o Options, t *Table, nRows int, pageSize int64, mode string, nLoo
 		case "noprune":
 			hint = query.HintNoPrune
 		}
-		baseReads := set.LoadReads()
+		baseReads := set.Stats().LoadReads.Load()
 		baseChecks, baseSkips := set.ZoneMapChecks(), set.ZoneMapSkips()
 		start := time.Now()
 		for _, i := range probe {
@@ -180,7 +180,7 @@ func s12Config(o Options, t *Table, nRows int, pageSize int64, mode string, nLoo
 			}
 		}
 		elapsed := time.Since(start)
-		reads := set.LoadReads() - baseReads
+		reads := set.Stats().LoadReads.Load() - baseReads
 		v := (set.ZoneMapChecks() - baseChecks) - (set.ZoneMapSkips() - baseSkips)
 		if variant == "noprune" {
 			v = int64(nLookups) * set.NumPages()
@@ -197,7 +197,7 @@ func s12Config(o Options, t *Table, nRows int, pageSize int64, mode string, nLoo
 	// Full-range scans are unregressed: same matched count with and without
 	// the index, and the unanswerable predicate never consults it.
 	if warm {
-		baseIdx := set.IndexChecks()
+		baseIdx := set.Stats().IndexChecks.Load()
 		for _, hint := range []query.ScanHint{query.HintNone, query.HintNoPrune} {
 			var matched int64
 			var mu sync.Mutex
@@ -216,7 +216,7 @@ func s12Config(o Options, t *Table, nRows int, pageSize int64, mode string, nLoo
 				return fmt.Errorf("s12 %s full-range hint %d: matched %d rows, want %d", mode, hint, matched, nRows)
 			}
 		}
-		if set.IndexChecks() != baseIdx {
+		if set.Stats().IndexChecks.Load() != baseIdx {
 			return fmt.Errorf("s12 %s: a full-range scan consulted the microindex", mode)
 		}
 	}

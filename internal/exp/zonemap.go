@@ -147,7 +147,7 @@ func s11Config(o Options, t *Table, rows [][]byte, pageSize int64, mode string, 
 					return err
 				}
 			}
-			baseReads := set.LoadReads()
+			baseReads := set.Stats().LoadReads.Load()
 			baseSkips := set.ZoneMapSkips()
 			start := time.Now()
 			res, err := s11Scan(set, cutoff, maps)
@@ -155,7 +155,7 @@ func s11Config(o Options, t *Table, rows [][]byte, pageSize int64, mode string, 
 				return err
 			}
 			elapsed := time.Since(start)
-			reads := set.LoadReads() - baseReads
+			reads := set.Stats().LoadReads.Load() - baseReads
 			skips := set.ZoneMapSkips() - baseSkips
 
 			wantMatched, wantSum := s11Truth(len(rows), cutoff)

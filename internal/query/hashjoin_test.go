@@ -96,7 +96,7 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 					t.Fatalf("%s build: %v", layout, err)
 				}
 				joinSet, _ := bp.GetSet("tmp-join")
-				if spilled := joinSet.SpillWrites() > 0; spilled != tc.wantSpill {
+				if spilled := joinSet.Stats().SpillWrites.Load() > 0; spilled != tc.wantSpill {
 					t.Errorf("%s: build side spilled=%v (%d pages of %d bytes in a %d-byte pool), want %v",
 						layout, spilled, joinSet.NumPages(), joinSet.PageSize(), tc.pool, tc.wantSpill)
 				}

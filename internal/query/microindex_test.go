@@ -65,12 +65,12 @@ func TestScanSpecIndexPointLookup(t *testing.T) {
 	// Zone-map-only baseline: blooms over ~340 distinct keys per page are
 	// nearly saturated, so most pages survive the probe.
 	zc0, zs0 := set.ZoneMapChecks(), set.ZoneMapSkips()
-	ic0 := set.IndexChecks()
+	ic0 := set.Stats().IndexChecks.Load()
 	if got := count(pred, HintNoIndex); got != 1 {
 		t.Fatalf("zone-map-only point lookup found %d rows, want 1", got)
 	}
 	bloomVisited := (set.ZoneMapChecks() - zc0) - (set.ZoneMapSkips() - zs0)
-	if set.IndexChecks() != ic0 {
+	if set.Stats().IndexChecks.Load() != ic0 {
 		t.Error("HintNoIndex still consulted the microindex")
 	}
 	if set.ZoneMapChecks()-zc0 != npages {
@@ -79,12 +79,12 @@ func TestScanSpecIndexPointLookup(t *testing.T) {
 
 	// Indexed: the candidate list is exactly the one page holding the key;
 	// the zone map then only sees that candidate.
-	ic0, ih0 := set.IndexChecks(), set.IndexHits()
+	ic0, ih0 := set.Stats().IndexChecks.Load(), set.IndexHits()
 	zc0 = set.ZoneMapChecks()
 	if got := count(pred, HintNone); got != 1 {
 		t.Fatalf("indexed point lookup found %d rows, want 1", got)
 	}
-	checks, hits := set.IndexChecks()-ic0, set.IndexHits()-ih0
+	checks, hits := set.Stats().IndexChecks.Load()-ic0, set.IndexHits()-ih0
 	if checks != npages {
 		t.Errorf("index evaluated %d pages, want %d", checks, npages)
 	}
@@ -121,11 +121,11 @@ func TestScanSpecIndexPointLookup(t *testing.T) {
 	// A full-range scan is unregressed: the predicate's shape cannot be
 	// answered by postings, so the index is never consulted and every row
 	// still arrives.
-	ic0 = set.IndexChecks()
+	ic0 = set.Stats().IndexChecks.Load()
 	if got := count(ColRange{Col: 0, Lo: 0, Hi: 1 << 40}, HintNone); got != n {
 		t.Errorf("full-range scan found %d rows, want %d", got, n)
 	}
-	if set.IndexChecks() != ic0 {
+	if set.Stats().IndexChecks.Load() != ic0 {
 		t.Error("full-range scan consulted the microindex")
 	}
 }
@@ -211,7 +211,7 @@ func TestScanSpecIgnoresStaleIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := ColEq{Col: 1, V: uint64(rowGroup(rows[3999]))} // key only in the new pages
-	ic0 := set.IndexChecks()
+	ic0 := set.Stats().IndexChecks.Load()
 	got, err := ScanSpec{Set: set, Threads: 2, Pred: pred}.CountBatches(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestScanSpecIgnoresStaleIndex(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("scan over stale-indexed set found %d rows, want 1", got)
 	}
-	if set.IndexChecks() != ic0 {
+	if set.Stats().IndexChecks.Load() != ic0 {
 		t.Error("scan consulted an index that does not cover the set")
 	}
 }
@@ -369,9 +369,9 @@ func TestLaneSeededScansMatchUnpruned(t *testing.T) {
 			}
 		}
 		for _, set := range []*core.LocalitySet{colSet, rowSet} {
-			ic, ih, zc := set.IndexChecks(), set.IndexHits(), set.ZoneMapChecks()
+			ic, ih, zc := set.Stats().IndexChecks.Load(), set.IndexHits(), set.ZoneMapChecks()
 			got := ids(set, pred, HintNone)
-			checks, hits, zchecks := set.IndexChecks()-ic, set.IndexHits()-ih, set.ZoneMapChecks()-zc
+			checks, hits, zchecks := set.Stats().IndexChecks.Load()-ic, set.IndexHits()-ih, set.ZoneMapChecks()-zc
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s, pred %d %#v: indexed scan selected %d rows, the reference %d", set.Name(), k, pred, len(got), len(want))
 			}

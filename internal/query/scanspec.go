@@ -101,7 +101,7 @@ func (sp ScanSpec) schema() ([]services.ColumnSpec, error) {
 // of one set cannot mask each other. Pages evaluated against the index count
 // toward the set's IndexChecks and kept candidates toward IndexHits; pages
 // evaluated against the zone map count toward ZoneMapChecks, pruned ones
-// toward ZoneMapSkips.
+// toward ZoneMapSkips (core.SetStats).
 //
 // The work is O(answer), not O(set): an index that answers never has the
 // set's page list built beside it, and the zone-map pass filters the list in
@@ -117,7 +117,8 @@ func (sp ScanSpec) pages() (nums []int64, locs []uint64) {
 		if idx, ok := sp.Set.SideIndex(services.MicroindexTag).(PointIndex); ok && idx.Covers(n) {
 			if locs, answered = sp.Pred.indexPages(idx); answered {
 				nums = pagesOf(locs)
-				sp.Set.NoteMicroindex(n, int64(len(nums)))
+				sp.Set.Stats().IndexChecks.Add(n)
+				sp.Set.Stats().IndexHits.Add(int64(len(nums)))
 			}
 		}
 	}
@@ -127,7 +128,8 @@ func (sp ScanSpec) pages() (nums []int64, locs []uint64) {
 	if stats, ok := sp.Set.SideIndex(services.ZoneMapTag).(PruneStats); ok {
 		checked := len(nums)
 		nums = slices.DeleteFunc(nums, func(num int64) bool { return sp.Pred.prune(stats, num) })
-		sp.Set.NoteZoneMap(int64(checked), int64(checked-len(nums)))
+		sp.Set.Stats().ZoneMapChecks.Add(int64(checked))
+		sp.Set.Stats().ZoneMapSkips.Add(int64(checked - len(nums)))
 	}
 	return nums, locs
 }

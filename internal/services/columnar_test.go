@@ -212,8 +212,8 @@ func TestColumnarSpillReload(t *testing.T) {
 	if bp.Stats().Spills.Load() == 0 {
 		t.Fatal("no spills: the pool was not under pressure, test proves nothing")
 	}
-	base := s.LoadReads() // demand misses and read-ahead alike: a fast window leaves no miss
-	var sums [2]uint64    // one slot per scan thread
+	base := s.Stats().LoadReads.Load() // demand misses and read-ahead alike: a fast window leaves no miss
+	var sums [2]uint64                 // one slot per scan thread
 	var gots [2]int
 	if err := ScanSet(s, 2, func(thread int, rec []byte) error {
 		sums[thread] += uint64(binary.LittleEndian.Uint32(rec[0:4]))
@@ -233,7 +233,7 @@ func TestColumnarSpillReload(t *testing.T) {
 	if sum != want {
 		t.Fatalf("key sum %d after spill/reload, want %d", sum, want)
 	}
-	if s.LoadReads() == base {
+	if s.Stats().LoadReads.Load() == base {
 		t.Error("scan never read from disk: spilled pages were not reloaded")
 	}
 }

@@ -589,7 +589,7 @@ func TestMicroindexV1ObjectHeals(t *testing.T) {
 			t.Fatal(err)
 		}
 		miCheckExact(t, set, healed)
-		if got := bp.Stats().SideObjectRebuilds.Load(); got != 1 {
+		if got := set.Stats().SideObjectRebuilds.Load(); got != 1 {
 			t.Fatalf("round %d: counted %d side-object rebuilds, want the v1 heal alone", round, got)
 		}
 		set.SetSideIndex(MicroindexTag, nil)
@@ -597,7 +597,7 @@ func TestMicroindexV1ObjectHeals(t *testing.T) {
 	if _, err := EnsureZoneMap(set, ZoneMapSpec{Schema: zmSchema()}); err != nil {
 		t.Fatal(err)
 	}
-	if got := bp.Stats().SideObjectRebuilds.Load(); got != 1 {
+	if got := set.Stats().SideObjectRebuilds.Load(); got != 1 {
 		t.Errorf("the zone map's unchanged format healed too: %d rebuilds", got)
 	}
 }

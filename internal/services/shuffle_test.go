@@ -248,7 +248,7 @@ func TestShuffleReduceFreesWithoutWriting(t *testing.T) {
 				it := PageIteratorsFor(set, set.PageNums(), 1)[0]
 				// Sampled after the cursor took its order, so a page evicted
 				// in between can only loosen the check below.
-				wasResident, loaded, window := set.ResidentPages(), set.LoadReads(), set.ReadAhead()
+				wasResident, loaded, window := set.ResidentPages(), set.Stats().LoadReads.Load(), set.ReadAhead()
 				for k := 0; ; k++ {
 					page, err := it.Next()
 					if err != nil {
@@ -261,7 +261,7 @@ func TestShuffleReduceFreesWithoutWriting(t *testing.T) {
 					// With the resident pages first, the only reads so far
 					// are the window's hints past the resident ones; two more
 					// for pages the evictor took before their turn.
-					if got, most := set.LoadReads()-loaded, int64(max(0, k+1+window-wasResident)+2); got > most {
+					if got, most := set.Stats().LoadReads.Load()-loaded, int64(max(0, k+1+window-wasResident)+2); got > most {
 						t.Errorf("partition %d: %d pages read from disk when page %d of the scan was handed out, with %d resident at its start: want at most %d",
 							p, got, k, wasResident, most)
 					}

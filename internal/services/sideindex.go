@@ -448,7 +448,7 @@ func ensureSideIndex[T sideIndexer](set *core.LocalitySet, fresh func() (T, erro
 	case err == nil:
 		if s.unmarshal(data) != nil {
 			// Read back fine but does not decode against the spec.
-			set.NoteSideObjectRebuild()
+			set.Stats().SideObjectRebuilds.Add(1)
 		} else if s.Covers(n) {
 			set.SetSideIndex(tag, x)
 			return x, nil
@@ -463,7 +463,7 @@ func ensureSideIndex[T sideIndexer](set *core.LocalitySet, fresh func() (T, erro
 		// Never written (seed set): plain rebuild.
 	case errors.Is(err, pfs.ErrCorruptSideObject):
 		// Torn by a crash mid-write.
-		set.NoteSideObjectRebuild()
+		set.Stats().SideObjectRebuilds.Add(1)
 	default:
 		return none, fmt.Errorf("services: read %s of %q: %w", s.kind.name, set.Name(), err)
 	}

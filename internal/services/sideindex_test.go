@@ -240,7 +240,7 @@ func TestEnsureSideIndexHeals(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := bp.Stats().SideObjectRebuilds.Load(); got != tc.wantRebuilds {
+				if got := set.Stats().SideObjectRebuilds.Load(); got != tc.wantRebuilds {
 					t.Errorf("counted %d side-object rebuilds, want %d", got, tc.wantRebuilds)
 				}
 				if set.SideIndex(k.tag) == nil {
@@ -252,7 +252,7 @@ func TestEnsureSideIndexHeals(t *testing.T) {
 				if err := k.ensure(t, set); err != nil {
 					t.Fatal(err)
 				}
-				if got := bp.Stats().SideObjectRebuilds.Load(); got != tc.wantRebuilds {
+				if got := set.Stats().SideObjectRebuilds.Load(); got != tc.wantRebuilds {
 					t.Errorf("re-Ensure counted %d side-object rebuilds, want still %d", got, tc.wantRebuilds)
 				}
 			})
