@@ -406,6 +406,63 @@ func BenchmarkMicroindexBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkHashUpsert is the hash service's own upsert cost, in the shape of
+// shuffle_agg's reduce: one op counts 65 536 8-byte keys, 8 192 distinct in a
+// scattered order, into a fresh Int64HashBuffer of 8 roots on 128 KiB pages,
+// and closes it. The set stays resident, so ns/upsert is the page-local find,
+// insert and fold; creating and dropping the set is outside the timer.
+func BenchmarkHashUpsert(b *testing.B) {
+	const (
+		nUpserts = 1 << 16
+		nKeys    = 1 << 13
+		stride   = 7919 // prime, coprime with nKeys
+	)
+	keys := make([][]byte, nUpserts)
+	for i := range keys {
+		keys[i] = binary.LittleEndian.AppendUint64(nil, uint64(i)*stride%nKeys)
+	}
+	arr, err := disk.NewArray(b.TempDir(), 1, disk.Unthrottled())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = arr.RemoveAll() })
+	bp, err := core.NewPool(core.PoolConfig{Memory: 64 << 20, Array: arr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		set, err := bp.CreateSet(core.SetSpec{Name: "agg", PageSize: 128 << 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := services.NewInt64HashBuffer(set, 8, services.Sum)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, k := range keys {
+			if err := h.Upsert(k, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := h.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if set.Stats().SpillWrites.Load() != 0 {
+			b.Fatal("the hash set spilled")
+		}
+		if err := bp.DropSet(set); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nUpserts), "ns/upsert")
+}
+
 // BenchmarkSpillParallel measures the eviction daemon's spill pipeline
 // directly: a producer streams dirty write-back pages through a pool an
 // eighth the size of the data, so its rate is the daemon's write-back

@@ -8,6 +8,14 @@ import (
 	"pangea/internal/services"
 )
 
+// The Fig 2 scan's two windows: the storage process pins at most pinWindow
+// pages ahead of the computation, and the proxy's circular buffer holds the
+// metadata of up to ringSize of them.
+const (
+	pinWindow = 8
+	ringSize  = 16
+)
+
 // DataProxy is the computation-process side of Fig 2. It is co-located with
 // one worker's storage process: control messages (GetSetPages, PinPage,
 // page acknowledgements) travel over the socket, while page bytes are
@@ -41,7 +49,7 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 		return err
 	}
 	defer c.close()
-	cb := NewCircularBuffer(16)
+	cb := NewCircularBuffer(ringSize)
 	ack := func(num int64) error { return c.send(request{Auth: dp.auth, Msg: PageDone{PageNum: num}}) }
 
 	// Long-living computation threads: pull page metadata, touch shared

@@ -26,9 +26,6 @@ type WorkerConfig struct {
 	DiskConfig disk.Config
 	// Policy is the paging policy; nil means data-aware.
 	Policy core.Policy
-	// PinWindow bounds how many scan pages are pinned ahead of the
-	// computation (the depth of the Fig 2 circular buffer). Default 8.
-	PinWindow int
 	// Logf sinks diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -38,8 +35,7 @@ type WorkerConfig struct {
 // over TCP.
 type Worker struct {
 	*server
-	pool      *core.BufferPool
-	pinWindow int
+	pool *core.BufferPool
 
 	// mu guards only the maps below; each setWriter carries its own lock so
 	// record appends to different locality sets proceed in parallel, the
@@ -63,9 +59,6 @@ func NewWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 	if cfg.Disks <= 0 {
 		cfg.Disks = 1
 	}
-	if cfg.PinWindow <= 0 {
-		cfg.PinWindow = 8
-	}
 	array, err := disk.NewArray(cfg.DiskDir, cfg.Disks, cfg.DiskConfig)
 	if err != nil {
 		return nil, err
@@ -79,10 +72,9 @@ func NewWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	w := &Worker{
-		pool:      pool,
-		pinWindow: cfg.PinWindow,
-		writers:   make(map[string]*setWriter),
-		pinned:    make(map[string]map[int64]*core.Page),
+		pool:    pool,
+		writers: make(map[string]*setWriter),
+		pinned:  make(map[string]map[int64]*core.Page),
 	}
 	w.mu.Init(locking.RankWorker)
 	w.server = newServer(ln, cfg.PrivateKey, w.handle, cfg.Logf)
@@ -207,7 +199,7 @@ func (w *Worker) fetchSet(c *conn, req FetchSetReq) (any, error) {
 }
 
 // scanPages implements the Fig 2 scan protocol: the storage process pins
-// pages ahead of the computation (at most PinWindow unacknowledged), streams
+// pages ahead of the computation (at most pinWindow unacknowledged), streams
 // their shared-memory metadata, and unpins each page when the computation
 // acknowledges it with PageDone. The stream ends with NoMorePage or the error
 // that cut it short; the computation's PageDone{-1} ends the exchange, and
@@ -223,8 +215,8 @@ func (w *Worker) scanPages(c *conn, req GetSetPagesReq) error {
 	it := services.PageIteratorsFor(set, set.PageNums(), 1)[0]
 	var (
 		mu   sync.Mutex
-		live = make(map[int64]*core.Page, w.pinWindow)
-		sem  = make(chan struct{}, w.pinWindow)
+		live = make(map[int64]*core.Page, pinWindow)
+		sem  = make(chan struct{}, pinWindow)
 
 		ackDone = make(chan struct{}) // closed when the acknowledgements end,
 		ackErr  error                 // with a handshake (nil) or this error

@@ -1,20 +1,19 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"pangea/internal/disk"
 )
 
-// The ablations in this file probe the knobs of the data-aware priority
-// model (§6): the time horizon t of p_reuse, the w_r read penalty for
-// random patterns, and the 1-page vs 10% eviction batch rule.
+// The ablation in this file probes the data-aware priority model's (§6)
+// 1-page vs 10% eviction batch rule; the file also holds the pool's hot-path
+// micro-benchmarks.
 
 // newAblationPool builds a pool with lightly throttled disks so paging
 // decisions have a measurable cost.
-func newAblationPool(tb testing.TB, mem int64, cfg PoolConfig) *BufferPool {
+func newAblationPool(tb testing.TB, mem int64) *BufferPool {
 	tb.Helper()
 	arr, err := disk.NewArray(tb.TempDir(), 1, disk.Config{
 		ReadMBps: 300, WriteMBps: 250, SeekLatency: 40 * time.Microsecond,
@@ -22,149 +21,12 @@ func newAblationPool(tb testing.TB, mem int64, cfg PoolConfig) *BufferPool {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg.Memory = mem
-	cfg.Array = arr
-	bp, err := NewPool(cfg)
+	bp, err := NewPool(PoolConfig{Memory: mem, Array: arr})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { _ = arr.RemoveAll() })
 	return bp
-}
-
-// mixedWorkload runs the workload the data-aware policy is built for: a
-// loop-sequential scan set competing with a random-access hash-style set in
-// one pool.
-func mixedWorkload(tb testing.TB, bp *BufferPool) {
-	tb.Helper()
-	const pageSize = 16 << 10
-	seq, err := bp.CreateSet(SetSpec{Name: "seq", PageSize: pageSize})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	seq.SetReading(SequentialRead)
-	hash, err := bp.CreateSet(SetSpec{Name: "hash", PageSize: pageSize})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	hash.SetWriting(RandomMutableWrite)
-	hash.SetReading(RandomRead)
-
-	const nSeq, nHash = 48, 16
-	for i := 0; i < nSeq; i++ {
-		p, err := seq.NewPage()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := seq.Unpin(p, true); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	for i := 0; i < nHash; i++ {
-		p, err := hash.NewPage()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := hash.Unpin(p, true); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	// Loop-sequential re-reads of seq interleaved with random probes of
-	// hash — the contention pattern where the set-level priority matters.
-	for loop := 0; loop < 3; loop++ {
-		for i := 0; i < nSeq; i++ {
-			p, err := seq.Pin(int64(i))
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if err := seq.Unpin(p, false); err != nil {
-				tb.Fatal(err)
-			}
-			if i%3 == 0 {
-				h := int64((i * 7) % nHash)
-				p, err := hash.Pin(h)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				if err := hash.Unpin(p, true); err != nil {
-					tb.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := bp.DropSet(seq); err != nil {
-		tb.Fatal(err)
-	}
-	if err := bp.DropSet(hash); err != nil {
-		tb.Fatal(err)
-	}
-}
-
-// BenchmarkAblationHorizon sweeps the horizon t of p_reuse = 1 − e^{−λt}.
-// §6 argues t=1 behaves like the linear λ weighting; large horizons push
-// every probability toward 1 and wash out the recency signal.
-func BenchmarkAblationHorizon(b *testing.B) {
-	for _, h := range []float64{0.25, 1, 4, 64, 4096} {
-		b.Run(fmt.Sprintf("t=%g", h), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bp := newAblationPool(b, 40*(16<<10), PoolConfig{Horizon: h})
-				mixedWorkload(b, bp)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationReadPenalty sweeps the w_r penalty that makes spilled
-// random-access data costlier to re-read than sequential data.
-func BenchmarkAblationReadPenalty(b *testing.B) {
-	for _, pen := range []float64{1, 3, 10} {
-		b.Run(fmt.Sprintf("wr=%g", pen), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bp := newAblationPool(b, 40*(16<<10), PoolConfig{
-					Profile: IOProfile{ReadCost: pen, WriteCost: 1},
-				})
-				mixedWorkload(b, bp)
-			}
-		})
-	}
-}
-
-// TestHorizonExtremesStillCorrect: the priority model is a performance
-// heuristic; data must survive any horizon.
-func TestHorizonExtremesStillCorrect(t *testing.T) {
-	for _, h := range []float64{1e-6, 1, 1e9} {
-		bp := newAblationPool(t, 24*(16<<10), PoolConfig{Horizon: h})
-		s, err := bp.CreateSet(SetSpec{Name: "s", PageSize: 16 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 64
-		for i := 0; i < n; i++ {
-			p, err := s.NewPage()
-			if err != nil {
-				t.Fatalf("h=%g: %v", h, err)
-			}
-			p.Bytes()[0] = byte(i)
-			if err := s.Unpin(p, true); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < n; i++ {
-			p, err := s.Pin(int64(i))
-			if err != nil {
-				t.Fatalf("h=%g pin %d: %v", h, i, err)
-			}
-			if p.Bytes()[0] != byte(i) {
-				t.Fatalf("h=%g: page %d corrupt", h, i)
-			}
-			if err := s.Unpin(p, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := bp.DropSet(s); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestEvictionBatchRuleReducesSpillsUnderWrite verifies the asymmetric
@@ -174,7 +36,7 @@ func TestHorizonExtremesStillCorrect(t *testing.T) {
 // normal rule vs a set mislabelled as read-only (which loses 10% at once).
 func TestEvictionBatchRuleReducesSpillsUnderWrite(t *testing.T) {
 	run := func(mislabel bool) int64 {
-		bp := newAblationPool(t, 10*(16<<10), PoolConfig{})
+		bp := newAblationPool(t, 10*(16<<10))
 		s, err := bp.CreateSet(SetSpec{Name: "s", PageSize: 16 << 10})
 		if err != nil {
 			t.Fatal(err)
@@ -211,7 +73,7 @@ func TestEvictionBatchRuleReducesSpillsUnderWrite(t *testing.T) {
 
 // BenchmarkPinUnpinHit measures the hot path: pinning a resident page.
 func BenchmarkPinUnpinHit(b *testing.B) {
-	bp := newAblationPool(b, 1<<20, PoolConfig{})
+	bp := newAblationPool(b, 1<<20)
 	s, err := bp.CreateSet(SetSpec{Name: "s", PageSize: 4096})
 	if err != nil {
 		b.Fatal(err)
@@ -238,7 +100,7 @@ func BenchmarkPinUnpinHit(b *testing.B) {
 // BenchmarkNewPageWithEviction measures page allocation under constant
 // memory pressure (every allocation evicts).
 func BenchmarkNewPageWithEviction(b *testing.B) {
-	bp := newAblationPool(b, 8*4096, PoolConfig{})
+	bp := newAblationPool(b, 8*4096)
 	s, err := bp.CreateSet(SetSpec{Name: "s", PageSize: 4096})
 	if err != nil {
 		b.Fatal(err)

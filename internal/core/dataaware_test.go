@@ -9,7 +9,7 @@ import (
 // viewAt builds a bare PolicyView at the given logical tick, for probing
 // the probability model in isolation.
 func viewAt(tick int64) *PolicyView {
-	return &PolicyView{Tick: tick, horizon: 1, profile: IOProfile{ReadCost: 1, WriteCost: 1}}
+	return &PolicyView{Tick: tick}
 }
 
 // findSet returns the snapshot of the named set within a view.

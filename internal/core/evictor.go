@@ -150,7 +150,7 @@ func (e *evictor) run() {
 		e.mu.Lock()
 		if !e.kicked {
 			// A pass that made progress may have stopped at the waiter
-			// gate (free back above HighWater) with hard-quota overage
+			// gate (free back above highWater) with hard-quota overage
 			// still outstanding, and the waiters' successful retries never
 			// re-kick; give the overage another pass rather than stranding
 			// it until the set's next growth. A pass that claimed nothing
@@ -189,13 +189,13 @@ func (e *evictor) freeSoon() int64 { return e.bp.alloc.FreeBytes() + e.inFlight.
 func (e *evictor) shouldEvict(round int) bool {
 	bp := e.bp
 	if e.waiters.Load() > 0 {
-		if e.freeSoon() < bp.cfg.HighWater {
+		if e.freeSoon() < bp.highWater {
 			return true
 		}
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		return round == 0 && e.stuck && e.inFlight.Load() == 0
 	}
-	return e.freeSoon() < bp.cfg.LowWater+bp.loadStarved.Load() ||
+	return e.freeSoon() < bp.lowWater+bp.loadStarved.Load() ||
 		bp.anyOverQuota()
 }

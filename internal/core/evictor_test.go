@@ -78,7 +78,7 @@ func TestStaleKickSpillsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 8 // dirty evictable pages; free stays far above HighWater
+	const n = 8 // dirty evictable pages; free stays far above the high watermark
 	for i := 0; i < n; i++ {
 		p, err := s.NewPage()
 		if err != nil {

@@ -22,9 +22,6 @@ type PolicyView struct {
 	Tick int64
 	// Sets holds one snapshot per live locality set.
 	Sets []*SetSnapshot
-
-	horizon float64
-	profile IOProfile
 }
 
 // SetSnapshot is one locality set's state within a PolicyView.
@@ -99,6 +96,16 @@ func (v *PolicyView) EvictablePages() []PageRef {
 	return out
 }
 
+// The §6 cost model's profiled per-page costs v_r and v_w and its horizon t.
+// Only the ratio v_r/v_w orders victims, and no workload here has shown a
+// ratio other than 1 to matter, so all three are the constants of §6's
+// linear-approximation regime rather than pool settings.
+const (
+	costHorizon = 1.0 // t, in ticks
+	readCost    = 1.0 // v_r: time to read one page from disk
+	writeCost   = 1.0 // v_w: time to write one page to disk
+)
+
 // PageCost evaluates the expected cost of evicting page p within the
 // horizon t (§6):
 //
@@ -112,9 +119,9 @@ func (v *PolicyView) PageCost(p PageRef) float64 {
 	if p.Dirty && !attrs.LifetimeEnded {
 		// Only write-back data can be dirty at eviction time; write-through
 		// pages were persisted at unpin (d=0 for write-through).
-		cw = v.profile.WriteCost
+		cw = writeCost
 	}
-	cr := v.profile.ReadCost * attrs.ReadPenalty()
+	cr := readCost * attrs.ReadPenalty()
 	return cw + v.reuseProbability(p.LastRef)*cr
 }
 
@@ -126,7 +133,7 @@ func (v *PolicyView) reuseProbability(lastRef int64) float64 {
 		delta = 1
 	}
 	lambda := 1.0 / float64(delta)
-	return 1 - math.Exp(-lambda*v.horizon)
+	return 1 - math.Exp(-lambda*costHorizon)
 }
 
 // NextVictim returns the page the set's own replacement strategy (MRU/LRU,
@@ -199,8 +206,6 @@ func (bp *BufferPool) snapshot() *PolicyView {
 		Capacity: bp.cfg.Memory,
 		Used:     bp.alloc.Used(),
 		Tick:     bp.tick.Load(),
-		horizon:  bp.cfg.Horizon,
-		profile:  bp.cfg.Profile,
 	}
 	// Entitlements: one weight sum over the listed sets (weights are
 	// immutable, so a set dropped between here and its lock below only

@@ -24,13 +24,6 @@ type Policy interface {
 	SelectVictims(view *PolicyView) ([]PageRef, error)
 }
 
-// IOProfile carries the profiled per-page I/O costs v_r and v_w used by the
-// priority model (§6). Only their ratio matters for victim ordering.
-type IOProfile struct {
-	ReadCost  float64 // v_r: profiled time to read one page from disk
-	WriteCost float64 // v_w: profiled time to write one page to disk
-}
-
 // PoolConfig configures one node's unified buffer pool.
 type PoolConfig struct {
 	// Memory is the shared arena size in bytes (the paper's anonymous-mmap
@@ -41,26 +34,10 @@ type PoolConfig struct {
 	// Policy picks eviction victims; nil selects the paper's data-aware
 	// policy.
 	Policy Policy
-	// Horizon is the time horizon t (in ticks) of the reuse probability
-	// p_reuse = 1 − e^{−λt}. Defaults to 1, the linear-approximation
-	// regime discussed in §6.
-	Horizon float64
-	// Profile holds v_r/v_w; both default to 1.
-	Profile IOProfile
 	// AllocTimeout bounds how long an allocation waits without progress
 	// (no memory reclaimed, no page unpinned) before failing. Defaults
 	// to 5s.
 	AllocTimeout time.Duration
-	// LowWater and HighWater are the eviction daemon's free-memory
-	// watermarks in bytes, compared against free memory aggregated across
-	// every allocator shard: when total free memory falls below LowWater
-	// the daemon starts evicting in the background. While allocations are
-	// blocked it keeps going until free memory reaches HighWater; with no
-	// waiter left it stops as soon as free memory is back above LowWater,
-	// so it never spills dirty pages nobody is waiting for just to reach
-	// the higher mark. Defaults are Memory/16 and Memory/8.
-	LowWater  int64
-	HighWater int64
 	// AllocShards is the number of TLSF allocator shards (rounded to a
 	// power of two, each shard at least 1 MiB). 0 selects ~GOMAXPROCS;
 	// 1 restores the seed's single shared allocator; negative is rejected.
@@ -114,6 +91,14 @@ type BufferPool struct {
 	// readAhead is the resolved PoolConfig.ReadAhead window (0 = automatic
 	// read-ahead disabled). Immutable after NewPool.
 	readAhead int
+	// lowWater and highWater are the eviction daemon's free-memory
+	// watermarks, Memory/16 and Memory/8, compared against free memory
+	// summed over every allocator shard: below lowWater the daemon starts
+	// evicting in the background. While allocations are blocked it keeps
+	// going until free memory reaches highWater; with no waiter left it
+	// stops as soon as free memory is back above lowWater, so it never spills
+	// dirty pages nobody is waiting for just to reach the higher mark.
+	lowWater, highWater int64
 
 	// tick is written by every page access on every core. The pads give it
 	// a cache line of its own, so a pin on one core does not take the
@@ -155,26 +140,8 @@ func NewPool(cfg PoolConfig) (*BufferPool, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = NewDataAware()
 	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 1
-	}
-	if cfg.Profile.ReadCost == 0 {
-		cfg.Profile.ReadCost = 1
-	}
-	if cfg.Profile.WriteCost == 0 {
-		cfg.Profile.WriteCost = 1
-	}
 	if cfg.AllocTimeout == 0 {
 		cfg.AllocTimeout = 5 * time.Second
-	}
-	if cfg.LowWater == 0 {
-		cfg.LowWater = cfg.Memory / 16
-	}
-	if cfg.HighWater == 0 {
-		cfg.HighWater = cfg.Memory / 8
-	}
-	if cfg.HighWater < cfg.LowWater {
-		cfg.HighWater = cfg.LowWater
 	}
 	arena := memory.NewArena(cfg.Memory)
 	bp := &BufferPool{
@@ -184,6 +151,9 @@ func NewPool(cfg PoolConfig) (*BufferPool, error) {
 		sets:     make(map[SetID]*LocalitySet),
 		byName:   make(map[string]*LocalitySet),
 		reserved: make(map[string]bool),
+
+		lowWater:  cfg.Memory / 16,
+		highWater: cfg.Memory / 8,
 
 		starvedPages: make(map[PageID]struct{}),
 	}
@@ -515,9 +485,6 @@ func (bp *BufferPool) anyOverQuota() bool {
 	return false
 }
 
-// TickNow returns the current logical tick.
-func (bp *BufferPool) TickNow() int64 { return bp.tick.Load() }
-
 // nextTick advances the logical clock; every page access calls it.
 func (bp *BufferPool) nextTick() int64 { return bp.tick.Add(1) }
 
@@ -552,7 +519,7 @@ func (bp *BufferPool) allocMem(s *LocalitySet, size int64) (int64, error) {
 		return off, nil
 	}
 	if off, err := bp.alloc.AllocAffinity(size, home); err == nil {
-		if bp.alloc.FreeBytes() < bp.cfg.LowWater {
+		if bp.alloc.FreeBytes() < bp.lowWater {
 			e.kick()
 		}
 		return charge(off)
@@ -637,7 +604,7 @@ func (bp *BufferPool) tryAllocMem(s *LocalitySet, size int64) (int64, error) {
 		bp.alloc.Free(off)
 		return 0, fmt.Errorf("%w: set %q at its %d-byte quota", errSpecQuota, s.name, s.quota)
 	}
-	if bp.alloc.FreeBytes() < bp.cfg.LowWater {
+	if bp.alloc.FreeBytes() < bp.lowWater {
 		bp.evictor.kick()
 	}
 	return off, nil
@@ -647,7 +614,7 @@ func (bp *BufferPool) tryAllocMem(s *LocalitySet, size int64) (int64, error) {
 // of set s a hint wanted and could not get a frame for — and kicks the
 // eviction daemon. The count is a one-shot reclaim budget, not a raised
 // watermark: the daemon keeps background rounds alive while free memory is
-// below LowWater plus the budget and pays the budget down as it frees
+// below lowWater plus the budget and pays the budget down as it frees
 // (consumeStarved), so a burst of starved hints buys one matching burst of
 // reclaim and the pressure then decays — a scan that has ended cannot keep
 // draining the pool. Charging is idempotent: a scan re-hints its window on
@@ -701,7 +668,7 @@ func (bp *BufferPool) consumeStarved(freed int64) {
 func (bp *BufferPool) evictOnce() (bool, error) {
 	view := bp.snapshot()
 	pressure := bp.evictor.waiters.Load() > 0 ||
-		bp.evictor.freeSoon() < bp.cfg.LowWater+bp.loadStarved.Load()
+		bp.evictor.freeSoon() < bp.lowWater+bp.loadStarved.Load()
 	if fair := view.overEntitled(!pressure); fair != nil {
 		victims, err := bp.cfg.Policy.SelectVictims(fair)
 		if err != nil {

@@ -330,7 +330,7 @@ func startGatedSpill(t *testing.T, drives int, fault [3]error) *gatedSpill {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = arr.RemoveAll() })
-	bp, err := NewPool(PoolConfig{Memory: 8 * pageSize, Array: arr, AllocShards: 1, HighWater: 2 * pageSize})
+	bp, err := NewPool(PoolConfig{Memory: 16 * pageSize, Array: arr, AllocShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func S7Fairness(o Options) (*Table, error) {
 	poolPages := int64(o.pick(32, 64))
 	mem := poolPages * pageSize
 	// Provisioned under its 50% entitlement by a little more than the
-	// pool's LowWater mark, so neither the polite tenant's own reload
+	// pool's low watermark, so neither the polite tenant's own reload
 	// demand nor the daemon's background free-memory target can ever be
 	// satisfied only by taking the polite tenant's pages.
 	politePages := int(poolPages * 3 / 8)

@@ -1,9 +1,7 @@
 // Package memory provides the raw memory substrate for Pangea's unified
 // buffer pool: a contiguous arena standing in for the anonymous-mmap shared
-// memory region of the paper (§5), a two-level segregated fit (TLSF)
-// allocator used to carve variable-sized pages out of that arena, and a
-// memcached-style slab allocator used by the hash service to bound all
-// allocation for one hash partition to the memory of its host page (§8).
+// memory region of the paper (§5), and a two-level segregated fit (TLSF)
+// allocator, sharded, used to carve variable-sized pages out of that arena.
 package memory
 
 import "fmt"

@@ -101,11 +101,6 @@ func NewDBMINAdaptive() *DBMIN {
 // pool capacity.
 func NewDBMINTuned() *DBMIN { return &DBMIN{name: "DBMIN-tuned", sizer: SizerTuned(), block: false} }
 
-// NewDBMIN builds a DBMIN policy with a custom sizer.
-func NewDBMIN(name string, sizer Sizer, block bool) *DBMIN {
-	return &DBMIN{name: name, sizer: sizer, block: block}
-}
-
 // Name implements core.Policy.
 func (d *DBMIN) Name() string { return d.name }
 

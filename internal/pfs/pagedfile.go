@@ -225,14 +225,6 @@ func (pf *PagedFile) ReadPage(pageNum int64, buf []byte) error {
 	return pf.ReadPageAt(loc, pageNum, buf)
 }
 
-// HasPage reports whether page pageNum has an on-disk image.
-func (pf *PagedFile) HasPage(pageNum int64) bool {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	_, ok := pf.pages[pageNum]
-	return ok
-}
-
 // NumPages returns the number of pages with on-disk images.
 func (pf *PagedFile) NumPages() int {
 	pf.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,6 +310,74 @@ func TestNewVirtualHashBufferValidation(t *testing.T) {
 	}
 	if _, err := NewVirtualHashBuffer(set, 1, 8, nil); err == nil {
 		t.Error("nil combiner must be rejected")
+	}
+}
+
+// TestHashBufferRefusesTinyPage: a page that cannot hold the header, 16
+// buckets and one entry is refused when the buffer is built, not by a panic
+// on the first Slot.
+func TestHashBufferRefusesTinyPage(t *testing.T) {
+	bp := newPool(t, 1<<20)
+	set := mkSet(t, bp, "tiny", 64)
+	h, err := NewInt64HashBuffer(set, 1, Sum)
+	if err == nil {
+		_ = h.Upsert([]byte("k"), 1)
+		t.Fatal("a 64-byte hash page was accepted")
+	}
+	// 12 header + 16·4 buckets + 16 for an entry of an 8-byte value.
+	if msg := err.Error(); !strings.Contains(msg, "64 bytes") || !strings.Contains(msg, "92") {
+		t.Errorf("error %q does not name the page size and the minimum", msg)
+	}
+}
+
+// TestHashPageHoldsWhatFits: entries are appended at the page's cursor, so a
+// page of P bytes and nb buckets holds ⌊(P − 12 − 4·nb)/24⌋ entries of an
+// 8-byte key and an 8-byte value, and splits on the next. Walk returns each
+// key once with its own count, so no two entries share bytes.
+func TestHashPageHoldsWhatFits(t *testing.T) {
+	for _, tc := range []struct{ pageSize, fit int }{
+		{4 << 10, (4096 - 12 - 4*16) / 24},   // 167
+		{16 << 10, (16384 - 12 - 4*64) / 24}, // 671
+	} {
+		pageSize, fit := tc.pageSize, tc.fit
+		bp := newPool(t, 1<<20)
+		set := mkSet(t, bp, "fit", int64(pageSize))
+		h, err := NewInt64HashBuffer(set, 1, Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := func(i int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(i)) }
+		for i := 0; i < fit; i++ {
+			if err := h.Upsert(key(i), int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := set.NumPages(); n != 1 {
+			t.Fatalf("%d-byte page: %d keys take %d pages, want 1", pageSize, fit, n)
+		}
+		if err := h.Upsert(key(fit), int64(fit)); err != nil {
+			t.Fatal(err)
+		}
+		if n := set.NumPages(); n != 2 {
+			t.Fatalf("%d-byte page: %d keys take %d pages, want 2", pageSize, fit+1, n)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[uint64]bool)
+		if err := h.h.Walk(func(k, v []byte) error {
+			i := binary.LittleEndian.Uint64(k)
+			if seen[i] || i > uint64(fit) || binary.LittleEndian.Uint64(v) != i {
+				t.Errorf("%d-byte page: key %d walked with value %d (seen before: %v)", pageSize, i, binary.LittleEndian.Uint64(v), seen[i])
+			}
+			seen[i] = true
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != fit+1 {
+			t.Errorf("%d-byte page: Walk returned %d keys, want %d", pageSize, len(seen), fit+1)
+		}
 	}
 }
 

@@ -5,13 +5,13 @@ import (
 	"fmt"
 
 	"pangea/internal/core"
-	"pangea/internal/memory"
 )
 
 // The hash service (§8) adopts a dynamic partitioning approach: each
 // buffer-pool page contains an independent hash table plus all of its
-// key-value pairs, with a memcached-style slab allocator using the page as
-// its memory pool so every allocation is bounded to the page. All hash
+// key-value pairs, appended one after another behind the bucket array, so
+// every entry is bounded to the page. No entry is ever freed — a full page is
+// retired whole — so the page needs no allocator, only a cursor. All hash
 // partitions are grouped into one locality set. When a page fills, a new
 // page is allocated (splitting a child partition); when the buffer pool
 // itself is short, full pages are unpinned and spilled to disk as
@@ -21,34 +21,41 @@ import (
 // In-page layout:
 //
 //	[0:4)    u32 bucket count B
-//	[4:8)    u32 entry count
+//	[4:8)    u32 append cursor: bytes of the entry region in use
 //	[8:12)   u32 value size V
-//	[12:12+4B) bucket heads: u32 slab offsets, 0 = empty
-//	[...:)   slab region
+//	[12:12+4B) bucket heads: u32 entry offsets, 0 = empty
+//	[...:)   entry region, filled front to back
 //
-// Entry layout inside a slab chunk:
+// Entry layout, each entry rounded up to 8 bytes so values stay aligned
+// within the region:
 //
 //	[0:4)   u32 next entry offset (0 = end of chain)
 //	[4:8)   u32 key length
 //	[8:8+V) value bytes
 //	[8+V:)  key bytes
 //
-// Slab offsets are stored +1 so that 0 can mean "nil".
+// Entry offsets are relative to the entry region and stored +1 so that 0 can
+// mean "nil".
 
 const (
-	hashHdrSize   = 12
-	entryHdrSize  = 8
-	hashFillDenom = 6 // one bucket per hashFillDenom*32 bytes of page
+	hashHdrSize    = 12
+	entryHdrSize   = 8
+	hashFillDenom  = 6  // one bucket per hashFillDenom*32 bytes of page
+	hashMinBuckets = 16 // a page's bucket count is a power of two, at least this
 )
+
+// entrySize is the bytes an entry with a key of klen bytes takes in the
+// region.
+func entrySize(valSize, klen int) int { return (entryHdrSize + valSize + klen + 7) &^ 7 }
 
 // hashPartition is one page-local hash table.
 type hashPartition struct {
 	page    *core.Page
-	slab    *memory.Slab
+	cursor  []byte // the header's append cursor, aliasing the page
 	buckets []byte // aliases the page
+	entries []byte // the entry region, aliasing the page
 	nb      uint32
 	vs      int // value size
-	slabOff int // offset of the slab region within the page
 }
 
 // fnv1a hashes a key.
@@ -64,38 +71,33 @@ func fnv1a(key []byte) uint64 {
 // initHashPage formats a fresh page as an empty hash partition.
 func initHashPage(p *core.Page, valSize int) *hashPartition {
 	buf := p.Bytes()
-	// The bucket count is a power of two (at least 16), so a key's bucket is
-	// a mask of its hash, not a division on every lookup.
-	nb := uint32(16)
+	// The bucket count is a power of two, so a key's bucket is a mask of its
+	// hash, not a division on every lookup.
+	nb := uint32(hashMinBuckets)
 	for int(nb)*2*hashFillDenom*32 <= len(buf) {
 		nb *= 2
 	}
 	binary.LittleEndian.PutUint32(buf[0:4], nb)
 	binary.LittleEndian.PutUint32(buf[4:8], 0)
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(valSize))
-	bucketEnd := hashHdrSize + 4*int(nb)
-	for i := hashHdrSize; i < bucketEnd; i += 4 {
-		binary.LittleEndian.PutUint32(buf[i:i+4], 0)
-	}
-	region := buf[bucketEnd:]
-	return &hashPartition{
-		page:    p,
-		slab:    memory.NewSlab(region, memory.SlabConfig{SlabSize: 4 << 10, MinChunk: 32}),
-		buckets: buf[hashHdrSize:bucketEnd],
-		nb:      nb,
-		vs:      valSize,
-		slabOff: bucketEnd,
-	}
+	clear(buf[hashHdrSize : hashHdrSize+4*int(nb)])
+	return openHashPage(p)
 }
 
-// openHashPage builds a read-only partition view over an existing page
-// image (used when re-aggregating spilled partials).
+// openHashPage builds a partition view over an existing page image (a fresh
+// one, or a spilled partial being re-aggregated).
 func openHashPage(p *core.Page) *hashPartition {
 	buf := p.Bytes()
 	nb := binary.LittleEndian.Uint32(buf[0:4])
-	vs := int(binary.LittleEndian.Uint32(buf[8:12]))
 	bucketEnd := hashHdrSize + 4*int(nb)
-	return &hashPartition{page: p, buckets: buf[hashHdrSize:bucketEnd], nb: nb, vs: vs, slabOff: bucketEnd}
+	return &hashPartition{
+		page:    p,
+		cursor:  buf[4:8],
+		buckets: buf[hashHdrSize:bucketEnd],
+		entries: buf[bucketEnd:],
+		nb:      nb,
+		vs:      int(binary.LittleEndian.Uint32(buf[8:12])),
+	}
 }
 
 func (hp *hashPartition) bucketHead(b uint32) uint32 {
@@ -106,14 +108,11 @@ func (hp *hashPartition) setBucketHead(b, off uint32) {
 	binary.LittleEndian.PutUint32(hp.buckets[4*b:4*b+4], off)
 }
 
-// entry views an entry chunk at slab offset off (stored +1).
-func (hp *hashPartition) entry(off uint32) []byte {
-	base := hp.slabOff + int(off) - 1
-	return hp.page.Bytes()[base:]
-}
+// entry views the entry at region offset off (stored +1).
+func (hp *hashPartition) entry(off uint32) []byte { return hp.entries[off-1:] }
 
-// find returns the slab offset (+1) of the entry holding key, whose hash is
-// h, or 0.
+// find returns the offset (+1) of the entry holding key, whose hash is h, or
+// 0.
 func (hp *hashPartition) find(h uint64, key []byte) uint32 {
 	for off := hp.bucketHead(uint32(h) & (hp.nb - 1)); off != 0; {
 		e := hp.entry(off)
@@ -131,14 +130,17 @@ func (hp *hashPartition) value(off uint32) []byte {
 	return hp.entry(off)[entryHdrSize : entryHdrSize+hp.vs]
 }
 
-// insert allocates a new entry for key, whose hash is h, with a zeroed value
-// and returns its slab offset (+1), or 0 when the page's slab is full.
+// insert appends a new entry for key, whose hash is h, with a zeroed value
+// and returns its offset (+1), or 0 when the entry does not fit the rest of
+// the page.
 func (hp *hashPartition) insert(h uint64, key []byte) uint32 {
-	chunk, ok := hp.slab.Alloc(entryHdrSize + hp.vs + len(key))
-	if !ok {
+	cur := binary.LittleEndian.Uint32(hp.cursor)
+	n := entrySize(hp.vs, len(key))
+	if int(cur)+n > len(hp.entries) {
 		return 0
 	}
-	off := uint32(chunk + 1)
+	binary.LittleEndian.PutUint32(hp.cursor, cur+uint32(n))
+	off := cur + 1
 	e := hp.entry(off)
 	b := uint32(h) & (hp.nb - 1)
 	binary.LittleEndian.PutUint32(e[0:4], hp.bucketHead(b))
@@ -146,8 +148,6 @@ func (hp *hashPartition) insert(h uint64, key []byte) uint32 {
 	clear(e[entryHdrSize : entryHdrSize+hp.vs])
 	copy(e[entryHdrSize+hp.vs:], key)
 	hp.setBucketHead(b, off)
-	buf := hp.page.Bytes()
-	binary.LittleEndian.PutUint32(buf[4:8], binary.LittleEndian.Uint32(buf[4:8])+1)
 	return off
 }
 
@@ -196,6 +196,10 @@ func NewVirtualHashBuffer(set *core.LocalitySet, k, valSize int, combine Combine
 	}
 	if combine == nil {
 		return nil, fmt.Errorf("services: hash buffer needs a combine function")
+	}
+	// A page must hold its header, the fewest buckets and one entry.
+	if need := hashHdrSize + 4*hashMinBuckets + entrySize(valSize, 0); set.PageSize() < int64(need) {
+		return nil, fmt.Errorf("services: hash page of %d bytes is under the minimum of %d for %d-byte values", set.PageSize(), need, valSize)
 	}
 	set.SetWriting(core.RandomMutableWrite)
 	set.SetReading(core.RandomRead)

@@ -1,7 +1,7 @@
 // Package services implements the computational services Pangea pushes into
 // the storage system (paper §8): the sequential read/write service, the
 // shuffle service with its virtual shuffle buffers and small-page allocator,
-// the hash service with page-local hash tables over a slab allocator, and
+// the hash service with page-local hash tables appended into their pages, and
 // the join/broadcast map services. Each service stamps the attribute tags of
 // the locality sets it touches, which is how the paging system learns access
 // patterns at runtime (§3.2).
