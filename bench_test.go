@@ -1,126 +1,23 @@
-// Package pangea's top-level benchmarks regenerate every table and figure
-// of the paper's evaluation (§9). Each benchmark runs one experiment from
-// internal/exp and prints its table once (on the first iteration), so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the full evaluation. Benchmarks default to the harness's full
-// (MB-scale) workloads; set PANGEA_QUICK=1 for the CI-sized ones.
+// Package pangea's top-level benchmarks are the per-layer micros CI gates
+// on: allocator, Pin/Unpin, spill and prefetch pipelines, scans, the
+// microindex build and hash upserts. The paper's tables and figures are
+// printed by `go run ./cmd/pangea-bench [-quick]`, not by benchmarks.
 package pangea_test
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pangea/internal/core"
 	"pangea/internal/disk"
-	"pangea/internal/exp"
 	"pangea/internal/memory"
 	"pangea/internal/query"
 	"pangea/internal/services"
 )
-
-var printOnce sync.Map
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	o := exp.Options{Quick: os.Getenv("PANGEA_QUICK") == "1", Dir: b.TempDir()}
-	for i := 0; i < b.N; i++ {
-		t, err := exp.Run(id, o)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if _, dup := printOnce.LoadOrStore(id, true); !dup {
-			t.Print(os.Stdout)
-		}
-	}
-}
-
-// BenchmarkFig3KMeansLatency regenerates Fig 3: k-means latency for Pangea
-// under six paging policies vs Spark over HDFS, Alluxio and Ignite.
-func BenchmarkFig3KMeansLatency(b *testing.B) { runExperiment(b, "fig3") }
-
-// BenchmarkFig4KMeansMemory regenerates Fig 4: memory usage per setup.
-func BenchmarkFig4KMeansMemory(b *testing.B) { runExperiment(b, "fig4") }
-
-// BenchmarkFig5TPCH regenerates Fig 5: the nine TPC-H queries with
-// heterogeneous replicas vs runtime repartition.
-func BenchmarkFig5TPCH(b *testing.B) { runExperiment(b, "fig5") }
-
-// BenchmarkFig6Recovery regenerates Fig 6: single-node failure recovery
-// latency across cluster sizes.
-func BenchmarkFig6Recovery(b *testing.B) { runExperiment(b, "fig6") }
-
-// BenchmarkFig7SequentialTransient regenerates Fig 7: sequential access to
-// transient data vs OS VM and Alluxio.
-func BenchmarkFig7SequentialTransient(b *testing.B) { runExperiment(b, "fig7") }
-
-// BenchmarkFig8SequentialPersistent regenerates Fig 8: sequential access to
-// persistent data vs the OS file system and HDFS.
-func BenchmarkFig8SequentialPersistent(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkFig9PagingSequential regenerates Fig 9: paging policies on the
-// sequential workload for both durability classes.
-func BenchmarkFig9PagingSequential(b *testing.B) { runExperiment(b, "fig9") }
-
-// BenchmarkFig10PagingShuffle regenerates Fig 10: paging policies on the
-// shuffle workload.
-func BenchmarkFig10PagingShuffle(b *testing.B) { runExperiment(b, "fig10") }
-
-// BenchmarkTab2SLOC regenerates Table 2: the query processor's source-line
-// breakdown.
-func BenchmarkTab2SLOC(b *testing.B) { runExperiment(b, "tab2") }
-
-// BenchmarkTab3Shuffle regenerates Table 3: shuffle write/read latency vs
-// the simulated Spark shuffle.
-func BenchmarkTab3Shuffle(b *testing.B) { runExperiment(b, "tab3") }
-
-// BenchmarkTab4KVAggregation regenerates Table 4: key-value aggregation vs
-// a Go map and the Redis-like store.
-func BenchmarkTab4KVAggregation(b *testing.B) { runExperiment(b, "tab4") }
-
-// BenchmarkS7Colliding regenerates the §7 colliding-object study.
-func BenchmarkS7Colliding(b *testing.B) { runExperiment(b, "s7c") }
-
-// BenchmarkS7Fairness regenerates the multi-tenant fairness experiment:
-// an aggressive hot set vs a well-behaved tenant, with and without
-// per-set admission control.
-func BenchmarkS7Fairness(b *testing.B) { runExperiment(b, "s7") }
-
-// BenchmarkS5Concurrency regenerates the §5 parallel Pin/Unpin ablation.
-func BenchmarkS5Concurrency(b *testing.B) { runExperiment(b, "s5") }
-
-// BenchmarkS5AllocShards regenerates the allocator-sharding ablation:
-// parallel page alloc/free with 1 TLSF shard vs one per core.
-func BenchmarkS5AllocShards(b *testing.B) { runExperiment(b, "s5b") }
-
-// BenchmarkS6SpillThroughput regenerates the spill-pipeline ablation:
-// write-back bandwidth vs drive count with one spill writer per drive.
-func BenchmarkS6SpillThroughput(b *testing.B) { runExperiment(b, "s6") }
-
-// BenchmarkS9Prefetch regenerates the async read-path experiment: cold
-// sequential and looping scans vs drive count, read-ahead on vs off.
-func BenchmarkS9Prefetch(b *testing.B) { runExperiment(b, "s9") }
-
-// BenchmarkS10Columnar regenerates the columnar-layout experiment: the
-// selective scan-filter-agg sweep, batch kernels vs the row pipeline, warm
-// and cold.
-func BenchmarkS10Columnar(b *testing.B) { runExperiment(b, "s10") }
-
-// BenchmarkS11ZoneMap regenerates the zone-map experiment: the selective
-// scan sweep with page skipping on vs off, warm and cold, 1 and 4 drives.
-func BenchmarkS11ZoneMap(b *testing.B) { runExperiment(b, "s11") }
-
-// BenchmarkS12Microindex regenerates the microindex experiment: point
-// lookups on a non-clustered key column with the microindex vs zone-map
-// blooms alone vs no pruning, warm and cold.
-func BenchmarkS12Microindex(b *testing.B) { runExperiment(b, "s12") }
 
 // BenchmarkBatchScan is the batch-vs-row scan microbenchmark: one warm
 // pass of a 10%-selectivity scan-filter-sum over the same records in both

@@ -3,9 +3,9 @@
 //
 // Usage:
 //
+//	pangea-bench                    # every experiment, in the paper's order
+//	pangea-bench -quick             # the same at CI-sized workloads
 //	pangea-bench -exp fig3          # one experiment
-//	pangea-bench -exp all           # everything, in the paper's order
-//	pangea-bench -exp fig7 -quick   # CI-sized workload
 //
 //	pangea-bench -render bench.txt -o BENCH_pool.json
 //	    parse `go test -bench` output into the BENCH_pool artifact JSON

@@ -1,107 +1,28 @@
 // Command pangea-lint runs the Pangea invariant analyzers (pinleak,
-// lockorder, gaugepair, errdrop — see internal/lint) over Go packages.
-//
-// Standalone mode loads and checks packages directly:
+// lockorder, gaugepair, errdrop — see internal/lint) over Go packages:
 //
 //	go run ./cmd/pangea-lint ./...
 //
-// It exits 1 if any diagnostic is reported, 0 on a clean tree.
-//
-// The binary also speaks the `go vet -vettool` unit-checker protocol, so
-// the same analyzers run under the build cache with per-package units:
-//
-//	go build -o /tmp/pangea-lint ./cmd/pangea-lint
-//	go vet -vettool=/tmp/pangea-lint ./...
+// With no package arguments it checks ./... . It prints one line per
+// diagnostic and exits 1 if there was any, 0 on a clean tree, and 2 when the
+// packages cannot be loaded or analyzed.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"pangea/internal/lint"
 )
 
-// printVersion answers the vet driver's -V=full probe. cmd/go requires
-// `<tool> version devel ... buildID=<id>` and uses the ID as the tool's
-// build-cache key, so we hash our own executable: rebuilding the linter
-// invalidates cached vet results.
-func printVersion() {
-	exe, err := os.Executable()
-	if err != nil {
-		exe = os.Args[0]
-	}
-	h := sha256.New()
-	if f, err := os.Open(exe); err == nil {
-		_, _ = io.Copy(h, f)
-		f.Close()
-	}
-	fmt.Printf("%s version devel pangea-analyzers buildID=%x\n",
-		filepath.Base(os.Args[0]), h.Sum(nil))
-}
-
 func main() {
-	// The vet driver probes tools with -V=full and -flags before handing
-	// them a JSON config file; detect those shapes before normal flag
-	// parsing (go vet also prepends its own flag set).
-	args := os.Args[1:]
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" {
-			printVersion()
-			return
-		}
-	}
-	if len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags") {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runVetUnit(args[0])
-		return
-	}
-
-	fs := flag.NewFlagSet("pangea-lint", flag.ExitOnError)
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := fs.Bool("list", false, "list analyzers and exit")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: pangea-lint [-only a,b] packages...\n")
-		fs.PrintDefaults()
-	}
-	_ = fs.Parse(args)
-
-	analyzers := lint.Analyzers()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *only != "" {
-		keep := map[string]bool{}
-		for _, n := range strings.Split(*only, ",") {
-			keep[strings.TrimSpace(n)] = true
-		}
-		var sel []*lint.Analyzer
-		for _, a := range analyzers {
-			if keep[a.Name] {
-				sel = append(sel, a)
-			}
-		}
-		if len(sel) == 0 {
-			fmt.Fprintf(os.Stderr, "pangea-lint: no analyzers match -only=%s\n", *only)
-			os.Exit(2)
-		}
-		analyzers = sel
-	}
-	patterns := fs.Args()
+	flag.Usage = func() { fmt.Fprintln(flag.CommandLine.Output(), "usage: pangea-lint [packages]") }
+	flag.Parse()
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
 	pkgs, err := lint.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pangea-lint: %v\n", err)
@@ -109,10 +30,7 @@ func main() {
 	}
 	found := false
 	for _, pkg := range pkgs {
-		if strings.Contains(pkg.PkgPath, "/testdata/") {
-			continue
-		}
-		diags, err := lint.RunAnalyzers(pkg, analyzers)
+		diags, err := lint.RunAnalyzers(pkg, lint.Analyzers())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pangea-lint: %v\n", err)
 			os.Exit(2)

@@ -1,5 +1,5 @@
-// Package firing drops a Close error on purpose: TestVettoolProtocol vets it
-// by explicit path (./... never matches testdata) and expects the diagnostic.
+// Package firing drops a Close error on purpose: TestExitStatus lints it by
+// explicit path (./... never matches testdata) and expects the diagnostic.
 package firing
 
 import "pangea/internal/pfs"

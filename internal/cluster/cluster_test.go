@@ -534,61 +534,6 @@ func TestCreateSetSpecPlumbsLayout(t *testing.T) {
 	}
 }
 
-func TestCircularBufferOrderAndClose(t *testing.T) {
-	cb := NewCircularBuffer(4)
-	go func() {
-		for i := 0; i < 100; i++ {
-			cb.Push(PageMeta{PageNum: int64(i)})
-		}
-		cb.Close()
-	}()
-	for i := 0; i < 100; i++ {
-		m, ok := cb.Pull()
-		if !ok {
-			t.Fatalf("buffer closed early at %d", i)
-		}
-		if m.PageNum != int64(i) {
-			t.Fatalf("out of order: got %d want %d", m.PageNum, i)
-		}
-	}
-	if _, ok := cb.Pull(); ok {
-		t.Error("Pull after close+drain must report no more pages")
-	}
-}
-
-func TestCircularBufferConcurrentPullers(t *testing.T) {
-	cb := NewCircularBuffer(8)
-	const n = 1000
-	go func() {
-		for i := 0; i < n; i++ {
-			cb.Push(PageMeta{PageNum: int64(i)})
-		}
-		cb.Close()
-	}()
-	var mu sync.Mutex
-	seen := make(map[int64]bool)
-	var wg sync.WaitGroup
-	for t := 0; t < 5; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				m, ok := cb.Pull()
-				if !ok {
-					return
-				}
-				mu.Lock()
-				seen[m.PageNum] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != n {
-		t.Errorf("pulled %d distinct items, want %d", len(seen), n)
-	}
-}
-
 func TestAuthTokenDeterministic(t *testing.T) {
 	if AuthToken("k") != AuthToken("k") {
 		t.Error("token not deterministic")

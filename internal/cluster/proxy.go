@@ -9,8 +9,9 @@ import (
 )
 
 // The Fig 2 scan's two windows: the storage process pins at most pinWindow
-// pages ahead of the computation, and the proxy's circular buffer holds the
-// metadata of up to ringSize of them.
+// pages ahead of the computation, and the proxy's circular buffer, a
+// buffered channel, holds the metadata of up to ringSize of them. The ring
+// is larger than the pin window, so the receiver never waits for a slot.
 const (
 	pinWindow = 8
 	ringSize  = 16
@@ -35,11 +36,11 @@ func NewDataProxy(w *Worker, privateKey string) *DataProxy {
 }
 
 // Scan runs the Fig 2 flow: a GetSetPages message starts the storage
-// process pinning pages; their metadata is pushed into a thread-safe
-// circular buffer; numThreads long-living worker threads pull page metadata
-// in a loop, slice the shared arena at the indicated offset, and run fn
-// over every record. Pages are acknowledged (and unpinned by the storage
-// process) as each thread finishes them.
+// process pinning pages; their metadata is pushed into a circular buffer;
+// numThreads long-living worker threads pull page metadata in a loop, slice
+// the shared arena at the indicated offset, and run fn over every record.
+// Pages are acknowledged (and unpinned by the storage process) as each
+// thread finishes them.
 func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []byte) error) error {
 	if numThreads < 1 {
 		numThreads = 1
@@ -49,7 +50,9 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 		return err
 	}
 	defer c.close()
-	cb := NewCircularBuffer(ringSize)
+	pages := make(chan PageMeta, ringSize)
+	stop := make(chan struct{}) // closed by the first computation thread that fails
+	halt := sync.OnceFunc(func() { close(stop) })
 	ack := func(num int64) error { return c.send(request{Auth: dp.auth, Msg: PageDone{PageNum: num}}) }
 
 	// Long-living computation threads: pull page metadata, touch shared
@@ -61,33 +64,43 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			for {
-				pm, ok := cb.Pull()
-				if !ok {
-					return
-				}
+			for pm := range pages {
 				buf := arena.Slice(pm.Offset, pm.Size)
 				err := services.WalkPage(buf, func(rec []byte) error { return fn(t, rec) })
 				if err != nil {
-					cb.Close() // before the ack: the PageMeta that provokes must end the receiver, not be pushed
+					halt() // before the ack: the PageMeta that provokes must end the receiver, not be pushed
 				}
 				if aerr := ack(pm.PageNum); err == nil {
 					err = aerr
 				}
 				if err != nil {
 					workErrs <- err
-					cb.Close()
+					halt()
 					return
 				}
 			}
 		}(t)
 	}
 	// Receiver: socket -> circular buffer, until NoMorePage, the stream's
-	// error, or a computation thread closing the buffer under it.
+	// error, or a computation thread stopping the scan. A stop already made
+	// wins over a free slot, so no page is pushed after it.
 	recvErr := replies(c, func(pm PageMeta) (bool, error) {
-		return pm.NoMorePage || !cb.Push(pm), nil
+		select {
+		case <-stop:
+			return true, nil
+		default:
+		}
+		if pm.NoMorePage {
+			return true, nil
+		}
+		select {
+		case pages <- pm:
+			return false, nil
+		case <-stop:
+			return true, nil
+		}
 	})
-	cb.Close()
+	close(pages)
 	wg.Wait()
 	close(workErrs)
 	if err := <-workErrs; err != nil { // the first failure, if a thread had one

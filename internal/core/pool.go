@@ -45,7 +45,7 @@ type PoolConfig struct {
 	AllocShards int
 	// ReadAhead is the automatic prefetch window in pages for sets with a
 	// declared sequential reading pattern: as a scan's cursor advances
-	// (services.PageIterators) it schedules asynchronous reads of the next
+	// (services.PageIteratorsFor) it schedules asynchronous reads of the next
 	// ReadAhead pages of its page list through the per-drive read queues.
 	// 0 selects the default of DefaultReadAheadPerDrive pages per drive in
 	// the array (the window's job is to keep every drive busy — deeper

@@ -353,7 +353,7 @@ func (s *LocalitySet) NewPage() (*Page, error) {
 // one disk read serves every waiter, and if the read fails every waiter gets
 // the loader's error instead of fanning out into its own retry read. Pin
 // itself never speculates: read-ahead belongs to the sequential scan cursor
-// (services.PageIterators), which knows the scan's page list and frontier.
+// (services.PageIteratorsFor), which knows the scan's page list and frontier.
 func (s *LocalitySet) Pin(num int64) (*Page, error) {
 	bp := s.pool
 	s.mu.Lock()
@@ -514,16 +514,6 @@ func (s *LocalitySet) markConsumed(num int64) {
 		s.consumed = append(s.consumed, make([]uint64, w-len(s.consumed))...)
 	}
 	s.consumed[num>>6] |= 1 << (uint(num) & 63)
-}
-
-// Touch bumps the page's recency without re-pinning, for long computations
-// that keep referencing a pinned page.
-func (s *LocalitySet) Touch(p *Page) {
-	tick := s.pool.nextTick()
-	s.mu.Lock()
-	p.lastRef = tick
-	s.lastAccess = tick
-	s.mu.Unlock()
 }
 
 // FlushAll persists every resident dirty page. Used to force a consistent

@@ -36,7 +36,7 @@ func checkStamp(buf []byte, set, num int64) error {
 	return nil
 }
 
-// TestPoolConcurrentStress hammers Pin/Unpin/NewPage/Touch across several
+// TestPoolConcurrentStress hammers Pin/Unpin/NewPage across several
 // locality sets from many goroutines while a churn goroutine creates,
 // fills, lifetime-ends and drops extra sets, and two read-once sets are each
 // written and then consumed page by page (Prefetch/Pin/Retire) by a pair of
@@ -159,9 +159,6 @@ func TestPoolConcurrentStress(t *testing.T) {
 						return
 					}
 					stamp(p.Bytes(), int64(si), p.Num())
-					if rng.Intn(4) == 0 {
-						s.Touch(p)
-					}
 					if err := s.Unpin(p, true); err != nil {
 						fail(err)
 						return

@@ -59,8 +59,8 @@ func (a *Array) Stats() Stats {
 }
 
 // PerDriveStats snapshots each drive's traffic counters individually, in
-// drive order. The s6 spill experiment uses it to report how evenly the
-// round-robin placement balances read/write traffic across the array.
+// drive order: how evenly the round-robin placement balances read/write
+// traffic across the array.
 func (a *Array) PerDriveStats() []Stats {
 	out := make([]Stats, len(a.disks))
 	for i, d := range a.disks {

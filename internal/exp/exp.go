@@ -3,8 +3,9 @@
 // experiment returns a Table whose rows mirror the series the paper plots;
 // absolute numbers differ (MB-scale simulation vs the authors' AWS
 // testbed), but the shapes — who wins, by what rough factor, and where the
-// crossovers fall — are the reproduction target. EXPERIMENTS.md records
-// paper-vs-measured for each.
+// crossovers fall — are the reproduction target. Each table's notes quote
+// the paper's numbers beside it, and `go run ./cmd/pangea-bench [-quick]`
+// prints every table.
 package exp
 
 import (
@@ -132,9 +133,6 @@ var Registry = []struct {
 	{"tab3", Tab3, "shuffle write/read: simulated Spark shuffle vs Pangea"},
 	{"tab4", Tab4, "key-value aggregation: Go map vs Pangea hashmap vs Redis-like"},
 	{"s7c", S7Colliding, "colliding objects vs node count and the n/k estimate"},
-	{"s5", S5Concurrency, "parallel Pin/Unpin throughput: shared set vs per-goroutine sets"},
-	{"s5b", S5AllocShards, "parallel page alloc/free throughput: 1 TLSF shard vs one per core"},
-	{"s6", S6SpillThroughput, "spill throughput vs drive count: per-drive write-back pipeline"},
 	{"s7", S7Fairness, "multi-tenant fairness: per-set admission control vs an aggressive hot set"},
 	{"s9", S9Prefetch, "async prefetching read path: cold sequential/looping scans vs drive count, read-ahead on/off"},
 	{"s10", S10Columnar, "columnar page layout: selective scan-filter-agg, batch kernels vs row decode, warm and cold"},

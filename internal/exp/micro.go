@@ -8,7 +8,6 @@ import (
 	"pangea/internal/core"
 	"pangea/internal/disk"
 	"pangea/internal/layered"
-	"pangea/internal/memory"
 	"pangea/internal/paging"
 	"pangea/internal/query"
 	"pangea/internal/services"
@@ -94,195 +93,6 @@ func pangeaSeqRun(bp *core.BufferPool, name string, pageSize int64, durability c
 	}
 	read = time.Since(start) / scanIters
 	return write, read, bp.DropSet(set)
-}
-
-// S5Concurrency measures the unified pool's multi-goroutine Pin/Unpin
-// throughput (§5): workers hammering one shared locality set (every access
-// serializes on that set's lock) vs one locality set per worker (accesses
-// only share the pool's atomic clock and allocator). The per-set-locking
-// architecture should scale the sharded layout with the worker count while
-// the shared layout stays roughly flat — the ablation that motivates
-// splitting the old global pool mutex.
-func S5Concurrency(o Options) (*Table, error) {
-	const pageSize = 4 << 10
-	const pagesPerSet = 16
-	opsPerWorker := o.pick(20000, 200000)
-	t := &Table{
-		ID:     "s5",
-		Title:  "parallel Pin/Unpin throughput (kops/s; resident pages, no eviction)",
-		Header: []string{"goroutines", "one shared set", "one set per goroutine", "sharded speedup"},
-	}
-	run := func(tag string, workers, nSets int) (float64, error) {
-		bp, arr, err := newPool(o, tag, 64<<20, 1, nil)
-		if err != nil {
-			return 0, err
-		}
-		defer func() { _ = arr.RemoveAll() }()
-		sets := make([]*core.LocalitySet, nSets)
-		for i := range sets {
-			s, err := bp.CreateSet(core.SetSpec{Name: fmt.Sprintf("s%d", i), PageSize: pageSize})
-			if err != nil {
-				return 0, err
-			}
-			for j := 0; j < pagesPerSet; j++ {
-				p, err := s.NewPage()
-				if err != nil {
-					return 0, err
-				}
-				if err := s.Unpin(p, false); err != nil {
-					return 0, err
-				}
-			}
-			sets[i] = s
-		}
-		rep := func(ops int) (time.Duration, error) {
-			errs := make(chan error, workers)
-			start := time.Now()
-			for w := 0; w < workers; w++ {
-				go func(w int) {
-					s := sets[w%nSets]
-					for i := 0; i < ops; i++ {
-						p, err := s.Pin(int64((w + i) % pagesPerSet))
-						if err != nil {
-							errs <- err
-							return
-						}
-						if err := s.Unpin(p, false); err != nil {
-							errs <- err
-							return
-						}
-					}
-					errs <- nil
-				}(w)
-			}
-			for w := 0; w < workers; w++ {
-				if err := <-errs; err != nil {
-					return 0, err
-				}
-			}
-			return time.Since(start), nil
-		}
-		// Warm-up rep touches every page (first-touch faults on the fresh
-		// arena otherwise dominate short measurements), then best of two.
-		if _, err := rep(opsPerWorker / 4); err != nil {
-			return 0, err
-		}
-		best := time.Duration(0)
-		for r := 0; r < 2; r++ {
-			elapsed, err := rep(opsPerWorker)
-			if err != nil {
-				return 0, err
-			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		return float64(workers*opsPerWorker) / best.Seconds() / 1000, nil
-	}
-	for _, g := range []int{1, 2, 4, 8} {
-		shared, err := run(fmt.Sprintf("s5-shared-%d", g), g, 1)
-		if err != nil {
-			return nil, err
-		}
-		sharded, err := run(fmt.Sprintf("s5-sharded-%d", g), g, g)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", g), fmt.Sprintf("%.0f", shared), fmt.Sprintf("%.0f", sharded),
-			fmt.Sprintf("%.2fx", sharded/shared))
-	}
-	t.Notes = append(t.Notes,
-		"per-LocalitySet locking: disjoint sets never contend, so the sharded layout scales with GOMAXPROCS",
-		"the shared-set column bounds what the old single pool mutex allowed for *all* traffic")
-	return t, nil
-}
-
-// S5AllocShards measures parallel page allocation throughput against the
-// pool arena configured as a single TLSF shard (the seed's one shared
-// allocator mutex) vs one shard per core. Workers alloc/free 4 KiB pages
-// with distinct home-shard hints, the way locality sets route their page
-// memory; the sharded layout should scale with the worker count while the
-// single shard serializes — the §5 specialize-per-workload argument applied
-// to the allocator itself.
-func S5AllocShards(o Options) (*Table, error) {
-	const pageSize = 4 << 10
-	const arenaBytes = 64 << 20
-	opsPerWorker := o.pick(20000, 200000)
-	auto := memory.DefaultShardCount(arenaBytes)
-	t := &Table{
-		ID:     "s5b",
-		Title:  fmt.Sprintf("parallel page alloc/free throughput (kops/s; 4 KiB pages, %d-shard TLSF)", auto),
-		Header: []string{"goroutines", "1 shard", fmt.Sprintf("%d shards", auto), "sharded speedup"},
-	}
-	run := func(shards, workers int) (float64, error) {
-		alloc := memory.NewShardedTLSF(memory.NewArena(arenaBytes), shards)
-		rep := func(ops int) (time.Duration, error) {
-			errs := make(chan error, workers)
-			start := time.Now()
-			for w := 0; w < workers; w++ {
-				go func(w int) {
-					// Hold a small window of live pages so every free and
-					// alloc is real churn, not same-block ping-pong.
-					var held [8]int64
-					h := 0
-					for i := 0; i < ops; i++ {
-						off, err := alloc.AllocAffinity(pageSize, w)
-						if err != nil {
-							errs <- err
-							return
-						}
-						if held[h] != 0 {
-							alloc.Free(held[h])
-						}
-						held[h] = off
-						h = (h + 1) % len(held)
-					}
-					for _, off := range held {
-						if off != 0 {
-							alloc.Free(off)
-						}
-					}
-					errs <- nil
-				}(w)
-			}
-			for w := 0; w < workers; w++ {
-				if err := <-errs; err != nil {
-					return 0, err
-				}
-			}
-			return time.Since(start), nil
-		}
-		if _, err := rep(opsPerWorker / 4); err != nil { // warm-up
-			return 0, err
-		}
-		best := time.Duration(0)
-		for r := 0; r < 2; r++ {
-			elapsed, err := rep(opsPerWorker)
-			if err != nil {
-				return 0, err
-			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		return float64(workers*opsPerWorker) / best.Seconds() / 1000, nil
-	}
-	for _, g := range []int{1, 2, 4, 8} {
-		single, err := run(1, g)
-		if err != nil {
-			return nil, err
-		}
-		sharded, err := run(0, g)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", g), fmt.Sprintf("%.0f", single), fmt.Sprintf("%.0f", sharded),
-			fmt.Sprintf("%.2fx", sharded/single))
-	}
-	t.Notes = append(t.Notes,
-		"each worker allocates with its own home-shard hint, the way locality sets route page memory",
-		"the 1-shard column is the seed's single-TLSF design: every allocation serializes on one mutex")
-	return t, nil
 }
 
 // Fig7 compares sequential access to transient data: Pangea write-back

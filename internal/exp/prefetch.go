@@ -22,8 +22,7 @@ import (
 // bound the overhead of speculation where it cannot help.
 func S9Prefetch(o Options) (*Table, error) {
 	const pageSize = 256 << 10
-	totalPages := o.pick(24, 96)
-	poolPages := int64(o.pick(10, 24))
+	totalPages, poolPages := s9Size(o)
 	mem := poolPages * pageSize
 	t := &Table{
 		ID: "s9",
@@ -72,6 +71,11 @@ func S9Prefetch(o Options) (*Table, error) {
 		"issued/hits/wasted are the pool's speculation counters; loads counts demand misses only",
 		"reads/pass: drive reads per timed pass, of the set's page count — on loop rows, under the page count is what MRU retained across passes")
 	return t, nil
+}
+
+// s9Size returns the scanned set's page count and the pool's size in pages.
+func s9Size(o Options) (totalPages int, poolPages int64) {
+	return o.pick(24, 96), int64(o.pick(10, 24))
 }
 
 type s9Result struct {

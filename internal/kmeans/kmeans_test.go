@@ -93,12 +93,8 @@ func assertQuality(t *testing.T, e *query.Executor, model *Model, dim int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := query.Collect(query.ScanSpec{Set: s}.Iter())
-		if err != nil {
-			t.Fatal(err)
-		}
 		p := make([]float64, dim)
-		for _, rec := range rows {
+		err = query.ScanSpec{Set: s}.Run(func(_ int, rec query.Row) error {
 			DecodePoint(rec, p)
 			best := math.Inf(1)
 			for _, c := range model.Centroids {
@@ -112,6 +108,10 @@ func assertQuality(t *testing.T, e *query.Executor, model *Model, dim int) {
 			}
 			sum += math.Sqrt(best)
 			cnt++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 	if mean := sum / float64(cnt); mean > 10 {

@@ -65,13 +65,6 @@ func shardCount(total int64, nshards int) int {
 	return n
 }
 
-// DefaultShardCount reports how many shards NewShardedTLSF would create
-// for an arena of the given size under the automatic (GOMAXPROCS) policy,
-// without building anything.
-func DefaultShardCount(arenaBytes int64) int {
-	return shardCount(arenaBytes&^(tlsfAlign-1), 0)
-}
-
 // NewShardedTLSF builds a sharded allocator over the whole arena; see
 // shardCount for how nshards is resolved. nshards < 0 panics — silently
 // "rounding" a negative shard count hid configuration bugs; the pool

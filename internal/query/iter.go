@@ -15,49 +15,10 @@
 // broadcast data path, replica builds, k-means.
 package query
 
-import (
-	"sync"
-
-	"pangea/internal/core"
-	"pangea/internal/services"
-)
-
 // Row is one relational record in its set's binary layout.
 type Row = []byte
 
 // Iter is a push-based row stream: it calls emit for every row, stopping on
-// error; emit may be called from several goroutines at once. ScanSpec.Iter
-// produces one.
+// error; emit may be called from several goroutines at once. It is what
+// Executor.Exchange reads each node's source from.
 type Iter func(emit func(Row) error) error
-
-// Collect drains the stream into a slice, copying each row (rows emitted by
-// a scan alias pinned pages and are invalid after the scan). Row order
-// across scan threads is unspecified.
-func Collect(in Iter) ([]Row, error) {
-	var mu sync.Mutex
-	var rows []Row
-	err := in(func(r Row) error {
-		cp := append(Row(nil), r...)
-		mu.Lock()
-		rows = append(rows, cp)
-		mu.Unlock()
-		return nil
-	})
-	return rows, err
-}
-
-// Materialize writes the stream into a locality set through the sequential
-// write service and returns the row count.
-func Materialize(in Iter, out *core.LocalitySet) (int64, error) {
-	w := services.NewSeqWriter(out)
-	var mu sync.Mutex
-	err := in(func(r Row) error {
-		mu.Lock()
-		defer mu.Unlock()
-		return w.Add(r)
-	})
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	return w.Count(), err
-}

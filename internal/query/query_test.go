@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -155,10 +156,21 @@ func TestMaterializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Materialize(ScanSpec{Set: s, Threads: 2, Schema: testSchema(), Pred: ColEq{Col: 1, V: 0}}.Iter(), out)
+	// A SeqWriter is one thread's, so the scan's two threads take turns at it.
+	w := services.NewSeqWriter(out)
+	var mu sync.Mutex
+	err = ScanSpec{Set: s, Threads: 2, Schema: testSchema(), Pred: ColEq{Col: 1, V: 0}}.Run(func(_ int, r Row) error {
+		mu.Lock()
+		defer mu.Unlock()
+		return w.Add(r)
+	})
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := w.Count()
 	m, err := ScanSpec{Set: out}.CountBatches(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +220,7 @@ func TestExchangeCoPartitions(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return ScanSpec{Set: s, Threads: 2}.Iter()(emit)
+			return ScanSpec{Set: s, Threads: 2}.Run(func(_ int, r Row) error { return emit(r) })
 		}
 	}, key, 64<<10)
 	if err != nil {
@@ -222,11 +234,7 @@ func TestExchangeCoPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := Collect(ScanSpec{Set: s}.Iter())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rows {
+		for _, r := range collect(t, ScanSpec{Set: s}) {
 			total++
 			g := rowGroup(r)
 			if prev, ok := groupNode[g]; ok && prev != node {
@@ -352,7 +360,7 @@ func TestExchangeAndBroadcastDropTargetOnFailure(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return ScanSpec{Set: s}.Iter()(emit)
+			return ScanSpec{Set: s}.Run(func(_ int, r Row) error { return emit(r) })
 		}
 	}, key, 64<<10); err != nil {
 		t.Fatal(err)

@@ -28,8 +28,8 @@ const (
 
 // ScanSpec is the one scan entry point: a declarative description — which
 // set, how many worker threads, what predicate — executed batch-at-a-time by
-// RunBatches over either page layout; Run and Iter hand the selected rows of
-// each batch out in record form, and AggBatches/CountBatches put a sink on
+// RunBatches over either page layout; Run hands the selected rows of each
+// batch out in record form, and AggBatches/CountBatches put a sink on
 // the end.
 //
 // Because the predicate is algebraic rather than an opaque closure, the
@@ -214,14 +214,6 @@ func (sp ScanSpec) Run(fn func(thread int, row Row) error) error {
 	return sp.RunBatches(func(t int, b *Batch) error {
 		return ProjectBatch(b, func(r Row) error { return fn(t, r) })
 	})
-}
-
-// Iter adapts the scan to a push-based row stream, predicate already
-// applied.
-func (sp ScanSpec) Iter() Iter {
-	return func(emit func(Row) error) error {
-		return sp.Run(func(_ int, r Row) error { return emit(r) })
-	}
 }
 
 // Stage is one step of a per-batch pipeline between a scan and its sink: it

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -21,14 +22,30 @@ func TestCountParallel(t *testing.T) {
 	}
 }
 
+// collect copies out every row the scan hands to Run (a row aliases its
+// pinned page only until the callback returns). Order across threads is
+// unspecified.
+func collect(t *testing.T, sp ScanSpec) []Row {
+	t.Helper()
+	var mu sync.Mutex
+	var rows []Row
+	if err := sp.Run(func(_ int, r Row) error {
+		cp := append(Row(nil), r...)
+		mu.Lock()
+		rows = append(rows, cp)
+		mu.Unlock()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestCollectParallel(t *testing.T) {
 	bp := newPool(t, 8<<20)
 	rows := testRows(10000)
 	s := loadSet(t, bp, "s", rows)
-	got, err := Collect(ScanSpec{Set: s, Threads: 8}.Iter())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, ScanSpec{Set: s, Threads: 8})
 	if len(got) != len(rows) {
 		t.Fatalf("collected %d rows, want %d", len(got), len(rows))
 	}

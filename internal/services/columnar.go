@@ -192,10 +192,9 @@ func initColumnarPage(buf []byte, widths []int, capacity int) {
 // ColumnarWriter is the sequential write service for columnar sets: Add
 // transposes each fixed-width record into the per-column segments of the
 // current page and pins a fresh page when it fills. Like SeqWriter, one
-// writer per thread. NewSeqWriter constructs one automatically for sets
-// declared LayoutColumnar, so callers of the row write API (WriteAll, the
-// cluster's AddRecords path, query.Materialize) transparently produce
-// columnar pages.
+// writer per thread. NewSeqWriter constructs one for sets declared
+// LayoutColumnar, so callers of the row write API (WriteAll, the cluster's
+// AddRecords path) transparently produce columnar pages.
 type ColumnarWriter struct {
 	set      *core.LocalitySet
 	widths   []int
@@ -213,20 +212,9 @@ type ColumnarWriter struct {
 	OnSeal func(pageNum int64, p *ColumnarPage)
 }
 
-// NewColumnarWriter attaches a columnar sequential allocator to the set,
-// which must have been created with LayoutColumnar.
-func NewColumnarWriter(set *core.LocalitySet) (*ColumnarWriter, error) {
-	if set.Layout() != core.LayoutColumnar {
-		return nil, fmt.Errorf("services: set %q has %s layout, want columnar", set.Name(), set.Layout())
-	}
-	set.SetWriting(core.SequentialWrite)
-	set.SetCurrentOp(core.OpWrite)
-	return newColumnarWriter(set), nil
-}
-
-// newColumnarWriter builds the writer without stamping attributes; the
-// set's columnar invariants (widths present, one row fits) were validated
-// by core.CreateSet.
+// newColumnarWriter builds the writer NewSeqWriter delegates to; the set's
+// columnar invariants (widths present, one row fits) were validated by
+// core.CreateSet.
 func newColumnarWriter(set *core.LocalitySet) *ColumnarWriter {
 	widths := set.ColumnWidths()
 	rowSize := 0

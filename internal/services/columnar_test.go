@@ -125,16 +125,6 @@ func TestColumnarWriterRejectsWrongSize(t *testing.T) {
 	}
 }
 
-// TestNewColumnarWriterRequiresColumnarSet: the explicit constructor
-// refuses row-layout sets.
-func TestNewColumnarWriterRequiresColumnarSet(t *testing.T) {
-	bp := newPool(t, 1<<20)
-	s := mkSet(t, bp, "row", 4096)
-	if _, err := NewColumnarWriter(s); err == nil {
-		t.Error("columnar writer attached to a row-layout set")
-	}
-}
-
 // TestMixedLayoutsInOnePool: a row set and a columnar set coexist in one
 // pool; each scan sees exactly its own records with its own framing.
 func TestMixedLayoutsInOnePool(t *testing.T) {
@@ -243,13 +233,10 @@ func TestColumnarSpillReload(t *testing.T) {
 func TestColumnarOnSealHook(t *testing.T) {
 	bp := newPool(t, 1<<20)
 	s := mkColSet(t, bp, "c", 512)
-	w, err := NewColumnarWriter(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewSeqWriter(s)
 	rowsSeen := 0
 	pages := 0
-	w.OnSeal = func(num int64, p *ColumnarPage) {
+	w.cw.OnSeal = func(num int64, p *ColumnarPage) {
 		pages++
 		rowsSeen += p.NumRows()
 		// A min over a column vector — what a zone-map builder would do.

@@ -22,8 +22,8 @@ type SeqWriter struct {
 
 	// cw handles sets declared LayoutColumnar: Add transposes into column
 	// segments instead of framing records, so every row-API producer
-	// (WriteAll, the cluster data proxy, query.Materialize) writes
-	// whichever layout the set was created with.
+	// (WriteAll, the cluster data proxy) writes whichever layout the set
+	// was created with.
 	cw *ColumnarWriter
 
 	// OnAppend, when set, is called after each record lands in a row page,
@@ -137,28 +137,22 @@ type scanCursor struct {
 }
 
 // PageIterator hands one worker thread the pages of a scan. Obtain one per
-// thread from PageIterators; the iterators of one scan share a cursor, so
+// thread from PageIteratorsFor; the iterators of one scan share a cursor, so
 // which thread gets which page is decided as the scan runs. Each Next pins a
 // page that the caller must release with Release (or by unpinning directly).
 type PageIterator struct {
 	c *scanCursor
 }
 
-// PageIterators is the sequential read service's entry point (§8): it
-// returns n concurrent iterators that together visit every page of the set
-// exactly once, and stamps ReadingPattern=sequential-read,
+// PageIteratorsFor is the sequential read service's entry point (§8): it
+// returns n concurrent iterators that together visit every listed page of
+// the set exactly once, and stamps ReadingPattern=sequential-read,
 // CurrentOperation=read on the set. The stamp makes the scan read ahead (see
 // PoolConfig.ReadAhead): as its frontier advances it hints the pages that
 // follow, so the drives read tomorrow's pages while the workers compute over
-// today's — pin misses on a warm window become hits.
-func PageIterators(set *core.LocalitySet, n int) []*PageIterator {
-	return PageIteratorsFor(set, set.PageNums(), n)
-}
-
-// PageIteratorsFor is PageIterators over an explicit page list — the entry
-// point for predicate scans whose zone map already pruned some pages: the
-// scan, and therefore every read-ahead hint it issues, covers only the
-// listed pages.
+// today's — pin misses on a warm window become hits. The scan, and therefore
+// every read-ahead hint it issues, covers only the listed pages: a predicate
+// scan lists what its zone map did not prune, a full scan set.PageNums().
 //
 // Over a read-once set (core.Attributes.ReadOnce — a shuffle partition) the
 // scan consumes what it reads: the cursor visits the pages resident at this

@@ -227,7 +227,7 @@ func TestPageIteratorsCoverAllPagesDisjointly(t *testing.T) {
 	_ = w.Close()
 	total := s.NumPages()
 	for _, nThreads := range []int{1, 3, 7} {
-		iters := PageIterators(s, nThreads)
+		iters := PageIteratorsFor(s, s.PageNums(), nThreads)
 		seen := make(map[int64]int)
 		for _, it := range iters {
 			for {
