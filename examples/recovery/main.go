@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"pangea/internal/cluster"
+	"pangea/internal/core"
 	"pangea/internal/placement"
 	"pangea/internal/tpch"
 )
@@ -55,7 +56,7 @@ func main() {
 		{Scheme: "hash(l_orderkey)", NumPartitions: 20, Key: keyFn(tpch.LOrderKey)},
 		{Scheme: "hash(l_partkey)", NumPartitions: 20, Key: keyFn(tpch.LPartKey)},
 	}
-	g, err := placement.BuildGroup(cl, addrs, "lineitem", parts, 128<<10)
+	g, err := placement.BuildGroup(cl, addrs, "lineitem", parts, core.SetSpec{PageSize: 128 << 10})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,8 +44,15 @@ func newSpillPipeline(bp *BufferPool, arr *disk.Array) *spillPipeline {
 // round.
 func (sp *spillPipeline) submit(s *LocalitySet, p *Page) {
 	bp, e := sp.bp, sp.bp.evictor
-	// Placement is the only step that needs the file's index lock.
-	loc := s.file.PlacePage(p.num)
+	// Placement is the only step that needs the file's index lock. It fails
+	// only when the drive's data file cannot be created: the page stays
+	// resident and dirty, as after a failed write.
+	loc, err := s.file.PlacePage(p.num)
+	if err != nil {
+		bp.settle(s, p, err)
+		e.broadcast(fmt.Errorf("core: spill during eviction: %w", err))
+		return
+	}
 	bp.stats.SpillsInFlight.Add(1)
 	e.inFlight.Add(p.size)
 	sp.queues[loc.Drive].Submit(func() {

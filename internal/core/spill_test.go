@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -605,5 +607,91 @@ func TestSpillCompletesOutOfOrderOnOneDrive(t *testing.T) {
 	}
 	if got := g.bp.UsedBytes(); got != 0 {
 		t.Errorf("UsedBytes = %d after DropSet, want 0", got)
+	}
+}
+
+// TestTransientSetOpensNoFileUntilItSpills: an execution set that stays in
+// memory leaves no file on any drive, a spill creates the data files of the
+// drives its pages were placed on and no others, and no meta file appears
+// before one is flushed.
+func TestTransientSetOpensNoFileUntilItSpills(t *testing.T) {
+	const pageSize = 4 << 10
+	const drives = 4
+	bp, arr := spillPool(t, drives, disk.Unthrottled(), 8, pageSize)
+	files := func() (names []string) {
+		for d := 0; d < drives; d++ {
+			ents, err := os.ReadDir(arr.Disk(d).Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				names = append(names, fmt.Sprintf("%d/%s", d, e.Name()))
+			}
+		}
+		return names
+	}
+	fill := func(s *LocalitySet, n int) {
+		for i := 0; i < n; i++ {
+			p, err := s.NewPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Bytes()[0] = byte(i)
+			if err := s.Unpin(p, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mem, err := bp.CreateSet(SetSpec{Name: "mem", PageSize: pageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(mem, 4)
+	if got := files(); len(got) != 0 {
+		t.Fatalf("a set that fits in memory left files %v", got)
+	}
+	if err := bp.DropSet(mem); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := bp.CreateSet(SetSpec{Name: "spill", PageSize: pageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(s, 10)
+	// The evictor may still be placing pages, so the files are read between
+	// two reads of the placements: before ⊆ files ⊆ after.
+	placed := func() map[string]bool {
+		m := map[string]bool{}
+		for _, num := range s.file.PageNums() {
+			loc, err := s.file.Locate(num)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[fmt.Sprintf("%d/spill.%d.data", loc.Drive, s.ID())] = true
+		}
+		return m
+	}
+	before := placed()
+	got := files()
+	after := placed()
+	if len(before) == 0 {
+		t.Fatal("ten pages in an eight-page pool spilled nothing")
+	}
+	for name := range before {
+		if !slices.Contains(got, name) {
+			t.Errorf("a page was placed on %s, but the file is missing (files %v)", name, got)
+		}
+	}
+	for _, name := range got {
+		if !after[name] {
+			t.Errorf("file %s was created, but no page was placed there (%v)", name, after)
+		}
+	}
+	if err := bp.DropSet(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := files(); len(got) != 0 {
+		t.Fatalf("DropSet left files %v", got)
 	}
 }

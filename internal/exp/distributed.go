@@ -371,7 +371,7 @@ func Fig6(o Options) (*Table, error) {
 			{Scheme: "hash(l_orderkey)", NumPartitions: np, Key: key(tpch.LOrderKey)},
 			{Scheme: "hash(l_partkey)", NumPartitions: np, Key: key(tpch.LPartKey)},
 		}
-		g, err := placement.BuildGroup(tc.exec.Client, tc.exec.Addrs, "lineitem", parts, 128<<10)
+		g, err := placement.BuildGroup(tc.exec.Client, tc.exec.Addrs, "lineitem", parts, core.SetSpec{PageSize: 128 << 10})
 		if err != nil {
 			_ = tc.Close()
 			return nil, err

@@ -6,6 +6,9 @@
 // page's drive and offset. A locality-set page may have an on-disk image
 // here, or not (transient write-back sets spill only under memory
 // pressure), so the file holds an arbitrary subset of the set's pages.
+// Nothing is opened until it is needed: a drive's data file is created by
+// the first page placed on that drive, and the meta file by the first
+// FlushMeta, so a set that never spills never touches the file system.
 package pfs
 
 import (
@@ -13,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"path/filepath"
 	"sort"
+	"strings"
 
 	"pangea/internal/disk"
 	"pangea/internal/locking"
@@ -53,8 +58,8 @@ type PagedFile struct {
 	array    *disk.Array
 
 	mu    locking.Mutex
-	data  []*disk.File          // one per drive
-	meta  *disk.File            // on drive 0
+	data  []*disk.File          // one per drive; nil until a page is placed there
+	meta  *disk.File            // on drive 0; nil until the first FlushMeta
 	pages map[int64]PageLoc     // page number -> location
 	next  []int64               // per-drive append offset
 	seq   int64                 // round-robin counter for new pages
@@ -62,52 +67,54 @@ type PagedFile struct {
 }
 
 // Create makes a new, empty paged file named name with the given page size.
+// It opens no file: the name is checked here, and each file is created the
+// first time something is written to it.
 func Create(array *disk.Array, name string, pageSize int64) (*PagedFile, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("pfs: invalid page size %d", pageSize)
+	}
+	// Names arrive over the cluster wire; one that could leave the drive's
+	// directory, or that the OS would refuse later, is refused now.
+	if strings.IndexByte(name, 0) >= 0 || !filepath.IsLocal(name) {
+		return nil, fmt.Errorf("pfs: invalid file name %q", name)
 	}
 	pf := &PagedFile{
 		name:     name,
 		pageSize: pageSize,
 		array:    array,
 		pages:    make(map[int64]PageLoc),
+		data:     make([]*disk.File, array.Len()),
 		next:     make([]int64, array.Len()),
 	}
 	pf.mu.Init(locking.RankPFS)
-	for i := 0; i < array.Len(); i++ {
-		f, err := array.Disk(i).Create(name + ".data")
-		if err != nil {
-			_ = pf.closeAll()
-			return nil, err
-		}
-		pf.data = append(pf.data, f)
-	}
-	meta, err := array.Disk(0).Create(name + ".meta")
-	if err != nil {
-		_ = pf.closeAll()
-		return nil, err
-	}
-	pf.meta = meta
 	return pf, nil
 }
 
 // Open re-attaches an existing paged file, reading the page index from the
-// meta file. Used after restart and by durability tests.
+// meta file. Used after restart and by durability tests. A drive that never
+// received a page has no data file, and gets one if a page is placed there.
 func Open(array *disk.Array, name string) (*PagedFile, error) {
+	if !array.Disk(0).Exists(name + ".meta") {
+		return nil, fmt.Errorf("pfs: %s has no meta file", name)
+	}
 	pf := &PagedFile{
 		name:  name,
 		array: array,
 		pages: make(map[int64]PageLoc),
+		data:  make([]*disk.File, array.Len()),
 		next:  make([]int64, array.Len()),
 	}
 	pf.mu.Init(locking.RankPFS)
-	for i := 0; i < array.Len(); i++ {
+	for i := range pf.data {
+		if !array.Disk(i).Exists(name + ".data") {
+			continue
+		}
 		f, err := array.Disk(i).OpenFile(name + ".data")
 		if err != nil {
 			_ = pf.closeAll()
 			return nil, err
 		}
-		pf.data = append(pf.data, f)
+		pf.data[i] = f
 	}
 	meta, err := array.Disk(0).OpenFile(name + ".meta")
 	if err != nil {
@@ -130,36 +137,55 @@ func (pf *PagedFile) PageSize() int64 { return pf.pageSize }
 
 // PlacePage returns the on-disk location of page pageNum, assigning one if
 // the page has no image yet: new pages are appended to the next drive in
-// round-robin order. The assignment is stable — a later failed write keeps
-// the location, and a retry writes to the same extent. Placement is the
-// only part of a page write that needs the index lock; the eviction
-// daemon's spill pipeline places every victim first, groups them by
-// PageLoc.Drive, and lets per-drive writers call WritePageAt concurrently.
-func (pf *PagedFile) PlacePage(pageNum int64) PageLoc {
+// round-robin order, and the first page a drive gets creates its data file.
+// The assignment is stable — a later failed write keeps the location, and a
+// retry writes to the same extent. Placement is the only part of a page
+// write that needs the index lock; the eviction daemon's spill pipeline
+// places every victim first, groups them by PageLoc.Drive, and lets
+// per-drive writers call WritePageAt concurrently.
+func (pf *PagedFile) PlacePage(pageNum int64) (PageLoc, error) {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
-	loc, ok := pf.pages[pageNum]
-	if !ok {
-		drive := int32(pf.seq % int64(len(pf.data)))
-		pf.seq++
-		loc = PageLoc{Drive: drive, Offset: pf.next[drive]}
-		pf.next[drive] += pf.pageSize
-		pf.pages[pageNum] = loc
+	if loc, ok := pf.pages[pageNum]; ok {
+		return loc, nil
 	}
-	return loc
+	drive := int32(pf.seq % int64(len(pf.data)))
+	if pf.data[drive] == nil {
+		f, err := pf.array.Disk(int(drive)).Create(pf.name + ".data")
+		if err != nil {
+			return PageLoc{}, err
+		}
+		pf.data[drive] = f
+	}
+	pf.seq++
+	loc := PageLoc{Drive: drive, Offset: pf.next[drive]}
+	pf.next[drive] += pf.pageSize
+	pf.pages[pageNum] = loc
+	return loc, nil
+}
+
+// dataFile returns the data file loc names. It takes no lock: a location
+// leaves PlacePage or Locate only once its drive's file exists, and that
+// slot is never written again, so whoever holds a location sees the file.
+func (pf *PagedFile) dataFile(loc PageLoc, pageNum int64) (*disk.File, error) {
+	if loc.Drive < 0 || int(loc.Drive) >= len(pf.data) || pf.data[loc.Drive] == nil {
+		return nil, fmt.Errorf("pfs: page %d location names drive %d, which has no data file of %s", pageNum, loc.Drive, pf.name)
+	}
+	return pf.data[loc.Drive], nil
 }
 
 // WritePageAt persists data as the image of page pageNum at loc, which must
 // come from PlacePage (or a prior read of the index). It takes no lock: the
-// per-drive data files are immutable after Create/Open and the location is
-// already assigned, so concurrent writers targeting different drives never
-// serialize on the file — only on their own drive's time model.
+// location is already assigned and its drive's data file already created,
+// so concurrent writers targeting different drives never serialize on the
+// file — only on their own drive's time model.
 func (pf *PagedFile) WritePageAt(loc PageLoc, pageNum int64, data []byte) error {
 	if int64(len(data)) > pf.pageSize {
 		return fmt.Errorf("pfs: page %d data %d bytes exceeds page size %d", pageNum, len(data), pf.pageSize)
 	}
-	if loc.Drive < 0 || int(loc.Drive) >= len(pf.data) {
-		return fmt.Errorf("pfs: page %d location names drive %d of %d", pageNum, loc.Drive, len(pf.data))
+	f, err := pf.dataFile(loc, pageNum)
+	if err != nil {
+		return err
 	}
 	// Pad to full page so every on-disk image has fixed extent.
 	if int64(len(data)) < pf.pageSize {
@@ -167,7 +193,7 @@ func (pf *PagedFile) WritePageAt(loc PageLoc, pageNum int64, data []byte) error 
 		copy(padded, data)
 		data = padded
 	}
-	_, err := pf.data[loc.Drive].WriteAt(data, loc.Offset)
+	_, err = f.WriteAt(data, loc.Offset)
 	return err
 }
 
@@ -180,7 +206,11 @@ func (pf *PagedFile) WritePage(pageNum int64, data []byte) error {
 		// index entry and a disk extent.
 		return fmt.Errorf("pfs: page %d data %d bytes exceeds page size %d", pageNum, len(data), pf.pageSize)
 	}
-	return pf.WritePageAt(pf.PlacePage(pageNum), pageNum, data)
+	loc, err := pf.PlacePage(pageNum)
+	if err != nil {
+		return err
+	}
+	return pf.WritePageAt(loc, pageNum, data)
 }
 
 // Locate returns the on-disk location of page pageNum, or an ErrNoPage
@@ -199,19 +229,20 @@ func (pf *PagedFile) Locate(pageNum int64) (PageLoc, error) {
 }
 
 // ReadPageAt reads the image of page pageNum from loc, which must come from
-// Locate (or PlacePage). Like WritePageAt it takes no lock: the per-drive
-// data files are immutable after Create/Open and the location is already
-// known, so concurrent readers targeting different drives never serialize on
-// the file — only on their own drive's time model. The prefetching read
-// path's per-drive queues depend on this.
+// Locate (or PlacePage). Like WritePageAt it takes no lock: the location is
+// already known and its drive's data file already created, so concurrent
+// readers targeting different drives never serialize on the file — only on
+// their own drive's time model. The prefetching read path's per-drive
+// queues depend on this.
 func (pf *PagedFile) ReadPageAt(loc PageLoc, pageNum int64, buf []byte) error {
 	if int64(len(buf)) < pf.pageSize {
 		return fmt.Errorf("pfs: buffer %d bytes smaller than page size %d", len(buf), pf.pageSize)
 	}
-	if loc.Drive < 0 || int(loc.Drive) >= len(pf.data) {
-		return fmt.Errorf("pfs: page %d location names drive %d of %d", pageNum, loc.Drive, len(pf.data))
+	f, err := pf.dataFile(loc, pageNum)
+	if err != nil {
+		return err
 	}
-	_, err := pf.data[loc.Drive].ReadAt(buf[:pf.pageSize], loc.Offset)
+	_, err = f.ReadAt(buf[:pf.pageSize], loc.Offset)
 	return err
 }
 
@@ -251,9 +282,10 @@ func (pf *PagedFile) DiskBytes() int64 {
 	return int64(len(pf.pages)) * pf.pageSize
 }
 
-// FlushMeta persists the page index to the meta file. Pangea's meta file is
-// small — the central manager stores only set-level metadata, and each
-// node's meta file indexes only local pages (paper §4).
+// FlushMeta persists the page index to the meta file, creating the file on
+// the first call. Pangea's meta file is small — the central manager stores
+// only set-level metadata, and each node's meta file indexes only local
+// pages (paper §4).
 func (pf *PagedFile) FlushMeta() error {
 	pf.mu.Lock()
 	nums := make([]int64, 0, len(pf.pages))
@@ -276,6 +308,14 @@ func (pf *PagedFile) FlushMeta() error {
 		put64(n)
 		put64(int64(loc.Drive))
 		put64(loc.Offset)
+	}
+	if pf.meta == nil {
+		meta, err := pf.array.Disk(0).Create(pf.name + ".meta")
+		if err != nil {
+			pf.mu.Unlock()
+			return err
+		}
+		pf.meta = meta
 	}
 	meta := pf.meta
 	pf.mu.Unlock()
@@ -462,21 +502,24 @@ func (pf *PagedFile) Close() error {
 }
 
 // Remove deletes the file instance from all drives. The data is gone; used
-// when a locality set's lifetime ends or a set is dropped.
+// when a locality set's lifetime ends or a set is dropped. Files that were
+// never created are skipped.
 func (pf *PagedFile) Remove() error {
 	var first error
+	keep := func(f *disk.File) {
+		if f == nil {
+			return
+		}
+		if err := f.Remove(); err != nil && first == nil {
+			first = err
+		}
+	}
 	for _, f := range pf.data {
-		if err := f.Remove(); err != nil && first == nil {
-			first = err
-		}
+		keep(f)
 	}
-	if err := pf.meta.Remove(); err != nil && first == nil {
-		first = err
-	}
+	keep(pf.meta)
 	for _, f := range pf.sides {
-		if err := f.Remove(); err != nil && first == nil {
-			first = err
-		}
+		keep(f)
 	}
 	return first
 }

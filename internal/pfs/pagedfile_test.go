@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -251,9 +253,12 @@ func TestPlacePageStableRoundRobin(t *testing.T) {
 	defer pf.Remove()
 	perDrive := map[int32]int{}
 	for i := int64(0); i < 9; i++ {
-		loc := pf.PlacePage(i)
+		loc, err := pf.PlacePage(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		perDrive[loc.Drive]++
-		if again := pf.PlacePage(i); again != loc {
+		if again, _ := pf.PlacePage(i); again != loc {
 			t.Fatalf("page %d placement moved: %+v then %+v", i, loc, again)
 		}
 	}
@@ -275,7 +280,10 @@ func TestWritePageAtConcurrentAcrossDrives(t *testing.T) {
 	byDrive := map[int32][]int64{}
 	locs := make([]PageLoc, pages)
 	for i := int64(0); i < pages; i++ {
-		locs[i] = pf.PlacePage(i)
+		var err error
+		if locs[i], err = pf.PlacePage(i); err != nil {
+			t.Fatal(err)
+		}
 		byDrive[locs[i].Drive] = append(byDrive[locs[i].Drive], i)
 	}
 	var wg sync.WaitGroup
@@ -380,7 +388,10 @@ func TestClosePropagatesCloseError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc := pf.PlacePage(0)
+	loc, err := pf.PlacePage(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := pf.WritePageAt(loc, 0, bytes.Repeat([]byte{7}, 512)); err != nil {
 		t.Fatal(err)
 	}
@@ -389,5 +400,102 @@ func TestClosePropagatesCloseError(t *testing.T) {
 	}
 	if err := pf.closeAll(); err == nil {
 		t.Fatal("closeAll on closed files returned nil, want error")
+	}
+}
+
+// driveFiles lists the files on each drive of a.
+func driveFiles(t *testing.T, a *disk.Array) [][]string {
+	t.Helper()
+	out := make([][]string, a.Len())
+	for i := range out {
+		ents, err := os.ReadDir(a.Disk(i).Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			out[i] = append(out[i], e.Name())
+		}
+	}
+	return out
+}
+
+// TestFilesCreatedOnFirstWrite: Create opens nothing, a page creates the data
+// file of the drive it lands on and no other, the meta file waits for
+// FlushMeta, and FlushMeta, Close and Remove on a never-written file succeed.
+func TestFilesCreatedOnFirstWrite(t *testing.T) {
+	a := newArray(t, 3)
+	pf, err := Create(a, "lazy", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := driveFiles(t, a); fmt.Sprint(got) != "[[] [] []]" {
+		t.Fatalf("Create left files %v, want none", got)
+	}
+	if err := pf.WritePage(7, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := driveFiles(t, a); fmt.Sprint(got) != "[[lazy.data] [] []]" {
+		t.Fatalf("one page on drive 0 left files %v", got)
+	}
+	if err := pf.WritePage(8, []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := driveFiles(t, a); fmt.Sprint(got) != "[[lazy.data] [lazy.data] []]" {
+		t.Fatalf("a page on drive 1 left files %v", got)
+	}
+	if err := pf.ReadPageAt(PageLoc{Drive: 2}, 9, make([]byte, 64)); err == nil {
+		t.Fatal("ReadPageAt on a drive with no data file succeeded")
+	}
+	if err := pf.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	if got := driveFiles(t, a); fmt.Sprint(got) != "[[] [] []]" {
+		t.Fatalf("Remove left files %v", got)
+	}
+
+	never, err := Create(a, "never", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := never.Remove(); err != nil {
+		t.Fatalf("Remove of a never-written file: %v", err)
+	}
+	never, _ = Create(a, "never", 64)
+	if err := never.FlushMeta(); err != nil {
+		t.Fatalf("FlushMeta of a never-written file: %v", err)
+	}
+	if err := never.Close(); err != nil {
+		t.Fatalf("Close of a never-written file: %v", err)
+	}
+	if got := driveFiles(t, a); fmt.Sprint(got) != "[[never.meta] [] []]" {
+		t.Fatalf("FlushMeta and Close left files %v, want only the meta file", got)
+	}
+	re, err := Open(a, "never")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.NumPages() != 0 {
+		t.Fatalf("reopened empty file holds %d pages", re.NumPages())
+	}
+	if err := re.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(a, "never"); err == nil {
+		t.Fatal("Open of a file with no meta file succeeded")
+	}
+}
+
+// TestCreateRefusesBadNames: set names cross the cluster wire, so a name that
+// could leave the drive's directory, or that no OS accepts, fails at Create
+// even though Create no longer opens a file.
+func TestCreateRefusesBadNames(t *testing.T) {
+	a := newArray(t, 1)
+	for _, name := range []string{"../escape", "a/../../b", "/abs", "", "bad\x00name"} {
+		if _, err := Create(a, name, 64); err == nil {
+			t.Errorf("Create(%q) succeeded", name)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(a.Disk(0).Dir(), "..", "escape.data")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused name left a file outside the drive: %v", err)
 	}
 }

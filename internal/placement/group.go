@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"pangea/internal/cluster"
+	"pangea/internal/core"
 )
 
 // Member is one set in a replication group: a physical organization of the
@@ -23,7 +24,11 @@ type Group struct {
 	Source    string
 	Members   []Member
 	Colliding string // name of the colliding-object (safety) set
-	PageSize  int64
+	// Spec is what every replica and the safety set are created from: page
+	// size, page layout and columns; Name is ignored. A replica is a
+	// partitioning and a layout, and recovery appends into the surviving
+	// sets, so a rebuilt replica keeps its layout.
+	Spec core.SetSpec
 
 	// NumColliding counts the objects whose copies span too few nodes.
 	NumColliding int64
@@ -78,8 +83,8 @@ func extraPlacement(mask uint64, home, k, r int) []int {
 
 // BuildGroup is BuildSafeGroup for one node failure. A single worker is
 // accepted too: with nowhere to put a second copy, its safety set stays empty.
-func BuildGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, pageSize int64) (*Group, error) {
-	sg, err := buildGroup(cl, addrs, source, parts, pageSize, 1)
+func BuildGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, spec core.SetSpec) (*Group, error) {
+	sg, err := buildGroup(cl, addrs, source, parts, spec, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -88,21 +93,21 @@ func BuildGroup(cl *cluster.Client, addrs []string, source string, parts []*Part
 
 // BuildSafeGroup creates one replica of a populated source set per
 // partitioner, and the safety set that lets the group survive r concurrent
-// node failures, in one pass over the source: each record is routed to its
-// node in every replica and, when its copies span fewer than r+1 nodes, to
-// the extraPlacement nodes of the safety set. Only then are the replicas
+// node failures, each created from spec, in one pass over the source: each
+// record is routed to its node in every replica and, when its copies span
+// fewer than r+1 nodes, to the extraPlacement nodes of the safety set. Only then are the replicas
 // registered in the manager's statistics database for query schedulers to
 // choose from (§9.1.2); a failed build drops every set it created. The source
 // must have been loaded with DispatchRandom: recovery re-derives each
 // record's random node from its content.
-func BuildSafeGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, pageSize int64, r int) (*SafeGroup, error) {
+func BuildSafeGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, spec core.SetSpec, r int) (*SafeGroup, error) {
 	if k := len(addrs); r < 1 || r >= k {
 		return nil, fmt.Errorf("placement: r=%d invalid for a %d-node cluster", r, k)
 	}
-	return buildGroup(cl, addrs, source, parts, pageSize, r)
+	return buildGroup(cl, addrs, source, parts, spec, r)
 }
 
-func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, pageSize int64, r int) (sg *SafeGroup, err error) {
+func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, spec core.SetSpec, r int) (sg *SafeGroup, err error) {
 	k := len(addrs)
 	if k > maxNodes {
 		return nil, fmt.Errorf("placement: a replication group spans at most %d workers, not %d", maxNodes, k)
@@ -110,7 +115,7 @@ func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Part
 	g := &Group{
 		Source:    source,
 		Colliding: fmt.Sprintf("%s:safety-r%d", source, r),
-		PageSize:  pageSize,
+		Spec:      spec,
 		Members:   []Member{{Set: source}},
 	}
 	for _, p := range parts {
@@ -135,7 +140,8 @@ func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Part
 		if i == 0 {
 			m.Set = g.Colliding
 		}
-		if err := cl.CreateSet(m.Set, pageSize, 0); err != nil {
+		spec.Name = m.Set
+		if err := cl.CreateSetSpec(spec); err != nil {
 			return nil, err
 		}
 		senders = append(senders, NewSender(cl, addrs, m.Set))

@@ -46,7 +46,7 @@ func TestFailedGroupBuildLeavesNothing(t *testing.T) {
 		}
 		return keyPart(rec)
 	}
-	if _, err := BuildSafeGroup(cl, addrs, "tbl", parts, 64<<10, 2); err == nil {
+	if _, err := BuildSafeGroup(cl, addrs, "tbl", parts, rowSpec, 2); err == nil {
 		t.Fatal("a build whose partitioner fails must fail")
 	}
 	if left := replicaSets(workers, "tbl"); len(left) != 0 {
@@ -55,7 +55,7 @@ func TestFailedGroupBuildLeavesNothing(t *testing.T) {
 	if group, err := cl.Replicas("tbl"); err != nil || len(group) != 1 {
 		t.Errorf("failed build registered replicas: %v (err %v)", group, err)
 	}
-	if _, err := BuildSafeGroup(cl, addrs, "tbl", twoPartitioners(12), 64<<10, 2); err != nil {
+	if _, err := BuildSafeGroup(cl, addrs, "tbl", twoPartitioners(12), rowSpec, 2); err != nil {
 		t.Errorf("retry after a failed build: %v", err)
 	}
 }
@@ -87,7 +87,7 @@ func TestGroupBuildStreamsSourceOnce(t *testing.T) {
 			return key(rec)
 		}
 	}
-	if _, err := BuildGroup(cl, addrs, "tbl", parts, 64<<10); err != nil {
+	if _, err := BuildGroup(cl, addrs, "tbl", parts, rowSpec); err != nil {
 		t.Fatal(err)
 	}
 	for i, st := range seen {
@@ -215,7 +215,7 @@ func TestBuildGroupWorkerKilledMidBuild(t *testing.T) {
 		return key(rec)
 	}
 	returnsWithin(t, 30*time.Second, func() {
-		if _, err := BuildGroup(cl, addrs, "tbl", parts, 64<<10); err == nil {
+		if _, err := BuildGroup(cl, addrs, "tbl", parts, rowSpec); err == nil {
 			t.Error("a build whose worker was closed under it reported success")
 		}
 	})

@@ -54,15 +54,15 @@ func TestExtraPlacementReachesRPlusOneNodes(t *testing.T) {
 
 func TestBuildSafeGroupValidation(t *testing.T) {
 	_, addrs, cl := startCluster(t, 3)
-	if _, err := BuildSafeGroup(cl, addrs, "x", nil, 64<<10, 0); err == nil {
+	if _, err := BuildSafeGroup(cl, addrs, "x", nil, rowSpec, 0); err == nil {
 		t.Error("r=0 must be rejected")
 	}
-	if _, err := BuildSafeGroup(cl, addrs, "x", nil, 64<<10, 3); err == nil {
+	if _, err := BuildSafeGroup(cl, addrs, "x", nil, rowSpec, 3); err == nil {
 		t.Error("r=k must be rejected")
 	}
 	// A node mask has 64 bits; a wider cluster would read every object as
 	// colliding.
-	if _, err := BuildSafeGroup(cl, make([]string, maxNodes+1), "x", nil, 64<<10, 1); err == nil {
+	if _, err := BuildSafeGroup(cl, make([]string, maxNodes+1), "x", nil, rowSpec, 1); err == nil {
 		t.Errorf("%d workers must be rejected", maxNodes+1)
 	}
 	for _, addr := range addrs {
@@ -83,7 +83,7 @@ func TestRecoverTwoNodeFailure(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "li", recs); err != nil {
 		t.Fatal(err)
 	}
-	sg, err := BuildSafeGroup(cl, addrs, "li", twoPartitioners(20), 64<<10, 2)
+	sg, err := BuildSafeGroup(cl, addrs, "li", twoPartitioners(20), rowSpec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRecoverMultiRejectsTooManyFailures(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "s", mkRecords(100)); err != nil {
 		t.Fatal(err)
 	}
-	sg, err := BuildSafeGroup(cl, addrs, "s", twoPartitioners(8), 64<<10, 1)
+	sg, err := BuildSafeGroup(cl, addrs, "s", twoPartitioners(8), rowSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSafeGroupSingleFailureMatchesPlainRecovery(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "s", recs); err != nil {
 		t.Fatal(err)
 	}
-	sg, err := BuildSafeGroup(cl, addrs, "s", twoPartitioners(9), 64<<10, 1)
+	sg, err := BuildSafeGroup(cl, addrs, "s", twoPartitioners(9), rowSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,13 @@ import (
 	"time"
 
 	"pangea/internal/cluster"
+	"pangea/internal/core"
 )
 
 const testKey = "placement-test-key"
+
+// rowSpec is the replica template of the row-layout tests.
+var rowSpec = core.SetSpec{PageSize: 64 << 10}
 
 // startCluster stands up n workers. Its cleanup closes them and fails the
 // test if a goroutine of the movers or of the cluster — a batch still in
@@ -143,7 +147,7 @@ func TestBuildGroupRegistersReplicas(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "tbl", recs); err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildGroup(cl, addrs, "tbl", twoPartitioners(12), 64<<10)
+	g, err := BuildGroup(cl, addrs, "tbl", twoPartitioners(12), rowSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +189,7 @@ func TestCollidingCountMatchesDirectCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := twoPartitioners(9)
-	g, err := BuildGroup(cl, addrs, "t", parts, 64<<10)
+	g, err := BuildGroup(cl, addrs, "t", parts, rowSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +264,7 @@ func TestRecoverSingleNodeFailure(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "li", recs); err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildGroup(cl, addrs, "li", twoPartitioners(16), 64<<10)
+	g, err := BuildGroup(cl, addrs, "li", twoPartitioners(16), rowSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +319,7 @@ func TestRecoverRestoresExactMultiset(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "s", recs); err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildGroup(cl, addrs, "s", twoPartitioners(9), 64<<10)
+	g, err := BuildGroup(cl, addrs, "s", twoPartitioners(9), rowSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,4 +387,70 @@ func ExamplePartitioner_PartitionOf() {
 	idx, _ := p.PartitionOf([]byte("object-1"))
 	fmt.Println(idx >= 0 && idx < 4)
 	// Output: true
+}
+
+// TestBuildGroupKeepsColumnarLayout: a group built over a columnar source is
+// columnar throughout — every member and the safety set, on every node, with
+// the source's columns — and recovery, which appends into the surviving
+// sets, keeps it so: afterwards FetchSet returns each record's bytes as they
+// were loaded, from every member.
+func TestBuildGroupKeepsColumnarLayout(t *testing.T) {
+	workers, addrs, cl := startCluster(t, 3)
+	spec := core.SetSpec{Name: "col", PageSize: 4 << 10, Layout: core.LayoutColumnar, Columns: []int{8, 8, 8}}
+	if err := cl.CreateSetSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	recs := mkRecords(900)
+	if err := DispatchRandom(cl, addrs, "col", recs); err != nil {
+		t.Fatal(err)
+	}
+	sg, err := BuildSafeGroup(cl, addrs, "col", twoPartitioners(9), spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sg.Spec.Layout != core.LayoutColumnar {
+		t.Errorf("group spec layout %v, want columnar", sg.Spec.Layout)
+	}
+	sets := []string{sg.Colliding}
+	for _, m := range sg.Members {
+		sets = append(sets, m.Set)
+	}
+	for i, w := range workers {
+		for _, name := range sets {
+			s, ok := w.Pool().GetSet(name)
+			if !ok {
+				t.Fatalf("node %d has no set %s", i, name)
+			}
+			if s.Layout() != core.LayoutColumnar || fmt.Sprint(s.ColumnWidths()) != fmt.Sprint(spec.Columns) {
+				t.Errorf("node %d set %s: layout %v columns %v, want columnar %v", i, name, s.Layout(), s.ColumnWidths(), spec.Columns)
+			}
+		}
+	}
+	const failed = 1
+	if err := workers[failed].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sg.RecoverMulti(cl, addrs, []int{failed}); err != nil {
+		t.Fatal(err)
+	}
+	survivors := []string{addrs[0], addrs[2]}
+	for _, m := range sg.Members {
+		counts := make(map[string]int)
+		for _, rec := range recs {
+			counts[string(rec)]++
+		}
+		for _, addr := range survivors {
+			if err := cl.FetchSet(addr, m.Set, func(rec []byte) error {
+				counts[string(rec)]--
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, c := range counts {
+			if c != 0 {
+				t.Fatalf("member %s after recovery: record %x count off by %d", m.Set, k, c)
+			}
+		}
+	}
 }

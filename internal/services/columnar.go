@@ -3,6 +3,7 @@ package services
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"pangea/internal/core"
 )
@@ -201,6 +202,7 @@ type ColumnarWriter struct {
 	rowSize  int
 	capacity int // rows per page
 	page     *core.Page
+	rows     []byte   // the current page's row-count word
 	segs     [][]byte // column segments of the current page
 	view     ColumnarPage
 	n        int   // rows in the current page
@@ -247,16 +249,30 @@ func (w *ColumnarWriter) Add(rec []byte) error {
 			w.segs[c] = buf[off : off+w.capacity*cw]
 			off += w.capacity * cw
 		}
-		w.page, w.n = p, 0
+		w.page, w.rows, w.n = p, buf[8:12], 0
 	}
-	off := 0
+	// One store a column, sized by a switch on its width: a copy call a
+	// column costs more than the bytes it moves.
+	le, off, i := binary.LittleEndian, 0, w.n
 	for c, cw := range w.widths {
-		copy(w.segs[c][w.n*cw:], rec[off:off+cw])
+		seg := w.segs[c]
+		switch cw {
+		case 1:
+			seg[i] = rec[off]
+		case 2:
+			le.PutUint16(seg[i*2:], le.Uint16(rec[off:]))
+		case 4:
+			le.PutUint32(seg[i*4:], le.Uint32(rec[off:]))
+		case 8:
+			le.PutUint64(seg[i*8:], le.Uint64(rec[off:]))
+		default:
+			copy(seg[i*cw:], rec[off:off+cw])
+		}
 		off += cw
 	}
 	w.n++
 	w.total++
-	binary.LittleEndian.PutUint32(w.page.Bytes()[8:12], uint32(w.n))
+	le.PutUint32(w.rows, uint32(w.n))
 	if w.n == w.capacity {
 		return w.seal()
 	}
@@ -276,7 +292,7 @@ func (w *ColumnarWriter) seal() error {
 		w.OnSeal(w.page.Num(), &w.view)
 	}
 	err := w.set.Unpin(w.page, true)
-	w.page = nil
+	w.page, w.rows = nil, nil
 	for c := range w.segs {
 		w.segs[c] = nil
 	}
@@ -296,21 +312,74 @@ func (w *ColumnarWriter) Close() error {
 	return err
 }
 
-// walkColumnarPage adapts a columnar page to the record-at-a-time walk:
-// each row is materialized into a reused scratch buffer and handed to fn.
-// This is the compatibility path that lets every row-API consumer (joins,
-// FetchSet, replica builds) read columnar sets unchanged; rec is only valid
-// for the duration of the callback, the same contract as row pages.
+// rowScratch holds the buffers walkColumnarPage transposes pages into.
+var rowScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// walkColumnarPage adapts a columnar page to the record-at-a-time walk: the
+// page is transposed back to records once, column by column, into a reused
+// buffer, and each record is handed to fn. This is the compatibility path
+// that lets every row-API consumer (joins, FetchSet, replica builds, the
+// proxy scan) read columnar sets unchanged; rec is only valid for the
+// duration of the callback, the same contract as row pages.
 func walkColumnarPage(buf []byte, fn func(rec []byte) error) error {
-	p, err := OpenColumnarPage(buf)
-	if err != nil {
+	var p ColumnarPage
+	if err := p.Reset(buf); err != nil {
 		return err
 	}
-	scratch := make([]byte, 0, p.RowSize())
-	for i := 0; i < p.NumRows(); i++ {
-		if err := fn(p.AppendRow(scratch[:0], i)); err != nil {
+	scratch := rowScratch.Get().(*[]byte)
+	defer rowScratch.Put(scratch)
+	rows := p.rows(*scratch, 0)
+	*scratch = rows
+	rs := p.rowSize
+	for off := 0; off < len(rows); off += rs {
+		if err := fn(rows[off : off+rs : off+rs]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// rows transposes every row of the page back to record form into dst,
+// grown as needed, and returns it: one pass a column, each value stored by
+// a switch on the column's width. Each record follows hdr bytes: 0, or
+// recHeaderSize for the record's frame header, which rows writes.
+func (p *ColumnarPage) rows(dst []byte, hdr int) []byte {
+	n, rs := p.nrows, hdr+p.rowSize
+	if cap(dst) < n*rs {
+		dst = make([]byte, n*rs)
+	}
+	dst = dst[:n*rs]
+	le, off := binary.LittleEndian, hdr
+	if hdr > 0 {
+		for i := range n {
+			le.PutUint32(dst[i*rs:], uint32(p.rowSize))
+		}
+	}
+	for c, w := range p.widths {
+		col := p.Col(c)
+		switch w {
+		case 1:
+			for i := range n {
+				dst[i*rs+off] = col[i]
+			}
+		case 2:
+			for i := range n {
+				le.PutUint16(dst[i*rs+off:], le.Uint16(col[i*2:]))
+			}
+		case 4:
+			for i := range n {
+				le.PutUint32(dst[i*rs+off:], le.Uint32(col[i*4:]))
+			}
+		case 8:
+			for i := range n {
+				le.PutUint64(dst[i*rs+off:], le.Uint64(col[i*8:]))
+			}
+		default:
+			for i := range n {
+				copy(dst[i*rs+off:i*rs+off+w], col[i*w:])
+			}
+		}
+		off += w
+	}
+	return dst
 }

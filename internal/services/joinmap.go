@@ -1,6 +1,7 @@
 package services
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pangea/internal/core"
@@ -14,6 +15,11 @@ import (
 // other set; the index — key → its latest record, record → the previous one
 // under the same key — is in memory.
 //
+// The key index is flat: an open-addressing table of int32 slots, probed
+// linearly from the key's hash, each full slot naming a distinct key, and
+// the distinct keys' bytes back to back in one slice. It holds no Go
+// pointer, and it doubles at ¾ load.
+//
 // Probing is two steps, so a batch of probes costs one pin per page it
 // touches rather than one per match: Head/Next walk a key's records without
 // touching a page, and Gather then copies the payloads of all the collected
@@ -22,10 +28,26 @@ type JoinMap struct {
 	set     *core.LocalitySet
 	width   int
 	perPage int
-	keys    map[string]int32 // key → index into head
-	head    []int32          // per distinct key: its most recent record
-	next    []int32          // per record: the previous record under its key, -1 ends the chain
-	page    *core.Page       // the page being filled
+	slots   []int32    // power-of-two table: 0 is empty, k+1 names distinct key k
+	shift   uint       // 64 − log2(len(slots)): a hash's top bits pick its first slot
+	keys    []byte     // the distinct keys' bytes, back to back
+	keyEnd  []int32    // per distinct key: where its bytes end in keys
+	head    []int32    // per distinct key: its most recent record
+	next    []int32    // per record: the previous record under its key, -1 ends the chain
+	page    *core.Page // the page being filled
+}
+
+// minSlotsLog is log2 of the key table's starting size.
+const minSlotsLog = 4
+
+// joinHash hashes a key for the slot table: an 8-byte key, the common
+// integer join key, by one multiply by 2^64/φ, whose top bits mix every
+// input bit; other lengths by fnv1a.
+func joinHash(key []byte) uint64 {
+	if len(key) == 8 {
+		return binary.LittleEndian.Uint64(key) * 0x9E3779B97F4A7C15
+	}
+	return fnv1a(key)
 }
 
 // NewJoinMap attaches a join map with width-byte payloads to a locality
@@ -39,7 +61,7 @@ func NewJoinMap(set *core.LocalitySet, width int) (*JoinMap, error) {
 	set.SetWriting(core.RandomMutableWrite)
 	set.SetReading(core.RandomRead)
 	set.SetCurrentOp(core.OpReadWrite)
-	m := &JoinMap{set: set, width: width, keys: make(map[string]int32)}
+	m := &JoinMap{set: set, width: width, slots: make([]int32, 1<<minSlotsLog), shift: 64 - minSlotsLog}
 	if width > 0 {
 		m.perPage = int(set.PageSize()) / width
 	}
@@ -76,16 +98,72 @@ func (m *JoinMap) Insert(key, payload []byte) error {
 		}
 		copy(m.page.Bytes()[slot*m.width:], payload)
 	}
-	// The map read does not allocate; only a key's first record copies it.
-	if k, ok := m.keys[string(key)]; ok {
+	k, slot := m.lookup(key)
+	if k >= 0 {
 		m.next = append(m.next, m.head[k])
 		m.head[k] = rec
-	} else {
-		m.keys[string(key)] = int32(len(m.head))
-		m.next = append(m.next, -1)
-		m.head = append(m.head, rec)
+		return nil
+	}
+	m.slots[slot] = int32(len(m.head)) + 1
+	m.keys = append(m.keys, key...)
+	m.keyEnd = append(m.keyEnd, int32(len(m.keys)))
+	m.next = append(m.next, -1)
+	m.head = append(m.head, rec)
+	if 4*len(m.head) > 3*len(m.slots) {
+		m.grow()
 	}
 	return nil
+}
+
+// key returns distinct key k's bytes.
+func (m *JoinMap) key(k int32) []byte {
+	start := int32(0)
+	if k > 0 {
+		start = m.keyEnd[k-1]
+	}
+	return m.keys[start:m.keyEnd[k]]
+}
+
+// lookup returns key's index among the distinct keys and its slot, or -1
+// and the empty slot where it would go.
+func (m *JoinMap) lookup(key []byte) (k int32, slot int) {
+	mask := len(m.slots) - 1
+	for i := int(joinHash(key) >> m.shift); ; i = (i + 1) & mask {
+		s := m.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		if m.keyIs(s-1, key) {
+			return s - 1, i
+		}
+	}
+}
+
+// keyIs reports whether distinct key k is key: an 8-byte key by one word
+// compare, which a call into the runtime's byte compare costs several times.
+func (m *JoinMap) keyIs(k int32, key []byte) bool {
+	kb := m.key(k)
+	if len(kb) != len(key) {
+		return false
+	}
+	if len(key) == 8 {
+		return binary.LittleEndian.Uint64(kb) == binary.LittleEndian.Uint64(key)
+	}
+	return string(kb) == string(key)
+}
+
+// grow doubles the slot table and re-places every distinct key.
+func (m *JoinMap) grow() {
+	m.slots = make([]int32, 2*len(m.slots))
+	m.shift--
+	mask := len(m.slots) - 1
+	for k := range int32(len(m.head)) {
+		i := int(joinHash(m.key(k)) >> m.shift)
+		for m.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.slots[i] = k + 1
+	}
 }
 
 func (m *JoinMap) releasePage() error {
@@ -107,7 +185,7 @@ func (m *JoinMap) Seal() error {
 
 // Head returns the most recent record stored under key, or -1.
 func (m *JoinMap) Head(key []byte) int32 {
-	if k, ok := m.keys[string(key)]; ok {
+	if k, _ := m.lookup(key); k >= 0 {
 		return m.head[k]
 	}
 	return -1

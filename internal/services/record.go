@@ -241,8 +241,17 @@ func WalkFrames(run []byte, fn func(rec []byte) error) error {
 // PageFrames returns a service page's records as one run: a sequential row
 // page's as they lie, a slice of page only valid while it is pinned; any other
 // page's — columnar, several regions — framed into *buf, the caller's to reuse.
+// A columnar page is transposed straight into its frames.
 func PageFrames(page []byte, buf *[]byte) ([]byte, error) {
-	if !IsColumnarPage(page) && pageRegionSize(page) == len(page)-pageHeaderSize {
+	if IsColumnarPage(page) {
+		var p ColumnarPage
+		if err := p.Reset(page); err != nil {
+			return nil, err
+		}
+		*buf = p.rows(*buf, recHeaderSize)
+		return *buf, nil
+	}
+	if pageRegionSize(page) == len(page)-pageHeaderSize {
 		end, err := framesEnd(page, pageHeaderSize)
 		return page[pageHeaderSize:end], err
 	}

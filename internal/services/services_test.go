@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -682,6 +683,88 @@ func TestFnv1aDistribution(t *testing.T) {
 	for b, c := range buckets {
 		if c < 700 || c > 1300 {
 			t.Errorf("bucket %d has %d keys; hash badly skewed", b, c)
+		}
+	}
+}
+
+// TestJoinMapMatchesMapReference holds the flat key index to a Go map: keys
+// of every length from 0 to 16 bytes and 8-byte keys, each inserted many
+// times, through enough growth to double the slot table eight times; every
+// key's Head/Next chain, every gathered payload and every absent-key probe
+// must agree with the reference.
+func TestJoinMapMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	bp := newPool(t, 8<<20)
+	m, err := NewJoinMap(mkSet(t, bp, "jmref", 4096), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys [][]byte
+	for i := 0; i < 3000; i++ {
+		k := make([]byte, rng.IntN(17))
+		for j := range k {
+			k[j] = byte('a' + rng.IntN(4)) // a small alphabet: short keys collide
+		}
+		keys = append(keys, k, binary.LittleEndian.AppendUint64(nil, rng.Uint64()))
+	}
+	ref := map[string][]int32{}
+	payload := func(rec int32) uint64 { return uint64(rec)*2654435761 + 7 }
+	for rec := int32(0); rec < 30000; rec++ {
+		k := keys[rng.IntN(len(keys))]
+		if err := m.Insert(k, binary.LittleEndian.AppendUint64(nil, payload(rec))); err != nil {
+			t.Fatal(err)
+		}
+		ref[string(k)] = append(ref[string(k)], rec)
+	}
+	if err := m.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Keys() != len(ref) || m.Len() != 30000 {
+		t.Fatalf("Keys=%d Len=%d, want %d, 30000", m.Keys(), m.Len(), len(ref))
+	}
+	if len(m.slots) < 1<<(minSlotsLog+8) || 4*m.Keys() > 3*len(m.slots) {
+		t.Fatalf("%d slots for %d keys: the table did not grow as meant", len(m.slots), m.Keys())
+	}
+	var gs GatherScratch
+	for k, want := range ref {
+		var chain []int32
+		for r := m.Head([]byte(k)); r >= 0; r = m.Next(r) {
+			chain = append(chain, r)
+		}
+		if len(chain) != len(want) {
+			t.Fatalf("key %q: chain of %d records, want %d", k, len(chain), len(want))
+		}
+		for i, r := range chain {
+			if w := want[len(want)-1-i]; r != w {
+				t.Fatalf("key %q: chain[%d] = %d, want %d (newest first)", k, i, r, w)
+			}
+		}
+		got, err := m.Gather(chain, nil, &gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range chain {
+			if v := binary.LittleEndian.Uint64(got[i*8:]); v != payload(r) {
+				t.Fatalf("key %q: record %d gathered payload %d, want %d", k, r, v, payload(r))
+			}
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		var k []byte
+		switch i % 3 {
+		case 0:
+			k = make([]byte, rng.IntN(17))
+			for j := range k {
+				k[j] = byte('a' + rng.IntN(5))
+			}
+		case 1:
+			k = binary.LittleEndian.AppendUint64(nil, rng.Uint64())
+		case 2: // a present 8-byte key with one bit flipped
+			k = append([]byte(nil), keys[2*rng.IntN(len(keys)/2)+1]...)
+			k[rng.IntN(8)] ^= 1 << rng.IntN(8)
+		}
+		if _, in := ref[string(k)]; !in && m.Head(k) >= 0 {
+			t.Fatalf("absent key %q found record %d", k, m.Head(k))
 		}
 	}
 }

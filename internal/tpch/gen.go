@@ -36,20 +36,22 @@ type Data struct {
 
 // Counts reports the table cardinalities.
 func (d *Data) Counts() map[string]int {
-	return map[string]int{
-		"lineitem": len(d.Lineitem),
-		"orders":   len(d.Orders),
-		"customer": len(d.Customer),
-		"part":     len(d.Part),
-		"supplier": len(d.Supplier),
-		"partsupp": len(d.PartSupp),
+	counts := make(map[string]int, len(TableNames))
+	for i, t := range d.tables() {
+		counts[TableNames[i]] = len(t)
 	}
+	return counts
+}
+
+// tables returns the six tables' records in TableNames order.
+func (d *Data) tables() [][][]byte {
+	return [][][]byte{d.Lineitem, d.Orders, d.Customer, d.Part, d.Supplier, d.PartSupp}
 }
 
 // TotalBytes sums the encoded sizes of every table.
 func (d *Data) TotalBytes() int64 {
 	var n int64
-	for _, t := range [][][]byte{d.Lineitem, d.Orders, d.Customer, d.Part, d.Supplier, d.PartSupp} {
+	for _, t := range d.tables() {
 		for _, r := range t {
 			n += int64(len(r))
 		}

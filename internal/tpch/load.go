@@ -26,37 +26,28 @@ const (
 
 // Load creates the six TPC-H source sets across the deployment and
 // dispatches the generated rows randomly — the paper's "randomly dispatched
-// set" — in row layout with no side index. Use LoadLayout for a columnar
-// lineitem and EnsureLineitemZoneMaps / EnsureLineitemMicroindexes for
+// set" — in columnar layout with no side index. Use LoadLayout for row
+// layout and EnsureLineitemZoneMaps / EnsureLineitemMicroindexes for
 // indexes.
 func Load(e *query.Executor, d *Data, pageSize int64) error {
-	return LoadLayout(e, d, pageSize, core.LayoutRow)
+	return LoadLayout(e, d, pageSize, core.LayoutColumnar)
 }
 
-// LoadLayout is Load with the scan-heavy lineitem table's page layout
-// chosen by the caller. With LayoutColumnar the set is created with the
-// lineitem column widths and the workers' sequential writers transpose the
-// dispatched records into columnar pages; the other five tables stay
-// row-layout (the plans read either layout through the same batches).
+// LoadLayout is Load with the page layout of all six tables chosen by the
+// caller. With LayoutColumnar each set is created with its table's column
+// widths from Schemas, and the workers' sequential writers transpose the
+// dispatched records into columnar pages; the plans read either layout
+// through the same batches.
 func LoadLayout(e *query.Executor, d *Data, pageSize int64, layout core.PageLayout) error {
-	tables := map[string][][]byte{
-		"lineitem": d.Lineitem,
-		"orders":   d.Orders,
-		"customer": d.Customer,
-		"part":     d.Part,
-		"supplier": d.Supplier,
-		"partsupp": d.PartSupp,
-	}
-	for _, name := range TableNames {
-		spec := core.SetSpec{Name: name, PageSize: pageSize, Durability: core.WriteBack}
-		if name == "lineitem" && layout == core.LayoutColumnar {
-			spec.Layout = core.LayoutColumnar
-			spec.Columns = services.SchemaWidths(LineitemSchema())
+	for i, name := range TableNames {
+		spec := core.SetSpec{Name: name, PageSize: pageSize, Durability: core.WriteBack, Layout: layout}
+		if layout == core.LayoutColumnar {
+			spec.Columns = services.SchemaWidths(Schemas[name])
 		}
 		if err := e.Client.CreateSetSpec(spec); err != nil {
 			return fmt.Errorf("tpch: create %s: %w", name, err)
 		}
-		if err := placement.DispatchRandom(e.Client, e.Addrs, name, tables[name]); err != nil {
+		if err := placement.DispatchRandom(e.Client, e.Addrs, name, d.tables()[i]); err != nil {
 			return fmt.Errorf("tpch: load %s: %w", name, err)
 		}
 	}
@@ -139,8 +130,8 @@ func partitioners(numNodes int) map[string]map[string]*placement.Partitioner {
 	}
 }
 
-// BuildReplicas builds and registers the paper's heterogeneous replicas and
-// returns the replication groups (for the recovery experiment).
+// BuildReplicas builds and registers the paper's heterogeneous replicas, each
+// in its source table's layout, and returns the replication groups.
 func BuildReplicas(e *query.Executor, pageSize int64) (map[string]*placement.Group, error) {
 	groups := make(map[string]*placement.Group)
 	for table, schemes := range partitioners(len(e.Workers)) {
@@ -148,7 +139,12 @@ func BuildReplicas(e *query.Executor, pageSize int64) (map[string]*placement.Gro
 		for _, scheme := range replicaOrder(table) {
 			parts = append(parts, schemes[scheme])
 		}
-		g, err := placement.BuildGroup(e.Client, e.Addrs, table, parts, pageSize)
+		src, err := e.Set(0, table)
+		if err != nil {
+			return nil, err
+		}
+		spec := core.SetSpec{PageSize: pageSize, Layout: src.Layout(), Columns: src.ColumnWidths()}
+		g, err := placement.BuildGroup(e.Client, e.Addrs, table, parts, spec)
 		if err != nil {
 			return nil, fmt.Errorf("tpch: build replicas of %s: %w", table, err)
 		}

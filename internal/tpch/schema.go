@@ -130,8 +130,7 @@ var Schemas = map[string][]services.ColumnSpec{
 		[]int{8, 8, 8}),
 }
 
-// LineitemSchema is Schemas["lineitem"], the one table loaded columnar and
-// indexed.
+// LineitemSchema is Schemas["lineitem"], the one table indexed.
 func LineitemSchema() []services.ColumnSpec { return Schemas["lineitem"] }
 
 // --- lineitem ---------------------------------------------------------------
