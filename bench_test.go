@@ -1,6 +1,7 @@
 // Package pangea's top-level benchmarks are the per-layer micros CI gates
 // on: allocator, Pin/Unpin, spill and prefetch pipelines, scans, the
-// microindex build and hash upserts. The paper's tables and figures are
+// microindex build, hash upserts, the join build and probe, and the
+// aggregate fold. The paper's tables and figures are
 // printed by `go run ./cmd/pangea-bench [-quick]`, not by benchmarks.
 package pangea_test
 
@@ -706,4 +707,133 @@ func BenchmarkJoinBuild(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRecs), "ns/key")
+}
+
+// BenchmarkJoinProbe is a miss-heavy probe at the join map's own layer, the
+// shape of a semi or anti join against a small filtered build: 1 536 8-byte
+// keys go into a fresh map, and then 2^18 keys are probed, 1 % of them
+// built. ns/probe is the key index's lookup, hit or miss.
+func BenchmarkJoinProbe(b *testing.B) {
+	const (
+		nBuild  = 1536
+		nProbes = 1 << 18
+	)
+	probes := make([][]byte, nProbes)
+	hits := 0
+	for i := range probes {
+		k := uint64(i) * 7919 // built keys are the multiples of 7919 below nBuild·7919
+		if i%100 != 0 {
+			k = uint64(nBuild+i) * 7919
+		} else {
+			k = uint64(i/100%nBuild) * 7919
+			hits++
+		}
+		probes[i] = binary.LittleEndian.AppendUint64(nil, k)
+	}
+	arr, err := disk.NewArray(b.TempDir(), 1, disk.Unthrottled())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = arr.RemoveAll() })
+	bp, err := core.NewPool(core.PoolConfig{Memory: 16 << 20, Array: arr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := bp.CreateSet(core.SetSpec{Name: "build", PageSize: 128 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := services.NewJoinMap(set, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range nBuild {
+		if err := m.Insert(binary.LittleEndian.AppendUint64(nil, uint64(i)*7919), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := m.Seal(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		found := 0
+		for _, k := range probes {
+			if m.Head(k) >= 0 {
+				found++
+			}
+		}
+		if found != hits {
+			b.Fatalf("%d probes hit, want %d", found, hits)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nProbes), "ns/probe")
+}
+
+// BenchmarkAggFold is the declarative aggregate's fold at the query layer:
+// one op aggregates 2^18 resident columnar rows in one thread, scan
+// included. Rows are (flag u8, status u8, qty u32, price f64, disc f64,
+// tax f64, key u64).
+//
+//   - q01: Q01's shape, a 2-byte key (flag, status) over 4 groups and five
+//     folds: Sum(qty), Sum(price), price·(1−disc), price·(1−disc)·(1+tax),
+//     Count;
+//   - groups=64k: an 8-byte key over 65 536 groups in a scattered order,
+//     Sum(price) and Count: the directory misses and hash-page probes.
+func BenchmarkAggFold(b *testing.B) {
+	const nRows = 1 << 18
+	widths := []int{1, 1, 4, 8, 8, 8, 8}
+	rows := make([][]byte, nRows)
+	flat := make([]byte, nRows*38)
+	for i := range rows {
+		r := flat[i*38 : (i+1)*38]
+		r[0], r[1] = byte(i%2), byte(i/2%2)
+		binary.LittleEndian.PutUint32(r[2:6], uint32(1+i%50))
+		binary.LittleEndian.PutUint64(r[6:14], math.Float64bits(float64(900+i%1000)))
+		binary.LittleEndian.PutUint64(r[14:22], math.Float64bits(float64(i%11)/100))
+		binary.LittleEndian.PutUint64(r[22:30], math.Float64bits(float64(i%9)/100))
+		binary.LittleEndian.PutUint64(r[30:38], uint64(i)*7919%(1<<16))
+		rows[i] = r
+	}
+	arr, err := disk.NewArray(b.TempDir(), 1, disk.Unthrottled())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = arr.RemoveAll() })
+	bp, err := core.NewPool(core.PoolConfig{Memory: 64 << 20, Array: arr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := bp.CreateSet(core.SetSpec{Name: "facts", PageSize: 256 << 10, Layout: core.LayoutColumnar, Columns: widths})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := services.WriteAll(set, rows); err != nil {
+		b.Fatal(err)
+	}
+	price, disc := query.Of(3), query.OneMinus(4)
+	for _, c := range []struct {
+		name   string
+		agg    query.Agg
+		groups int
+	}{
+		{"q01", query.Agg{Keys: []int{0, 1}, Folds: []query.Fold{query.Sum(2), query.Sum(3),
+			query.SumProduct(price, disc), query.SumProduct(price, disc, query.OnePlus(5)), query.Count()}}, 4},
+		{"groups=64k", query.Agg{Keys: []int{6}, Folds: []query.Fold{query.Sum(3), query.Count()}}, 1 << 16},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := query.ScanSpec{Set: set}.AggBatches(bp, "tmp-agg", nil, c.agg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(m) != c.groups {
+					b.Fatalf("%d groups, want %d", len(m), c.groups)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRows), "ns/row")
+		})
+	}
 }

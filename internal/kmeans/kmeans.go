@@ -35,6 +35,9 @@ func EncodePoint(p []float64) []byte {
 	return out
 }
 
+// f64 reads a little-endian float64.
+func f64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
 // DecodePoint unpacks an encoded point into dst (sized to the dimension).
 func DecodePoint(rec []byte, dst []float64) {
 	for i := range dst {
@@ -214,38 +217,39 @@ func assignAndSum(e *query.Executor, normsSet string, centroids [][]float64, cfg
 	}
 
 	// Group by nearest centroid; the accumulator is the coordinate sums
-	// followed by the point count. Records are [norm][coordinates], read as
-	// rows: the points set declares no columns.
-	f64 := func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-	add := func(dst []byte, x float64) { binary.LittleEndian.PutUint64(dst, math.Float64bits(f64(dst)+x)) }
-	spec := query.BatchAggSpec{
-		Key: func(b *query.Batch, row int, dst []byte) []byte {
-			rec := b.MaterializeRow(row, nil)
-			best, bestDist := 0, math.Inf(1)
-			for c, cen := range centroids {
-				dot := 0.0
-				for j := 0; j < cfg.Dim; j++ {
-					dot += f64(rec[8+8*j:]) * cen[j]
+	// followed by the point count. Records are [norm][coordinates]: the
+	// points set declares no columns, so the scan gives it its schema.
+	widths := make([]int, cfg.Dim+1)
+	folds := make([]query.Fold, 0, cfg.Dim+1)
+	for j := range widths {
+		widths[j] = 8
+		if j > 0 {
+			folds = append(folds, query.Sum(j))
+		}
+	}
+	schema := services.MakeSchema(make([]string, len(widths)), widths)
+	agg := query.Agg{
+		KeyFn: func(b *query.Batch, sel []int32, keys []uint64) {
+			norm, coords := b.Col(0), make([][]byte, cfg.Dim)
+			for j := range coords {
+				coords[j] = b.Col(1 + j)
+			}
+			for k, i := range sel {
+				best, bestDist := 0, math.Inf(1)
+				for c, cen := range centroids {
+					dot := 0.0
+					for j, col := range coords {
+						dot += f64(col[8*i:]) * cen[j]
+					}
+					if d := f64(norm[8*i:]) - 2*dot + cNorm[c]; d < bestDist {
+						best, bestDist = c, d
+					}
 				}
-				if d := f64(rec) - 2*dot + cNorm[c]; d < bestDist {
-					best, bestDist = c, d
-				}
-			}
-			return binary.LittleEndian.AppendUint32(dst, uint32(best))
-		},
-		ValSize: 8 * (cfg.Dim + 1),
-		Accumulate: func(b *query.Batch, row int, val []byte) {
-			rec := b.MaterializeRow(row, nil)
-			for j := 0; j < cfg.Dim; j++ {
-				add(val[8*j:], f64(rec[8+8*j:]))
-			}
-			add(val[8*cfg.Dim:], 1)
-		},
-		Combine: func(dst, src []byte) {
-			for i := 0; i+8 <= len(dst); i += 8 {
-				add(dst[i:], f64(src[i:]))
+				keys[k] = uint64(best)
 			}
 		},
+		KeyWidth: 4,
+		Folds:    append(folds, query.Count()),
 	}
 
 	merged, err := e.DistributedMerge(func(node int, w *cluster.Worker) (map[string][]byte, error) {
@@ -253,8 +257,8 @@ func assignAndSum(e *query.Executor, normsSet string, centroids [][]float64, cfg
 		if err != nil {
 			return nil, err
 		}
-		return query.ScanSpec{Set: set, Threads: cfg.Threads}.AggBatches(w.Pool(), normsSet+":sums", nil, spec)
-	}, spec.Combine)
+		return query.ScanSpec{Set: set, Threads: cfg.Threads, Schema: schema}.AggBatches(w.Pool(), normsSet+":sums", nil, agg)
+	}, agg.Combine)
 	if err != nil {
 		return nil, nil, err
 	}

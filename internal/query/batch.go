@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"pangea/internal/core"
 	"pangea/internal/services"
 )
 
@@ -41,10 +40,11 @@ type Batch struct {
 
 	page services.ColumnarPage // columnar header parser, reused across pages
 
-	sel    []int32   // selected row indices; nil = all n rows selected
-	selBuf []int32   // reused selection storage across pages
-	spare  [][]int32 // idle scratch vectors (Or's branches)
-	rowBuf []byte    // reused MaterializeRow scratch
+	sel    []int32     // selected row indices; nil = all n rows selected
+	selBuf []int32     // reused selection storage across pages
+	spare  [][]int32   // idle scratch vectors (Or's branches)
+	u      [2][]uint64 // SelLess's lane values
+	rowBuf []byte      // reused MaterializeRow scratch
 
 	// Join output only (see Join.Inner): matched build records and their
 	// gathered payloads.
@@ -113,7 +113,7 @@ func (b *Batch) Col(c int) []byte {
 // gather transposes column c of a row page into its reused vector.
 func (b *Batch) gather(c int) []byte {
 	w, off := b.widths[c], b.schema[c].Offset
-	v := growBytes(b.store[c], b.n*w)
+	v := grow(b.store[c], b.n*w)
 	b.store[c], b.cols[c] = v, v
 	buf, le := b.buf, binary.LittleEndian
 	if b.minLen < off+w {
@@ -247,18 +247,12 @@ func (b *Batch) MaterializeRow(row int, dst []byte) []byte {
 	return dst
 }
 
-// grow returns s resized to n lanes, reallocating when it is too small. The
-// result is never nil, so a zero-row selection built from it is not "all".
-func grow(s []int32, n int) []int32 {
+// grow returns s resized to n elements, reallocating when it is too small.
+// The result is never nil, so a zero-row selection built from it is not
+// "all".
+func grow[T any](s []T, n int) []T {
 	if s == nil || cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growBytes(s []byte, n int) []byte {
-	if cap(s) < n {
-		return make([]byte, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -494,6 +488,43 @@ func (b *Batch) SelByteEq(c int, v byte) {
 	b.sel = out[:k]
 }
 
+// SelLess keeps rows whose column a is less than column c, both unsigned
+// and of one width.
+func (b *Batch) SelLess(a, c int) {
+	sel := b.Sel()
+	b.u[0], b.u[1] = b.lanes(a, sel, b.u[0]), b.lanes(c, sel, b.u[1])
+	x, y, k := b.u[0], b.u[1][:len(sel)], 0
+	for j, i := range sel {
+		sel[k] = i
+		k += b2i(x[j] < y[j])
+	}
+	b.sel = sel[:k]
+}
+
+// lanes reads column c's unsigned value on each lane of sel into dst.
+func (b *Batch) lanes(c int, sel []int32, dst []uint64) []uint64 {
+	dst, col := grow(dst, len(sel)), b.Col(c)
+	switch b.Width(c) {
+	case 1:
+		for k, i := range sel {
+			dst[k] = uint64(col[i])
+		}
+	case 2:
+		for k, i := range sel {
+			dst[k] = uint64(le.Uint16(col[2*i:]))
+		}
+	case 4:
+		for k, i := range sel {
+			dst[k] = uint64(le.Uint32(col[4*i:]))
+		}
+	default:
+		for k, i := range sel {
+			dst[k] = le.Uint64(col[8*i:])
+		}
+	}
+	return dst
+}
+
 // ProjectBatch materializes the selected rows of a batch and feeds them to
 // emit in record form — the bridge from the batch pipeline to row sinks,
 // and all that ScanSpec.Run adds to RunBatches. Rows alias the pinned page
@@ -505,93 +536,4 @@ func ProjectBatch(b *Batch, emit func(Row) error) error {
 		}
 	}
 	return nil
-}
-
-// BatchAggSpec defines a hash aggregation (Table 2: Hash + Aggregate).
-// Accumulate folds a selected lane directly into the group's accumulator,
-// so one group touched by many rows never round-trips through a per-row
-// scratch value; Combine merges two accumulators, which is what makes
-// per-thread and per-node partials mergeable in a final stage.
-type BatchAggSpec struct {
-	// Key appends the grouping key of the given row to dst and returns the
-	// extended slice (dst arrives empty with reused capacity).
-	Key func(b *Batch, row int, dst []byte) []byte
-	// ValSize is the accumulator width in bytes.
-	ValSize int
-	// Accumulate folds row into val, which starts zeroed for a new group.
-	Accumulate func(b *Batch, row int, val []byte)
-	// Combine merges src into dst, for cross-thread and cross-node merges.
-	Combine func(dst, src []byte)
-}
-
-// aggRoots is the root partition count of each scan thread's hash buffer.
-const aggRoots = 4
-
-// agg is one node's local aggregation stage (Table 2: "Aggregate: local
-// stage"): each scan thread folds into its own virtual hash buffer, all
-// paging into one temp locality set, so execution state lives in the buffer
-// pool and spills as partial aggregates under pressure like any other set.
-type agg struct {
-	spec BatchAggSpec
-	pool *core.BufferPool
-	set  *core.LocalitySet
-	bufs []*services.VirtualHashBuffer // indexed by scan thread
-	keys [][]byte                      // per-thread key scratch
-}
-
-// newAgg creates the temp set and one hash buffer per thread. Every buffer
-// pins one active page per root partition; the page size keeps all of them
-// together within a sixteenth of the pool, so the aggregation composes with
-// the scan feeding it and a join map beside it under memory pressure.
-func newAgg(bp *core.BufferPool, name string, threads int, spec BatchAggSpec) (*agg, error) {
-	pageSize := min(max(bp.Capacity()/int64(16*aggRoots*threads), 8<<10), 256<<10)
-	set, err := bp.CreateSet(core.SetSpec{Name: name, PageSize: pageSize})
-	if err != nil {
-		return nil, err
-	}
-	a := &agg{spec: spec, pool: bp, set: set, keys: make([][]byte, threads)}
-	for range threads {
-		h, err := services.NewVirtualHashBuffer(set, aggRoots, spec.ValSize, spec.Combine)
-		if err != nil {
-			_ = bp.DropSet(set) // reporting the constructor's error
-			return nil, err
-		}
-		a.bufs = append(a.bufs, h)
-	}
-	return a, nil
-}
-
-// add folds a batch's selected rows into the thread's partial state.
-func (a *agg) add(thread int, b *Batch) error {
-	h, key := a.bufs[thread], a.keys[thread]
-	for _, i := range b.Sel() {
-		key = a.spec.Key(b, int(i), key[:0])
-		val, _, err := h.Slot(key)
-		if err != nil {
-			return err
-		}
-		a.spec.Accumulate(b, int(i), val)
-	}
-	a.keys[thread] = key
-	return nil
-}
-
-// result merges every thread's partials — resident and spilled — into one
-// map and drops the temp set. Call it exactly once, after a failed scan too.
-func (a *agg) result() (map[string][]byte, error) {
-	var err error
-	for _, h := range a.bufs {
-		if cerr := h.Close(); err == nil {
-			err = cerr
-		}
-	}
-	var out map[string][]byte
-	if err == nil {
-		// Result walks every hash page of the set, whichever buffer wrote it.
-		out, err = a.bufs[0].Result()
-	}
-	if derr := a.pool.DropSet(a.set); err == nil {
-		err = derr
-	}
-	return out, err
 }

@@ -23,7 +23,8 @@ const (
 
 // FuzzSelKernels is the typed selection kernels' differential test: over a
 // column of width 1, 2, 4 or 8 bytes and any length (not only multiples of
-// four or eight lanes), each Sel* kernel keeps exactly the lanes a scalar
+// four or eight lanes), each Sel* kernel — SelLess against the column's
+// lanes reversed — keeps exactly the lanes a scalar
 // loop over the same candidates keeps, index for index — on the all-rows
 // path (seed 0) and over a random prior selection (any other seed). mode's
 // bit 3 plants NaN, ±0 and ±Inf lanes for SelF64Range. The seeds under
@@ -47,6 +48,11 @@ func FuzzSelKernels(f *testing.F) {
 			}
 		}
 		lane := func(i int) uint64 { return readLane(col, w, i) }
+		// SelLess's other column: col's lanes in reverse order.
+		rev := make([]byte, len(col))
+		for i := 0; i < n; i++ {
+			copy(rev[i*w:i*w+w], col[(n-1-i)*w:])
+		}
 		switch mode % 8 {
 		case boundsEq:
 			hi = lo + 1
@@ -81,7 +87,7 @@ func FuzzSelKernels(f *testing.F) {
 		}
 		check := func(name string, kernel func(*Batch), keep func(i int) bool) {
 			t.Helper()
-			b := &Batch{n: n, widths: []int{w}, cols: [][]byte{col}, store: make([][]byte, 1)}
+			b := &Batch{n: n, widths: []int{w, w}, cols: [][]byte{col, rev}, store: make([][]byte, 2)}
 			b.selBuf = make([]int32, n+3) // stale contents must not leak
 			for i := range b.selBuf {
 				b.selBuf[i] = -1
@@ -103,6 +109,8 @@ func FuzzSelKernels(f *testing.F) {
 				t.Fatalf("%s(lo=%d, hi=%d) over %d %d-byte lanes (prior %v):\n got %v\nwant %v", name, lo, hi, n, w, prior, b.sel, want)
 			}
 		}
+		check("SelLess", func(b *Batch) { b.SelLess(0, 1) },
+			func(i int) bool { return lane(i) < readLane(rev, w, i) })
 		switch w {
 		case 1:
 			check("SelByteRange", func(b *Batch) { b.SelByteRange(0, lo, hi) },

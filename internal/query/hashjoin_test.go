@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -175,5 +176,88 @@ func TestJoinRejectsMismatchedProjection(t *testing.T) {
 	}
 	if err := j.Drop(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMarkJoin: a semi and an anti join built from the small side — Mark
+// from two probe threads, then Marked — reach exactly the build records a
+// nested loop matches (or does not), on row and columnar inputs. Keys are 8
+// bytes, the join map's word-keyed index; build keys repeat, so one probe
+// row marks every record under its key. Run it under -race: the two probe
+// threads mark one bitmap.
+func TestMarkJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	rowsOf := func(n, keyLo, keys int) []Row {
+		rows := make([]Row, n)
+		for i := range rows {
+			r := binary.LittleEndian.AppendUint64(nil, uint64(keyLo+rng.Intn(keys))*0x9E3779B97F4A7C15)
+			rows[i] = binary.LittleEndian.AppendUint32(r, uint32(i))
+		}
+		return rows
+	}
+	build, probe := rowsOf(600, 0, 400), rowsOf(5000, 250, 1000)
+	probed := map[uint64]bool{}
+	for _, p := range probe {
+		probed[binary.LittleEndian.Uint64(p)] = true
+	}
+	schema := services.MakeSchema([]string{"key", "id"}, []int{8, 4})
+	for _, layout := range []core.PageLayout{core.LayoutRow, core.LayoutColumnar} {
+		bp := newPool(t, 8<<20)
+		load := func(name string, rows []Row) ScanSpec {
+			spec := core.SetSpec{Name: name, PageSize: 4 << 10, Layout: layout}
+			if layout == core.LayoutColumnar {
+				spec.Columns = []int{8, 4}
+			}
+			s, err := bp.CreateSet(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := services.WriteAll(s, rows); err != nil {
+				t.Fatal(err)
+			}
+			return ScanSpec{Set: s, Threads: 2, Schema: schema}
+		}
+		buildSpec, probeSpec := load("build", build), load("probe", probe)
+		j, err := NewJoin(bp, "tmp-join", 4<<10, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = buildSpec.RunBatches(func(_ int, b *Batch) error { return j.Add(b, 0, 1) })
+		if err == nil {
+			err = j.Seal()
+		}
+		if err == nil {
+			err = probeSpec.RunBatches(func(_ int, b *Batch) error { j.Mark(b, 0); return nil })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, marked := range []bool{true, false} {
+			got := map[uint32]bool{}
+			err := j.Marked(marked, func(_ int, b *Batch) error {
+				for _, i := range b.Sel() {
+					got[b.U32(0, int(i))] = true
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for i, r := range build {
+				if probed[binary.LittleEndian.Uint64(r)] != marked {
+					continue
+				}
+				if want++; !got[uint32(i)] {
+					t.Errorf("layout %d, marked=%v: build record %d missing", layout, marked, i)
+				}
+			}
+			if len(got) != want {
+				t.Errorf("layout %d, marked=%v: %d build records, want %d", layout, marked, len(got), want)
+			}
+		}
+		if err := j.Drop(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -58,9 +58,9 @@ type PointIndex interface {
 }
 
 // Predicate is one filter expression. Implementations are the algebra's
-// node types (ColRange, ColRangeF64, ColEq, And, Or, RowPred); the methods
-// are unexported because the set of compilation targets is the scan API's
-// concern, not an extension point.
+// node types (ColRange, ColRangeF64, ColEq, ColLess, And, Or, RowPred); the
+// methods are unexported because the set of compilation targets is the scan
+// API's concern, not an extension point.
 type Predicate interface {
 	// check validates the predicate against the scan's schema before any
 	// page is read: a column index out of range or a width the node cannot
@@ -241,6 +241,31 @@ func (p ColEq) prune(stats PruneStats, pageNum int64) bool {
 func (p ColEq) indexPages(idx PointIndex) ([]uint64, bool) {
 	return idx.Lookup(p.Col, p.V)
 }
+
+// ColLess keeps rows whose column A is less than column B, both unsigned
+// and of one width — a cross-column compare (TPC-H's commit-before-receipt
+// dates). A zone map's per-column bounds cannot prove it false, and a point
+// index cannot answer it, so it never prunes.
+type ColLess struct{ A, B int }
+
+func (p ColLess) check(schema []services.ColumnSpec) error {
+	if err := uintCol("ColLess", schema, p.A); err != nil {
+		return err
+	}
+	if err := uintCol("ColLess", schema, p.B); err != nil {
+		return err
+	}
+	if schema[p.A].Width != schema[p.B].Width {
+		return fmt.Errorf("query: ColLess over columns %d and %d of widths %d and %d", p.A, p.B, schema[p.A].Width, schema[p.B].Width)
+	}
+	return nil
+}
+
+func (p ColLess) applyBatch(b *Batch) { b.SelLess(p.A, p.B) }
+
+func (p ColLess) prune(PruneStats, int64) bool { return false }
+
+func (p ColLess) indexPages(PointIndex) ([]uint64, bool) { return nil, false }
 
 // And is the conjunction of its children: each child narrows the batch
 // selection in turn, and a page any child can prune is pruned. An empty And

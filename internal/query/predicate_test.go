@@ -42,6 +42,8 @@ func testPredicates() []struct {
 			func(r Row) bool { return rowAmount(r) < 50 && rowGroup(r) == 2 }},
 		{"or", Or{ColEq{Col: 1, V: 1}, ColEq{Col: 1, V: 5}},
 			func(r Row) bool { return rowGroup(r) == 1 || rowGroup(r) == 5 }},
+		{"col-less", ColLess{A: 1, B: 2},
+			func(r Row) bool { return rowGroup(r) < rowAmount(r) }},
 		{"rowpred", RowPred(func(r Row) bool { return rowID(r)%3 == 0 }),
 			func(r Row) bool { return rowID(r)%3 == 0 }},
 		{"and-rowpred", And{ColRange{Col: 0, Lo: 100, Hi: 900}, RowPred(func(r Row) bool { return rowID(r)%2 == 0 })},

@@ -80,36 +80,18 @@ func TestScanFilterCount(t *testing.T) {
 	}
 }
 
-// sumSpec groups by the group column and accumulates [sum u64][count u64]
-// of the amount column.
-func sumSpec() BatchAggSpec {
-	add := func(dst []byte, x uint64) {
-		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)+x)
-	}
-	return BatchAggSpec{
-		Key: func(b *Batch, row int, dst []byte) []byte {
-			return append(dst, b.Col(1)[row*4:row*4+4]...)
-		},
-		ValSize: 16,
-		Accumulate: func(b *Batch, row int, val []byte) {
-			add(val[0:8], uint64(b.U32(2, row)))
-			add(val[8:16], 1)
-		},
-		Combine: func(dst, src []byte) {
-			add(dst[0:8], binary.LittleEndian.Uint64(src[0:8]))
-			add(dst[8:16], binary.LittleEndian.Uint64(src[8:16]))
-		},
-	}
-}
+// sumSpec groups by the group column and accumulates [sum][count] of the
+// amount column.
+func sumSpec() Agg { return Agg{Keys: []int{1}, Folds: []Fold{Sum(2), Count()}} }
 
 // checkSums compares a sumSpec result with the map reference over rows.
 func checkSums(t *testing.T, got map[string][]byte, rows []Row, keep func(Row) bool) {
 	t.Helper()
-	wantSum := make(map[uint32]uint64)
-	wantCnt := make(map[uint32]uint64)
+	wantSum := make(map[uint32]float64)
+	wantCnt := make(map[uint32]float64)
 	for _, r := range rows {
 		if keep == nil || keep(r) {
-			wantSum[rowGroup(r)] += uint64(rowAmount(r))
+			wantSum[rowGroup(r)] += float64(rowAmount(r))
 			wantCnt[rowGroup(r)]++
 		}
 	}
@@ -118,10 +100,8 @@ func checkSums(t *testing.T, got map[string][]byte, rows []Row, keep func(Row) b
 	}
 	for k, v := range got {
 		g := binary.LittleEndian.Uint32([]byte(k))
-		sum := binary.LittleEndian.Uint64(v[0:8])
-		cnt := binary.LittleEndian.Uint64(v[8:16])
-		if sum != wantSum[g] || cnt != wantCnt[g] {
-			t.Errorf("group %d: sum=%d cnt=%d, want %d/%d", g, sum, cnt, wantSum[g], wantCnt[g])
+		if sum, cnt := f64(v[0:8]), f64(v[8:16]); sum != wantSum[g] || cnt != wantCnt[g] {
+			t.Errorf("group %d: sum=%v cnt=%v, want %v/%v", g, sum, cnt, wantSum[g], wantCnt[g])
 		}
 	}
 }

@@ -238,21 +238,13 @@ func (sp ScanSpec) runStaged(stage Stage, fn func(thread int, b *Batch) error) e
 }
 
 // AggBatches runs the scan → stage → hash-aggregate pipeline on one node:
-// stage (nil allowed) runs on each batch after the predicate, and spec folds
-// the survivors into per-thread partials held in hash-service pages of a
-// temp set named tmp in bp, merged into one map when the scan ends.
+// stage (nil allowed) runs on each batch after the predicate, and agg folds
+// the survivors into per-thread partials (see Aggregate).
 // Executor.DistributedMerge combines the per-node maps.
-func (sp ScanSpec) AggBatches(bp *core.BufferPool, tmp string, stage Stage, spec BatchAggSpec) (map[string][]byte, error) {
-	a, err := newAgg(bp, tmp, sp.threads(), spec)
-	if err != nil {
-		return nil, err
-	}
-	err = sp.runStaged(stage, a.add)
-	out, rerr := a.result()
-	if err != nil {
-		return nil, err
-	}
-	return out, rerr
+func (sp ScanSpec) AggBatches(bp *core.BufferPool, tmp string, stage Stage, agg Agg) (map[string][]byte, error) {
+	return Aggregate(bp, tmp, sp.threads(), agg, func(fn func(int, *Batch) error) error {
+		return sp.runStaged(stage, fn)
+	})
 }
 
 // CountBatches counts the rows the predicate and stage (nil allowed) keep.

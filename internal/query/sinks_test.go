@@ -1,7 +1,6 @@
 package query
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 )
@@ -85,7 +84,7 @@ func TestAggBatchesSpillsPartials(t *testing.T) {
 	rows := testRows(40000)
 	s := loadSet(t, bp, "s", rows)
 	spec := sumSpec()
-	spec.Key = func(b *Batch, row int, dst []byte) []byte { return append(dst, b.Col(0)[row*4:row*4+4]...) }
+	spec.Keys = []int{0}
 	got, err := ScanSpec{Set: s, Threads: 2, Schema: testSchema()}.AggBatches(bp, "tmp-agg", nil, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -98,17 +97,16 @@ func TestAggBatchesSpillsPartials(t *testing.T) {
 	}
 }
 
-// TestAggBatchesPropagatesError: a failure inside the sink — here a key no
-// hash page can hold — surfaces from AggBatches, and the temp set is dropped
-// on that path too.
+// TestAggBatchesPropagatesError: a failure inside the sink — here a key
+// wider than the 8 bytes a group key packs into — surfaces from AggBatches,
+// and the temp set is dropped on that path too.
 func TestAggBatchesPropagatesError(t *testing.T) {
 	bp := newPool(t, 8<<20)
 	s := loadSet(t, bp, "s", testRows(100))
 	spec := sumSpec()
-	huge := bytes.Repeat([]byte{7}, 512<<10)
-	spec.Key = func(_ *Batch, _ int, dst []byte) []byte { return append(dst, huge...) }
+	spec.Keys = []int{0, 1, 2}
 	if _, err := (ScanSpec{Set: s, Threads: 4, Schema: testSchema()}).AggBatches(bp, "tmp-agg", nil, spec); err == nil {
-		t.Error("aggregating under a key larger than a hash page must error")
+		t.Error("aggregating under a 12-byte key must error")
 	}
 	noTempSets(t, bp, "after a failed AggBatches")
 }

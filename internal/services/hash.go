@@ -181,6 +181,7 @@ type VirtualHashBuffer struct {
 	valSize int
 	parts   []*hashPartition // active page per root partition
 	k       uint64
+	retires uint64 // pages retired so far
 }
 
 // NewVirtualHashBuffer attaches the hash service to a locality set with k
@@ -236,33 +237,31 @@ func (h *VirtualHashBuffer) Upsert(key, val []byte) error {
 // Slot returns the key's value in its partition's active page for the
 // caller to fold into in place, inserting a zeroed one (fresh=true) if the
 // key is not there — it may still exist in a retired page; Result merges the
-// partials. The slice aliases the pinned page and is valid until the
-// buffer's next Slot, Upsert or Close.
+// partials. The slice aliases the pinned page and stays valid until the
+// buffer retires a page (Retires moves) or closes: a full page is retired
+// when a key that is not on it arrives, by this call or by Upsert.
 func (h *VirtualHashBuffer) Slot(key []byte) (val []byte, fresh bool, err error) {
 	// One hash serves both levels: its high half picks the root partition,
 	// its low half the bucket within the partition's page.
 	hash := fnv1a(key)
 	r := (hash >> 32) % h.k
-	hp := h.parts[r]
-	if hp != nil {
-		if off := hp.find(hash, key); off != 0 {
-			return hp.value(off), false, nil
-		}
-		if off := hp.insert(hash, key); off != 0 {
-			return hp.value(off), true, nil
-		}
+	if val, fresh := h.slotIn(r, hash, key); val != nil {
+		return val, fresh, nil
+	}
+	if hp := h.parts[r]; hp != nil {
 		// Page full: retire it (unpin dirty; it becomes a spill candidate)
 		// and split a fresh child partition below.
 		if err := h.set.Unpin(hp.page, true); err != nil {
 			return nil, false, err
 		}
 		h.parts[r] = nil
+		h.retires++
 	}
 	p, err := h.set.NewPage()
 	if err != nil {
 		return nil, false, err
 	}
-	hp = initHashPage(p, h.valSize)
+	hp := initHashPage(p, h.valSize)
 	h.parts[r] = hp
 	off := hp.insert(hash, key)
 	if off == 0 {
@@ -270,6 +269,32 @@ func (h *VirtualHashBuffer) Slot(key []byte) (val []byte, fresh bool, err error)
 	}
 	return hp.value(off), true, nil
 }
+
+// SlotIn is Slot confined to the key's partition's active page, so that it
+// never retires a page: nil when the key is not on that page and the page
+// has no room for it, or the partition has no page yet.
+func (h *VirtualHashBuffer) SlotIn(key []byte) (val []byte, fresh bool) {
+	hash := fnv1a(key)
+	return h.slotIn((hash>>32)%h.k, hash, key)
+}
+
+func (h *VirtualHashBuffer) slotIn(r, hash uint64, key []byte) (val []byte, fresh bool) {
+	hp := h.parts[r]
+	if hp == nil {
+		return nil, false
+	}
+	if off := hp.find(hash, key); off != 0 {
+		return hp.value(off), false
+	}
+	if off := hp.insert(hash, key); off != 0 {
+		return hp.value(off), true
+	}
+	return nil, false
+}
+
+// Retires counts the pages the buffer has retired. A slot Slot or SlotIn
+// returned is valid while the count stands still.
+func (h *VirtualHashBuffer) Retires() uint64 { return h.retires }
 
 // Find returns a copy of the key's value in its partition's active page. ok
 // is false if the key is absent there (it may still exist in spilled
@@ -373,11 +398,18 @@ func NewInt64HashBuffer(set *core.LocalitySet, k int, combine func(old, new int6
 	return &Int64HashBuffer{h: h, combine: combine}, nil
 }
 
-// Upsert inserts or combines one pair.
+// Upsert inserts or combines one pair, folding v into the key's slot in
+// place.
 func (b *Int64HashBuffer) Upsert(key []byte, v int64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	return b.h.Upsert(key, buf[:])
+	slot, fresh, err := b.h.Slot(key)
+	if err != nil {
+		return err
+	}
+	if !fresh {
+		v = b.combine(int64(binary.LittleEndian.Uint64(slot)), v)
+	}
+	binary.LittleEndian.PutUint64(slot, uint64(v))
+	return nil
 }
 
 // Find looks the key up in its partition's active page.

@@ -689,7 +689,7 @@ func TestFnv1aDistribution(t *testing.T) {
 
 // TestJoinMapMatchesMapReference holds the flat key index to a Go map: keys
 // of every length from 0 to 16 bytes and 8-byte keys, each inserted many
-// times, through enough growth to double the slot table eight times; every
+// times, through enough growth to double both key tables seven times; every
 // key's Head/Next chain, every gathered payload and every absent-key probe
 // must agree with the reference.
 func TestJoinMapMatchesMapReference(t *testing.T) {
@@ -722,8 +722,10 @@ func TestJoinMapMatchesMapReference(t *testing.T) {
 	if m.Keys() != len(ref) || m.Len() != 30000 {
 		t.Fatalf("Keys=%d Len=%d, want %d, 30000", m.Keys(), m.Len(), len(ref))
 	}
-	if len(m.slots) < 1<<(minSlotsLog+8) || 4*m.Keys() > 3*len(m.slots) {
-		t.Fatalf("%d slots for %d keys: the table did not grow as meant", len(m.slots), m.Keys())
+	if len(m.words) < 1<<(minSlotsLog+8) || 4*m.wordN > 3*len(m.words) ||
+		len(m.slots) < 1<<(minSlotsLog+7) || 4*len(m.head) > 3*len(m.slots) {
+		t.Fatalf("%d+%d slots for %d+%d keys: the tables did not grow as meant",
+			len(m.words), len(m.slots), m.wordN, len(m.head))
 	}
 	var gs GatherScratch
 	for k, want := range ref {

@@ -64,8 +64,7 @@ func (r *Runner) Run(q string) (Result, error) {
 //
 // The scans below express their filters in the predicate algebra, one
 // definition driving the microindex lookup, the zone-map prune and the
-// selection kernels. Cross-column comparisons (Q04/Q12's commit-vs-receipt
-// dates) run as residual FilterBatch steps after the predicate.
+// selection kernels.
 
 func q01Pred() query.Predicate {
 	return query.ColRange{Col: LiColShipDate, Lo: 0, Hi: uint64(Q01Cutoff) + 1}
@@ -86,6 +85,8 @@ func q12LiPred() query.Predicate {
 			query.ColEq{Col: LiColShipMode, V: uint64(Q12ModeB)},
 		},
 		query.ColRange{Col: LiColReceiptDate, Lo: uint64(Q12Lo), Hi: uint64(Q12Hi)},
+		late,
+		query.ColLess{A: LiColShipDate, B: LiColCommitDate},
 	}
 }
 
@@ -124,9 +125,7 @@ func q22CustPred(minBal float64) query.Predicate {
 }
 
 // late keeps the lineitems received after their commit date (Q04, Q12).
-func late(b *query.Batch, row int) bool {
-	return b.U16(LiColCommitDate, row) < b.U16(LiColReceiptDate, row)
-}
+var late = query.ColLess{A: LiColCommitDate, B: LiColReceiptDate}
 
 // --- plan plumbing ------------------------------------------------------------
 
@@ -143,50 +142,40 @@ func (r *Runner) spec(node int, set, table string, pred query.Predicate) (query.
 	return query.ScanSpec{Set: s, Threads: r.Threads, Pred: pred, Schema: Schemas[table]}, err
 }
 
-// rowFilter is a residual filter over a batch's rows, for the shapes the
-// predicate algebra does not express; nil keeps every row.
-type rowFilter func(b *query.Batch, row int) bool
-
 // input resolves a join input: in replica mode the statistics service
 // supplies the replica partitioned under scheme; otherwise the source,
-// filtered by pred and filter, is repartitioned at runtime onto a temp set —
-// the shuffle a layered engine cannot avoid. cleanup drops any temp set.
-func (r *Runner) input(table, scheme string, key func(query.Row) []byte, pred query.Predicate, filter rowFilter) (string, func(), error) {
+// filtered by pred, is repartitioned at runtime onto a temp set — the
+// shuffle a layered engine cannot avoid. cleanup drops any temp set.
+func (r *Runner) input(table, scheme string, key func(query.Row) []byte, pred query.Predicate) (string, func(), error) {
 	if r.UseReplicas {
 		if set, ok := r.E.ChooseReplica(table, scheme); ok {
 			return set, func() {}, nil
 		}
 	}
 	tmp := r.tempName(table)
-	if err := r.exchange(tmp, table, key, pred, filter); err != nil {
+	if err := r.exchange(tmp, table, key, pred); err != nil {
 		return "", nil, err
 	}
 	return tmp, func() { r.E.DropEverywhere(tmp) }, nil
 }
 
-// exchange repartitions table's rows matching pred and filter onto the new
-// set tmp.
-func (r *Runner) exchange(tmp, table string, key func(query.Row) []byte, pred query.Predicate, filter rowFilter) error {
+// exchange repartitions table's rows matching pred onto the new set tmp.
+func (r *Runner) exchange(tmp, table string, key func(query.Row) []byte, pred query.Predicate) error {
 	return r.E.Exchange(tmp, func(node int) query.Iter {
 		return func(emit func(query.Row) error) error {
 			sp, err := r.spec(node, table, table, pred)
 			if err != nil {
 				return err
 			}
-			return sp.RunBatches(func(_ int, b *query.Batch) error {
-				if filter != nil {
-					query.FilterBatch(b, filter)
-				}
-				return query.ProjectBatch(b, emit)
-			})
+			return sp.RunBatches(func(_ int, b *query.Batch) error { return query.ProjectBatch(b, emit) })
 		}
 	}, key, r.PageSize)
 }
 
 // build constructs one node's join build side from the rows of set matching
-// pred and filter (nil allowed): keyCol is the join key, cols the columns
-// the probe side will read. The caller must drop the returned join.
-func (r *Runner) build(node int, tag, set, table string, pred query.Predicate, filter rowFilter, keyCol int, cols ...int) (*query.Join, error) {
+// pred: keyCol is the join key, cols the columns the probe side will read.
+// The caller must drop the returned join.
+func (r *Runner) build(node int, tag, set, table string, pred query.Predicate, keyCol int, cols ...int) (*query.Join, error) {
 	sp, err := r.spec(node, set, table, pred)
 	if err != nil {
 		return nil, err
@@ -199,12 +188,7 @@ func (r *Runner) build(node int, tag, set, table string, pred query.Predicate, f
 	if err != nil {
 		return nil, err
 	}
-	err = sp.RunBatches(func(_ int, b *query.Batch) error {
-		if filter != nil {
-			query.FilterBatch(b, filter)
-		}
-		return j.Add(b, keyCol, cols...)
-	})
+	err = sp.RunBatches(func(_ int, b *query.Batch) error { return j.Add(b, keyCol, cols...) })
 	if err == nil {
 		err = j.Seal()
 	}
@@ -220,12 +204,27 @@ func (r *Runner) build(node int, tag, set, table string, pred query.Predicate, f
 func drop(j *query.Join) { _ = j.Drop() }
 
 // aggregate runs one node's scan → stage → hash-aggregate pipeline.
-func (r *Runner) aggregate(node int, tag, set, table string, pred query.Predicate, stage query.Stage, spec query.BatchAggSpec) (map[string][]byte, error) {
+func (r *Runner) aggregate(node int, tag, set, table string, pred query.Predicate, stage query.Stage, agg query.Agg) (map[string][]byte, error) {
 	sp, err := r.spec(node, set, table, pred)
 	if err != nil {
 		return nil, err
 	}
-	return sp.AggBatches(r.E.Workers[node].Pool(), r.tempName(tag), stage, spec)
+	return sp.AggBatches(r.E.Workers[node].Pool(), r.tempName(tag), stage, agg)
+}
+
+// marked marks the build records of j that the rows of set matching pred
+// reach on keyCol, and aggregates those it marked (want) or did not — a
+// semi (anti) join that built from its smaller input.
+func (r *Runner) marked(node int, tag string, j *query.Join, set, table string, pred query.Predicate, keyCol int, want bool, agg query.Agg) (map[string][]byte, error) {
+	sp, err := r.spec(node, set, table, pred)
+	if err != nil {
+		return nil, err
+	}
+	if err := sp.RunBatches(func(_ int, b *query.Batch) error { j.Mark(b, keyCol); return nil }); err != nil {
+		return nil, err
+	}
+	return query.Aggregate(r.E.Workers[node].Pool(), r.tempName(tag), 1, agg,
+		func(fn func(int, *query.Batch) error) error { return j.Marked(want, fn) })
 }
 
 // semi is the pipeline stage that keeps the rows with a match in j.
@@ -251,7 +250,7 @@ func chain(stages ...query.Stage) query.Stage {
 // inner is the pipeline stage that joins each batch with j: downstream
 // sees carry's columns followed by j's projected build columns, narrowed by
 // filter (nil allowed).
-func (r *Runner) inner(j *query.Join, keyCol int, carry []int, filter rowFilter) query.Stage {
+func (r *Runner) inner(j *query.Join, keyCol int, carry []int, filter func(b *query.Batch, row int) bool) query.Stage {
 	outs := make([]query.Batch, r.Threads)
 	return func(t int, b *query.Batch) (*query.Batch, error) {
 		out := &outs[t]
@@ -267,25 +266,13 @@ func (r *Runner) inner(j *query.Join, keyCol int, carry []int, filter rowFilter)
 
 // --- aggregation plumbing ---------------------------------------------------
 
-// Accumulators are vectors of float64s combined element-wise with +.
-
-func addF64(val []byte, i int, x float64) { putF64(val[8*i:], getF64(val[8*i:])+x) }
-
-func addF64s(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		putF64(dst[i:], getF64(dst[i:])+getF64(src[i:]))
+// f64s decodes a group's accumulators.
+func f64s(v []byte) []float64 {
+	fs := make([]float64, len(v)/8)
+	for i := range fs {
+		fs[i] = getF64(v[8*i:])
 	}
-}
-
-// starKey is the grouping key of single-row results.
-func starKey(_ *query.Batch, _ int, dst []byte) []byte { return append(dst, '*') }
-
-// colKey groups by one column's value.
-func colKey(c int) func(*query.Batch, int, []byte) []byte {
-	return func(b *query.Batch, row int, dst []byte) []byte {
-		w := b.Width(c)
-		return append(dst, b.Col(c)[row*w:row*w+w]...)
-	}
+	return fs
 }
 
 // decodeF64s converts an aggregated byte map into a Result, renaming each
@@ -293,16 +280,21 @@ func colKey(c int) func(*query.Batch, int, []byte) []byte {
 func decodeF64s(m map[string][]byte, name func(key string) string) Result {
 	out := Result{}
 	for k, v := range m {
-		fs := make([]float64, len(v)/8)
-		for i := range fs {
-			fs[i] = getF64(v[8*i:])
-		}
 		if name != nil {
 			k = name(k)
 		}
-		out[k] = fs
+		out[k] = f64s(v)
 	}
 	return out
+}
+
+// total is the one group of an aggregate without key columns, or n zeros if
+// no row reached it.
+func total(m map[string][]byte, n int) []float64 {
+	if v, ok := m[""]; ok {
+		return f64s(v)
+	}
+	return make([]float64, n)
 }
 
 // --- Q01: pricing summary report -------------------------------------------
@@ -310,25 +302,17 @@ func decodeF64s(m map[string][]byte, name func(key string) string) Result {
 // Q01 scans lineitem with a date filter and aggregates five metrics by
 // (returnflag, linestatus). No join: both modes share the plan.
 func (r *Runner) Q01() (Result, error) {
-	spec := query.BatchAggSpec{
-		Key: func(b *query.Batch, row int, dst []byte) []byte {
-			return append(dst, b.Byte(LiColReturnFlag, row), b.Byte(LiColLineStatus, row))
-		},
-		ValSize: 40,
-		Accumulate: func(b *query.Batch, row int, val []byte) {
-			price := b.F64(LiColExtendedPrice, row)
-			disc := price * (1 - b.F64(LiColDiscount, row))
-			addF64(val, 0, float64(b.U32(LiColQuantity, row)))
-			addF64(val, 1, price)
-			addF64(val, 2, disc)
-			addF64(val, 3, disc*(1+b.F64(LiColTax, row)))
-			addF64(val, 4, 1)
-		},
-		Combine: addF64s,
-	}
+	price, disc := query.Of(LiColExtendedPrice), query.OneMinus(LiColDiscount)
+	agg := query.Agg{Keys: []int{LiColReturnFlag, LiColLineStatus}, Folds: []query.Fold{
+		query.Sum(LiColQuantity),
+		query.Sum(LiColExtendedPrice),
+		query.SumProduct(price, disc),
+		query.SumProduct(price, disc, query.OnePlus(LiColTax)),
+		query.Count(),
+	}}
 	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		return r.aggregate(node, "q01", "lineitem", "lineitem", q01Pred(), nil, spec)
-	}, spec.Combine)
+		return r.aggregate(node, "q01", "lineitem", "lineitem", q01Pred(), nil, agg)
+	}, agg.Combine)
 	if err != nil {
 		return nil, err
 	}
@@ -370,11 +354,11 @@ func (r *Runner) Q02() (Result, error) {
 		wanted[node], err = r.build(node, "q02wanted", partB, "part", query.And{
 			query.ColEq{Col: PartColSize, V: uint64(Q02Size)},
 			query.ColEq{Col: PartColTypeSuffix, V: TypeSuffixBrass},
-		}, nil, PartColPartKey)
+		}, PartColPartKey)
 		if err != nil {
 			return err
 		}
-		supp[node], err = r.build(node, "q02region", suppB, "supplier", q02SuppPred(), nil, SuppColSuppKey, SuppColAcctBal)
+		supp[node], err = r.build(node, "q02region", suppB, "supplier", q02SuppPred(), SuppColSuppKey, SuppColAcctBal)
 		return err
 	})
 	if err != nil {
@@ -382,42 +366,19 @@ func (r *Runner) Q02() (Result, error) {
 	}
 
 	// Pass 1: minimum supply cost per wanted part among the region's
-	// suppliers. The accumulator is [min f64][seen byte]: a new group's
-	// zeroed value is not a cost yet.
-	minSpec := query.BatchAggSpec{
-		Key:     colKey(PsColPartKey),
-		ValSize: 9,
-		Accumulate: func(b *query.Batch, row int, val []byte) {
-			if c := b.F64(PsColSupplyCost, row); val[8] == 0 || c < getF64(val) {
-				putF64(val, c)
-				val[8] = 1
-			}
-		},
-		Combine: func(dst, src []byte) {
-			if getF64(src) < getF64(dst) {
-				copy(dst, src)
-			}
-		},
-	}
+	// suppliers.
+	minAgg := query.Agg{Keys: []int{PsColPartKey}, Folds: []query.Fold{query.Min(PsColSupplyCost)}}
 	minCost, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
 		return r.aggregate(node, "q02min", "partsupp", "partsupp", nil,
-			chain(semi(wanted[node], PsColPartKey), semi(supp[node], PsColSuppKey)), minSpec)
-	}, minSpec.Combine)
+			chain(semi(wanted[node], PsColPartKey), semi(supp[node], PsColSuppKey)), minAgg)
+	}, minAgg.Combine)
 	if err != nil {
 		return nil, err
 	}
 
 	// Pass 2: join partsupp with the minima, keep the pairs at the minimum,
 	// join those with the region's suppliers, count them and sum balances.
-	sumSpec := query.BatchAggSpec{
-		Key:     starKey,
-		ValSize: 16,
-		Accumulate: func(b *query.Batch, row int, val []byte) {
-			addF64(val, 0, 1)
-			addF64(val, 1, b.F64(0, row)) // s_acctbal
-		},
-		Combine: addF64s,
-	}
+	sumAgg := query.Agg{Folds: []query.Fold{query.Count(), query.Sum(0)}} // s_acctbal
 	m, err := r.E.DistributedMerge(func(node int, w *cluster.Worker) (map[string][]byte, error) {
 		best, err := query.NewJoin(w.Pool(), r.tempName("q02best"), r.PageSize, 8)
 		if err != nil {
@@ -425,7 +386,7 @@ func (r *Runner) Q02() (Result, error) {
 		}
 		defer drop(best)
 		for part, v := range minCost {
-			if err := best.Insert([]byte(part), v[:8]); err != nil {
+			if err := best.Insert([]byte(part), v); err != nil {
 				return nil, err
 			}
 		}
@@ -436,48 +397,42 @@ func (r *Runner) Q02() (Result, error) {
 		atMin := r.inner(best, PsColPartKey, []int{PsColSuppKey, PsColSupplyCost},
 			func(b *query.Batch, row int) bool { return b.F64(1, row) == b.F64(2, row) })
 		withSupp := r.inner(supp[node], 0, nil, nil)
-		return r.aggregate(node, "q02", "partsupp", "partsupp", nil, chain(atMin, withSupp), sumSpec)
-	}, sumSpec.Combine)
+		return r.aggregate(node, "q02", "partsupp", "partsupp", nil, chain(atMin, withSupp), sumAgg)
+	}, sumAgg.Combine)
 	if err != nil {
 		return nil, err
 	}
-	if len(m) == 0 {
-		return Result{"*": {0, 0}}, nil
-	}
-	return decodeF64s(m, nil), nil
+	return Result{"*": total(m, 2)}, nil
 }
 
 // --- Q04: order priority checking -------------------------------------------
 
-// Q04 semi-joins date-filtered orders with late lineitems on orderkey. With
-// the o_orderkey/l_orderkey replicas the join is node-local; otherwise both
-// inputs are repartitioned first.
+// Q04 semi-joins date-filtered orders with late lineitems on orderkey. The
+// join builds from the orders, a small fraction of the late lineitems, with
+// their priority as payload; the lineitems mark the orders they reach, and
+// the marked orders are counted. With the o_orderkey/l_orderkey replicas the
+// join is node-local; otherwise both inputs are repartitioned first.
 func (r *Runner) Q04() (Result, error) {
-	liSet, liClean, err := r.input("lineitem", SchemeLOrderKey, LOrderKey, nil, late)
+	liSet, liClean, err := r.input("lineitem", SchemeLOrderKey, LOrderKey, late)
 	if err != nil {
 		return nil, err
 	}
 	defer liClean()
-	ordSet, ordClean, err := r.input("orders", SchemeOOrderKey, OOrderKey, q04OrdPred(), nil)
+	ordSet, ordClean, err := r.input("orders", SchemeOOrderKey, OOrderKey, q04OrdPred())
 	if err != nil {
 		return nil, err
 	}
 	defer ordClean()
 
-	spec := query.BatchAggSpec{
-		Key:        colKey(OrdColOrderPriority),
-		ValSize:    8,
-		Accumulate: func(_ *query.Batch, _ int, val []byte) { addF64(val, 0, 1) },
-		Combine:    addF64s,
-	}
+	agg := query.Agg{Keys: []int{0}, Folds: []query.Fold{query.Count()}} // o_orderpriority
 	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		lateLines, err := r.build(node, "q04late", liSet, "lineitem", nil, late, LiColOrderKey)
+		orders, err := r.build(node, "q04orders", ordSet, "orders", q04OrdPred(), OrdColOrderKey, OrdColOrderPriority)
 		if err != nil {
 			return nil, err
 		}
-		defer drop(lateLines)
-		return r.aggregate(node, "q04", ordSet, "orders", q04OrdPred(), semi(lateLines, OrdColOrderKey), spec)
-	}, spec.Combine)
+		defer drop(orders)
+		return r.marked(node, "q04", orders, liSet, "lineitem", late, LiColOrderKey, true, agg)
+	}, agg.Combine)
 	if err != nil {
 		return nil, err
 	}
@@ -490,68 +445,63 @@ func (r *Runner) Q04() (Result, error) {
 // each batch (shipdate band, discount band, quantity cap), then only the
 // surviving lanes' price and discount columns are touched.
 func (r *Runner) Q06() (Result, error) {
-	spec := query.BatchAggSpec{
-		Key:     starKey,
-		ValSize: 8,
-		Accumulate: func(b *query.Batch, row int, val []byte) {
-			addF64(val, 0, b.F64(LiColExtendedPrice, row)*b.F64(LiColDiscount, row))
-		},
-		Combine: addF64s,
-	}
+	agg := query.Agg{Folds: []query.Fold{
+		query.SumProduct(query.Of(LiColExtendedPrice), query.Of(LiColDiscount)),
+	}}
 	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		return r.aggregate(node, "q06", "lineitem", "lineitem", q06Pred(), nil, spec)
-	}, spec.Combine)
+		return r.aggregate(node, "q06", "lineitem", "lineitem", q06Pred(), nil, agg)
+	}, agg.Combine)
 	if err != nil {
 		return nil, err
 	}
-	return decodeF64s(m, nil), nil
+	return Result{"*": total(m, 1)}, nil
 }
 
 // --- Q12: shipping modes and order priority ----------------------------------
 
 // Q12 joins filtered lineitems with orders on orderkey and counts
-// high/low-priority lines per shipmode.
+// high/low-priority lines per shipmode: the lines are counted per (shipmode,
+// priority), and the priorities are summed into high and low when the
+// result is decoded.
 func (r *Runner) Q12() (Result, error) {
-	onTime := func(b *query.Batch, row int) bool {
-		return late(b, row) && b.U16(LiColShipDate, row) < b.U16(LiColCommitDate, row)
-	}
-	liSet, liClean, err := r.input("lineitem", SchemeLOrderKey, LOrderKey, q12LiPred(), onTime)
+	liSet, liClean, err := r.input("lineitem", SchemeLOrderKey, LOrderKey, q12LiPred())
 	if err != nil {
 		return nil, err
 	}
 	defer liClean()
-	ordSet, ordClean, err := r.input("orders", SchemeOOrderKey, OOrderKey, nil, nil)
+	ordSet, ordClean, err := r.input("orders", SchemeOOrderKey, OOrderKey, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer ordClean()
 
 	// Joined rows are (o_orderpriority, l_shipmode).
-	spec := query.BatchAggSpec{
-		Key:     colKey(1),
-		ValSize: 16,
-		Accumulate: func(b *query.Batch, row int, val []byte) {
-			if b.Byte(0, row) <= 1 {
-				addF64(val, 0, 1)
-			} else {
-				addF64(val, 1, 1)
-			}
-		},
-		Combine: addF64s,
-	}
+	agg := query.Agg{Keys: []int{1, 0}, Folds: []query.Fold{query.Count()}}
 	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		lines, err := r.build(node, "q12lines", liSet, "lineitem", q12LiPred(), onTime, LiColOrderKey, LiColShipMode)
+		lines, err := r.build(node, "q12lines", liSet, "lineitem", q12LiPred(), LiColOrderKey, LiColShipMode)
 		if err != nil {
 			return nil, err
 		}
 		defer drop(lines)
 		return r.aggregate(node, "q12", ordSet, "orders", nil,
-			r.inner(lines, OrdColOrderKey, []int{OrdColOrderPriority}, nil), spec)
-	}, spec.Combine)
+			r.inner(lines, OrdColOrderKey, []int{OrdColOrderPriority}, nil), agg)
+	}, agg.Combine)
 	if err != nil {
 		return nil, err
 	}
-	return decodeF64s(m, func(k string) string { return ShipModeName(k[0]) }), nil
+	out := Result{}
+	for k, v := range m {
+		mode := ShipModeName(k[0])
+		if out[mode] == nil {
+			out[mode] = make([]float64, 2)
+		}
+		high := 1
+		if k[1] <= 1 { // priorities 0 and 1 are high
+			high = 0
+		}
+		out[mode][high] += getF64(v)
+	}
+	return out, nil
 }
 
 // --- Q13: customer distribution ----------------------------------------------
@@ -559,25 +509,19 @@ func (r *Runner) Q12() (Result, error) {
 // Q13 counts non-special orders per customer on the o_custkey organization,
 // then histograms customers by order count (including zero).
 func (r *Runner) Q13() (Result, error) {
-	ordSet, ordClean, err := r.input("orders", SchemeOCustKey, OCustKey, q13OrdPred(), nil)
+	ordSet, ordClean, err := r.input("orders", SchemeOCustKey, OCustKey, q13OrdPred())
 	if err != nil {
 		return nil, err
 	}
 	defer ordClean()
 
-	spec := query.BatchAggSpec{
-		Key:        colKey(OrdColCustKey),
-		ValSize:    8,
-		Accumulate: func(_ *query.Batch, _ int, val []byte) { addF64(val, 0, 1) },
-		Combine:    addF64s,
-	}
+	agg := query.Agg{Keys: []int{OrdColCustKey}, Folds: []query.Fold{query.Count()}}
 	counts, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		return r.aggregate(node, "q13", ordSet, "orders", q13OrdPred(), nil, spec)
-	}, spec.Combine)
+		return r.aggregate(node, "q13", ordSet, "orders", q13OrdPred(), nil, agg)
+	}, agg.Combine)
 	if err != nil {
 		return nil, err
 	}
-
 	var totalCustomers atomic.Int64
 	err = r.E.Parallel(func(node int, _ *cluster.Worker) error {
 		sp, err := r.spec(node, "customer", "customer", nil)
@@ -610,50 +554,44 @@ func (r *Runner) Q13() (Result, error) {
 // --- Q14: promotion effect ----------------------------------------------------
 
 // Q14 joins one ship-month of lineitem with part on partkey and computes
-// the promo revenue share.
+// the promo revenue share: revenue is summed per p_promo, and the share is
+// taken when the result is decoded.
 func (r *Runner) Q14() (Result, error) {
-	liSet, liClean, err := r.input("lineitem", SchemeLPartKey, LPartKey, q14LiPred(), nil)
+	liSet, liClean, err := r.input("lineitem", SchemeLPartKey, LPartKey, q14LiPred())
 	if err != nil {
 		return nil, err
 	}
 	defer liClean()
-	partSet, partClean, err := r.input("part", SchemePPartKey, PPartKey, nil, nil)
+	partSet, partClean, err := r.input("part", SchemePPartKey, PPartKey, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer partClean()
 
-	// Joined rows are (l_extendedprice, l_discount, p_promo); the
-	// accumulator is [promo revenue, revenue].
-	spec := query.BatchAggSpec{
-		Key:     starKey,
-		ValSize: 16,
-		Accumulate: func(b *query.Batch, row int, val []byte) {
-			rev := b.F64(0, row) * (1 - b.F64(1, row))
-			addF64(val, 1, rev)
-			if b.Byte(2, row) == 1 {
-				addF64(val, 0, rev)
-			}
-		},
-		Combine: addF64s,
-	}
+	// Joined rows are (l_extendedprice, l_discount, p_promo).
+	agg := query.Agg{Keys: []int{2}, Folds: []query.Fold{query.SumProduct(query.Of(0), query.OneMinus(1))}}
 	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		parts, err := r.build(node, "q14part", partSet, "part", nil, nil, PartColPartKey, PartColPromo)
+		parts, err := r.build(node, "q14part", partSet, "part", nil, PartColPartKey, PartColPromo)
 		if err != nil {
 			return nil, err
 		}
 		defer drop(parts)
 		return r.aggregate(node, "q14", liSet, "lineitem", q14LiPred(),
-			r.inner(parts, LiColPartKey, []int{LiColExtendedPrice, LiColDiscount}, nil), spec)
-	}, spec.Combine)
+			r.inner(parts, LiColPartKey, []int{LiColExtendedPrice, LiColDiscount}, nil), agg)
+	}, agg.Combine)
 	if err != nil {
 		return nil, err
 	}
-	v := decodeF64s(m, nil)["*"]
-	if v == nil || v[1] == 0 {
+	var promo, rev float64
+	for k, v := range m {
+		if rev += getF64(v); k[0] == 1 {
+			promo = getF64(v)
+		}
+	}
+	if rev == 0 {
 		return Result{"*": {0}}, nil
 	}
-	return Result{"*": {100 * v[0] / v[1]}}, nil
+	return Result{"*": {100 * promo / rev}}, nil
 }
 
 // --- Q17: small-quantity-order revenue ----------------------------------------
@@ -662,47 +600,34 @@ func (r *Runner) Q14() (Result, error) {
 // node-local on the l_partkey organization: two local passes over lineitem
 // against local joins, no data movement at all in replica mode.
 func (r *Runner) Q17() (Result, error) {
-	liSet, liClean, err := r.input("lineitem", SchemeLPartKey, LPartKey, nil, nil)
+	liSet, liClean, err := r.input("lineitem", SchemeLPartKey, LPartKey, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer liClean()
-	partSet, partClean, err := r.input("part", SchemePPartKey, PPartKey, nil, nil)
+	partSet, partClean, err := r.input("part", SchemePPartKey, PPartKey, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer partClean()
 
-	// Pass 1 accumulates [quantity sum, line count] per wanted part.
-	avgSpec := query.BatchAggSpec{
-		Key:     colKey(LiColPartKey),
-		ValSize: 16,
-		Accumulate: func(b *query.Batch, row int, val []byte) {
-			addF64(val, 0, float64(b.U32(LiColQuantity, row)))
-			addF64(val, 1, 1)
-		},
-		Combine: addF64s,
-	}
-	// Pass 2's joined rows are (l_quantity, l_extendedprice, 0.2 × the
-	// part's average quantity).
-	sumSpec := query.BatchAggSpec{
-		Key:        starKey,
-		ValSize:    8,
-		Accumulate: func(b *query.Batch, row int, val []byte) { addF64(val, 0, b.F64(1, row)) },
-		Combine:    addF64s,
-	}
+	// Pass 1 accumulates [quantity sum, line count] per wanted part; pass
+	// 2's joined rows are (l_quantity, l_extendedprice, 0.2 × the part's
+	// average quantity).
+	avgAgg := query.Agg{Keys: []int{LiColPartKey}, Folds: []query.Fold{query.Sum(LiColQuantity), query.Count()}}
+	sumAgg := query.Agg{Folds: []query.Fold{query.Sum(1)}}
 	m, err := r.E.DistributedMerge(func(node int, w *cluster.Worker) (map[string][]byte, error) {
 		// The local part filter (brand + container), keys only.
 		wanted, err := r.build(node, "q17part", partSet, "part", query.And{
 			query.ColEq{Col: PartColBrand, V: uint64(Q17Brand)},
 			query.ColEq{Col: PartColContainer, V: uint64(Q17Container)},
-		}, nil, PartColPartKey)
+		}, PartColPartKey)
 		if err != nil {
 			return nil, err
 		}
 		defer drop(wanted)
 		// Local pass 1 (exact under partkey co-partitioning).
-		avgs, err := r.aggregate(node, "q17avg", liSet, "lineitem", nil, semi(wanted, LiColPartKey), avgSpec)
+		avgs, err := r.aggregate(node, "q17avg", liSet, "lineitem", nil, semi(wanted, LiColPartKey), avgAgg)
 		if err != nil {
 			return nil, err
 		}
@@ -725,47 +650,38 @@ func (r *Runner) Q17() (Result, error) {
 		return r.aggregate(node, "q17", liSet, "lineitem", nil,
 			r.inner(small, LiColPartKey, []int{LiColQuantity, LiColExtendedPrice},
 				func(b *query.Batch, row int) bool { return float64(b.U32(0, row)) < b.F64(2, row) }),
-			sumSpec)
-	}, sumSpec.Combine)
+			sumAgg)
+	}, sumAgg.Combine)
 	if err != nil {
 		return nil, err
 	}
-	v := decodeF64s(m, nil)["*"]
-	if v == nil {
-		return Result{"*": {0}}, nil
-	}
-	return Result{"*": {v[0] / 7.0}}, nil
+	return Result{"*": {total(m, 1)[0] / 7.0}}, nil
 }
 
 // --- Q22: global sales opportunity ---------------------------------------------
 
-// Q22 anti-joins qualifying customers with orders on custkey.
+// Q22 anti-joins qualifying customers with orders on custkey. The join
+// builds from the customers, with their phone code and balance as payload;
+// the orders mark the customers who bought, and the unmarked ones are
+// aggregated per phone code.
 func (r *Runner) Q22() (Result, error) {
 	// Pass 1: average positive balance of customers in the seven codes;
 	// accumulators are [count, balance sum] here and per phone code below.
-	spec := query.BatchAggSpec{
-		Key:     starKey,
-		ValSize: 16,
-		Accumulate: func(b *query.Batch, row int, val []byte) {
-			addF64(val, 0, 1)
-			addF64(val, 1, b.F64(CustColAcctBal, row))
-		},
-		Combine: addF64s,
-	}
+	avgAgg := query.Agg{Folds: []query.Fold{query.Count(), query.Sum(CustColAcctBal)}}
 	avgRaw, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		return r.aggregate(node, "q22avg", "customer", "customer", q22CustPred(0), nil, spec)
-	}, spec.Combine)
+		return r.aggregate(node, "q22avg", "customer", "customer", q22CustPred(0), nil, avgAgg)
+	}, avgAgg.Combine)
 	if err != nil {
 		return nil, err
 	}
-	v := avgRaw["*"]
+	v := avgRaw[""]
 	if v == nil {
 		return Result{}, nil
 	}
 	avg := getF64(v[8:]) / getF64(v)
 
 	// Orders organized by custkey (replica or runtime exchange).
-	ordSet, ordClean, err := r.input("orders", SchemeOCustKey, OCustKey, nil, nil)
+	ordSet, ordClean, err := r.input("orders", SchemeOCustKey, OCustKey, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -774,24 +690,21 @@ func (r *Runner) Q22() (Result, error) {
 	// customer table has no registered replica, so both modes exchange it
 	// (it is an order of magnitude smaller than orders).
 	custSet := r.tempName("q22cust")
-	if err := r.exchange(custSet, "customer", CCustKey, q22CustPred(avg), nil); err != nil {
+	if err := r.exchange(custSet, "customer", CCustKey, q22CustPred(avg)); err != nil {
 		return nil, err
 	}
 	defer r.E.DropEverywhere(custSet)
 
-	spec.Key = colKey(CustColPhoneCode)
+	// Built rows are (c_phonecode, c_acctbal).
+	agg := query.Agg{Keys: []int{0}, Folds: []query.Fold{query.Count(), query.Sum(1)}}
 	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		buyers, err := r.build(node, "q22buyers", ordSet, "orders", nil, nil, OrdColCustKey)
+		custs, err := r.build(node, "q22cust", custSet, "customer", nil, CustColCustKey, CustColPhoneCode, CustColAcctBal)
 		if err != nil {
 			return nil, err
 		}
-		defer drop(buyers)
-		return r.aggregate(node, "q22", custSet, "customer", nil,
-			func(_ int, b *query.Batch) (*query.Batch, error) {
-				buyers.Anti(b, CustColCustKey)
-				return b, nil
-			}, spec)
-	}, spec.Combine)
+		defer drop(custs)
+		return r.marked(node, "q22", custs, ordSet, "orders", nil, OrdColCustKey, false, agg)
+	}, agg.Combine)
 	if err != nil {
 		return nil, err
 	}
