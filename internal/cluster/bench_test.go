@@ -2,13 +2,14 @@ package cluster
 
 import "testing"
 
-// The record path at its own layer: one loopback worker, 4 MiB of 66-byte
-// records (the length of the benchmark's longest lineitem rows) a call.
-// BENCH_20.json holds these at this commit and its parent.
+// The RPC core and the record path at their own layer: one loopback worker;
+// a round trip with nothing to carry, and 4 MiB of 66-byte records (the
+// length of the benchmark's longest lineitem rows) a call. BENCH_20.json holds
+// the record path at that commit and its parent.
 
 const benchRecordLen, benchBytes = 66, 4 << 20
 
-func benchWorker(b *testing.B) (*Client, string, [][]byte) {
+func benchWorker(b *testing.B) (*Client, string) {
 	l, err := StartLocal(testKey, 1, func(int) WorkerConfig {
 		return WorkerConfig{Memory: 64 << 20, DiskDir: b.TempDir()}
 	})
@@ -16,20 +17,40 @@ func benchWorker(b *testing.B) (*Client, string, [][]byte) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = l.Close() })
+	b.ReportAllocs()
+	return l.Client, l.Addrs[0]
+}
+
+// BenchmarkCall: one Client.SetStats round trip, the smallest reply a
+// worker sends that is not empty.
+func BenchmarkCall(b *testing.B) {
+	cl, addr := benchWorker(b)
+	if err := cl.CreateSet("s", 4096, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.SetStats(addr, "s"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchRecords(b *testing.B) [][]byte {
 	recs := make([][]byte, benchBytes/benchRecordLen)
 	for i := range recs {
 		recs[i] = make([]byte, benchRecordLen)
 		recs[i][0] = byte(i)
 	}
 	b.SetBytes(int64(len(recs)) * benchRecordLen)
-	b.ReportAllocs()
-	return l.Client, l.Addrs[0], recs
+	return recs
 }
 
 // BenchmarkAddRecords: Client.AddRecords into a set that is dropped and made
 // again every eight calls, so the pool never spills.
 func BenchmarkAddRecords(b *testing.B) {
-	cl, addr, recs := benchWorker(b)
+	cl, addr := benchWorker(b)
+	recs := benchRecords(b)
 	for i := 0; i < b.N; i++ {
 		if i%8 == 0 {
 			b.StopTimer()
@@ -51,7 +72,8 @@ func BenchmarkAddRecords(b *testing.B) {
 
 // BenchmarkFetchSet: Client.FetchSet of the same 4 MiB, resident.
 func BenchmarkFetchSet(b *testing.B) {
-	cl, addr, recs := benchWorker(b)
+	cl, addr := benchWorker(b)
+	recs := benchRecords(b)
 	if err := cl.CreateSet("s", 256<<10, 0); err != nil {
 		b.Fatal(err)
 	}

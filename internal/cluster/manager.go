@@ -147,13 +147,10 @@ func (cl *Client) AddFrames(addr, set string, frames []byte) error {
 // FetchSet streams every record of a set on one worker to fn. rec is a slice
 // of the message it came in, only valid during the call.
 func (cl *Client) FetchSet(addr, set string, fn func(rec []byte) error) error {
-	c, err := start(addr, cl.auth, FetchSetReq{Set: set})
-	if err != nil {
-		return err
-	}
-	defer c.close()
-	return replies(c, func(b RecordBatch) (bool, error) {
-		return b.Last, services.WalkFrames(b.Frames, fn)
+	return exchange(addr, cl.auth, FetchSetReq{Set: set}, func(c *conn) (bool, error) {
+		return replies(c, func(b RecordBatch) (bool, error) {
+			return b.Last, services.WalkFrames(b.Frames, fn)
+		})
 	})
 }
 

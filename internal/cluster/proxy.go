@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"sync"
 
 	"pangea/internal/core"
@@ -45,11 +47,13 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 	if numThreads < 1 {
 		numThreads = 1
 	}
-	c, err := start(dp.workerAddr, dp.auth, GetSetPagesReq{Set: set})
-	if err != nil {
-		return err
-	}
-	defer c.close()
+	return exchange(dp.workerAddr, dp.auth, GetSetPagesReq{Set: set}, func(c *conn) (bool, error) {
+		return dp.scan(c, numThreads, fn)
+	})
+}
+
+// scan is Scan's exchange on c, clean only at the end-of-scan handshake.
+func (dp *DataProxy) scan(c *conn, numThreads int, fn func(thread int, rec []byte) error) (clean bool, err error) {
 	pages := make(chan PageMeta, ringSize)
 	stop := make(chan struct{}) // closed by the first computation thread that fails
 	halt := sync.OnceFunc(func() { close(stop) })
@@ -84,7 +88,7 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 	// Receiver: socket -> circular buffer, until NoMorePage, the stream's
 	// error, or a computation thread stopping the scan. A stop already made
 	// wins over a free slot, so no page is pushed after it.
-	recvErr := replies(c, func(pm PageMeta) (bool, error) {
+	_, recvErr := replies(c, func(pm PageMeta) (bool, error) {
 		select {
 		case <-stop:
 			return true, nil
@@ -103,20 +107,24 @@ func (dp *DataProxy) Scan(set string, numThreads int, fn func(thread int, rec []
 	close(pages)
 	wg.Wait()
 	close(workErrs)
-	if err := <-workErrs; err != nil { // the first failure, if a thread had one
-		return err
+	if err = <-workErrs; err == nil { // the first failure, if a thread had one
+		err = recvErr
 	}
-	if recvErr != nil {
-		return recvErr
+	if err != nil {
+		// An aborted scan ends the acknowledgements instead of the handshake
+		// and reads until the storage process, its pages unpinned, closes.
+		_ = c.c.(*net.TCPConn).CloseWrite()
+		_, _ = io.Copy(io.Discard, c.c)
+		return false, err
 	}
 	// End-of-scan handshake: the storage process confirms every page
 	// acknowledgement has been applied before we return, so the set can be
 	// dropped or rewritten immediately afterwards.
 	if err := ack(-1); err != nil {
-		return err
+		return false, err
 	}
 	_, err = next[any](c)
-	return err
+	return whole(err), err
 }
 
 // PageWriter writes records into a set through PinPage/UnpinPage messages:

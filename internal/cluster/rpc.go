@@ -5,8 +5,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"slices"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -36,9 +40,11 @@ type response struct {
 var (
 	// dialTimeout bounds connection set-up.
 	dialTimeout = 5 * time.Second
-	// requestTimeout bounds the wait for an accepted connection's first
-	// request: a client dials in order to send, so a silent one is dead. The
-	// slowest seen to arrive, a 1 MiB AddRecords batch, took 8 ms.
+	// requestTimeout bounds the server's wait for each request on a
+	// connection, the first and every one after a reply; a client drops a
+	// kept connection idle for half of it, so it never sends on one the
+	// server is about to close. The slowest request seen to arrive, a 1 MiB
+	// AddRecords batch, took 8 ms.
 	requestTimeout = 10 * time.Second
 	// messageTimeout bounds every later read and every write, re-armed per
 	// message, so a long stream is not a slow one. A reply waits on the
@@ -50,17 +56,29 @@ var (
 	messageTimeout = time.Minute
 )
 
-// conn is one TCP connection with its gob codecs. The encoder serializes
-// concurrent senders itself (a scan's computation threads acknowledge pages
-// on one connection).
+// conn is one TCP connection with its gob codecs, so gob's type descriptors
+// cross once a connection. The encoder serializes concurrent senders itself
+// (a scan's computation threads acknowledge pages on one connection).
 type conn struct {
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	c    net.Conn
+	enc  *gob.Encoder
+	dec  *gob.Decoder
+	got  int64       // bytes read, so that a failed read tells whether any came
+	addr string      // the dialed address, for a client's connection
+	idle *time.Timer // closes a kept connection unused for requestTimeout/2
 }
 
-func newConn(c net.Conn) *conn {
-	return &conn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
+func newConn(nc net.Conn) *conn {
+	c := &conn{c: nc, enc: gob.NewEncoder(nc)}
+	c.dec = gob.NewDecoder(c)
+	return c
+}
+
+// Read is the decoder's source: the socket, counted.
+func (c *conn) Read(p []byte) (int, error) {
+	n, err := c.c.Read(p)
+	c.got += int64(n)
+	return n, err
 }
 
 // connectBy is a context with a deadline and no Done channel: net arms the
@@ -83,7 +101,47 @@ func dial(addr string) (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	return newConn(c), nil
+	conn := newConn(c)
+	conn.addr = addr
+	return conn, nil
+}
+
+// idle holds the client side's kept connections by address, the one put back
+// last on top. Client and DataProxy share it, so they share connections.
+var idle = struct {
+	sync.Mutex
+	conns map[string][]*conn
+}{conns: make(map[string][]*conn)}
+
+// open takes a kept connection to addr, or dials one.
+func open(addr string) (*conn, error) {
+	idle.Lock()
+	for l := idle.conns[addr]; len(l) > 0; l = idle.conns[addr] {
+		c := l[len(l)-1]
+		idle.conns[addr] = l[:len(l)-1]
+		if c.idle.Stop() { // else it is expiring, and closes itself
+			idle.Unlock()
+			return c, nil
+		}
+	}
+	idle.Unlock()
+	return dial(addr)
+}
+
+// keep puts c back on the idle list, after an exchange that ended cleanly.
+func (c *conn) keep() {
+	idle.Lock()
+	idle.conns[c.addr] = append(idle.conns[c.addr], c)
+	c.idle = time.AfterFunc(requestTimeout/2, c.expire)
+	idle.Unlock()
+}
+
+// expire closes c, unused since it was kept, and takes it off the list.
+func (c *conn) expire() {
+	idle.Lock()
+	idle.conns[c.addr] = slices.DeleteFunc(idle.conns[c.addr], func(k *conn) bool { return k == c })
+	idle.Unlock()
+	_ = c.close()
 }
 
 // send writes one envelope, giving the peer messageTimeout to take it.
@@ -112,18 +170,44 @@ func (c *conn) reply(msg any, err error) error {
 
 func (c *conn) close() error { return c.c.Close() }
 
-// start opens a connection to addr and sends req under the key token auth.
-// The caller reads the replies with next or replies, and closes.
-func start(addr, auth string, req any) (*conn, error) {
-	c, err := dial(addr)
-	if err != nil {
-		return nil, err
+// exchange sends req to addr under the key token auth on a kept connection,
+// or a fresh one, and reads what comes back with read, which reports whether
+// the exchange ended cleanly — its last reply read whole — so that the
+// connection can be kept. A kept connection gets one retry, on a fresh dial,
+// if the peer turns out to have closed it before any byte of a reply came: a
+// broken pipe or a reset on the send, an EOF or a reset on the first read.
+// The server closed it while it was idle and never read the request. A
+// timeout or a partial reply is never retried, so no request is applied twice.
+func exchange(addr, auth string, req any, read func(*conn) (clean bool, err error)) error {
+	c, err := open(addr)
+	for err == nil {
+		clean, got := false, c.got
+		if err = c.send(request{Auth: auth, Msg: req}); err != nil {
+			err = fmt.Errorf("cluster: send %T to %s: %w", req, addr, err)
+		} else if clean, err = read(c); clean {
+			c.keep()
+			return err
+		}
+		_ = c.close()
+		closed := errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
+		if c.idle == nil || c.got != got || !closed { // fresh, answered in part, or not closed
+			return err
+		}
+		c, err = dial(addr)
 	}
-	if err := c.send(request{Auth: auth, Msg: req}); err != nil {
-		_ = c.close() // the send error is the one to report
-		return nil, fmt.Errorf("cluster: send %T to %s: %w", req, addr, err)
-	}
-	return c, nil
+	return err
+}
+
+// remoteError is the Err of a whole response: the peer's failure, after which
+// the connection is still in step.
+type remoteError string
+
+func (e remoteError) Error() string { return string(e) }
+
+// whole reports whether next's err leaves the connection in step.
+func whole(err error) bool {
+	_, remote := err.(remoteError)
+	return err == nil || remote
 }
 
 // next reads one response: its Err becomes the error, its message must be a
@@ -134,7 +218,7 @@ func next[T any](c *conn) (reply T, err error) {
 		return reply, fmt.Errorf("cluster: reply from %s: %w", c.c.RemoteAddr(), err)
 	}
 	if resp.Err != "" {
-		return reply, errors.New(resp.Err)
+		return reply, remoteError(resp.Err)
 	}
 	reply, ok := resp.Msg.(T)
 	if !ok && (resp.Msg != nil || any(reply) != nil) {
@@ -144,27 +228,26 @@ func next[T any](c *conn) (reply T, err error) {
 }
 
 // replies reads a stream: every response goes to each until each reports the
-// last one or fails.
-func replies[T any](c *conn, each func(T) (last bool, err error)) error {
+// last one or fails; clean, if the last reply or one with Err was read whole.
+func replies[T any](c *conn, each func(T) (last bool, err error)) (clean bool, err error) {
 	for {
 		v, err := next[T](c)
 		if err != nil {
-			return err
+			return whole(err), err
 		}
 		if last, err := each(v); last || err != nil {
-			return err
+			return last && err == nil, err
 		}
 	}
 }
 
-// call is one request/response round trip on a fresh connection.
+// call is one request/response round trip.
 func call[T any](addr, auth string, req any) (reply T, err error) {
-	c, err := start(addr, auth, req)
-	if err != nil {
-		return reply, err
-	}
-	defer c.close()
-	return next[T](c)
+	err = exchange(addr, auth, req, func(c *conn) (bool, error) {
+		reply, err = next[T](c)
+		return whole(err), err
+	})
+	return reply, err
 }
 
 // handler serves one request of a node. It returns the reply, or the error
@@ -270,23 +353,29 @@ func (s *server) serve() {
 	}
 }
 
-// serveConn serves one connection: today one request, answered and closed.
-// Nothing here assumes the request is the connection's only one — a kept
-// connection is this body in a loop.
+// serveConn serves a connection's requests in turn, each given requestTimeout
+// to arrive, until the peer closes it, a read or key check fails, or a reply
+// cannot be sent. A refusal is answered; a connection that closed or timed out
+// is not, as its client would take that answer for its next request's reply.
 func (s *server) serveConn(c *conn) {
-	msg, err := s.recv(c, requestTimeout)
-	if err != nil {
-		_ = c.reply(nil, err) // best effort: the peer may be gone, or not speaking gob
-		return
-	}
-	if _, ok := msg.(ShutdownReq); ok {
-		_ = s.stop(c) // first, so that the acknowledgement means "no longer accepting"
-		_ = c.reply(nil, nil)
-		return
-	}
-	reply, err := s.h(c, msg)
-	if err := c.reply(reply, err); err != nil {
-		s.logf("cluster: reply to %T: %v", msg, err)
+	for {
+		msg, err := s.recv(c, requestTimeout)
+		if err != nil {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, os.ErrDeadlineExceeded) {
+				_ = c.reply(nil, err) // best effort: the peer may be gone, or not speaking gob
+			}
+			return
+		}
+		if _, ok := msg.(ShutdownReq); ok {
+			_ = s.stop(c) // first, so that the acknowledgement means "no longer accepting"
+			_ = c.reply(nil, nil)
+			return
+		}
+		reply, err := s.h(c, msg)
+		if err := c.reply(reply, err); err != nil {
+			s.logf("cluster: reply to %T: %v", msg, err)
+			return
+		}
 	}
 }
 

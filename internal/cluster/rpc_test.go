@@ -38,21 +38,36 @@ func within(t *testing.T, d time.Duration, what string, fn func()) {
 	}
 }
 
+// live is the number of connections node is serving.
+func live(node *server) int {
+	node.mu.Lock()
+	defer node.mu.Unlock()
+	return len(node.conns)
+}
+
 // TestCloseWithSilentClient: Close returns however quiet a client is — a
-// connection that never sends its request is closed, not waited for.
+// connection that never sends its request is closed, not waited for, and so
+// is a kept one waiting for its next request.
 func TestCloseWithSilentClient(t *testing.T) {
-	mgr, workers, _ := startCluster(t, 1, 1<<20)
+	mgr, workers, cl := startCluster(t, 1, 1<<20)
+	// The manager keeps the connection of StartLocal's RegisterWorker; this
+	// call leaves the worker one too.
+	if _, err := cl.NodeStats(workers[0].Addr()); err != nil {
+		t.Fatal(err)
+	}
 	for name, node := range map[string]*server{"manager": mgr.server, "worker": workers[0].server} {
+		before := live(node)
+		if before == 0 {
+			t.Fatalf("%s: no kept connection open", name)
+		}
 		silent, err := net.Dial("tcp", node.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer silent.Close()
 		within(t, 5*time.Second, "accepting the silent client", func() {
-			for accepted := false; !accepted; time.Sleep(time.Millisecond) {
-				node.mu.Lock()
-				accepted = len(node.conns) == 1
-				node.mu.Unlock()
+			for live(node) != before+1 {
+				time.Sleep(time.Millisecond)
 			}
 		})
 		within(t, time.Second, name+".Close with a silent client connected", func() {
@@ -98,6 +113,114 @@ func TestServeSurvivesAcceptError(t *testing.T) {
 	})
 	if left := flaky.failures.Load(); left >= 0 {
 		t.Errorf("the injected accept error never fired (%d left)", left+1)
+	}
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return c, err
+}
+
+// counted serves w's requests on a listener of its own that counts accepts.
+func counted(t *testing.T, w *Worker) (*server, *countingListener) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counting := &countingListener{Listener: ln}
+	s := newServer(counting, testKey, w.handle, t.Logf)
+	s.start()
+	t.Cleanup(func() { _ = s.Close() })
+	return s, counting
+}
+
+// kept is the number of idle connections the client side holds to addr.
+func kept(addr string) int {
+	idle.Lock()
+	defer idle.Unlock()
+	return len(idle.conns[addr])
+}
+
+// TestCallsShareOneConnection: sequential calls to a node are served on one
+// connection, kept between them.
+func TestCallsShareOneConnection(t *testing.T) {
+	_, workers, cl := startCluster(t, 1, 1<<20)
+	if err := cl.CreateSet("s", 4096, 0); err != nil {
+		t.Fatal(err)
+	}
+	s, ln := counted(t, workers[0])
+	for i := 0; i < 100; i++ {
+		if _, err := cl.SetStats(s.Addr(), "s"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ln.accepts.Load(); n != 1 {
+		t.Errorf("100 sequential calls took %d connections, want 1", n)
+	}
+}
+
+// TestKeptConnectionToClosedWorker: a call that finds a kept connection to a
+// worker closed since fails at the dial, promptly — no hang, no success.
+func TestKeptConnectionToClosedWorker(t *testing.T) {
+	_, workers, cl := startCluster(t, 1, 1<<20)
+	w := workers[0]
+	if _, err := cl.NodeStats(w.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if n := kept(w.Addr()); n != 1 {
+		t.Fatalf("%d connections kept after a call, want 1", n)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	within(t, time.Second, "a call on a kept connection to a closed worker", func() {
+		_, err := cl.NodeStats(w.Addr())
+		var op *net.OpError
+		if !errors.As(err, &op) || op.Op != "dial" {
+			t.Errorf("err = %v, want a dial error", err)
+		}
+	})
+}
+
+// TestIdleCloseRetried: a kept connection the server closed while it was idle
+// costs the next call one fresh dial, not a failure. The client normally lets
+// go first (requestTimeout/2); the test holds the connection past the server's
+// wait, as a client whose idle timer fired late would.
+func TestIdleCloseRetried(t *testing.T) {
+	shorten(t, &requestTimeout, 300*time.Millisecond)
+	_, workers, cl := startCluster(t, 1, 1<<20)
+	if err := cl.CreateSet("s", 4096, 0); err != nil {
+		t.Fatal(err)
+	}
+	s, ln := counted(t, workers[0])
+	if _, err := cl.SetStats(s.Addr(), "s"); err != nil {
+		t.Fatal(err)
+	}
+	idle.Lock()
+	held := len(idle.conns[s.Addr()]) == 1 && idle.conns[s.Addr()][0].idle.Reset(time.Minute)
+	idle.Unlock()
+	if !held {
+		t.Fatal("the kept connection expired before the test could hold it")
+	}
+	within(t, 5*time.Second, "the server closing the idle connection", func() {
+		for live(s) > 0 {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	if _, err := cl.SetStats(s.Addr(), "s"); err != nil {
+		t.Fatalf("a call on a connection the server closed while idle: %v", err)
+	}
+	if n := ln.accepts.Load(); n != 2 {
+		t.Errorf("%d connections accepted, want 2: the first and one retry", n)
 	}
 }
 
@@ -185,6 +308,57 @@ func TestFetchCallbackErrorReleasesPages(t *testing.T) {
 		}
 	}
 	t.Errorf("drop after an aborted fetch: %v", dropErr)
+}
+
+// TestFetchCallbackErrorClosesConnection: a FetchSet whose callback fails
+// mid-stream does not keep its connection — the rest of the stream is still
+// on it — and the next call to the worker works.
+func TestFetchCallbackErrorClosesConnection(t *testing.T) {
+	_, workers, cl := startCluster(t, 1, 8<<20)
+	w := workers[0]
+	fillSet(t, cl, w, "s", 8<<10, 40000)
+	if n := kept(w.Addr()); n != 1 {
+		t.Fatalf("%d connections kept after the load, want 1", n)
+	}
+	boom := errors.New("consumer exploded")
+	var seen int
+	err := cl.FetchSet(w.Addr(), "s", func([]byte) error {
+		if seen++; seen == 600 { // in the second batch
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the callback's error", err)
+	}
+	if n := kept(w.Addr()); n != 0 {
+		t.Errorf("%d connections kept after a fetch cut short, want 0", n)
+	}
+	if _, err := cl.NodeStats(w.Addr()); err != nil {
+		t.Errorf("a call after the fetch cut short: %v", err)
+	}
+}
+
+// TestScanKeepsConnectionWhenClean: a proxy scan keeps its connection after
+// the end-of-scan handshake, and closes it when the computation fails.
+func TestScanKeepsConnectionWhenClean(t *testing.T) {
+	_, workers, cl := startCluster(t, 1, 8<<20)
+	w := workers[0]
+	fillSet(t, cl, w, "s", 8<<10, 2000)
+	dp := NewDataProxy(w, testKey)
+	if err := dp.Scan("s", 2, func(int, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n := kept(w.Addr()); n != 1 {
+		t.Errorf("%d connections kept after a clean scan, want 1", n)
+	}
+	boom := errors.New("computation exploded")
+	if err := dp.Scan("s", 2, func(int, []byte) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the callback's error", err)
+	}
+	if n := kept(w.Addr()); n != 0 {
+		t.Errorf("%d connections kept after an aborted scan, want 0", n)
+	}
 }
 
 // TestScanWorkerClosedMidScan: closing the worker under a proxy scan ends the
@@ -287,6 +461,23 @@ func FuzzServeConn(f *testing.F) {
 		f.Add(b.Bytes()[:b.Len()/2]) // a request that stops half-way
 	}
 	f.Add([]byte{})
+	// Two requests back to back on one connection, as a kept one carries
+	// them: the first one's refusal ends the connection, so the second is
+	// never read.
+	for _, pair := range [][2]any{
+		{CreateSetReq{Spec: core.SetSpec{Name: "made", PageSize: 4096}}, CreateSetReq{Spec: core.SetSpec{Name: "made", PageSize: 4096}}},
+		{NodeStatsReq{}, ShutdownReq{}},
+		{GetSetPagesReq{Set: "s"}, PageDone{PageNum: -1}},
+	} {
+		var b bytes.Buffer
+		enc := gob.NewEncoder(&b)
+		for _, msg := range pair {
+			if err := enc.Encode(request{Auth: AuthToken("seed-key"), Msg: msg}); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(b.Bytes())
+	}
 	shorten(f, &requestTimeout, 5*time.Millisecond) // what an input that stops half-way costs
 	w, err := NewWorker("127.0.0.1:0", WorkerConfig{PrivateKey: testKey, Memory: 1 << 20, DiskDir: f.TempDir()})
 	if err != nil {
@@ -309,7 +500,8 @@ func FuzzServeConn(f *testing.F) {
 		}()
 		// Read what the server says until it closes.
 		_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
-		for dec := gob.NewDecoder(client); ; {
+		answered := 0
+		for dec := gob.NewDecoder(client); ; answered++ {
 			var resp response
 			if err := dec.Decode(&resp); err != nil {
 				if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -320,6 +512,9 @@ func FuzzServeConn(f *testing.F) {
 			if resp.Err == "" {
 				t.Errorf("served a request without the key: %+v", resp)
 			}
+		}
+		if answered > 1 {
+			t.Errorf("%d requests answered on one connection: a refusal must end it", answered)
 		}
 		_ = client.Close()
 		wg.Wait()

