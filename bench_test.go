@@ -656,9 +656,9 @@ func BenchmarkPoolParallelSharedSet(b *testing.B) {
 // 8-byte copy into a resident page.
 func BenchmarkJoinBuild(b *testing.B) {
 	const nRecs = 1 << 18
-	keys := make([][]byte, nRecs)
+	keys := make([]uint64, nRecs)
 	for i := range keys {
-		keys[i] = binary.LittleEndian.AppendUint64(nil, uint64(i%(nRecs/2))*7919)
+		keys[i] = uint64(i%(nRecs/2)) * 7919
 	}
 	arr, err := disk.NewArray(b.TempDir(), 1, disk.Unthrottled())
 	if err != nil {
@@ -718,7 +718,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 		nBuild  = 1536
 		nProbes = 1 << 18
 	)
-	probes := make([][]byte, nProbes)
+	probes := make([]uint64, nProbes)
 	hits := 0
 	for i := range probes {
 		k := uint64(i) * 7919 // built keys are the multiples of 7919 below nBuild·7919
@@ -728,7 +728,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 			k = uint64(i/100%nBuild) * 7919
 			hits++
 		}
-		probes[i] = binary.LittleEndian.AppendUint64(nil, k)
+		probes[i] = k
 	}
 	arr, err := disk.NewArray(b.TempDir(), 1, disk.Unthrottled())
 	if err != nil {
@@ -748,7 +748,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := range nBuild {
-		if err := m.Insert(binary.LittleEndian.AppendUint64(nil, uint64(i)*7919), nil); err != nil {
+		if err := m.Insert(uint64(i)*7919, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

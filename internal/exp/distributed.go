@@ -441,7 +441,7 @@ var tab2Components = []struct {
 	{"Filter: predicate algebra", []string{"internal/query/predicate.go"}},
 	{"Join", []string{"internal/query/hashjoin.go"}},
 	{"Build broadcast hash map", []string{"internal/services/joinmap.go"}},
-	{"Hash service (aggregate: local+final)", []string{"internal/services/hash.go"}},
+	{"Hash service (aggregate: local+final)", []string{"internal/services/hash.go", "internal/query/agg.go"}},
 	{"Pipeline & scheduling", []string{"internal/query/scheduler.go"}},
 	{"TPC-H queries", []string{"internal/tpch/queries.go"}},
 }

@@ -374,6 +374,32 @@ func TestTab2FilesExist(t *testing.T) {
 	}
 }
 
+// TestTab2CountsEveryQueryFile runs in -short: every non-test Go file of
+// the query package is counted by some Tab2 component, so a new operator file
+// cannot drop out of the table.
+func TestTab2CountsEveryQueryFile(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := map[string]bool{}
+	for _, c := range tab2Components {
+		for _, f := range c.files {
+			counted[f] = true
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(root, "internal/query/*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		rel := "internal/query/" + filepath.Base(f)
+		if !strings.HasSuffix(rel, "_test.go") && !counted[rel] {
+			t.Errorf("%s is not counted by any tab2 component", rel)
+		}
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	if _, err := Run("nope", Options{}); err == nil {
 		t.Error("unknown experiment must error")

@@ -10,13 +10,15 @@ import (
 )
 
 // maxBatchBytes is the size at which a node's batch ships: the record bytes
-// of one AddRecords request. A request dials a fresh connection and gob
-// re-sends its type description, so the cost is per request, not per byte. The
-// benchmark's tpch_cluster set-up (SF 0.05, two workers; medians of three
-// runs) loads at 66 MB/s and builds its replicas in 0.62 s at 16 KiB, 168 MB/s
-// and 0.26 s at 64 KiB, 247 MB/s and 0.20 s at 256 KiB, 254 MB/s and 0.21 s at
-// 1 MiB, 212 MB/s and 0.25 s at 4 MiB, where a table is too few batches for
-// the sender to overlap them: the curve is flat from 256 KiB to 1 MiB.
+// of one AddRecords request. The sweep below predates kept connections, when
+// every request dialed a fresh connection and gob re-sent its type
+// descriptions; requests now reuse a kept connection, and the sweep has not
+// been rerun since. The benchmark's tpch_cluster set-up (SF 0.05, two
+// workers; medians of three runs) loads at 66 MB/s and builds its replicas
+// in 0.62 s at 16 KiB, 168 MB/s and 0.26 s at 64 KiB, 247 MB/s and 0.20 s at
+// 256 KiB, 254 MB/s and 0.21 s at 1 MiB, 212 MB/s and 0.25 s at 4 MiB, where
+// a table is too few batches for the sender to overlap them: the curve is
+// flat from 256 KiB to 1 MiB.
 const maxBatchBytes = 1 << 20
 
 // Stream feeds fn every record of set, one worker after another, with the

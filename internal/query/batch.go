@@ -43,7 +43,7 @@ type Batch struct {
 	sel    []int32     // selected row indices; nil = all n rows selected
 	selBuf []int32     // reused selection storage across pages
 	spare  [][]int32   // idle scratch vectors (Or's branches)
-	u      [2][]uint64 // SelLess's lane values
+	u      [2][]uint64 // lane values: SelLess's, and a join's keys
 	rowBuf []byte      // reused MaterializeRow scratch
 
 	// Join output only (see Join.Inner): matched build records and their
@@ -501,10 +501,11 @@ func (b *Batch) SelLess(a, c int) {
 	b.sel = sel[:k]
 }
 
-// lanes reads column c's unsigned value on each lane of sel into dst.
+// lanes reads column c's unsigned value on each lane of sel into dst; the
+// column is at most 8 bytes wide.
 func (b *Batch) lanes(c int, sel []int32, dst []uint64) []uint64 {
-	dst, col := grow(dst, len(sel)), b.Col(c)
-	switch b.Width(c) {
+	dst, col, w := grow(dst, len(sel)), b.Col(c), b.Width(c)
+	switch w {
 	case 1:
 		for k, i := range sel {
 			dst[k] = uint64(col[i])
@@ -517,9 +518,15 @@ func (b *Batch) lanes(c int, sel []int32, dst []uint64) []uint64 {
 		for k, i := range sel {
 			dst[k] = uint64(le.Uint32(col[4*i:]))
 		}
-	default:
+	case 8:
 		for k, i := range sel {
 			dst[k] = le.Uint64(col[8*i:])
+		}
+	default: // zero-extended
+		var v [8]byte
+		for k, i := range sel {
+			copy(v[:], col[int(i)*w:int(i)*w+w])
+			dst[k] = le.Uint64(v[:])
 		}
 	}
 	return dst

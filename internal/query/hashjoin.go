@@ -25,6 +25,11 @@ import (
 // did (not) reach with Marked. The probe is a loop over the key vector with
 // no per-row closure or allocation, and pins each build page a batch's
 // matches touch once.
+//
+// A key is its column's unsigned value, zero-extended to the join map's
+// 8-byte word, so a build and a probe column of different widths (1 to 8
+// bytes) match by value. A key column wider than 8 bytes is an error, never
+// a truncated key.
 type Join struct {
 	pool   *core.BufferPool
 	set    *core.LocalitySet
@@ -57,9 +62,9 @@ func NewJoin(bp *core.BufferPool, name string, pageSize int64, payload ...int) (
 	return &Join{pool: bp, set: set, m: m, widths: payload, rec: make([]byte, 0, width)}, nil
 }
 
-// Insert adds one build record from raw bytes — for build sides that are not
-// scans, such as an aggregate's result. Safe for concurrent use.
-func (j *Join) Insert(key, payload []byte) error {
+// Insert adds one build record from raw bytes under key — for build sides
+// that are not scans, such as an aggregate's result. Safe for concurrent use.
+func (j *Join) Insert(key uint64, payload []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.m.Insert(key, payload)
@@ -77,20 +82,33 @@ func (j *Join) Add(b *Batch, keyCol int, cols ...int) error {
 			return fmt.Errorf("query: join build column %d is %d bytes wide, join made for %d", c, b.Width(c), j.widths[k])
 		}
 	}
-	key, kw := b.Col(keyCol), b.Width(keyCol)
+	keys, err := joinKeys(b, keyCol)
+	if err != nil {
+		return err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, i := range b.Sel() {
+	for lane, i := range b.Sel() {
 		rec := j.rec[:0]
 		for k, c := range cols {
 			w := j.widths[k]
 			rec = append(rec, b.Col(c)[int(i)*w:int(i)*w+w]...)
 		}
-		if err := j.m.Insert(key[int(i)*kw:int(i)*kw+kw], rec); err != nil {
+		if err := j.m.Insert(keys[lane], rec); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// joinKeys reads the key of each of b's selected rows into the batch's lane
+// scratch.
+func joinKeys(b *Batch, keyCol int) ([]uint64, error) {
+	if w := b.Width(keyCol); w > 8 {
+		return nil, fmt.Errorf("query: join key column %d is %d bytes wide, at most 8", keyCol, w)
+	}
+	b.u[0] = b.lanes(keyCol, b.Sel(), b.u[0])
+	return b.u[0], nil
 }
 
 // Seal ends the build; the join is probe-only from here on, from any number
@@ -105,42 +123,42 @@ func (j *Join) Drop() error { return j.pool.DropSet(j.set) }
 
 // Semi narrows b's selection to the rows whose keyCol value has a match on
 // the build side (EXISTS).
-func (j *Join) Semi(b *Batch, keyCol int) { j.narrow(b, keyCol, true) }
+func (j *Join) Semi(b *Batch, keyCol int) error { return j.narrow(b, keyCol, true) }
 
 // Anti narrows b's selection to the rows with no match (NOT EXISTS).
-func (j *Join) Anti(b *Batch, keyCol int) { j.narrow(b, keyCol, false) }
+func (j *Join) Anti(b *Batch, keyCol int) error { return j.narrow(b, keyCol, false) }
 
-func (j *Join) narrow(b *Batch, keyCol int, want bool) {
-	key, w := b.Col(keyCol), b.Width(keyCol)
+func (j *Join) narrow(b *Batch, keyCol int, want bool) error {
+	keys, err := joinKeys(b, keyCol)
+	if err != nil {
+		return err
+	}
 	sel := b.Sel()
 	out := sel[:0]
-	for _, i := range sel {
-		if (j.head(key, w, i) >= 0) == want {
+	for k, i := range sel {
+		if (j.m.Head(keys[k]) >= 0) == want {
 			out = append(out, i)
 		}
 	}
 	b.sel = out
-}
-
-// head returns the most recent build record under row i's key, or -1.
-func (j *Join) head(key []byte, w int, i int32) int32 {
-	if w == 8 {
-		return j.m.HeadWord(le.Uint64(key[8*i:]))
-	}
-	return j.m.Head(key[int(i)*w : int(i)*w+w])
+	return nil
 }
 
 // Mark marks every build record under the keyCol value of one of b's
 // selected rows. Safe to call from every thread of the probe scan.
-func (j *Join) Mark(b *Batch, keyCol int) {
-	key, w := b.Col(keyCol), b.Width(keyCol)
-	for _, i := range b.Sel() {
-		for r := j.head(key, w, i); r >= 0; r = j.m.Next(r) {
+func (j *Join) Mark(b *Batch, keyCol int) error {
+	keys, err := joinKeys(b, keyCol)
+	if err != nil {
+		return err
+	}
+	for _, key := range keys {
+		for r := j.m.Head(key); r >= 0; r = j.m.Next(r) {
 			m, bit := &j.marks[r/32], uint32(1)<<(r%32)
 			for old := m.Load(); old&bit == 0 && !m.CompareAndSwap(old, old|bit); old = m.Load() { // an atomic Or
 			}
 		}
 	}
+	return nil
 }
 
 // Marked presents the build records Mark reached (marked) or did not
@@ -178,10 +196,13 @@ func (j *Join) Marked(marked bool, fn func(thread int, b *Batch) error) error {
 // are b's columns listed in carry followed by the build side's projected
 // columns. out is valid until the thread's next Inner into it.
 func (j *Join) Inner(b *Batch, keyCol int, carry []int, out *Batch) error {
-	key, w := b.Col(keyCol), b.Width(keyCol)
+	keys, err := joinKeys(b, keyCol)
+	if err != nil {
+		return err
+	}
 	rows, recs := out.selBuf[:0], out.recs[:0]
-	for _, i := range b.Sel() {
-		for r := j.head(key, w, i); r >= 0; r = j.m.Next(r) {
+	for k, i := range b.Sel() {
+		for r := j.m.Head(keys[k]); r >= 0; r = j.m.Next(r) {
 			rows, recs = append(rows, i), append(recs, r)
 		}
 	}

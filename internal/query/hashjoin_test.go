@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -113,12 +114,16 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 					}
 					var semi, anti int64
 					all := append([]int32(nil), b.Sel()...)
-					j.Semi(b, 1)
+					if err := j.Semi(b, 1); err != nil {
+						return err
+					}
 					for _, i := range b.Sel() {
 						semi += int64(b.U32(0, int(i)))
 					}
 					b.sel = append(b.sel[:0], all...)
-					j.Anti(b, 1)
+					if err := j.Anti(b, 1); err != nil {
+						return err
+					}
 					for _, i := range b.Sel() {
 						anti += int64(b.U32(0, int(i)))
 					}
@@ -182,8 +187,8 @@ func TestJoinRejectsMismatchedProjection(t *testing.T) {
 // TestMarkJoin: a semi and an anti join built from the small side — Mark
 // from two probe threads, then Marked — reach exactly the build records a
 // nested loop matches (or does not), on row and columnar inputs. Keys are 8
-// bytes, the join map's word-keyed index; build keys repeat, so one probe
-// row marks every record under its key. Run it under -race: the two probe
+// bytes; build keys repeat, so one probe row marks every record under its
+// key. Run it under -race: the two probe
 // threads mark one bitmap.
 func TestMarkJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -227,7 +232,7 @@ func TestMarkJoin(t *testing.T) {
 			err = j.Seal()
 		}
 		if err == nil {
-			err = probeSpec.RunBatches(func(_ int, b *Batch) error { j.Mark(b, 0); return nil })
+			err = probeSpec.RunBatches(func(_ int, b *Batch) error { return j.Mark(b, 0) })
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -255,6 +260,46 @@ func TestMarkJoin(t *testing.T) {
 			if len(got) != want {
 				t.Errorf("layout %d, marked=%v: %d build records, want %d", layout, marked, len(got), want)
 			}
+		}
+		if err := j.Drop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestJoinOddWidthKeys: a key column of 3, 5, 6 or 7 bytes is read
+// zero-extended, so it matches an 8-byte probe column by value.
+func TestJoinOddWidthKeys(t *testing.T) {
+	bp := newPool(t, 1<<20)
+	data := []byte{0, 1, 3, 4, 6, 7, 8, 9, 10}
+	for _, w := range []int{3, 5, 6, 7} {
+		build, bvals := joinInput(data, w)
+		j, err := NewJoin(bp, "tmp-join", 4<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Add(build, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		in := map[uint64]bool{}
+		for _, v := range bvals {
+			in[v] = true
+		}
+		probe, pvals := joinInput(data, 8)
+		var want []int32
+		for i, v := range pvals {
+			if in[v] {
+				want = append(want, int32(i))
+			}
+		}
+		if err := j.Semi(probe, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(probe.Sel(), want) || len(want) == len(data) {
+			t.Errorf("%d-byte build keys: semi join kept %v, want %v", w, probe.Sel(), want)
 		}
 		if err := j.Drop(); err != nil {
 			t.Fatal(err)

@@ -58,7 +58,7 @@ type PointIndex interface {
 }
 
 // Predicate is one filter expression. Implementations are the algebra's
-// node types (ColRange, ColRangeF64, ColEq, ColLess, And, Or, RowPred); the
+// node types (ColRange, ColRangeF64, ColEq, ColLess, And, Or); the
 // methods are unexported because the set of compilation targets is the scan
 // API's concern, not an extension point.
 type Predicate interface {
@@ -381,29 +381,6 @@ func (p Or) indexPages(idx PointIndex) ([]uint64, bool) {
 	}
 	return out, true
 }
-
-// RowPred is the escape hatch: an opaque row closure for the filter shapes
-// the algebra cannot express (cross-column comparisons, decoded string
-// probes). Evaluation materializes each candidate row — free on a row page,
-// a re-stitch on a columnar one — and no page is ever pruned by it, so keep
-// the selective, column-local parts of a filter in algebra nodes and put
-// only the residual here, typically under an And.
-type RowPred func(Row) bool
-
-func (p RowPred) check([]services.ColumnSpec) error {
-	if p == nil {
-		return fmt.Errorf("query: nil RowPred")
-	}
-	return nil
-}
-
-func (p RowPred) applyBatch(b *Batch) {
-	b.narrow(func(i int32) bool { return p(b.MaterializeRow(int(i), nil)) })
-}
-
-func (p RowPred) prune(PruneStats, int64) bool { return false }
-
-func (p RowPred) indexPages(PointIndex) ([]uint64, bool) { return nil, false }
 
 // whole reports whether a location stands for every row of its page.
 func whole(loc uint64) bool { return uint32(loc) == services.LaneAll }

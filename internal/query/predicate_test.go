@@ -44,10 +44,6 @@ func testPredicates() []struct {
 			func(r Row) bool { return rowGroup(r) == 1 || rowGroup(r) == 5 }},
 		{"col-less", ColLess{A: 1, B: 2},
 			func(r Row) bool { return rowGroup(r) < rowAmount(r) }},
-		{"rowpred", RowPred(func(r Row) bool { return rowID(r)%3 == 0 }),
-			func(r Row) bool { return rowID(r)%3 == 0 }},
-		{"and-rowpred", And{ColRange{Col: 0, Lo: 100, Hi: 900}, RowPred(func(r Row) bool { return rowID(r)%2 == 0 })},
-			func(r Row) bool { return rowID(r) >= 100 && rowID(r) < 900 && rowID(r)%2 == 0 }},
 	}
 }
 
@@ -229,14 +225,6 @@ func TestScanSpecPrunesPages(t *testing.T) {
 	if colSet.ZoneMapChecks() == preChecks {
 		t.Error("full-range scan consulted no zone map")
 	}
-	// RowPred is opaque: nothing to prune against.
-	preSkips = colSet.ZoneMapSkips()
-	if got := count(colSet, RowPred(func(r Row) bool { return rowID(r) < 100 }), HintNone); got != 100 {
-		t.Errorf("rowpred scan found %d rows, want 100", got)
-	}
-	if colSet.ZoneMapSkips() != preSkips {
-		t.Error("opaque row predicate pruned pages")
-	}
 
 	// The row pipeline prunes through the same spec on a row set.
 	rowSet := loadSet(t, bp, "r", rows)
@@ -279,10 +267,6 @@ func TestScanSpecValidation(t *testing.T) {
 	}
 	if err := (ScanSpec{Set: colSet, Pred: bad}).RunBatches(func(int, *Batch) error { return nil }); err == nil {
 		t.Error("out-of-range column must error on the batch path")
-	}
-	// A nil row closure is a programming error, not a match-all.
-	if err := (ScanSpec{Set: colSet, Pred: RowPred(nil)}).Run(func(int, Row) error { return nil }); err == nil {
-		t.Error("nil RowPred must error")
 	}
 	// A node over a width it cannot compare.
 	wide := services.MakeSchema([]string{"id", "rest"}, []int{4, 8})

@@ -16,7 +16,7 @@ import (
 	"pangea/internal/services"
 )
 
-func newPool(t *testing.T, mem int64) *core.BufferPool {
+func newPool(t testing.TB, mem int64) *core.BufferPool {
 	t.Helper()
 	arr, err := disk.NewArray(t.TempDir(), 1, disk.Unthrottled())
 	if err != nil {

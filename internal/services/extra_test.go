@@ -453,8 +453,8 @@ func TestScanStopsOnFirstError(t *testing.T) {
 }
 
 // TestJoinMapEmptyKeyAndPayload: degenerate shapes are stored faithfully —
-// an empty key is a key, and a width-0 map keeps keys and multiplicities
-// without ever allocating a page.
+// key 0, the value an empty slot reads as, is a key, and a width-0 map keeps
+// keys and multiplicities without ever allocating a page.
 func TestJoinMapEmptyKeyAndPayload(t *testing.T) {
 	bp := newPool(t, 1<<20)
 	set := mkSet(t, bp, "jm", 4096)
@@ -462,25 +462,25 @@ func TestJoinMapEmptyKeyAndPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"", "key", "key"} {
-		if err := m.Insert([]byte(key), nil); err != nil {
+	for _, key := range []uint64{0, 42, 42} {
+		if err := m.Insert(key, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Insert([]byte("key"), []byte("x")); err == nil {
+	if err := m.Insert(42, []byte("x")); err == nil {
 		t.Error("a payload wider than the map's must be rejected")
 	}
 	if err := m.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	chain := func(key string) (n int) {
-		for r := m.Head([]byte(key)); r >= 0; r = m.Next(r) {
+	chain := func(key uint64) (n int) {
+		for r := m.Head(key); r >= 0; r = m.Next(r) {
 			n++
 		}
 		return n
 	}
-	if chain("") != 1 || chain("key") != 2 || chain("absent") != 0 {
-		t.Errorf("chains: empty=%d key=%d absent=%d, want 1, 2, 0", chain(""), chain("key"), chain("absent"))
+	if chain(0) != 1 || chain(42) != 2 || chain(43) != 0 {
+		t.Errorf("chains: zero=%d key=%d absent=%d, want 1, 2, 0", chain(0), chain(42), chain(43))
 	}
 	if m.Keys() != 2 || m.Len() != 3 || set.NumPages() != 0 {
 		t.Errorf("Keys=%d Len=%d pages=%d, want 2, 3, 0", m.Keys(), m.Len(), set.NumPages())

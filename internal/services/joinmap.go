@@ -1,7 +1,6 @@
 package services
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -16,15 +15,13 @@ import (
 // other set; the index — key → its latest record, record → the previous one
 // under the same key — is in memory.
 //
-// The key index is flat, and holds no Go pointer. 8-byte keys, the common
-// integer join key, go in a table of (key, latest record) pairs: a probe
-// compares the key beside its slot and touches nothing else. Keys of any
-// other length go in a table of int32 slots naming their bytes, which lie
-// back to back in one slice. Both are open-addressing tables probed
-// linearly from the key's hash. The 8-byte table doubles at half load, and
-// a filter of four bits a slot sits in front of it, so a miss — most probes
-// of a semi or anti join — ends at one bit test or within a few slots; the
-// other table doubles at ¾.
+// The key index is flat, and holds no Go pointer. A key is an 8-byte word —
+// an integer join key, or any column of at most 8 bytes zero-extended — and
+// the index is an open-addressing table of (key, latest record) pairs,
+// probed linearly from the key's hash: a probe compares the key beside its
+// slot and touches nothing else. The table doubles at half load, and a
+// filter of four bits a slot sits in front of it, so a miss — most probes
+// of a semi or anti join — ends at one bit test or a short probe run.
 //
 // Probing is two steps, so a batch of probes costs one pin per page it
 // touches rather than one per match: Head/Next walk a key's records without
@@ -34,19 +31,15 @@ type JoinMap struct {
 	set     *core.LocalitySet
 	width   int
 	perPage int
-	words   []wordSlot // 8-byte keys' table
-	wordN   int        // distinct 8-byte keys
-	filter  []uint64   // 8-byte keys' filter: four bits a slot, one set per key
-	slots   []int32    // other keys' table: 0 is empty, o+1 names other key o
-	keys    []byte     // the other keys' bytes, back to back
-	keyEnd  []int32    // per other key: where its bytes end in keys
-	head    []int32    // per other key: its most recent record
+	words   []wordSlot // the key table
+	wordN   int        // distinct keys
+	filter  []uint64   // four bits a slot, one set per key
 	next    []int32    // per record: the previous record under its key, -1 ends the chain
 	page    *core.Page // the page being filled
 }
 
-// wordSlot is one slot of the 8-byte keys' table: the key, and its most
-// recent record +1 (0 is an empty slot).
+// wordSlot is one slot of the key table: the key, and its most recent
+// record +1 (0 is an empty slot).
 type wordSlot struct {
 	lo, hi uint32 // the key's halves: 12 bytes a slot, not 16
 	head   int32
@@ -54,19 +47,19 @@ type wordSlot struct {
 
 func (s *wordSlot) key() uint64 { return uint64(s.hi)<<32 | uint64(s.lo) }
 
-// minSlotsLog is log2 of each key table's starting size.
+// minSlotsLog is log2 of the key table's starting size.
 const minSlotsLog = 4
 
-// wordHash hashes an 8-byte key by one multiply by 2^64/φ, whose top bits
-// mix every input bit; the top log2(slots) bits pick the first slot.
+// wordHash hashes a key by one multiply by 2^64/φ, whose top bits mix every
+// input bit; its top log2(table size) bits pick the first slot.
 func wordHash(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 }
 
-// first returns a hash's first slot in a power-of-two table of n slots.
+// first returns a hash's first slot in a power-of-two table of size n.
 func first(h uint64, n int) int { return int(h >> (64 - bits.TrailingZeros(uint(n)))) }
 
-// filterBit returns an 8-byte key's bit in the filter, picked by the hash
-// bits below those that pick its first slot: most keys that are not in the
-// map are turned away by one test of a bit, before the table is touched.
+// filterBit returns a key's bit in the filter, picked by the hash bits below
+// those that pick its first slot: most keys that are not in the map are
+// turned away by one test of a bit, before the table is touched.
 func (m *JoinMap) filterBit(h uint64) (word int, bit uint64) {
 	b := bits.TrailingZeros(uint(len(m.words)))
 	f := h << b >> (62 - b) // the next b+2 bits: one of 4·len(words)
@@ -85,7 +78,7 @@ func NewJoinMap(set *core.LocalitySet, width int) (*JoinMap, error) {
 	set.SetReading(core.RandomRead)
 	set.SetCurrentOp(core.OpReadWrite)
 	m := &JoinMap{set: set, width: width, words: make([]wordSlot, 1<<minSlotsLog),
-		filter: make([]uint64, 1<<minSlotsLog/16), slots: make([]int32, 1<<minSlotsLog)}
+		filter: make([]uint64, 1<<minSlotsLog/16)}
 	if width > 0 {
 		m.perPage = int(set.PageSize()) / width
 	}
@@ -96,14 +89,14 @@ func NewJoinMap(set *core.LocalitySet, width int) (*JoinMap, error) {
 func (m *JoinMap) Len() int { return len(m.next) }
 
 // Keys returns the number of distinct keys.
-func (m *JoinMap) Keys() int { return m.wordN + len(m.head) }
+func (m *JoinMap) Keys() int { return m.wordN }
 
 // Width returns the payload width in bytes.
 func (m *JoinMap) Width() int { return m.width }
 
 // Insert adds one (key, payload) record; payload must be Width bytes. Not
 // safe for concurrent use: builders serialize.
-func (m *JoinMap) Insert(key, payload []byte) error {
+func (m *JoinMap) Insert(key uint64, payload []byte) error {
 	if len(payload) != m.width {
 		return fmt.Errorf("services: join map payload of %d bytes, map built for %d", len(payload), m.width)
 	}
@@ -122,41 +115,22 @@ func (m *JoinMap) Insert(key, payload []byte) error {
 		}
 		copy(m.page.Bytes()[slot*m.width:], payload)
 	}
-	if len(key) == 8 {
-		w := binary.LittleEndian.Uint64(key)
-		s := &m.words[m.lookupWord(w)]
-		m.next = append(m.next, s.head-1) // an empty slot's -1 ends the chain
-		if s.head == 0 {
-			s.lo, s.hi = uint32(w), uint32(w>>32)
-			m.wordN++
-			f, bit := m.filterBit(wordHash(w))
-			m.filter[f] |= bit
-		}
-		s.head = rec + 1
-		if 2*m.wordN > len(m.words) {
-			m.growWords()
-		}
-		return nil
+	s := &m.words[m.lookupWord(key)]
+	m.next = append(m.next, s.head-1) // an empty slot's -1 ends the chain
+	if s.head == 0 {
+		s.lo, s.hi = uint32(key), uint32(key>>32)
+		m.wordN++
+		f, bit := m.filterBit(wordHash(key))
+		m.filter[f] |= bit
 	}
-	o, slot := m.lookup(key)
-	if o >= 0 {
-		m.next = append(m.next, m.head[o])
-		m.head[o] = rec
-		return nil
-	}
-	m.next = append(m.next, -1)
-	m.head = append(m.head, rec)
-	m.slots[slot] = int32(len(m.head))
-	m.keys = append(m.keys, key...)
-	m.keyEnd = append(m.keyEnd, int32(len(m.keys)))
-	if 4*len(m.head) > 3*len(m.slots) {
-		m.grow()
+	s.head = rec + 1
+	if 2*m.wordN > len(m.words) {
+		m.growWords()
 	}
 	return nil
 }
 
-// lookupWord returns an 8-byte key's slot, or the empty slot where it would
-// go.
+// lookupWord returns a key's slot, or the empty slot where it would go.
 func (m *JoinMap) lookupWord(key uint64) int {
 	mask := len(m.words) - 1
 	for i := first(wordHash(key), len(m.words)); ; i = (i + 1) & mask {
@@ -166,7 +140,7 @@ func (m *JoinMap) lookupWord(key uint64) int {
 	}
 }
 
-// growWords doubles the 8-byte keys' table and re-places every key.
+// growWords doubles the key table and re-places every key.
 func (m *JoinMap) growWords() {
 	old := m.words
 	m.words, m.filter = make([]wordSlot, 2*len(old)), make([]uint64, len(old)/8)
@@ -183,43 +157,6 @@ func (m *JoinMap) growWords() {
 			i = (i + 1) & mask
 		}
 		m.words[i] = s
-	}
-}
-
-// key returns other key o's bytes.
-func (m *JoinMap) key(o int32) []byte {
-	start := int32(0)
-	if o > 0 {
-		start = m.keyEnd[o-1]
-	}
-	return m.keys[start:m.keyEnd[o]]
-}
-
-// lookup returns a key (not 8 bytes long) 's index among the other keys and
-// its slot, or -1 and the empty slot where it would go.
-func (m *JoinMap) lookup(key []byte) (o int32, slot int) {
-	mask := len(m.slots) - 1
-	for i := first(fnv1a(key), len(m.slots)); ; i = (i + 1) & mask {
-		s := m.slots[i]
-		if s == 0 {
-			return -1, i
-		}
-		if string(m.key(s-1)) == string(key) {
-			return s - 1, i
-		}
-	}
-}
-
-// grow doubles the other keys' table and re-places every key.
-func (m *JoinMap) grow() {
-	m.slots = make([]int32, 2*len(m.slots))
-	mask := len(m.slots) - 1
-	for o := range int32(len(m.head)) {
-		i := first(fnv1a(m.key(o)), len(m.slots))
-		for m.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		m.slots[i] = o + 1
 	}
 }
 
@@ -241,18 +178,7 @@ func (m *JoinMap) Seal() error {
 }
 
 // Head returns the most recent record stored under key, or -1.
-func (m *JoinMap) Head(key []byte) int32 {
-	if len(key) == 8 {
-		return m.HeadWord(binary.LittleEndian.Uint64(key))
-	}
-	if o, _ := m.lookup(key); o >= 0 {
-		return m.head[o]
-	}
-	return -1
-}
-
-// HeadWord is Head for an 8-byte key, given as its little-endian value.
-func (m *JoinMap) HeadWord(key uint64) int32 {
+func (m *JoinMap) Head(key uint64) int32 {
 	h := wordHash(key)
 	if w, bit := m.filterBit(h); m.filter[w]&bit == 0 {
 		return -1

@@ -567,10 +567,10 @@ func TestHashBufferPropertySumMatchesMap(t *testing.T) {
 
 // probeAll returns the payloads stored under key, through the two-step
 // probe: walk the key's records, then gather them.
-func probeAll(t *testing.T, m *JoinMap, key string) [][]byte {
+func probeAll(t *testing.T, m *JoinMap, key uint64) [][]byte {
 	t.Helper()
 	var recs []int32
-	for r := m.Head([]byte(key)); r >= 0; r = m.Next(r) {
+	for r := m.Head(key); r >= 0; r = m.Next(r) {
 		recs = append(recs, r)
 	}
 	flat, err := m.Gather(recs, nil, &GatherScratch{})
@@ -592,8 +592,7 @@ func TestJoinMapProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		key := []byte(fmt.Sprintf("k%02d", i%20))
-		if err := m.Insert(key, []byte(fmt.Sprintf("payload-%03d", i))); err != nil {
+		if err := m.Insert(uint64(i%20), []byte(fmt.Sprintf("payload-%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -603,7 +602,7 @@ func TestJoinMapProbe(t *testing.T) {
 	if m.Keys() != 20 || m.Len() != 200 {
 		t.Errorf("Keys=%d Len=%d, want 20, 200", m.Keys(), m.Len())
 	}
-	hits := probeAll(t, m, "k03")
+	hits := probeAll(t, m, 3)
 	for _, payload := range hits {
 		var i int
 		if _, err := fmt.Sscanf(string(payload), "payload-%d", &i); err != nil {
@@ -616,7 +615,7 @@ func TestJoinMapProbe(t *testing.T) {
 	if len(hits) != 10 {
 		t.Errorf("hits = %d, want 10", len(hits))
 	}
-	if m.Head([]byte("absent")) >= 0 {
+	if m.Head(20) >= 0 {
 		t.Error("probe of absent key must find no record")
 	}
 }
@@ -634,7 +633,7 @@ func TestJoinMapGatherAfterSpill(t *testing.T) {
 	payload := make([]byte, 128)
 	for i := 0; i < 4000; i++ {
 		binary.LittleEndian.PutUint64(payload, uint64(i))
-		if err := m.Insert([]byte(fmt.Sprintf("key-%04d", i)), payload); err != nil {
+		if err := m.Insert(uint64(i), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -645,7 +644,7 @@ func TestJoinMapGatherAfterSpill(t *testing.T) {
 		t.Fatal("expected join map pages to spill")
 	}
 	for _, i := range []int{0, 517, 3999} {
-		hits := probeAll(t, m, fmt.Sprintf("key-%04d", i))
+		hits := probeAll(t, m, uint64(i))
 		if len(hits) != 1 || binary.LittleEndian.Uint64(hits[0]) != uint64(i) {
 			t.Errorf("probe %d: %d hits", i, len(hits))
 		}
@@ -657,7 +656,7 @@ func TestJoinMapGatherAfterSpill(t *testing.T) {
 	var want []uint64
 	for k := 0; k < 1000; k++ {
 		i := k * 617 % 4000
-		recs = append(recs, m.Head([]byte(fmt.Sprintf("key-%04d", i))))
+		recs = append(recs, m.Head(uint64(i)))
 		want = append(want, uint64(i))
 	}
 	loads := bp.Stats().Loads.Load()
@@ -687,11 +686,12 @@ func TestFnv1aDistribution(t *testing.T) {
 	}
 }
 
-// TestJoinMapMatchesMapReference holds the flat key index to a Go map: keys
-// of every length from 0 to 16 bytes and 8-byte keys, each inserted many
-// times, through enough growth to double both key tables seven times; every
-// key's Head/Next chain, every gathered payload and every absent-key probe
-// must agree with the reference.
+// TestJoinMapMatchesMapReference holds the flat key index to a Go map:
+// random words and words from a small domain (key 0, which an empty slot
+// reads as, among them), each inserted many times, so filter bits and probe
+// runs collide, through enough growth to double the key table seven times;
+// every key's Head/Next chain, every gathered payload and every absent-key
+// probe must agree with the reference.
 func TestJoinMapMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	bp := newPool(t, 8<<20)
@@ -699,22 +699,18 @@ func TestJoinMapMatchesMapReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys [][]byte
+	keys := []uint64{0}
 	for i := 0; i < 3000; i++ {
-		k := make([]byte, rng.IntN(17))
-		for j := range k {
-			k[j] = byte('a' + rng.IntN(4)) // a small alphabet: short keys collide
-		}
-		keys = append(keys, k, binary.LittleEndian.AppendUint64(nil, rng.Uint64()))
+		keys = append(keys, rng.Uint64(), uint64(rng.IntN(2000)))
 	}
-	ref := map[string][]int32{}
+	ref := map[uint64][]int32{}
 	payload := func(rec int32) uint64 { return uint64(rec)*2654435761 + 7 }
 	for rec := int32(0); rec < 30000; rec++ {
 		k := keys[rng.IntN(len(keys))]
 		if err := m.Insert(k, binary.LittleEndian.AppendUint64(nil, payload(rec))); err != nil {
 			t.Fatal(err)
 		}
-		ref[string(k)] = append(ref[string(k)], rec)
+		ref[k] = append(ref[k], rec)
 	}
 	if err := m.Seal(); err != nil {
 		t.Fatal(err)
@@ -722,23 +718,21 @@ func TestJoinMapMatchesMapReference(t *testing.T) {
 	if m.Keys() != len(ref) || m.Len() != 30000 {
 		t.Fatalf("Keys=%d Len=%d, want %d, 30000", m.Keys(), m.Len(), len(ref))
 	}
-	if len(m.words) < 1<<(minSlotsLog+8) || 4*m.wordN > 3*len(m.words) ||
-		len(m.slots) < 1<<(minSlotsLog+7) || 4*len(m.head) > 3*len(m.slots) {
-		t.Fatalf("%d+%d slots for %d+%d keys: the tables did not grow as meant",
-			len(m.words), len(m.slots), m.wordN, len(m.head))
+	if len(m.words) < 1<<(minSlotsLog+7) || 2*m.wordN > len(m.words) {
+		t.Fatalf("%d slots for %d keys: the table did not grow as meant", len(m.words), m.wordN)
 	}
 	var gs GatherScratch
 	for k, want := range ref {
 		var chain []int32
-		for r := m.Head([]byte(k)); r >= 0; r = m.Next(r) {
+		for r := m.Head(k); r >= 0; r = m.Next(r) {
 			chain = append(chain, r)
 		}
 		if len(chain) != len(want) {
-			t.Fatalf("key %q: chain of %d records, want %d", k, len(chain), len(want))
+			t.Fatalf("key %#x: chain of %d records, want %d", k, len(chain), len(want))
 		}
 		for i, r := range chain {
 			if w := want[len(want)-1-i]; r != w {
-				t.Fatalf("key %q: chain[%d] = %d, want %d (newest first)", k, i, r, w)
+				t.Fatalf("key %#x: chain[%d] = %d, want %d (newest first)", k, i, r, w)
 			}
 		}
 		got, err := m.Gather(chain, nil, &gs)
@@ -747,26 +741,22 @@ func TestJoinMapMatchesMapReference(t *testing.T) {
 		}
 		for i, r := range chain {
 			if v := binary.LittleEndian.Uint64(got[i*8:]); v != payload(r) {
-				t.Fatalf("key %q: record %d gathered payload %d, want %d", k, r, v, payload(r))
+				t.Fatalf("key %#x: record %d gathered payload %d, want %d", k, r, v, payload(r))
 			}
 		}
 	}
 	for i := 0; i < 20000; i++ {
-		var k []byte
+		var k uint64
 		switch i % 3 {
 		case 0:
-			k = make([]byte, rng.IntN(17))
-			for j := range k {
-				k[j] = byte('a' + rng.IntN(5))
-			}
+			k = uint64(rng.IntN(2500))
 		case 1:
-			k = binary.LittleEndian.AppendUint64(nil, rng.Uint64())
-		case 2: // a present 8-byte key with one bit flipped
-			k = append([]byte(nil), keys[2*rng.IntN(len(keys)/2)+1]...)
-			k[rng.IntN(8)] ^= 1 << rng.IntN(8)
+			k = rng.Uint64()
+		case 2: // a present random word with one bit flipped
+			k = keys[2*rng.IntN(len(keys)/2)+1] ^ 1<<rng.IntN(64)
 		}
-		if _, in := ref[string(k)]; !in && m.Head(k) >= 0 {
-			t.Fatalf("absent key %q found record %d", k, m.Head(k))
+		if _, in := ref[k]; !in && m.Head(k) >= 0 {
+			t.Fatalf("absent key %#x found record %d", k, m.Head(k))
 		}
 	}
 }

@@ -220,7 +220,7 @@ func (r *Runner) marked(node int, tag string, j *query.Join, set, table string, 
 	if err != nil {
 		return nil, err
 	}
-	if err := sp.RunBatches(func(_ int, b *query.Batch) error { j.Mark(b, keyCol); return nil }); err != nil {
+	if err := sp.RunBatches(func(_ int, b *query.Batch) error { return j.Mark(b, keyCol) }); err != nil {
 		return nil, err
 	}
 	return query.Aggregate(r.E.Workers[node].Pool(), r.tempName(tag), 1, agg,
@@ -230,8 +230,7 @@ func (r *Runner) marked(node int, tag string, j *query.Join, set, table string, 
 // semi is the pipeline stage that keeps the rows with a match in j.
 func semi(j *query.Join, keyCol int) query.Stage {
 	return func(_ int, b *query.Batch) (*query.Batch, error) {
-		j.Semi(b, keyCol)
-		return b, nil
+		return b, j.Semi(b, keyCol)
 	}
 }
 
@@ -386,7 +385,7 @@ func (r *Runner) Q02() (Result, error) {
 		}
 		defer drop(best)
 		for part, v := range minCost {
-			if err := best.Insert([]byte(part), v); err != nil {
+			if err := best.Insert(le.Uint64([]byte(part)), v); err != nil {
 				return nil, err
 			}
 		}
@@ -639,7 +638,7 @@ func (r *Runner) Q17() (Result, error) {
 		var limit [8]byte
 		for part, v := range avgs {
 			putF64(limit[:], 0.2*(getF64(v)/getF64(v[8:])))
-			if err := small.Insert([]byte(part), limit[:]); err != nil {
+			if err := small.Insert(le.Uint64([]byte(part)), limit[:]); err != nil {
 				return nil, err
 			}
 		}
