@@ -56,7 +56,8 @@ type AddRecordsReq struct {
 }
 
 // FetchSetReq streams every record of a set back to the caller, a page at a
-// time. Used by broadcast and recovery, which must cross node boundaries.
+// time. Used by partitioning, replica builds, recovery and CountSet, which
+// must cross node boundaries.
 type FetchSetReq struct {
 	Set string
 }

@@ -124,3 +124,94 @@ func TestAggMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateOverMarked: an aggregate fed by Join.Marked, whose batches end
+// every 4 096 records, folds exactly what a Go map does — every record of a
+// join never probed with Mark (Marked(false)), then, after a Mark that reaches
+// about half of the keys, the marked and the unmarked records. Build keys
+// repeat, and so do the group keys, which cut across them.
+func TestAggregateOverMarked(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	bp := newPool(t, 8<<20)
+	const n, keys = 10000, 3000
+	type rec struct {
+		key uint64
+		g   uint16
+		v   uint32
+		x   float64
+	}
+	recs := make([]rec, n)
+	j, err := NewJoin(bp, "tmp-join", 64<<10, 2, 4, 8) // payload (g, v, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j.Drop() }()
+	for i := range recs {
+		r := rec{key: uint64(rng.Intn(keys)), g: uint16(rng.Intn(50)), v: uint32(rng.Intn(1000)), x: float64(rng.Intn(2000) - 1000)}
+		recs[i] = r
+		pay := binary.LittleEndian.AppendUint16(nil, r.g)
+		pay = binary.LittleEndian.AppendUint32(pay, r.v)
+		if err := j.Insert(r.key, binary.LittleEndian.AppendUint64(pay, math.Float64bits(r.x))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	agg := Agg{Keys: []int{0}, Folds: []Fold{Count(), Sum(1), Min(2)}}
+	check := func(name string, keep func(rec) bool) {
+		t.Helper()
+		want := map[string][]float64{}
+		in := 0
+		for _, r := range recs {
+			if !keep(r) {
+				continue
+			}
+			in++
+			k := string(binary.LittleEndian.AppendUint16(nil, r.g))
+			if want[k] == nil {
+				want[k] = []float64{0, 0, math.Inf(1)}
+			}
+			w := want[k]
+			w[0], w[1], w[2] = w[0]+1, w[1]+float64(r.v), min(w[2], r.x)
+		}
+		if in <= 4096 {
+			t.Fatalf("%s: %d records, not more than one batch", name, in)
+		}
+		marked := name == "marked"
+		batches := 0
+		got, err := Aggregate(bp, "tmp-agg", 1, agg, func(fn func(int, *Batch) error) error {
+			return j.Marked(marked, func(t int, b *Batch) error { batches++; return fn(t, b) })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batches < 2 {
+			t.Errorf("%s: %d records came in %d batch", name, in, batches)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d groups, want %d", name, len(got), len(want))
+		}
+		for k, w := range want {
+			for f := range w {
+				if g := f64(got[k][8*f:]); g != w[f] {
+					t.Fatalf("%s: group %x fold %d = %v, want %v", name, k, f, g, w[f])
+				}
+			}
+		}
+	}
+	check("unprobed", func(rec) bool { return true })
+
+	probe := make([]Row, 0, keys)
+	for k := range keys {
+		if k%2 == 0 {
+			probe = append(probe, binary.LittleEndian.AppendUint64(nil, uint64(k)))
+		}
+	}
+	sp := ScanSpec{Set: loadSet(t, bp, "probe", probe), Threads: 2, Schema: services.MakeSchema([]string{"key"}, []int{8})}
+	if err := sp.RunBatches(func(_ int, b *Batch) error { return j.Mark(b, 0) }); err != nil {
+		t.Fatal(err)
+	}
+	check("marked", func(r rec) bool { return r.key%2 == 0 })
+	check("unmarked", func(r rec) bool { return r.key%2 != 0 })
+}

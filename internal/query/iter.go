@@ -20,5 +20,5 @@ type Row = []byte
 
 // Iter is a push-based row stream: it calls emit for every row, stopping on
 // error; emit may be called from several goroutines at once. It is what
-// Executor.Exchange reads each node's source from.
+// Executor.Exchange and Executor.Broadcast read each node's source from.
 type Iter func(emit func(Row) error) error

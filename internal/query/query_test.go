@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -194,16 +195,7 @@ func TestExchangeCoPartitions(t *testing.T) {
 	rows := testRows(600)
 	loadDistributed(t, e, "src", rows)
 	key := func(r Row) []byte { return r[4:8] }
-	err := e.Exchange("exd", func(node int) Iter {
-		return func(emit func(Row) error) error {
-			s, err := e.Set(node, "src")
-			if err != nil {
-				return err
-			}
-			return ScanSpec{Set: s, Threads: 2}.Run(func(_ int, r Row) error { return emit(r) })
-		}
-	}, key, 64<<10)
-	if err != nil {
+	if err := e.Exchange("exd", scanSource(e, "src", nil), key, 64<<10); err != nil {
 		t.Fatal(err)
 	}
 	// After the exchange, all rows of one group live on one node.
@@ -228,9 +220,29 @@ func TestExchangeCoPartitions(t *testing.T) {
 	}
 }
 
+// scanSource streams each node's partition of set, keeping the rows keep
+// accepts (nil keeps all).
+func scanSource(e *Executor, set string, keep func(Row) bool) func(node int) Iter {
+	return func(node int) Iter {
+		return func(emit func(Row) error) error {
+			s, err := e.Set(node, set)
+			if err != nil {
+				return err
+			}
+			return ScanSpec{Set: s, Threads: 2}.Run(func(_ int, r Row) error {
+				if keep != nil && !keep(r) {
+					return nil
+				}
+				return emit(r)
+			})
+		}
+	}
+}
+
 // TestBroadcastReplicatesEverywhere: every node ends up with exactly the
-// source's multiset of rows, for a source of several send batches spread over
-// three nodes.
+// multiset of rows the sources emitted — a whole source of several send
+// batches spread over three nodes, a filtered one, and one that emits
+// nothing, which leaves an empty set everywhere.
 func TestBroadcastReplicatesEverywhere(t *testing.T) {
 	e := startExec(t, 3)
 	rows := make([][]byte, 3000) // 3 MB, so batches also ship mid-stream
@@ -244,32 +256,43 @@ func TestBroadcastReplicatesEverywhere(t *testing.T) {
 	if err := placement.DispatchRandom(e.Client, e.Addrs, "dim", rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Broadcast("dim", "dim-b", 64<<10); err != nil {
-		t.Fatal(err)
-	}
-	for node := range e.Workers {
-		s, err := e.Set(node, "dim-b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts := make(map[uint32]int)
-		err = ScanSpec{Set: s}.Run(func(_ int, r Row) error {
-			if len(r) != 1024 {
-				return fmt.Errorf("row of %d bytes", len(r))
-			}
-			counts[rowID(r)]++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := uint32(0); id < 1500; id++ {
-			if counts[id] != 2 {
-				t.Fatalf("node %d holds row %d %d times, want 2", node, id, counts[id])
+	for _, tc := range []struct {
+		name string
+		keep func(Row) bool
+	}{
+		{"all", nil},
+		{"filtered", func(r Row) bool { return rowID(r)%3 == 0 }},
+		{"none", func(Row) bool { return false }},
+	} {
+		want := make(map[uint32]int)
+		for _, r := range rows {
+			if tc.keep == nil || tc.keep(r) {
+				want[rowID(r)]++
 			}
 		}
-		if len(counts) != 1500 {
-			t.Errorf("node %d holds %d distinct rows, want 1500", node, len(counts))
+		target := "dim-" + tc.name
+		if err := e.Broadcast(target, scanSource(e, "dim", tc.keep), 64<<10); err != nil {
+			t.Fatal(err)
+		}
+		for node := range e.Workers {
+			s, err := e.Set(node, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := make(map[uint32]int)
+			err = ScanSpec{Set: s}.Run(func(_ int, r Row) error {
+				if len(r) != 1024 {
+					return fmt.Errorf("row of %d bytes", len(r))
+				}
+				counts[rowID(r)]++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(counts, want) {
+				t.Errorf("%s: node %d holds %d distinct rows, not the %d emitted, each as often", tc.name, node, len(counts), len(want))
+			}
 		}
 	}
 }
@@ -314,9 +337,9 @@ func failingSource(e *Executor) func(node int) Iter {
 }
 
 // TestExchangeAndBroadcastDropTargetOnFailure: both operations create their
-// target set on every node first; when they then fail, no worker may be left
-// holding it. At the parent commit both returned the error and leaked the
-// set, and their callers only deferred the drop after the error check.
+// target set on every node first; when they then fail — a source that fails
+// mid-stream, or target pages too small for a record — no worker may be left
+// holding it.
 func TestExchangeAndBroadcastDropTargetOnFailure(t *testing.T) {
 	e := startExec(t, 3)
 	loadDistributed(t, e, "src", testRows(600))
@@ -324,9 +347,12 @@ func TestExchangeAndBroadcastDropTargetOnFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("exchange from a failing source must fail")
 	}
+	if err := e.Broadcast("tmp-broadcast", failingSource(e), 64<<10); err == nil {
+		t.Fatal("broadcast from a failing source must fail")
+	}
 	// A broadcast whose target pages cannot hold one source record fails
 	// after the target exists everywhere.
-	if err := e.Broadcast("src", "tmp-broadcast", 16); err == nil {
+	if err := e.Broadcast("tmp-broadcast", scanSource(e, "src", nil), 16); err == nil {
 		t.Fatal("broadcast of 12-byte records onto 16-byte pages must fail")
 	}
 	for node, w := range e.Workers {
@@ -334,15 +360,7 @@ func TestExchangeAndBroadcastDropTargetOnFailure(t *testing.T) {
 	}
 	// The same calls still work, and leave their set, when nothing fails.
 	key := func(r Row) []byte { return r[4:8] }
-	if err := e.Exchange("tmp-exchanged", func(node int) Iter {
-		return func(emit func(Row) error) error {
-			s, err := e.Set(node, "src")
-			if err != nil {
-				return err
-			}
-			return ScanSpec{Set: s}.Run(func(_ int, r Row) error { return emit(r) })
-		}
-	}, key, 64<<10); err != nil {
+	if err := e.Exchange("tmp-exchanged", scanSource(e, "src", nil), key, 64<<10); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Set(0, "tmp-exchanged"); err != nil {

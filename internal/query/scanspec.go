@@ -222,19 +222,19 @@ func (sp ScanSpec) Run(fn func(thread int, row Row) error) error {
 // join's output).
 type Stage func(thread int, b *Batch) (*Batch, error)
 
-// runStaged is RunBatches with stage (nil allowed) applied to each batch
-// before fn sees it.
-func (sp ScanSpec) runStaged(stage Stage, fn func(thread int, b *Batch) error) error {
+// Then returns fn with the stage (nil allowed) applied to each batch before
+// fn sees it.
+func (stage Stage) Then(fn func(thread int, b *Batch) error) func(thread int, b *Batch) error {
 	if stage == nil {
-		return sp.RunBatches(fn)
+		return fn
 	}
-	return sp.RunBatches(func(t int, b *Batch) error {
+	return func(t int, b *Batch) error {
 		b, err := stage(t, b)
 		if err != nil {
 			return err
 		}
 		return fn(t, b)
-	})
+	}
 }
 
 // AggBatches runs the scan → stage → hash-aggregate pipeline on one node:
@@ -243,17 +243,17 @@ func (sp ScanSpec) runStaged(stage Stage, fn func(thread int, b *Batch) error) e
 // Executor.DistributedMerge combines the per-node maps.
 func (sp ScanSpec) AggBatches(bp *core.BufferPool, tmp string, stage Stage, agg Agg) (map[string][]byte, error) {
 	return Aggregate(bp, tmp, sp.threads(), agg, func(fn func(int, *Batch) error) error {
-		return sp.runStaged(stage, fn)
+		return sp.RunBatches(stage.Then(fn))
 	})
 }
 
 // CountBatches counts the rows the predicate and stage (nil allowed) keep.
 func (sp ScanSpec) CountBatches(stage Stage) (int64, error) {
 	counts := make([]int64, sp.threads())
-	err := sp.runStaged(stage, func(t int, b *Batch) error {
+	err := sp.RunBatches(stage.Then(func(t int, b *Batch) error {
 		counts[t] += int64(b.Selected())
 		return nil
-	})
+	}))
 	var total int64
 	for _, c := range counts {
 		total += c

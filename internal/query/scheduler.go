@@ -114,20 +114,22 @@ func (e *Executor) Exchange(name string, sources func(node int) Iter, key func(R
 	})
 }
 
-// Broadcast replicates the union of a distributed set onto every node as a
-// fresh local set — the broadcast service feeding broadcast joins. Each
-// source node is streamed by its own goroutine into one shared sender, so
-// sends to different nodes overlap. A failed broadcast leaves no target set.
-func (e *Executor) Broadcast(source, target string, pageSize int64) (err error) {
+// Broadcast replicates the rows each node's source emits onto every node as
+// a fresh local set, target — the broadcast service feeding broadcast joins.
+// Like Exchange, each node's rows are read where they lie, so a source that
+// filters ships only its survivors; every node's scan threads send through
+// one shared sender, so sends to different nodes overlap. A failed broadcast
+// leaves no target set.
+func (e *Executor) Broadcast(target string, sources func(node int) Iter, pageSize int64) (err error) {
 	defer e.dropOnFailure(target, &err)
 	if err := e.Client.CreateSet(target, pageSize, uint8(core.WriteBack)); err != nil {
 		return err
 	}
 	s := placement.NewSender(e.Client, e.Addrs, target)
 	err = e.Parallel(func(node int, w *cluster.Worker) error {
-		return placement.Stream(e.Client, e.Addrs[node:node+1], source, func(_ int, rec []byte) error {
+		return sources(node)(func(r Row) error {
 			for dst := range e.Addrs {
-				if err := s.Send(dst, rec); err != nil {
+				if err := s.Send(dst, r); err != nil {
 					return err
 				}
 			}

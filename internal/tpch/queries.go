@@ -161,7 +161,13 @@ func (r *Runner) input(table, scheme string, key func(query.Row) []byte, pred qu
 
 // exchange repartitions table's rows matching pred onto the new set tmp.
 func (r *Runner) exchange(tmp, table string, key func(query.Row) []byte, pred query.Predicate) error {
-	return r.E.Exchange(tmp, func(node int) query.Iter {
+	return r.E.Exchange(tmp, r.rows(table, pred), key, r.PageSize)
+}
+
+// rows streams, on each node, the rows of its partition of table that match
+// pred: the source of an exchange or a broadcast, filtered where it lies.
+func (r *Runner) rows(table string, pred query.Predicate) func(node int) query.Iter {
+	return func(node int) query.Iter {
 		return func(emit func(query.Row) error) error {
 			sp, err := r.spec(node, table, table, pred)
 			if err != nil {
@@ -169,13 +175,13 @@ func (r *Runner) exchange(tmp, table string, key func(query.Row) []byte, pred qu
 			}
 			return sp.RunBatches(func(_ int, b *query.Batch) error { return query.ProjectBatch(b, emit) })
 		}
-	}, key, r.PageSize)
+	}
 }
 
 // build constructs one node's join build side from the rows of set matching
-// pred: keyCol is the join key, cols the columns the probe side will read.
-// The caller must drop the returned join.
-func (r *Runner) build(node int, tag, set, table string, pred query.Predicate, keyCol int, cols ...int) (*query.Join, error) {
+// pred that stage (nil allowed) keeps: keyCol is the join key, cols the
+// columns the probe side will read. The caller must drop the returned join.
+func (r *Runner) build(node int, tag, set, table string, pred query.Predicate, stage query.Stage, keyCol int, cols ...int) (*query.Join, error) {
 	sp, err := r.spec(node, set, table, pred)
 	if err != nil {
 		return nil, err
@@ -188,7 +194,7 @@ func (r *Runner) build(node int, tag, set, table string, pred query.Predicate, k
 	if err != nil {
 		return nil, err
 	}
-	err = sp.RunBatches(func(_ int, b *query.Batch) error { return j.Add(b, keyCol, cols...) })
+	err = sp.RunBatches(stage.Then(func(_ int, b *query.Batch) error { return j.Add(b, keyCol, cols...) }))
 	if err == nil {
 		err = j.Seal()
 	}
@@ -223,8 +229,15 @@ func (r *Runner) marked(node int, tag string, j *query.Join, set, table string, 
 	if err := sp.RunBatches(func(_ int, b *query.Batch) error { return j.Mark(b, keyCol) }); err != nil {
 		return nil, err
 	}
+	return r.fold(node, tag, j, want, nil, agg)
+}
+
+// fold aggregates, through stage (nil allowed), the build records of j that
+// a probe marked (want) or did not; a join never probed with Mark folds all
+// of its records with want false.
+func (r *Runner) fold(node int, tag string, j *query.Join, want bool, stage query.Stage, agg query.Agg) (map[string][]byte, error) {
 	return query.Aggregate(r.E.Workers[node].Pool(), r.tempName(tag), 1, agg,
-		func(fn func(int, *query.Batch) error) error { return j.Marked(want, fn) })
+		func(fn func(int, *query.Batch) error) error { return j.Marked(want, stage.Then(fn)) })
 }
 
 // semi is the pipeline stage that keeps the rows with a match in j.
@@ -320,63 +333,46 @@ func (r *Runner) Q01() (Result, error) {
 
 // --- Q02: minimum cost supplier ---------------------------------------------
 
-// Q02 broadcasts the small part and supplier tables, builds each node's two
-// dimension joins from them once, then makes two distributed passes over
-// partsupp: one to find each wanted part's minimum supply cost in the
-// region, one to count the pairs achieving it.
+// Q02 broadcasts the wanted parts and the region's suppliers and builds each
+// node's two dimension joins from the copies. One pass over partsupp keeps
+// the offers of a wanted part by a supplier of the region in a per-node
+// candidate join; the per-part minimum supply cost, merged across nodes, and
+// then the offers at that minimum are folds over the candidates.
 func (r *Runner) Q02() (Result, error) {
-	partB, suppB := r.tempName("q02part"), r.tempName("q02supp")
-	if err := r.E.Broadcast("part", partB, r.PageSize); err != nil {
-		return nil, err
-	}
-	defer r.E.DropEverywhere(partB)
-	if err := r.E.Broadcast("supplier", suppB, r.PageSize); err != nil {
-		return nil, err
-	}
-	defer r.E.DropEverywhere(suppB)
-
-	// Per-node dimension joins: the wanted parts (keys only) and the
-	// region's suppliers with their balance.
-	wanted := make([]*query.Join, len(r.E.Workers))
-	supp := make([]*query.Join, len(r.E.Workers))
+	n := len(r.E.Workers)
+	wanted, supp, cands := make([]*query.Join, n), make([]*query.Join, n), make([]*query.Join, n)
 	defer func() {
-		for node := range wanted {
-			if wanted[node] != nil {
-				drop(wanted[node])
-			}
-			if supp[node] != nil {
-				drop(supp[node])
+		for _, js := range [][]*query.Join{wanted, supp, cands} {
+			for _, j := range js {
+				if j != nil {
+					drop(j)
+				}
 			}
 		}
 	}()
-	err := r.E.Parallel(func(node int, _ *cluster.Worker) (err error) {
-		wanted[node], err = r.build(node, "q02wanted", partB, "part", query.And{
-			query.ColEq{Col: PartColSize, V: uint64(Q02Size)},
-			query.ColEq{Col: PartColTypeSuffix, V: TypeSuffixBrass},
-		}, PartColPartKey)
-		if err != nil {
-			return err
-		}
-		supp[node], err = r.build(node, "q02region", suppB, "supplier", q02SuppPred(), SuppColSuppKey, SuppColAcctBal)
-		return err
-	})
-	if err != nil {
+	if err := r.q02Dims(wanted, supp); err != nil {
 		return nil, err
 	}
 
-	// Pass 1: minimum supply cost per wanted part among the region's
-	// suppliers.
-	minAgg := query.Agg{Keys: []int{PsColPartKey}, Folds: []query.Fold{query.Min(PsColSupplyCost)}}
-	minCost, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		return r.aggregate(node, "q02min", "partsupp", "partsupp", nil,
-			chain(semi(wanted[node], PsColPartKey), semi(supp[node], PsColSuppKey)), minAgg)
+	// Pass 1 builds the candidates, (ps_partkey, ps_suppkey, ps_supplycost),
+	// and folds the minimum supply cost per part.
+	minAgg := query.Agg{Keys: []int{0}, Folds: []query.Fold{query.Min(2)}}
+	minCost, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (_ map[string][]byte, err error) {
+		cands[node], err = r.build(node, "q02cand", "partsupp", "partsupp", nil,
+			chain(semi(wanted[node], PsColPartKey), semi(supp[node], PsColSuppKey)),
+			PsColPartKey, PsColPartKey, PsColSuppKey, PsColSupplyCost)
+		if err != nil {
+			return nil, err
+		}
+		return r.fold(node, "q02min", cands[node], false, nil, minAgg)
 	}, minAgg.Combine)
 	if err != nil {
 		return nil, err
 	}
 
-	// Pass 2: join partsupp with the minima, keep the pairs at the minimum,
-	// join those with the region's suppliers, count them and sum balances.
+	// Pass 2: join the candidates with the minima, keep those at the
+	// minimum, join them with the region's suppliers, count them and sum
+	// balances.
 	sumAgg := query.Agg{Folds: []query.Fold{query.Count(), query.Sum(0)}} // s_acctbal
 	m, err := r.E.DistributedMerge(func(node int, w *cluster.Worker) (map[string][]byte, error) {
 		best, err := query.NewJoin(w.Pool(), r.tempName("q02best"), r.PageSize, 8)
@@ -393,15 +389,41 @@ func (r *Runner) Q02() (Result, error) {
 			return nil, err
 		}
 		// After the first join: ps_suppkey, ps_supplycost, minimum cost.
-		atMin := r.inner(best, PsColPartKey, []int{PsColSuppKey, PsColSupplyCost},
+		atMin := r.inner(best, 0, []int{1, 2},
 			func(b *query.Batch, row int) bool { return b.F64(1, row) == b.F64(2, row) })
 		withSupp := r.inner(supp[node], 0, nil, nil)
-		return r.aggregate(node, "q02", "partsupp", "partsupp", nil, chain(atMin, withSupp), sumAgg)
+		return r.fold(node, "q02", cands[node], false, chain(atMin, withSupp), sumAgg)
 	}, sumAgg.Combine)
 	if err != nil {
 		return nil, err
 	}
 	return Result{"*": total(m, 2)}, nil
+}
+
+// q02Dims broadcasts the parts of Q02's size and type and the suppliers of
+// its region, filtered where they lie, builds each node's joins from the
+// copies — the parts' keys; the suppliers' keys and balances — and drops the
+// copies.
+func (r *Runner) q02Dims(wanted, supp []*query.Join) error {
+	partB, suppB := r.tempName("q02part"), r.tempName("q02supp")
+	if err := r.E.Broadcast(partB, r.rows("part", query.And{
+		query.ColEq{Col: PartColSize, V: uint64(Q02Size)},
+		query.ColEq{Col: PartColTypeSuffix, V: TypeSuffixBrass},
+	}), r.PageSize); err != nil {
+		return err
+	}
+	defer r.E.DropEverywhere(partB)
+	if err := r.E.Broadcast(suppB, r.rows("supplier", q02SuppPred()), r.PageSize); err != nil {
+		return err
+	}
+	defer r.E.DropEverywhere(suppB)
+	return r.E.Parallel(func(node int, _ *cluster.Worker) (err error) {
+		if wanted[node], err = r.build(node, "q02wanted", partB, "part", nil, nil, PartColPartKey); err != nil {
+			return err
+		}
+		supp[node], err = r.build(node, "q02region", suppB, "supplier", nil, nil, SuppColSuppKey, SuppColAcctBal)
+		return err
+	})
 }
 
 // --- Q04: order priority checking -------------------------------------------
@@ -425,7 +447,7 @@ func (r *Runner) Q04() (Result, error) {
 
 	agg := query.Agg{Keys: []int{0}, Folds: []query.Fold{query.Count()}} // o_orderpriority
 	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		orders, err := r.build(node, "q04orders", ordSet, "orders", q04OrdPred(), OrdColOrderKey, OrdColOrderPriority)
+		orders, err := r.build(node, "q04orders", ordSet, "orders", q04OrdPred(), nil, OrdColOrderKey, OrdColOrderPriority)
 		if err != nil {
 			return nil, err
 		}
@@ -477,7 +499,7 @@ func (r *Runner) Q12() (Result, error) {
 	// Joined rows are (o_orderpriority, l_shipmode).
 	agg := query.Agg{Keys: []int{1, 0}, Folds: []query.Fold{query.Count()}}
 	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		lines, err := r.build(node, "q12lines", liSet, "lineitem", q12LiPred(), LiColOrderKey, LiColShipMode)
+		lines, err := r.build(node, "q12lines", liSet, "lineitem", q12LiPred(), nil, LiColOrderKey, LiColShipMode)
 		if err != nil {
 			return nil, err
 		}
@@ -506,7 +528,10 @@ func (r *Runner) Q12() (Result, error) {
 // --- Q13: customer distribution ----------------------------------------------
 
 // Q13 counts non-special orders per customer on the o_custkey organization,
-// then histograms customers by order count (including zero).
+// which puts all of a customer's orders on one node, so each node histograms
+// its customers by order count and the nodes' histograms add up. A node's
+// zero bucket is its customers less its customers with orders: summed, the
+// customers without any.
 func (r *Runner) Q13() (Result, error) {
 	ordSet, ordClean, err := r.input("orders", SchemeOCustKey, OCustKey, q13OrdPred())
 	if err != nil {
@@ -515,37 +540,43 @@ func (r *Runner) Q13() (Result, error) {
 	defer ordClean()
 
 	agg := query.Agg{Keys: []int{OrdColCustKey}, Folds: []query.Fold{query.Count()}}
-	counts, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		return r.aggregate(node, "q13", ordSet, "orders", q13OrdPred(), nil, agg)
+	hist, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
+		counts, err := r.aggregate(node, "q13", ordSet, "orders", q13OrdPred(), nil, agg)
+		if err != nil {
+			return nil, err
+		}
+		sp, err := r.spec(node, "customer", "customer", nil)
+		if err != nil {
+			return nil, err
+		}
+		customers, err := sp.CountBatches(nil)
+		if err != nil {
+			return nil, err
+		}
+		// A bucket's key is its order count as a float64, a count's value.
+		h := make(map[string][]byte)
+		add := func(count []byte, n float64) {
+			v := h[string(count)]
+			if v == nil {
+				v = make([]byte, 8)
+				h[string(count)] = v
+			}
+			putF64(v, getF64(v)+n)
+		}
+		for _, count := range counts {
+			add(count, 1)
+		}
+		add(make([]byte, 8), float64(customers-int64(len(counts)))) // a count of 0
+		return h, nil
 	}, agg.Combine)
 	if err != nil {
 		return nil, err
 	}
-	var totalCustomers atomic.Int64
-	err = r.E.Parallel(func(node int, _ *cluster.Worker) error {
-		sp, err := r.spec(node, "customer", "customer", nil)
-		if err != nil {
-			return err
-		}
-		n, err := sp.CountBatches(nil)
-		totalCustomers.Add(n)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	hist := make(map[int]float64)
-	for _, v := range counts {
-		hist[int(getF64(v))]++
-	}
-	hist[0] += float64(totalCustomers.Load() - int64(len(counts)))
-	if hist[0] == 0 {
-		delete(hist, 0)
-	}
 	out := Result{}
-	for cnt, n := range hist {
-		out[fmt.Sprintf("%d", cnt)] = []float64{n}
+	for count, v := range hist {
+		if n := getF64(v); n != 0 {
+			out[fmt.Sprintf("%d", int(getF64([]byte(count))))] = []float64{n}
+		}
 	}
 	return out, nil
 }
@@ -570,7 +601,7 @@ func (r *Runner) Q14() (Result, error) {
 	// Joined rows are (l_extendedprice, l_discount, p_promo).
 	agg := query.Agg{Keys: []int{2}, Folds: []query.Fold{query.SumProduct(query.Of(0), query.OneMinus(1))}}
 	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		parts, err := r.build(node, "q14part", partSet, "part", nil, PartColPartKey, PartColPromo)
+		parts, err := r.build(node, "q14part", partSet, "part", nil, nil, PartColPartKey, PartColPromo)
 		if err != nil {
 			return nil, err
 		}
@@ -596,8 +627,10 @@ func (r *Runner) Q14() (Result, error) {
 // --- Q17: small-quantity-order revenue ----------------------------------------
 
 // Q17 needs each wanted part's average lineitem quantity, which is
-// node-local on the l_partkey organization: two local passes over lineitem
-// against local joins, no data movement at all in replica mode.
+// node-local on the l_partkey organization: one local pass over lineitem
+// keeps the wanted parts' lines in a local join, and the per-part average
+// and then the small-quantity revenue are folds over those lines — no data
+// movement at all in replica mode.
 func (r *Runner) Q17() (Result, error) {
 	liSet, liClean, err := r.input("lineitem", SchemeLPartKey, LPartKey, nil)
 	if err != nil {
@@ -610,23 +643,29 @@ func (r *Runner) Q17() (Result, error) {
 	}
 	defer partClean()
 
-	// Pass 1 accumulates [quantity sum, line count] per wanted part; pass
-	// 2's joined rows are (l_quantity, l_extendedprice, 0.2 × the part's
-	// average quantity).
-	avgAgg := query.Agg{Keys: []int{LiColPartKey}, Folds: []query.Fold{query.Sum(LiColQuantity), query.Count()}}
+	// The lines are (l_partkey, l_quantity, l_extendedprice). Pass 1 folds
+	// [quantity sum, line count] per part; pass 2's joined rows are
+	// (l_quantity, l_extendedprice, 0.2 × the part's average quantity).
+	avgAgg := query.Agg{Keys: []int{0}, Folds: []query.Fold{query.Sum(1), query.Count()}}
 	sumAgg := query.Agg{Folds: []query.Fold{query.Sum(1)}}
 	m, err := r.E.DistributedMerge(func(node int, w *cluster.Worker) (map[string][]byte, error) {
 		// The local part filter (brand + container), keys only.
 		wanted, err := r.build(node, "q17part", partSet, "part", query.And{
 			query.ColEq{Col: PartColBrand, V: uint64(Q17Brand)},
 			query.ColEq{Col: PartColContainer, V: uint64(Q17Container)},
-		}, PartColPartKey)
+		}, nil, PartColPartKey)
 		if err != nil {
 			return nil, err
 		}
-		defer drop(wanted)
-		// Local pass 1 (exact under partkey co-partitioning).
-		avgs, err := r.aggregate(node, "q17avg", liSet, "lineitem", nil, semi(wanted, LiColPartKey), avgAgg)
+		// The one pass over lineitem (exact under partkey co-partitioning).
+		lines, err := r.build(node, "q17lines", liSet, "lineitem", nil, semi(wanted, LiColPartKey),
+			LiColPartKey, LiColPartKey, LiColQuantity, LiColExtendedPrice)
+		drop(wanted)
+		if err != nil {
+			return nil, err
+		}
+		defer drop(lines)
+		avgs, err := r.fold(node, "q17avg", lines, false, nil, avgAgg)
 		if err != nil {
 			return nil, err
 		}
@@ -645,9 +684,9 @@ func (r *Runner) Q17() (Result, error) {
 		if err := small.Seal(); err != nil {
 			return nil, err
 		}
-		// Local pass 2: sum prices of the wanted parts' small-quantity lines.
-		return r.aggregate(node, "q17", liSet, "lineitem", nil,
-			r.inner(small, LiColPartKey, []int{LiColQuantity, LiColExtendedPrice},
+		// Pass 2: sum prices of the wanted parts' small-quantity lines.
+		return r.fold(node, "q17", lines, false,
+			r.inner(small, 0, []int{1, 2},
 				func(b *query.Batch, row int) bool { return float64(b.U32(0, row)) < b.F64(2, row) }),
 			sumAgg)
 	}, sumAgg.Combine)
@@ -697,7 +736,7 @@ func (r *Runner) Q22() (Result, error) {
 	// Built rows are (c_phonecode, c_acctbal).
 	agg := query.Agg{Keys: []int{0}, Folds: []query.Fold{query.Count(), query.Sum(1)}}
 	m, err := r.E.DistributedMerge(func(node int, _ *cluster.Worker) (map[string][]byte, error) {
-		custs, err := r.build(node, "q22cust", custSet, "customer", nil, CustColCustKey, CustColPhoneCode, CustColAcctBal)
+		custs, err := r.build(node, "q22cust", custSet, "customer", nil, nil, CustColCustKey, CustColPhoneCode, CustColAcctBal)
 		if err != nil {
 			return nil, err
 		}

@@ -183,3 +183,38 @@ func TestQueriesMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestQ13CountsCustomersWithoutOrders: Q13 histograms customers on each node
+// and adds the nodes' histograms, each node's zero bucket being its customers
+// less its customers with orders. The generator leaves almost no customer
+// without an order, so here every fourth customer loses all of theirs.
+func TestQ13CountsCustomersWithoutOrders(t *testing.T) {
+	d := Generate(0.002, 9)
+	orders := d.Orders[:0]
+	for _, rec := range d.Orders {
+		if DecodeOrders(rec).CustKey%4 != 0 {
+			orders = append(orders, rec)
+		}
+	}
+	d.Orders = orders
+	want := RefQ13(d)
+	if want["0"] == nil {
+		t.Fatal("the reference has no customer without orders")
+	}
+	e := startExec(t, 3)
+	if err := Load(e, d, 256<<10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildReplicas(e, 256<<10); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []bool{true, false} {
+		got, err := NewRunner(e, 2, mode).Q13()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ResultsEqual(want, got, 1e-9); err != nil {
+			t.Errorf("mode=%v: %v", mode, err)
+		}
+	}
+}
