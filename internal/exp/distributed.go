@@ -156,22 +156,22 @@ func runKMeansStudy(o Options) (*kmeansStudy, error) {
 		total := poolPerNode * int64(nodes)
 		sparkSetups := []struct {
 			name    string
-			storage func() (layered.Storage, func(), error)
+			storage func() (*layered.Storage, func(), error)
 			pool    int64
 		}{
-			{"Spark w/ HDFS", func() (layered.Storage, func(), error) {
+			{"Spark w/ HDFS", func() (*layered.Storage, func(), error) {
 				arr, err := disk.NewArray(filepath.Join(o.Dir, fmt.Sprintf("fig3-hdfs-%d", scale)), 1, diskConfig())
 				if err != nil {
 					return nil, nil, err
 				}
 				return layered.NewHDFSStorage(arr, total/3), func() { _ = arr.RemoveAll() }, nil
 			}, total * 2 / 3},
-			{"Spark w/ Alluxio", func() (layered.Storage, func(), error) {
+			{"Spark w/ Alluxio", func() (*layered.Storage, func(), error) {
 				// Alluxio gets the lion's share (the paper gave it 15 of
 				// 50 GB), leaving Spark a thin RDD cache.
 				return layered.NewAlluxioStorage(total * 3 / 2), func() {}, nil
 			}, total / 4},
-			{"Spark w/ Ignite", func() (layered.Storage, func(), error) {
+			{"Spark w/ Ignite", func() (*layered.Storage, func(), error) {
 				// The off-heap region fits ×1 but not ×2 — the segfault.
 				return layered.NewIgniteStorage(int64(float64(baseN) * 100 * 1.6)), func() {}, nil
 			}, total / 4},

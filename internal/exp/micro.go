@@ -128,10 +128,7 @@ func Fig7(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			vm, err := layered.NewOSVM(d, mem, true)
-			if err != nil {
-				return nil, err
-			}
+			vm := layered.NewOSVM(d, mem)
 			start := time.Now()
 			addrs := make([]int64, n)
 			for i, obj := range objs {

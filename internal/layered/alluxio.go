@@ -62,16 +62,3 @@ func (a *Alluxio) Scan(name string, fn func(obj []byte) error) error {
 
 // Used reports the worker memory in use.
 func (a *Alluxio) Used() int64 { return int64(len(a.buf)) }
-
-// Capacity reports the configured worker memory.
-func (a *Alluxio) Capacity() int64 { return a.capacity }
-
-// Remove drops a file. Like a log-structured worker, memory is reclaimed
-// only when the whole store empties — large-block deallocation is cheap,
-// which the paper notes both Alluxio and Pangea benefit from.
-func (a *Alluxio) Remove(name string) {
-	delete(a.files, name)
-	if len(a.files) == 0 {
-		a.buf = a.buf[:0]
-	}
-}

@@ -105,14 +105,3 @@ func (h *HDFS) Size(name string) int64 {
 	}
 	return n
 }
-
-// Remove deletes a file's blocks.
-func (h *HDFS) Remove(name string) error {
-	for _, b := range h.blocks[name] {
-		if err := h.fss[b.diskIdx].Remove(b.name); err != nil {
-			return err
-		}
-	}
-	delete(h.blocks, name)
-	return nil
-}

@@ -131,9 +131,3 @@ func (g *Ignite) Used() int64 { return int64(len(g.pages)) * IgnitePageSize }
 
 // Compactions reports how many de-fragmentation passes ran.
 func (g *Ignite) Compactions() int64 { return g.compactions }
-
-// Remove drops a dataset and triggers a compaction to reclaim its space.
-func (g *Ignite) Remove(name string) {
-	delete(g.files, name)
-	_ = g.compact()
-}

@@ -1,6 +1,7 @@
 package layered
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,10 +34,7 @@ func newArray(t *testing.T, n int) *disk.Array {
 // --- OSVM ----------------------------------------------------------------
 
 func TestOSVMReadWriteWithinMemory(t *testing.T) {
-	vm, err := NewOSVM(newDisk(t), 1<<20, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vm := NewOSVM(newDisk(t), 1<<20)
 	addr := vm.Malloc(10000)
 	data := make([]byte, 10000)
 	for i := range data {
@@ -60,10 +58,7 @@ func TestOSVMReadWriteWithinMemory(t *testing.T) {
 }
 
 func TestOSVMSwapsBeyondMemory(t *testing.T) {
-	vm, err := NewOSVM(newDisk(t), 64<<10, false) // 16 resident pages
-	if err != nil {
-		t.Fatal(err)
-	}
+	vm := NewOSVM(newDisk(t), 64<<10) // 16 resident pages
 	const n = 256 << 10
 	addr := vm.Malloc(n)
 	data := make([]byte, n)
@@ -92,26 +87,53 @@ func TestOSVMSwapsBeyondMemory(t *testing.T) {
 
 // TestOSVMPageStealingWritesMore reproduces the §9.2.1 observation: with
 // page stealing the kernel pages out more data than a demand-only pager.
+// Three passes over 32 pages through 16 resident ones dirty 96 page
+// touches; a demand-only LRU pages out all but the 16 left resident, 80.
 func TestOSVMPageStealingWritesMore(t *testing.T) {
-	run := func(stealing bool) int64 {
-		vm, err := NewOSVM(newDisk(t), 64<<10, stealing)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := vm.Malloc(128 << 10)
-		buf := make([]byte, 1024)
-		for pass := 0; pass < 3; pass++ {
-			for off := int64(0); off < 128<<10; off += 1024 {
-				if err := vm.Write(addr+off, buf); err != nil {
-					t.Fatal(err)
-				}
+	vm := NewOSVM(newDisk(t), 64<<10)
+	addr := vm.Malloc(128 << 10)
+	buf := make([]byte, 1024)
+	for pass := 0; pass < 3; pass++ {
+		for off := int64(0); off < 128<<10; off += 1024 {
+			if err := vm.Write(addr+off, buf); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return vm.SwapBytes()
 	}
-	demand, stealing := run(false), run(true)
-	if stealing <= demand {
-		t.Errorf("page stealing wrote %d bytes, demand paging %d; stealing should write more", stealing, demand)
+	if got, demand := vm.PageOuts(), int64(3*32-16); got <= demand {
+		t.Errorf("page stealing paged out %d pages, demand paging %d; stealing should page out more", got, demand)
+	}
+}
+
+// TestOSVMFreeAllAfterSwapping: FreeAll empties the page cache, and a new
+// allocation at the same address reads zeros, not the swapped-out bytes.
+func TestOSVMFreeAllAfterSwapping(t *testing.T) {
+	vm := NewOSVM(newDisk(t), 64<<10)
+	data := bytes.Repeat([]byte{0xCD}, 256<<10)
+	if err := vm.Write(vm.Malloc(int64(len(data))), data); err != nil {
+		t.Fatal(err)
+	}
+	if vm.PageOuts() == 0 {
+		t.Fatal("expected swap-outs")
+	}
+	vm.FreeAll()
+	if got := vm.fs.CachedBytes(); got != 0 {
+		t.Errorf("page cache holds %d bytes after FreeAll", got)
+	}
+	addr := vm.Malloc(OSVMPageSize)
+	if addr != 0 {
+		t.Fatalf("Malloc after FreeAll = %d, want 0", addr)
+	}
+	ins := vm.PageIns()
+	out := make([]byte, OSVMPageSize)
+	if err := vm.Read(addr, out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, make([]byte, OSVMPageSize)) {
+		t.Error("freed memory read back non-zero")
+	}
+	if vm.PageIns() != ins {
+		t.Errorf("reading fresh memory paged in %d pages", vm.PageIns()-ins)
 	}
 }
 
@@ -164,6 +186,73 @@ func TestOSFSEvictsBeyondCache(t *testing.T) {
 		if out[i] != data[i] {
 			t.Fatalf("byte %d mismatch after cache eviction", i)
 		}
+	}
+}
+
+// TestOSFSPartialWriteKeepsRestOfPage: a short write at the start of a
+// page that was written back must not zero the rest of it.
+func TestOSFSPartialWriteKeepsRestOfPage(t *testing.T) {
+	fs := NewOSFS(newDisk(t), 64<<10)
+	if err := fs.WriteAt("f", bytes.Repeat([]byte{0xAB}, OSVMPageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync("f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteAt("g", make([]byte, 128<<10), 0); err != nil { // evicts f's page
+		t.Fatal(err)
+	}
+	if err := fs.WriteAt("f", []byte{1, 2, 3}, 0); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, OSVMPageSize)
+	if err := fs.ReadAt("f", out, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i < len(out); i++ {
+		if out[i] != 0xAB {
+			t.Fatalf("byte %d = %#x after a 3-byte write at offset 0", i, out[i])
+		}
+	}
+}
+
+// TestOSFSStealsLeastRecentlyUsed: page stealing takes the least recently
+// used pages, so a page touched again survives pages touched once before it.
+func TestOSFSStealsLeastRecentlyUsed(t *testing.T) {
+	fs := NewOSFS(newDisk(t), 64<<10) // 16 pages: steal to 12 above 14
+	touch := func(num int64) {
+		t.Helper()
+		if err := fs.WriteAt("f", bytes.Repeat([]byte{byte(num)}, OSVMPageSize), num*OSVMPageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for num := int64(0); num < 12; num++ {
+		touch(num)
+	}
+	touch(0)
+	for num := int64(12); num < 15; num++ {
+		touch(num)
+	}
+	if fs.pageOuts != 3 {
+		t.Fatalf("stealing wrote back %d pages, want 3", fs.pageOuts)
+	}
+	read := func(num int64) (hit bool, pagedIn bool) {
+		t.Helper()
+		hits, ins := fs.hits, fs.pageIns
+		out := make([]byte, OSVMPageSize)
+		if err := fs.ReadAt("f", out, num*OSVMPageSize); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, bytes.Repeat([]byte{byte(num)}, OSVMPageSize)) {
+			t.Fatalf("page %d read back wrong bytes", num)
+		}
+		return fs.hits > hits, fs.pageIns > ins
+	}
+	if hit, in := read(0); !hit || in {
+		t.Errorf("page 0: hit=%v paged in=%v; the page touched again must stay cached", hit, in)
+	}
+	if hit, in := read(1); hit || !in {
+		t.Errorf("page 1: hit=%v paged in=%v; the least recently used page must be stolen", hit, in)
 	}
 }
 
@@ -310,7 +399,7 @@ func sparkPoints(n, dim int) [][]byte {
 func TestSparkKMeansOverEachStorage(t *testing.T) {
 	const n, dim, k = 2000, 4, 2
 	pts := sparkPoints(n, dim)
-	stores := []Storage{
+	stores := []*Storage{
 		NewHDFSStorage(newArray(t, 1), 4<<20),
 		NewAlluxioStorage(8 << 20),
 		NewIgniteStorage(8 << 20),
@@ -369,6 +458,36 @@ func TestSparkOverAlluxioDoubleCaches(t *testing.T) {
 	dataBytes := int64(n * dim * 8)
 	if m.PeakMemory < 2*dataBytes {
 		t.Errorf("peak memory %d < 2× data %d; double caching not captured", m.PeakMemory, 2*dataBytes)
+	}
+}
+
+// TestRDDCacheEvictsLeastRecentlyUsed: get refreshes a block, put evicts
+// whole blocks oldest first until the new one fits, and used is the sum of
+// the resident blocks.
+func TestRDDCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	c := newRDDCache(100)
+	for _, id := range []string{"a", "b", "c"} {
+		c.put(id, nil, 30)
+	}
+	if _, ok := c.get("a"); !ok {
+		t.Fatal("a missing")
+	}
+	c.put("d", nil, 50) // needs 40 more: evicts b, then c
+	for id, want := range map[string]bool{"a": true, "b": false, "c": false, "d": true} {
+		if _, ok := c.get(id); ok != want {
+			t.Errorf("%s cached = %v, want %v", id, ok, want)
+		}
+	}
+	var sum int64
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		sum += e.Value.(*rddBlock).size
+	}
+	if c.used != sum || c.used != 80 {
+		t.Errorf("used = %d, resident blocks sum to %d, want 80", c.used, sum)
+	}
+	c.put("e", nil, 101) // larger than the cache: not cached, nothing evicted
+	if _, ok := c.get("e"); ok || c.used != 80 {
+		t.Errorf("oversized block: cached=%v used=%d", ok, c.used)
 	}
 }
 
@@ -438,5 +557,41 @@ func TestRedisIncrGetRoundTrip(t *testing.T) {
 	}
 	if _, ok, _ := c.Get("absent"); ok {
 		t.Error("absent key reported present")
+	}
+}
+
+// BenchmarkOSFSMiss is one in-order 4 KiB read an op of a file twice the
+// page cache's size, so every read misses and reclaims.
+func BenchmarkOSFSMiss(b *testing.B) {
+	for _, pages := range []int64{512, 8192} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			d, err := disk.Open(b.TempDir(), disk.Unthrottled())
+			if err != nil {
+				b.Fatal(err)
+			}
+			fs := NewOSFS(d, pages*OSVMPageSize)
+			filePages := 2 * pages
+			buf := make([]byte, OSVMPageSize)
+			for num := int64(0); num < filePages; num++ {
+				if err := fs.WriteAt("f", buf, num*OSVMPageSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := fs.Sync("f"); err != nil {
+				b.Fatal(err)
+			}
+			_, before := fs.CacheStats()
+			b.SetBytes(OSVMPageSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := fs.ReadAt("f", buf, int64(i)%filePages*OSVMPageSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if _, misses := fs.CacheStats(); misses-before != int64(b.N) {
+				b.Fatalf("%d misses in %d reads", misses-before, b.N)
+			}
+		})
 	}
 }

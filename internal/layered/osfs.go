@@ -1,170 +1,168 @@
 package layered
 
 import (
+	"container/list"
 	"fmt"
 
 	"pangea/internal/disk"
 )
 
 // OSFS models a file system behind the POSIX read/write interface: every
-// operation copies between the user buffer and a kernel buffer cache of
-// 4 KB pages under global LRU with page stealing. Pangea's direct-I/O
+// operation copies between the user buffer and a kernel page cache of
+// 4 KB pages under one global LRU with page stealing. Pangea's direct-I/O
 // shared-memory path avoids both the copy and the double caching (§4, §9.2.1).
+// It is the one kernel page cache of this package: OSVM pages anonymous
+// memory through a swap file in its own OSFS.
 type OSFS struct {
 	d        *disk.Disk
 	capPages int
+	files    map[string]*osFile
+	lru      *list.List // of *fsPage, front = least recently used
 
-	files map[string]*osFile
-	// cache is the kernel buffer cache.
-	cache map[fsPageKey][]byte
-	dirty map[fsPageKey]bool
-	lru   []fsPageKey
-
-	hits, misses int64
-}
-
-type fsPageKey struct {
-	file string
-	num  int64
+	hits, misses      int64
+	pageIns, pageOuts int64 // pages read from and written back to the drive
 }
 
 type osFile struct {
-	f    *disk.File
-	size int64
-	// flushed is the on-disk high-water mark: pages wholly beyond it have
-	// never been written back, so a cache miss on them must not issue a
-	// read-modify-write disk read.
-	flushed int64
+	name  string
+	f     *disk.File // created at the first write-back
+	pages []*fsPage  // by page number; nil for a page never touched
 }
 
-// NewOSFS mounts a simulated OS file system with a buffer cache of
+type fsPage struct {
+	file   *osFile
+	num    int64
+	data   []byte        // nil when not cached
+	elem   *list.Element // in OSFS.lru while cached
+	dirty  bool
+	onDisk bool // written back at least once, so a miss must read it
+}
+
+// NewOSFS mounts a simulated OS file system with a page cache of
 // cacheBytes on drive d.
 func NewOSFS(d *disk.Disk, cacheBytes int64) *OSFS {
 	return &OSFS{
 		d:        d,
 		capPages: int(cacheBytes / OSVMPageSize),
 		files:    make(map[string]*osFile),
-		cache:    make(map[fsPageKey][]byte),
-		dirty:    make(map[fsPageKey]bool),
+		lru:      list.New(),
 	}
 }
 
-func (fs *OSFS) file(name string) (*osFile, error) {
-	if f, ok := fs.files[name]; ok {
-		return f, nil
+func (fs *OSFS) file(name string) *osFile {
+	of, ok := fs.files[name]
+	if !ok {
+		of = &osFile{name: name}
+		fs.files[name] = of
 	}
-	f, err := fs.d.Create("osfs-" + name)
-	if err != nil {
-		return nil, err
-	}
-	of := &osFile{f: f}
-	fs.files[name] = of
-	return of, nil
+	return of
 }
 
-func (fs *OSFS) bump(k fsPageKey) {
-	if n := len(fs.lru); n > 0 && fs.lru[n-1] == k {
-		return // sequential fast path: already most recent
-	}
-	for i, e := range fs.lru {
-		if e == k {
-			copy(fs.lru[i:], fs.lru[i+1:])
-			fs.lru[len(fs.lru)-1] = k
-			return
+func (fs *OSFS) writeBack(p *fsPage) error {
+	of := p.file
+	if of.f == nil {
+		f, err := fs.d.Create("osfs-" + of.name)
+		if err != nil {
+			return err
 		}
+		of.f = f
 	}
-	fs.lru = append(fs.lru, k)
+	if _, err := of.f.WriteAt(p.data, p.num*OSVMPageSize); err != nil {
+		return fmt.Errorf("layered: osfs write-back: %w", err)
+	}
+	fs.pageOuts++
+	p.dirty, p.onDisk = false, true
+	return nil
 }
 
-// reclaim evicts LRU cache pages down to target, writing dirty ones back.
+// reclaim evicts LRU pages down to target, writing dirty ones back.
 func (fs *OSFS) reclaim(target int) error {
-	for len(fs.lru) > target {
-		k := fs.lru[0]
-		fs.lru = fs.lru[1:]
-		if fs.dirty[k] {
-			of := fs.files[k.file]
-			if _, err := of.f.WriteAt(fs.cache[k], k.num*OSVMPageSize); err != nil {
+	for fs.lru.Len() > target {
+		p := fs.lru.Front().Value.(*fsPage)
+		if p.dirty {
+			if err := fs.writeBack(p); err != nil {
 				return err
 			}
-			if end := (k.num + 1) * OSVMPageSize; end > of.flushed {
-				of.flushed = end
-			}
-			delete(fs.dirty, k)
 		}
-		delete(fs.cache, k)
+		fs.lru.Remove(p.elem)
+		p.data, p.elem = nil, nil
 	}
 	return nil
 }
 
-// page returns the cached kernel page, loading it on a miss.
-func (fs *OSFS) page(of *osFile, name string, num int64, fill bool) ([]byte, error) {
-	k := fsPageKey{name, num}
-	if buf, ok := fs.cache[k]; ok {
+// page returns the cached page num of a file, loading it on a miss. fill
+// is false when the caller overwrites the whole page, so there is nothing
+// to read.
+func (fs *OSFS) page(of *osFile, num int64, fill bool) (*fsPage, error) {
+	for int64(len(of.pages)) <= num {
+		of.pages = append(of.pages, nil)
+	}
+	p := of.pages[num]
+	if p == nil {
+		p = &fsPage{file: of, num: num}
+		of.pages[num] = p
+	}
+	if p.elem != nil {
 		fs.hits++
-		fs.bump(k)
-		return buf, nil
+		fs.lru.MoveToBack(p.elem)
+		return p, nil
 	}
 	fs.misses++
-	buf := make([]byte, OSVMPageSize)
-	if fill && num*OSVMPageSize < of.flushed {
-		if _, err := of.f.ReadAt(buf, num*OSVMPageSize); err != nil {
+	p.data = make([]byte, OSVMPageSize)
+	if fill && p.onDisk {
+		if _, err := of.f.ReadAt(p.data, num*OSVMPageSize); err != nil {
+			p.data = nil
 			return nil, fmt.Errorf("layered: osfs read: %w", err)
 		}
+		fs.pageIns++
 	}
-	fs.cache[k] = buf
-	fs.bump(k)
+	p.elem = fs.lru.PushBack(p)
 	if err := fs.reclaim(fs.capPages); err != nil {
 		return nil, err
 	}
-	// Page stealing, as in OSVM.
-	if len(fs.lru) > fs.capPages*9/10 {
+	// Kernel page stealing keeps a reserve free even without demand.
+	if fs.lru.Len() > fs.capPages*9/10 {
 		if err := fs.reclaim(fs.capPages * 3 / 4); err != nil {
 			return nil, err
 		}
 	}
-	return buf, nil
+	return p, nil
 }
 
-// WriteAt copies data through the buffer cache into the file (user→kernel
+// WriteAt copies data through the page cache into the file (user→kernel
 // copy per page; write-back to disk on eviction or Sync).
 func (fs *OSFS) WriteAt(name string, data []byte, off int64) error {
-	of, err := fs.file(name)
-	if err != nil {
-		return err
-	}
+	return fs.writeAt(fs.file(name), data, off)
+}
+
+func (fs *OSFS) writeAt(of *osFile, data []byte, off int64) error {
 	for len(data) > 0 {
-		num := off / OSVMPageSize
 		po := int(off % OSVMPageSize)
-		buf, err := fs.page(of, name, num, po != 0)
+		p, err := fs.page(of, off/OSVMPageSize, po != 0 || len(data) < OSVMPageSize)
 		if err != nil {
 			return err
 		}
-		n := copy(buf[po:], data) // the kernel copy
-		fs.dirty[fsPageKey{name, num}] = true
+		n := copy(p.data[po:], data) // the kernel copy
+		p.dirty = true
 		data = data[n:]
 		off += int64(n)
-		if off > of.size {
-			of.size = off
-		}
 	}
 	return nil
 }
 
-// ReadAt copies data from the buffer cache (kernel→user copy), loading
+// ReadAt copies data from the page cache (kernel→user copy), loading
 // missing pages from disk.
 func (fs *OSFS) ReadAt(name string, out []byte, off int64) error {
-	of, err := fs.file(name)
-	if err != nil {
-		return err
-	}
+	return fs.readAt(fs.file(name), out, off)
+}
+
+func (fs *OSFS) readAt(of *osFile, out []byte, off int64) error {
 	for len(out) > 0 {
-		num := off / OSVMPageSize
-		po := int(off % OSVMPageSize)
-		buf, err := fs.page(of, name, num, true)
+		p, err := fs.page(of, off/OSVMPageSize, true)
 		if err != nil {
 			return err
 		}
-		n := copy(out, buf[po:]) // the kernel copy
+		n := copy(out, p.data[off%OSVMPageSize:]) // the kernel copy
 		out = out[n:]
 		off += int64(n)
 	}
@@ -177,48 +175,32 @@ func (fs *OSFS) Sync(name string) error {
 	if !ok {
 		return nil
 	}
-	for k := range fs.dirty {
-		if k.file != name {
-			continue
+	for _, p := range of.pages {
+		if p != nil && p.dirty {
+			if err := fs.writeBack(p); err != nil {
+				return err
+			}
 		}
-		if _, err := of.f.WriteAt(fs.cache[k], k.num*OSVMPageSize); err != nil {
-			return err
-		}
-		if end := (k.num + 1) * OSVMPageSize; end > of.flushed {
-			of.flushed = end
-		}
-		delete(fs.dirty, k)
+	}
+	if of.f == nil {
+		return nil // nothing ever written back
 	}
 	return of.f.Sync()
 }
 
-// Size returns a file's logical size.
-func (fs *OSFS) Size(name string) int64 {
-	if of, ok := fs.files[name]; ok {
-		return of.size
+// drop forgets a file's contents: its cached pages leave the cache without
+// write-back, and no page of it is read from disk again.
+func (fs *OSFS) drop(of *osFile) {
+	for _, p := range of.pages {
+		if p != nil && p.elem != nil {
+			fs.lru.Remove(p.elem)
+		}
 	}
-	return 0
+	of.pages = nil
 }
 
-// CacheStats reports buffer cache hits and misses.
+// CacheStats reports page cache hits and misses.
 func (fs *OSFS) CacheStats() (hits, misses int64) { return fs.hits, fs.misses }
 
-// Remove deletes a file and drops its cached pages.
-func (fs *OSFS) Remove(name string) error {
-	of, ok := fs.files[name]
-	if !ok {
-		return nil
-	}
-	delete(fs.files, name)
-	keep := fs.lru[:0]
-	for _, k := range fs.lru {
-		if k.file == name {
-			delete(fs.cache, k)
-			delete(fs.dirty, k)
-			continue
-		}
-		keep = append(keep, k)
-	}
-	fs.lru = keep
-	return of.f.Remove()
-}
+// CachedBytes reports the memory the page cache holds.
+func (fs *OSFS) CachedBytes() int64 { return int64(fs.lru.Len()) * OSVMPageSize }

@@ -1,10 +1,11 @@
 // Package layered implements the layered-system baselines the paper
-// compares Pangea against (§9): OS virtual memory (4 KB pages, LRU with
-// page stealing, swap), an OS file system with a kernel buffer cache, an
-// HDFS-like distributed file system (name node + client/server copies), an
-// Alluxio-like memory-capped in-memory file system with serialization at
-// the boundary, an Ignite-like shared store with a 16 KB hard page size and
-// compaction, a Spark-like engine (separate storage/execution memory pools,
+// compares Pangea against (§9): an OS file system with a kernel page cache
+// (4 KB pages, one LRU with page stealing), OS virtual memory paging
+// through a swap file in that same page cache, an HDFS-like distributed
+// file system (name node + client/server copies), an Alluxio-like
+// memory-capped in-memory file system with serialization at the boundary,
+// an Ignite-like shared store with a 16 KB hard page size and compaction,
+// a Spark-like engine (separate storage/execution memory pools,
 // wave-of-tasks, per-core shuffle spill files), and a Redis-like
 // client/server key-value store.
 //
@@ -15,47 +16,29 @@
 // rather than hard-coded constants.
 package layered
 
-import (
-	"fmt"
+import "pangea/internal/disk"
 
-	"pangea/internal/disk"
-)
-
-// OSVMPageSize is the 4 KB virtual memory page size.
+// OSVMPageSize is the 4 KB page size of the OS page cache.
 const OSVMPageSize = 4096
 
 // OSVM models process anonymous memory under OS paging: a bump allocator
-// over 4 KB virtual pages, a global LRU of resident pages, a swap file, and
-// (like a real kernel) page stealing — a reclaimer that evicts down to a
-// low watermark once residency crosses a high watermark, even when there is
-// no allocation pressure. §9.2.1 credits much of Pangea's win over OS VM to
-// avoiding exactly this behaviour plus the small page-out granularity.
+// over the address space of one swap file, paged through the kernel page
+// cache (OSFS) — a global LRU of resident 4 KB pages with page stealing, a
+// reclaimer that evicts down to a low watermark once residency crosses a
+// high watermark, even when there is no allocation pressure. §9.2.1 credits
+// much of Pangea's win over OS VM to avoiding exactly this behaviour plus
+// the small page-out granularity.
 type OSVM struct {
-	memPages  int
-	stealing  bool
-	swap      *disk.File
-	pages     []vpage
-	resident  []int32 // LRU queue of resident page indices (front = oldest)
-	nextAddr  int64
-	pageOuts  int64
-	pageIns   int64
-	swapBytes int64
-}
-
-type vpage struct {
-	data    []byte // nil when swapped out
-	swapped bool
-	dirty   bool
+	fs       *OSFS
+	swap     *osFile
+	nextAddr int64
 }
 
 // NewOSVM builds a VM with the given resident budget backed by a swap file
 // on d.
-func NewOSVM(d *disk.Disk, memBytes int64, stealing bool) (*OSVM, error) {
-	swap, err := d.Create("swap")
-	if err != nil {
-		return nil, err
-	}
-	return &OSVM{memPages: int(memBytes / OSVMPageSize), stealing: stealing, swap: swap}, nil
+func NewOSVM(d *disk.Disk, memBytes int64) *OSVM {
+	fs := NewOSFS(d, memBytes)
+	return &OSVM{fs: fs, swap: fs.file("swap")}
 }
 
 // Malloc reserves n bytes of heap address space, 16-byte aligned the way a
@@ -64,127 +47,33 @@ func NewOSVM(d *disk.Disk, memBytes int64, stealing bool) (*OSVM, error) {
 func (vm *OSVM) Malloc(n int64) int64 {
 	addr := vm.nextAddr
 	vm.nextAddr += (n + 15) &^ 15
-	need := int((vm.nextAddr + OSVMPageSize - 1) / OSVMPageSize)
-	for len(vm.pages) < need {
-		vm.pages = append(vm.pages, vpage{})
-	}
 	return addr
-}
-
-// touch makes page idx resident and returns its data.
-func (vm *OSVM) touch(idx int32, forWrite bool) ([]byte, error) {
-	p := &vm.pages[idx]
-	if p.data == nil {
-		buf := make([]byte, OSVMPageSize)
-		if p.swapped {
-			if _, err := vm.swap.ReadAt(buf, int64(idx)*OSVMPageSize); err != nil {
-				return nil, fmt.Errorf("layered: swap in: %w", err)
-			}
-			vm.pageIns++
-		}
-		p.data = buf
-		vm.resident = append(vm.resident, idx)
-		if err := vm.reclaim(vm.memPages); err != nil {
-			return nil, err
-		}
-	} else {
-		vm.bumpLRU(idx)
-	}
-	if forWrite {
-		p.dirty = true
-	}
-	// Kernel page stealing keeps a reserve free even without demand.
-	if vm.stealing && len(vm.resident) > vm.memPages*9/10 {
-		if err := vm.reclaim(vm.memPages * 3 / 4); err != nil {
-			return nil, err
-		}
-	}
-	return p.data, nil
-}
-
-func (vm *OSVM) bumpLRU(idx int32) {
-	if n := len(vm.resident); n > 0 && vm.resident[n-1] == idx {
-		return // sequential fast path: already most recent
-	}
-	for i, r := range vm.resident {
-		if r == idx {
-			copy(vm.resident[i:], vm.resident[i+1:])
-			vm.resident[len(vm.resident)-1] = idx
-			return
-		}
-	}
-}
-
-// reclaim evicts LRU pages until at most target are resident.
-func (vm *OSVM) reclaim(target int) error {
-	for len(vm.resident) > target {
-		idx := vm.resident[0]
-		vm.resident = vm.resident[1:]
-		p := &vm.pages[idx]
-		if p.dirty {
-			if _, err := vm.swap.WriteAt(p.data, int64(idx)*OSVMPageSize); err != nil {
-				return fmt.Errorf("layered: swap out: %w", err)
-			}
-			vm.pageOuts++
-			vm.swapBytes += OSVMPageSize
-			p.swapped = true
-			p.dirty = false
-		}
-		p.data = nil
-	}
-	return nil
 }
 
 // Write copies data into virtual memory at addr.
 func (vm *OSVM) Write(addr int64, data []byte) error {
-	for len(data) > 0 {
-		idx := int32(addr / OSVMPageSize)
-		off := int(addr % OSVMPageSize)
-		buf, err := vm.touch(idx, true)
-		if err != nil {
-			return err
-		}
-		n := copy(buf[off:], data)
-		data = data[n:]
-		addr += int64(n)
-	}
-	return nil
+	return vm.fs.writeAt(vm.swap, data, addr)
 }
 
 // Read copies from virtual memory at addr into out.
 func (vm *OSVM) Read(addr int64, out []byte) error {
-	for len(out) > 0 {
-		idx := int32(addr / OSVMPageSize)
-		off := int(addr % OSVMPageSize)
-		buf, err := vm.touch(idx, false)
-		if err != nil {
-			return err
-		}
-		n := copy(out, buf[off:])
-		out = out[n:]
-		addr += int64(n)
-	}
-	return nil
+	return vm.fs.readAt(vm.swap, out, addr)
 }
 
 // FreeAll releases the whole address space at once (the cheap bulk
 // deallocation both Pangea and Alluxio enjoy; per-object free is what the
 // paper's OS VM deallocation curve pays for).
 func (vm *OSVM) FreeAll() {
-	vm.pages = nil
-	vm.resident = nil
+	vm.fs.drop(vm.swap)
 	vm.nextAddr = 0
 }
 
 // PageOuts reports pages written to swap (the sar -B page-out count the
 // paper samples).
-func (vm *OSVM) PageOuts() int64 { return vm.pageOuts }
+func (vm *OSVM) PageOuts() int64 { return vm.fs.pageOuts }
 
 // PageIns reports pages read back from swap.
-func (vm *OSVM) PageIns() int64 { return vm.pageIns }
+func (vm *OSVM) PageIns() int64 { return vm.fs.pageIns }
 
 // SwapBytes reports total bytes written to swap.
-func (vm *OSVM) SwapBytes() int64 { return vm.swapBytes }
-
-// Close releases the swap file.
-func (vm *OSVM) Close() error { return vm.swap.Remove() }
+func (vm *OSVM) SwapBytes() int64 { return vm.fs.pageOuts * OSVMPageSize }

@@ -1,6 +1,7 @@
 package layered
 
 import (
+	"container/list"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -9,59 +10,91 @@ import (
 	"pangea/internal/disk"
 )
 
-// Storage is the layer below the Spark-like engine: a block-oriented store
-// holding serialized objects. Adapters wrap the HDFS, Alluxio and Ignite
-// baselines so the same engine runs over each — the three Spark
-// configurations of Fig 3.
-type Storage interface {
-	Name() string
+// objectFiles is a store of named files of serialized objects: what the
+// Spark-like engine needs from the layer below it.
+type objectFiles interface {
 	Create(name string)
-	// Append serializes one object into a block of the dataset.
-	Append(name string, block int, obj []byte) error
-	// NumBlocks reports how many blocks the dataset has.
-	NumBlocks(name string) int
-	// ScanBlock deserializes every object of one block to fn.
-	ScanBlock(name string, block int, fn func(obj []byte) error) error
-	// MemoryUsed reports the layer's own RAM footprint (worker memory,
-	// off-heap region, or OS buffer cache) for the Fig 4 accounting.
-	MemoryUsed() int64
-	Remove(name string) error
+	WriteObject(name string, obj []byte) error
+	Scan(name string, fn func(obj []byte) error) error
+	// Used reports the layer's own RAM footprint (worker memory, off-heap
+	// region, or OS page cache) for the Fig 4 accounting.
+	Used() int64
+}
+
+// Storage is the layer below the Spark-like engine: a block-oriented store
+// holding serialized objects, one file a block. It runs over the HDFS,
+// Alluxio and Ignite baselines, so the same engine runs over each — the
+// three Spark configurations of Fig 3.
+type Storage struct {
+	name  string
+	files objectFiles
+	nblk  map[string]int
+}
+
+func newStorage(name string, files objectFiles) *Storage {
+	return &Storage{name: name, files: files, nblk: make(map[string]int)}
+}
+
+// NewHDFSStorage runs the Spark engine over the HDFS baseline.
+func NewHDFSStorage(arr *disk.Array, cacheBytes int64) *Storage {
+	return newStorage("HDFS", hdfsObjects{NewHDFS(arr, cacheBytes)})
+}
+
+// NewAlluxioStorage runs the Spark engine over the Alluxio baseline.
+func NewAlluxioStorage(memBytes int64) *Storage {
+	return newStorage("Alluxio", NewAlluxio(memBytes))
+}
+
+// NewIgniteStorage runs the Spark engine over the Ignite baseline.
+func NewIgniteStorage(offHeapBytes int64) *Storage {
+	return newStorage("Ignite", NewIgnite(offHeapBytes))
 }
 
 func blockFile(name string, block int) string { return fmt.Sprintf("%s#%d", name, block) }
 
-// --- HDFS adapter -------------------------------------------------------------
+// Name names the storage layer.
+func (s *Storage) Name() string { return s.name }
 
-type hdfsStorage struct {
-	h    *HDFS
-	nblk map[string]int
-}
+// Create starts an empty dataset.
+func (s *Storage) Create(name string) { s.nblk[name] = 0 }
 
-// NewHDFSStorage adapts the HDFS baseline to the Spark engine.
-func NewHDFSStorage(arr *disk.Array, cacheBytes int64) Storage {
-	return &hdfsStorage{h: NewHDFS(arr, cacheBytes), nblk: make(map[string]int)}
-}
+// NumBlocks reports how many blocks the dataset has.
+func (s *Storage) NumBlocks(name string) int { return s.nblk[name] }
 
-func (s *hdfsStorage) Name() string              { return "HDFS" }
-func (s *hdfsStorage) Create(name string)        { s.nblk[name] = 0 }
-func (s *hdfsStorage) NumBlocks(name string) int { return s.nblk[name] }
-
-func (s *hdfsStorage) Append(name string, block int, obj []byte) error {
+// Append serializes one object into a block of the dataset.
+func (s *Storage) Append(name string, block int, obj []byte) error {
 	if block >= s.nblk[name] {
 		s.nblk[name] = block + 1
-		s.h.Create(blockFile(name, block))
+		s.files.Create(blockFile(name, block))
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(obj)))
-	if err := s.h.Append(blockFile(name, block), hdr[:]); err != nil {
-		return err
-	}
-	return s.h.Append(blockFile(name, block), obj)
+	return s.files.WriteObject(blockFile(name, block), obj)
 }
 
-func (s *hdfsStorage) ScanBlock(name string, block int, fn func(obj []byte) error) error {
+// ScanBlock deserializes every object of one block to fn.
+func (s *Storage) ScanBlock(name string, block int, fn func(obj []byte) error) error {
+	return s.files.Scan(blockFile(name, block), fn)
+}
+
+// MemoryUsed reports the layer's own RAM footprint.
+func (s *Storage) MemoryUsed() int64 { return s.files.Used() }
+
+// hdfsObjects frames objects into HDFS files as u32 length | bytes.
+type hdfsObjects struct{ h *HDFS }
+
+func (o hdfsObjects) Create(name string) { o.h.Create(name) }
+
+func (o hdfsObjects) WriteObject(name string, obj []byte) error {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(obj)))
+	if err := o.h.Append(name, hdr[:]); err != nil {
+		return err
+	}
+	return o.h.Append(name, obj)
+}
+
+func (o hdfsObjects) Scan(name string, fn func(obj []byte) error) error {
 	var pending []byte
-	return s.h.Scan(blockFile(name, block), func(chunk []byte) error {
+	return o.h.Scan(name, func(chunk []byte) error {
 		pending = append(pending, chunk...)
 		for len(pending) >= 4 {
 			n := binary.LittleEndian.Uint32(pending[0:4])
@@ -77,99 +110,13 @@ func (s *hdfsStorage) ScanBlock(name string, block int, fn func(obj []byte) erro
 	})
 }
 
-func (s *hdfsStorage) MemoryUsed() int64 {
-	// The OS buffer cache under the data nodes.
+// Used reports the OS page cache under the data nodes.
+func (o hdfsObjects) Used() int64 {
 	var n int64
-	for _, fs := range s.h.fss {
-		n += int64(len(fs.cache)) * OSVMPageSize
+	for _, fs := range o.h.fss {
+		n += fs.CachedBytes()
 	}
 	return n
-}
-
-func (s *hdfsStorage) Remove(name string) error {
-	for b := 0; b < s.nblk[name]; b++ {
-		if err := s.h.Remove(blockFile(name, b)); err != nil {
-			return err
-		}
-	}
-	delete(s.nblk, name)
-	return nil
-}
-
-// --- Alluxio adapter -----------------------------------------------------------
-
-type alluxioStorage struct {
-	a    *Alluxio
-	nblk map[string]int
-}
-
-// NewAlluxioStorage adapts the Alluxio baseline to the Spark engine.
-func NewAlluxioStorage(memBytes int64) Storage {
-	return &alluxioStorage{a: NewAlluxio(memBytes), nblk: make(map[string]int)}
-}
-
-func (s *alluxioStorage) Name() string              { return "Alluxio" }
-func (s *alluxioStorage) Create(name string)        { s.nblk[name] = 0 }
-func (s *alluxioStorage) NumBlocks(name string) int { return s.nblk[name] }
-
-func (s *alluxioStorage) Append(name string, block int, obj []byte) error {
-	if block >= s.nblk[name] {
-		s.nblk[name] = block + 1
-		s.a.Create(blockFile(name, block))
-	}
-	return s.a.WriteObject(blockFile(name, block), obj)
-}
-
-func (s *alluxioStorage) ScanBlock(name string, block int, fn func(obj []byte) error) error {
-	return s.a.Scan(blockFile(name, block), fn)
-}
-
-func (s *alluxioStorage) MemoryUsed() int64 { return s.a.Used() }
-
-func (s *alluxioStorage) Remove(name string) error {
-	for b := 0; b < s.nblk[name]; b++ {
-		s.a.Remove(blockFile(name, b))
-	}
-	delete(s.nblk, name)
-	return nil
-}
-
-// --- Ignite adapter --------------------------------------------------------------
-
-type igniteStorage struct {
-	g    *Ignite
-	nblk map[string]int
-}
-
-// NewIgniteStorage adapts the Ignite baseline to the Spark engine.
-func NewIgniteStorage(offHeapBytes int64) Storage {
-	return &igniteStorage{g: NewIgnite(offHeapBytes), nblk: make(map[string]int)}
-}
-
-func (s *igniteStorage) Name() string              { return "Ignite" }
-func (s *igniteStorage) Create(name string)        { s.nblk[name] = 0 }
-func (s *igniteStorage) NumBlocks(name string) int { return s.nblk[name] }
-
-func (s *igniteStorage) Append(name string, block int, obj []byte) error {
-	if block >= s.nblk[name] {
-		s.nblk[name] = block + 1
-		s.g.Create(blockFile(name, block))
-	}
-	return s.g.WriteObject(blockFile(name, block), obj)
-}
-
-func (s *igniteStorage) ScanBlock(name string, block int, fn func(obj []byte) error) error {
-	return s.g.Scan(blockFile(name, block), fn)
-}
-
-func (s *igniteStorage) MemoryUsed() int64 { return s.g.Used() }
-
-func (s *igniteStorage) Remove(name string) error {
-	for b := 0; b < s.nblk[name]; b++ {
-		s.g.Remove(blockFile(name, b))
-	}
-	delete(s.nblk, name)
-	return nil
 }
 
 // --- the Spark-like engine -------------------------------------------------------
@@ -180,44 +127,40 @@ func (s *igniteStorage) Remove(name string) error {
 type rddCache struct {
 	capacity int64
 	used     int64
-	blocks   map[string][][]byte
-	sizes    map[string]int64
-	lru      []string
+	lru      *list.List // of *rddBlock, front = least recently used
+	blocks   map[string]*list.Element
+}
+
+type rddBlock struct {
+	id   string
+	recs [][]byte
+	size int64
 }
 
 func newRDDCache(capacity int64) *rddCache {
-	return &rddCache{capacity: capacity, blocks: make(map[string][][]byte), sizes: make(map[string]int64)}
+	return &rddCache{capacity: capacity, lru: list.New(), blocks: make(map[string]*list.Element)}
 }
 
 func (c *rddCache) get(id string) ([][]byte, bool) {
-	b, ok := c.blocks[id]
-	if ok {
-		for i, e := range c.lru {
-			if e == id {
-				copy(c.lru[i:], c.lru[i+1:])
-				c.lru[len(c.lru)-1] = id
-				break
-			}
-		}
+	e, ok := c.blocks[id]
+	if !ok {
+		return nil, false
 	}
-	return b, ok
+	c.lru.MoveToBack(e)
+	return e.Value.(*rddBlock).recs, true
 }
 
 func (c *rddCache) put(id string, recs [][]byte, size int64) {
 	if size > c.capacity {
 		return // block cannot be cached at all
 	}
-	for c.used+size > c.capacity && len(c.lru) > 0 {
-		victim := c.lru[0]
-		c.lru = c.lru[1:]
-		c.used -= c.sizes[victim]
-		delete(c.blocks, victim)
-		delete(c.sizes, victim)
+	for c.used+size > c.capacity && c.lru.Len() > 0 {
+		victim := c.lru.Remove(c.lru.Front()).(*rddBlock)
+		c.used -= victim.size
+		delete(c.blocks, victim.id)
 	}
-	c.blocks[id] = recs
-	c.sizes[id] = size
+	c.blocks[id] = c.lru.PushBack(&rddBlock{id, recs, size})
 	c.used += size
-	c.lru = append(c.lru, id)
 }
 
 // SparkConfig parameterises the Spark-like k-means run.
@@ -247,7 +190,7 @@ func (m *SparkModel) TotalTime() time.Duration {
 
 // LoadPointsToStorage writes encoded points into the storage layer in
 // blocks of objsPerBlock.
-func LoadPointsToStorage(st Storage, name string, pts [][]byte, objsPerBlock int) error {
+func LoadPointsToStorage(st *Storage, name string, pts [][]byte, objsPerBlock int) error {
 	st.Create(name)
 	for i, p := range pts {
 		if err := st.Append(name, i/objsPerBlock, p); err != nil {
@@ -263,7 +206,7 @@ func LoadPointsToStorage(st Storage, name string, pts [][]byte, objsPerBlock int
 // execution state in the separate execution pool. Its failures are the
 // baselines' failures: Alluxio refuses datasets beyond its memory and
 // Ignite crashes — the gaps in Fig 3.
-func SparkKMeans(st Storage, name string, cfg SparkConfig) (*SparkModel, error) {
+func SparkKMeans(st *Storage, name string, cfg SparkConfig) (*SparkModel, error) {
 	model := &SparkModel{}
 	cache := newRDDCache(cfg.StoragePool)
 	recSize := int64(8 * (cfg.Dim + 1))
