@@ -1,7 +1,7 @@
 // Package pangea's top-level benchmarks are the per-layer micros CI gates
 // on: allocator, Pin/Unpin, spill and prefetch pipelines, scans, the
-// microindex build, hash upserts, the join build and probe, and the
-// aggregate fold. The paper's tables and figures are
+// microindex and zone-map builds, hash upserts, the join build and probe,
+// and the aggregate fold. The paper's tables and figures are
 // printed by `go run ./cmd/pangea-bench [-quick]`, not by benchmarks.
 package pangea_test
 
@@ -244,6 +244,25 @@ func BenchmarkWarmScan(b *testing.B) {
 // allocs/op are what the index costs the Go heap, since pages come from the
 // pool.
 func BenchmarkMicroindexBuild(b *testing.B) {
+	benchSideIndexBuild(b, func(w *services.SeqWriter, schema []services.ColumnSpec) error {
+		_, err := services.AttachMicroindex(w, services.MicroindexSpec{Schema: schema, Cols: []int{0}})
+		return err
+	})
+}
+
+// BenchmarkZoneMapBuild is the zone map's own build cost, on the rows and
+// writer of BenchmarkMicroindexBuild: min/max of both columns (and the float
+// range of each) and a bloom filter on key, a page at a time.
+func BenchmarkZoneMapBuild(b *testing.B) {
+	benchSideIndexBuild(b, func(w *services.SeqWriter, schema []services.ColumnSpec) error {
+		_, err := services.AttachZoneMap(w, services.ZoneMapSpec{Schema: schema, BloomCols: []int{0}})
+		return err
+	})
+}
+
+// benchSideIndexBuild writes a million rows, in each layout, through one
+// SeqWriter that attach has given a side index, and reports ns/row.
+func benchSideIndexBuild(b *testing.B, attach func(w *services.SeqWriter, schema []services.ColumnSpec) error) {
 	const (
 		nRows  = 1_000_000
 		stride = 7919 // prime, coprime with nRows
@@ -282,7 +301,7 @@ func BenchmarkMicroindexBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 				w := services.NewSeqWriter(set)
-				if _, err := services.AttachMicroindex(w, services.MicroindexSpec{Schema: schema, Cols: []int{0}}); err != nil {
+				if err := attach(w, schema); err != nil {
 					b.Fatal(err)
 				}
 				for _, r := range rows {

@@ -228,6 +228,17 @@ func (f *File) Sync() error { return f.f.Sync() }
 // Truncate resizes the file.
 func (f *File) Truncate(n int64) error { return f.f.Truncate(n) }
 
+// Rename gives the file the name to on its drive, replacing any file of
+// that name in one step: a reader sees the old file or this one, never a mix.
+func (f *File) Rename(to string) error {
+	path := filepath.Join(f.d.dir, to)
+	if err := os.Rename(f.path, path); err != nil {
+		return fmt.Errorf("disk: %w", err)
+	}
+	f.path = path
+	return nil
+}
+
 // Path returns the file's path on the host filesystem.
 func (f *File) Path() string { return f.path }
 

@@ -282,12 +282,15 @@ func (pf *PagedFile) DiskBytes() int64 {
 	return int64(len(pf.pages)) * pf.pageSize
 }
 
-// FlushMeta persists the page index to the meta file, creating the file on
-// the first call. Pangea's meta file is small — the central manager stores
-// only set-level metadata, and each node's meta file indexes only local
-// pages (paper §4).
+// FlushMeta persists the page index to the meta file. Pangea's meta file is
+// small — the central manager stores only set-level metadata, and each node's
+// meta file indexes only local pages (paper §4). The new index is written
+// whole to a sibling file, synced, and renamed over the meta file, so a
+// failed or torn rewrite leaves the previous index in place. The index lock
+// is held throughout, so two flushes cannot interleave.
 func (pf *PagedFile) FlushMeta() error {
 	pf.mu.Lock()
+	defer pf.mu.Unlock()
 	nums := make([]int64, 0, len(pf.pages))
 	for n := range pf.pages {
 		nums = append(nums, n)
@@ -309,23 +312,24 @@ func (pf *PagedFile) FlushMeta() error {
 		put64(int64(loc.Drive))
 		put64(loc.Offset)
 	}
-	if pf.meta == nil {
-		meta, err := pf.array.Disk(0).Create(pf.name + ".meta")
-		if err != nil {
-			pf.mu.Unlock()
-			return err
+	meta, err := pf.array.Disk(0).Create(pf.name + ".meta.new")
+	if err != nil {
+		return err
+	}
+	if _, err = meta.WriteAt(buf, 0); err == nil {
+		if err = meta.Sync(); err == nil {
+			err = meta.Rename(pf.name + ".meta")
 		}
-		pf.meta = meta
 	}
-	meta := pf.meta
-	pf.mu.Unlock()
-	if err := meta.Truncate(0); err != nil {
+	if err != nil {
+		_ = meta.Remove() // the failed write's error is the one to report
 		return err
 	}
-	if _, err := meta.WriteAt(buf, 0); err != nil {
-		return err
+	if pf.meta != nil {
+		_ = pf.meta.Close() // its file was just replaced
 	}
-	return meta.Sync()
+	pf.meta = meta
+	return nil
 }
 
 // loadMeta reads the page index back from the meta file.

@@ -499,3 +499,50 @@ func TestCreateRefusesBadNames(t *testing.T) {
 		t.Errorf("a refused name left a file outside the drive: %v", err)
 	}
 }
+
+// TestFlushMetaKeepsIndexWhenRewriteFails: a meta rewrite that fails part way
+// must leave the previous index readable. Before the index went to a sibling
+// file renamed over the meta file, FlushMeta truncated the meta file first,
+// so a failed write lost every page location of the set.
+func TestFlushMetaKeepsIndexWhenRewriteFails(t *testing.T) {
+	a := newArray(t, 2)
+	pf, err := Create(a, "kept", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		if err := pf.WritePage(i, bytes.Repeat([]byte{byte(i + 1)}, 256)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pf.FlushMeta(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.WritePage(3, bytes.Repeat([]byte{4}, 256)); err != nil {
+		t.Fatal(err)
+	}
+	fault := errors.New("injected meta write fault")
+	a.Disk(0).SetWriteFault(func() error { return fault })
+	if err := pf.FlushMeta(); !errors.Is(err, fault) {
+		t.Fatalf("FlushMeta on a failing drive = %v, want the injected fault", err)
+	}
+	a.Disk(0).SetWriteFault(nil)
+
+	re, err := Open(a, "kept")
+	if err != nil {
+		t.Fatalf("reopen after a failed meta rewrite: %v", err)
+	}
+	defer re.Remove()
+	if n := re.NumPages(); n < 3 {
+		t.Fatalf("reopened file indexes %d pages, want at least the 3 flushed", n)
+	}
+	buf := make([]byte, 256)
+	for i := int64(0); i < 3; i++ {
+		if err := re.ReadPage(i, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != byte(i+1) {
+			t.Fatalf("page %d reads %d after reopen, want %d", i, buf[0], i+1)
+		}
+	}
+}

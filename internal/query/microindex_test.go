@@ -333,8 +333,13 @@ func TestLaneSeededScansMatchUnpruned(t *testing.T) {
 		}
 	}
 	colIdx := colSet.SideIndex(services.MicroindexTag).(*services.Microindex)
+	short := make([]byte, 16)
+	services.InitServicePage(short, len(short)-services.PageHeaderSize)
+	services.AppendServiceRecord(short, services.PageHeaderSize, len(short), []byte{1})
 	for _, num := range []int64{2, 9} {
-		colIdx.NoteAppend(num, []byte{1})
+		if err := colIdx.NoteRowPage(num, short); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, set := range []*core.LocalitySet{colSet, rowSet} {
 		if locs, _ := set.SideIndex(services.MicroindexTag).(PointIndex).Lookup(1, 1000); len(locs) < 2 {

@@ -209,8 +209,8 @@ type ColumnarWriter struct {
 	total    int64 // records written
 
 	// OnSeal, when set, is called with each page just before it is
-	// unpinned, while its bytes are still valid — the hook the zone-map
-	// roadmap item plugs per-column min/max extraction into.
+	// unpinned, while its bytes are still valid — the hook side indexes fold
+	// each columnar page through (SeqWriter.OnSeal is the row pages').
 	OnSeal func(pageNum int64, p *ColumnarPage)
 }
 

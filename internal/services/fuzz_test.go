@@ -216,13 +216,8 @@ func validZoneMapSeed(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := make([]byte, 12)
 	for page := int64(0); page < 2; page++ {
-		for r := 0; r < 4; r++ {
-			binary.LittleEndian.PutUint64(rec[0:8], uint64(page*100+int64(r)))
-			binary.LittleEndian.PutUint32(rec[8:12], uint32(r))
-			z.NoteAppend(page, rec)
-		}
+		noteRows(t, z, page, fuzzSeedRecs(page)...)
 	}
 	return z.Marshal()
 }
@@ -294,16 +289,23 @@ func validMicroindexSeed(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := make([]byte, 12)
 	for page := int64(0); page < 2; page++ {
-		for r := 0; r < 4; r++ {
-			binary.LittleEndian.PutUint64(rec[0:8], uint64(page*100+int64(r)))
-			binary.LittleEndian.PutUint32(rec[8:12], uint32(r))
-			m.NoteAppend(page, rec)
-		}
+		noteRows(t, m, page, fuzzSeedRecs(page)...)
 	}
-	m.NoteAppend(2, rec[:4]) // short record: page 2 covered but invalid
+	noteRows(t, m, 2, make([]byte, 4)) // short record: page 2 covered but invalid
 	return m.Marshal()
+}
+
+// fuzzSeedRecs returns page's four records under the fuzzers' two-column
+// schema: key page*100+r, value r.
+func fuzzSeedRecs(page int64) [][]byte {
+	recs := make([][]byte, 4)
+	for r := range recs {
+		recs[r] = make([]byte, 12)
+		binary.LittleEndian.PutUint64(recs[r][0:8], uint64(page*100+int64(r)))
+		binary.LittleEndian.PutUint32(recs[r][8:12], uint32(r))
+	}
+	return recs
 }
 
 // hugeMicroindexCountSeed is the count-overflow shape the decoder must

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"pangea/internal/core"
@@ -51,25 +52,14 @@ func comparePostings(a, b posting) int {
 	return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.loc, b.loc))
 }
 
-// digit returns byte d of the pair's sort key, least significant first:
-// the location's bytes are digits 0-7, the value's 8-15.
-func (p posting) digit(d uint) uint64 {
-	w := p.loc
-	if d >= 8 {
-		w = p.v
-	}
-	return w >> (8 * (d % 8)) & 0xff
-}
-
-// Notes land in a tail of chunkPairs-long chunks, which grows without
-// copying and is the radix sort's second buffer.
-const chunkPairs = 1 << 12
-
 // postings is one indexed column: the sorted body lookups read, and the
-// notes folded since the last seal, in arrival order.
+// pages folded since the last seal, each as its rows' values in lane order.
 type postings struct {
-	body []posting   // ordered by (value, loc), no repeats
-	tail [][]posting // full chunks, the last one possibly short
+	body []posting // ordered by (value, loc), no repeats
+	tail [][]uint64
+	nums []int64 // the page of each tail run
+	diff uint64  // the bits in which some tail value differs from the first
+	n    int     // tail values
 }
 
 // Microindex holds the per-column postings of one locality set.
@@ -95,100 +85,113 @@ func NewMicroindex(spec MicroindexSpec) (*Microindex, error) {
 	return m, nil
 }
 
-// fold appends the row at loc holding v to indexed-column slot's tail.
-func (m *Microindex) fold(_ []byte, loc uint64, _, slot int, v uint64, _ bool) {
-	p := &m.post[slot]
-	if n := len(p.tail); n == 0 || len(p.tail[n-1]) == chunkPairs {
-		p.tail = append(p.tail, make([]posting, 0, chunkPairs))
+// fold appends page num's values of indexed column f to its tail.
+func (m *Microindex) fold(_ []byte, num int64, f foldCol, vals []uint64) {
+	p := &m.post[f.slot]
+	p.tail, p.nums, p.n = append(p.tail, slices.Clone(vals)), append(p.nums, num), p.n+len(vals)
+	diff, first := p.diff, p.tail[0][0]
+	for _, v := range vals {
+		diff |= v ^ first
 	}
-	p.tail[len(p.tail)-1] = append(p.tail[len(p.tail)-1], posting{v, loc})
+	p.diff = diff
 }
 
-// seal puts every column's tail in order and into its body: one radix sort
-// of the tail, a merge with the body, and repeated pairs dropped (a second
-// note of a page, such as a columnar page sealed again, restates its rows).
+// seal puts every column's tail in order and into its body: one sort of the
+// tail, then, in the rare case that an earlier seal left a body, a sort of
+// both that drops repeated pairs (a page folded again restates its rows).
 func (m *Microindex) seal() {
 	for i := range m.post {
 		p := &m.post[i]
 		if len(p.tail) == 0 {
 			continue
 		}
-		sorted := radixSort(p.tail)
+		sorted := sortPostings(p.tail, p.nums, p.n, p.diff)
 		if len(p.body) > 0 {
-			sorted = mergePostings(p.body, sorted)
+			sorted = append(sorted, p.body...)
+			slices.SortFunc(sorted, comparePostings)
+			sorted = slices.Compact(sorted)
 		}
-		p.body, p.tail = slices.Compact(sorted), nil
+		p.body, p.tail, p.nums, p.diff, p.n = sorted, nil, nil, 0, 0
 	}
 }
 
-// mergePostings merges two ordered runs into a new one.
-func mergePostings(a, b []posting) []posting {
-	out := make([]posting, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if comparePostings(a[0], b[0]) <= 0 {
-			out, a = append(out, a[0]), a[1:]
-		} else {
-			out, b = append(out, b[0]), b[1:]
-		}
-	}
-	return append(append(out, a...), b...)
-}
+// bucketPairs is about how many postings a bucket of the seal's sort holds:
+// few enough for a bucket and its scratch copy to stay in cache.
+const bucketPairs = 1 << 14
 
-// radixSort returns the tail's pairs ordered by (value, loc) in one new
-// slice: an LSD radix sort, a digit a pass, that skips every digit all the
-// pairs share. When the locations already ascend — a sequential writer notes
-// rows in page order — it skips the location's digits as well, since each
-// pass is stable. Passes alternate between the new slice and the tail.
-func radixSort(tail [][]posting) []posting {
-	first, prev := tail[0][0], tail[0][0]
-	var diff posting // the bits in which some pair differs from the first
-	n, locsAscend := 0, true
-	for _, c := range tail {
-		n += len(c)
-		for _, p := range c {
-			diff.v |= p.v ^ first.v
-			diff.loc |= p.loc ^ first.loc
-			locsAscend = locsAscend && p.loc >= prev.loc
-			prev = p
+// sortPostings returns the n postings of a tail — run i holds page nums[i]'s
+// values at lanes 0, 1, … — ordered by (value, loc), in one new slice; a page
+// folded more than once counts once, by its last fold. diff holds the bits in
+// which the values vary. Taken in page order, the locations ascend; one MSD
+// scatter on the top varying bits moves the postings into buckets of about
+// bucketPairs, and LSD passes sort each bucket in cache on the varying bits
+// below. Every pass is stable, so none sorts on the locations.
+func sortPostings(tail [][]uint64, nums []int64, n int, diff uint64) []posting {
+	order := make([]int, len(tail))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int { return cmp.Or(cmp.Compare(nums[i], nums[j]), cmp.Compare(j, i)) })
+	order = slices.CompactFunc(order, func(i, j int) bool { return nums[i] == nums[j] })
+	lo, hi := bits.TrailingZeros64(diff), 64-bits.LeadingZeros64(diff)
+	b := min(bits.Len(uint(n/bucketPairs)), max(hi-lo, 0))
+	shift, mask := uint(hi-b)&63, uint64(1)<<b-1
+	next := make([]int, mask+1) // each bucket's size, then its start, then its end
+	for _, i := range order {
+		for _, v := range tail[i] {
+			next[v>>shift&mask]++
 		}
 	}
-	out := make([]posting, n)
-	var outChunks [][]posting
-	for i := 0; i < n; i += chunkPairs {
-		outChunks = append(outChunks, out[i:min(i+chunkPairs, n)])
+	start, biggest := 0, slices.Max(next)
+	for d, size := range next {
+		next[d], start = start, start+size
 	}
-	src, dst, passes := tail, outChunks, 0
-	for d := uint(0); d < 16; d++ {
-		if diff.digit(d) == 0 || (d < 8 && locsAscend) {
-			continue
+	out := make([]posting, start)
+	for _, i := range order {
+		base := uint64(nums[i]) << 32
+		for lane, v := range tail[i] {
+			d := v >> shift & mask
+			out[next[d]] = posting{v, base | uint64(lane)}
+			next[d]++
 		}
-		var count [256]int
-		for _, c := range src {
-			for _, p := range c {
-				count[p.digit(d)]++
-			}
-		}
-		sum := 0
-		for b, c := range count {
-			count[b], sum = sum, sum+c
-		}
-		for _, c := range src {
-			for _, p := range c {
-				b := p.digit(d)
-				dst[count[b]/chunkPairs][count[b]%chunkPairs] = p
-				count[b]++
-			}
-		}
-		src, dst, passes = dst, src, passes+1
 	}
-	if passes%2 == 0 {
-		// An even number of passes, or none, leaves the pairs in the tail.
-		i := 0
-		for _, c := range tail {
-			i += copy(out[i:], c)
-		}
+	scratch, start := make([]posting, biggest), 0
+	for _, end := range next {
+		lsdSort(out[start:end], scratch, lo, hi-b)
+		start = end
 	}
 	return out
+}
+
+// lsdSort sorts a by the value's bits from lo up to top, a byte a stable pass
+// between a and scratch; a byte all of a shares costs no pass.
+func lsdSort(a, scratch []posting, lo, top int) {
+	if len(a) < 2 {
+		return
+	}
+	src, dst := a, scratch[:len(a)]
+	for d := lo; d < top; d += 8 {
+		var count [256]int
+		for _, p := range src {
+			count[uint8(p.v>>d)]++
+		}
+		if count[uint8(src[0].v>>d)] == len(src) {
+			continue
+		}
+		sum := 0
+		for k, c := range count {
+			count[k], sum = sum, sum+c
+		}
+		for _, p := range src {
+			k := uint8(p.v >> d)
+			dst[count[k]] = p
+			count[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
 }
 
 // Lookup returns the rows that may hold value v in column col as ascending
@@ -267,7 +270,7 @@ func (m *Microindex) decodeBody(data []byte) ([]byte, error) {
 				return nil, fmt.Errorf("services: microindex postings out of order")
 			}
 			num, lane := int64(q.loc>>32), int64(uint32(q.loc))
-			if p := m.pages[num]; p == nil || lane >= p.rows || !fitsLoc(num, lane) {
+			if p := m.pages[num]; p == nil || lane >= p.rows || lane > math.MaxInt32 {
 				return nil, fmt.Errorf("services: microindex posting names lane %d of page %d, which is not covered or holds fewer rows", lane, num)
 			}
 			body[i] = q
@@ -291,7 +294,7 @@ func LoadMicroindex(data []byte, spec MicroindexSpec) (*Microindex, error) {
 	return m, nil
 }
 
-// AttachMicroindex wires incremental index maintenance into a sequential
+// AttachMicroindex wires page-at-a-time index maintenance into a sequential
 // writer and registers the index on the writer's set (see
 // attachSideIndex).
 func AttachMicroindex(w *SeqWriter, spec MicroindexSpec) (*Microindex, error) {

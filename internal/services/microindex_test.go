@@ -147,11 +147,9 @@ func TestMicroindexInvalidPagesAlwaysCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.NoteAppend(0, colRec(2))
-	m.NoteAppend(0, colRec(1)) // tag 1%251 = 1, lane 1
-	m.NoteAppend(1, colRec(1))
-	m.NoteAppend(1, []byte{9}) // short: page 1 unparseable
-	m.NoteAppend(2, colRec(3))
+	noteRows(t, m, 0, colRec(2), colRec(1)) // tag 1%251 = 1, lane 1
+	noteRows(t, m, 1, colRec(1), []byte{9}) // short: page 1 unparseable
+	noteRows(t, m, 2, colRec(3))
 	if !m.Covers(3) {
 		t.Fatal("invalid page lost coverage")
 	}
@@ -191,14 +189,14 @@ func TestCoversCountsThePrefix(t *testing.T) {
 		}
 	}
 	want(m, 0)
-	m.NoteAppend(2, colRec(3))
-	m.NoteAppend(4, colRec(5))
+	noteRows(t, m, 2, colRec(3))
+	noteRows(t, m, 4, colRec(5))
 	want(m, 0)
-	m.NoteAppend(0, colRec(1))
+	noteRows(t, m, 0, colRec(1))
 	want(m, 1)
-	m.NoteAppend(1, colRec(2)) // joins 0..2
+	noteRows(t, m, 1, colRec(2)) // joins 0..2
 	want(m, 3)
-	m.NoteAppend(3, colRec(4)) // joins 0..4
+	noteRows(t, m, 3, colRec(4)) // joins 0..4
 	want(m, 5)
 	want(mustReload(t, m), 5)
 
@@ -206,8 +204,8 @@ func TestCoversCountsThePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gap.NoteAppend(1, colRec(1))
-	gap.NoteAppend(2, colRec(2))
+	noteRows(t, gap, 1, colRec(1))
+	noteRows(t, gap, 2, colRec(2))
 	want(gap, 0)
 	want(mustReload(t, gap), 0)
 }
@@ -247,7 +245,7 @@ func TestDualHooksBothFire(t *testing.T) {
 			if columnar {
 				w.cw.OnSeal = func(int64, *ColumnarPage) { callerSaw++ }
 			} else {
-				w.OnAppend = func(int64, []byte) { callerSaw++ }
+				w.OnSeal = func(int64, []byte) { callerSaw++ }
 			}
 			z, err := AttachZoneMap(w, ZoneMapSpec{Schema: zmSchema(), BloomCols: []int{1}})
 			if err != nil {
@@ -440,23 +438,21 @@ func TestMicroindexNotesInAnyOrder(t *testing.T) {
 			t.Fatalf("Lookup(tag %d) = %x ok=%v, want %x", v, got, ok, want)
 		}
 	}
-	m.NoteColumnarPage(3, view) // tags 1, 2, 1 at lanes 0, 1, 2
-	m.NoteColumnarPage(3, view) // restated before the first seal
-	m.NoteAppend(1, colRec(1))  // page 1 before page 0
-	m.NoteAppend(0, colRec(2))
-	m.NoteAppend(0, colRec(1))
+	m.NoteColumnarPage(3, view)  // tags 1, 2, 1 at lanes 0, 1, 2
+	m.NoteColumnarPage(3, view)  // restated before the first seal
+	noteRows(t, m, 1, colRec(1)) // page 1 before page 0
+	noteRows(t, m, 0, colRec(2), colRec(1))
 	lookup(1, 0<<32|1, 1<<32|0, 3<<32|0, 3<<32|2) // the first lookup seals
 	m.NoteColumnarPage(3, view)                   // the same page, sealed again
 	m.NoteColumnarPage(2, view)
 	lookup(1, 0<<32|1, 1<<32|0, 2<<32|0, 2<<32|2, 3<<32|0, 3<<32|2) // merged, no repeats
-	m.NoteAppend(4, colRec(1))
-	m.NoteAppend(4, []byte{9})      // a short record: page 4 is invalid
-	m.NoteColumnarPage(2, reshaped) // a page of another shape: page 2 is invalid
+	noteRows(t, m, 4, colRec(1), []byte{9})                         // a short record: page 4 is invalid
+	m.NoteColumnarPage(2, reshaped)                                 // a page of another shape: page 2 is invalid
 	lookup(1, 0<<32|1, 1<<32|0, 2<<32|LaneAll, 3<<32|0, 3<<32|2, 4<<32|LaneAll)
 	lookup(2, 0<<32|0, 2<<32|LaneAll, 3<<32|1, 4<<32|LaneAll)
 	lookup(7, 2<<32|LaneAll, 4<<32|LaneAll)
 
-	m.NoteAppend(5, colRec(2)) // unsealed when Marshal runs
+	noteRows(t, m, 5, colRec(2)) // unsealed when Marshal runs
 	loaded, err := LoadMicroindex(m.Marshal(), miSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -467,48 +463,67 @@ func TestMicroindexNotesInAnyOrder(t *testing.T) {
 
 	// A page no location can name is invalid, and because a lookup cannot
 	// name it either, the index stops answering rather than wrap.
-	m.NoteAppend(1<<32, colRec(1))
+	noteRows(t, m, 1<<32, colRec(1))
 	if got, ok := m.Lookup(1, 1); ok {
 		t.Errorf("Lookup with page 2^32 invalid = %x, want no answer", got)
 	}
 	if pg := m.pages[1<<32]; pg == nil || pg.valid {
 		t.Error("a note on page 2^32 left the page valid")
 	}
-	// So is a page whose next lane would not fit a selection index.
-	m.page(6).rows = math.MaxInt32 + 1
-	m.NoteAppend(6, colRec(1))
-	if m.pages[6].valid {
-		t.Error("a note past lane 2^31-1 left the page valid")
+	// So is a page with more rows than a selection index can name: no lane
+	// past 2^31-1 is folded, and the rows left over invalidate the page.
+	if got := nameable(6, math.MaxInt32+2); got != math.MaxInt32+1 {
+		t.Errorf("a page of 2^31+1 rows folds %d of them, want 2^31", got)
 	}
 }
 
-// TestRadixSortMatchesSort holds the seal's radix sort to a comparison sort
-// over tails of one pair to several chunks, with values and locations that
-// vary in no byte, in the low bytes only, or in all of them, so both pass
-// parities and every skip run.
+// TestRadixSortMatchesSort holds the seal's sort to a comparison sort over
+// tails of one posting to several buckets' worth, in page runs of random
+// length, with values that vary in no bit, in the low bits only, or in all of
+// them, and pages that ascend as a writer folds them, fall anywhere in 32
+// bits, or repeat one number — a page folded again counts by its last fold —
+// so passes run or are skipped and both pass parities occur.
 func TestRadixSortMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	domains := []func() uint64{
+	values := []func() uint64{
 		func() uint64 { return 7 },
 		func() uint64 { return uint64(rng.Intn(300)) },
 		func() uint64 { return rng.Uint64() },
 	}
-	for _, n := range []int{1, 5, chunkPairs, 3*chunkPairs + 17} {
-		for vi, v := range domains {
-			for li, loc := range domains {
-				var tail [][]posting
-				var want []posting
-				for i := 0; i < n; i++ {
-					if i%chunkPairs == 0 {
-						tail = append(tail, make([]posting, 0, chunkPairs))
+	pages := []func(run int) int64{
+		func(run int) int64 { return int64(run) },
+		func(int) int64 { return rng.Int63n(1 << 32) },
+		func(int) int64 { return 7 },
+	}
+	for _, n := range []int{1, 5, 100, bucketPairs, 3*bucketPairs + 17} {
+		for vi, v := range values {
+			for pi, page := range pages {
+				var tail [][]uint64
+				var nums []int64
+				for run, left := 0, n; left > 0; run++ {
+					vals := make([]uint64, min(left, 1+rng.Intn(600)))
+					for lane := range vals {
+						vals[lane] = v()
 					}
-					p := posting{v(), loc()}
-					tail[len(tail)-1] = append(tail[len(tail)-1], p)
-					want = append(want, p)
+					tail, nums, left = append(tail, vals), append(nums, page(run)), left-len(vals)
 				}
-				slices.SortStableFunc(want, comparePostings)
-				if got := radixSort(tail); !slices.Equal(got, want) {
-					t.Errorf("n=%d, value domain %d, loc domain %d: radix order differs", n, vi, li)
+				var diff uint64
+				last := map[int64]int{}
+				for run, num := range nums {
+					last[num] = run
+					for _, x := range tail[run] {
+						diff |= x ^ tail[0][0]
+					}
+				}
+				var want []posting
+				for num, run := range last {
+					for lane, v := range tail[run] {
+						want = append(want, posting{v, uint64(num)<<32 | uint64(lane)})
+					}
+				}
+				slices.SortFunc(want, comparePostings)
+				if got := sortPostings(tail, nums, n, diff); !slices.Equal(got, want) {
+					t.Errorf("n=%d, value domain %d, page domain %d: order differs", n, vi, pi)
 				}
 			}
 		}
@@ -634,13 +649,15 @@ func TestMicroindexConcurrentNotesAndLookups(t *testing.T) {
 	}
 	var want []uint64
 	for page := int64(0); page < pages; page++ {
+		var recs [][]byte
 		for lane := 0; lane < perPage; lane++ {
 			i := int(page)*perPage + lane
-			m.NoteAppend(page, colRec(i))
+			recs = append(recs, colRec(i))
 			if i%251 == 7 {
 				want = append(want, uint64(page)<<32|uint64(lane))
 			}
 		}
+		noteRows(t, m, page, recs...)
 	}
 	close(done)
 	wg.Wait()

@@ -26,22 +26,22 @@ type SeqWriter struct {
 	// was created with.
 	cw *ColumnarWriter
 
-	// OnAppend, when set, is called after each record lands in a row page,
-	// with the page's number and the record bytes — the row-path append
-	// hook zone maps fold per-page summaries through, the counterpart of
-	// ColumnarWriter.OnSeal. Not called for columnar sets (attach to the
-	// seal hook instead; attachSideIndex wires whichever applies).
-	OnAppend func(pageNum int64, rec []byte)
+	// OnSeal, when set, is called with each row page's number and bytes
+	// just before the writer releases it, while it is still pinned — the
+	// hook side indexes fold a page through, the counterpart of
+	// ColumnarWriter.OnSeal. Not called for columnar sets (attach to that
+	// writer's hook instead; attachSideIndex wires whichever applies).
+	OnSeal func(pageNum int64, page []byte)
 
 	// OnClose, when set, is called last by Close, for either layout — the
 	// hook a microindex sorts what it folded at.
 	OnClose func()
 }
 
-// chainHook composes fn after a writer hook already attached (OnAppend, or
-// ColumnarWriter.OnSeal), so side objects that feed off one writer — a zone
-// map and a microindex, beside a caller's own hook — compose instead of
-// silently displacing each other.
+// chainHook composes fn after a seal hook already attached (either layout's),
+// so side objects that feed off one writer — a zone map and a microindex,
+// beside a caller's own hook — compose instead of silently displacing each
+// other.
 func chainHook[A any](prev, fn func(pageNum int64, a A)) func(int64, A) {
 	if prev == nil {
 		return fn
@@ -84,16 +84,22 @@ func (w *SeqWriter) Add(rec []byte) error {
 		if ok {
 			w.off = next
 			w.n++
-			if w.OnAppend != nil {
-				w.OnAppend(w.page.Num(), rec)
-			}
 			return nil
 		}
-		if err := w.set.Unpin(w.page, true); err != nil {
+		if err := w.release(); err != nil {
 			return err
 		}
-		w.page = nil
 	}
+}
+
+// release runs the seal hook on the current page and unpins it dirty.
+func (w *SeqWriter) release() error {
+	if w.OnSeal != nil {
+		w.OnSeal(w.page.Num(), w.page.Bytes())
+	}
+	err := w.set.Unpin(w.page, true)
+	w.page = nil
+	return err
 }
 
 // Count returns the number of records written so far.
@@ -115,8 +121,7 @@ func (w *SeqWriter) Close() error {
 	}
 	var err error
 	if w.page != nil {
-		err = w.set.Unpin(w.page, true)
-		w.page = nil
+		err = w.release()
 	}
 	w.set.SetCurrentOp(core.OpNone)
 	return err

@@ -12,12 +12,12 @@ import (
 	"pangea/internal/pfs"
 )
 
-// A side index is per-set scan metadata kept beside the data pages: folded
-// incrementally from the sequential writers' hooks as records land,
-// persisted as one pfs side object, registered on the set under the same
-// tag so predicate scans find it, and healed by a full-scan rebuild when the
-// persisted object is absent, torn or stale. That lifecycle is shared here;
-// a kind (zone map, microindex) supplies a sideKind descriptor and a
+// A side index is per-set scan metadata kept beside the data pages: folded a
+// sealed page at a time by the sequential writers' seal hooks and by
+// rebuilds, persisted as one pfs side object, registered on the set under the
+// same tag so predicate scans find it, and healed by a full-scan rebuild when
+// the persisted object is absent, torn or stale. That lifecycle is shared
+// here; a kind (zone map, microindex) supplies a sideKind descriptor and a
 // summarizer, and answers its own queries. Side indexes are valid only for
 // append-once sets (the write pattern every Pangea set has today).
 
@@ -34,11 +34,11 @@ type sideKind struct {
 // summarizer is the kind-specific half of a side index, called with the
 // skeleton's lock held.
 type summarizer interface {
-	// fold adds one value of schema column col at location loc (see
-	// LaneAll: the row's page and lane). sum is the page's summary (nil for
-	// kinds that keep none), slot is col's position among the designated
-	// columns or -1, and first marks the first row of a (re)stated page.
-	fold(sum []byte, loc uint64, col, slot int, u uint64, first bool)
+	// fold states folded column f of page num: vals holds the values of the
+	// page's rows in lane order (see LaneAll: a row's location is its page
+	// and lane), at least one. sum is the page's summary (nil for kinds that
+	// keep none). A page folded again restates its rows.
+	fold(sum []byte, num int64, f foldCol, vals []uint64)
 	// seal puts in order whatever fold left unordered; lookups and Marshal
 	// see only sealed state.
 	seal()
@@ -79,8 +79,10 @@ type sideIndex struct {
 
 	mu      locking.RWMutex
 	pages   map[int64]*sidePage
-	covered int64   // pages 0..covered-1 all have slots; slots are never removed
-	invalid []int64 // ascending pages with valid=false
+	covered int64    // pages 0..covered-1 all have slots; slots are never removed
+	invalid []int64  // ascending pages with valid=false
+	offs    []int32  // scratch, reused page to page: record offsets
+	vals    []uint64 // and one column's values
 }
 
 // sideIndexer is a concrete kind: it embeds the skeleton.
@@ -179,10 +181,6 @@ func (s *sideIndex) page(num int64) *sidePage {
 	return p
 }
 
-// fitsLoc reports whether a location can name lane on page num: the page
-// number fits 32 bits and the lane 31, the largest selection index.
-func fitsLoc(num, lane int64) bool { return num <= math.MaxUint32 && lane <= math.MaxInt32 }
-
 // invalidate marks a page unparseable: it stays covered, but no summary of
 // it is trusted. Caller holds s.mu.
 func (s *sideIndex) invalidate(num int64, p *sidePage) {
@@ -194,53 +192,74 @@ func (s *sideIndex) invalidate(num int64, p *sidePage) {
 	s.invalid = slices.Insert(s.invalid, i, num)
 }
 
-// NoteAppend folds one appended row record into page pageNum — the
-// SeqWriter append hook. The record's lane is the page's row count so far,
-// its index in RecordOffsets order. A record shorter than the schema's
-// footprint, or one no location can name, invalidates the page.
-func (s *sideIndex) NoteAppend(pageNum int64, rec []byte) {
+// notePage folds the first k of page num's n rows, as far as locations can
+// name them, reading each folded column's values through col, and
+// invalidates the page if a row is left out. Caller holds s.mu.
+func (s *sideIndex) notePage(num int64, n, k int, col func(f foldCol, vals []uint64)) {
+	p, k := s.page(num), nameable(num, k)
+	if p.valid && k > 0 {
+		s.vals = slices.Grow(s.vals[:0], k)[:k]
+		for _, f := range s.folded {
+			col(f, s.vals)
+			s.sum.fold(p.sum, num, f, s.vals)
+		}
+		p.rows = max(p.rows, int64(k))
+	}
+	if k < n || num > math.MaxUint32 {
+		s.invalidate(num, p)
+	}
+}
+
+// nameable returns how many of page num's first k lanes a location can name:
+// its page number fits 32 bits, its lane 31 (the largest selection index).
+func nameable(num int64, k int) int {
+	if num > math.MaxUint32 {
+		return 0
+	}
+	return int(min(int64(k), math.MaxInt32+1))
+}
+
+// NoteRowPage folds one sealed row page — the SeqWriter seal hook, and
+// rebuilds' path over row pages. Row i is the i-th record in RecordOffsets
+// order, at lane i. A record shorter than the schema invalidates the page
+// once the rows before it are folded; a page with no records gets no slot;
+// a page whose framing is corrupt is left as it was and is an error.
+func (s *sideIndex) NoteRowPage(num int64, page []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.page(pageNum)
-	if len(rec) < s.rowSize || !fitsLoc(pageNum, p.rows) {
-		s.invalidate(pageNum, p)
-		return
+	offs, minLen, err := RecordOffsets(page, s.offs[:0])
+	if s.offs = offs; err != nil || len(offs) == 0 {
+		return err
 	}
-	if !p.valid {
-		return
+	k := len(offs)
+	if minLen < s.rowSize {
+		k = slices.IndexFunc(offs, func(off int32) bool { return RecordLen(page, off) < s.rowSize })
 	}
-	first, loc := p.rows == 0, uint64(pageNum)<<32|uint64(p.rows)
-	for _, f := range s.folded {
-		s.sum.fold(p.sum, loc, f.col, f.slot, readU(rec[f.offset:], f.width), first)
-	}
-	p.rows++
+	s.notePage(num, len(offs), k, func(f foldCol, vals []uint64) {
+		for i := range vals {
+			vals[i] = readU(page[int(offs[i])+f.offset:], f.width)
+		}
+	})
+	return nil
 }
 
 // NoteColumnarPage folds one sealed columnar page — the ColumnarWriter seal
-// hook, and the vectorized path of rebuilds: each folded column is a tight
-// loop over its contiguous segment. Re-sealing the same page (Close after
-// its last Add already sealed it) restates the same rows; first restarts
-// each column's summary rather than double-folding. Row i's lane is i. A
-// page whose shape differs from the schema, or whose rows no location can
-// name, is invalidated.
-func (s *sideIndex) NoteColumnarPage(pageNum int64, cp *ColumnarPage) {
+// hook, and rebuilds' path over columnar pages — off its column segments.
+// Row i's lane is i. Sealing a page again restates its rows. A page whose
+// shape differs from the schema is invalidated.
+func (s *sideIndex) NoteColumnarPage(num int64, cp *ColumnarPage) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.page(pageNum)
-	n := cp.NumRows()
-	if !slices.Equal(cp.widths, s.widths) || !fitsLoc(pageNum, int64(n)-1) {
-		s.invalidate(pageNum, p)
-	}
-	if !p.valid {
+	if !slices.Equal(cp.widths, s.widths) {
+		s.invalidate(num, s.page(num))
 		return
 	}
-	for _, f := range s.folded {
+	s.notePage(num, cp.NumRows(), cp.NumRows(), func(f foldCol, vals []uint64) {
 		seg := cp.Col(f.col)
-		for i := 0; i < n; i++ {
-			s.sum.fold(p.sum, uint64(pageNum)<<32|uint64(i), f.col, f.slot, readU(seg[i*f.width:], f.width), i == 0)
+		for i := range vals {
+			vals[i] = readU(seg[i*f.width:], f.width)
 		}
-	}
-	p.rows = int64(n)
+	})
 }
 
 // lockedSeal runs the kind's seal under the write lock: the writer's close
@@ -396,12 +415,11 @@ func (s *sideIndex) Save(set *core.LocalitySet) error {
 
 // --- wiring ------------------------------------------------------------------
 
-// attachSideIndex wires incremental maintenance of x into a sequential
-// writer: columnar sets hook the page-seal callback (computed while the
-// sealed page is still pinned), row sets the per-record append callback,
-// and both seal at close. Hooks chain, so several side indexes ride one
-// writer. x is registered as the set's side index for its kind so predicate
-// scans find it; call Save after the writer closes to persist it.
+// attachSideIndex wires maintenance of x into a sequential writer: each
+// page is folded by the writer's seal hook for its layout, while the page is
+// still pinned, and x seals at close. Hooks chain, so several side indexes
+// ride one writer. x is registered as the set's side index for its kind so
+// predicate scans find it; call Save after the writer closes to persist it.
 func attachSideIndex(w *SeqWriter, x sideIndexer) error {
 	s := x.base()
 	if w.cw != nil {
@@ -411,7 +429,8 @@ func attachSideIndex(w *SeqWriter, x sideIndexer) error {
 		}
 		w.cw.OnSeal = chainHook(w.cw.OnSeal, s.NoteColumnarPage)
 	} else {
-		w.OnAppend = chainHook(w.OnAppend, s.NoteAppend)
+		// A corrupt page (never one the writer framed) would get no slot.
+		w.OnSeal = chainHook(w.OnSeal, func(num int64, page []byte) { _ = s.NoteRowPage(num, page) })
 	}
 	prev := w.OnClose
 	w.OnClose = func() {
@@ -477,9 +496,8 @@ func ensureSideIndex[T sideIndexer](set *core.LocalitySet, fresh func() (T, erro
 	return x, nil
 }
 
-// rebuildFromScan drives one full scan of the set's first n pages through
-// the note hooks — vectorized over columnar pages, record-walked over row
-// pages — and seals the result.
+// rebuildFromScan folds the set's first n pages, one full scan, through the
+// writers' page folds and seals the result.
 func (s *sideIndex) rebuildFromScan(set *core.LocalitySet, n int64) error {
 	for num := int64(0); num < n; num++ {
 		p, err := set.Pin(num)
@@ -493,10 +511,7 @@ func (s *sideIndex) rebuildFromScan(set *core.LocalitySet, n int64) error {
 				s.NoteColumnarPage(num, &view)
 			}
 		} else {
-			err = WalkPage(buf, func(rec []byte) error {
-				s.NoteAppend(num, rec)
-				return nil
-			})
+			err = s.NoteRowPage(num, buf)
 		}
 		if uerr := set.Unpin(p, false); err == nil {
 			err = uerr

@@ -70,15 +70,11 @@ func goldenSideObjects(t *testing.T) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, note := range []func(int64, []byte){z.NoteAppend, m.NoteAppend} {
-		note(0, rec(10, 1.5, 1))
-		note(0, rec(7, -2.5, 2))
-		note(1, rec(20, math.NaN(), 1))
-		note(1, rec(21, 4, 1))
-		note(3, rec(40, 9, 3))
-		note(3, rec(41, 8, 3)[:6]) // short record: page 3 poisoned
-		note(2, rec(30, 0, 2))     // an earlier page noted after a later one
-		note(2, rec(10, 0, 1))
+	for _, x := range []sideIndexer{z, m} {
+		noteRows(t, x, 0, rec(10, 1.5, 1), rec(7, -2.5, 2))
+		noteRows(t, x, 1, rec(20, math.NaN(), 1), rec(21, 4, 1))
+		noteRows(t, x, 3, rec(40, 9, 3), rec(41, 8, 3)[:6]) // short record: page 3 poisoned
+		noteRows(t, x, 2, rec(30, 0, 2), rec(10, 0, 1))     // an earlier page noted after a later one
 	}
 	out["zonemap/edges"], out["microindex/edges"] = z.Marshal(), m.Marshal()
 	return out

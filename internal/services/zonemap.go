@@ -2,6 +2,7 @@ package services
 
 import (
 	"math"
+	"slices"
 
 	"pangea/internal/core"
 )
@@ -93,40 +94,44 @@ func NewZoneMap(spec ZoneMapSpec) (*ZoneMap, error) {
 	return z, nil
 }
 
-// fold widens column col's ranges, and sets its bloom if it has one, with
-// one value.
-func (z *ZoneMap) fold(sum []byte, _ uint64, col, slot int, u uint64, first bool) {
-	s := sum[zoneColBytes*col:][:zoneColBytes]
-	if first || u < le.Uint64(s[zMinU:]) {
-		le.PutUint64(s[zMinU:], u)
+// fold states column f's ranges, and its bloom if it has one, over one
+// page's values.
+func (z *ZoneMap) fold(sum []byte, _ int64, f foldCol, vals []uint64) {
+	s := sum[zoneColBytes*f.col:][:zoneColBytes]
+	le.PutUint64(s[zMinU:], slices.Min(vals))
+	le.PutUint64(s[zMaxU:], slices.Max(vals))
+	if f.width == 8 {
+		lo, hi := floatRange(vals)
+		le.PutUint64(s[zMinF:], lo)
+		le.PutUint64(s[zMaxF:], hi)
 	}
-	if first || u > le.Uint64(s[zMaxU:]) {
-		le.PutUint64(s[zMaxU:], u)
-	}
-	if z.widths[col] == 8 {
-		f := math.Float64frombits(u)
-		minF, maxF := math.Float64frombits(le.Uint64(s[zMinF:])), math.Float64frombits(le.Uint64(s[zMaxF:]))
-		switch {
-		case math.IsNaN(f):
-			// Poison the float interpretation: a NaN is unordered, so no
-			// min/max statement about this page's floats can be trusted.
-			le.PutUint64(s[zMinF:], nanBits)
-			le.PutUint64(s[zMaxF:], nanBits)
-		case first:
-			le.PutUint64(s[zMinF:], u)
-			le.PutUint64(s[zMaxF:], u)
-		case !math.IsNaN(minF):
-			if f < minF {
-				le.PutUint64(s[zMinF:], u)
-			}
-			if f > maxF {
-				le.PutUint64(s[zMaxF:], u)
-			}
+	if f.slot >= 0 {
+		b := z.bloom(sum, f.slot)
+		for _, u := range vals {
+			bloomSet(b, u)
 		}
 	}
-	if slot >= 0 {
-		bloomSet(z.bloom(sum, slot), u)
+}
+
+// floatRange returns the bits of the least and the greatest of vals read as
+// float64s — of values that compare equal, such as −0 and +0, the first — or
+// NaN bits for both if any is a NaN: a NaN is unordered, so no min/max
+// statement about the page's floats can be trusted.
+func floatRange(vals []uint64) (lo, hi uint64) {
+	lo, hi = vals[0], vals[0]
+	for _, u := range vals {
+		f := math.Float64frombits(u)
+		if math.IsNaN(f) {
+			return nanBits, nanBits
+		}
+		if f < math.Float64frombits(lo) {
+			lo = u
+		}
+		if f > math.Float64frombits(hi) {
+			hi = u
+		}
 	}
+	return lo, hi
 }
 
 // bloom returns bloom column slot's filter within a page summary.
@@ -216,7 +221,7 @@ func LoadZoneMap(data []byte, spec ZoneMapSpec) (*ZoneMap, error) {
 	return z, nil
 }
 
-// AttachZoneMap wires incremental zone-map maintenance into a sequential
+// AttachZoneMap wires page-at-a-time zone-map maintenance into a sequential
 // writer and registers the map on the writer's set (see attachSideIndex).
 func AttachZoneMap(w *SeqWriter, spec ZoneMapSpec) (*ZoneMap, error) {
 	z, err := NewZoneMap(spec)

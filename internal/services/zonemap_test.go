@@ -127,13 +127,15 @@ func TestZoneMapBloomExcludesSparseValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	present := map[uint64]bool{}
+	var recs [][]byte
 	for i := 0; i < 40; i++ {
 		rec := colRec(i)
 		tag := uint16(i * 97)
 		binary.LittleEndian.PutUint16(rec[4:6], tag)
 		present[uint64(tag)] = true
-		z.NoteAppend(0, rec)
+		recs = append(recs, rec)
 	}
+	noteRows(t, z, 0, recs...)
 	loaded, err := LoadZoneMap(z.Marshal(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +224,7 @@ func TestZoneMapConservativeEdges(t *testing.T) {
 	}
 	rec := make([]byte, 44)
 	binary.LittleEndian.PutUint32(rec[0:4], 7)
-	z.NoteAppend(0, rec)
+	noteRows(t, z, 0, rec)
 	if lo, hi, ok := z.ColRangeU(0, 0); !ok || lo != 7 || hi != 7 {
 		t.Errorf("tracked col: [%d,%d] ok=%v, want [7,7]", lo, hi, ok)
 	}
@@ -241,8 +243,7 @@ func TestZoneMapConservativeEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z2.NoteAppend(0, colRec(1))
-	z2.NoteAppend(0, []byte{1, 2})
+	noteRows(t, z2, 0, colRec(1), []byte{1, 2})
 	if !z2.Covers(1) {
 		t.Error("poisoned page lost coverage")
 	}
@@ -264,17 +265,14 @@ func TestZoneMapConservativeEdges(t *testing.T) {
 		binary.LittleEndian.PutUint64(b, math.Float64bits(f))
 		return b
 	}
-	z3.NoteAppend(0, frec(1.5))
-	z3.NoteAppend(0, frec(math.NaN()))
-	z3.NoteAppend(0, frec(-2.5))
+	noteRows(t, z3, 0, frec(1.5), frec(math.NaN()), frec(-2.5))
 	if _, _, ok := z3.ColRangeF64(0, 0); ok {
 		t.Error("NaN page still answers float range queries")
 	}
 	if _, _, ok := z3.ColRangeU(0, 0); !ok {
 		t.Error("NaN poisoned the unsigned interpretation too")
 	}
-	z3.NoteAppend(1, frec(1.5))
-	z3.NoteAppend(1, frec(-2.5))
+	noteRows(t, z3, 1, frec(1.5), frec(-2.5))
 	if lo, hi, ok := z3.ColRangeF64(1, 0); !ok || lo != -2.5 || hi != 1.5 {
 		t.Errorf("float range [%v,%v] ok=%v, want [-2.5,1.5]", lo, hi, ok)
 	}
