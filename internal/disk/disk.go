@@ -172,6 +172,23 @@ func (d *Disk) Stats() Stats {
 	}
 }
 
+// SyncDir flushes the drive's directory to stable storage, making the files
+// created, renamed or removed in it so far durable.
+func (d *Disk) SyncDir() error {
+	dir, err := os.Open(d.dir)
+	if err != nil {
+		return fmt.Errorf("disk: %w", err)
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("disk: sync %s: %w", d.dir, err)
+	}
+	return nil
+}
+
 // RemoveAll deletes the drive's entire directory tree.
 func (d *Disk) RemoveAll() error { return os.RemoveAll(d.dir) }
 
@@ -230,6 +247,7 @@ func (f *File) Truncate(n int64) error { return f.f.Truncate(n) }
 
 // Rename gives the file the name to on its drive, replacing any file of
 // that name in one step: a reader sees the old file or this one, never a mix.
+// The new name outlasts a crash only once the drive's SyncDir returns.
 func (f *File) Rename(to string) error {
 	path := filepath.Join(f.d.dir, to)
 	if err := os.Rename(f.path, path); err != nil {

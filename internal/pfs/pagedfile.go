@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"pangea/internal/disk"
 	"pangea/internal/locking"
@@ -56,6 +57,10 @@ type PagedFile struct {
 	name     string
 	pageSize int64
 	array    *disk.Array
+
+	// flushMu serializes FlushMeta, which writes one sibling file at a time;
+	// it is taken before mu and held across the rewrite's I/O, which mu is not.
+	flushMu sync.Mutex
 
 	mu    locking.Mutex
 	data  []*disk.File          // one per drive; nil until a page is placed there
@@ -284,13 +289,15 @@ func (pf *PagedFile) DiskBytes() int64 {
 
 // FlushMeta persists the page index to the meta file. Pangea's meta file is
 // small — the central manager stores only set-level metadata, and each node's
-// meta file indexes only local pages (paper §4). The new index is written
-// whole to a sibling file, synced, and renamed over the meta file, so a
-// failed or torn rewrite leaves the previous index in place. The index lock
-// is held throughout, so two flushes cannot interleave.
+// meta file indexes only local pages (paper §4). The index is snapshotted
+// under the index lock, then written whole to a sibling file, synced, and
+// renamed over the meta file, whose directory is synced last, so a failed or
+// torn rewrite leaves the previous index in place. Flushes run one at a time;
+// placement and lookups do not wait on a flush's I/O.
 func (pf *PagedFile) FlushMeta() error {
+	pf.flushMu.Lock()
+	defer pf.flushMu.Unlock()
 	pf.mu.Lock()
-	defer pf.mu.Unlock()
 	nums := make([]int64, 0, len(pf.pages))
 	for n := range pf.pages {
 		nums = append(nums, n)
@@ -312,6 +319,7 @@ func (pf *PagedFile) FlushMeta() error {
 		put64(int64(loc.Drive))
 		put64(loc.Offset)
 	}
+	pf.mu.Unlock()
 	meta, err := pf.array.Disk(0).Create(pf.name + ".meta.new")
 	if err != nil {
 		return err
@@ -325,11 +333,14 @@ func (pf *PagedFile) FlushMeta() error {
 		_ = meta.Remove() // the failed write's error is the one to report
 		return err
 	}
-	if pf.meta != nil {
-		_ = pf.meta.Close() // its file was just replaced
-	}
+	pf.mu.Lock()
+	old := pf.meta
 	pf.meta = meta
-	return nil
+	pf.mu.Unlock()
+	if old != nil {
+		_ = old.Close() // its file was just replaced
+	}
+	return pf.array.Disk(0).SyncDir()
 }
 
 // loadMeta reads the page index back from the meta file.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pangea/internal/disk"
 )
@@ -544,5 +545,44 @@ func TestFlushMetaKeepsIndexWhenRewriteFails(t *testing.T) {
 		if buf[0] != byte(i+1) {
 			t.Fatalf("page %d reads %d after reopen, want %d", i, buf[0], i+1)
 		}
+	}
+}
+
+// TestFlushMetaDoesNotBlockTheIndex stalls a meta rewrite inside its write
+// and checks that the index stays usable meanwhile: a flush holds the index
+// lock only to snapshot it.
+func TestFlushMetaDoesNotBlockTheIndex(t *testing.T) {
+	a := newArray(t, 2)
+	pf, err := Create(a, "stalled", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Remove()
+	if err := pf.WritePage(0, bytes.Repeat([]byte{1}, 256)); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	a.Disk(0).SetWriteFault(func() error {
+		close(entered)
+		<-release
+		return nil
+	})
+	flushed := make(chan error, 1)
+	go func() { flushed <- pf.FlushMeta() }()
+	<-entered
+	a.Disk(0).SetWriteFault(nil)
+	read := make(chan int, 1)
+	go func() { read <- pf.NumPages() }()
+	select {
+	case n := <-read:
+		if n != 1 {
+			t.Errorf("NumPages during a flush = %d, want 1", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("NumPages waited on a stalled meta rewrite")
+	}
+	close(release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
 	}
 }

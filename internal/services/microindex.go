@@ -98,7 +98,7 @@ func (m *Microindex) fold(_ []byte, num int64, f foldCol, vals []uint64) {
 
 // seal puts every column's tail in order and into its body: one sort of the
 // tail, then, in the rare case that an earlier seal left a body, a sort of
-// both that drops repeated pairs (a page folded again restates its rows).
+// both that drops repeated pairs (a page noted again restates its rows).
 func (m *Microindex) seal() {
 	for i := range m.post {
 		p := &m.post[i]
@@ -120,12 +120,13 @@ func (m *Microindex) seal() {
 const bucketPairs = 1 << 14
 
 // sortPostings returns the n postings of a tail — run i holds page nums[i]'s
-// values at lanes 0, 1, … — ordered by (value, loc), in one new slice; a page
-// folded more than once counts once, by its last fold. diff holds the bits in
-// which the values vary. Taken in page order, the locations ascend; one MSD
-// scatter on the top varying bits moves the postings into buckets of about
-// bucketPairs, and LSD passes sort each bucket in cache on the varying bits
-// below. Every pass is stable, so none sorts on the locations.
+// values at lanes 0, 1, … — ordered by (value, loc), in one new slice. diff
+// holds the bits in which the values vary. The runs are taken in page order,
+// so the locations ascend, and a page noted twice counts by its last fold
+// (only direct callers note so; writers and rebuilds note each page once, in
+// order). One MSD scatter on the top varying bits moves the postings into
+// buckets of about bucketPairs, and LSD passes sort each bucket in cache on
+// the varying bits below. Every pass is stable, so none sorts on locations.
 func sortPostings(tail [][]uint64, nums []int64, n int, diff uint64) []posting {
 	order := make([]int, len(tail))
 	for i := range order {

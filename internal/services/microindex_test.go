@@ -470,10 +470,26 @@ func TestMicroindexNotesInAnyOrder(t *testing.T) {
 	if pg := m.pages[1<<32]; pg == nil || pg.valid {
 		t.Error("a note on page 2^32 left the page valid")
 	}
-	// So is a page with more rows than a selection index can name: no lane
-	// past 2^31-1 is folded, and the rows left over invalidate the page.
-	if got := nameable(6, math.MaxInt32+2); got != math.MaxInt32+1 {
-		t.Errorf("a page of 2^31+1 rows folds %d of them, want 2^31", got)
+	// So is a page whose lanes run past 2^31-1, the largest selection index:
+	// none of its rows is folded. A page of 2^31 rows is nameable, so its one
+	// folded row leaves the rest out and invalidates it only then. (One row
+	// of each is folded, so no page-sized value buffer is made.)
+	for _, c := range []struct {
+		num  int64
+		n    int
+		rows int64
+	}{{6, math.MaxInt32 + 2, 0}, {7, math.MaxInt32 + 1, 1}} {
+		folded := false
+		m.mu.Lock()
+		m.notePage(c.num, c.n, 1, func(_ foldCol, vals []uint64) { folded, vals[0] = true, 1 })
+		m.mu.Unlock()
+		if pg := m.pages[c.num]; pg.valid || pg.rows != c.rows || folded != (c.rows > 0) {
+			t.Errorf("page of %d rows, one noted: valid=%v rows=%d folded=%v, want invalid with %d rows",
+				c.n, pg.valid, pg.rows, folded, c.rows)
+		}
+	}
+	if !nameable(7, math.MaxInt32+1) || nameable(6, math.MaxInt32+2) || nameable(1<<32, 1) {
+		t.Error("nameable misplaces the lane or page bound")
 	}
 }
 

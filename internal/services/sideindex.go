@@ -192,12 +192,13 @@ func (s *sideIndex) invalidate(num int64, p *sidePage) {
 	s.invalid = slices.Insert(s.invalid, i, num)
 }
 
-// notePage folds the first k of page num's n rows, as far as locations can
-// name them, reading each folded column's values through col, and
-// invalidates the page if a row is left out. Caller holds s.mu.
+// notePage folds the first k of page num's n rows, reading each folded
+// column's values through col, and invalidates the page if a row is left out.
+// A page with a row no location can name is invalidated before any row is
+// folded. Caller holds s.mu.
 func (s *sideIndex) notePage(num int64, n, k int, col func(f foldCol, vals []uint64)) {
-	p, k := s.page(num), nameable(num, k)
-	if p.valid && k > 0 {
+	p, ok := s.page(num), nameable(num, n)
+	if ok && p.valid && k > 0 {
 		s.vals = slices.Grow(s.vals[:0], k)[:k]
 		for _, f := range s.folded {
 			col(f, s.vals)
@@ -205,18 +206,15 @@ func (s *sideIndex) notePage(num int64, n, k int, col func(f foldCol, vals []uin
 		}
 		p.rows = max(p.rows, int64(k))
 	}
-	if k < n || num > math.MaxUint32 {
+	if k < n || !ok {
 		s.invalidate(num, p)
 	}
 }
 
-// nameable returns how many of page num's first k lanes a location can name:
+// nameable reports whether a location can name each of page num's n lanes:
 // its page number fits 32 bits, its lane 31 (the largest selection index).
-func nameable(num int64, k int) int {
-	if num > math.MaxUint32 {
-		return 0
-	}
-	return int(min(int64(k), math.MaxInt32+1))
+func nameable(num int64, n int) bool {
+	return num <= math.MaxUint32 && int64(n) <= math.MaxInt32+1
 }
 
 // NoteRowPage folds one sealed row page — the SeqWriter seal hook, and
@@ -245,7 +243,7 @@ func (s *sideIndex) NoteRowPage(num int64, page []byte) error {
 
 // NoteColumnarPage folds one sealed columnar page — the ColumnarWriter seal
 // hook, and rebuilds' path over columnar pages — off its column segments.
-// Row i's lane is i. Sealing a page again restates its rows. A page whose
+// Row i's lane is i. Noting a page again restates its rows. A page whose
 // shape differs from the schema is invalidated.
 func (s *sideIndex) NoteColumnarPage(num int64, cp *ColumnarPage) {
 	s.mu.Lock()
