@@ -49,12 +49,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	keyFn := func(f func([]byte) []byte) placement.KeyFunc {
-		return func(rec []byte) ([]byte, error) { return f(rec), nil }
-	}
 	parts := []*placement.Partitioner{
-		{Scheme: "hash(l_orderkey)", NumPartitions: 20, Key: keyFn(tpch.LOrderKey)},
-		{Scheme: "hash(l_partkey)", NumPartitions: 20, Key: keyFn(tpch.LPartKey)},
+		{Scheme: "hash(l_orderkey)", NumPartitions: 20, Key: tpch.LOrderKey},
+		{Scheme: "hash(l_partkey)", NumPartitions: 20, Key: tpch.LPartKey},
 	}
 	g, err := placement.BuildGroup(cl, addrs, "lineitem", parts, core.SetSpec{PageSize: 128 << 10})
 	if err != nil {

@@ -4,12 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"pangea/internal/core"
-	"pangea/internal/disk"
 	"pangea/internal/query"
 	"pangea/internal/services"
 )
@@ -42,22 +40,21 @@ const (
 // drives, showing both layouts ride the same per-drive prefetch pipeline.
 func S10Columnar(o Options) (*Table, error) {
 	nRows := o.pick(40_000, 600_000)
-	const pageSize = 128 << 10
 	t := &Table{
 		ID: "s10",
 		Title: fmt.Sprintf("columnar scan-filter-agg vs row layout (%d rows, %d KiB pages)",
-			nRows, pageSize>>10),
+			nRows, factPageSize>>10),
 		Header: []string{"mode", "sel %", "layout", "drives", "scan ms", "matched", "speedup"},
 	}
-	rows := s10Rows(nRows)
+	rows := factRows(nRows, func(i int) uint64 { return uint64(i) }, s10Date)
 
 	// Warm sweep: data resident, unthrottled single drive, pure decode CPU.
 	// Each layout is loaded once and swept across every selectivity.
-	warmRow, err := s10Sweep(o, rows, pageSize, false, 1, true, []uint16{1, 10, 50, 100})
+	warmRow, err := s10Sweep(o, rows, false, 1, true, []uint16{1, 10, 50, 100})
 	if err != nil {
 		return nil, err
 	}
-	warmCol, err := s10Sweep(o, rows, pageSize, true, 1, true, []uint16{1, 10, 50, 100})
+	warmCol, err := s10Sweep(o, rows, true, 1, true, []uint16{1, 10, 50, 100})
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +68,7 @@ func S10Columnar(o Options) (*Table, error) {
 	for _, drives := range []int{1, 4} {
 		var rowElapsed time.Duration
 		for _, columnar := range []bool{false, true} {
-			rs, err := s10Sweep(o, rows, pageSize, columnar, drives, false, []uint16{10})
+			rs, err := s10Sweep(o, rows, columnar, drives, false, []uint16{10})
 			if err != nil {
 				return nil, err
 			}
@@ -101,23 +98,9 @@ func s10Layout(columnar bool) string {
 	return "row"
 }
 
-// s10Rows generates the synthetic fact rows once; both layouts load the
-// same records.
-func s10Rows(n int) [][]byte {
-	rows := make([][]byte, n)
-	flat := make([]byte, n*s10RowSize)
-	for i := 0; i < n; i++ {
-		r := flat[i*s10RowSize : (i+1)*s10RowSize]
-		binary.LittleEndian.PutUint64(r[0:8], uint64(i))
-		binary.LittleEndian.PutUint16(r[8:10], uint16(i%100))
-		binary.LittleEndian.PutUint64(r[10:18], math.Float64bits(float64(i%1000)))
-		for j := 18; j < s10RowSize; j++ {
-			r[j] = byte(i + j)
-		}
-		rows[i] = r
-	}
-	return rows
-}
+// s10Date is the sweep's date column: key % 100, so a cutoff of c selects
+// exactly c% of the rows.
+func s10Date(i int) uint16 { return uint16(i % 100) }
 
 type s10Result struct {
 	elapsed time.Duration
@@ -129,41 +112,13 @@ type s10Result struct {
 // times the scan-filter-agg at each cutoff. Warm sweeps prime the cache and
 // time several passes per cutoff; cold sweeps chill the set before each
 // timed streaming pass.
-func s10Sweep(o Options, rows [][]byte, pageSize int64, columnar bool, drives int, warm bool, cutoffs []uint16) ([]s10Result, error) {
+func s10Sweep(o Options, rows [][]byte, columnar bool, drives int, warm bool, cutoffs []uint16) ([]s10Result, error) {
 	tag := fmt.Sprintf("s10-%s-%s-%dd", s10Layout(columnar), map[bool]string{true: "warm", false: "cold"}[warm], drives)
-	cfg := diskConfig()
-	if warm {
-		cfg = disk.Unthrottled()
-	}
-	arr, err := disk.NewArray(filepath.Join(o.Dir, tag), drives, cfg)
+	bp, set, done, err := loadFacts(o, tag, rows, drives, warm, columnar)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = arr.RemoveAll() }()
-	dataBytes := int64(len(rows)) * (s10RowSize + 8)
-	mem := dataBytes * 2 // warm: everything resident
-	if !warm {
-		mem = dataBytes / 4
-	}
-	if min := 8 * pageSize; mem < min {
-		mem = min
-	}
-	bp, err := core.NewPool(core.PoolConfig{Memory: mem, Array: arr})
-	if err != nil {
-		return nil, err
-	}
-	spec := core.SetSpec{Name: "facts", PageSize: pageSize, Durability: core.WriteThrough}
-	if columnar {
-		spec.Layout = core.LayoutColumnar
-		spec.Columns = s10Widths
-	}
-	set, err := bp.CreateSet(spec)
-	if err != nil {
-		return nil, err
-	}
-	if err := services.WriteAll(set, rows); err != nil {
-		return nil, err
-	}
+	defer done()
 
 	out := make([]s10Result, 0, len(cutoffs))
 	for _, cutoff := range cutoffs {
@@ -175,7 +130,7 @@ func s10Sweep(o Options, rows [][]byte, pageSize int64, columnar bool, drives in
 				return nil, err
 			}
 			loops = o.pick(5, 9)
-		} else if err := s9Chill(bp, set, pageSize); err != nil {
+		} else if err := s9Chill(bp, set, factPageSize); err != nil {
 			return nil, err
 		}
 		// Best of the timed passes: the min is the standard robust
@@ -195,19 +150,8 @@ func s10Sweep(o Options, rows [][]byte, pageSize int64, columnar bool, drives in
 			res = r
 		}
 		res.elapsed = best
-
-		// Cross-check against the truth the generator implies.
-		var wantMatched int64
-		var wantSum float64
-		for i := range rows {
-			if uint16(i%100) < cutoff {
-				wantMatched++
-				wantSum += float64(i % 1000)
-			}
-		}
-		if res.matched != wantMatched || math.Abs(res.sum-wantSum) > 1e-6*math.Abs(wantSum)+1e-9 {
-			return nil, fmt.Errorf("s10 %s c%d: matched %d sum %.3f, want %d / %.3f",
-				tag, cutoff, res.matched, res.sum, wantMatched, wantSum)
+		if err := rangeTruth(res, len(rows), s10Date, cutoff); err != nil {
+			return nil, fmt.Errorf("s10 %s c%d: %w", tag, cutoff, err)
 		}
 		out = append(out, res)
 	}
@@ -229,40 +173,25 @@ func s10Schema() []services.ColumnSpec {
 }
 
 // s10Scan runs one scan-filter-sum pass over the set in either layout's
-// mode. Both express the filter as the same ScanSpec predicate; the sink's
-// lock is taken only for rows that survive it, so the row mode's
-// per-unmatched-row cost is purely the engine's.
+// mode. Both express the filter as the same ScanSpec predicate; the row mode
+// is the record consumer's path, ScanSpec.Run, and its sink's lock is taken
+// only for rows that survive the filter, so its per-unmatched-row cost is
+// purely the engine's.
 func s10Scan(set *core.LocalitySet, cutoff uint16, columnar bool) (s10Result, error) {
+	spec := query.ScanSpec{Set: set, Threads: s10Threads, Pred: s10Pred(cutoff)}
+	if columnar {
+		return sumPass(spec)
+	}
 	var mu sync.Mutex
 	var res s10Result
-	var err error
-	if columnar {
-		spec := query.ScanSpec{Set: set, Threads: s10Threads, Pred: s10Pred(cutoff)}
-		err = spec.RunBatches(func(_ int, b *query.Batch) error {
-			vals := b.Col(s10ColVal)
-			var s float64
-			for _, r := range b.Sel() {
-				s += math.Float64frombits(binary.LittleEndian.Uint64(vals[int(r)*8:]))
-			}
-			mu.Lock()
-			res.sum += s
-			res.matched += int64(b.Selected())
-			mu.Unlock()
-			return nil
-		})
-	} else {
-		spec := query.ScanSpec{Set: set, Threads: s10Threads, Pred: s10Pred(cutoff), Schema: s10Schema()}
-		err = spec.Run(func(_ int, r query.Row) error {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(r[10:18]))
-			mu.Lock()
-			res.sum += v
-			res.matched++
-			mu.Unlock()
-			return nil
-		})
-	}
-	if err != nil {
-		return s10Result{}, err
-	}
-	return res, nil
+	spec.Schema = s10Schema()
+	err := spec.Run(func(_ int, r query.Row) error {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(r[10:18]))
+		mu.Lock()
+		res.sum += v
+		res.matched++
+		mu.Unlock()
+		return nil
+	})
+	return res, err
 }

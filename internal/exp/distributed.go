@@ -11,7 +11,6 @@ import (
 
 	"pangea/internal/cluster"
 	"pangea/internal/core"
-	"pangea/internal/disk"
 	"pangea/internal/kmeans"
 	"pangea/internal/layered"
 	"pangea/internal/paging"
@@ -69,21 +68,13 @@ var (
 )
 
 // pangeaPolicies is the Fig 3 policy lineup for the Pangea rows.
-func pangeaPolicies() []struct {
-	Name   string
-	Policy func() core.Policy
-} {
-	return []struct {
-		Name   string
-		Policy func() core.Policy
-	}{
-		{"Pangea w/ Data-aware", func() core.Policy { return core.NewDataAware() }},
-		{"Pangea w/ LRU", func() core.Policy { return paging.NewLRU() }},
-		{"Pangea w/ MRU", func() core.Policy { return paging.NewMRU() }},
-		{"Pangea w/ DBMIN-1", func() core.Policy { return paging.NewDBMIN1() }},
-		{"Pangea w/ DBMIN-1000", func() core.Policy { return paging.NewDBMIN1000() }},
-		{"Pangea w/ DBMIN-adaptive", func() core.Policy { return paging.NewDBMINAdaptive() }},
-	}
+var pangeaPolicies = []namedPolicy{
+	{"Pangea w/ Data-aware", func() core.Policy { return core.NewDataAware() }},
+	{"Pangea w/ LRU", func() core.Policy { return paging.NewLRU() }},
+	{"Pangea w/ MRU", func() core.Policy { return paging.NewMRU() }},
+	{"Pangea w/ DBMIN-1", func() core.Policy { return paging.NewDBMIN1() }},
+	{"Pangea w/ DBMIN-1000", func() core.Policy { return paging.NewDBMIN1000() }},
+	{"Pangea w/ DBMIN-adaptive", func() core.Policy { return paging.NewDBMINAdaptive() }},
 }
 
 // runKMeansStudy executes the full Fig 3 / Fig 4 grid once and caches it.
@@ -115,7 +106,7 @@ func runKMeansStudy(o Options) (*kmeansStudy, error) {
 		pts := kmeans.GeneratePoints(n, dim, cfg.K, 99)
 
 		// Pangea under each paging policy.
-		for _, pp := range pangeaPolicies() {
+		for _, pp := range pangeaPolicies {
 			tc, err := startCluster(o, fmt.Sprintf("fig3-%s-%d", pp.Name, scale), nodes, poolPerNode, pp.Policy)
 			if err != nil {
 				return nil, err
@@ -160,11 +151,11 @@ func runKMeansStudy(o Options) (*kmeansStudy, error) {
 			pool    int64
 		}{
 			{"Spark w/ HDFS", func() (*layered.Storage, func(), error) {
-				arr, err := disk.NewArray(filepath.Join(o.Dir, fmt.Sprintf("fig3-hdfs-%d", scale)), 1, diskConfig())
+				arr, done, err := newDrives(o, fmt.Sprintf("fig3-hdfs-%d", scale), 1, diskConfig())
 				if err != nil {
 					return nil, nil, err
 				}
-				return layered.NewHDFSStorage(arr, total/3), func() { _ = arr.RemoveAll() }, nil
+				return layered.NewHDFSStorage(arr, total/3), done, nil
 			}, total * 2 / 3},
 			{"Spark w/ Alluxio", func() (*layered.Storage, func(), error) {
 				// Alluxio gets the lion's share (the paper gave it 15 of
@@ -350,48 +341,49 @@ func Fig6(o Options) (*Table, error) {
 		Header: []string{"workers", "recovery ms", "colliding objects", "colliding %"},
 	}
 	for _, k := range sizes {
-		tc, err := startCluster(o, fmt.Sprintf("fig6-%d", k), k, 8<<20, nil)
+		row, err := fig6Run(o, k, sf)
 		if err != nil {
 			return nil, err
 		}
-		d := tpch.Generate(sf, 23)
-		if err := tc.exec.Client.CreateSet("lineitem", 128<<10, 0); err != nil {
-			_ = tc.Close()
-			return nil, err
-		}
-		if err := placement.DispatchRandom(tc.exec.Client, tc.exec.Addrs, "lineitem", d.Lineitem); err != nil {
-			_ = tc.Close()
-			return nil, err
-		}
-		np := placement.PartitionsFor(k)
-		key := func(f func([]byte) []byte) placement.KeyFunc {
-			return func(rec []byte) ([]byte, error) { return f(rec), nil }
-		}
-		parts := []*placement.Partitioner{
-			{Scheme: "hash(l_orderkey)", NumPartitions: np, Key: key(tpch.LOrderKey)},
-			{Scheme: "hash(l_partkey)", NumPartitions: np, Key: key(tpch.LPartKey)},
-		}
-		g, err := placement.BuildGroup(tc.exec.Client, tc.exec.Addrs, "lineitem", parts, core.SetSpec{PageSize: 128 << 10})
-		if err != nil {
-			_ = tc.Close()
-			return nil, err
-		}
-		const failed = 0
-		_ = tc.Workers[failed].Close()
-		start := time.Now()
-		if _, err := placement.Recover(tc.exec.Client, tc.exec.Addrs, g, failed); err != nil {
-			_ = tc.Close()
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		t.AddRow(fmt.Sprintf("%d", k), ms(elapsed),
-			fmt.Sprintf("%d", g.NumColliding),
-			fmt.Sprintf("%.2f%%", 100*g.CollidingRatio()))
-		_ = tc.Close()
+		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
 		"paper Fig 6 / §7: ~5s to recover 79GB on 10 nodes; colliding ratio falls from <9% (10 nodes) to 3% (20) to ~0 (30)")
 	return t, nil
+}
+
+// fig6Run loads lineitem at scale sf onto a k-worker cluster, builds its
+// replication group, closes one worker and times its recovery.
+func fig6Run(o Options, k int, sf float64) ([]string, error) {
+	tc, err := startCluster(o, fmt.Sprintf("fig6-%d", k), k, 8<<20, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer tc.Close()
+	d := tpch.Generate(sf, 23)
+	if err := tc.exec.Client.CreateSet("lineitem", 128<<10, 0); err != nil {
+		return nil, err
+	}
+	if err := placement.DispatchRandom(tc.exec.Client, tc.exec.Addrs, "lineitem", d.Lineitem); err != nil {
+		return nil, err
+	}
+	np := placement.PartitionsFor(k)
+	parts := []*placement.Partitioner{
+		{Scheme: "hash(l_orderkey)", NumPartitions: np, Key: tpch.LOrderKey},
+		{Scheme: "hash(l_partkey)", NumPartitions: np, Key: tpch.LPartKey},
+	}
+	g, err := placement.BuildGroup(tc.exec.Client, tc.exec.Addrs, "lineitem", parts, core.SetSpec{PageSize: 128 << 10})
+	if err != nil {
+		return nil, err
+	}
+	const failed = 0
+	_ = tc.Workers[failed].Close()
+	start := time.Now()
+	if _, err := placement.Recover(tc.exec.Client, tc.exec.Addrs, g, failed); err != nil {
+		return nil, err
+	}
+	return []string{fmt.Sprintf("%d", k), ms(time.Since(start)),
+		fmt.Sprintf("%d", g.NumColliding), fmt.Sprintf("%.2f%%", 100*g.CollidingRatio())}, nil
 }
 
 // --- §7 colliding-object study ----------------------------------------------------
@@ -403,9 +395,6 @@ func Fig6(o Options) (*Table, error) {
 func S7Colliding(o Options) (*Table, error) {
 	n := o.pick(20000, 100000)
 	d := tpch.Generate(float64(n)/6_000_000, 31)
-	key := func(f func([]byte) []byte) placement.KeyFunc {
-		return func(rec []byte) ([]byte, error) { return f(rec), nil }
-	}
 	t := &Table{
 		ID:     "s7c",
 		Title:  fmt.Sprintf("colliding objects for two lineitem partitionings (%d rows)", len(d.Lineitem)),
@@ -413,8 +402,8 @@ func S7Colliding(o Options) (*Table, error) {
 	}
 	for _, k := range []int{10, 20, 30} {
 		parts := []*placement.Partitioner{
-			{Scheme: "hash(l_orderkey)", NumPartitions: placement.PartitionsFor(k), Key: key(tpch.LOrderKey)},
-			{Scheme: "hash(l_partkey)", NumPartitions: placement.PartitionsFor(k), Key: key(tpch.LPartKey)},
+			{Scheme: "hash(l_orderkey)", NumPartitions: placement.PartitionsFor(k), Key: tpch.LOrderKey},
+			{Scheme: "hash(l_partkey)", NumPartitions: placement.PartitionsFor(k), Key: tpch.LPartKey},
 		}
 		c := placement.CountColliding(d.Lineitem, parts, k)
 		ratio := float64(c) / float64(len(d.Lineitem))

@@ -163,6 +163,25 @@ func TestFig7PangeaBeatsOSVMBeyondMemory(t *testing.T) {
 	}
 }
 
+// TestFig8PangeaReadsBeatOSFSAndHDFS: beyond memory, the OS file system's
+// read and HDFS's on one drive each take at least 1.5× Pangea's write-through
+// read on one drive — the low end of the paper's 1.5–3.5× HDFS band. The
+// ratio is asserted, not the wall times.
+func TestFig8PangeaReadsBeatOSFSAndHDFS(t *testing.T) {
+	tab := quickTable(t, "fig8")
+	col := map[string]int{}
+	for i, h := range tab.Header {
+		col[h] = i
+	}
+	last := len(tab.Rows) - 1
+	pangea := cell(t, tab, last, col["pangea-wt-1d read"])
+	for _, h := range []string{"osfs read", "hdfs-1d read"} {
+		if got := cell(t, tab, last, col[h]); got < 1.5*pangea {
+			t.Errorf("at %s objects: %s %.1fms is under 1.5× pangea-wt-1d read %.1fms", tab.Rows[last][0], h, got, pangea)
+		}
+	}
+}
+
 // TestFig9LRUReadSlowerThanMRUFamily: on loop-sequential reads data-aware
 // beats LRU. Columns: 0 durability, 1 objects, then (write, read) per policy
 // in order data-aware, DBMIN-tuned, MRU, LRU. No tolerance: the quick shape

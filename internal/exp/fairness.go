@@ -47,11 +47,11 @@ func S7Fairness(o Options) (*Table, error) {
 	pct := func(x float64) string { return fmt.Sprintf("%.0f%%", 100*x) }
 
 	run := func(tag string, politeSpec, aggrSpec core.SetSpec, guaranteed float64) error {
-		bp, arr, err := newPool(o, "s7-"+tag, mem, 1, nil)
+		bp, cleanup, err := newPool(o, "s7-"+tag, 1, diskConfig(), core.PoolConfig{Memory: mem})
 		if err != nil {
 			return err
 		}
-		defer func() { _ = arr.RemoveAll() }()
+		defer cleanup()
 
 		polite, err := bp.CreateSet(politeSpec)
 		if err != nil {

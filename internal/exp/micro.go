@@ -1,30 +1,16 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"pangea/internal/core"
-	"pangea/internal/disk"
 	"pangea/internal/layered"
 	"pangea/internal/paging"
 	"pangea/internal/query"
 	"pangea/internal/services"
 )
-
-// newPool builds a single-node Pangea buffer pool for the micro-benchmarks.
-func newPool(o Options, tag string, mem int64, disks int, policy core.Policy) (*core.BufferPool, *disk.Array, error) {
-	arr, err := disk.NewArray(filepath.Join(o.Dir, tag), disks, diskConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	bp, err := core.NewPool(core.PoolConfig{Memory: mem, Array: arr, Policy: policy})
-	if err != nil {
-		return nil, nil, err
-	}
-	return bp, arr, nil
-}
 
 // mkObjects builds the 80-byte character-array objects of §9.2.1.
 func mkObjects(n int) [][]byte {
@@ -51,8 +37,6 @@ func sumBytes(rec []byte) int64 {
 	return s
 }
 
-const scanIters = 5
-
 // seqPageSize is the page size of the sequential micro-benchmark's set.
 const seqPageSize = 512 << 10
 
@@ -67,32 +51,146 @@ func seqCounts(o Options) ([]int, int64) {
 	return []int{50000, 100000, 150000, 200000, 250000, 300000}, 12 << 20
 }
 
-// pangeaSeqRun writes objs into a locality set, scans it scanIters times
-// with two threads, then drops it.
-func pangeaSeqRun(bp *core.BufferPool, name string, pageSize int64, durability core.DurabilityType, objs [][]byte) (write, read time.Duration, err error) {
-	set, err := bp.CreateSet(core.SetSpec{Name: name, PageSize: pageSize, Durability: durability})
+// pangeaSeqRun writes objs into a locality set of a fresh pool over drives
+// calibrated drives, scans it scanIters times with two threads, then drops
+// it.
+func pangeaSeqRun(o Options, tag string, drives int, cfg core.PoolConfig, pageSize int64, durability core.DurabilityType, objs [][]byte) ([]string, error) {
+	bp, done, err := newPool(o, tag, drives, diskConfig(), cfg)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	start := time.Now()
-	if err := services.WriteAll(set, objs); err != nil {
-		return 0, 0, err
+	defer done()
+	set, err := bp.CreateSet(core.SetSpec{Name: "t", PageSize: pageSize, Durability: durability})
+	if err != nil {
+		return nil, err
 	}
-	write = time.Since(start)
-
-	start = time.Now()
-	for it := 0; it < scanIters; it++ {
-		var sink int64
-		if err := (query.ScanSpec{Set: set, Threads: 2}).Run(func(_ int, rec query.Row) error {
-			sink += sumBytes(rec)
+	cells, err := writeThenScan(func() error { return services.WriteAll(set, objs) }, func() error {
+		var sinks [2]int64 // one a scan thread
+		return (query.ScanSpec{Set: set, Threads: len(sinks)}).Run(func(th int, rec query.Row) error {
+			sinks[th] += sumBytes(rec)
 			return nil
-		}); err != nil {
-			return write, 0, err
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cells, bp.DropSet(set)
+}
+
+// osvmSeqRun is pangeaSeqRun on OS virtual memory: malloc and write every
+// object, then read them back, paging through a swap file on one drive.
+func osvmSeqRun(o Options, tag string, mem int64, objs [][]byte) ([]string, error) {
+	arr, done, err := newDrives(o, tag, 1, diskConfig())
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	vm := layered.NewOSVM(arr.Disk(0), mem)
+	defer vm.FreeAll()
+	addrs := make([]int64, len(objs))
+	buf := make([]byte, 80)
+	return writeThenScan(func() error {
+		for i, obj := range objs {
+			addrs[i] = vm.Malloc(int64(len(obj)))
+			if err := vm.Write(addrs[i], obj); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, func() error {
+		var sink int64
+		for _, a := range addrs {
+			if err := vm.Read(a, buf); err != nil {
+				return err
+			}
+			sink += sumBytes(buf)
 		}
 		_ = sink
+		return nil
+	})
+}
+
+// alluxioSeqRun is pangeaSeqRun on the Alluxio in-memory FS, which fails
+// with ErrAlluxioFull beyond its memory.
+func alluxioSeqRun(mem int64, objs [][]byte) ([]string, error) {
+	a := layered.NewAlluxio(mem)
+	a.Create("t")
+	return writeThenScan(func() error {
+		for _, obj := range objs {
+			if err := a.WriteObject("t", obj); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, func() error {
+		var sink int64
+		err := a.Scan("t", func(obj []byte) error {
+			sink += sumBytes(obj)
+			return nil
+		})
+		_ = sink
+		return err
+	})
+}
+
+// osfsSeqRun is pangeaSeqRun on the OS file system: the objects written back
+// to back through the buffer cache onto one drive and synced, then read back
+// 80 bytes at a time.
+func osfsSeqRun(o Options, tag string, mem int64, objs [][]byte) ([]string, error) {
+	arr, done, err := newDrives(o, tag, 1, diskConfig())
+	if err != nil {
+		return nil, err
 	}
-	read = time.Since(start) / scanIters
-	return write, read, bp.DropSet(set)
+	defer done()
+	fs := layered.NewOSFS(arr.Disk(0), mem)
+	var off int64
+	buf := make([]byte, 80)
+	return writeThenScan(func() error {
+		for _, obj := range objs {
+			if err := fs.WriteAt("t", obj, off); err != nil {
+				return err
+			}
+			off += int64(len(obj))
+		}
+		return fs.Sync("t")
+	}, func() error {
+		var sink int64
+		for p := int64(0); p < off; p += 80 {
+			if err := fs.ReadAt("t", buf, p); err != nil {
+				return err
+			}
+			sink += sumBytes(buf)
+		}
+		_ = sink
+		return nil
+	})
+}
+
+// hdfsSeqRun is pangeaSeqRun on HDFS over drives data drives.
+func hdfsSeqRun(o Options, tag string, drives int, mem int64, objs [][]byte) ([]string, error) {
+	arr, done, err := newDrives(o, tag, drives, diskConfig())
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	h := layered.NewHDFS(arr, mem)
+	h.Create("t")
+	return writeThenScan(func() error {
+		for _, obj := range objs {
+			if err := h.Append("t", obj); err != nil {
+				return err
+			}
+		}
+		return h.Sync("t")
+	}, func() error {
+		var sink int64
+		err := h.Scan("t", func(chunk []byte) error {
+			sink += sumBytes(chunk)
+			return nil
+		})
+		_ = sink
+		return err
+	})
 }
 
 // Fig7 compares sequential access to transient data: Pangea write-back
@@ -108,86 +206,25 @@ func Fig7(o Options) (*Table, error) {
 	for _, n := range counts {
 		objs := mkObjects(n)
 		row := []string{fmt.Sprintf("%d", n)}
-
 		for _, disks := range []int{1, 2} {
-			bp, arr, err := newPool(o, fmt.Sprintf("fig7-p%dd-%d", disks, n), mem, disks, nil)
+			cells, err := pangeaSeqRun(o, fmt.Sprintf("fig7-p%dd-%d", disks, n), disks, core.PoolConfig{Memory: mem}, seqPageSize, core.WriteBack, objs)
 			if err != nil {
 				return nil, err
 			}
-			w, r, err := pangeaSeqRun(bp, "t", seqPageSize, core.WriteBack, objs)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, ms(w), ms(r))
-			_ = arr.RemoveAll()
+			row = append(row, cells...)
 		}
-
-		// OS virtual memory: malloc + write, then scan via Read.
-		{
-			d, err := disk.Open(filepath.Join(o.Dir, fmt.Sprintf("fig7-vm-%d", n)), diskConfig())
-			if err != nil {
-				return nil, err
-			}
-			vm := layered.NewOSVM(d, mem)
-			start := time.Now()
-			addrs := make([]int64, n)
-			for i, obj := range objs {
-				addrs[i] = vm.Malloc(int64(len(obj)))
-				if err := vm.Write(addrs[i], obj); err != nil {
-					return nil, err
-				}
-			}
-			w := time.Since(start)
-			start = time.Now()
-			buf := make([]byte, 80)
-			for it := 0; it < scanIters; it++ {
-				var sink int64
-				for _, a := range addrs {
-					if err := vm.Read(a, buf); err != nil {
-						return nil, err
-					}
-					sink += sumBytes(buf)
-				}
-				_ = sink
-			}
-			r := time.Since(start) / scanIters
-			row = append(row, ms(w), ms(r))
-			vm.FreeAll()
-			_ = d.RemoveAll()
+		cells, err := osvmSeqRun(o, fmt.Sprintf("fig7-vm-%d", n), mem, objs)
+		if err != nil {
+			return nil, err
 		}
-
-		// Alluxio: fails beyond its configured memory.
-		{
-			a := layered.NewAlluxio(mem)
-			a.Create("t")
-			start := time.Now()
-			failed := false
-			for _, obj := range objs {
-				if err := a.WriteObject("t", obj); err != nil {
-					failed = true
-					break
-				}
-			}
-			if failed {
-				row = append(row, "FAIL", "FAIL")
-			} else {
-				w := time.Since(start)
-				start = time.Now()
-				for it := 0; it < scanIters; it++ {
-					var sink int64
-					if err := a.Scan("t", func(obj []byte) error {
-						sink += sumBytes(obj)
-						return nil
-					}); err != nil {
-						return nil, err
-					}
-					_ = sink
-				}
-				r := time.Since(start) / scanIters
-				row = append(row, ms(w), ms(r))
-			}
+		row = append(row, cells...)
+		if cells, err = alluxioSeqRun(mem, objs); errors.Is(err, layered.ErrAlluxioFull) {
+			cells, err = []string{"FAIL", "FAIL"}, nil
 		}
-		t.AddRow(row...)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(append(row, cells...)...)
 	}
 	t.Notes = append(t.Notes,
 		"paper Fig 7: Pangea ≈ OS VM inside memory, 5.4–7× faster beyond it; Alluxio slowest in-memory and cannot exceed memory")
@@ -206,88 +243,24 @@ func Fig8(o Options) (*Table, error) {
 	for _, n := range counts {
 		objs := mkObjects(n)
 		row := []string{fmt.Sprintf("%d", n)}
-
 		for _, disks := range []int{1, 2} {
-			bp, arr, err := newPool(o, fmt.Sprintf("fig8-p%dd-%d", disks, n), mem, disks, nil)
+			cells, err := pangeaSeqRun(o, fmt.Sprintf("fig8-p%dd-%d", disks, n), disks, core.PoolConfig{Memory: mem}, seqPageSize, core.WriteThrough, objs)
 			if err != nil {
 				return nil, err
 			}
-			w, r, err := pangeaSeqRun(bp, "t", seqPageSize, core.WriteThrough, objs)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, ms(w), ms(r))
-			_ = arr.RemoveAll()
+			row = append(row, cells...)
 		}
-
-		// OS file system: length-prefixed objects through the buffer cache.
-		{
-			d, err := disk.Open(filepath.Join(o.Dir, fmt.Sprintf("fig8-fs-%d", n)), diskConfig())
-			if err != nil {
-				return nil, err
-			}
-			fs := layered.NewOSFS(d, mem)
-			start := time.Now()
-			var off int64
-			for _, obj := range objs {
-				if err := fs.WriteAt("t", obj, off); err != nil {
-					return nil, err
-				}
-				off += int64(len(obj))
-			}
-			if err := fs.Sync("t"); err != nil {
-				return nil, err
-			}
-			w := time.Since(start)
-			start = time.Now()
-			buf := make([]byte, 80)
-			for it := 0; it < scanIters; it++ {
-				var sink int64
-				for p := int64(0); p < off; p += 80 {
-					if err := fs.ReadAt("t", buf, p); err != nil {
-						return nil, err
-					}
-					sink += sumBytes(buf)
-				}
-				_ = sink
-			}
-			r := time.Since(start) / scanIters
-			row = append(row, ms(w), ms(r))
-			_ = d.RemoveAll()
+		cells, err := osfsSeqRun(o, fmt.Sprintf("fig8-fs-%d", n), mem, objs)
+		if err != nil {
+			return nil, err
 		}
-
-		// HDFS with 1 and 2 data disks.
+		row = append(row, cells...)
 		for _, disks := range []int{1, 2} {
-			arr, err := disk.NewArray(filepath.Join(o.Dir, fmt.Sprintf("fig8-h%dd-%d", disks, n)), disks, diskConfig())
+			cells, err := hdfsSeqRun(o, fmt.Sprintf("fig8-h%dd-%d", disks, n), disks, mem, objs)
 			if err != nil {
 				return nil, err
 			}
-			h := layered.NewHDFS(arr, mem)
-			h.Create("t")
-			start := time.Now()
-			for _, obj := range objs {
-				if err := h.Append("t", obj); err != nil {
-					return nil, err
-				}
-			}
-			if err := h.Sync("t"); err != nil {
-				return nil, err
-			}
-			w := time.Since(start)
-			start = time.Now()
-			for it := 0; it < scanIters; it++ {
-				var sink int64
-				if err := h.Scan("t", func(chunk []byte) error {
-					sink += sumBytes(chunk)
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-				_ = sink
-			}
-			r := time.Since(start) / scanIters
-			row = append(row, ms(w), ms(r))
-			_ = arr.RemoveAll()
+			row = append(row, cells...)
 		}
 		t.AddRow(row...)
 	}
@@ -297,19 +270,11 @@ func Fig8(o Options) (*Table, error) {
 }
 
 // policySet is the Fig 9/10 policy lineup.
-func policySet() []struct {
-	Name   string
-	Policy func() core.Policy
-} {
-	return []struct {
-		Name   string
-		Policy func() core.Policy
-	}{
-		{"data-aware", func() core.Policy { return core.NewDataAware() }},
-		{"DBMIN-tuned", func() core.Policy { return paging.NewDBMINTuned() }},
-		{"MRU", func() core.Policy { return paging.NewMRU() }},
-		{"LRU", func() core.Policy { return paging.NewLRU() }},
-	}
+var policySet = []namedPolicy{
+	{"data-aware", func() core.Policy { return core.NewDataAware() }},
+	{"DBMIN-tuned", func() core.Policy { return paging.NewDBMINTuned() }},
+	{"MRU", func() core.Policy { return paging.NewMRU() }},
+	{"LRU", func() core.Policy { return paging.NewLRU() }},
 }
 
 // Fig9 compares the paging policies on the sequential micro-benchmark for
@@ -330,24 +295,20 @@ func Fig9(o Options) (*Table, error) {
 		Title:  "page replacement for sequential access (ms)",
 		Header: []string{"durability", "objects"},
 	}
-	for _, p := range policySet() {
+	for _, p := range policySet {
 		t.Header = append(t.Header, p.Name+" write", p.Name+" read")
 	}
 	for _, durability := range []core.DurabilityType{core.WriteThrough, core.WriteBack} {
 		for _, n := range counts {
 			objs := mkObjects(n)
 			row := []string{durability.String(), fmt.Sprintf("%d", n)}
-			for _, p := range policySet() {
-				bp, arr, err := newPool(o, fmt.Sprintf("fig9-%s-%s-%d", durability, p.Name, n), mem, 1, p.Policy())
+			for _, p := range policySet {
+				cells, err := pangeaSeqRun(o, fmt.Sprintf("fig9-%s-%s-%d", durability, p.Name, n), 1,
+					core.PoolConfig{Memory: mem, Policy: p.Policy()}, pageSize, durability, objs)
 				if err != nil {
 					return nil, err
 				}
-				w, r, err := pangeaSeqRun(bp, "t", pageSize, durability, objs)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, ms(w), ms(r))
-				_ = arr.RemoveAll()
+				row = append(row, cells...)
 			}
 			t.AddRow(row...)
 		}
@@ -374,13 +335,18 @@ func (r shuffleResult) counts() []string {
 	return []string{fmt.Sprintf("%d", r.readPhaseWrites), fmt.Sprintf("%d", r.readPhaseReads)}
 }
 
-// shuffleRun drives one shuffle write+read cycle under a policy and drops
-// the shuffle again, whether or not the cycle succeeded. Shuffle pages are
-// sized to a small fraction of the pool: concurrent writers can keep a few
-// large pages per partition pinned at once, and those pins must never cover
-// the whole pool. pageSize/8 divides the page, so each page holds all 8 small
-// pages.
-func shuffleRun(bp *core.BufferPool, mbPerThread int) (res shuffleResult, err error) {
+// shuffleRun drives one shuffle write+read cycle on a fresh pool over drives
+// calibrated drives and drops the shuffle again, whether or not the cycle
+// succeeded. Shuffle pages are sized to a small fraction of the pool:
+// concurrent writers can keep a few large pages per partition pinned at once,
+// and those pins must never cover the whole pool. pageSize/8 divides the
+// page, so each page holds all 8 small pages.
+func shuffleRun(o Options, tag string, drives int, cfg core.PoolConfig, mbPerThread int) (res shuffleResult, err error) {
+	bp, done, err := newPool(o, tag, drives, diskConfig(), cfg)
+	if err != nil {
+		return res, err
+	}
+	defer done()
 	const writers, partitions = 4, 4
 	pageSize := (bp.Capacity() / 48) &^ ((64 << 10) - 1)
 	if pageSize < 64<<10 {
@@ -468,22 +434,17 @@ func Fig10(o Options) (*Table, error) {
 		Title:  "page replacement for shuffle (ms; 4 writers, 4 readers)",
 		Header: []string{"MB/thread"},
 	}
-	for _, p := range policySet() {
+	for _, p := range policySet {
 		t.Header = append(t.Header, p.Name+" write", p.Name+" read", p.Name+" read-phase writes", p.Name+" read-phase reads")
 	}
 	for _, mbT := range sweep {
 		row := []string{fmt.Sprintf("%d", mbT)}
-		for _, p := range policySet() {
-			bp, arr, err := newPool(o, fmt.Sprintf("fig10-%s-%d", p.Name, mbT), mem, 1, p.Policy())
-			if err != nil {
-				return nil, err
-			}
-			res, err := shuffleRun(bp, mbT)
+		for _, p := range policySet {
+			res, err := shuffleRun(o, fmt.Sprintf("fig10-%s-%d", p.Name, mbT), 1, core.PoolConfig{Memory: mem, Policy: p.Policy()}, mbT)
 			if err != nil {
 				return nil, err
 			}
 			row = append(append(row, res.times()...), res.counts()...)
-			_ = arr.RemoveAll()
 		}
 		t.AddRow(row...)
 	}
@@ -491,6 +452,48 @@ func Fig10(o Options) (*Table, error) {
 		"paper Fig 10: data-aware reads up to 3× faster than LRU, ~10% over tuned DBMIN; ~10% faster writes than LRU/MRU",
 		"read-phase writes/reads: pages the drives wrote and read during the read phase. Shuffle partitions are read-once — a page dies at its reader's release, under every policy — so the read phase writes nothing of its own (what it shows is the map's last write-backs landing) and the policies differ on the map side: read-phase reads is what each policy's map left on disk, and the read ms follow it")
 	return t, nil
+}
+
+// sparkShuffleRun times the simulated Spark shuffle — numCores ×
+// numPartitions spill files on one drive — and returns its write and read
+// milliseconds.
+func sparkShuffleRun(o Options, tag string, mbPerThread int) ([]string, error) {
+	arr, done, err := newDrives(o, tag, 1, diskConfig())
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	s, err := layered.NewSparkShuffle(arr, 4, 4)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = s.Close() }()
+	rec := make([]byte, 100)
+	perThread := mbPerThread << 20 / len(rec)
+	start := time.Now()
+	for c := 0; c < 4; c++ {
+		for i := 0; i < perThread; i++ {
+			if err := s.Write(c, (c+i)%4, rec); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := s.Flush(); err != nil {
+		return nil, err
+	}
+	w := time.Since(start)
+	start = time.Now()
+	for p := 0; p < 4; p++ {
+		var sink int64
+		if err := s.ReadPartition(p, func(chunk []byte) error {
+			sink += int64(len(chunk))
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		_ = sink
+	}
+	return []string{ms(w), ms(time.Since(start))}, nil
 }
 
 // Tab3 compares Spark-style shuffle (numCores × numPartitions spill files)
@@ -509,63 +512,20 @@ func Tab3(o Options) (*Table, error) {
 			"pangea-1d read-phase writes", "pangea-1d read-phase reads", "pangea-2d read-phase writes", "pangea-2d read-phase reads"},
 	}
 	for _, mbT := range sweep {
-		row := []string{fmt.Sprintf("%d", mbT)}
-
-		// Simulated Spark shuffle.
-		{
-			arr, err := disk.NewArray(filepath.Join(o.Dir, fmt.Sprintf("tab3-s-%d", mbT)), 1, diskConfig())
-			if err != nil {
-				return nil, err
-			}
-			s, err := layered.NewSparkShuffle(arr, 4, 4)
-			if err != nil {
-				return nil, err
-			}
-			rec := make([]byte, 100)
-			perThread := mbT << 20 / len(rec)
-			start := time.Now()
-			for c := 0; c < 4; c++ {
-				for i := 0; i < perThread; i++ {
-					if err := s.Write(c, (c+i)%4, rec); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if err := s.Flush(); err != nil {
-				return nil, err
-			}
-			w := time.Since(start)
-			start = time.Now()
-			for p := 0; p < 4; p++ {
-				var sink int64
-				if err := s.ReadPartition(p, func(chunk []byte) error {
-					sink += int64(len(chunk))
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-				_ = sink
-			}
-			r := time.Since(start)
-			row = append(row, ms(w), ms(r))
-			_ = s.Close()
-			_ = arr.RemoveAll()
+		spark, err := sparkShuffleRun(o, fmt.Sprintf("tab3-s-%d", mbT), mbT)
+		if err != nil {
+			return nil, err
 		}
-
+		row := append([]string{fmt.Sprintf("%d", mbT)}, spark...)
 		// Pangea shuffle, 1 and 2 disks: the timings first, the read phase's
 		// page counts in the columns after them.
 		var counts []string
 		for _, disks := range []int{1, 2} {
-			bp, arr, err := newPool(o, fmt.Sprintf("tab3-p%dd-%d", disks, mbT), mem, disks, nil)
-			if err != nil {
-				return nil, err
-			}
-			res, err := shuffleRun(bp, mbT)
+			res, err := shuffleRun(o, fmt.Sprintf("tab3-p%dd-%d", disks, mbT), disks, core.PoolConfig{Memory: mem}, mbT)
 			if err != nil {
 				return nil, err
 			}
 			row, counts = append(row, res.times()...), append(counts, res.counts()...)
-			_ = arr.RemoveAll()
 		}
 		t.AddRow(append(row, counts...)...)
 	}
@@ -573,6 +533,40 @@ func Tab3(o Options) (*Table, error) {
 		"paper Table 3: Pangea 1.1–1.4× faster shuffle writes and 2.2–27× faster reads than the simulated Spark shuffle",
 		"read-phase writes/reads: pages the drives wrote and read during the Pangea read phase — partitions are read-once, so a released page is freed, not spilled: the reduce reads back only what the write phase spilled, and the few writes it shows are the write phase's last write-backs landing")
 	return t, nil
+}
+
+// hashAggRun times the Pangea hash service counting keys in a fresh pool of
+// mem bytes, which spills under memory pressure instead of thrashing.
+func hashAggRun(o Options, tag string, mem int64, keys []string) (time.Duration, error) {
+	bp, done, err := newPool(o, tag, 1, diskConfig(), core.PoolConfig{Memory: mem})
+	if err != nil {
+		return 0, err
+	}
+	defer done()
+	// Hash pages sized so the 8 pinned root-partition pages cover only a
+	// quarter of the pool.
+	hashPage := (mem / 32) &^ ((8 << 10) - 1)
+	if hashPage < 8<<10 {
+		hashPage = 8 << 10
+	}
+	set, err := bp.CreateSet(core.SetSpec{Name: "agg", PageSize: hashPage})
+	if err != nil {
+		return 0, err
+	}
+	h, err := services.NewInt64HashBuffer(set, 8, services.Sum)
+	if err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	for _, k := range keys {
+		if err := h.Upsert([]byte(k), 1); err != nil {
+			return 0, err
+		}
+	}
+	if err := h.Close(); err != nil {
+		return 0, err
+	}
+	return time.Since(start), nil
 }
 
 // Tab4 compares key-value aggregation: a plain Go map (the STL
@@ -609,39 +603,11 @@ func Tab4(o Options) (*Table, error) {
 			row = append(row, ms(time.Since(start)))
 		}
 
-		// Pangea hash service (spills under memory pressure instead of
-		// thrashing).
-		{
-			bp, arr, err := newPool(o, fmt.Sprintf("tab4-%d", n), mem, 1, nil)
-			if err != nil {
-				return nil, err
-			}
-			// Hash pages sized so the 8 pinned root-partition pages cover
-			// only a quarter of the pool.
-			hashPage := (mem / 32) &^ ((8 << 10) - 1)
-			if hashPage < 8<<10 {
-				hashPage = 8 << 10
-			}
-			set, err := bp.CreateSet(core.SetSpec{Name: "agg", PageSize: hashPage})
-			if err != nil {
-				return nil, err
-			}
-			h, err := services.NewInt64HashBuffer(set, 8, services.Sum)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			for _, k := range keys {
-				if err := h.Upsert([]byte(k), 1); err != nil {
-					return nil, err
-				}
-			}
-			if err := h.Close(); err != nil {
-				return nil, err
-			}
-			row = append(row, ms(time.Since(start)))
-			_ = arr.RemoveAll()
+		hash, err := hashAggRun(o, fmt.Sprintf("tab4-%d", n), mem, keys)
+		if err != nil {
+			return nil, err
 		}
+		row = append(row, ms(hash))
 
 		// Redis-like client/server.
 		if n > redisCap {

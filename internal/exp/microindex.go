@@ -1,15 +1,9 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"path/filepath"
-	"sync"
 	"time"
 
-	"pangea/internal/core"
-	"pangea/internal/disk"
 	"pangea/internal/query"
 	"pangea/internal/services"
 )
@@ -34,17 +28,16 @@ const s12Stride = 7919 // prime, coprime with both workload sizes
 // never consult the index at all.
 func S12Microindex(o Options) (*Table, error) {
 	nRows := o.pick(40_000, 400_000)
-	const pageSize = 128 << 10
 	t := &Table{
 		ID: "s12",
 		Title: fmt.Sprintf("microindex point lookups on a non-clustered key (%d rows, %d KiB pages)",
-			nRows, pageSize>>10),
+			nRows, factPageSize>>10),
 		Header: []string{"mode", "variant", "lookups", "scan ms", "page reads", "pages visited", "matched"},
 	}
-	if err := s12Config(o, t, nRows, pageSize, "warm", o.pick(32, 128)); err != nil {
+	if err := s12Config(o, t, nRows, "warm", o.pick(32, 128)); err != nil {
 		return nil, err
 	}
-	if err := s12Config(o, t, nRows, pageSize, "cold", o.pick(4, 8)); err != nil {
+	if err := s12Config(o, t, nRows, "cold", o.pick(4, 8)); err != nil {
 		return nil, err
 	}
 	t.Notes = append(t.Notes,
@@ -56,95 +49,21 @@ func S12Microindex(o Options) (*Table, error) {
 	return t, nil
 }
 
-// s12Rows generates the permuted-key fact rows; keys[i] is row i's key.
-func s12Rows(n int) (rows [][]byte, keys []uint64) {
-	rows = make([][]byte, n)
-	keys = make([]uint64, n)
-	flat := make([]byte, n*s10RowSize)
-	for i := 0; i < n; i++ {
-		r := flat[i*s10RowSize : (i+1)*s10RowSize]
-		keys[i] = uint64((i * s12Stride) % n)
-		binary.LittleEndian.PutUint64(r[0:8], keys[i])
-		binary.LittleEndian.PutUint16(r[8:10], uint16(i%1000))
-		binary.LittleEndian.PutUint64(r[10:18], math.Float64bits(float64(i%1000)))
-		for j := 18; j < s10RowSize; j++ {
-			r[j] = byte(i + j)
-		}
-		rows[i] = r
-	}
-	return rows, keys
-}
+// s12Key is row i's key in an n-row table.
+func s12Key(i, n int) uint64 { return uint64((i * s12Stride) % n) }
 
 // s12Config loads one deployment (building and persisting both side
 // objects along the way) and sweeps the three variants over it.
-func s12Config(o Options, t *Table, nRows int, pageSize int64, mode string, nLookups int) error {
+func s12Config(o Options, t *Table, nRows int, mode string, nLookups int) error {
 	warm := mode == "warm"
-	cfg := diskConfig()
-	if warm {
-		cfg = disk.Unthrottled()
-	}
-	arr, err := disk.NewArray(filepath.Join(o.Dir, "s12-"+mode), 1, cfg)
+	rows := factRows(nRows, func(i int) uint64 { return s12Key(i, nRows) }, func(i int) uint16 { return uint16(i % 1000) })
+	bp, set, done, err := loadFacts(o, "s12-"+mode, rows, 1, warm, true,
+		zoneMapIndex(services.ZoneMapSpec{Schema: s10Schema(), BloomCols: []int{0}}),
+		microindexIndex(services.MicroindexSpec{Schema: s10Schema(), Cols: []int{0}}))
 	if err != nil {
 		return err
 	}
-	defer func() { _ = arr.RemoveAll() }()
-	rows, keys := s12Rows(nRows)
-	dataBytes := int64(nRows) * (s10RowSize + 8)
-	mem := dataBytes * 2
-	if !warm {
-		mem = dataBytes / 4
-	}
-	if min := 8 * pageSize; mem < min {
-		mem = min
-	}
-	bp, err := core.NewPool(core.PoolConfig{Memory: mem, Array: arr})
-	if err != nil {
-		return err
-	}
-	set, err := bp.CreateSet(core.SetSpec{
-		Name: "facts", PageSize: pageSize, Durability: core.WriteThrough,
-		Layout: core.LayoutColumnar, Columns: s10Widths,
-	})
-	if err != nil {
-		return err
-	}
-
-	// One writer, both side objects on its chained hooks; persist, drop the
-	// attached copies, and reload from pfs.
-	zspec := services.ZoneMapSpec{Schema: s10Schema(), BloomCols: []int{0}}
-	mspec := services.MicroindexSpec{Schema: s10Schema(), Cols: []int{0}}
-	w := services.NewSeqWriter(set)
-	zm, err := services.AttachZoneMap(w, zspec)
-	if err != nil {
-		return err
-	}
-	mi, err := services.AttachMicroindex(w, mspec)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := w.Add(r); err != nil {
-			_ = w.Close()
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	if err := zm.Save(set); err != nil {
-		return err
-	}
-	if err := mi.Save(set); err != nil {
-		return err
-	}
-	set.SetSideIndex(services.ZoneMapTag, nil)
-	set.SetSideIndex(services.MicroindexTag, nil)
-	if _, err := services.EnsureZoneMap(set, zspec); err != nil {
-		return err
-	}
-	if _, err := services.EnsureMicroindex(set, mspec); err != nil {
-		return err
-	}
+	defer done()
 
 	// The lookup battery: nLookups keys spread evenly over the append
 	// order, so their pages are spread over the whole set.
@@ -155,7 +74,7 @@ func s12Config(o Options, t *Table, nRows int, pageSize int64, mode string, nLoo
 	visited := map[string]int64{}
 	for _, variant := range []string{"index", "zonemap", "noprune"} {
 		if !warm {
-			if err := s9Chill(bp, set, pageSize); err != nil {
+			if err := s9Chill(bp, set, factPageSize); err != nil {
 				return err
 			}
 		}
@@ -170,13 +89,13 @@ func s12Config(o Options, t *Table, nRows int, pageSize int64, mode string, nLoo
 		baseChecks, baseSkips := set.ZoneMapChecks(), set.ZoneMapSkips()
 		start := time.Now()
 		for _, i := range probe {
-			res, err := s12Lookup(set, keys[i], hint)
+			res, err := sumPass(query.ScanSpec{Set: set, Threads: 1, Pred: query.ColEq{Col: 0, V: s12Key(i, nRows)}, Hint: hint})
 			if err != nil {
 				return err
 			}
 			if res.matched != 1 || res.sum != float64(i%1000) {
 				return fmt.Errorf("s12 %s %s key %d: matched %d sum %.1f, want 1 row of value %d",
-					mode, variant, keys[i], res.matched, res.sum, i%1000)
+					mode, variant, s12Key(i, nRows), res.matched, res.sum, i%1000)
 			}
 		}
 		elapsed := time.Since(start)
@@ -199,21 +118,13 @@ func s12Config(o Options, t *Table, nRows int, pageSize int64, mode string, nLoo
 	if warm {
 		baseIdx := set.Stats().IndexChecks.Load()
 		for _, hint := range []query.ScanHint{query.HintNone, query.HintNoPrune} {
-			var matched int64
-			var mu sync.Mutex
-			spec := query.ScanSpec{Set: set, Threads: s10Threads,
-				Pred: query.ColRange{Col: 0, Lo: 0, Hi: uint64(nRows)}, Hint: hint}
-			err := spec.RunBatches(func(_ int, b *query.Batch) error {
-				mu.Lock()
-				matched += int64(b.Selected())
-				mu.Unlock()
-				return nil
-			})
+			res, err := sumPass(query.ScanSpec{Set: set, Threads: s10Threads,
+				Pred: query.ColRange{Col: 0, Lo: 0, Hi: uint64(nRows)}, Hint: hint})
 			if err != nil {
 				return err
 			}
-			if matched != int64(nRows) {
-				return fmt.Errorf("s12 %s full-range hint %d: matched %d rows, want %d", mode, hint, matched, nRows)
+			if res.matched != int64(nRows) {
+				return fmt.Errorf("s12 %s full-range hint %d: matched %d rows, want %d", mode, hint, res.matched, nRows)
 			}
 		}
 		if set.Stats().IndexChecks.Load() != baseIdx {
@@ -221,27 +132,4 @@ func s12Config(o Options, t *Table, nRows int, pageSize int64, mode string, nLoo
 		}
 	}
 	return bp.DropSet(set)
-}
-
-// s12Lookup is one point scan-filter-sum pass under the given hint.
-func s12Lookup(set *core.LocalitySet, key uint64, hint query.ScanHint) (s10Result, error) {
-	spec := query.ScanSpec{Set: set, Threads: 1, Pred: query.ColEq{Col: 0, V: key}, Hint: hint}
-	var mu sync.Mutex
-	var res s10Result
-	err := spec.RunBatches(func(_ int, b *query.Batch) error {
-		vals := b.Col(s10ColVal)
-		var s float64
-		for _, r := range b.Sel() {
-			s += math.Float64frombits(binary.LittleEndian.Uint64(vals[int(r)*8:]))
-		}
-		mu.Lock()
-		res.sum += s
-		res.matched += int64(b.Selected())
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return s10Result{}, err
-	}
-	return res, nil
 }

@@ -2,11 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"pangea/internal/core"
-	"pangea/internal/disk"
 	"pangea/internal/query"
 	"pangea/internal/services"
 )
@@ -96,19 +94,16 @@ func s9Run(o Options, cfgName string, drives int, prefetch bool, totalPages int,
 		mode = "on"
 	}
 	tag := fmt.Sprintf("s9-%s-%dd-%s", cfgName, drives, mode)
-	arr, err := disk.NewArray(filepath.Join(o.Dir, tag), drives, diskConfig())
-	if err != nil {
-		return s9Result{}, err
-	}
-	defer func() { _ = arr.RemoveAll() }()
 	ra := -1 // automatic read-ahead disabled
 	if prefetch {
 		ra = 0 // pool default window
 	}
-	bp, err := core.NewPool(core.PoolConfig{Memory: mem, Array: arr, ReadAhead: ra})
+	bp, done, err := newPool(o, tag, drives, diskConfig(), core.PoolConfig{Memory: mem, ReadAhead: ra})
 	if err != nil {
 		return s9Result{}, err
 	}
+	defer done()
+	arr := bp.Array()
 	dataPages := totalPages
 	if cfgName == "warm" {
 		dataPages = int(poolPages) / 2

@@ -16,21 +16,13 @@ func TestCoPartitioningProperty(t *testing.T) {
 		np := k * 4
 		// Table A stores the key at offset 0, table B at offset 8, like
 		// lineitem.l_orderkey vs orders.o_orderkey.
-		pa := &Partitioner{Scheme: "s", NumPartitions: np, Key: func(r []byte) ([]byte, error) { return r[0:8], nil }}
-		pb := &Partitioner{Scheme: "s", NumPartitions: np, Key: func(r []byte) ([]byte, error) { return r[8:16], nil }}
+		pa := &Partitioner{Scheme: "s", NumPartitions: np, Key: func(r []byte) []byte { return r[0:8] }}
+		pb := &Partitioner{Scheme: "s", NumPartitions: np, Key: func(r []byte) []byte { return r[8:16] }}
 		recA := make([]byte, 16)
 		recB := make([]byte, 24)
 		binary.LittleEndian.PutUint64(recA[0:8], key)
 		binary.LittleEndian.PutUint64(recB[8:16], key)
-		na, err := pa.NodeOf(recA, k)
-		if err != nil {
-			return false
-		}
-		nb, err := pb.NodeOf(recB, k)
-		if err != nil {
-			return false
-		}
-		return na == nb
+		return pa.NodeOf(recA, k) == pb.NodeOf(recB, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -40,11 +32,10 @@ func TestCoPartitioningProperty(t *testing.T) {
 // TestPartitionOfStableAcrossCalls: partitioning is a pure function of the
 // key — the property recovery relies on to re-derive lost placements.
 func TestPartitionOfStableAcrossCalls(t *testing.T) {
-	p := &Partitioner{Scheme: "s", NumPartitions: 64, Key: func(r []byte) ([]byte, error) { return r, nil }}
+	p := &Partitioner{Scheme: "s", NumPartitions: 64, Key: func(r []byte) []byte { return r }}
 	f := func(key []byte) bool {
-		a, err1 := p.PartitionOf(key)
-		b, err2 := p.PartitionOf(key)
-		return err1 == nil && err2 == nil && a == b && a >= 0 && a < 64
+		a, b := p.PartitionOf(key), p.PartitionOf(key)
+		return a == b && a >= 0 && a < 64
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

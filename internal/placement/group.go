@@ -54,16 +54,16 @@ const maxNodes = 64
 
 // copies fills nodes[i] with the node holding member i's copy of rec in a
 // k-node cluster and returns the mask of the distinct nodes.
-func (g *Group) copies(rec []byte, k int, nodes []int) (mask uint64, err error) {
+func (g *Group) copies(rec []byte, k int, nodes []int) (mask uint64) {
 	for i, m := range g.Members {
 		if m.Part == nil {
 			nodes[i] = RandomNode(rec, k)
-		} else if nodes[i], err = m.Part.NodeOf(rec, k); err != nil {
-			return 0, err
+		} else {
+			nodes[i] = m.Part.NodeOf(rec, k)
 		}
 		mask |= 1 << uint(nodes[i])
 	}
-	return mask, nil
+	return mask
 }
 
 // extraPlacement picks the nodes for the safety copies of a record whose
@@ -149,10 +149,7 @@ func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Part
 	nodes := make([]int, len(g.Members))
 	err = Stream(cl, addrs, source, func(_ int, rec []byte) error {
 		g.Total++
-		mask, err := g.copies(rec, k, nodes)
-		if err != nil {
-			return err
-		}
+		mask := g.copies(rec, k, nodes)
 		for i := 1; i < len(nodes); i++ {
 			if err := senders[i].Send(nodes[i], rec); err != nil {
 				return err
@@ -201,7 +198,7 @@ func CountColliding(records [][]byte, parts []*Partitioner, k int) int64 {
 	nodes := make([]int, len(g.Members))
 	var n int64
 	for _, rec := range records {
-		if mask, err := g.copies(rec, k, nodes); err == nil && bits.OnesCount64(mask) == 1 {
+		if bits.OnesCount64(g.copies(rec, k, nodes)) == 1 {
 			n++
 		}
 	}

@@ -2,7 +2,6 @@ package placement
 
 import (
 	"encoding/binary"
-	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"pangea/internal/cluster"
+	"pangea/internal/core"
 )
 
 // replicaSets lists the sets on every worker that are not the source.
@@ -27,27 +27,22 @@ func replicaSets(workers []*cluster.Worker, source string) []string {
 
 // TestFailedGroupBuildLeavesNothing: a build that fails mid-stream must
 // leave no replica or safety set on any worker and register no replica, so
-// that the retry succeeds. At the parent commit the half-filled sets
-// stayed, the first replica was already registered, and the retry died on
-// "already exists".
+// that the retry succeeds. The source holds one record too large for the
+// replicas' pages, so the workers refuse it when the build reaches it. At the
+// parent commit the half-filled sets stayed, the first replica was already
+// registered, and the retry died on "already exists".
 func TestFailedGroupBuildLeavesNothing(t *testing.T) {
 	workers, addrs, cl := startCluster(t, 3)
-	if err := cl.CreateSet("tbl", 64<<10, 0); err != nil {
+	if err := cl.CreateSet("tbl", 128<<10, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := DispatchRandom(cl, addrs, "tbl", mkRecords(900)); err != nil {
+	recs := mkRecords(900)
+	recs[500] = append(recs[500], make([]byte, rowSpec.PageSize)...)
+	if err := DispatchRandom(cl, addrs, "tbl", recs); err != nil {
 		t.Fatal(err)
 	}
-	parts := twoPartitioners(12)
-	var seen int
-	parts[1].Key = func(rec []byte) ([]byte, error) {
-		if seen++; seen > 500 {
-			return nil, errors.New("key failed mid-stream")
-		}
-		return keyPart(rec)
-	}
-	if _, err := BuildSafeGroup(cl, addrs, "tbl", parts, rowSpec, 2); err == nil {
-		t.Fatal("a build whose partitioner fails must fail")
+	if _, err := BuildSafeGroup(cl, addrs, "tbl", twoPartitioners(12), rowSpec, 2); err == nil {
+		t.Fatal("a build whose replicas refuse a record must fail")
 	}
 	if left := replicaSets(workers, "tbl"); len(left) != 0 {
 		t.Errorf("failed build left sets behind: %v", left)
@@ -55,7 +50,7 @@ func TestFailedGroupBuildLeavesNothing(t *testing.T) {
 	if group, err := cl.Replicas("tbl"); err != nil || len(group) != 1 {
 		t.Errorf("failed build registered replicas: %v (err %v)", group, err)
 	}
-	if _, err := BuildSafeGroup(cl, addrs, "tbl", twoPartitioners(12), rowSpec, 2); err != nil {
+	if _, err := BuildSafeGroup(cl, addrs, "tbl", twoPartitioners(12), core.SetSpec{PageSize: 128 << 10}, 2); err != nil {
 		t.Errorf("retry after a failed build: %v", err)
 	}
 }
@@ -79,7 +74,7 @@ func TestGroupBuildStreamsSourceOnce(t *testing.T) {
 	for i, p := range parts {
 		key, st := p.Key, &seen[i]
 		st.last = -1
-		p.Key = func(rec []byte) ([]byte, error) {
+		p.Key = func(rec []byte) []byte {
 			st.calls++
 			if node := RandomNode(rec, len(addrs)); node != st.last {
 				st.runs, st.last = st.runs+1, node
@@ -205,7 +200,7 @@ func TestBuildGroupWorkerKilledMidBuild(t *testing.T) {
 	}
 	parts := twoPartitioners(12)
 	key, killed := parts[1].Key, false
-	parts[1].Key = func(rec []byte) ([]byte, error) {
+	parts[1].Key = func(rec []byte) []byte {
 		if set, ok := workers[1].Pool().GetSet("tbl_pt_hash_orderkey_"); !killed && ok && set.NumPages() > 0 {
 			killed = true
 			if err := workers[1].Close(); err != nil {

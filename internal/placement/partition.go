@@ -10,7 +10,7 @@ import "pangea/internal/cluster"
 
 // KeyFunc extracts the partitioning key from a record — the paper's
 // PartitionComp UDF (getKeyUdf).
-type KeyFunc func(rec []byte) ([]byte, error)
+type KeyFunc func(rec []byte) []byte
 
 // Partitioner is one physical organization: a named partition computation
 // mapping records to partitions, and partitions to worker nodes.
@@ -35,19 +35,14 @@ func fnv1a(b []byte) uint64 {
 }
 
 // PartitionOf maps a record to its partition index.
-func (p *Partitioner) PartitionOf(rec []byte) (int, error) {
-	key, err := p.Key(rec)
-	if err != nil {
-		return 0, err
-	}
-	return int(fnv1a(key) % uint64(p.NumPartitions)), nil
+func (p *Partitioner) PartitionOf(rec []byte) int {
+	return int(fnv1a(p.Key(rec)) % uint64(p.NumPartitions))
 }
 
 // NodeOf maps a record to the node holding its partition in a k-node
 // cluster: partitions are dealt to the nodes round-robin.
-func (p *Partitioner) NodeOf(rec []byte, k int) (int, error) {
-	idx, err := p.PartitionOf(rec)
-	return idx % k, err
+func (p *Partitioner) NodeOf(rec []byte, k int) int {
+	return p.PartitionOf(rec) % k
 }
 
 // RandomNode is the placement of a randomly dispatched source set: a
@@ -85,12 +80,8 @@ func PartitionSet(cl *cluster.Client, addrs []string, source, target string, par
 	s := NewSender(cl, addrs, target)
 	var n int64
 	err := Stream(cl, addrs, source, func(_ int, rec []byte) error {
-		node, err := part.NodeOf(rec, len(addrs))
-		if err != nil {
-			return err
-		}
 		n++
-		return s.Send(node, rec)
+		return s.Send(part.NodeOf(rec, len(addrs)), rec)
 	})
 	if ferr := s.Flush(); err == nil {
 		err = ferr

@@ -78,8 +78,8 @@ func mkRecords(n int) [][]byte {
 	return recs
 }
 
-func keyOrder(rec []byte) ([]byte, error) { return rec[0:8], nil }
-func keyPart(rec []byte) ([]byte, error)  { return rec[8:16], nil }
+func keyOrder(rec []byte) []byte { return rec[0:8] }
+func keyPart(rec []byte) []byte  { return rec[8:16] }
 
 func twoPartitioners(numPartitions int) []*Partitioner {
 	return []*Partitioner{
@@ -115,10 +115,7 @@ func TestPartitionSetRoutesByKey(t *testing.T) {
 	for i, addr := range addrs {
 		err := cl.FetchSet(addr, "dst", func(rec []byte) error {
 			total++
-			node, err := part.NodeOf(rec, len(addrs))
-			if err != nil {
-				return err
-			}
+			node := part.NodeOf(rec, len(addrs))
 			if node != i {
 				t.Errorf("record on node %d belongs to node %d", i, node)
 			}
@@ -243,7 +240,7 @@ func TestCollisionExpectationProperty(t *testing.T) {
 			binary.LittleEndian.PutUint64(rec[8:16], uint64(i))
 			recs[i] = rec
 		}
-		parts := []*Partitioner{{Scheme: "hash(a)", NumPartitions: 64, Key: func(r []byte) ([]byte, error) { return r[0:8], nil }}}
+		parts := []*Partitioner{{Scheme: "hash(a)", NumPartitions: 64, Key: func(r []byte) []byte { return r[0:8] }}}
 		got := float64(CountColliding(recs, parts, k))
 		want := float64(n) / float64(k)
 		// Allow 5 standard deviations of binomial(n, 1/k).
@@ -383,8 +380,8 @@ func TestSanitize(t *testing.T) {
 }
 
 func ExamplePartitioner_PartitionOf() {
-	p := &Partitioner{Scheme: "hash(id)", NumPartitions: 4, Key: func(r []byte) ([]byte, error) { return r, nil }}
-	idx, _ := p.PartitionOf([]byte("object-1"))
+	p := &Partitioner{Scheme: "hash(id)", NumPartitions: 4, Key: func(r []byte) []byte { return r }}
+	idx := p.PartitionOf([]byte("object-1"))
 	fmt.Println(idx >= 0 && idx < 4)
 	// Output: true
 }

@@ -93,10 +93,7 @@ func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []i
 	restore := func(ti int, rec []byte) error {
 		idx := int(fnv1a(rec) % uint64(k))
 		if p := g.Members[ti].Part; p != nil {
-			var err error
-			if idx, err = p.PartitionOf(rec); err != nil {
-				return err
-			}
+			idx = p.PartitionOf(rec)
 		}
 		return senders[ti].Send(reassignNode(idx, surviving), rec)
 	}
@@ -106,9 +103,7 @@ func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []i
 	// because its original node is a failed one.
 	for si, m := range g.Members {
 		err := Stream(cl, live, m.Set, func(_ int, rec []byte) error {
-			if _, err := g.copies(rec, k, nodes); err != nil {
-				return err
-			}
+			g.copies(rec, k, nodes)
 			for ti := range g.Members {
 				if live[nodes[ti]] != "" || dispatcher(ti) != si {
 					continue
@@ -126,9 +121,9 @@ func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []i
 	}
 	// Safety copies of the records no member kept.
 	return reports, Stream(cl, live, g.Colliding, func(at int, rec []byte) error {
-		mask, err := g.copies(rec, k, nodes)
-		if err != nil || dispatcher(-1) >= 0 {
-			return err
+		mask := g.copies(rec, k, nodes)
+		if dispatcher(-1) >= 0 {
+			return nil
 		}
 		for _, node := range extraPlacement(mask, nodes[0], k, sg.R) {
 			if node == at {

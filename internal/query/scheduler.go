@@ -95,17 +95,13 @@ func (e *Executor) Exchange(name string, sources func(node int) Iter, key func(R
 	part := &placement.Partitioner{
 		Scheme:        "exchange",
 		NumPartitions: placement.PartitionsFor(len(e.Workers)),
-		Key:           func(rec []byte) ([]byte, error) { return key(rec), nil },
+		Key:           key,
 	}
 	// One sender per source node: the nodes' scan threads share nothing.
 	return e.Parallel(func(node int, w *cluster.Worker) error {
 		s := placement.NewSender(e.Client, e.Addrs, name)
 		err := sources(node)(func(r Row) error {
-			dst, err := part.NodeOf(r, len(e.Workers))
-			if err != nil {
-				return err
-			}
-			return s.Send(dst, r)
+			return s.Send(part.NodeOf(r, len(e.Workers)), r)
 		})
 		if ferr := s.Flush(); err == nil {
 			err = ferr

@@ -107,26 +107,25 @@ func EnsureLineitemMicroindexes(e *query.Executor) error {
 	return nil
 }
 
-// partitioners returns the replica partitioners for one deployment size.
-// NumPartitions is fixed per deployment so that two replicas built with the
-// same key layout are co-partitioned node-by-node.
-func partitioners(numNodes int) map[string]map[string]*placement.Partitioner {
+// tableReplicas is one table's replica partitioners, in build order.
+type tableReplicas struct {
+	table string
+	parts []*placement.Partitioner
+}
+
+// partitioners returns the replica partitioners for one deployment size, in
+// the order the replicas are built. NumPartitions is fixed per deployment so
+// that two replicas built with the same key layout are co-partitioned
+// node-by-node.
+func partitioners(numNodes int) []tableReplicas {
 	np := placement.PartitionsFor(numNodes)
-	key := func(f func([]byte) []byte) placement.KeyFunc {
-		return func(rec []byte) ([]byte, error) { return f(rec), nil }
+	part := func(scheme string, key placement.KeyFunc) *placement.Partitioner {
+		return &placement.Partitioner{Scheme: scheme, NumPartitions: np, Key: key}
 	}
-	return map[string]map[string]*placement.Partitioner{
-		"lineitem": {
-			SchemeLOrderKey: {Scheme: SchemeLOrderKey, NumPartitions: np, Key: key(LOrderKey)},
-			SchemeLPartKey:  {Scheme: SchemeLPartKey, NumPartitions: np, Key: key(LPartKey)},
-		},
-		"orders": {
-			SchemeOOrderKey: {Scheme: SchemeOOrderKey, NumPartitions: np, Key: key(OOrderKey)},
-			SchemeOCustKey:  {Scheme: SchemeOCustKey, NumPartitions: np, Key: key(OCustKey)},
-		},
-		"part": {
-			SchemePPartKey: {Scheme: SchemePPartKey, NumPartitions: np, Key: key(PPartKey)},
-		},
+	return []tableReplicas{
+		{"lineitem", []*placement.Partitioner{part(SchemeLOrderKey, LOrderKey), part(SchemeLPartKey, LPartKey)}},
+		{"orders", []*placement.Partitioner{part(SchemeOOrderKey, OOrderKey), part(SchemeOCustKey, OCustKey)}},
+		{"part", []*placement.Partitioner{part(SchemePPartKey, PPartKey)}},
 	}
 }
 
@@ -134,34 +133,17 @@ func partitioners(numNodes int) map[string]map[string]*placement.Partitioner {
 // in its source table's layout, and returns the replication groups.
 func BuildReplicas(e *query.Executor, pageSize int64) (map[string]*placement.Group, error) {
 	groups := make(map[string]*placement.Group)
-	for table, schemes := range partitioners(len(e.Workers)) {
-		var parts []*placement.Partitioner
-		for _, scheme := range replicaOrder(table) {
-			parts = append(parts, schemes[scheme])
-		}
-		src, err := e.Set(0, table)
+	for _, tr := range partitioners(len(e.Workers)) {
+		src, err := e.Set(0, tr.table)
 		if err != nil {
 			return nil, err
 		}
 		spec := core.SetSpec{PageSize: pageSize, Layout: src.Layout(), Columns: src.ColumnWidths()}
-		g, err := placement.BuildGroup(e.Client, e.Addrs, table, parts, spec)
+		g, err := placement.BuildGroup(e.Client, e.Addrs, tr.table, tr.parts, spec)
 		if err != nil {
-			return nil, fmt.Errorf("tpch: build replicas of %s: %w", table, err)
+			return nil, fmt.Errorf("tpch: build replicas of %s: %w", tr.table, err)
 		}
-		groups[table] = g
+		groups[tr.table] = g
 	}
 	return groups, nil
-}
-
-// replicaOrder pins a deterministic replica build order per table.
-func replicaOrder(table string) []string {
-	switch table {
-	case "lineitem":
-		return []string{SchemeLOrderKey, SchemeLPartKey}
-	case "orders":
-		return []string{SchemeOOrderKey, SchemeOCustKey}
-	case "part":
-		return []string{SchemePPartKey}
-	}
-	return nil
 }
