@@ -1,7 +1,7 @@
 // Package pangea's top-level benchmarks are the per-layer micros CI gates
 // on: allocator, Pin/Unpin, spill and prefetch pipelines, scans, the
-// microindex and zone-map builds, hash upserts, the join build and probe,
-// and the aggregate fold. The paper's tables and figures are
+// microindex and zone-map builds, hash upserts, the record writers, the join
+// build and probe, and the aggregate fold. The paper's tables and figures are
 // printed by `go run ./cmd/pangea-bench [-quick]`, not by benchmarks.
 package pangea_test
 
@@ -378,6 +378,91 @@ func BenchmarkHashUpsert(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nUpserts), "ns/upsert")
+}
+
+// BenchmarkRecordWriters is the write services' own append cost: one op
+// writes 2^20 16-byte records (key u64, val u64) through one writer thread —
+// a SeqWriter into a row set or a columnar set of 256 KiB pages, or a
+// Shuffle's buffers, eight partitions of 256 KiB pages cut into 64 KiB small
+// pages, record i to partition i%8 — and closes it. Every page stays
+// resident; creating and dropping the sets is outside the timer.
+func BenchmarkRecordWriters(b *testing.B) {
+	const nRecs = 1 << 20
+	le := binary.LittleEndian
+	recs := make([][]byte, nRecs)
+	flat := make([]byte, nRecs*16)
+	for i := range recs {
+		r := flat[i*16 : (i+1)*16]
+		le.PutUint64(r[0:], uint64(i)*7919)
+		le.PutUint64(r[8:], uint64(i))
+		recs[i] = r
+	}
+	arr, err := disk.NewArray(b.TempDir(), 1, disk.Unthrottled())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = arr.RemoveAll() })
+	bp, err := core.NewPool(core.PoolConfig{Memory: 64 << 20, Array: arr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq := func(spec core.SetSpec) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				set, err := bp.CreateSet(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				w := services.NewSeqWriter(set)
+				for _, r := range recs {
+					if err := w.Add(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := bp.DropSet(set); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRecs), "ns/record")
+		}
+	}
+	b.Run("seq-row", seq(core.SetSpec{Name: "w", PageSize: 256 << 10}))
+	b.Run("seq-columnar", seq(core.SetSpec{Name: "w", PageSize: 256 << 10, Layout: core.LayoutColumnar, Columns: []int{8, 8}}))
+	b.Run("shuffle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			sh, err := services.NewShuffle(bp, "w", 8, 256<<10, 64<<10)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			bufs := sh.Writer()
+			for k, r := range recs {
+				if err := bufs[k%8].Add(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := services.CloseWriters(bufs); err != nil {
+				b.Fatal(err)
+			}
+			if err := sh.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := sh.Drop(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nRecs), "ns/record")
+	})
 }
 
 // BenchmarkSpillParallel measures the eviction daemon's spill pipeline

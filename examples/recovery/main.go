@@ -53,7 +53,7 @@ func main() {
 		{Scheme: "hash(l_orderkey)", NumPartitions: 20, Key: tpch.LOrderKey},
 		{Scheme: "hash(l_partkey)", NumPartitions: 20, Key: tpch.LPartKey},
 	}
-	g, err := placement.BuildGroup(cl, addrs, "lineitem", parts, core.SetSpec{PageSize: 128 << 10})
+	g, err := placement.BuildGroup(cl, addrs, "lineitem", parts, core.SetSpec{PageSize: 128 << 10}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func main() {
 	survivors := append(append([]string{}, addrs[:failed]...), addrs[failed+1:]...)
 
 	start := time.Now()
-	reports, err := placement.Recover(cl, addrs, g, failed)
+	reports, err := placement.Recover(cl, addrs, g, []int{failed})
 	if err != nil {
 		log.Fatal(err)
 	}

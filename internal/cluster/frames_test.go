@@ -127,32 +127,32 @@ func TestFetchSetEveryLayout(t *testing.T) {
 			t.Errorf("%s: fetched %d records that are not the %d added, in order", name, len(got), len(want))
 		}
 	}
-	// A page of four regions, as the shuffle service lays them out, put into
-	// a set through the worker's pool.
-	if err := cl.CreateSet("regions", 4096, 0); err != nil {
-		t.Fatal(err)
-	}
-	set, _ := w.Pool().GetSet("regions")
-	page := make([]byte, 4096)
-	services.InitServicePage(page, 1022)
-	want = want[:0]
-	for region := 0; region < 4; region++ {
-		off, end := services.PageHeaderSize+region*1022, services.PageHeaderSize+(region+1)*1022
-		for i := 0; i < 10*region; i++ { // region 0 stays empty
-			rec := fmt.Sprintf("region %d record %d", region, i)
-			off, _ = services.AppendServiceRecord(page, off, end, []byte(rec))
-			want = append(want, rec)
-		}
-	}
-	p, err := set.NewPage()
+	// A page of four regions, as the shuffle service lays them out: three
+	// writer threads fill the first three, and the fourth stays empty.
+	sh, err := services.NewShuffle(w.Pool(), "regions", 1, 4096, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(p.Bytes(), page)
-	if err := set.Unpin(p, true); err != nil {
+	want = want[:0]
+	var bufs []*services.VirtualShuffleBuffer
+	for region := 0; region < 3; region++ {
+		buf := sh.Writer()[0]
+		for i := 0; i < 10*(region+1); i++ {
+			rec := fmt.Sprintf("region %d record %d", region, i)
+			if err := buf.Add([]byte(rec)); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, rec)
+		}
+		bufs = append(bufs, buf)
+	}
+	if err := services.CloseWriters(bufs); err != nil {
 		t.Fatal(err)
 	}
-	if got := fetchAll(t, cl, w.Addr(), "regions"); fmt.Sprint(got) != fmt.Sprint(want) {
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fetchAll(t, cl, w.Addr(), "regions-0"); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("a page of four regions: fetched %q, want %q", got, want)
 	}
 }

@@ -129,72 +129,65 @@ func (dp *DataProxy) scan(c *conn, numThreads int, fn func(thread int, rec []byt
 
 // PageWriter writes records into a set through PinPage/UnpinPage messages:
 // the storage process pins a fresh page and returns its shared-memory
-// offset; the computation thread fills it in place and unpins it when full
-// (§5). One PageWriter per thread.
+// offset; the computation thread fills it in place, in the set's own layout,
+// and unpins it when full (§5). One PageWriter per thread.
 type PageWriter struct {
-	dp     *DataProxy
-	set    string
-	region int // record bytes a page holds, learned from the set on first Add
-	meta   PageMeta
-	buf    []byte
-	off    int
-	open   bool
-	n      int64
+	pages proxyPages
+	w     *services.RecordWriter // made by the first Add, for the set's layout
+}
+
+// proxyPages is a PageWriter's page source: pages of its set that the
+// storage process pins and unpins.
+type proxyPages struct {
+	dp   *DataProxy
+	set  string
+	page int64 // the page pinned last
+}
+
+func (pp *proxyPages) NewPage() (int64, []byte, error) {
+	meta, err := call[PageMeta](pp.dp.workerAddr, pp.dp.auth, PinPageReq{Set: pp.set})
+	if err != nil {
+		return 0, nil, err
+	}
+	pp.page = meta.PageNum
+	return meta.PageNum, pp.dp.pool.SharedMemory().Slice(meta.Offset, meta.Size), nil
+}
+
+func (pp *proxyPages) Release() error {
+	_, err := call[any](pp.dp.workerAddr, pp.dp.auth, UnpinPageReq{Set: pp.set, PageNum: pp.page, Dirty: true})
+	return err
 }
 
 // NewPageWriter creates a proxy-side writer for a set on the co-located
 // worker.
 func (dp *DataProxy) NewPageWriter(set string) *PageWriter {
-	return &PageWriter{dp: dp, set: set}
+	return &PageWriter{pages: proxyPages{dp: dp, set: set}}
 }
 
 // Add appends one record, pinning a new shared-memory page when needed.
 func (pw *PageWriter) Add(rec []byte) error {
-	if pw.region == 0 {
-		set, ok := pw.dp.pool.GetSet(pw.set)
+	if pw.w == nil {
+		set, ok := pw.pages.dp.pool.GetSet(pw.pages.set)
 		if !ok {
-			return fmt.Errorf("cluster: no set %q on worker %s", pw.set, pw.dp.workerAddr)
+			return fmt.Errorf("cluster: no set %q on worker %s", pw.pages.set, pw.pages.dp.workerAddr)
 		}
-		pw.region = int(set.PageSize()) - services.PageHeaderSize
+		pw.w = services.NewRecordWriter(set, &pw.pages)
 	}
-	if err := services.CheckRecordSize(len(rec), pw.region); err != nil {
-		return err
-	}
-	for {
-		if !pw.open {
-			meta, err := call[PageMeta](pw.dp.workerAddr, pw.dp.auth, PinPageReq{Set: pw.set})
-			if err != nil {
-				return err
-			}
-			pw.meta = meta
-			pw.buf = pw.dp.pool.SharedMemory().Slice(meta.Offset, meta.Size)
-			services.InitServicePage(pw.buf, pw.region)
-			pw.off = services.PageHeaderSize
-			pw.open = true
-		}
-		next, ok := services.AppendServiceRecord(pw.buf, pw.off, len(pw.buf), rec)
-		if ok {
-			pw.off = next
-			pw.n++
-			return nil
-		}
-		if err := pw.unpin(); err != nil {
-			return err
-		}
-	}
+	return pw.w.Add(rec)
 }
 
 // Count reports records written.
-func (pw *PageWriter) Count() int64 { return pw.n }
-
-func (pw *PageWriter) unpin() error {
-	if !pw.open {
-		return nil
+func (pw *PageWriter) Count() int64 {
+	if pw.w == nil {
+		return 0
 	}
-	pw.open = false
-	_, err := call[any](pw.dp.workerAddr, pw.dp.auth, UnpinPageReq{Set: pw.set, PageNum: pw.meta.PageNum, Dirty: true})
-	return err
+	return pw.w.Count()
 }
 
 // Close unpins the writer's current page.
-func (pw *PageWriter) Close() error { return pw.unpin() }
+func (pw *PageWriter) Close() error {
+	if pw.w == nil {
+		return nil
+	}
+	return pw.w.Close()
+}

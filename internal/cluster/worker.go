@@ -166,7 +166,7 @@ func (w *Worker) sealed(name string) (*core.LocalitySet, error) {
 // addRecords appends a run's records to the set. The run's framing is checked
 // in full before the first Add, so a malformed run leaves the set as it was; a
 // record too large for the set's page still fails at that record, through
-// CheckRecordSize, with the records before it appended.
+// the writer's record-size rule, with the records before it appended.
 func (w *Worker) addRecords(req AddRecordsReq) error {
 	sw, err := w.writerFor(req.Set)
 	if err != nil {

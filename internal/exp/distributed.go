@@ -29,11 +29,14 @@ type testCluster struct {
 	exec *query.Executor
 }
 
-func startCluster(o Options, tag string, nodes int, memPerNode int64, policy func() core.Policy) (*testCluster, error) {
+// startCluster starts a manager and nodes workers, each with its drives
+// under tagDir(o, tag). done closes the deployment and removes the drives.
+func startCluster(o Options, tag string, nodes int, memPerNode int64, policy func() core.Policy) (tc *testCluster, done func(), err error) {
+	dir := tagDir(o, tag)
 	l, err := cluster.StartLocal(clusterKey, nodes, func(i int) cluster.WorkerConfig {
 		cfg := cluster.WorkerConfig{
 			Memory:     memPerNode,
-			DiskDir:    filepath.Join(o.Dir, tag, fmt.Sprintf("w%d", i)),
+			DiskDir:    filepath.Join(dir, fmt.Sprintf("w%d", i)),
 			DiskConfig: diskConfig(),
 		}
 		if policy != nil {
@@ -42,9 +45,14 @@ func startCluster(o Options, tag string, nodes int, memPerNode int64, policy fun
 		return cfg
 	})
 	if err != nil {
-		return nil, err
+		_ = os.RemoveAll(dir)
+		return nil, nil, err
 	}
-	return &testCluster{Local: l, exec: query.NewExecutor(l.Client, l.Workers, 2)}, nil
+	done = func() {
+		_ = l.Close()
+		_ = os.RemoveAll(dir)
+	}
+	return &testCluster{Local: l, exec: query.NewExecutor(l.Client, l.Workers, 2)}, done, nil
 }
 
 // --- Figs 3 and 4: the k-means study -----------------------------------------
@@ -107,7 +115,7 @@ func runKMeansStudy(o Options) (*kmeansStudy, error) {
 
 		// Pangea under each paging policy.
 		for _, pp := range pangeaPolicies {
-			tc, err := startCluster(o, fmt.Sprintf("fig3-%s-%d", pp.Name, scale), nodes, poolPerNode, pp.Policy)
+			tc, done, err := startCluster(o, fmt.Sprintf("fig3-%s-%d", pp.Name, scale), nodes, poolPerNode, pp.Policy)
 			if err != nil {
 				return nil, err
 			}
@@ -139,7 +147,7 @@ func runKMeansStudy(o Options) (*kmeansStudy, error) {
 				}
 			}
 			record(pp.Name, scale, res)
-			_ = tc.Close()
+			done()
 		}
 
 		// The layered Spark configurations (single-node engine over the
@@ -281,11 +289,11 @@ func Fig5(o Options) (*Table, error) {
 	if !o.Quick {
 		sf = 0.01
 	}
-	tc, err := startCluster(o, "fig5", nodes, 32<<20, nil)
+	tc, done, err := startCluster(o, "fig5", nodes, 32<<20, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer tc.Close()
+	defer done()
 	d := tpch.Generate(sf, 17)
 	if err := tpch.Load(tc.exec, d, 256<<10); err != nil {
 		return nil, err
@@ -355,11 +363,11 @@ func Fig6(o Options) (*Table, error) {
 // fig6Run loads lineitem at scale sf onto a k-worker cluster, builds its
 // replication group, closes one worker and times its recovery.
 func fig6Run(o Options, k int, sf float64) ([]string, error) {
-	tc, err := startCluster(o, fmt.Sprintf("fig6-%d", k), k, 8<<20, nil)
+	tc, done, err := startCluster(o, fmt.Sprintf("fig6-%d", k), k, 8<<20, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer tc.Close()
+	defer done()
 	d := tpch.Generate(sf, 23)
 	if err := tc.exec.Client.CreateSet("lineitem", 128<<10, 0); err != nil {
 		return nil, err
@@ -372,14 +380,14 @@ func fig6Run(o Options, k int, sf float64) ([]string, error) {
 		{Scheme: "hash(l_orderkey)", NumPartitions: np, Key: tpch.LOrderKey},
 		{Scheme: "hash(l_partkey)", NumPartitions: np, Key: tpch.LPartKey},
 	}
-	g, err := placement.BuildGroup(tc.exec.Client, tc.exec.Addrs, "lineitem", parts, core.SetSpec{PageSize: 128 << 10})
+	g, err := placement.BuildGroup(tc.exec.Client, tc.exec.Addrs, "lineitem", parts, core.SetSpec{PageSize: 128 << 10}, 1)
 	if err != nil {
 		return nil, err
 	}
 	const failed = 0
 	_ = tc.Workers[failed].Close()
 	start := time.Now()
-	if _, err := placement.Recover(tc.exec.Client, tc.exec.Addrs, g, failed); err != nil {
+	if _, err := placement.Recover(tc.exec.Client, tc.exec.Addrs, g, []int{failed}); err != nil {
 		return nil, err
 	}
 	return []string{fmt.Sprintf("%d", k), ms(time.Since(start)),

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"pangea/internal/placement"
 )
 
 // cell parses a numeric cell, failing on FAIL markers.
@@ -422,5 +424,36 @@ func TestTab2CountsEveryQueryFile(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if _, err := Run("nope", Options{}); err == nil {
 		t.Error("unknown experiment must error")
+	}
+}
+
+// TestClusterLeavesNoDrives: closing a cluster the harness started removes
+// its workers' drives, records and all, even when its tag — a Fig 3 policy
+// name — holds a '/'.
+func TestClusterLeavesNoDrives(t *testing.T) {
+	o := Options{Quick: true, Dir: t.TempDir()}
+	tc, done, err := startCluster(o, "fig3-Pangea w/ LRU-1", 2, 1<<20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.exec.Client.CreateSet("points", 16<<10, 0); err != nil {
+		done()
+		t.Fatal(err)
+	}
+	recs := make([][]byte, 5000)
+	for i := range recs {
+		recs[i] = []byte(fmt.Sprintf("point-%06d", i))
+	}
+	if err := placement.DispatchRandom(tc.exec.Client, tc.exec.Addrs, "points", recs); err != nil {
+		done()
+		t.Fatal(err)
+	}
+	done()
+	ents, err := os.ReadDir(o.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		t.Errorf("%s is left in the drive directory after the cluster closed", e.Name())
 	}
 }

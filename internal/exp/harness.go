@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,10 +19,17 @@ import (
 // helpers here: drives and pools, the timed write-then-scan of Figs 7 and 8,
 // and the s10–s12 fact table.
 
-// newDrives creates n drives of the given model under o.Dir/tag. done removes
+// tagDir is the directory a configuration's drives lie under: o.Dir/tag,
+// with any '/' in tag (a policy name's "w/") replaced, so the tag names one
+// directory directly under o.Dir.
+func tagDir(o Options, tag string) string {
+	return filepath.Join(o.Dir, strings.ReplaceAll(tag, "/", "_"))
+}
+
+// newDrives creates n drives of the given model under tagDir. done removes
 // them; the configuration that made them defers it.
 func newDrives(o Options, tag string, n int, model disk.Config) (arr *disk.Array, done func(), err error) {
-	arr, err = disk.NewArray(filepath.Join(o.Dir, tag), n, model)
+	arr, err = disk.NewArray(tagDir(o, tag), n, model)
 	if err != nil {
 		return nil, nil, err
 	}

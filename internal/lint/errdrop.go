@@ -24,7 +24,7 @@ var ErrDropRules = []ErrDropRule{
 		"Unpin", "FlushAll", "DropSet", "WriteSideObject", "Close", "Shutdown",
 	}},
 	{PkgPath: "pangea/internal/services", Names: []string{
-		"Add", "Close", "Flush", "Save", "AppendServiceRecord",
+		"Add", "Close", "Flush", "Save",
 	}},
 }
 

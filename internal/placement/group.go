@@ -18,8 +18,12 @@ type Member struct {
 // Group is a replication group (§7): every member contains exactly the same
 // objects under a different physical organization, so any member can serve
 // a computation and any member can be rebuilt from the others after a node
-// failure. The colliding objects — those all of whose copies happen to land
-// on one node — get an extra copy, HDFS-style, in a separate safety set.
+// failure. A group tolerates R concurrent node failures (R = 1 is the paper's
+// group, more its §7 extension): every object whose member copies span fewer
+// than R+1 distinct nodes — a colliding object — gets enough extra copies,
+// HDFS-style, in a separate safety set to reach R+1. The paper accepts the
+// expected extra-space ratio 1 − k·(k−1)·…·(k−R)/k^{R+1} because analytics
+// clusters are small.
 type Group struct {
 	Source    string
 	Members   []Member
@@ -29,24 +33,15 @@ type Group struct {
 	// partitioning and a layout, and recovery appends into the surviving
 	// sets, so a rebuilt replica keeps its layout.
 	Spec core.SetSpec
+	// R is the tolerated concurrent failure count.
+	R int
 
 	// NumColliding counts the objects whose copies span too few nodes.
 	NumColliding int64
-	// Total is the object count observed while building.
-	Total int64
-}
-
-// SafeGroup is a replication group hardened against R concurrent failures
-// (the §7 extension): every object whose member copies span fewer than R+1
-// distinct nodes gets enough extra copies in the safety set to reach R+1.
-// The paper accepts the expected extra-space ratio
-// 1 − k·(k−1)·…·(k−R)/k^{R+1} because analytics clusters are small.
-type SafeGroup struct {
-	*Group
-	// R is the tolerated concurrent failure count.
-	R int
 	// ExtraCopies counts the object copies stored in the safety set.
 	ExtraCopies int64
+	// Total is the object count observed while building.
+	Total int64
 }
 
 // maxNodes is the widest cluster a node mask describes.
@@ -81,47 +76,35 @@ func extraPlacement(mask uint64, home, k, r int) []int {
 	return out
 }
 
-// BuildGroup is BuildSafeGroup for one node failure. A single worker is
-// accepted too: with nowhere to put a second copy, its safety set stays empty.
-func BuildGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, spec core.SetSpec) (*Group, error) {
-	sg, err := buildGroup(cl, addrs, source, parts, spec, 1)
-	if err != nil {
-		return nil, err
+// BuildGroup creates one replica of a populated source set per partitioner,
+// and the safety set that lets the group survive r concurrent node failures,
+// each created from spec, in one pass over the source: each record is routed
+// to its node in every replica and, when its copies span fewer than r+1
+// nodes, to the extraPlacement nodes of the safety set. Only then are the
+// replicas registered in the manager's statistics database for query
+// schedulers to choose from (§9.1.2); a failed build drops every set it
+// created. The source must have been loaded with DispatchRandom: recovery
+// re-derives each record's random node from its content. r must be below the
+// worker count, except that a single worker is accepted with r = 1: with
+// nowhere to put a second copy, its safety set stays empty.
+func BuildGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, spec core.SetSpec, r int) (g *Group, err error) {
+	if r < 1 || r >= max(len(addrs), 2) {
+		return nil, fmt.Errorf("placement: r=%d invalid for a %d-node cluster", r, len(addrs))
 	}
-	return sg.Group, nil
-}
-
-// BuildSafeGroup creates one replica of a populated source set per
-// partitioner, and the safety set that lets the group survive r concurrent
-// node failures, each created from spec, in one pass over the source: each
-// record is routed to its node in every replica and, when its copies span
-// fewer than r+1 nodes, to the extraPlacement nodes of the safety set. Only then are the replicas
-// registered in the manager's statistics database for query schedulers to
-// choose from (§9.1.2); a failed build drops every set it created. The source
-// must have been loaded with DispatchRandom: recovery re-derives each
-// record's random node from its content.
-func BuildSafeGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, spec core.SetSpec, r int) (*SafeGroup, error) {
-	if k := len(addrs); r < 1 || r >= k {
-		return nil, fmt.Errorf("placement: r=%d invalid for a %d-node cluster", r, k)
-	}
-	return buildGroup(cl, addrs, source, parts, spec, r)
-}
-
-func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Partitioner, spec core.SetSpec, r int) (sg *SafeGroup, err error) {
 	k := len(addrs)
 	if k > maxNodes {
 		return nil, fmt.Errorf("placement: a replication group spans at most %d workers, not %d", maxNodes, k)
 	}
-	g := &Group{
+	g = &Group{
 		Source:    source,
 		Colliding: fmt.Sprintf("%s:safety-r%d", source, r),
 		Spec:      spec,
+		R:         r,
 		Members:   []Member{{Set: source}},
 	}
 	for _, p := range parts {
 		g.Members = append(g.Members, Member{Set: fmt.Sprintf("%s_pt_%s", source, sanitize(p.Scheme)), Part: p})
 	}
-	sg = &SafeGroup{Group: g, R: r}
 
 	// senders[i] fills member i, but slot 0 — the source's — the safety set.
 	var senders []*Sender
@@ -129,7 +112,7 @@ func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Part
 		if err == nil {
 			return
 		}
-		sg = nil
+		g = nil
 		for _, s := range senders {
 			for _, addr := range addrs {
 				_ = cl.DropSet(addr, s.set)
@@ -159,7 +142,7 @@ func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Part
 			g.NumColliding++
 		}
 		for _, node := range extraPlacement(mask, nodes[0], k, r) {
-			sg.ExtraCopies++
+			g.ExtraCopies++
 			if err := senders[0].Send(node, rec); err != nil {
 				return err
 			}
@@ -176,7 +159,7 @@ func buildGroup(cl *cluster.Client, addrs []string, source string, parts []*Part
 			err = cl.RegisterReplica(source, m.Set, m.Part.Scheme)
 		}
 	}
-	return sg, err
+	return g, err
 }
 
 // CollidingRatio returns the fraction of objects that needed a safety copy: in

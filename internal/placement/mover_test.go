@@ -41,7 +41,7 @@ func TestFailedGroupBuildLeavesNothing(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "tbl", recs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildSafeGroup(cl, addrs, "tbl", twoPartitioners(12), rowSpec, 2); err == nil {
+	if _, err := BuildGroup(cl, addrs, "tbl", twoPartitioners(12), rowSpec, 2); err == nil {
 		t.Fatal("a build whose replicas refuse a record must fail")
 	}
 	if left := replicaSets(workers, "tbl"); len(left) != 0 {
@@ -50,7 +50,7 @@ func TestFailedGroupBuildLeavesNothing(t *testing.T) {
 	if group, err := cl.Replicas("tbl"); err != nil || len(group) != 1 {
 		t.Errorf("failed build registered replicas: %v (err %v)", group, err)
 	}
-	if _, err := BuildSafeGroup(cl, addrs, "tbl", twoPartitioners(12), core.SetSpec{PageSize: 128 << 10}, 2); err != nil {
+	if _, err := BuildGroup(cl, addrs, "tbl", twoPartitioners(12), core.SetSpec{PageSize: 128 << 10}, 2); err != nil {
 		t.Errorf("retry after a failed build: %v", err)
 	}
 }
@@ -82,7 +82,7 @@ func TestGroupBuildStreamsSourceOnce(t *testing.T) {
 			return key(rec)
 		}
 	}
-	if _, err := BuildGroup(cl, addrs, "tbl", parts, rowSpec); err != nil {
+	if _, err := BuildGroup(cl, addrs, "tbl", parts, rowSpec, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i, st := range seen {
@@ -210,7 +210,7 @@ func TestBuildGroupWorkerKilledMidBuild(t *testing.T) {
 		return key(rec)
 	}
 	returnsWithin(t, 30*time.Second, func() {
-		if _, err := BuildGroup(cl, addrs, "tbl", parts, rowSpec); err == nil {
+		if _, err := BuildGroup(cl, addrs, "tbl", parts, rowSpec, 1); err == nil {
 			t.Error("a build whose worker was closed under it reported success")
 		}
 	})

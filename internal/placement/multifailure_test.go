@@ -54,15 +54,15 @@ func TestExtraPlacementReachesRPlusOneNodes(t *testing.T) {
 
 func TestBuildSafeGroupValidation(t *testing.T) {
 	_, addrs, cl := startCluster(t, 3)
-	if _, err := BuildSafeGroup(cl, addrs, "x", nil, rowSpec, 0); err == nil {
+	if _, err := BuildGroup(cl, addrs, "x", nil, rowSpec, 0); err == nil {
 		t.Error("r=0 must be rejected")
 	}
-	if _, err := BuildSafeGroup(cl, addrs, "x", nil, rowSpec, 3); err == nil {
+	if _, err := BuildGroup(cl, addrs, "x", nil, rowSpec, 3); err == nil {
 		t.Error("r=k must be rejected")
 	}
 	// A node mask has 64 bits; a wider cluster would read every object as
 	// colliding.
-	if _, err := BuildSafeGroup(cl, make([]string, maxNodes+1), "x", nil, rowSpec, 1); err == nil {
+	if _, err := BuildGroup(cl, make([]string, maxNodes+1), "x", nil, rowSpec, 1); err == nil {
 		t.Errorf("%d workers must be rejected", maxNodes+1)
 	}
 	for _, addr := range addrs {
@@ -83,7 +83,7 @@ func TestRecoverTwoNodeFailure(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "li", recs); err != nil {
 		t.Fatal(err)
 	}
-	sg, err := BuildSafeGroup(cl, addrs, "li", twoPartitioners(20), rowSpec, 2)
+	sg, err := BuildGroup(cl, addrs, "li", twoPartitioners(20), rowSpec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRecoverTwoNodeFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sg.RecoverMulti(cl, addrs, failed); err != nil {
+	if _, err := Recover(cl, addrs, sg, failed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,28 +138,28 @@ func TestRecoverMultiRejectsTooManyFailures(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "s", mkRecords(100)); err != nil {
 		t.Fatal(err)
 	}
-	sg, err := BuildSafeGroup(cl, addrs, "s", twoPartitioners(8), rowSpec, 1)
+	sg, err := BuildGroup(cl, addrs, "s", twoPartitioners(8), rowSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sg.RecoverMulti(cl, addrs, []int{0, 1}); err == nil {
+	if _, err := Recover(cl, addrs, sg, []int{0, 1}); err == nil {
 		t.Error("recovering 2 failures with r=1 must be rejected")
 	}
 	// Indices outside the cluster used to panic, and a repeated index
 	// counted twice against r.
 	for _, failed := range [][]int{{4}, {-1}, {2, 2}} {
-		if _, err := sg.RecoverMulti(cl, addrs, failed); err == nil {
+		if _, err := Recover(cl, addrs, sg, failed); err == nil {
 			t.Errorf("failed nodes %v on 4 workers must be rejected", failed)
 		}
 	}
 	sg.R = 2
-	if _, err := sg.RecoverMulti(cl, addrs, []int{2, 2}); err == nil {
+	if _, err := Recover(cl, addrs, sg, []int{2, 2}); err == nil {
 		t.Error("a repeated failed node must be rejected even within r")
 	}
 }
 
-// TestSafeGroupSingleFailureMatchesPlainRecovery: with r=1 the safe group
-// restores a single failure just like the plain path.
+// TestSafeGroupSingleFailureMatchesPlainRecovery: a group built for r=1
+// restores a single failure whole.
 func TestSafeGroupSingleFailureMatchesPlainRecovery(t *testing.T) {
 	workers, addrs, cl := startCluster(t, 3)
 	if err := cl.CreateSet("s", 64<<10, 0); err != nil {
@@ -169,12 +169,12 @@ func TestSafeGroupSingleFailureMatchesPlainRecovery(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "s", recs); err != nil {
 		t.Fatal(err)
 	}
-	sg, err := BuildSafeGroup(cl, addrs, "s", twoPartitioners(9), rowSpec, 1)
+	sg, err := BuildGroup(cl, addrs, "s", twoPartitioners(9), rowSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = workers[2].Close()
-	if _, err := sg.RecoverMulti(cl, addrs, []int{2}); err != nil {
+	if _, err := Recover(cl, addrs, sg, []int{2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range sg.Members {

@@ -144,7 +144,7 @@ func TestBuildGroupRegistersReplicas(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "tbl", recs); err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildGroup(cl, addrs, "tbl", twoPartitioners(12), rowSpec)
+	g, err := BuildGroup(cl, addrs, "tbl", twoPartitioners(12), rowSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestCollidingCountMatchesDirectCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := twoPartitioners(9)
-	g, err := BuildGroup(cl, addrs, "t", parts, rowSpec)
+	g, err := BuildGroup(cl, addrs, "t", parts, rowSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestRecoverSingleNodeFailure(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "li", recs); err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildGroup(cl, addrs, "li", twoPartitioners(16), rowSpec)
+	g, err := BuildGroup(cl, addrs, "li", twoPartitioners(16), rowSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestRecoverSingleNodeFailure(t *testing.T) {
 		}
 	}
 
-	reports, err := Recover(cl, addrs, g, failed)
+	reports, err := Recover(cl, addrs, g, []int{failed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +316,13 @@ func TestRecoverRestoresExactMultiset(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "s", recs); err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildGroup(cl, addrs, "s", twoPartitioners(9), rowSpec)
+	g, err := BuildGroup(cl, addrs, "s", twoPartitioners(9), rowSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const failed = 0
 	_ = workers[failed].Close()
-	if _, err := Recover(cl, addrs, g, failed); err != nil {
+	if _, err := Recover(cl, addrs, g, []int{failed}); err != nil {
 		t.Fatal(err)
 	}
 	survivors := addrs[1:]
@@ -401,7 +401,7 @@ func TestBuildGroupKeepsColumnarLayout(t *testing.T) {
 	if err := DispatchRandom(cl, addrs, "col", recs); err != nil {
 		t.Fatal(err)
 	}
-	sg, err := BuildSafeGroup(cl, addrs, "col", twoPartitioners(9), spec, 1)
+	sg, err := BuildGroup(cl, addrs, "col", twoPartitioners(9), spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestBuildGroupKeepsColumnarLayout(t *testing.T) {
 	if err := workers[failed].Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sg.RecoverMulti(cl, addrs, []int{failed}); err != nil {
+	if _, err := Recover(cl, addrs, sg, []int{failed}); err != nil {
 		t.Fatal(err)
 	}
 	survivors := []string{addrs[0], addrs[2]}

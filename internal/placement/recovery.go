@@ -20,14 +20,8 @@ func (r RecoveryReport) Recovered() int64 { return r.FromSource + r.FromCollidin
 // surviving node, round-robin over the survivors.
 func reassignNode(idx int, surviving []int) int { return surviving[idx%len(surviving)] }
 
-// Recover is RecoverMulti for a group built by BuildGroup and the one failed
-// node addrs[failedIdx].
-func Recover(cl *cluster.Client, addrs []string, g *Group, failedIdx int) ([]RecoveryReport, error) {
-	return (&SafeGroup{Group: g, R: 1}).RecoverMulti(cl, addrs, []int{failedIdx})
-}
-
-// RecoverMulti rebuilds every member of the group after up to R concurrent
-// node failures (paper §7). A member lost the records it placed on a failed
+// Recover rebuilds every member of the group after up to R concurrent node
+// failures (paper §7). A member lost the records it placed on a failed
 // node; its partitioner, re-run over a surviving copy, says which those are,
 // and they go to the surviving nodes that take the lost partitions over.
 // Every member stores the same objects, so each surviving member set is
@@ -36,8 +30,8 @@ func Recover(cl *cluster.Client, addrs []string, g *Group, failedIdx int) ([]Rec
 // records lost in several members at once are covered. A record no member
 // kept is dispatched by the first surviving node of its safety placement.
 // addrs lists all the original workers, failed the indices of the lost ones.
-func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []int) (reports []RecoveryReport, err error) {
-	k, g := len(addrs), sg.Group
+func Recover(cl *cluster.Client, addrs []string, g *Group, failed []int) (reports []RecoveryReport, err error) {
+	k := len(addrs)
 	if k > maxNodes {
 		return nil, fmt.Errorf("placement: a replication group spans at most %d workers, not %d", maxNodes, k)
 	}
@@ -51,8 +45,8 @@ func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []i
 		}
 		live[f] = ""
 	}
-	if len(failed) > sg.R {
-		return nil, fmt.Errorf("placement: %d failures exceed the tolerated r=%d", len(failed), sg.R)
+	if len(failed) > g.R {
+		return nil, fmt.Errorf("placement: %d failures exceed the tolerated r=%d", len(failed), g.R)
 	}
 	var surviving []int
 	for i, addr := range live {
@@ -125,7 +119,7 @@ func (sg *SafeGroup) RecoverMulti(cl *cluster.Client, addrs []string, failed []i
 		if dispatcher(-1) >= 0 {
 			return nil
 		}
-		for _, node := range extraPlacement(mask, nodes[0], k, sg.R) {
+		for _, node := range extraPlacement(mask, nodes[0], k, g.R) {
 			if node == at {
 				break
 			}

@@ -333,13 +333,18 @@ func TestLaneSeededScansMatchUnpruned(t *testing.T) {
 		}
 	}
 	colIdx := colSet.SideIndex(services.MicroindexTag).(*services.Microindex)
-	short := make([]byte, 16)
-	services.InitServicePage(short, len(short)-services.PageHeaderSize)
-	services.AppendServiceRecord(short, services.PageHeaderSize, len(short), []byte{1})
+	shortSet := loadSet(t, bp, "short", []Row{{1}})
+	short, err := shortSet.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, num := range []int64{2, 9} {
-		if err := colIdx.NoteRowPage(num, short); err != nil {
+		if err := colIdx.NotePage(num, short.Bytes()); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := shortSet.Unpin(short, false); err != nil {
+		t.Fatal(err)
 	}
 	for _, set := range []*core.LocalitySet{colSet, rowSet} {
 		if locs, _ := set.SideIndex(services.MicroindexTag).(PointIndex).Lookup(1, 1000); len(locs) < 2 {

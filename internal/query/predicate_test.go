@@ -62,28 +62,43 @@ func raggedRows(n int) []Row {
 	return rows
 }
 
-// shufflePage frames rows into one multi-region service page, the layout
-// the shuffle service's small pages give a buffer-pool page: rows fill
-// regionSize-byte regions in turn. It returns the rows that fit.
-func shufflePage(t *testing.T, pageSize, regionSize int, rows []Row) ([]byte, []Row) {
+// shufflePage writes rows through one writer of a one-partition shuffle of
+// pageSize-byte pages cut into regionSize-byte small pages, so rows fill the
+// regions of its first page in turn, and returns a copy of that page with the
+// rows it holds.
+func shufflePage(t *testing.T, bp *core.BufferPool, pageSize, regionSize int, rows []Row) ([]byte, []Row) {
 	t.Helper()
-	buf := make([]byte, pageSize)
-	services.InitServicePage(buf, regionSize)
+	sh, err := services.NewShuffle(bp, "shuffle-page", 1, int64(pageSize), regionSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, w := sh.Sink(0).Set(), sh.Writer()
 	var placed []Row
-	base := services.PageHeaderSize
-	off := base
 	for _, r := range rows {
-		next, ok := services.AppendServiceRecord(buf, off, base+regionSize, r)
-		if !ok {
-			if base += regionSize; base+regionSize > len(buf) {
-				break
-			}
-			if next, ok = services.AppendServiceRecord(buf, base, base+regionSize, r); !ok {
-				t.Fatalf("record of %d bytes does not fit an empty %d-byte region", len(r), regionSize)
-			}
+		if err := w[0].Add(r); err != nil {
+			t.Fatal(err)
 		}
-		off = next
+		if set.NumPages() > 1 {
+			break
+		}
 		placed = append(placed, r)
+	}
+	if err := services.CloseWriters(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := set.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte(nil), p.Bytes()...)
+	if err := set.Unpin(p, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Drop(); err != nil {
+		t.Fatal(err)
 	}
 	return buf, placed
 }
@@ -101,7 +116,7 @@ func TestPredicateEquivalence(t *testing.T) {
 	colSet := loadColSet(t, bp, "c", rows)
 	ragged := raggedRows(3000)
 	raggedSet := loadSet(t, bp, "ragged", ragged)
-	page, paged := shufflePage(t, 8<<10, 1000, raggedRows(600))
+	page, paged := shufflePage(t, bp, 8<<10, 1000, raggedRows(600))
 	if len(paged) < 300 {
 		t.Fatalf("shuffle page holds %d rows; want several regions' worth", len(paged))
 	}

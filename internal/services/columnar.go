@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-
-	"pangea/internal/core"
 )
 
 // Columnar pages store fixed-width records transposed into per-column
@@ -188,128 +186,6 @@ func initColumnarPage(buf []byte, widths []int, capacity int) {
 	for c, w := range widths {
 		le.PutUint32(buf[columnarFixedHeader+4*c:columnarFixedHeader+4*c+4], uint32(w))
 	}
-}
-
-// ColumnarWriter is the sequential write service for columnar sets: Add
-// transposes each fixed-width record into the per-column segments of the
-// current page and pins a fresh page when it fills. Like SeqWriter, one
-// writer per thread. NewSeqWriter constructs one for sets declared
-// LayoutColumnar, so callers of the row write API (WriteAll, the cluster's
-// AddRecords path) transparently produce columnar pages.
-type ColumnarWriter struct {
-	set      *core.LocalitySet
-	widths   []int
-	rowSize  int
-	capacity int // rows per page
-	page     *core.Page
-	rows     []byte   // the current page's row-count word
-	segs     [][]byte // column segments of the current page
-	view     ColumnarPage
-	n        int   // rows in the current page
-	total    int64 // records written
-
-	// OnSeal, when set, is called with each page just before it is
-	// unpinned, while its bytes are still valid — the hook side indexes fold
-	// each columnar page through (SeqWriter.OnSeal is the row pages').
-	OnSeal func(pageNum int64, p *ColumnarPage)
-}
-
-// newColumnarWriter builds the writer NewSeqWriter delegates to; the set's
-// columnar invariants (widths present, one row fits) were validated by
-// core.CreateSet.
-func newColumnarWriter(set *core.LocalitySet) *ColumnarWriter {
-	widths := set.ColumnWidths()
-	rowSize := 0
-	for _, w := range widths {
-		rowSize += w
-	}
-	return &ColumnarWriter{
-		set:      set,
-		widths:   widths,
-		rowSize:  rowSize,
-		capacity: (int(set.PageSize()) - columnarHeaderSize(len(widths))) / rowSize,
-		segs:     make([][]byte, len(widths)),
-	}
-}
-
-// Add appends one record, which must be exactly the schema's row size.
-func (w *ColumnarWriter) Add(rec []byte) error {
-	if len(rec) != w.rowSize {
-		return fmt.Errorf("services: record of %d bytes does not match the %d-byte columnar row", len(rec), w.rowSize)
-	}
-	if w.page == nil {
-		p, err := w.set.NewPage()
-		if err != nil {
-			return err
-		}
-		buf := p.Bytes()
-		initColumnarPage(buf, w.widths, w.capacity)
-		off := columnarHeaderSize(len(w.widths))
-		for c, cw := range w.widths {
-			w.segs[c] = buf[off : off+w.capacity*cw]
-			off += w.capacity * cw
-		}
-		w.page, w.rows, w.n = p, buf[8:12], 0
-	}
-	// One store a column, sized by a switch on its width: a copy call a
-	// column costs more than the bytes it moves.
-	le, off, i := binary.LittleEndian, 0, w.n
-	for c, cw := range w.widths {
-		seg := w.segs[c]
-		switch cw {
-		case 1:
-			seg[i] = rec[off]
-		case 2:
-			le.PutUint16(seg[i*2:], le.Uint16(rec[off:]))
-		case 4:
-			le.PutUint32(seg[i*4:], le.Uint32(rec[off:]))
-		case 8:
-			le.PutUint64(seg[i*8:], le.Uint64(rec[off:]))
-		default:
-			copy(seg[i*cw:], rec[off:off+cw])
-		}
-		off += cw
-	}
-	w.n++
-	w.total++
-	le.PutUint32(w.rows, uint32(w.n))
-	if w.n == w.capacity {
-		return w.seal()
-	}
-	return nil
-}
-
-// seal finishes the current page: runs the OnSeal hook while the page is
-// still pinned, then unpins it dirty.
-func (w *ColumnarWriter) seal() error {
-	if w.page == nil {
-		return nil
-	}
-	if w.OnSeal != nil {
-		if err := w.view.Reset(w.page.Bytes()); err != nil {
-			return err
-		}
-		w.OnSeal(w.page.Num(), &w.view)
-	}
-	err := w.set.Unpin(w.page, true)
-	w.page, w.rows = nil, nil
-	for c := range w.segs {
-		w.segs[c] = nil
-	}
-	return err
-}
-
-// Count returns the number of records written so far.
-func (w *ColumnarWriter) Count() int64 { return w.total }
-
-// RowSize returns the byte size of one record under the writer's schema.
-func (w *ColumnarWriter) RowSize() int { return w.rowSize }
-
-// Close seals the partial page and clears the set's current operation.
-func (w *ColumnarWriter) Close() error {
-	err := w.seal()
-	w.set.SetCurrentOp(core.OpNone)
-	return err
 }
 
 // rowScratch holds the buffers walkColumnarPage transposes pages into.

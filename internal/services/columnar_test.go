@@ -236,7 +236,11 @@ func TestColumnarOnSealHook(t *testing.T) {
 	w := NewSeqWriter(s)
 	rowsSeen := 0
 	pages := 0
-	w.cw.OnSeal = func(num int64, p *ColumnarPage) {
+	w.OnSeal = func(num int64, page []byte) {
+		p, err := OpenColumnarPage(page)
+		if err != nil {
+			t.Fatal(err)
+		}
 		pages++
 		rowsSeen += p.NumRows()
 		// A min over a column vector — what a zone-map builder would do.

@@ -242,11 +242,7 @@ func TestDualHooksBothFire(t *testing.T) {
 			w := NewSeqWriter(set)
 			// A hook the caller installed before either Attach must survive.
 			callerSaw := 0
-			if columnar {
-				w.cw.OnSeal = func(int64, *ColumnarPage) { callerSaw++ }
-			} else {
-				w.OnSeal = func(int64, []byte) { callerSaw++ }
-			}
+			w.OnSeal = func(int64, []byte) { callerSaw++ }
 			z, err := AttachZoneMap(w, ZoneMapSpec{Schema: zmSchema(), BloomCols: []int{1}})
 			if err != nil {
 				t.Fatal(err)
@@ -415,22 +411,21 @@ func TestMicroindexNotesInAnyOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = set.Unpin(p, false) }()
-	view, err := OpenColumnarPage(p.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	page := p.Bytes()
 	// A columnar page of another shape, to stand for a reshaped page.
-	other := make([]byte, 256)
-	initColumnarPage(other, []int{4, 2}, 8)
-	binary.LittleEndian.PutUint32(other[8:12], 1)
-	reshaped, err := OpenColumnarPage(other)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reshaped := make([]byte, 256)
+	initColumnarPage(reshaped, []int{4, 2}, 8)
+	binary.LittleEndian.PutUint32(reshaped[8:12], 1)
 
 	m, err := NewMicroindex(miSpec())
 	if err != nil {
 		t.Fatal(err)
+	}
+	note := func(num int64, page []byte) {
+		t.Helper()
+		if err := m.NotePage(num, page); err != nil {
+			t.Fatal(err)
+		}
 	}
 	lookup := func(v uint64, want ...uint64) {
 		t.Helper()
@@ -438,16 +433,16 @@ func TestMicroindexNotesInAnyOrder(t *testing.T) {
 			t.Fatalf("Lookup(tag %d) = %x ok=%v, want %x", v, got, ok, want)
 		}
 	}
-	m.NoteColumnarPage(3, view)  // tags 1, 2, 1 at lanes 0, 1, 2
-	m.NoteColumnarPage(3, view)  // restated before the first seal
+	note(3, page)                // tags 1, 2, 1 at lanes 0, 1, 2
+	note(3, page)                // restated before the first seal
 	noteRows(t, m, 1, colRec(1)) // page 1 before page 0
 	noteRows(t, m, 0, colRec(2), colRec(1))
 	lookup(1, 0<<32|1, 1<<32|0, 3<<32|0, 3<<32|2) // the first lookup seals
-	m.NoteColumnarPage(3, view)                   // the same page, sealed again
-	m.NoteColumnarPage(2, view)
+	note(3, page)                                 // the same page, sealed again
+	note(2, page)
 	lookup(1, 0<<32|1, 1<<32|0, 2<<32|0, 2<<32|2, 3<<32|0, 3<<32|2) // merged, no repeats
 	noteRows(t, m, 4, colRec(1), []byte{9})                         // a short record: page 4 is invalid
-	m.NoteColumnarPage(2, reshaped)                                 // a page of another shape: page 2 is invalid
+	note(2, reshaped)                                               // a page of another shape: page 2 is invalid
 	lookup(1, 0<<32|1, 1<<32|0, 2<<32|LaneAll, 3<<32|0, 3<<32|2, 4<<32|LaneAll)
 	lookup(2, 0<<32|0, 2<<32|LaneAll, 3<<32|1, 4<<32|LaneAll)
 	lookup(7, 2<<32|LaneAll, 4<<32|LaneAll)

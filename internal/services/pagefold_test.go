@@ -29,7 +29,7 @@ func rowPage(recs ...[]byte) []byte {
 // noteRows frames recs into one row page and folds it into x as page num.
 func noteRows(t testing.TB, x sideIndexer, num int64, recs ...[]byte) {
 	t.Helper()
-	if err := x.base().NoteRowPage(num, rowPage(recs...)); err != nil {
+	if err := x.base().NotePage(num, rowPage(recs...)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -298,16 +298,16 @@ func TestPageFoldMatchesRecordFold(t *testing.T) {
 	for k, x := range pageFoldKinds(t) {
 		ref := newRecordFold(pageFoldKinds(t)[k])
 		for _, num := range []int64{0, 1, 2, 4, 3, 3, 5} {
-			if num == 3 {
-				x.base().NoteColumnarPage(num, view)
-				ref.noteColumnar(num, view)
-				continue
-			}
 			page := rowPage(rows[num]...)
-			if err := x.base().NoteRowPage(num, page); err != nil {
+			if num == 3 {
+				page = p.Bytes()
+			}
+			if err := x.base().NotePage(num, page); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.notePage(num, page); err != nil {
+			if num == 3 {
+				ref.noteColumnar(num, view)
+			} else if err := ref.notePage(num, page); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -321,7 +321,7 @@ func TestPageFoldMatchesRecordFold(t *testing.T) {
 }
 
 // FuzzSideIndexRowPage holds the row-page fold to the per-record reference:
-// on arbitrary bytes standing in for a row page, NoteRowPage must fail
+// on arbitrary bytes standing in for a row page, NotePage must fail
 // exactly when the reference's record walk does, and otherwise leave both
 // kinds' side objects — page table, validity, summaries, postings — byte for
 // byte as the reference does.
@@ -341,9 +341,9 @@ func FuzzSideIndexRowPage(f *testing.F) {
 		}
 		for k, x := range pageFoldKinds(t) {
 			ref := newRecordFold(pageFoldKinds(t)[k])
-			err, werr := x.base().NoteRowPage(pageNum, page), ref.notePage(pageNum, page)
+			err, werr := x.base().NotePage(pageNum, page), ref.notePage(pageNum, page)
 			if (err != nil) != (werr != nil) {
-				t.Fatalf("%s: NoteRowPage error %v, the record walk's %v", ref.s.kind.name, err, werr)
+				t.Fatalf("%s: NotePage error %v, the record walk's %v", ref.s.kind.name, err, werr)
 			}
 			if err != nil {
 				return

@@ -67,18 +67,6 @@ func splitPage(pageSize int64, regionSize int) (n, size int) {
 	return int((pageSize - pageHeaderSize) / int64(regionSize)), regionSize
 }
 
-// CheckRecordSize is the row format's one record-size rule, applied by every
-// writer before it touches a page: a record of n bytes can go into regions of
-// regionSize bytes only if it fits one with its header, and is not empty — a
-// zero length is a region's end marker, so an empty record would hide itself
-// and every record after it from readers.
-func CheckRecordSize(n, regionSize int) error {
-	if n == 0 || n+recHeaderSize > regionSize {
-		return fmt.Errorf("services: record of %d bytes is empty or does not fit a %d-byte region", n, regionSize)
-	}
-	return nil
-}
-
 // appendRecord writes one framed record at off within buf and returns the
 // next offset. end is the exclusive limit of the region. ok is false when
 // the record (plus its trailing terminator slot) does not fit.
@@ -113,21 +101,6 @@ func walkRegion(buf []byte, off, end int, fn func(rec []byte) error) error {
 		off += recHeaderSize + n
 	}
 	return nil
-}
-
-// PageHeaderSize is the size of the service-page header; the first record
-// slot of a single-region page sits at this offset.
-const PageHeaderSize = pageHeaderSize
-
-// InitServicePage formats buf as a service page with the given region size.
-// External writers (the cluster data proxy fills pinned shared-memory pages
-// in place) use this before appending records.
-func InitServicePage(buf []byte, regionSize int) { initPage(buf, regionSize) }
-
-// AppendServiceRecord appends one framed record to buf at off, bounded by
-// end. It returns the next offset and whether the record fit.
-func AppendServiceRecord(buf []byte, off, end int, rec []byte) (next int, ok bool) {
-	return appendRecord(buf, off, end, rec)
 }
 
 // WalkPage iterates every record in every region of a service page buffer.

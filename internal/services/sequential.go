@@ -8,106 +8,50 @@ import (
 
 // SeqWriter is the sequential write service (§8): a sequential allocator
 // that carves record space from the current page of a locality set and pins
-// a fresh page when the current one fills. One SeqWriter per thread; each
-// thread writes to its own page, as the paper prescribes.
+// a fresh page when the current one fills — a RecordWriter over the set's own
+// pages, in the set's layout, so every row-API producer (WriteAll, the
+// cluster's AddRecords) writes whichever layout the set was created with.
+// One SeqWriter per thread; each thread writes to its own page, as the paper
+// prescribes.
 //
 // Attaching a SeqWriter stamps WritingPattern=sequential-write and
 // CurrentOperation=write on the set (§3.2).
 type SeqWriter struct {
-	set  *core.LocalitySet
-	page *core.Page
-	off  int
-	end  int
-	n    int64 // records written
+	*RecordWriter
+	set *core.LocalitySet
 
-	// cw handles sets declared LayoutColumnar: Add transposes into column
-	// segments instead of framing records, so every row-API producer
-	// (WriteAll, the cluster data proxy) writes whichever layout the set
-	// was created with.
-	cw *ColumnarWriter
-
-	// OnSeal, when set, is called with each row page's number and bytes
-	// just before the writer releases it, while it is still pinned — the
-	// hook side indexes fold a page through, the counterpart of
-	// ColumnarWriter.OnSeal. Not called for columnar sets (attach to that
-	// writer's hook instead; attachSideIndex wires whichever applies).
-	OnSeal func(pageNum int64, page []byte)
-
-	// OnClose, when set, is called last by Close, for either layout — the
-	// hook a microindex sorts what it folded at.
+	// OnClose, when set, is called last by Close — the hook a microindex
+	// sorts what it folded at.
 	OnClose func()
 }
 
-// chainHook composes fn after a seal hook already attached (either layout's),
-// so side objects that feed off one writer — a zone map and a microindex,
-// beside a caller's own hook — compose instead of silently displacing each
-// other.
-func chainHook[A any](prev, fn func(pageNum int64, a A)) func(int64, A) {
-	if prev == nil {
-		return fn
+// setPages is the page source of a writer that owns its pages: the set's
+// own NewPage and Unpin.
+type setPages struct {
+	set *core.LocalitySet
+	p   *core.Page
+}
+
+func (s *setPages) NewPage() (int64, []byte, error) {
+	p, err := s.set.NewPage()
+	if err != nil {
+		return 0, nil, err
 	}
-	return func(num int64, a A) {
-		prev(num, a)
-		fn(num, a)
-	}
+	s.p = p
+	return p.Num(), p.Bytes(), nil
+}
+
+func (s *setPages) Release() error {
+	p := s.p
+	s.p = nil
+	return s.set.Unpin(p, true)
 }
 
 // NewSeqWriter attaches a sequential allocator to the set.
 func NewSeqWriter(set *core.LocalitySet) *SeqWriter {
 	set.SetWriting(core.SequentialWrite)
 	set.SetCurrentOp(core.OpWrite)
-	w := &SeqWriter{set: set}
-	if set.Layout() == core.LayoutColumnar {
-		w.cw = newColumnarWriter(set)
-	}
-	return w
-}
-
-// Add appends one record to the set.
-func (w *SeqWriter) Add(rec []byte) error {
-	if w.cw != nil {
-		return w.cw.Add(rec)
-	}
-	if err := CheckRecordSize(len(rec), int(w.set.PageSize())-pageHeaderSize); err != nil {
-		return err
-	}
-	for {
-		if w.page == nil {
-			p, err := w.set.NewPage()
-			if err != nil {
-				return err
-			}
-			initPage(p.Bytes(), int(w.set.PageSize())-pageHeaderSize)
-			w.page, w.off, w.end = p, pageHeaderSize, int(w.set.PageSize())
-		}
-		next, ok := appendRecord(w.page.Bytes(), w.off, w.end, rec)
-		if ok {
-			w.off = next
-			w.n++
-			return nil
-		}
-		if err := w.release(); err != nil {
-			return err
-		}
-	}
-}
-
-// release runs the seal hook on the current page and unpins it dirty.
-func (w *SeqWriter) release() error {
-	if w.OnSeal != nil {
-		w.OnSeal(w.page.Num(), w.page.Bytes())
-	}
-	err := w.set.Unpin(w.page, true)
-	w.page = nil
-	return err
-}
-
-// Count returns the number of records written so far.
-func (w *SeqWriter) Count() int64 {
-	if w.cw != nil {
-		return w.cw.Count()
-	}
-	return w.n
+	return &SeqWriter{RecordWriter: NewRecordWriter(set, &setPages{set: set}), set: set}
 }
 
 // Close releases the current page, clears the set's current operation and
@@ -116,13 +60,7 @@ func (w *SeqWriter) Close() error {
 	if w.OnClose != nil {
 		defer w.OnClose()
 	}
-	if w.cw != nil {
-		return w.cw.Close()
-	}
-	var err error
-	if w.page != nil {
-		err = w.release()
-	}
+	err := w.RecordWriter.Close()
 	w.set.SetCurrentOp(core.OpNone)
 	return err
 }

@@ -167,7 +167,7 @@ func TestSeqWriterRejectsOversizedRecord(t *testing.T) {
 	_ = w.Close()
 }
 
-// TestRecordSizeRule: every row writer applies CheckRecordSize. An empty
+// TestRecordSizeRule: every row writer applies the one record-size rule. An empty
 // record is its own end-of-region marker — written, it would hide itself and
 // every record after it in the page from readers while Count said otherwise —
 // so it is refused, like a record no region can hold; the largest record that

@@ -25,6 +25,9 @@ type ShuffleSink struct {
 	cur        *shufflePage
 	nextRegion int
 	perPage    int
+	// taking is open while a writer pins the next large page outside mu;
+	// writers that need a small page meanwhile wait for it to close.
+	taking chan struct{}
 }
 
 type shufflePage struct {
@@ -58,25 +61,55 @@ func (sk *ShuffleSink) Set() *core.LocalitySet { return sk.set }
 func (sk *ShuffleSink) acquireRegion() (*shufflePage, int, error) {
 	sk.mu.Lock()
 	defer sk.mu.Unlock()
-	if sk.cur == nil || sk.nextRegion >= sk.perPage {
-		if sk.cur != nil {
-			sk.cur.retired = true
-			if err := sk.maybeUnpinLocked(sk.cur); err != nil {
-				return nil, 0, err
-			}
-		}
-		p, err := sk.set.NewPage()
-		if err != nil {
+	for sk.cur == nil || sk.nextRegion >= sk.perPage {
+		if err := sk.takePageLocked(); err != nil {
 			return nil, 0, err
 		}
-		initPage(p.Bytes(), sk.smallSize)
-		sk.cur = &shufflePage{p: p}
-		sk.nextRegion = 0
 	}
 	off := pageHeaderSize + sk.nextRegion*sk.smallSize
 	sk.nextRegion++
 	sk.cur.refs++
 	return sk.cur, off, nil
+}
+
+// takePageLocked retires the current large page and pins the next one, or
+// waits while another writer does. The pin runs outside sk.mu: a writer
+// releasing a small page of the retired page — whose unpin may be the only
+// way to free the memory the pin waits for — must not queue behind it.
+func (sk *ShuffleSink) takePageLocked() error {
+	if taking := sk.taking; taking != nil {
+		sk.mu.Unlock()
+		<-taking
+		sk.mu.Lock()
+		return nil
+	}
+	if err := sk.retireLocked(); err != nil {
+		return err
+	}
+	taking := make(chan struct{})
+	sk.taking = taking
+	sk.mu.Unlock()
+	p, err := sk.set.NewPage()
+	sk.mu.Lock()
+	sk.taking = nil
+	close(taking)
+	if err != nil {
+		return err
+	}
+	initPage(p.Bytes(), sk.smallSize)
+	sk.cur, sk.nextRegion = &shufflePage{p: p}, 0
+	return nil
+}
+
+// retireLocked retires the current large page: no further small pages are
+// cut from it, and it is unpinned once every one handed out is released.
+func (sk *ShuffleSink) retireLocked() error {
+	cur := sk.cur
+	if cur == nil {
+		return nil
+	}
+	sk.cur, cur.retired = nil, true
+	return sk.maybeUnpinLocked(cur)
 }
 
 // releaseRegion records that a small page is fully written.
@@ -103,72 +136,46 @@ func (sk *ShuffleSink) maybeUnpinLocked(sp *shufflePage) error {
 func (sk *ShuffleSink) Close() error {
 	sk.mu.Lock()
 	defer sk.mu.Unlock()
-	if sk.cur != nil {
-		sk.cur.retired = true
-		if err := sk.maybeUnpinLocked(sk.cur); err != nil {
-			return err
-		}
-		sk.cur = nil
+	if err := sk.retireLocked(); err != nil {
+		return err
 	}
 	sk.set.SetCurrentOp(core.OpNone)
 	return nil
 }
 
 // VirtualShuffleBuffer gives one writer thread transparent access to small
-// pages of a partition (§8): it holds a pointer to the partition's
-// small-page allocator and the offset in the small page currently in use by
-// its thread. One buffer per (worker, partition).
+// pages of a partition (§8): a RecordWriter whose pages are the small pages
+// the partition's allocator splits off, keeping the offset in the small page
+// its thread is filling. One buffer per (worker, partition).
 type VirtualShuffleBuffer struct {
+	*RecordWriter
+}
+
+// smallPages is a VirtualShuffleBuffer's page source: small pages of its
+// partition's sink, and the large page the open one is cut from.
+type smallPages struct {
 	sink *ShuffleSink
 	sp   *shufflePage
-	off  int
-	end  int
-	n    int64
+}
+
+func (s *smallPages) NewPage() (int64, []byte, error) {
+	sp, off, err := s.sink.acquireRegion()
+	if err != nil {
+		return 0, nil, err
+	}
+	s.sp = sp
+	return sp.p.Num(), sp.p.Bytes()[off : off+s.sink.smallSize], nil
+}
+
+func (s *smallPages) Release() error {
+	sp := s.sp
+	s.sp = nil
+	return s.sink.releaseRegion(sp)
 }
 
 // NewVirtualShuffleBuffer creates a writer-thread-local view of a sink.
 func NewVirtualShuffleBuffer(sink *ShuffleSink) *VirtualShuffleBuffer {
-	return &VirtualShuffleBuffer{sink: sink}
-}
-
-// Add appends one record to the partition.
-func (b *VirtualShuffleBuffer) Add(rec []byte) error {
-	if err := CheckRecordSize(len(rec), b.sink.smallSize); err != nil {
-		return err
-	}
-	for {
-		if b.sp == nil {
-			sp, off, err := b.sink.acquireRegion()
-			if err != nil {
-				return err
-			}
-			b.sp, b.off, b.end = sp, off, off+b.sink.smallSize
-		}
-		next, ok := appendRecord(b.sp.p.Bytes(), b.off, b.end, rec)
-		if ok {
-			b.off = next
-			b.n++
-			return nil
-		}
-		sp := b.sp
-		b.sp = nil
-		if err := b.sink.releaseRegion(sp); err != nil {
-			return err
-		}
-	}
-}
-
-// Count returns the number of records this buffer has written.
-func (b *VirtualShuffleBuffer) Count() int64 { return b.n }
-
-// Close releases the buffer's current small page.
-func (b *VirtualShuffleBuffer) Close() error {
-	if b.sp == nil {
-		return nil
-	}
-	sp := b.sp
-	b.sp = nil
-	return b.sink.releaseRegion(sp)
+	return &VirtualShuffleBuffer{&RecordWriter{src: &smallPages{sink: sink}, small: true, size: sink.smallSize}}
 }
 
 // Shuffle is the full shuffle service: one sink (and hence one locality

@@ -306,3 +306,67 @@ func TestShuffleReduceFreesWithoutWriting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShuffleRegionReleaseNotBehindAllocation: in a pool of one page, writer
+// B holds the page's first small page while writer A fills the other three
+// and asks for the next page, which only B's release can make room for. B's
+// Close must not wait for A's allocation, and A must then get its page
+// instead of failing at the allocation timeout.
+func TestShuffleRegionReleaseNotBehindAllocation(t *testing.T) {
+	const pageSize, timeout = 64 << 10, 2 * time.Second
+	arr, err := disk.NewArray(t.TempDir(), 1, disk.Unthrottled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = arr.RemoveAll() })
+	bp, err := core.NewPool(core.PoolConfig{Memory: pageSize + pageSize/2, Array: arr, AllocShards: 1, AllocTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewShuffle(bp, "one", 1, pageSize, pageSize/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, a, b := sh.Sink(0), sh.Writer(), sh.Writer()
+	rec := make([]byte, 1000)
+	if err := b[0].Add(rec); err != nil { // B: small page 0
+		t.Fatal(err)
+	}
+	perSmall := sink.smallSize / (len(rec) + recHeaderSize)
+	done := make(chan error, 1)
+	var aTook time.Duration
+	go func() {
+		start := time.Now()
+		var err error
+		for i := 0; i <= 3*perSmall && err == nil; i++ { // A: small pages 1–3, then the next page
+			err = a[0].Add(rec)
+		}
+		aTook = time.Since(start)
+		done <- err
+	}()
+	deadline := time.Now().Add(timeout)
+	for taking := false; !taking; time.Sleep(time.Millisecond) { // until A is pinning the next page
+		if time.Now().After(deadline) {
+			t.Fatal("A never asked for the next page")
+		}
+		sink.mu.Lock()
+		taking = sink.taking != nil
+		sink.mu.Unlock()
+	}
+	start := time.Now()
+	if err := CloseWriters(b); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > timeout/4 {
+		t.Errorf("B's Close took %v: it waited behind A's allocation", took)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("A failed after %v: %v", aTook, err)
+	}
+	if err := CloseWriters(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -79,10 +79,11 @@ type sideIndex struct {
 
 	mu      locking.RWMutex
 	pages   map[int64]*sidePage
-	covered int64    // pages 0..covered-1 all have slots; slots are never removed
-	invalid []int64  // ascending pages with valid=false
-	offs    []int32  // scratch, reused page to page: record offsets
-	vals    []uint64 // and one column's values
+	covered int64        // pages 0..covered-1 all have slots; slots are never removed
+	invalid []int64      // ascending pages with valid=false
+	offs    []int32      // scratch, reused page to page: record offsets,
+	vals    []uint64     // one column's values
+	view    ColumnarPage // and a columnar page's view
 }
 
 // sideIndexer is a concrete kind: it embeds the skeleton.
@@ -217,14 +218,34 @@ func nameable(num int64, n int) bool {
 	return num <= math.MaxUint32 && int64(n) <= math.MaxInt32+1
 }
 
-// NoteRowPage folds one sealed row page — the SeqWriter seal hook, and
-// rebuilds' path over row pages. Row i is the i-th record in RecordOffsets
-// order, at lane i. A record shorter than the schema invalidates the page
-// once the rows before it are folded; a page with no records gets no slot;
-// a page whose framing is corrupt is left as it was and is an error.
-func (s *sideIndex) NoteRowPage(num int64, page []byte) error {
+// NotePage folds one sealed page of either layout — the writers' seal hook,
+// and rebuilds' path. Noting a page again restates its rows. On a row page,
+// row i is the i-th record in RecordOffsets order, at lane i; a record
+// shorter than the schema invalidates the page once the rows before it are
+// folded, and a page with no records gets no slot. On a columnar page, row
+// i's lane is i, and a page whose shape differs from the schema is
+// invalidated. A page whose framing or header is corrupt is left as it was
+// and is an error.
+func (s *sideIndex) NotePage(num int64, page []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if IsColumnarPage(page) {
+		cp := &s.view
+		if err := cp.Reset(page); err != nil {
+			return err
+		}
+		if !slices.Equal(cp.widths, s.widths) {
+			s.invalidate(num, s.page(num))
+			return nil
+		}
+		s.notePage(num, cp.NumRows(), cp.NumRows(), func(f foldCol, vals []uint64) {
+			seg := cp.Col(f.col)
+			for i := range vals {
+				vals[i] = readU(seg[i*f.width:], f.width)
+			}
+		})
+		return nil
+	}
 	offs, minLen, err := RecordOffsets(page, s.offs[:0])
 	if s.offs = offs; err != nil || len(offs) == 0 {
 		return err
@@ -239,25 +260,6 @@ func (s *sideIndex) NoteRowPage(num int64, page []byte) error {
 		}
 	})
 	return nil
-}
-
-// NoteColumnarPage folds one sealed columnar page — the ColumnarWriter seal
-// hook, and rebuilds' path over columnar pages — off its column segments.
-// Row i's lane is i. Noting a page again restates its rows. A page whose
-// shape differs from the schema is invalidated.
-func (s *sideIndex) NoteColumnarPage(num int64, cp *ColumnarPage) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !slices.Equal(cp.widths, s.widths) {
-		s.invalidate(num, s.page(num))
-		return
-	}
-	s.notePage(num, cp.NumRows(), cp.NumRows(), func(f foldCol, vals []uint64) {
-		seg := cp.Col(f.col)
-		for i := range vals {
-			vals[i] = readU(seg[i*f.width:], f.width)
-		}
-	})
 }
 
 // lockedSeal runs the kind's seal under the write lock: the writer's close
@@ -414,26 +416,27 @@ func (s *sideIndex) Save(set *core.LocalitySet) error {
 // --- wiring ------------------------------------------------------------------
 
 // attachSideIndex wires maintenance of x into a sequential writer: each
-// page is folded by the writer's seal hook for its layout, while the page is
-// still pinned, and x seals at close. Hooks chain, so several side indexes
-// ride one writer. x is registered as the set's side index for its kind so
-// predicate scans find it; call Save after the writer closes to persist it.
+// page, of either layout, is folded by the writer's seal hook while it is
+// still pinned, and x seals at close. Hooks chain after those already
+// attached, so several side indexes and a caller's own hook ride one writer.
+// x is registered as the set's side index for its kind so predicate scans
+// find it; call Save after the writer closes to persist it.
 func attachSideIndex(w *SeqWriter, x sideIndexer) error {
 	s := x.base()
-	if w.cw != nil {
-		if widths := w.set.ColumnWidths(); !slices.Equal(widths, s.widths) {
-			return fmt.Errorf("services: %s schema has column widths %v, columnar set %q stores %v",
-				s.kind.name, s.widths, w.set.Name(), widths)
-		}
-		w.cw.OnSeal = chainHook(w.cw.OnSeal, s.NoteColumnarPage)
-	} else {
-		// A corrupt page (never one the writer framed) would get no slot.
-		w.OnSeal = chainHook(w.OnSeal, func(num int64, page []byte) { _ = s.NoteRowPage(num, page) })
+	if w.widths != nil && !slices.Equal(w.widths, s.widths) {
+		return fmt.Errorf("services: %s schema has column widths %v, columnar set %q stores %v",
+			s.kind.name, s.widths, w.set.Name(), w.widths)
 	}
-	prev := w.OnClose
+	prevSeal, prevClose := w.OnSeal, w.OnClose
+	w.OnSeal = func(num int64, page []byte) {
+		if prevSeal != nil {
+			prevSeal(num, page)
+		}
+		_ = s.NotePage(num, page) // a page the writer formed is never corrupt
+	}
 	w.OnClose = func() {
-		if prev != nil {
-			prev()
+		if prevClose != nil {
+			prevClose()
 		}
 		s.lockedSeal()
 	}
@@ -495,22 +498,14 @@ func ensureSideIndex[T sideIndexer](set *core.LocalitySet, fresh func() (T, erro
 }
 
 // rebuildFromScan folds the set's first n pages, one full scan, through the
-// writers' page folds and seals the result.
+// writers' page fold and seals the result.
 func (s *sideIndex) rebuildFromScan(set *core.LocalitySet, n int64) error {
 	for num := int64(0); num < n; num++ {
 		p, err := set.Pin(num)
 		if err != nil {
 			return err
 		}
-		buf := p.Bytes()
-		if IsColumnarPage(buf) {
-			var view ColumnarPage
-			if err = view.Reset(buf); err == nil {
-				s.NoteColumnarPage(num, &view)
-			}
-		} else {
-			err = s.NoteRowPage(num, buf)
-		}
+		err = s.NotePage(num, p.Bytes())
 		if uerr := set.Unpin(p, false); err == nil {
 			err = uerr
 		}

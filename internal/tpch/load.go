@@ -139,7 +139,7 @@ func BuildReplicas(e *query.Executor, pageSize int64) (map[string]*placement.Gro
 			return nil, err
 		}
 		spec := core.SetSpec{PageSize: pageSize, Layout: src.Layout(), Columns: src.ColumnWidths()}
-		g, err := placement.BuildGroup(e.Client, e.Addrs, tr.table, tr.parts, spec)
+		g, err := placement.BuildGroup(e.Client, e.Addrs, tr.table, tr.parts, spec, 1)
 		if err != nil {
 			return nil, fmt.Errorf("tpch: build replicas of %s: %w", tr.table, err)
 		}
