@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -154,5 +155,33 @@ func TestFetchSetEveryLayout(t *testing.T) {
 	}
 	if got := fetchAll(t, cl, w.Addr(), "regions-0"); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("a page of four regions: fetched %q, want %q", got, want)
+	}
+	// The same layout with the first region empty and the other three
+	// filled, framed here: the walk must read past an empty leading region.
+	if err := cl.CreateSet("lead", 4096, 0); err != nil {
+		t.Fatal(err)
+	}
+	set, _ := w.Pool().GetSet("lead")
+	p, err := set.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := p.Bytes()
+	clear(page)
+	binary.LittleEndian.PutUint32(page, 1022) // four 1022-byte regions after the 8-byte header
+	want = want[:0]
+	for region := 1; region < 4; region++ {
+		var recs []string
+		for i := 0; i < 10*region; i++ {
+			recs = append(recs, fmt.Sprintf("region %d record %d", region, i))
+		}
+		copy(page[8+region*1022:], frames(recs...))
+		want = append(want, recs...)
+	}
+	if err := set.Unpin(p, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := fetchAll(t, cl, w.Addr(), "lead"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("a page whose first region is empty: fetched %q, want %q", got, want)
 	}
 }

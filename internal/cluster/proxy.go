@@ -144,13 +144,13 @@ type proxyPages struct {
 	page int64 // the page pinned last
 }
 
-func (pp *proxyPages) NewPage() (int64, []byte, error) {
+func (pp *proxyPages) NewPage() ([]byte, error) {
 	meta, err := call[PageMeta](pp.dp.workerAddr, pp.dp.auth, PinPageReq{Set: pp.set})
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	pp.page = meta.PageNum
-	return meta.PageNum, pp.dp.pool.SharedMemory().Slice(meta.Offset, meta.Size), nil
+	return pp.dp.pool.SharedMemory().Slice(meta.Offset, meta.Size), nil
 }
 
 func (pp *proxyPages) Release() error {

@@ -20,38 +20,47 @@ type SeqWriter struct {
 	*RecordWriter
 	set *core.LocalitySet
 
+	// OnSeal, when set, is called with each page's number and bytes, in
+	// either layout, just before the writer unpins it — the hook side
+	// indexes fold a sealed page through.
+	OnSeal func(pageNum int64, page []byte)
 	// OnClose, when set, is called last by Close — the hook a microindex
 	// sorts what it folded at.
 	OnClose func()
 }
 
-// setPages is the page source of a writer that owns its pages: the set's
-// own NewPage and Unpin.
+// setPages is a SeqWriter's page source: the set's own NewPage and Unpin,
+// with the writer's seal hook run on each page before it is unpinned.
 type setPages struct {
-	set *core.LocalitySet
-	p   *core.Page
+	w *SeqWriter
+	p *core.Page
 }
 
-func (s *setPages) NewPage() (int64, []byte, error) {
-	p, err := s.set.NewPage()
+func (s *setPages) NewPage() ([]byte, error) {
+	p, err := s.w.set.NewPage()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	s.p = p
-	return p.Num(), p.Bytes(), nil
+	return p.Bytes(), nil
 }
 
 func (s *setPages) Release() error {
 	p := s.p
 	s.p = nil
-	return s.set.Unpin(p, true)
+	if s.w.OnSeal != nil {
+		s.w.OnSeal(p.Num(), p.Bytes())
+	}
+	return s.w.set.Unpin(p, true)
 }
 
 // NewSeqWriter attaches a sequential allocator to the set.
 func NewSeqWriter(set *core.LocalitySet) *SeqWriter {
 	set.SetWriting(core.SequentialWrite)
 	set.SetCurrentOp(core.OpWrite)
-	return &SeqWriter{RecordWriter: NewRecordWriter(set, &setPages{set: set}), set: set}
+	w := &SeqWriter{set: set}
+	w.RecordWriter = NewRecordWriter(set, &setPages{w: w})
+	return w
 }
 
 // Close releases the current page, clears the set's current operation and

@@ -158,13 +158,13 @@ type smallPages struct {
 	sp   *shufflePage
 }
 
-func (s *smallPages) NewPage() (int64, []byte, error) {
+func (s *smallPages) NewPage() ([]byte, error) {
 	sp, off, err := s.sink.acquireRegion()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	s.sp = sp
-	return sp.p.Num(), sp.p.Bytes()[off : off+s.sink.smallSize], nil
+	return sp.p.Bytes()[off : off+s.sink.smallSize], nil
 }
 
 func (s *smallPages) Release() error {

@@ -12,15 +12,15 @@ import (
 // NewPage and Unpin (SeqWriter), a shuffle partition's small pages
 // (VirtualShuffleBuffer), or a storage process pinning pages for a data proxy.
 type PageSource interface {
-	// NewPage pins a fresh page and returns its number and bytes.
-	NewPage() (num int64, page []byte, err error)
+	// NewPage pins a fresh page and returns its bytes.
+	NewPage() ([]byte, error)
 	// Release unpins, dirty, the page NewPage returned last.
 	Release() error
 }
 
 // RecordWriter is the one append loop under every write service (§5, §8):
 // records go into the open page until one does not fit, then the page is
-// sealed, released to its source and the next one taken. It writes one of
+// released to its source and the next one taken. It writes one of
 // two formats: a row region — a fresh page it stamps as one region, or a
 // small page cut from a page its source has already formatted — or a
 // columnar page, each fixed-width record transposed into the page's column
@@ -31,16 +31,10 @@ type RecordWriter struct {
 	small  bool  // the source hands out small pages of pages it formatted
 	size   int   // a row region's bytes, or a columnar row's
 
-	num      int64
 	page     []byte // the open page, or small page; nil when none is open
 	off, end int    // rows: the next record's offset, the region's end; columnar: rows stored, capacity
 	segs     [][]byte
 	n        int64
-
-	// OnSeal, when set, is called with each page's number and bytes, in
-	// either layout, just before the writer releases it — the hook side
-	// indexes fold a sealed page through.
-	OnSeal func(pageNum int64, page []byte)
 }
 
 // NewRecordWriter returns a writer of the set's own layout over pages of the
@@ -58,40 +52,36 @@ func NewRecordWriter(set *core.LocalitySet, src PageSource) *RecordWriter {
 	return w
 }
 
-// Add appends one record, sealing the open page and taking the next when it
-// does not fit. A columnar record must be exactly a row. A row record must
+// Add appends one record, releasing the open page and taking the next when
+// it does not fit. A columnar record must be exactly a row. A row record must
 // fit a region with its header and must not be empty: a zero length ends a
 // region's records, so an empty record would hide itself and every record
 // after it from readers.
 func (w *RecordWriter) Add(rec []byte) error {
-	if n := len(rec); w.widths != nil && n != w.size {
-		return fmt.Errorf("services: record of %d bytes does not match the %d-byte columnar row", n, w.size)
-	} else if w.widths == nil && (n == 0 || n+recHeaderSize > w.size) {
-		return fmt.Errorf("services: record of %d bytes is empty or does not fit a %d-byte region", n, w.size)
-	}
-	for {
-		if w.page != nil {
-			if w.widths != nil {
-				if w.putColumns(rec) {
-					break
+	if w.widths == nil {
+		if n := len(rec); n == 0 || n+recHeaderSize > w.size {
+			return fmt.Errorf("services: record of %d bytes is empty or does not fit a %d-byte region", n, w.size)
+		}
+		for {
+			if w.page != nil {
+				if next, ok := appendRecord(w.page, w.off, w.end, rec); ok {
+					w.off = next
+					w.n++
+					return nil
 				}
-			} else if next, ok := appendRecord(w.page, w.off, w.end, rec); ok {
-				w.off = next
-				break
+			}
+			if err := w.next(); err != nil {
+				return err
 			}
 		}
+	}
+	if len(rec) != w.size {
+		return fmt.Errorf("services: record of %d bytes does not match the %d-byte columnar row", len(rec), w.size)
+	}
+	if w.page == nil || w.off == w.end {
 		if err := w.next(); err != nil {
 			return err
 		}
-	}
-	w.n++
-	return nil
-}
-
-// putColumns stores rec as the columnar page's next row, if there is room.
-func (w *RecordWriter) putColumns(rec []byte) bool {
-	if w.off == w.end {
-		return false
 	}
 	// One store a column, sized by a switch on its width: a copy call a
 	// column costs more than the bytes it moves.
@@ -113,21 +103,22 @@ func (w *RecordWriter) putColumns(rec []byte) bool {
 		off += cw
 	}
 	w.off++
+	w.n++
 	le.PutUint32(w.page[8:12], uint32(w.off)) // the row count stays current
-	return true
+	return nil
 }
 
-// next seals and releases the open page, if any, then takes a fresh one
+// next releases the open page, if any, then takes a fresh one
 // from the source and formats it.
 func (w *RecordWriter) next() error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	num, page, err := w.src.NewPage()
+	page, err := w.src.NewPage()
 	if err != nil {
 		return err
 	}
-	w.num, w.page = num, page
+	w.page = page
 	switch {
 	case w.widths != nil:
 		off := columnarHeaderSize(len(w.widths))
@@ -150,13 +141,10 @@ func (w *RecordWriter) next() error {
 // Count returns the number of records written so far.
 func (w *RecordWriter) Count() int64 { return w.n }
 
-// Close seals and releases the open page, if any.
+// Close releases the open page, if any.
 func (w *RecordWriter) Close() error {
 	if w.page == nil {
 		return nil
-	}
-	if w.OnSeal != nil {
-		w.OnSeal(w.num, w.page)
 	}
 	w.page = nil
 	return w.src.Release()
