@@ -9,6 +9,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -582,6 +584,47 @@ func BenchmarkScanPrefetch(b *testing.B) {
 			}
 			b.SetBytes(int64(totalPages) * pageSize)
 		})
+	}
+}
+
+// BenchmarkNewPool measures a pool's set-up as warm_query pays it: NewPool
+// of 256 MiB, then 528 fresh 256 KiB pages (132 MiB, warm_query's
+// pool_peak_mb), each written once every 4 KiB and unpinned. Every op starts
+// from a collected heap returned to the OS, as the benchmark's set-ups do, so
+// that no op reuses memory a previous pool left resident.
+func BenchmarkNewPool(b *testing.B) {
+	const pages, pageSize = 528, 256 << 10
+	arr, err := disk.NewArray(b.TempDir(), 1, disk.Unthrottled())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = arr.RemoveAll() })
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		debug.FreeOSMemory()
+		b.StartTimer()
+		bp, err := core.NewPool(core.PoolConfig{Memory: 256 << 20, Array: arr})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := bp.CreateSet(core.SetSpec{Name: fmt.Sprintf("p%d", i), PageSize: pageSize})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < pages; j++ {
+			p, err := s.NewPage()
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := p.Bytes()
+			for k := 0; k < len(buf); k += 4 << 10 {
+				buf[k] = byte(k)
+			}
+			if err := s.Unpin(p, false); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,11 @@
 // the data-proxy protocol (paper §3.3, Fig 2). It registers itself with the
 // manager at startup.
 //
+// The pool's arena is an anonymous mapping private to this process, so a
+// client in another process reaches the node's pages only through the
+// worker's RPCs, which copy them onto the socket; the zero-copy data proxy
+// of Fig 2 attaches only inside a process that runs the worker.
+//
 // Usage:
 //
 //	pangea-worker -listen :7801 -manager 127.0.0.1:7700 -key <private-key> \

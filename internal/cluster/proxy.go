@@ -19,20 +19,22 @@ const (
 	ringSize  = 16
 )
 
-// DataProxy is the computation-process side of Fig 2. It is co-located with
-// one worker's storage process: control messages (GetSetPages, PinPage,
-// page acknowledgements) travel over the socket, while page bytes are
-// accessed directly through the storage process's shared memory arena —
-// no copy, no serialization.
+// DataProxy is the computation-process side of Fig 2. Control messages
+// (GetSetPages, PinPage, page acknowledgements) travel over the socket,
+// while page bytes are accessed directly in the worker's pool arena — no
+// copy, no serialization. The arena is a mapping private to the worker's
+// process, so the "computation process" is a set of goroutines in that same
+// process: a proxy in another process would need a shared mapping, which
+// no pool has yet.
 type DataProxy struct {
 	workerAddr string
 	auth       string
-	pool       *core.BufferPool // the co-located worker's shared memory
+	pool       *core.BufferPool // the co-located worker's pool, whose arena it reads
 }
 
-// NewDataProxy attaches a computation process to its node's worker. The
-// worker handle provides the shared memory mapping; the address carries the
-// socket protocol.
+// NewDataProxy attaches a computation to its node's worker, in the worker's
+// process. The worker handle provides the pool's arena; the address carries
+// the socket protocol.
 func NewDataProxy(w *Worker, privateKey string) *DataProxy {
 	return &DataProxy{workerAddr: w.Addr(), auth: AuthToken(privateKey), pool: w.Pool()}
 }

@@ -82,8 +82,8 @@ func NewWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 	return w, nil
 }
 
-// Pool exposes the node's buffer pool to co-located computation processes,
-// which touch page bytes through the pool's shared memory.
+// Pool exposes the node's buffer pool to computations in the worker's own
+// process (a DataProxy), which touch page bytes in the pool's arena.
 func (w *Worker) Pool() *core.BufferPool { return w.pool }
 
 // handle serves the worker's requests.

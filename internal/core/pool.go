@@ -26,8 +26,9 @@ type Policy interface {
 
 // PoolConfig configures one node's unified buffer pool.
 type PoolConfig struct {
-	// Memory is the shared arena size in bytes (the paper's anonymous-mmap
-	// region, §5).
+	// Memory is the arena size in bytes. On unix the arena is one anonymous
+	// mapping, like the paper's anonymous-mmap region (§5); the pool holds
+	// the memory it has touched, not Memory.
 	Memory int64
 	// Array is the node's set of disk drives.
 	Array *disk.Array
@@ -433,7 +434,8 @@ func (bp *BufferPool) Array() *disk.Array { return bp.array }
 // SharedMemory exposes the pool's arena. The data proxy hands arena offsets
 // to computation threads over the socket so they can touch page bytes
 // without copying, the way the paper's computation processes map the
-// storage process's shared memory region (§5, Fig 2).
+// storage process's shared memory region (§5, Fig 2). Here the threads run
+// in the pool's own process: the arena's mapping is private to it.
 func (bp *BufferPool) SharedMemory() *memory.Arena { return bp.arena }
 
 // entitlement computes a set's fair share of the arena: its explicit

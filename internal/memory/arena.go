@@ -1,7 +1,9 @@
 // Package memory provides the raw memory substrate for Pangea's unified
-// buffer pool: a contiguous arena standing in for the anonymous-mmap shared
-// memory region of the paper (§5), and a two-level segregated fit (TLSF)
-// allocator, sharded, used to carve variable-sized pages out of that arena.
+// buffer pool: a contiguous arena, one anonymous mapping private to the
+// process as the paper's pool is one anonymous-mmap region (§5), and a
+// two-level segregated fit (TLSF) allocator, sharded, used to carve
+// variable-sized pages out of that arena. Race and non-unix builds keep the
+// arena on the Go heap (arena_heap.go).
 package memory
 
 import "fmt"
@@ -10,16 +12,22 @@ import "fmt"
 // It models the shared-memory buffer pool: allocators hand out offsets, and
 // both the "storage process" and "computation process" sides of Pangea view
 // pages as slices of the same arena.
+//
+// A mapping is unmapped once no Arena over it is reachable. A byte slice of
+// it keeps nothing alive: it is valid only while its holder reaches the
+// arena too, as a pinned page does through its set and its pool.
 type Arena struct {
-	buf []byte
+	buf  []byte
+	root *Arena // the arena that owns buf's memory; nil on the root itself
 }
 
-// NewArena allocates an arena of the given size in bytes.
+// NewArena returns a zeroed arena of size bytes. A mapped one costs no
+// memory until touched: the kernel zero-fills each page at its first touch.
 func NewArena(size int64) *Arena {
-	if size <= 0 {
-		panic(fmt.Sprintf("memory: non-positive arena size %d", size))
+	if size <= 0 || int64(int(size)) != size {
+		panic(fmt.Sprintf("memory: invalid arena size %d", size))
 	}
-	return &Arena{buf: make([]byte, size)}
+	return newArena(int(size))
 }
 
 // Size returns the arena capacity in bytes.
@@ -39,9 +47,14 @@ func (a *Arena) Bytes() []byte { return a.buf }
 
 // View returns a sub-arena aliasing bytes [off, off+size) of a. Shards of a
 // sharded allocator each own one non-overlapping view of the pool's arena.
+// The view points to a's root, which keeps the mapping.
 func (a *Arena) View(off, size int64) *Arena {
 	if off < 0 || size <= 0 || off+size > int64(len(a.buf)) {
 		panic(fmt.Sprintf("memory: view [%d,%d) out of arena bounds %d", off, off+size, len(a.buf)))
 	}
-	return &Arena{buf: a.buf[off : off+size : off+size]}
+	root := a.root
+	if root == nil {
+		root = a
+	}
+	return &Arena{buf: a.buf[off : off+size : off+size], root: root}
 }
