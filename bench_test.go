@@ -262,6 +262,19 @@ func BenchmarkZoneMapBuild(b *testing.B) {
 	})
 }
 
+// BenchmarkBothIndexBuild is warm_query's ingest shape on the rows and
+// writer of BenchmarkMicroindexBuild: one writer carrying both side indexes,
+// the zone map of BenchmarkZoneMapBuild and the microindex on key.
+func BenchmarkBothIndexBuild(b *testing.B) {
+	benchSideIndexBuild(b, func(w *services.SeqWriter, schema []services.ColumnSpec) error {
+		if _, err := services.AttachZoneMap(w, services.ZoneMapSpec{Schema: schema, BloomCols: []int{0}}); err != nil {
+			return err
+		}
+		_, err := services.AttachMicroindex(w, services.MicroindexSpec{Schema: schema, Cols: []int{0}})
+		return err
+	})
+}
+
 // benchSideIndexBuild writes a million rows, in each layout, through one
 // SeqWriter that attach has given a side index, and reports ns/row.
 func benchSideIndexBuild(b *testing.B, attach func(w *services.SeqWriter, schema []services.ColumnSpec) error) {

@@ -490,12 +490,18 @@ func TestSpillFailureKeepsVictimAndReportsToWaiter(t *testing.T) {
 	}
 
 	close(g.gate[0])
-	waitFor(t, 5*time.Second, func() bool { return g.bp.Stats().Evictions.Load() == evictions+1 }, "drive 0's victim to be released")
-	g.set.mu.Lock()
-	if _, still := g.set.resident[ok.num]; still {
-		t.Errorf("page %d still resident after its write-back landed", ok.num)
+	// The evictor, still short of memory, may retry and evict more once the
+	// first write lands, so wait for the victim itself to leave, not for an
+	// exact count.
+	waitFor(t, 5*time.Second, func() bool {
+		g.set.mu.Lock()
+		defer g.set.mu.Unlock()
+		_, still := g.set.resident[ok.num]
+		return !still
+	}, "drive 0's victim to be released")
+	if got := g.bp.Stats().Evictions.Load(); got < evictions+1 {
+		t.Errorf("Evictions moved by %d after drive 0's victim was released, want at least 1", got-evictions)
 	}
-	g.set.mu.Unlock()
 	g.finish(t)
 }
 

@@ -156,27 +156,43 @@ func sortPostings(tail [][]uint64, nums []int64, n int, diff uint64) []posting {
 			next[d]++
 		}
 	}
-	scratch, start := make([]posting, biggest), 0
+	scratch, count, start := make([]posting, biggest), make([]int, 1<<maxDigit(biggest)), 0
 	for _, end := range next {
-		lsdSort(out[start:end], scratch, lo, hi-b)
+		lsdSort(out[start:end], scratch, count, lo, hi-b)
 		start = end
 	}
 	return out
 }
 
-// lsdSort sorts a by the value's bits from lo up to top, a byte a stable pass
-// between a and scratch; a byte all of a shares costs no pass.
-func lsdSort(a, scratch []posting, lo, top int) {
-	if len(a) < 2 {
+// maxDigit is the widest digit an LSD pass over n postings takes: about
+// log2(n) bits, so the counters cost no more than the postings they place,
+// but at least a byte and at most 16 bits.
+func maxDigit(n int) int {
+	return min(max(bits.Len(uint(n)), 8), 16)
+}
+
+// lsdSort sorts a by the value's bits from lo up to top in stable passes
+// between a and scratch, counting in count (at least 1<<maxDigit(len(a))
+// long). The bits split into as few digits of at most maxDigit(len(a)) bits
+// as they can, of equal width, so a bucket of about bucketPairs postings whose
+// values vary in 14 bits takes one pass, not two byte passes; a digit all of
+// a shares costs no pass.
+func lsdSort(a, scratch []posting, count []int, lo, top int) {
+	if len(a) < 2 || top <= lo {
 		return
 	}
+	digit := maxDigit(len(a))
+	passes := (top - lo + digit - 1) / digit
+	width := (top - lo + passes - 1) / passes
+	count = count[:1<<width]
+	mask := uint64(len(count) - 1)
 	src, dst := a, scratch[:len(a)]
-	for d := lo; d < top; d += 8 {
-		var count [256]int
+	for d := lo; d < top; d += width {
+		clear(count)
 		for _, p := range src {
-			count[uint8(p.v>>d)]++
+			count[p.v>>d&mask]++
 		}
-		if count[uint8(src[0].v>>d)] == len(src) {
+		if count[src[0].v>>d&mask] == len(src) {
 			continue
 		}
 		sum := 0
@@ -184,7 +200,7 @@ func lsdSort(a, scratch []posting, lo, top int) {
 			count[k], sum = sum, sum+c
 		}
 		for _, p := range src {
-			k := uint8(p.v >> d)
+			k := p.v >> d & mask
 			dst[count[k]] = p
 			count[k]++
 		}

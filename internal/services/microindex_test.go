@@ -490,8 +490,8 @@ func TestMicroindexNotesInAnyOrder(t *testing.T) {
 
 // TestRadixSortMatchesSort holds the seal's sort to a comparison sort over
 // tails of one posting to several buckets' worth, in page runs of random
-// length, with values that vary in no bit, in the low bits only, or in all of
-// them, and pages that ascend as a writer folds them, fall anywhere in 32
+// length, with values that vary in no bit, in the low 9 or 20 bits, or in all
+// of them, and pages that ascend as a writer folds them, fall anywhere in 32
 // bits, or repeat one number — a page folded again counts by its last fold —
 // so passes run or are skipped and both pass parities occur.
 func TestRadixSortMatchesSort(t *testing.T) {
@@ -499,6 +499,7 @@ func TestRadixSortMatchesSort(t *testing.T) {
 	values := []func() uint64{
 		func() uint64 { return 7 },
 		func() uint64 { return uint64(rng.Intn(300)) },
+		func() uint64 { return uint64(rng.Intn(1 << 20)) },
 		func() uint64 { return rng.Uint64() },
 	}
 	pages := []func(run int) int64{

@@ -20,17 +20,23 @@ type SeqWriter struct {
 	*RecordWriter
 	set *core.LocalitySet
 
-	// OnSeal, when set, is called with each page's number and bytes, in
-	// either layout, just before the writer unpins it — the hook side
-	// indexes fold a sealed page through.
+	// OnSeal, when set, is called with each sealed page's number and bytes,
+	// in either layout, while the page is still pinned — the hook side
+	// indexes fold a sealed page through. It runs on the writer's indexer
+	// goroutine, one page at a time in page order, while the writer fills
+	// its next page; the indexer unpins each page once the hook returns.
 	OnSeal func(pageNum int64, page []byte)
-	// OnClose, when set, is called last by Close — the hook a microindex
-	// sorts what it folded at.
+	// OnClose, when set, is called last by Close, on Close's goroutine and
+	// after every OnSeal call has returned — the hook a microindex sorts
+	// what it folded at.
 	OnClose func()
+
+	idx *indexer // started at the first page sealed with a hook; nil after Close
 }
 
-// setPages is a SeqWriter's page source: the set's own NewPage and Unpin,
-// with the writer's seal hook run on each page before it is unpinned.
+// setPages is a SeqWriter's page source: the set's own NewPage and Unpin.
+// A writer with a seal hook hands each sealed page to its indexer instead of
+// unpinning it; one without keeps the unpin inline.
 type setPages struct {
 	w *SeqWriter
 	p *core.Page
@@ -46,12 +52,15 @@ func (s *setPages) NewPage() ([]byte, error) {
 }
 
 func (s *setPages) Release() error {
-	p := s.p
+	p, w := s.p, s.w
 	s.p = nil
-	if s.w.OnSeal != nil {
-		s.w.OnSeal(p.Num(), p.Bytes())
+	if w.OnSeal == nil {
+		return w.set.Unpin(p, true)
 	}
-	return s.w.set.Unpin(p, true)
+	if w.idx == nil {
+		w.idx = startIndexer(w.set)
+	}
+	return w.idx.hand(p, w.OnSeal)
 }
 
 // NewSeqWriter attaches a sequential allocator to the set.
@@ -63,15 +72,84 @@ func NewSeqWriter(set *core.LocalitySet) *SeqWriter {
 	return w
 }
 
-// Close releases the current page, clears the set's current operation and
-// then runs the close hook.
+// Close releases the current page, waits for the indexer to fold and unpin
+// every page handed to it, clears the set's current operation and then runs
+// the close hook. It returns the first error of the release, or of any
+// unpin the indexer made.
 func (w *SeqWriter) Close() error {
-	if w.OnClose != nil {
-		defer w.OnClose()
-	}
 	err := w.RecordWriter.Close()
+	if w.idx != nil {
+		if xerr := w.idx.stop(); err == nil {
+			err = xerr
+		}
+		w.idx = nil
+	}
 	w.set.SetCurrentOp(core.OpNone)
+	if w.OnClose != nil {
+		w.OnClose()
+	}
 	return err
+}
+
+// indexer is the goroutine a SeqWriter with a seal hook hands its sealed,
+// still-pinned pages to: it runs the hook on each, in page order, then
+// unpins it, so the side-index folds overlap the writer filling its next
+// page. The hand-off has one slot, so a writer holds at most three pages
+// pinned: the open one, one waiting and one being folded.
+type indexer struct {
+	set   *core.LocalitySet
+	pages chan sealedPage
+	done  chan struct{} // closed when run returns
+
+	mu  sync.Mutex
+	err error // the first Unpin error
+}
+
+// sealedPage is a page handed to the indexer with the hook to run on it.
+type sealedPage struct {
+	p    *core.Page
+	seal func(pageNum int64, page []byte)
+}
+
+func startIndexer(set *core.LocalitySet) *indexer {
+	x := &indexer{set: set, pages: make(chan sealedPage, 1), done: make(chan struct{})}
+	go x.run()
+	return x
+}
+
+// run folds and unpins every page handed to it until stop closes the
+// hand-off. An Unpin error (a write-through set's flush) is kept, and the
+// pages after it are still folded and unpinned.
+func (x *indexer) run() {
+	defer close(x.done)
+	for sp := range x.pages {
+		sp.seal(sp.p.Num(), sp.p.Bytes())
+		if err := x.set.Unpin(sp.p, true); err != nil {
+			x.mu.Lock()
+			if x.err == nil {
+				x.err = err
+			}
+			x.mu.Unlock()
+		}
+	}
+}
+
+// hand queues a sealed page, waiting while the slot is full, and returns the
+// first Unpin error the indexer has kept so far, so a failed flush surfaces
+// from a later Add as well as from Close.
+func (x *indexer) hand(p *core.Page, seal func(pageNum int64, page []byte)) error {
+	x.pages <- sealedPage{p, seal}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.err
+}
+
+// stop waits until every handed page is folded and unpinned and returns the
+// first Unpin error.
+func (x *indexer) stop() error {
+	close(x.pages)
+	<-x.done
+	return x.err
 }
 
 // scanCursor is the state one scan's iterators share: the scan's page list,

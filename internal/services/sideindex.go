@@ -417,10 +417,13 @@ func (s *sideIndex) Save(set *core.LocalitySet) error {
 
 // attachSideIndex wires maintenance of x into a sequential writer: each
 // page, of either layout, is folded by the writer's seal hook while it is
-// still pinned, and x seals at close. Hooks chain after those already
-// attached, so several side indexes and a caller's own hook ride one writer.
-// x is registered as the set's side index for its kind so predicate scans
-// find it; call Save after the writer closes to persist it.
+// still pinned — on the writer's indexer goroutine, beside the writer rather
+// than in its path — and x seals at close, once Close has waited for every
+// fold, so when Close returns x covers every page and is sealed. Hooks chain
+// after those already attached, so several side indexes and a caller's own
+// hook ride one writer. x is registered as the set's side index for its kind
+// so predicate scans find it; call Save after the writer closes to persist
+// it.
 func attachSideIndex(w *SeqWriter, x sideIndexer) error {
 	s := x.base()
 	if w.widths != nil && !slices.Equal(w.widths, s.widths) {
