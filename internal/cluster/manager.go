@@ -154,6 +154,14 @@ func (cl *Client) FetchSet(addr, set string, fn func(rec []byte) error) error {
 	})
 }
 
+// SealSet closes the set's writer on one worker: the page it was filling is
+// sealed and shrunk to its records, and no page of the set stays pinned for
+// writing. A set with no writer open is left as it is.
+func (cl *Client) SealSet(addr, set string) error {
+	_, err := call[any](addr, cl.auth, SealSetReq{Set: set})
+	return err
+}
+
 // DropSet removes a set from one worker.
 func (cl *Client) DropSet(addr, set string) error {
 	_, err := call[any](addr, cl.auth, DropSetReq{Set: set})

@@ -104,6 +104,13 @@ type UnpinPageReq struct {
 	Dirty   bool
 }
 
+// SealSetReq closes a set's sequential writer on one worker: its open page
+// is sealed — compacted to its records and shrunk to them — and unpinned.
+// Bulk loads send it to every worker once their last batch is in.
+type SealSetReq struct {
+	Set string
+}
+
 // DropSetReq removes a set from one worker.
 type DropSetReq struct {
 	Set string
@@ -164,6 +171,7 @@ func init() {
 	gob.Register(PageDone{})
 	gob.Register(PinPageReq{})
 	gob.Register(UnpinPageReq{})
+	gob.Register(SealSetReq{})
 	gob.Register(DropSetReq{})
 	gob.Register(SetStatsReq{})
 	gob.Register(NodeStatsReq{})

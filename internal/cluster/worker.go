@@ -102,6 +102,9 @@ func (w *Worker) handle(c *conn, msg any) (any, error) {
 		return w.pinPage(req)
 	case UnpinPageReq:
 		return nil, w.unpinPage(req)
+	case SealSetReq:
+		_, err := w.sealed(req.Set)
+		return nil, err
 	case DropSetReq:
 		return nil, w.dropSet(req)
 	case SetStatsReq:
@@ -145,8 +148,9 @@ func (w *Worker) writerFor(name string) (*setWriter, error) {
 	return sw, nil
 }
 
-// sealed seals the set's pending writer page, so that a scan observes every
-// record, and returns the set.
+// sealed closes the set's writer, if it has one — its open page is sealed,
+// shrunk to its records and unpinned, so that a scan observes every record
+// and no writer page stays pinned — and returns the set.
 func (w *Worker) sealed(name string) (*core.LocalitySet, error) {
 	w.mu.Lock()
 	sw := w.writers[name]

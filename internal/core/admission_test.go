@@ -32,14 +32,18 @@ func waitEvictorIdle(t *testing.T, bp *BufferPool) {
 }
 
 // checkResidencyGauges verifies every set's residentBytes gauge matches its
-// resident map exactly: the admission counters must be wound on page entry
-// and unwound exactly once on every release path (eviction, DropSet), and
+// resident map exactly — the sum of the resident pages' sizes: the admission
+// counters must be wound on page entry, unwound exactly once on every
+// release path (eviction, DropSet) and by the tail a Shrink gives back, and
 // not at all when a failed spill keeps the page resident.
 func checkResidencyGauges(t *testing.T, sets []*LocalitySet) {
 	t.Helper()
 	for _, s := range sets {
 		s.mu.Lock()
-		want := int64(len(s.resident)) * s.pageSize
+		want := int64(0)
+		for _, p := range s.resident {
+			want += p.Size()
+		}
 		got := s.residentBytes.Load()
 		s.mu.Unlock()
 		if got != want {

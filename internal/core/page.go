@@ -7,14 +7,20 @@ type PageID struct {
 	Num int64
 }
 
-// Page is one fixed-size buffer-pool page of a locality set. The page's
-// bytes live in the node's shared arena; the struct itself is only the
-// control block (pin count, dirty flag, recency), mirroring the paper's
-// pinned/unpinned and dirty/clean flags plus reference counting (§5).
+// Page is one buffer-pool page of a locality set. The page's bytes live in
+// the node's shared arena; the struct itself is only the control block (pin
+// count, dirty flag, recency), mirroring the paper's pinned/unpinned and
+// dirty/clean flags plus reference counting (§5).
 //
-// All mutable fields are guarded by the owning LocalitySet's mutex; num,
-// off and size are immutable after creation. Policies never see a Page —
-// they work on PageRef snapshots inside a PolicyView.
+// A page is carved at the set's page size. A writer that seals a set's last
+// page may give its empty tail back to the arena (LocalitySet.Shrink), so a
+// sealed page holds only its records; a shrunk page spills padded to the
+// set's page size and reloads into a full frame.
+//
+// All mutable fields are guarded by the owning LocalitySet's mutex; num and
+// off are immutable after creation, and size changes at most once, in
+// Shrink, while the caller holds the page's only pin. Policies never see a
+// Page — they work on PageRef snapshots inside a PolicyView.
 type Page struct {
 	set      *LocalitySet
 	num      int64
@@ -37,7 +43,8 @@ func (p *Page) Num() int64 { return p.num }
 // Set returns the locality set this page belongs to.
 func (p *Page) Set() *LocalitySet { return p.set }
 
-// Size returns the page capacity in bytes.
+// Size returns the page's bytes in the arena: the set's page size, or less
+// once the page is shrunk.
 func (p *Page) Size() int64 { return p.size }
 
 // Bytes returns the page's memory. The slice aliases the shared arena and is

@@ -368,12 +368,13 @@ func (bp *BufferPool) DropSet(s *LocalitySet) error {
 	}
 	s.dropped = true
 	offs := make([]int64, 0, len(s.resident))
-	wasted := int64(0)
+	wasted, bytes := int64(0), int64(0)
 	for num, p := range s.resident {
 		if p.prefetched {
 			wasted++
 		}
 		offs = append(offs, p.off)
+		bytes += p.size
 		delete(s.resident, num)
 	}
 	if wasted > 0 {
@@ -383,7 +384,7 @@ func (bp *BufferPool) DropSet(s *LocalitySet) error {
 	// in-flight eviction was waited out above, so no page can be released
 	// twice. Add (not Store) keeps a double-release visible to the counter
 	// invariant the stress tests check.
-	s.releaseResident(int64(len(offs)) * s.pageSize)
+	s.releaseResident(bytes)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 

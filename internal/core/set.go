@@ -41,9 +41,11 @@ type LocalitySet struct {
 	// frame for the set (before the page is even inserted, so the daemon
 	// can never observe an under-quota set that is in fact mid-growth) and
 	// released when the frame is freed (eviction, Retire, DropSet, or an
-	// abandoned load). At quiescence residentBytes == len(resident)·pageSize,
-	// the invariant the stress tests check. It is an atomic so the eviction
-	// daemon and the per-set gauges read it without taking the set's lock.
+	// abandoned load) — and released by the difference when Shrink gives a
+	// page's tail back. At quiescence residentBytes is the sum of Size()
+	// over the resident pages, the invariant the stress tests check. It is
+	// an atomic so the eviction daemon and the per-set gauges read it
+	// without taking the set's lock.
 	residentBytes atomic.Int64
 	// pendingBytes counts allocation demand currently blocked in allocMem
 	// on this set's behalf. It counts toward the set's footprint in the
@@ -219,6 +221,20 @@ func (s *LocalitySet) ResidentPages() int {
 	return len(s.resident)
 }
 
+// PinnedPages returns how many of the set's resident pages are pinned: by
+// a writer filling them, a scan reading them, or a data proxy.
+func (s *LocalitySet) PinnedPages() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, p := range s.resident {
+		if p.pin > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // ResidentBytes returns the set's resident-page footprint in bytes.
 func (s *LocalitySet) ResidentBytes() int64 { return s.residentBytes.Load() }
 
@@ -342,6 +358,31 @@ func (s *LocalitySet) NewPage() (*Page, error) {
 	s.lastAccess = tick
 	s.mu.Unlock()
 	return p, nil
+}
+
+// Shrink gives the arena back every byte of page p beyond its first n, so a
+// sealed page holds only what was written on it: the page's Size becomes n,
+// its allocator block the smallest that holds n, and the set's resident
+// bytes (and the pool's used bytes) drop by the difference. It acts only
+// while the caller holds the page's only pin — no reader can hold a slice of
+// the tail — and reports whether it did: with another pin held, with n not
+// below the page's size, or with a tail too small to be an allocator block
+// it changes nothing. A shrunk page spills padded to the set's page size and
+// reloads into a full frame.
+func (s *LocalitySet) Shrink(p *Page, n int64) bool {
+	bp := s.pool
+	s.mu.Lock()
+	if p.pin != 1 || n <= 0 || n >= p.size || bp.alloc.Shrink(p.off, n) == 0 {
+		s.mu.Unlock()
+		return false
+	}
+	s.releaseResident(p.size - n)
+	p.size = n
+	s.mu.Unlock()
+	if bp.evictor.waiters.Load() > 0 {
+		bp.evictor.broadcast(nil) // memory reclaimed
+	}
+	return true
 }
 
 // Pin makes page num resident (loading it from the set's file instance if

@@ -162,6 +162,15 @@ func (s *ShardedTLSF) Free(userOff int64) {
 	sh.tlsf.Free(local)
 }
 
+// Shrink gives back the tail of an allocated region beyond its first n
+// bytes, in its shard (see TLSF.Shrink), and returns the bytes released.
+func (s *ShardedTLSF) Shrink(userOff, n int64) int64 {
+	sh := s.shardFor(userOff)
+	freed := sh.tlsf.Shrink(userOff-sh.base, n)
+	s.used.Add(-freed)
+	return freed
+}
+
 // UsableSize reports the payload capacity of an allocated region.
 func (s *ShardedTLSF) UsableSize(userOff int64) int64 {
 	sh := s.shardFor(userOff)

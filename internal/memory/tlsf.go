@@ -231,10 +231,47 @@ func (t *TLSF) firstFitInClass(need int64) int64 {
 	return nullOffset
 }
 
+// Shrink gives back the tail of an allocated region: the block keeps room
+// for the first n bytes of its payload, and the rest becomes a free block of
+// its own, merged with the next physical block if that is free. It returns
+// the bytes released. A tail too small to be a block (under minBlock), or an
+// n that is not below the payload, changes nothing and releases 0.
+func (t *TLSF) Shrink(userOff, n int64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	need := max(align16(n)+headerSize, minBlock)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	o := userOff - headerSize
+	if t.isFree(o) {
+		panic(fmt.Sprintf("memory: shrink of free block at offset %d", userOff))
+	}
+	size := t.blockSize(o)
+	freed := size - need
+	if freed < minBlock {
+		return 0
+	}
+	t.setSize(o, need, false)
+	t.used -= freed
+	tail, tailSize := o+need, freed
+	if nn := o + size; nn < t.arenaLimit() && t.isFree(nn) {
+		t.remove(nn)
+		tailSize += t.blockSize(nn)
+	}
+	t.setSize(tail, tailSize, true)
+	t.setPrevPhys(tail, o)
+	if nn := tail + tailSize; nn < t.arenaLimit() {
+		t.setPrevPhys(nn, tail)
+	}
+	t.insert(tail, tailSize)
+	return freed
+}
+
 // header returns the raw size|flags word of an allocated block without
 // taking the allocator lock. Safe only for the block's current owner: TLSF
-// never writes the first header word of an allocated block (coalescing
-// touches only its prev-phys word).
+// writes the first header word of an allocated block only in Shrink, which
+// the owner calls (coalescing touches only its prev-phys word).
 func (t *TLSF) header(userOff int64) uint64 { return t.u64(userOff - headerSize) }
 
 // Free releases a region previously returned by Alloc, coalescing with

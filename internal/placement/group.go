@@ -80,7 +80,8 @@ func extraPlacement(mask uint64, home, k, r int) []int {
 // and the safety set that lets the group survive r concurrent node failures,
 // each created from spec, in one pass over the source: each record is routed
 // to its node in every replica and, when its copies span fewer than r+1
-// nodes, to the extraPlacement nodes of the safety set. Only then are the
+// nodes, to the extraPlacement nodes of the safety set; every set built is
+// sealed on every worker (Sender.Close). Only then are the
 // replicas registered in the manager's statistics database for query
 // schedulers to choose from (§9.1.2); a failed build drops every set it
 // created. The source must have been loaded with DispatchRandom: recovery
@@ -150,7 +151,7 @@ func BuildGroup(cl *cluster.Client, addrs []string, source string, parts []*Part
 		return nil
 	})
 	for _, s := range senders { // a failed build's too: nothing may be in flight when its sets are dropped
-		if ferr := s.Flush(); err == nil {
+		if ferr := s.Close(); err == nil {
 			err = ferr
 		}
 	}

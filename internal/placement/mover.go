@@ -67,7 +67,8 @@ type nodeBatch struct {
 	err    error
 }
 
-// NewSender returns a sender into set, which must exist on every worker.
+// NewSender returns a sender into set, which must exist on every worker; an
+// empty address marks a failed worker, which is sent nothing.
 func NewSender(cl *cluster.Client, addrs []string, set string) *Sender {
 	return &Sender{cl: cl, addrs: addrs, set: set, nodes: make([]nodeBatch, len(addrs))}
 }
@@ -103,6 +104,25 @@ func (s *Sender) ship(node int) {
 	out, answer := b.frames, make(chan error, 1)
 	b.frames, b.spare, b.flying = b.spare[:0], out, answer
 	go func() { answer <- s.cl.AddFrames(s.addrs[node], s.set, out) }()
+}
+
+// Close flushes the sender and then seals its set on every node that is
+// live (a non-empty address): each node's writer closes, its last page
+// shrunk to the records on it, so a bulk load leaves no writer page pinned.
+// A failed flush is returned without sealing.
+func (s *Sender) Close() error {
+	if err := s.Flush(); err != nil {
+		return err
+	}
+	for _, addr := range s.addrs {
+		if addr == "" {
+			continue
+		}
+		if err := s.cl.SealSet(addr, s.set); err != nil {
+			return fmt.Errorf("placement: seal %s on %s: %w", s.set, addr, err)
+		}
+	}
+	return nil
 }
 
 // Flush ships every pending batch and returns the failed nodes' errors once

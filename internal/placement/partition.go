@@ -60,22 +60,22 @@ func RandomNode(rec []byte, k int) int {
 func PartitionsFor(k int) int { return 4 * k }
 
 // DispatchRandom loads records into a source set spread over the cluster by
-// content hash — the "randomly dispatched set" of §9.1.2. The set must
-// already exist on every worker.
+// content hash — the "randomly dispatched set" of §9.1.2 — and seals it on
+// every worker. The set must already exist on every worker.
 func DispatchRandom(cl *cluster.Client, addrs []string, set string, records [][]byte) error {
 	s := NewSender(cl, addrs, set)
 	for _, rec := range records {
 		if s.Send(RandomNode(rec, len(addrs)), rec) != nil {
-			break // Flush reports it, once the batches in flight have been answered
+			break // Close reports it, once the batches in flight have been answered
 		}
 	}
-	return s.Flush()
+	return s.Close()
 }
 
 // PartitionSet runs a partition computation (§7): it streams the source set
 // from every worker and sends each record to the node owning its partition
-// in the target set, which must already exist on every worker. It returns
-// the number of records moved.
+// in the target set, which must already exist on every worker, and seals
+// the target. It returns the number of records moved.
 func PartitionSet(cl *cluster.Client, addrs []string, source, target string, part *Partitioner) (int64, error) {
 	s := NewSender(cl, addrs, target)
 	var n int64
@@ -83,7 +83,7 @@ func PartitionSet(cl *cluster.Client, addrs []string, source, target string, par
 		n++
 		return s.Send(part.NodeOf(rec, len(addrs)), rec)
 	})
-	if ferr := s.Flush(); err == nil {
+	if ferr := s.Close(); err == nil {
 		err = ferr
 	}
 	return n, err

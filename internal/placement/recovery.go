@@ -29,7 +29,9 @@ func reassignNode(idx int, surviving []int) int { return surviving[idx%len(survi
 // only by the lowest-indexed member whose copy survived — no duplicates, and
 // records lost in several members at once are covered. A record no member
 // kept is dispatched by the first surviving node of its safety placement.
-// addrs lists all the original workers, failed the indices of the lost ones.
+// Every member is sealed on every surviving worker once its last record is
+// in. addrs lists all the original workers, failed the indices of the lost
+// ones.
 func Recover(cl *cluster.Client, addrs []string, g *Group, failed []int) (reports []RecoveryReport, err error) {
 	k := len(addrs)
 	if k > maxNodes {
@@ -62,11 +64,11 @@ func Recover(cl *cluster.Client, addrs []string, g *Group, failed []int) (report
 	senders := make([]*Sender, len(g.Members))
 	for i, m := range g.Members {
 		reports[i].Member = m.Set
-		senders[i] = NewSender(cl, addrs, m.Set)
+		senders[i] = NewSender(cl, live, m.Set)
 	}
 	defer func() { // on every path out: a failed recovery leaves nothing in flight either
 		for _, s := range senders {
-			if ferr := s.Flush(); err == nil {
+			if ferr := s.Close(); err == nil {
 				err = ferr
 			}
 		}

@@ -169,9 +169,15 @@ func (m *JoinMap) releasePage() error {
 	return m.set.Unpin(p, true)
 }
 
-// Seal finishes building: the current page is unpinned and the map becomes
-// probe-only, after which any number of threads may probe at once.
+// Seal finishes building: the current page is shrunk to the payloads on it
+// (core.LocalitySet.Shrink) and unpinned, and the map becomes probe-only,
+// after which any number of threads may probe at once.
 func (m *JoinMap) Seal() error {
+	if m.page != nil { // a page is open only for payloads, so perPage > 0
+		if used := len(m.next) % m.perPage; used > 0 {
+			m.set.Shrink(m.page, int64(used*m.width))
+		}
+	}
 	err := m.releasePage()
 	m.set.SetCurrentOp(core.OpRead)
 	return err

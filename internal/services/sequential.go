@@ -21,17 +21,15 @@ type SeqWriter struct {
 	set *core.LocalitySet
 
 	// OnSeal, when set, is called with each sealed page's number and bytes,
-	// in either layout, while the page is still pinned — the hook side
-	// indexes fold a sealed page through. It runs on the writer's indexer
-	// goroutine, one page at a time in page order, while the writer fills
-	// its next page; the indexer unpins each page once the hook returns.
+	// in either layout, while the page is still pinned. It runs on the
+	// writer's indexer goroutine, one page at a time in page order, while
+	// the writer fills its next page, before the side indexes attached to
+	// the writer fold the page; the indexer unpins each page once both
+	// return.
 	OnSeal func(pageNum int64, page []byte)
-	// OnClose, when set, is called last by Close, on Close's goroutine and
-	// after every OnSeal call has returned — the hook a microindex sorts
-	// what it folded at.
-	OnClose func()
 
-	idx *indexer // started at the first page sealed with a hook; nil after Close
+	sides sideFolds // the side indexes attached to the writer
+	idx   *indexer  // started at the first page sealed with a hook; nil after Close
 }
 
 // setPages is a SeqWriter's page source: the set's own NewPage and Unpin.
@@ -51,16 +49,29 @@ func (s *setPages) NewPage() ([]byte, error) {
 	return p.Bytes(), nil
 }
 
+// Shrink gives back the open page's tail beyond n bytes, while the writer
+// holds the page's only pin (core.LocalitySet.Shrink).
+func (s *setPages) Shrink(n int) { s.w.set.Shrink(s.p, int64(n)) }
+
 func (s *setPages) Release() error {
 	p, w := s.p, s.w
 	s.p = nil
-	if w.OnSeal == nil {
+	if w.OnSeal == nil && len(w.sides.xs) == 0 {
 		return w.set.Unpin(p, true)
 	}
 	if w.idx == nil {
-		w.idx = startIndexer(w.set)
+		w.idx = startIndexer(w.set, w.seal)
 	}
-	return w.idx.hand(p, w.OnSeal)
+	return w.idx.hand(p)
+}
+
+// seal is a sealed page's hook, on the indexer goroutine: the caller's own,
+// then every attached side index's fold.
+func (w *SeqWriter) seal(num int64, page []byte) {
+	if w.OnSeal != nil {
+		w.OnSeal(num, page)
+	}
+	w.sides.note(num, page)
 }
 
 // NewSeqWriter attaches a sequential allocator to the set.
@@ -72,10 +83,11 @@ func NewSeqWriter(set *core.LocalitySet) *SeqWriter {
 	return w
 }
 
-// Close releases the current page, waits for the indexer to fold and unpin
-// every page handed to it, clears the set's current operation and then runs
-// the close hook. It returns the first error of the release, or of any
-// unpin the indexer made.
+// Close seals the current page — compacted to its records and shrunk to
+// them, before any seal hook sees it — and releases it, waits for the
+// indexer to fold and unpin every page handed to it, seals the side
+// indexes and clears the set's current operation. It returns the first
+// error of the release, or of any unpin the indexer made.
 func (w *SeqWriter) Close() error {
 	err := w.RecordWriter.Close()
 	if w.idx != nil {
@@ -84,10 +96,8 @@ func (w *SeqWriter) Close() error {
 		}
 		w.idx = nil
 	}
+	w.sides.seal()
 	w.set.SetCurrentOp(core.OpNone)
-	if w.OnClose != nil {
-		w.OnClose()
-	}
 	return err
 }
 
@@ -98,21 +108,16 @@ func (w *SeqWriter) Close() error {
 // pinned: the open one, one waiting and one being folded.
 type indexer struct {
 	set   *core.LocalitySet
-	pages chan sealedPage
+	seal  func(pageNum int64, page []byte)
+	pages chan *core.Page
 	done  chan struct{} // closed when run returns
 
 	mu  sync.Mutex
 	err error // the first Unpin error
 }
 
-// sealedPage is a page handed to the indexer with the hook to run on it.
-type sealedPage struct {
-	p    *core.Page
-	seal func(pageNum int64, page []byte)
-}
-
-func startIndexer(set *core.LocalitySet) *indexer {
-	x := &indexer{set: set, pages: make(chan sealedPage, 1), done: make(chan struct{})}
+func startIndexer(set *core.LocalitySet, seal func(pageNum int64, page []byte)) *indexer {
+	x := &indexer{set: set, seal: seal, pages: make(chan *core.Page, 1), done: make(chan struct{})}
 	go x.run()
 	return x
 }
@@ -122,9 +127,9 @@ func startIndexer(set *core.LocalitySet) *indexer {
 // pages after it are still folded and unpinned.
 func (x *indexer) run() {
 	defer close(x.done)
-	for sp := range x.pages {
-		sp.seal(sp.p.Num(), sp.p.Bytes())
-		if err := x.set.Unpin(sp.p, true); err != nil {
+	for p := range x.pages {
+		x.seal(p.Num(), p.Bytes())
+		if err := x.set.Unpin(p, true); err != nil {
 			x.mu.Lock()
 			if x.err == nil {
 				x.err = err
@@ -137,8 +142,8 @@ func (x *indexer) run() {
 // hand queues a sealed page, waiting while the slot is full, and returns the
 // first Unpin error the indexer has kept so far, so a failed flush surfaces
 // from a later Add as well as from Close.
-func (x *indexer) hand(p *core.Page, seal func(pageNum int64, page []byte)) error {
-	x.pages <- sealedPage{p, seal}
+func (x *indexer) hand(p *core.Page) error {
+	x.pages <- p
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.err

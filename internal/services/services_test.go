@@ -620,6 +620,36 @@ func TestJoinMapProbe(t *testing.T) {
 	}
 }
 
+// TestJoinMapSealGivesBackItsPage: a join of a few records keeps only their
+// payloads of its one page once sealed — the pool's used bytes are those
+// payloads and one block header — and Gather still reads every payload.
+func TestJoinMapSealGivesBackItsPage(t *testing.T) {
+	bp := newPool(t, 1<<20)
+	s := mkSet(t, bp, "jm", 256<<10)
+	const width = 16
+	m, err := NewJoinMap(s, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := m.Insert(uint64(i), []byte(fmt.Sprintf("payload-%08d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bp.UsedBytes(), int64(3*width+16); got != want {
+		t.Errorf("UsedBytes = %d after Seal, want the payloads plus one block header, %d", got, want)
+	}
+	for i := 0; i < 3; i++ {
+		hits := probeAll(t, m, uint64(i))
+		if len(hits) != 1 || string(hits[0]) != fmt.Sprintf("payload-%08d", i) {
+			t.Errorf("key %d gathers %q", i, hits)
+		}
+	}
+}
+
 // TestJoinMapGatherAfterSpill: a build side eight times the pool spills as
 // it is written; gathering records scattered over all of it returns each
 // one's payload, in the order asked, pinning every page touched once.

@@ -79,11 +79,9 @@ type sideIndex struct {
 
 	mu      locking.RWMutex
 	pages   map[int64]*sidePage
-	covered int64        // pages 0..covered-1 all have slots; slots are never removed
-	invalid []int64      // ascending pages with valid=false
-	offs    []int32      // scratch, reused page to page: record offsets,
-	vals    []uint64     // one column's values
-	view    ColumnarPage // and a columnar page's view
+	covered int64     // pages 0..covered-1 all have slots; slots are never removed
+	invalid []int64   // ascending pages with valid=false
+	parse   pageParse // NotePage's scratch, reused page to page
 }
 
 // sideIndexer is a concrete kind: it embeds the skeleton.
@@ -194,16 +192,14 @@ func (s *sideIndex) invalidate(num int64, p *sidePage) {
 }
 
 // notePage folds the first k of page num's n rows, reading each folded
-// column's values through col, and invalidates the page if a row is left out.
+// column's values through pp, and invalidates the page if a row is left out.
 // A page with a row no location can name is invalidated before any row is
 // folded. Caller holds s.mu.
-func (s *sideIndex) notePage(num int64, n, k int, col func(f foldCol, vals []uint64)) {
+func (s *sideIndex) notePage(num int64, n, k int, pp *pageParse) {
 	p, ok := s.page(num), nameable(num, n)
 	if ok && p.valid && k > 0 {
-		s.vals = slices.Grow(s.vals[:0], k)[:k]
 		for _, f := range s.folded {
-			col(f, s.vals)
-			s.sum.fold(p.sum, num, f, s.vals)
+			s.sum.fold(p.sum, num, f, pp.column(f, k))
 		}
 		p.rows = max(p.rows, int64(k))
 	}
@@ -218,48 +214,157 @@ func nameable(num int64, n int) bool {
 	return num <= math.MaxUint32 && int64(n) <= math.MaxInt32+1
 }
 
-// NotePage folds one sealed page of either layout — the writers' seal hook,
-// and rebuilds' path. Noting a page again restates its rows. On a row page,
-// row i is the i-th record in RecordOffsets order, at lane i; a record
-// shorter than the schema invalidates the page once the rows before it are
-// folded, and a page with no records gets no slot. On a columnar page, row
-// i's lane is i, and a page whose shape differs from the schema is
-// invalidated. A page whose framing or header is corrupt is left as it was
-// and is an error.
+// NotePage folds one sealed page of either layout — rebuilds' path, and
+// the path of an index no writer carries. Noting a page again restates its
+// rows. On a row page, row i is the i-th record in RecordOffsets order, at
+// lane i; a record shorter than the schema invalidates the page once the
+// rows before it are folded, and a page with no records gets no slot. On a
+// columnar page, row i's lane is i, and a page whose shape differs from the
+// schema is invalidated. A page whose framing or header is corrupt is left
+// as it was and is an error.
 func (s *sideIndex) NotePage(num int64, page []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if IsColumnarPage(page) {
-		cp := &s.view
-		if err := cp.Reset(page); err != nil {
-			return err
-		}
-		if !slices.Equal(cp.widths, s.widths) {
-			s.invalidate(num, s.page(num))
-			return nil
-		}
-		s.notePage(num, cp.NumRows(), cp.NumRows(), func(f foldCol, vals []uint64) {
-			seg := cp.Col(f.col)
-			for i := range vals {
-				vals[i] = readU(seg[i*f.width:], f.width)
-			}
-		})
-		return nil
-	}
-	offs, minLen, err := RecordOffsets(page, s.offs[:0])
-	if s.offs = offs; err != nil || len(offs) == 0 {
+	if err := s.parse.reset(page); err != nil {
 		return err
 	}
-	k := len(offs)
-	if minLen < s.rowSize {
-		k = slices.IndexFunc(offs, func(off int32) bool { return RecordLen(page, off) < s.rowSize })
-	}
-	s.notePage(num, len(offs), k, func(f foldCol, vals []uint64) {
-		for i := range vals {
-			vals[i] = readU(page[int(offs[i])+f.offset:], f.width)
-		}
-	})
+	s.fold(num, &s.parse)
 	return nil
+}
+
+// fold folds page num, parsed as pp (see NotePage). Caller holds s.mu.
+func (s *sideIndex) fold(num int64, pp *pageParse) {
+	if pp.columnar {
+		if !slices.Equal(pp.view.widths, s.widths) {
+			s.invalidate(num, s.page(num))
+			return
+		}
+		s.notePage(num, pp.view.NumRows(), pp.view.NumRows(), pp)
+		return
+	}
+	offs := pp.offs
+	if len(offs) == 0 {
+		return
+	}
+	k := len(offs)
+	if pp.minLen < s.rowSize {
+		k = slices.IndexFunc(offs, func(off int32) bool { return RecordLen(pp.page, off) < s.rowSize })
+	}
+	s.notePage(num, len(offs), k, pp)
+}
+
+// pageParse is one sealed page read for folding: a row page's record
+// offsets and shortest record, or a columnar page's view. Columns several
+// indexes fold (shared) are read once a page and kept; any other column is
+// read into one scratch vector, reused column to column.
+type pageParse struct {
+	page     []byte
+	columnar bool
+	view     ColumnarPage
+	offs     []int32
+	minLen   int
+	vals     []uint64
+	shared   []keptCol
+}
+
+// sameColumn reports whether two folded columns read the same values: the
+// slot each index gives a column is its own.
+func sameColumn(a, b foldCol) bool {
+	return a.col == b.col && a.width == b.width && a.offset == b.offset
+}
+
+// keptCol is a shared column's values read from the current page: the first
+// n rows, in lane order.
+type keptCol struct {
+	f    foldCol // the column's geometry; its slot is not part of the key
+	vals []uint64
+	n    int
+}
+
+// reset parses page, forgetting the previous page's columns.
+func (pp *pageParse) reset(page []byte) error {
+	pp.page, pp.columnar = page, IsColumnarPage(page)
+	for i := range pp.shared {
+		pp.shared[i].n = 0
+	}
+	if pp.columnar {
+		return pp.view.Reset(page)
+	}
+	var err error
+	pp.offs, pp.minLen, err = RecordOffsets(page, pp.offs[:0])
+	return err
+}
+
+// column returns the values of column f in the page's first k rows.
+func (pp *pageParse) column(f foldCol, k int) []uint64 {
+	for i := range pp.shared {
+		c := &pp.shared[i]
+		if sameColumn(c.f, f) {
+			if c.n < k {
+				c.vals = slices.Grow(c.vals[:0], k)[:k]
+				pp.read(f, c.vals)
+				c.n = k
+			}
+			return c.vals[:k]
+		}
+	}
+	pp.vals = slices.Grow(pp.vals[:0], k)[:k]
+	pp.read(f, pp.vals)
+	return pp.vals
+}
+
+// read fills vals with column f of the page's first len(vals) rows.
+func (pp *pageParse) read(f foldCol, vals []uint64) {
+	if pp.columnar {
+		seg := pp.view.Col(f.col)
+		for i := range vals {
+			vals[i] = readU(seg[i*f.width:], f.width)
+		}
+		return
+	}
+	for i := range vals {
+		vals[i] = readU(pp.page[int(pp.offs[i])+f.offset:], f.width)
+	}
+}
+
+// sideFolds is the side indexes riding one writer: each sealed page is
+// parsed once for all of them, and a column more than one folds is read
+// once.
+type sideFolds struct {
+	xs    []*sideIndex
+	parse pageParse
+}
+
+// add puts s on the writer and keeps the columns it shares with the indexes
+// already there.
+func (sf *sideFolds) add(s *sideIndex) {
+	for _, f := range s.folded {
+		same := func(g foldCol) bool { return sameColumn(f, g) }
+		kept := slices.ContainsFunc(sf.parse.shared, func(c keptCol) bool { return same(c.f) })
+		if !kept && slices.ContainsFunc(sf.xs, func(o *sideIndex) bool { return slices.ContainsFunc(o.folded, same) }) {
+			sf.parse.shared = append(sf.parse.shared, keptCol{f: f})
+		}
+	}
+	sf.xs = append(sf.xs, s)
+}
+
+// note folds one sealed page into every index.
+func (sf *sideFolds) note(num int64, page []byte) {
+	if sf.parse.reset(page) != nil {
+		return // a page the writer formed is never corrupt
+	}
+	for _, s := range sf.xs {
+		s.mu.Lock()
+		s.fold(num, &sf.parse)
+		s.mu.Unlock()
+	}
+}
+
+// seal seals every index, once the writer's last fold has returned.
+func (sf *sideFolds) seal() {
+	for _, s := range sf.xs {
+		s.lockedSeal()
+	}
 }
 
 // lockedSeal runs the kind's seal under the write lock: the writer's close
@@ -416,33 +521,21 @@ func (s *sideIndex) Save(set *core.LocalitySet) error {
 // --- wiring ------------------------------------------------------------------
 
 // attachSideIndex wires maintenance of x into a sequential writer: each
-// page, of either layout, is folded by the writer's seal hook while it is
-// still pinned — on the writer's indexer goroutine, beside the writer rather
-// than in its path — and x seals at close, once Close has waited for every
-// fold, so when Close returns x covers every page and is sealed. Hooks chain
-// after those already attached, so several side indexes and a caller's own
-// hook ride one writer. x is registered as the set's side index for its kind
-// so predicate scans find it; call Save after the writer closes to persist
-// it.
+// page, of either layout, is folded once sealed, while it is still pinned —
+// on the writer's indexer goroutine, beside the writer rather than in its
+// path — and x seals at close, once Close has waited for every fold, so when
+// Close returns x covers every page and is sealed. Every index attached to
+// one writer folds through the same parse of each page (sideFolds), after
+// the caller's own seal hook. x is registered as the set's side index for
+// its kind so predicate scans find it; call Save after the writer closes to
+// persist it.
 func attachSideIndex(w *SeqWriter, x sideIndexer) error {
 	s := x.base()
 	if w.widths != nil && !slices.Equal(w.widths, s.widths) {
 		return fmt.Errorf("services: %s schema has column widths %v, columnar set %q stores %v",
 			s.kind.name, s.widths, w.set.Name(), w.widths)
 	}
-	prevSeal, prevClose := w.OnSeal, w.OnClose
-	w.OnSeal = func(num int64, page []byte) {
-		if prevSeal != nil {
-			prevSeal(num, page)
-		}
-		_ = s.NotePage(num, page) // a page the writer formed is never corrupt
-	}
-	w.OnClose = func() {
-		if prevClose != nil {
-			prevClose()
-		}
-		s.lockedSeal()
-	}
+	w.sides.add(s)
 	w.set.SetSideIndex(s.kind.tag, x)
 	return nil
 }

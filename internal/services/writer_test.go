@@ -1,6 +1,7 @@
 package services
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -37,10 +38,42 @@ func hashPages(t *testing.T, set *core.LocalitySet) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// goldenWriterPages writes fixed inputs through every writer and hashes the
-// pages each leaves: SeqWriter into a row set and into a columnar set, and
-// one writer thread of a three-partition Shuffle, partition by partition.
-// Nothing spills (the pool holds every page), so the bytes are the writer's.
+// checkDecodes walks every page of set, in page order, and checks that the
+// records read back are exactly want.
+func checkDecodes(t *testing.T, name string, set *core.LocalitySet, want [][]byte) {
+	t.Helper()
+	var got [][]byte
+	for num := int64(0); num < set.NumPages(); num++ {
+		p, err := set.Pin(num)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = WalkPage(p.Bytes(), func(rec []byte) error {
+			got = append(got, bytes.Clone(rec))
+			return nil
+		})
+		if uerr := set.Unpin(p, false); err == nil {
+			err = uerr
+		}
+		if err != nil {
+			t.Fatalf("%s: page %d: %v", name, num, err)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: pages decode to %d records, %d were written", name, len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: record %d decodes to %x, written %x", name, i, got[i], want[i])
+		}
+	}
+}
+
+// goldenWriterPages writes fixed inputs through every writer, checks that
+// the pages each leaves decode to exactly the records written, and hashes
+// them: SeqWriter into a row set and into a columnar set, and one writer
+// thread of a three-partition Shuffle, partition by partition. Nothing
+// spills (the pool holds every page), so the bytes are the writer's.
 func goldenWriterPages(t *testing.T) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
@@ -56,6 +89,7 @@ func goldenWriterPages(t *testing.T) map[string]string {
 			t.Fatal(err)
 		}
 		w := NewSeqWriter(set)
+		var written [][]byte
 		for i := 0; i < 500; i++ {
 			rec := writerRec(i)
 			if columnar {
@@ -64,6 +98,7 @@ func goldenWriterPages(t *testing.T) map[string]string {
 			if err := w.Add(rec); err != nil {
 				t.Fatal(err)
 			}
+			written = append(written, rec)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -71,6 +106,7 @@ func goldenWriterPages(t *testing.T) map[string]string {
 		if w.Count() != 500 {
 			t.Fatalf("%s writer counted %d records, want 500", layout, w.Count())
 		}
+		checkDecodes(t, "seq/"+layout, set, written)
 		out["seq/"+layout] = hashPages(t, set)
 	}
 
@@ -80,10 +116,12 @@ func goldenWriterPages(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	bufs := sh.Writer()
+	written := make([][][]byte, 3)
 	for i := 0; i < 600; i++ {
 		if err := bufs[i*7%3].Add(writerRec(i)); err != nil {
 			t.Fatal(err)
 		}
+		written[i*7%3] = append(written[i*7%3], writerRec(i))
 	}
 	if err := CloseWriters(bufs); err != nil {
 		t.Fatal(err)
@@ -92,7 +130,9 @@ func goldenWriterPages(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	for p := 0; p < sh.Partitions(); p++ {
-		out[fmt.Sprintf("shuffle/%d", p)] = hashPages(t, sh.Sink(p).Set())
+		name := fmt.Sprintf("shuffle/%d", p)
+		checkDecodes(t, name, sh.Sink(p).Set(), written[p])
+		out[name] = hashPages(t, sh.Sink(p).Set())
 	}
 	return out
 }
@@ -102,8 +142,8 @@ func goldenWriterPages(t *testing.T) map[string]string {
 // record's place, a columnar segment — changes a hash here.
 func TestWriterPageGoldenBytes(t *testing.T) {
 	want := map[string]string{
-		"seq/row":      "1ce1abe8f6781cb901ce6a8793ae5ac2da90de62ca449b19a57f00143e2331b0",
-		"seq/columnar": "96593423389559e016b8003f9c5822e51691b3acf9c30ad245ce5faa4920fccf",
+		"seq/row":      "87e746fc3867f458f8ecbb4cc46282f4db7b356a7acc5f50e120c547eb79e430",
+		"seq/columnar": "833c882cb206c495459573da06cba3c714c8e86c59a4422f17bb076132ff621e",
 		"shuffle/0":    "8fa31bd5a557e9d7c06d47e0b498959323b53d5e5b54f2942320d79f058bb21f",
 		"shuffle/1":    "e6d1275b9fa3dc61092ae46c62cf625679c6bcc9024122dfac3f47bda73c358a",
 		"shuffle/2":    "372a98766a1f70a9387595953dd9161220e8bb795f5ffea90666c3991392919d",
@@ -115,6 +155,92 @@ func TestWriterPageGoldenBytes(t *testing.T) {
 	for name, h := range got {
 		if h != want[name] {
 			t.Errorf("%s: pages hash to %s, golden %s", name, h, want[name])
+		}
+	}
+}
+
+// TestSealedLastPageHoldsItsRecords: a SeqWriter's Close compacts its last
+// page to the records on it and shrinks the page to them, rounded up to 16
+// bytes, in both layouts; every page still decodes to exactly the records
+// written — the last one also padded with zeros to the set's page size, as
+// it reloads after a spill — and side indexes riding the writer fold the
+// compacted page exactly.
+func TestSealedLastPageHoldsItsRecords(t *testing.T) {
+	for _, columnar := range []bool{false, true} {
+		for _, indexed := range []bool{false, true} {
+			name := map[bool]string{false: "row", true: "columnar"}[columnar] +
+				map[bool]string{false: "", true: "/indexed"}[indexed]
+			t.Run(name, func(t *testing.T) {
+				bp := newPool(t, 1<<20)
+				spec := core.SetSpec{Name: "s", PageSize: 1024}
+				if columnar {
+					spec.Layout, spec.Columns = core.LayoutColumnar, colWidths
+				}
+				set, err := bp.CreateSet(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := NewSeqWriter(set)
+				var z *ZoneMap
+				var m *Microindex
+				if indexed {
+					if z, err = AttachZoneMap(w, ZoneMapSpec{Schema: zmSchema(), BloomCols: []int{1}}); err != nil {
+						t.Fatal(err)
+					}
+					if m, err = AttachMicroindex(w, miSpec()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var written [][]byte
+				for i := 0; i < 150; i++ {
+					rec := colRec(i * 13 % 150)
+					if err := w.Add(rec); err != nil {
+						t.Fatal(err)
+					}
+					written = append(written, rec)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				checkDecodes(t, name, set, written)
+
+				last := set.NumPages() - 1
+				p, err := set.Pin(last)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer set.Unpin(p, false)
+				var onLast [][]byte
+				_ = WalkPage(p.Bytes(), func(rec []byte) error { onLast = append(onLast, bytes.Clone(rec)); return nil })
+				want := int64(pageHeaderSize + len(onLast)*(recHeaderSize+14))
+				if columnar {
+					want = int64(columnarHeaderSize(len(colWidths)) + len(onLast)*14)
+				}
+				if want = (want + 15) &^ 15; p.Size() != want || want >= spec.PageSize {
+					t.Fatalf("last page of %d records has Size %d, want %d (page size %d)", len(onLast), p.Size(), want, spec.PageSize)
+				}
+				padded := make([]byte, spec.PageSize)
+				copy(padded, p.Bytes())
+				var reloaded [][]byte
+				if err := WalkPage(padded, func(rec []byte) error { reloaded = append(reloaded, bytes.Clone(rec)); return nil }); err != nil {
+					t.Fatal(err)
+				}
+				if len(reloaded) != len(onLast) {
+					t.Fatalf("last page padded to its page size decodes to %d records, want %d", len(reloaded), len(onLast))
+				}
+				for i := range onLast {
+					if !bytes.Equal(reloaded[i], onLast[i]) {
+						t.Fatalf("padded last page's record %d is %x, want %x", i, reloaded[i], onLast[i])
+					}
+				}
+				if indexed {
+					if np := set.NumPages(); !z.Covers(np) || !m.Covers(np) {
+						t.Fatalf("side indexes do not cover the set's %d pages", np)
+					}
+					zmCheckRanges(t, set, z)
+					miCheckExact(t, set, m)
+				}
+			})
 		}
 	}
 }

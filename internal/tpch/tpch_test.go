@@ -6,6 +6,7 @@ import (
 	"pangea/internal/cluster"
 	"pangea/internal/core"
 	"pangea/internal/query"
+	"pangea/internal/services"
 )
 
 const testKey = "tpch-test-key"
@@ -215,6 +216,53 @@ func TestQ13CountsCustomersWithoutOrders(t *testing.T) {
 		}
 		if err := ResultsEqual(want, got, 1e-9); err != nil {
 			t.Errorf("mode=%v: %v", mode, err)
+		}
+	}
+}
+
+// TestLoadedDeploymentHoldsItsBytes: after Load and BuildReplicas every set
+// is sealed on every worker — no page stays pinned, and each set's last page
+// holds only its header and rows, rounded up to the allocator's 16 bytes —
+// so a worker's arena holds its pages' bytes and a block header each.
+func TestLoadedDeploymentHoldsItsBytes(t *testing.T) {
+	const pageSize = 256 << 10
+	e := startExec(t, 2)
+	if err := Load(e, Generate(0.002, 1), pageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildReplicas(e, pageSize); err != nil {
+		t.Fatal(err)
+	}
+	for node, w := range e.Workers {
+		pool, sizes, pages := w.Pool(), int64(0), int64(0)
+		for _, set := range pool.Sets() {
+			if n := set.PinnedPages(); n != 0 {
+				t.Errorf("node %d: %s keeps %d pages pinned after the load", node, set.Name(), n)
+			}
+			sizes += set.ResidentBytes()
+			pages += int64(set.ResidentPages())
+			if set.NumPages() == 0 {
+				continue
+			}
+			p, err := set.Pin(set.NumPages() - 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := services.OpenColumnarPage(p.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(16+4*cp.NumCols()+cp.NumRows()*cp.RowSize()+15) &^ 15
+			// A tail under one allocator block (32 bytes) cannot be given back.
+			if got := p.Size(); got != want && !(got == pageSize && pageSize-want < 32) {
+				t.Errorf("node %d: %s's last page of %d rows has Size %d, want %d", node, set.Name(), cp.NumRows(), got, want)
+			}
+			if err := set.Unpin(p, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if used := pool.UsedBytes(); used < sizes || used > sizes+48*pages {
+			t.Errorf("node %d: UsedBytes %d for %d pages of %d bytes, want within 48 B a page", node, used, pages, sizes)
 		}
 	}
 }
