@@ -221,20 +221,6 @@ func (s *LocalitySet) ResidentPages() int {
 	return len(s.resident)
 }
 
-// PinnedPages returns how many of the set's resident pages are pinned: by
-// a writer filling them, a scan reading them, or a data proxy.
-func (s *LocalitySet) PinnedPages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, p := range s.resident {
-		if p.pin > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // ResidentBytes returns the set's resident-page footprint in bytes.
 func (s *LocalitySet) ResidentBytes() int64 { return s.residentBytes.Load() }
 

@@ -91,11 +91,20 @@ func addCounters(m map[string]int64, p any) {
 func (s *LocalitySet) Stats() *SetStats { return &s.stats }
 
 // Snapshot reports the set's counters by field name, with its gauges:
-// NumPages, Resident (pages), ResidentBytes, Entitlement and DiskBytes.
+// NumPages, Resident (pages), Pinned (resident pages a writer, reader or
+// data proxy holds a pin on), ResidentBytes, Entitlement and DiskBytes.
 func (s *LocalitySet) Snapshot() map[string]int64 {
+	s.mu.Lock()
+	resident, pinned := len(s.resident), 0
+	for _, p := range s.resident {
+		if p.pin > 0 {
+			pinned++
+		}
+	}
+	s.mu.Unlock()
 	m := map[string]int64{
-		"NumPages": s.NumPages(), "Resident": int64(s.ResidentPages()), "ResidentBytes": s.ResidentBytes(),
-		"Entitlement": s.Entitlement(), "DiskBytes": s.DiskBytes(),
+		"NumPages": s.NumPages(), "Resident": int64(resident), "Pinned": int64(pinned),
+		"ResidentBytes": s.ResidentBytes(), "Entitlement": s.Entitlement(), "DiskBytes": s.DiskBytes(),
 	}
 	addCounters(m, &s.stats)
 	return m

@@ -479,11 +479,21 @@ func TestMicroindexNotesInAnyOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.mu.Lock()
+		before := make([]int, len(m.post))
+		for slot := range m.post {
+			before[slot] = m.post[slot].n
+		}
 		m.notePage(c.num, c.n, 1, &pp)
 		m.mu.Unlock()
 		if pg := m.pages[c.num]; pg.valid || pg.rows != c.rows {
 			t.Errorf("page of %d rows, one noted: valid=%v rows=%d, want invalid with %d rows",
 				c.n, pg.valid, pg.rows, c.rows)
+		}
+		for slot := range m.post {
+			if folded := m.post[slot].n - before[slot]; int64(folded) != c.rows {
+				t.Errorf("page of %d rows, one noted: column slot %d folded %d values, want %d",
+					c.n, slot, folded, c.rows)
+			}
 		}
 	}
 	if !nameable(7, math.MaxInt32+1) || nameable(6, math.MaxInt32+2) || nameable(1<<32, 1) {

@@ -23,7 +23,8 @@ import (
 //	[0:4)  u32 regionSize
 //	[4:8)  u32 reserved
 //	[8:)   regions, each regionSize bytes. A sequential page's one region
-//	       runs to the page end and a shuffle page's small pages tile it
+//	       runs to the page end, a shrunk one's to the end of its bytes
+//	       (pageRegionSize), and a shuffle page's small pages tile it
 //	       (splitPage); at most a few alignment bytes trail the last one
 //
 // Record framing within a region: u32 length, then payload. Length 0 marks
@@ -48,9 +49,13 @@ func initPage(buf []byte, regionSize int) {
 	}
 }
 
-// pageRegionSize reads the region size from a page buffer.
+// pageRegionSize reads the region size from a page buffer, cut to the bytes
+// after the page header. A sealed sequential page that gave its empty tail
+// back (SeqWriter.Close) keeps the full page's region size in its header, so
+// its one region ends where the bytes it is read from do: the shrunk page's
+// own, or the full frame it reloads into after a spill.
 func pageRegionSize(buf []byte) int {
-	return int(binary.LittleEndian.Uint32(buf[0:4]))
+	return min(int(binary.LittleEndian.Uint32(buf[0:4])), len(buf)-pageHeaderSize)
 }
 
 // splitPage returns how many regions a page of pageSize bytes is split into

@@ -28,6 +28,7 @@ type SeqWriter struct {
 	// return.
 	OnSeal func(pageNum int64, page []byte)
 
+	pages setPages  // the RecordWriter's page source
 	sides sideFolds // the side indexes attached to the writer
 	idx   *indexer  // started at the first page sealed with a hook; nil after Close
 }
@@ -48,10 +49,6 @@ func (s *setPages) NewPage() ([]byte, error) {
 	s.p = p
 	return p.Bytes(), nil
 }
-
-// Shrink gives back the open page's tail beyond n bytes, while the writer
-// holds the page's only pin (core.LocalitySet.Shrink).
-func (s *setPages) Shrink(n int) { s.w.set.Shrink(s.p, int64(n)) }
 
 func (s *setPages) Release() error {
 	p, w := s.p, s.w
@@ -79,7 +76,8 @@ func NewSeqWriter(set *core.LocalitySet) *SeqWriter {
 	set.SetWriting(core.SequentialWrite)
 	set.SetCurrentOp(core.OpWrite)
 	w := &SeqWriter{set: set}
-	w.RecordWriter = NewRecordWriter(set, &setPages{w: w})
+	w.pages.w = w
+	w.RecordWriter = NewRecordWriter(set, &w.pages)
 	return w
 }
 
@@ -89,6 +87,10 @@ func NewSeqWriter(set *core.LocalitySet) *SeqWriter {
 // indexes and clears the set's current operation. It returns the first
 // error of the release, or of any unpin the indexer made.
 func (w *SeqWriter) Close() error {
+	if w.page != nil {
+		// The pages rolled over before this one are full and keep their size.
+		w.set.Shrink(w.pages.p, int64(w.compact()))
+	}
 	err := w.RecordWriter.Close()
 	if w.idx != nil {
 		if xerr := w.idx.stop(); err == nil {

@@ -18,15 +18,6 @@ type PageSource interface {
 	Release() error
 }
 
-// A pageShrinker is a PageSource that can give the empty tail of the page
-// NewPage returned last back to the pool: a set's own pages. Shuffle small
-// pages and a data proxy's pages keep their size.
-type pageShrinker interface {
-	// Shrink keeps the page's first n bytes and gives back the rest, when
-	// it can; a page it cannot shrink stays as it is.
-	Shrink(n int)
-}
-
 // RecordWriter is the one append loop under every write service (§5, §8):
 // records go into the open page until one does not fit, then the page is
 // released to its source and the next one taken. It writes one of
@@ -120,10 +111,8 @@ func (w *RecordWriter) Add(rec []byte) error {
 // next releases the open page, if any, then takes a fresh one
 // from the source and formats it.
 func (w *RecordWriter) next() error {
-	if w.page != nil {
-		if err := w.release(); err != nil {
-			return err
-		}
+	if err := w.Close(); err != nil {
+		return err
 	}
 	page, err := w.src.NewPage()
 	if err != nil {
@@ -152,37 +141,25 @@ func (w *RecordWriter) next() error {
 // Count returns the number of records written so far.
 func (w *RecordWriter) Count() int64 { return w.n }
 
-// Close releases the open page, if any. Over a source that can shrink its
-// pages the page is first compacted to the records on it and its empty tail
-// given back, so a sealed last page holds only its records; the pages rolled
-// over before it are full and keep their size.
+// Close releases the open page, if any.
 func (w *RecordWriter) Close() error {
 	if w.page == nil {
 		return nil
 	}
-	if s, ok := w.src.(pageShrinker); ok {
-		s.Shrink(w.compact())
-	}
-	return w.release()
-}
-
-// release hands the open page back to its source.
-func (w *RecordWriter) release() error {
 	w.page = nil
 	return w.src.Release()
 }
 
 // compact lays the open page out to end at its last record and returns that
-// length rounded up to 16 bytes, the allocator's grain. A row page's one
-// region is cut to the length (the terminator after the last record, where
-// one fits, is already written); a columnar page's segments move down to the
-// rows stored, and its capacity becomes that row count. Either stays a page
-// every reader walks, at that length or padded with zeros to any longer one.
+// length rounded up to 16 bytes, the allocator's grain. A row page is left as
+// it is: its one region ends where the page's bytes do (pageRegionSize), and
+// the terminator after the last record, where one fits, is already written.
+// A columnar page's segments move down to the rows stored, and its capacity
+// becomes that row count. Either stays a page every reader walks, at that
+// length or padded with zeros to the full page size.
 func (w *RecordWriter) compact() int {
 	if w.widths == nil {
-		n := min((w.off+15)&^15, len(w.page))
-		binary.LittleEndian.PutUint32(w.page[0:4], uint32(n-pageHeaderSize))
-		return n
+		return min((w.off+15)&^15, len(w.page))
 	}
 	rows, off := w.off, columnarHeaderSize(len(w.widths))
 	for c, cw := range w.widths {

@@ -142,7 +142,7 @@ func goldenWriterPages(t *testing.T) map[string]string {
 // record's place, a columnar segment — changes a hash here.
 func TestWriterPageGoldenBytes(t *testing.T) {
 	want := map[string]string{
-		"seq/row":      "87e746fc3867f458f8ecbb4cc46282f4db7b356a7acc5f50e120c547eb79e430",
+		"seq/row":      "59368addfacf97b3b8297c5dd49fbaa848248c9e02ba03c77beeb0dfdaef4b38",
 		"seq/columnar": "833c882cb206c495459573da06cba3c714c8e86c59a4422f17bb076132ff621e",
 		"shuffle/0":    "8fa31bd5a557e9d7c06d47e0b498959323b53d5e5b54f2942320d79f058bb21f",
 		"shuffle/1":    "e6d1275b9fa3dc61092ae46c62cf625679c6bcc9024122dfac3f47bda73c358a",
@@ -241,6 +241,77 @@ func TestSealedLastPageHoldsItsRecords(t *testing.T) {
 					miCheckExact(t, set, m)
 				}
 			})
+		}
+	}
+}
+
+// TestSpilledSealedPageReadsInPlace: a sealed row page shrunk to its records
+// that spills and is pinned again reloads into a full frame and reads as the
+// page did before it was shrunk: one region spanning the frame, its records
+// framed as they lie, so PageFrames returns a slice of the page instead of
+// copying it.
+func TestSpilledSealedPageReadsInPlace(t *testing.T) {
+	const pageSize = 4 << 10
+	bp := newPool(t, 4*pageSize)
+	set := mkSet(t, bp, "sealed", pageSize)
+	w := NewSeqWriter(set)
+	var written [][]byte
+	for i := 0; i < 5; i++ {
+		written = append(written, writerRec(i))
+		if err := w.Add(written[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if set.NumPages() != 1 || set.ResidentBytes() >= pageSize {
+		t.Fatalf("sealed set has %d pages in %d resident bytes, want one shrunk page", set.NumPages(), set.ResidentBytes())
+	}
+	// Fill the pool from another set until the sealed page has spilled.
+	filler := NewSeqWriter(mkSet(t, bp, "filler", pageSize))
+	for i := 0; set.ResidentPages() > 0; i++ {
+		if i > 64*pageSize/100 {
+			t.Fatal("the sealed page never left the pool")
+		}
+		if err := filler.Add(make([]byte, 96)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := filler.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := set.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Unpin(p, false)
+	page := p.Bytes()
+	if len(page) != pageSize {
+		t.Fatalf("reloaded page has %d bytes, want a full %d-byte frame", len(page), pageSize)
+	}
+	var buf []byte
+	frames, err := PageFrames(page, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf != nil || len(frames) == 0 || &frames[0] != &page[pageHeaderSize] {
+		t.Fatal("PageFrames copied the reloaded page's records instead of slicing the page")
+	}
+	var got [][]byte
+	if err := WalkFrames(frames, func(rec []byte) error { got = append(got, bytes.Clone(rec)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	offs, _, err := RecordOffsets(page, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(written) || len(offs) != len(written) {
+		t.Fatalf("reloaded page frames %d records and offsets %d, %d were written", len(got), len(offs), len(written))
+	}
+	for i, rec := range written {
+		if !bytes.Equal(got[i], rec) || !bytes.Equal(page[offs[i]:int(offs[i])+RecordLen(page, offs[i])], rec) {
+			t.Fatalf("reloaded page's record %d differs from the one written", i)
 		}
 	}
 }

@@ -236,7 +236,7 @@ func TestLoadedDeploymentHoldsItsBytes(t *testing.T) {
 	for node, w := range e.Workers {
 		pool, sizes, pages := w.Pool(), int64(0), int64(0)
 		for _, set := range pool.Sets() {
-			if n := set.PinnedPages(); n != 0 {
+			if n := set.Snapshot()["Pinned"]; n != 0 {
 				t.Errorf("node %d: %s keeps %d pages pinned after the load", node, set.Name(), n)
 			}
 			sizes += set.ResidentBytes()
