@@ -175,10 +175,9 @@ func (cl *Client) SetStats(addr, set string) (Stats, error) {
 	return call[Stats](addr, cl.auth, SetStatsReq{Set: set})
 }
 
-// NodeStats returns one worker's pool-wide snapshot: every core.PoolStats
-// counter, every core.SetStats counter summed over the pool's sets (dropped
-// ones included), and the allocator's shard count (see
-// core.BufferPool.Snapshot).
+// NodeStats returns one worker's pool-wide snapshot (see
+// core.BufferPool.Snapshot): every core.PoolStats counter and every
+// core.SetStats counter summed over the pool's sets, dropped ones included.
 func (cl *Client) NodeStats(addr string) (Stats, error) {
 	return call[Stats](addr, cl.auth, NodeStatsReq{})
 }

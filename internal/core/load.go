@@ -70,11 +70,9 @@ func newLoadPipeline(bp *BufferPool, arr *disk.Array) *loadPipeline {
 func (lp *loadPipeline) submit(s *LocalitySet, num, off int64, loc pfs.PageLoc, op *loadOp) {
 	bp := lp.bp
 	bp.stats.PrefetchesIssued.Add(1)
-	bp.stats.LoadsInFlight.Add(1)
 	lp.queues[loc.Drive].Submit(func() {
 		err := s.file.ReadPageAt(loc, num, bp.arena.Slice(off, s.pageSize))
 		s.finishLoad(num, op, off, err, true)
-		bp.stats.LoadsInFlight.Add(-1)
 	})
 }
 
@@ -162,7 +160,7 @@ func (s *LocalitySet) prefetchOne(num int64) (issued, stop, starved bool) {
 		return false, false, false
 	}
 	op := &loadOp{}
-	s.loading[num] = op
+	s.register(num, op)
 	s.mu.Unlock()
 
 	off, err := bp.tryAllocMem(s, s.pageSize)
@@ -200,11 +198,11 @@ func (s *LocalitySet) ReadAhead() int {
 func (s *LocalitySet) finishLoad(num int64, op *loadOp, off int64, readErr error, prefetch bool) (*Page, error) {
 	bp := s.pool
 	s.mu.Lock()
-	delete(s.loading, num)
 	op.done = true
 	op.err = readErr
 	if readErr != nil || s.dropped {
 		s.dropFrame(off)
+		s.unregister(num)
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		if bp.evictor.waiters.Load() > 0 {
@@ -232,6 +230,7 @@ func (s *LocalitySet) finishLoad(num int64, op *loadOp, off int64, readErr error
 		bp.stats.Loads.Add(1)
 	}
 	s.resident[num] = p
+	s.unregister(num)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	if prefetch && bp.evictor.waiters.Load() > 0 {
@@ -247,6 +246,20 @@ func (s *LocalitySet) finishLoad(num int64, op *loadOp, off int64, readErr error
 	return p, nil
 }
 
+// register and unregister enter and retire a load in the set's loading map
+// and the pool's LoadsInFlight gauge together, under s.mu: a DropSet that
+// waited for the map to empty reads the gauge at zero, and a load retires
+// only after its frame is published or released.
+func (s *LocalitySet) register(num int64, op *loadOp) {
+	s.loading[num] = op
+	s.pool.stats.LoadsInFlight.Add(1)
+}
+
+func (s *LocalitySet) unregister(num int64) {
+	delete(s.loading, num)
+	s.pool.stats.LoadsInFlight.Add(-1)
+}
+
 // cancelLoad retracts a registered load whose frame never materialized (the
 // allocator refused or timed out). No error is recorded: coalesced waiters
 // wake, find the page neither resident nor loading, and fall through to
@@ -254,7 +267,7 @@ func (s *LocalitySet) finishLoad(num int64, op *loadOp, off int64, readErr error
 // speculation would not.
 func (s *LocalitySet) cancelLoad(num int64, op *loadOp) {
 	s.mu.Lock()
-	delete(s.loading, num)
+	s.unregister(num)
 	op.done = true
 	s.cond.Broadcast()
 	s.mu.Unlock()

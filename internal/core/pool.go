@@ -39,11 +39,6 @@ type PoolConfig struct {
 	// (no memory reclaimed, no page unpinned) before failing. Defaults
 	// to 5s.
 	AllocTimeout time.Duration
-	// AllocShards is the number of TLSF allocator shards (rounded to a
-	// power of two, each shard at least 1 MiB). 0 selects ~GOMAXPROCS;
-	// 1 restores the seed's single shared allocator; negative is rejected.
-	// The effective count is AllocatorShards.
-	AllocShards int
 	// ReadAhead is the automatic prefetch window in pages for sets with a
 	// declared sequential reading pattern: as a scan's cursor advances
 	// (services.PageIteratorsFor) it schedules asynchronous reads of the next
@@ -93,12 +88,12 @@ type BufferPool struct {
 	// read-ahead disabled). Immutable after NewPool.
 	readAhead int
 	// lowWater and highWater are the eviction daemon's free-memory
-	// watermarks, Memory/16 and Memory/8, compared against free memory
-	// summed over every allocator shard: below lowWater the daemon starts
-	// evicting in the background. While allocations are blocked it keeps
-	// going until free memory reaches highWater; with no waiter left it
-	// stops as soon as free memory is back above lowWater, so it never spills
-	// dirty pages nobody is waiting for just to reach the higher mark.
+	// watermarks, Memory/16 and Memory/8, compared against the allocator's
+	// free bytes: below lowWater the daemon starts evicting in the
+	// background. While allocations are blocked it keeps going until free
+	// memory reaches highWater; with no waiter left it stops as soon as free
+	// memory is back above lowWater, so it never spills dirty pages nobody is
+	// waiting for just to reach the higher mark.
 	lowWater, highWater int64
 
 	// tick is written by every page access on every core. The pads give it
@@ -135,9 +130,6 @@ func NewPool(cfg PoolConfig) (*BufferPool, error) {
 	if cfg.Array == nil {
 		return nil, errors.New("core: pool requires a disk array")
 	}
-	if cfg.AllocShards < 0 {
-		return nil, fmt.Errorf("core: negative allocator shard count %d", cfg.AllocShards)
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = NewDataAware()
 	}
@@ -166,7 +158,7 @@ func NewPool(cfg PoolConfig) (*BufferPool, error) {
 	if bp.readAhead < 0 {
 		bp.readAhead = 0
 	}
-	bp.alloc = memory.NewShardedTLSF(arena, cfg.AllocShards)
+	bp.alloc = memory.NewShardedTLSF(arena, 0)
 	bp.evictor = newEvictor(bp)
 	bp.spill = newSpillPipeline(bp, cfg.Array)
 	bp.load = newLoadPipeline(bp, cfg.Array)
@@ -239,12 +231,12 @@ func (bp *BufferPool) CreateSet(spec SetSpec) (*LocalitySet, error) {
 	if spec.PageSize <= 0 || spec.PageSize > bp.cfg.Memory {
 		return nil, fmt.Errorf("core: page size %d invalid for pool of %d bytes", spec.PageSize, bp.cfg.Memory)
 	}
-	// A page cannot span allocator shards, so reject sizes no shard can
-	// ever hold — otherwise NewPage would block for the full AllocTimeout
-	// on an empty pool and fail with a misleading ErrNoEvictable.
+	// Reject sizes the allocator can never hold, or NewPage would block
+	// for the full AllocTimeout on an empty pool and fail with a misleading
+	// ErrNoEvictable.
 	if max := bp.alloc.MaxAlloc(); spec.PageSize > max {
-		return nil, fmt.Errorf("core: page size %d exceeds the %d-byte shard maximum (pool %d bytes in %d allocator shards)",
-			spec.PageSize, max, bp.cfg.Memory, bp.alloc.Shards())
+		return nil, fmt.Errorf("core: page size %d exceeds the %d-byte allocation maximum of a pool of %d bytes",
+			spec.PageSize, max, bp.cfg.Memory)
 	}
 	if spec.MemoryQuota < 0 || spec.Weight < 0 {
 		return nil, fmt.Errorf("core: set %q: negative quota/weight (%d, %g)", spec.Name, spec.MemoryQuota, spec.Weight)
@@ -311,7 +303,6 @@ func (bp *BufferPool) CreateSet(spec SetSpec) (*LocalitySet, error) {
 		pageSize: spec.PageSize,
 		layout:   spec.Layout,
 		columns:  append([]int(nil), spec.Columns...),
-		home:     bp.alloc.HomeShard(int(id)),
 		quota:    spec.MemoryQuota,
 		weight:   spec.Weight,
 		attrs:    Attributes{Durability: spec.Durability, Pinned: spec.Pinned},
@@ -416,9 +407,6 @@ func (bp *BufferPool) Sets() []*LocalitySet {
 // Capacity returns the pool's arena size in bytes.
 func (bp *BufferPool) Capacity() int64 { return bp.cfg.Memory }
 
-// AllocatorShards reports how many TLSF shards the arena was split into.
-func (bp *BufferPool) AllocatorShards() int { return bp.alloc.Shards() }
-
 // UsedBytes returns the bytes currently allocated from the arena.
 func (bp *BufferPool) UsedBytes() int64 { return bp.alloc.Used() }
 
@@ -502,14 +490,14 @@ func (bp *BufferPool) notePeak() {
 	}
 }
 
-// allocMem carves size bytes out of the arena for set s, preferring the
-// set's home shard (work-stealing into the other shards happens inside the
-// allocator). On pressure it kicks the eviction daemon and blocks on its
-// broadcast channel until memory is reclaimed, the policy reports an
-// error, or the deadline passes — no spill I/O ever runs on this path.
+// allocMem carves size bytes out of the arena for set s, with the set's ID
+// as the allocator's affinity hint. On pressure it kicks the eviction daemon
+// and blocks on its broadcast channel until memory is reclaimed, the policy
+// reports an error, or the deadline passes — no spill I/O ever runs on this
+// path.
 func (bp *BufferPool) allocMem(s *LocalitySet, size int64) (int64, error) {
 	e := bp.evictor
-	home := s.home
+	hint := int(s.id)
 	// charge books the carved frame against the set's admission gauge the
 	// instant the allocation lands — before the page is inserted — so the
 	// daemon can never snapshot a set mid-growth as innocently under quota;
@@ -521,7 +509,7 @@ func (bp *BufferPool) allocMem(s *LocalitySet, size int64) (int64, error) {
 		}
 		return off, nil
 	}
-	if off, err := bp.alloc.AllocAffinity(size, home); err == nil {
+	if off, err := bp.alloc.AllocAffinity(size, hint); err == nil {
 		if bp.alloc.FreeBytes() < bp.lowWater {
 			e.kick()
 		}
@@ -540,7 +528,7 @@ func (bp *BufferPool) allocMem(s *LocalitySet, size int64) (int64, error) {
 		// Observe before the attempt: any reclaim after this point closes
 		// ch, so the retry cannot miss it.
 		ch, seq := e.observe()
-		off, err := bp.alloc.AllocAffinity(size, home)
+		off, err := bp.alloc.AllocAffinity(size, hint)
 		if err == nil {
 			return charge(off)
 		}
@@ -554,7 +542,7 @@ func (bp *BufferPool) allocMem(s *LocalitySet, size int64) (int64, error) {
 			// allocator that stays stuck keeps seeing the error — every
 			// failed retry re-kicks the daemon, whose next failing round
 			// re-records it.
-			if off, aerr := bp.alloc.AllocAffinity(size, home); aerr == nil {
+			if off, aerr := bp.alloc.AllocAffinity(size, hint); aerr == nil {
 				return charge(off)
 			}
 			if err := e.errSince(seq); err != nil {
@@ -570,7 +558,7 @@ func (bp *BufferPool) allocMem(s *LocalitySet, size int64) (int64, error) {
 			}
 			timer.Reset(bp.cfg.AllocTimeout)
 		case <-timer.C:
-			if off, err := bp.alloc.AllocAffinity(size, home); err == nil {
+			if off, err := bp.alloc.AllocAffinity(size, hint); err == nil {
 				return charge(off)
 			}
 			// The daemon may have recorded a policy/spill failure in the
@@ -582,7 +570,7 @@ func (bp *BufferPool) allocMem(s *LocalitySet, size int64) (int64, error) {
 }
 
 // tryAllocMem is allocMem's non-blocking sibling for speculative loads: one
-// affinity attempt (so prefetched frames land on the set's home shard, like
+// affinity attempt (so prefetched frames get the set's affinity, like
 // demand frames) with the same charge-at-carve admission accounting,
 // but it never enlists the eviction daemon's waiter machinery — a prefetch
 // that cannot get memory is skipped, not paid for with synchronous reclaim
@@ -595,7 +583,7 @@ func (bp *BufferPool) tryAllocMem(s *LocalitySet, size int64) (int64, error) {
 	if s.quota > 0 && s.residentBytes.Load()+size > s.quota {
 		return 0, fmt.Errorf("%w: set %q at its %d-byte quota", errSpecQuota, s.name, s.quota)
 	}
-	off, err := bp.alloc.AllocAffinity(size, s.home)
+	off, err := bp.alloc.AllocAffinity(size, int(s.id))
 	if err != nil {
 		return 0, err
 	}

@@ -52,17 +52,29 @@ func TestCreateSetAndLookup(t *testing.T) {
 
 // TestCreateSetRejectsPageLargerThanShard: a page cannot span allocator
 // shards, so a page size no shard can hold must fail fast at CreateSet —
-// not block for the full AllocTimeout on the first NewPage.
+// not block for the full AllocTimeout on the first NewPage. On one shard
+// the page and its block header must fit the arena: a page size between
+// MaxAlloc and Memory fails too.
 func TestCreateSetRejectsPageLargerThanShard(t *testing.T) {
 	arr, err := disk.NewArray(t.TempDir(), 1, disk.Unthrottled())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = arr.RemoveAll() })
-	bp, err := NewPool(PoolConfig{Memory: 8 << 20, Array: arr, AllocShards: 4})
+	small, err := NewPool(PoolConfig{Memory: 1 << 20, Array: arr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if max := small.alloc.MaxAlloc(); max >= small.Capacity() {
+		t.Fatalf("MaxAlloc = %d on a %d-byte pool, want less", max, small.Capacity())
+	} else if _, err := small.CreateSet(SetSpec{Name: "arena", PageSize: max + 1}); err == nil {
+		t.Fatal("page size above MaxAlloc but within Memory must fail at CreateSet")
+	}
+	bp, err := NewPool(PoolConfig{Memory: 8 << 20, Array: arr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withShards(bp, 4)
 	if _, err := bp.CreateSet(SetSpec{Name: "huge", PageSize: 3 << 20}); err == nil {
 		t.Fatal("page size above the per-shard maximum must fail at CreateSet")
 	}

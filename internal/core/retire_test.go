@@ -8,8 +8,9 @@ import (
 	"pangea/internal/disk"
 )
 
-// readOncePool builds a one-shard pool of the given size in pages over one
-// unthrottled drive: a test can fill it to the last frame.
+// readOncePool builds a pool of the given size in pages over one unthrottled
+// drive. Its callers keep it under 2 MiB, so its allocator is one shard: a
+// test can fill it to the last frame.
 func readOncePool(t *testing.T, pages, pageSize int64) (*BufferPool, *disk.Array) {
 	t.Helper()
 	return spillPool(t, 1, disk.Unthrottled(), pages, pageSize)

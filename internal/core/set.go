@@ -32,7 +32,6 @@ type LocalitySet struct {
 	pageSize int64
 	layout   PageLayout // page layout; immutable after CreateSet
 	columns  []int      // columnar column widths; immutable after CreateSet
-	home     int        // home allocator shard; page memory prefers this shard
 	quota    int64      // admission control: resident-byte cap, 0 = unlimited
 	weight   float64    // fair-share weight, 0 = unweighted
 
@@ -432,11 +431,9 @@ func (s *LocalitySet) Pin(num int64) (*Page, error) {
 		return nil, fmt.Errorf("core: pin page %d of set %q: %w", num, s.name, ErrConsumed)
 	}
 	op := &loadOp{}
-	s.loading[num] = op
+	s.register(num, op)
 	s.mu.Unlock()
 
-	bp.stats.LoadsInFlight.Add(1)
-	defer bp.stats.LoadsInFlight.Add(-1)
 	off, err := bp.allocMem(s, s.pageSize)
 	if err != nil {
 		s.cancelLoad(num, op)

@@ -7,7 +7,15 @@ import (
 	"time"
 
 	"pangea/internal/disk"
+	"pangea/internal/memory"
 )
+
+// withShards gives a pool that has allocated nothing yet an allocator of a
+// fixed shard count, whatever GOMAXPROCS is.
+func withShards(bp *BufferPool, shards int) *BufferPool {
+	bp.alloc = memory.NewShardedTLSF(bp.arena, shards)
+	return bp
+}
 
 // shardedPool builds a pool with a fixed allocator shard count.
 func shardedPool(t *testing.T, mem int64, shards int) *BufferPool {
@@ -18,7 +26,7 @@ func shardedPool(t *testing.T, mem int64, shards int) *BufferPool {
 	}
 	t.Cleanup(func() { _ = arr.RemoveAll() })
 	bp, err := NewPool(PoolConfig{
-		Memory: mem, Array: arr, AllocShards: shards,
+		Memory: mem, Array: arr,
 		// Keep the everything-pinned failure path fast: those tests assert
 		// on ErrNoEvictable, not on how long the daemon waits for it.
 		AllocTimeout: 200 * time.Millisecond,
@@ -26,22 +34,11 @@ func shardedPool(t *testing.T, mem int64, shards int) *BufferPool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bp
-}
-
-func TestPoolConfigRejectsNegativeShards(t *testing.T) {
-	arr, err := disk.NewArray(t.TempDir(), 1, disk.Unthrottled())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = arr.RemoveAll() })
-	if _, err := NewPool(PoolConfig{Memory: 1 << 20, Array: arr, AllocShards: -1}); err == nil {
-		t.Error("negative AllocShards must be rejected")
-	}
+	return withShards(bp, shards)
 }
 
 // TestPrefetchedFramesLandOnHomeShard: speculative loads carve their frames
-// with the set's home-shard affinity, exactly like demand frames, so while
+// with the set's affinity, exactly like demand frames, so while
 // the home shard has room every prefetched page lives in it — on 1, 2 and
 // 4 shards, for a set homed on each shard in turn.
 func TestPrefetchedFramesLandOnHomeShard(t *testing.T) {
@@ -53,20 +50,20 @@ func TestPrefetchedFramesLandOnHomeShard(t *testing.T) {
 		for home := 0; home < shards; home++ {
 			t.Run(fmt.Sprintf("%dshards/home%d", shards, home), func(t *testing.T) {
 				bp := shardedPool(t, 4<<20, shards)
-				if got := bp.AllocatorShards(); got != shards {
-					t.Fatalf("AllocatorShards = %d, want %d", got, shards)
+				if got := bp.alloc.Shards(); got != shards {
+					t.Fatalf("Shards = %d, want %d", got, shards)
 				}
-				// Set IDs are handed out in order and a set's home shard is
-				// its ID modulo the shard count: placeholders move "data" to
-				// home.
+				// Set IDs are handed out in order and a set's ID is its
+				// affinity hint, so its home shard is its ID modulo the
+				// shard count: placeholders move "data" to home.
 				for i := 0; i < home; i++ {
 					if _, err := bp.CreateSet(SetSpec{Name: fmt.Sprintf("pad%d", i), PageSize: pageSize}); err != nil {
 						t.Fatal(err)
 					}
 				}
 				s := writeSpilled(t, bp, "data", n, pageSize, 0)
-				if s.home != home {
-					t.Fatalf("home shard = %d, want %d", s.home, home)
+				if got := bp.alloc.HomeShard(int(s.id)); got != home {
+					t.Fatalf("home shard = %d, want %d", got, home)
 				}
 				coolSet(t, bp, s) // its filler is dropped, so every shard has room again
 				if issued := s.Prefetch(s.PageNums()); issued != n {

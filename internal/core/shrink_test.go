@@ -17,7 +17,7 @@ func TestShrinkSpillReloadSameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = arr.RemoveAll() })
-	bp, err := NewPool(PoolConfig{Memory: 4 * pageSize, Array: arr, Policy: lruPolicy{}, AllocShards: 1})
+	bp, err := NewPool(PoolConfig{Memory: 4 * pageSize, Array: arr, Policy: lruPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}

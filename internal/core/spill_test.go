@@ -22,7 +22,7 @@ func spillPool(t *testing.T, drives int, cfg disk.Config, pages int64, pageSize 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = arr.RemoveAll() })
-	bp, err := NewPool(PoolConfig{Memory: pages * pageSize, Array: arr, AllocShards: 1})
+	bp, err := NewPool(PoolConfig{Memory: pages * pageSize, Array: arr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func startGatedSpill(t *testing.T, drives int, fault [3]error) *gatedSpill {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = arr.RemoveAll() })
-	bp, err := NewPool(PoolConfig{Memory: 16 * pageSize, Array: arr, AllocShards: 1})
+	bp, err := NewPool(PoolConfig{Memory: 16 * pageSize, Array: arr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,9 +112,9 @@ func (s *LocalitySet) Snapshot() map[string]int64 {
 
 // Snapshot reports the pool's counters by field name, each SetStats field
 // summed over the live sets and those DropSet removed (so no total ever goes
-// down), and the allocator's shard count as Shards.
+// down).
 func (bp *BufferPool) Snapshot() map[string]int64 {
-	m := map[string]int64{"Shards": int64(bp.alloc.Shards())}
+	m := make(map[string]int64)
 	addCounters(m, &bp.stats)
 	bp.regMu.RLock()
 	addCounters(m, &bp.dropped)

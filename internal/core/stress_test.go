@@ -311,10 +311,11 @@ func TestPoolAllocatorShardStress(t *testing.T) {
 	// route to different home shards and the checker walks all four. (At
 	// this size no shard fills; TestShuffleMixLeavesWholePoolToSurvivor is
 	// the pool-level test that steals.)
-	bp, err := NewPool(PoolConfig{Memory: 8 << 20, Array: arr, AllocShards: 4})
+	bp, err := NewPool(PoolConfig{Memory: 8 << 20, Array: arr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	withShards(bp, 4)
 
 	var workersWG sync.WaitGroup
 	errCh := make(chan error, workers+1)

@@ -236,3 +236,76 @@ func TestReadFault(t *testing.T) {
 type errSentinel struct{}
 
 func (errSentinel) Error() string { return "injected read fault" }
+
+// TestSmallOpsCostTheirModel: a run of operations each far shorter than a
+// sleep's overshoot costs what the drive model charges for it. 1000
+// sequential 4 KiB writes on the experiments' drive (120 MiB/s, 150 µs
+// seek: 182.6 µs a write) finish within 10 % of 1000 slots. A drive that
+// sleeps out every slot pays each sleep's millisecond of overshoot instead.
+// A loaded box wakes sleepers late by more than the drive's credit, so the
+// best of three runs counts. It holds wall time to a window, so -short skips
+// it: several test binaries at once load the host past it.
+func TestSmallOpsCostTheirModel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock bound; skipped under -short")
+	}
+	const n = 1000
+	cfg := Config{ReadMBps: 150, WriteMBps: 120, SeekLatency: 150 * time.Microsecond}
+	slot := cfg.SeekLatency + time.Duration(4096/(cfg.WriteMBps*1024*1024)*float64(time.Second))
+	model := n * slot
+	buf := make([]byte, 4<<10)
+	best := time.Duration(1 << 62)
+	for attempt := 0; attempt < 3 && best > model*11/10; attempt++ {
+		// A fresh drive each run: no debt is carried in from the last one.
+		f, err := mustDisk(t, cfg).Create("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			if _, err := f.WriteAt(buf, int64(i*len(buf))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		best = min(best, time.Since(start))
+		f.Close()
+	}
+	if best < model*9/10 || best > model*11/10 {
+		t.Fatalf("%d writes of 4 KiB took %v at best, want within 10%% of the model's %v", n, best, model)
+	}
+}
+
+// TestIdleTimeIsNotBanked: the drive credits only a sleeper's measured
+// oversleep, never the time its caller spends between operations. A caller
+// that computes for 200 µs before each 4 KiB write on the experiments' drive
+// cannot finish sooner than its writes and its computing laid end to end; a
+// drive that let any slot start up to a fixed credit in the past would bank
+// those gaps and finish in about the computing alone.
+func TestIdleTimeIsNotBanked(t *testing.T) {
+	const (
+		n    = 200
+		host = 200 * time.Microsecond
+	)
+	cfg := Config{ReadMBps: 150, WriteMBps: 120, SeekLatency: 150 * time.Microsecond}
+	slot := cfg.SeekLatency + time.Duration(4096/(cfg.WriteMBps*1024*1024)*float64(time.Second))
+	d := mustDisk(t, cfg)
+	f, err := d.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 4<<10)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			for spin := time.Now(); time.Since(spin) < host; {
+			}
+		}
+		if _, err := f.WriteAt(buf, int64(i*len(buf))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took, floor := time.Since(start), n*slot+(n-1)*host; took < floor {
+		t.Fatalf("%d writes with %v of work between them took %v, less than the %v they take end to end", n, host, took, floor)
+	}
+}

@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"go/types"
+	"strings"
 	"testing"
 
 	"pangea/internal/lint"
@@ -31,6 +33,56 @@ func TestLockOrder(t *testing.T) {
 	)
 	defer func() { lint.LockOrderTable = orig }()
 	linttest.Run(t, "./testdata/src/lockorder", lint.LockOrder)
+}
+
+// TestLockOrderTableResolves: every class in the order table names a
+// locking.Mutex or locking.RWMutex field of a named type (or a package-level
+// one) that exists in the tree, and its rank's label names the same class.
+// A class whose type or field was renamed would otherwise drop out of the
+// lockorder check without a word.
+func TestLockOrderTableResolves(t *testing.T) {
+	var paths []string
+	seen := map[string]bool{}
+	for _, c := range lint.LockOrderTable {
+		if !seen[c.PkgPath] {
+			seen[c.PkgPath] = true
+			paths = append(paths, c.PkgPath)
+		}
+	}
+	pkgs, err := lint.Load("../..", paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := map[string]*types.Package{}
+	for _, p := range pkgs {
+		byPath[p.PkgPath] = p.Types
+	}
+	for _, c := range lint.LockOrderTable {
+		if !strings.HasPrefix(c.Rank.String(), c.String()+"(") {
+			t.Errorf("%s: its rank reads %s", c.String(), c.Rank)
+		}
+		pkg := byPath[c.PkgPath]
+		if pkg == nil {
+			t.Errorf("%s: package %s not in the tree", c.String(), c.PkgPath)
+			continue
+		}
+		var field types.Object
+		if c.Type == "" {
+			field = pkg.Scope().Lookup(c.Field)
+		} else if tn, ok := pkg.Scope().Lookup(c.Type).(*types.TypeName); ok {
+			field, _, _ = types.LookupFieldOrMethod(tn.Type(), true, pkg, c.Field)
+		}
+		v, ok := field.(*types.Var)
+		if !ok {
+			t.Errorf("%s: no such field or variable", c.String())
+			continue
+		}
+		named, ok := v.Type().(*types.Named)
+		if !ok || named.Obj().Pkg().Path() != "pangea/internal/locking" ||
+			(named.Obj().Name() != "Mutex" && named.Obj().Name() != "RWMutex") {
+			t.Errorf("%s: has type %s, want locking.Mutex or locking.RWMutex", c.String(), v.Type())
+		}
+	}
 }
 
 func TestGaugePair(t *testing.T) {

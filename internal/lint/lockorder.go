@@ -39,7 +39,7 @@ var LockOrderTable = []LockClass{
 	{"pangea/internal/core", "BufferPool", "regMu", locking.RankRegistry},
 	{"pangea/internal/core", "LocalitySet", "mu", locking.RankSet},
 	{"pangea/internal/services", "sideIndex", "mu", locking.RankSideIndex},
-	{"pangea/internal/memory", "TLSF", "mu", locking.RankAllocTLSF},
+	{"pangea/internal/memory", "shard", "mu", locking.RankAllocTLSF},
 	{"pangea/internal/pfs", "PagedFile", "mu", locking.RankPFS},
 	{"pangea/internal/disk", "Queue", "mu", locking.RankIOQueue},
 	{"pangea/internal/disk", "Disk", "mu", locking.RankDisk},

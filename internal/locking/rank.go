@@ -14,7 +14,7 @@
 //	rank 20  core.BufferPool.regMu    pool set registry
 //	rank 30  core.LocalitySet.mu      per-set page table + residency state
 //	rank 40  services.sideIndex.mu    per-set side index (zone map, microindex)
-//	rank 60  memory.TLSF.mu           allocator shard heap
+//	rank 60  memory.shard.mu          allocator shard heap
 //	rank 70  pfs.PagedFile.mu         paged-file extent index
 //	rank 80  disk.Queue.mu            per-drive I/O queue
 //	rank 90  disk.Disk.mu             drive time model
@@ -48,7 +48,7 @@ const (
 	// respect to each other: a scan consults them one after the other,
 	// never one while holding another's lock.
 	RankSideIndex Rank = 40
-	// RankAllocTLSF orders memory.TLSF.mu (shard heap).
+	// RankAllocTLSF orders memory.shard.mu (allocator shard heap).
 	RankAllocTLSF Rank = 60
 	// RankPFS orders pfs.PagedFile.mu (extent index).
 	RankPFS Rank = 70
@@ -66,7 +66,7 @@ var rankNames = map[Rank]string{
 	RankRegistry:  "core.BufferPool.regMu",
 	RankSet:       "core.LocalitySet.mu",
 	RankSideIndex: "services.sideIndex.mu",
-	RankAllocTLSF: "memory.TLSF.mu",
+	RankAllocTLSF: "memory.shard.mu",
 	RankPFS:       "pfs.PagedFile.mu",
 	RankIOQueue:   "disk.Queue.mu",
 	RankDisk:      "disk.Disk.mu",

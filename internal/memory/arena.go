@@ -13,12 +13,11 @@ import "fmt"
 // both the "storage process" and "computation process" sides of Pangea view
 // pages as slices of the same arena.
 //
-// A mapping is unmapped once no Arena over it is reachable. A byte slice of
-// it keeps nothing alive: it is valid only while its holder reaches the
-// arena too, as a pinned page does through its set and its pool.
+// A mapping is unmapped once its Arena is unreachable. A byte slice of it
+// keeps nothing alive: it is valid only while its holder reaches the arena
+// too, as a pinned page does through its set and its pool.
 type Arena struct {
-	buf  []byte
-	root *Arena // the arena that owns buf's memory; nil on the root itself
+	buf []byte
 }
 
 // NewArena returns a zeroed arena of size bytes. A mapped one costs no
@@ -44,17 +43,3 @@ func (a *Arena) Slice(off, n int64) []byte {
 // Bytes exposes the whole arena. Intended for tests and for the data proxy,
 // which shares the arena with computation threads.
 func (a *Arena) Bytes() []byte { return a.buf }
-
-// View returns a sub-arena aliasing bytes [off, off+size) of a. Shards of a
-// sharded allocator each own one non-overlapping view of the pool's arena.
-// The view points to a's root, which keeps the mapping.
-func (a *Arena) View(off, size int64) *Arena {
-	if off < 0 || size <= 0 || off+size > int64(len(a.buf)) {
-		panic(fmt.Sprintf("memory: view [%d,%d) out of arena bounds %d", off, off+size, len(a.buf)))
-	}
-	root := a.root
-	if root == nil {
-		root = a
-	}
-	return &Arena{buf: a.buf[off : off+size : off+size], root: root}
-}

@@ -8,10 +8,10 @@ import (
 	"syscall"
 )
 
-// newArena maps size bytes of private anonymous memory. Only the root's
+// newArena maps size bytes of private anonymous memory. Only the arena's
 // finalizer unmaps it: a touch after munmap is a fault, not an error, and a
 // scan handler may outlive its connection. The finalizer must not close over
-// a, or the root would stay reachable and never be unmapped.
+// a, or the arena would stay reachable and never be unmapped.
 func newArena(size int) *Arena {
 	buf, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
 	if err != nil {

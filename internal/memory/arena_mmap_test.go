@@ -31,7 +31,7 @@ func TestUnreachableArenaIsUnmapped(t *testing.T) {
 	const size = 16 << 20
 	start := func() uintptr {
 		s := NewShardedTLSF(NewArena(size), 4)
-		return uintptr(unsafe.Pointer(unsafe.SliceData(s.shards[0].tlsf.arena.Bytes())))
+		return uintptr(unsafe.Pointer(unsafe.SliceData(s.shards[0].arena.Bytes())))
 	}()
 	if !mapped(t, start, start+size) {
 		t.Fatalf("a fresh arena at %#x is not in /proc/self/maps", start)

@@ -24,24 +24,3 @@ func TestNewArenaReadsZero(t *testing.T) {
 		}
 	}
 }
-
-// A shard's view must keep the mapping under it alive after the pool's
-// arena and allocator are gone: a write through a view of an unmapped arena
-// is a fault, which ends the test binary.
-func TestArenaViewKeepsMappingAlive(t *testing.T) {
-	view := func() *Arena {
-		s := NewShardedTLSF(NewArena(8<<20), 4)
-		return s.shards[1].tlsf.arena
-	}()
-	collect()
-	buf := view.Bytes()
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	for i := range buf {
-		if buf[i] != byte(i) {
-			t.Fatalf("byte %d of the view = %d, want %d", i, buf[i], byte(i))
-		}
-	}
-	runtime.KeepAlive(view)
-}

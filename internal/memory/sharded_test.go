@@ -33,8 +33,8 @@ func TestShardedBasicAllocFree(t *testing.T) {
 	}
 }
 
-// TestShardedTinyArenaStaysSingle: arenas too small to shard keep the
-// seed's single-TLSF layout, so tiny test pools behave exactly as before.
+// TestShardedTinyArenaStaysSingle: arenas too small to shard stay one shard
+// heap, whatever shard count is asked for.
 func TestShardedTinyArenaStaysSingle(t *testing.T) {
 	if got := NewShardedTLSF(NewArena(64<<10), 0).Shards(); got != 1 {
 		t.Fatalf("64 KiB arena got %d shards, want 1", got)
@@ -55,8 +55,8 @@ func TestShardedHomeRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		sh := s.shards[home]
-		if off < sh.base || off >= sh.base+sh.size {
-			t.Errorf("hint %d: offset %d outside home shard %d [%d,%d)", hint, off, home, sh.base, sh.base+sh.size)
+		if off < sh.base || off >= sh.limit {
+			t.Errorf("hint %d: offset %d outside home shard %d [%d,%d)", hint, off, home, sh.base, sh.limit)
 		}
 		s.Free(off)
 	}
@@ -277,25 +277,29 @@ func TestShardedDoubleFreePanics(t *testing.T) {
 }
 
 // checkQuiesced verifies, with no allocation traffic running, that the
-// allocator's two views of "bytes handed out" are one number — the aggregate
-// gauge and what the shards' TLSFs themselves count — and, when the caller has freed everything, that every shard has
-// coalesced back into a single free block spanning it: no freed byte is held
-// anywhere but in a TLSF free list.
+// allocator's byte counter equals what the shards' block chains hold and,
+// when the caller has freed everything, that every shard has coalesced back
+// into a single free block spanning it: no freed byte is held anywhere but
+// in a shard's free lists.
 func checkQuiesced(s *ShardedTLSF, allFreed bool) error {
-	var tlsfUsed int64
-	for _, sh := range s.shards {
-		tlsfUsed += sh.tlsf.Used()
+	var chained int64
+	for i, sh := range s.shards {
+		used, err := sh.check()
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		chained += used
 	}
-	if s.Used() != tlsfUsed {
-		return fmt.Errorf("Used() = %d, shard TLSFs hold %d", s.Used(), tlsfUsed)
+	if s.Used() != chained {
+		return fmt.Errorf("Used() = %d, shard chains hold %d", s.Used(), chained)
 	}
 	if !allFreed {
 		return nil
 	}
 	for i, sh := range s.shards {
-		if !sh.tlsf.isFree(0) || sh.tlsf.blockSize(0) != sh.tlsf.arenaLimit() {
+		if !sh.isFree(sh.base) || sh.blockSize(sh.base) != sh.limit-sh.base {
 			return fmt.Errorf("shard %d is not one free block after every free (first block: free=%v, %d of %d bytes)",
-				i, sh.tlsf.isFree(0), sh.tlsf.blockSize(0), sh.tlsf.arenaLimit())
+				i, sh.isFree(sh.base), sh.blockSize(sh.base), sh.limit-sh.base)
 		}
 	}
 	return nil
@@ -354,7 +358,8 @@ func TestShardedRandomized(t *testing.T) {
 // TestShardedConcurrentStress is the randomized concurrency property test:
 // goroutines alloc/free across shards (each biased to its own home, with a
 // slice of cross-shard traffic) while a checker goroutine interleaves
-// CheckConsistency on every shard. Run with -race.
+// CheckConsistency on every shard and checks that Used stays within the
+// arena. Run with -race.
 func TestShardedConcurrentStress(t *testing.T) {
 	const workers = 8
 	s := NewShardedTLSF(NewArena(16<<20), 4)
@@ -370,14 +375,16 @@ func TestShardedConcurrentStress(t *testing.T) {
 				return
 			default:
 			}
-			for i := 0; i < s.Shards(); i++ {
-				if err := s.CheckShard(i); err != nil {
-					select {
-					case checkErr <- err:
-					default:
-					}
-					return
+			err := s.CheckConsistency()
+			if u := s.Used(); err == nil && (u < 0 || u > s.total) {
+				err = fmt.Errorf("Used = %d outside the %d-byte arena", u, s.total)
+			}
+			if err != nil {
+				select {
+				case checkErr <- err:
+				default:
 				}
+				return
 			}
 		}
 	}()

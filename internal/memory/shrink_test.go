@@ -9,96 +9,87 @@ import (
 // TestTLSFShrinkSplitsBlock: a shrunk region keeps room for what it asked
 // for, and its tail is one free block that serves the next allocation.
 func TestTLSFShrinkSplitsBlock(t *testing.T) {
-	tl := NewTLSF(NewArena(1 << 16))
-	a, _ := tl.Alloc(4096)
-	b, _ := tl.Alloc(4096) // a live next neighbour: the tail cannot merge
-	used := tl.Used()
-	if got := tl.Shrink(a, 100); got != 4096-112 {
-		t.Fatalf("Shrink(4096 → 100) released %d, want %d", got, 4096-112)
+	h := newHeap(1 << 16)
+	a, _ := h.alloc(4096)
+	b, _ := h.alloc(4096) // a live next neighbour: the tail cannot merge
+	used := heapUsed(t, h)
+	if got := h.shrink(a, 100); got != 4096-112 {
+		t.Fatalf("shrink(4096 → 100) released %d, want %d", got, 4096-112)
 	}
-	if got := tl.UsableSize(a); got != 112 {
-		t.Fatalf("UsableSize after shrink = %d, want 112", got)
+	if got := h.blockSize(a - headerSize); got != 112+headerSize {
+		t.Fatalf("block size after shrink = %d, want %d", got, 112+headerSize)
 	}
-	if got, want := tl.Used(), used-(4096-112); got != want {
-		t.Fatalf("Used = %d after shrink, want %d", got, want)
-	}
-	if err := tl.CheckConsistency(); err != nil {
-		t.Fatal(err)
+	if got, want := heapUsed(t, h), used-(4096-112); got != want {
+		t.Fatalf("heap holds %d bytes after shrink, want %d", got, want)
 	}
 	// The tail is one free block between a and b, and b's boundary tag
 	// names it.
 	tail := a - headerSize + 112 + headerSize
-	if !tl.isFree(tail) || tl.blockSize(tail) != 4096-112 || tl.prevPhys(b-headerSize) != tail {
-		t.Fatalf("tail block at %d: free=%v size=%d, b's prevPhys %d", tail, tl.isFree(tail), tl.blockSize(tail), tl.prevPhys(b-headerSize))
+	if !h.isFree(tail) || h.blockSize(tail) != 4096-112 || h.prevPhys(b-headerSize) != tail {
+		t.Fatalf("tail block at %d: free=%v size=%d, b's prevPhys %d", tail, h.isFree(tail), h.blockSize(tail), h.prevPhys(b-headerSize))
 	}
 	for _, off := range []int64{a, b} {
-		tl.Free(off)
+		h.free(off)
 	}
-	if tl.Used() != 0 {
-		t.Fatalf("Used = %d after freeing everything", tl.Used())
-	}
-	if err := tl.CheckConsistency(); err != nil {
-		t.Fatal(err)
+	if used := heapUsed(t, h); used != 0 {
+		t.Fatalf("heap holds %d bytes after freeing everything", used)
 	}
 }
 
 // TestTLSFShrinkMergesFreeNext: the tail joins a free block after it, so no
 // two free blocks lie side by side.
 func TestTLSFShrinkMergesFreeNext(t *testing.T) {
-	tl := NewTLSF(NewArena(1 << 16))
-	a, _ := tl.Alloc(4096)
-	b, _ := tl.Alloc(4096)
-	guard, _ := tl.Alloc(64)
-	tl.Free(b)
-	if got := tl.Shrink(a, 1000); got != 4096-1008 {
-		t.Fatalf("Shrink released %d, want %d", got, 4096-1008)
+	h := newHeap(1 << 16)
+	a, _ := h.alloc(4096)
+	b, _ := h.alloc(4096)
+	guard, _ := h.alloc(64)
+	h.free(b)
+	if got := h.shrink(a, 1000); got != 4096-1008 {
+		t.Fatalf("shrink released %d, want %d", got, 4096-1008)
 	}
-	if err := tl.CheckConsistency(); err != nil {
-		t.Fatal(err) // reports adjacent free blocks left unmerged
-	}
+	heapUsed(t, h) // fails on adjacent free blocks left unmerged
 	// The merged hole runs from a's tail to guard.
 	tail := a - headerSize + 1008 + headerSize
 	hole := guard - headerSize - tail
-	if !tl.isFree(tail) || tl.blockSize(tail) != hole || tl.prevPhys(guard-headerSize) != tail {
-		t.Fatalf("tail block at %d: free=%v size=%d, want one free block of %d", tail, tl.isFree(tail), tl.blockSize(tail), hole)
+	if !h.isFree(tail) || h.blockSize(tail) != hole || h.prevPhys(guard-headerSize) != tail {
+		t.Fatalf("tail block at %d: free=%v size=%d, want one free block of %d", tail, h.isFree(tail), h.blockSize(tail), hole)
 	}
 	for _, off := range []int64{a, guard} {
-		tl.Free(off)
+		h.free(off)
 	}
-	if tl.Used() != 0 {
-		t.Fatalf("Used = %d after freeing everything", tl.Used())
+	if used := heapUsed(t, h); used != 0 {
+		t.Fatalf("heap holds %d bytes after freeing everything", used)
 	}
 }
 
 // TestTLSFShrinkNoOpBelowMinBlock: a tail too small to be a block, or a size
 // that is not smaller, leaves the block as it was.
 func TestTLSFShrinkNoOpBelowMinBlock(t *testing.T) {
-	tl := NewTLSF(NewArena(1 << 16))
-	a, _ := tl.Alloc(1024)
-	used := tl.Used()
+	h := newHeap(1 << 16)
+	a, _ := h.alloc(1024)
+	used := heapUsed(t, h)
 	for _, n := range []int64{1024 - 16, 1024, 4096, 0, -1} {
-		if got := tl.Shrink(a, n); got != 0 {
-			t.Errorf("Shrink(1024 → %d) released %d, want 0", n, got)
+		if got := h.shrink(a, n); got != 0 {
+			t.Errorf("shrink(1024 → %d) released %d, want 0", n, got)
 		}
 	}
-	if tl.Used() != used || tl.UsableSize(a) != 1024 {
-		t.Fatalf("no-op shrinks moved Used %d → %d, UsableSize to %d", used, tl.Used(), tl.UsableSize(a))
+	if got := heapUsed(t, h); got != used || h.blockSize(a-headerSize) != 1024+headerSize {
+		t.Fatalf("no-op shrinks moved the heap's bytes %d → %d, block size to %d", used, got, h.blockSize(a-headerSize))
 	}
 	// The smallest tail that is a block is released.
-	if got := tl.Shrink(a, 1024-minBlock); got != minBlock {
-		t.Fatalf("Shrink by one minimal block released %d, want %d", got, minBlock)
+	if got := h.shrink(a, 1024-minBlock); got != minBlock {
+		t.Fatalf("shrink by one minimal block released %d, want %d", got, minBlock)
 	}
-	if err := tl.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
+	heapUsed(t, h)
 }
 
-// TestTLSFShrinkRandomized: any interleaving of Alloc, Shrink and Free keeps
-// the physical chain consistent and Used exact, and gives every byte back.
+// TestTLSFShrinkRandomized: any interleaving of alloc, shrink and free keeps
+// the physical chain consistent and the bytes each call reports exact, and
+// gives every byte back.
 func TestTLSFShrinkRandomized(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tl := NewTLSF(NewArena(1 << 18))
+		h := newHeap(1 << 18)
 		live := map[int64]int64{} // offset → block bytes, header included
 		var offs []int64
 		sum := func() (n int64) {
@@ -111,37 +102,58 @@ func TestTLSFShrinkRandomized(t *testing.T) {
 			switch op := rng.Intn(3); {
 			case op == 0 && len(offs) > 0:
 				j := rng.Intn(len(offs))
-				tl.Free(offs[j])
+				h.free(offs[j])
 				delete(live, offs[j])
 				offs[j] = offs[len(offs)-1]
 				offs = offs[:len(offs)-1]
 			case op == 1 && len(offs) > 0:
 				off := offs[rng.Intn(len(offs))]
-				freed := tl.Shrink(off, int64(1+rng.Intn(int(tl.UsableSize(off)))))
-				live[off] -= freed
+				live[off] -= h.shrink(off, int64(1+rng.Intn(int(live[off]-headerSize))))
 			default:
-				off, err := tl.Alloc(int64(1 + rng.Intn(8000)))
-				if err != nil {
+				off, size := h.alloc(int64(1 + rng.Intn(8000)))
+				if size == 0 {
 					continue // exhausted; fine
 				}
-				live[off] = tl.UsableSize(off) + headerSize
+				live[off] = size
 				offs = append(offs, off)
 			}
-			if tl.Used() != sum() {
-				t.Logf("seed %d op %d: Used %d, live blocks hold %d", seed, i, tl.Used(), sum())
+			if used, err := h.check(); err != nil || used != sum() {
+				t.Logf("seed %d op %d: chain holds %d, live blocks hold %d: %v", seed, i, used, sum(), err)
 				return false
 			}
 		}
-		if err := tl.CheckConsistency(); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
 		for _, off := range offs {
-			tl.Free(off)
+			h.free(off)
 		}
-		return tl.Used() == 0 && tl.CheckConsistency() == nil
+		used, err := h.check()
+		return used == 0 && err == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShrinkHoleServesItsOwnClass: the tail Shrink gives back serves the
+// next request of its size, which the good-fit search's round-up to the
+// next size class would pass over for the free space beyond the last live
+// block.
+func TestShrinkHoleServesItsOwnClass(t *testing.T) {
+	s := NewShardedTLSF(NewArena(64<<10), 0)
+	a, _ := s.Alloc(4096)
+	if _, err := s.Alloc(4096); err != nil { // walls the tail in
+		t.Fatal(err)
+	}
+	if got := s.Shrink(a, 100); got != 4096-112 {
+		t.Fatalf("Shrink(4096 → 100) released %d, want %d", got, 4096-112)
+	}
+	off, err := s.Alloc(4096 - 112 - headerSize) // exactly the tail's payload
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := a + 112 + headerSize; off != want {
+		t.Fatalf("allocation of the tail's size landed at %d, want the tail at %d", off, want)
+	}
+	if err := s.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -35,37 +36,50 @@ func TestArenaSliceOutOfBounds(t *testing.T) {
 	}
 }
 
-func TestTLSFAllocFree(t *testing.T) {
-	tl := NewTLSF(NewArena(1 << 20))
-	off, err := tl.Alloc(1000)
+// newHeap returns one shard heap spanning a fresh arena of size bytes: the
+// heap a one-shard ShardedTLSF holds. Tests on one goroutine call its
+// methods without its lock.
+func newHeap(size int64) *shard { return newShard(NewArena(size), 0, size&^(tlsfAlign-1)) }
+
+// heapUsed checks h's physical chain and returns the bytes its allocated
+// blocks hold, headers included.
+func heapUsed(t *testing.T, h *shard) int64 {
+	t.Helper()
+	used, err := h.check()
 	if err != nil {
-		t.Fatalf("Alloc: %v", err)
+		t.Fatal(err)
+	}
+	return used
+}
+
+func TestTLSFAllocFree(t *testing.T) {
+	h := newHeap(1 << 20)
+	off, size := h.alloc(1000)
+	if size == 0 {
+		t.Fatal("alloc(1000) failed on an empty heap")
 	}
 	if off%16 != 0 {
 		t.Fatalf("offset %d not 16-aligned", off)
 	}
-	if got := tl.UsableSize(off); got < 1000 {
-		t.Fatalf("UsableSize = %d, want >= 1000", got)
+	if size < 1000+headerSize {
+		t.Fatalf("block of %d bytes for 1000, want >= %d", size, 1000+headerSize)
 	}
-	tl.Free(off)
-	if err := tl.CheckConsistency(); err != nil {
-		t.Fatal(err)
+	if used := heapUsed(t, h); used != size {
+		t.Fatalf("heap holds %d bytes, alloc reported a %d-byte block", used, size)
 	}
-	if tl.Used() != 0 {
-		t.Fatalf("Used = %d after freeing everything", tl.Used())
+	h.free(off)
+	if used := heapUsed(t, h); used != 0 {
+		t.Fatalf("heap holds %d bytes after freeing everything", used)
 	}
 }
 
 func TestTLSFExhaustion(t *testing.T) {
-	tl := NewTLSF(NewArena(4096))
+	h := newHeap(4096)
 	var offs []int64
 	for {
-		off, err := tl.Alloc(512)
-		if err == ErrOutOfMemory {
+		off, size := h.alloc(512)
+		if size == 0 {
 			break
-		}
-		if err != nil {
-			t.Fatalf("Alloc: %v", err)
 		}
 		offs = append(offs, off)
 	}
@@ -73,68 +87,79 @@ func TestTLSFExhaustion(t *testing.T) {
 		t.Fatal("could not allocate anything")
 	}
 	// Free one and the same size must fit again.
-	tl.Free(offs[0])
-	if _, err := tl.Alloc(512); err != nil {
-		t.Fatalf("Alloc after Free: %v", err)
+	h.free(offs[0])
+	if _, size := h.alloc(512); size == 0 {
+		t.Fatal("alloc after free failed")
 	}
 }
 
 func TestTLSFCoalescing(t *testing.T) {
-	tl := NewTLSF(NewArena(1 << 16))
-	a, _ := tl.Alloc(1024)
-	b, _ := tl.Alloc(1024)
-	c, _ := tl.Alloc(1024)
+	h := newHeap(1 << 16)
+	a, _ := h.alloc(1024)
+	b, _ := h.alloc(1024)
+	c, _ := h.alloc(1024)
 	// Free in an order that exercises next-, prev- and both-side coalescing.
-	tl.Free(a)
-	tl.Free(c)
-	tl.Free(b)
-	if err := tl.CheckConsistency(); err != nil {
-		t.Fatal(err)
+	h.free(a)
+	h.free(c)
+	h.free(b)
+	if used := heapUsed(t, h); used != 0 {
+		t.Fatalf("heap holds %d bytes after freeing everything", used)
 	}
 	// After full coalescing a near-arena-size allocation must succeed.
-	if _, err := tl.Alloc(1<<16 - 64); err != nil {
-		t.Fatalf("large Alloc after coalescing: %v", err)
+	if _, size := h.alloc(1<<16 - 64); size == 0 {
+		t.Fatal("large alloc after coalescing failed")
 	}
 }
 
+// TestTLSFDoubleFreePanics: on a one-heap allocator a double free panics,
+// and leaves the byte counter as it was.
 func TestTLSFDoubleFreePanics(t *testing.T) {
-	tl := NewTLSF(NewArena(4096))
-	off, _ := tl.Alloc(100)
-	tl.Free(off)
+	s := NewShardedTLSF(NewArena(4096), 1)
+	off, err := s.Alloc(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Free(off)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on double free")
 		}
+		if s.Used() != 0 {
+			t.Fatalf("Used = %d after a refused double free", s.Used())
+		}
 	}()
-	tl.Free(off)
+	s.Free(off)
 }
 
 func TestTLSFRejectsBadSizes(t *testing.T) {
-	tl := NewTLSF(NewArena(4096))
-	if _, err := tl.Alloc(0); err == nil {
+	s := NewShardedTLSF(NewArena(4096), 1)
+	if _, err := s.Alloc(0); err == nil {
 		t.Fatal("Alloc(0) should fail")
 	}
-	if _, err := tl.Alloc(-5); err == nil {
+	if _, err := s.Alloc(-5); err == nil {
 		t.Fatal("Alloc(-5) should fail")
+	}
+	if s.Used() != 0 {
+		t.Fatalf("Used = %d after rejected allocations", s.Used())
 	}
 }
 
 func TestTLSFVariableSizes(t *testing.T) {
-	tl := NewTLSF(NewArena(1 << 20))
+	h := newHeap(1 << 20)
 	sizes := []int64{17, 64, 255, 4096, 65536, 100000, 1, 31}
 	offs := make([]int64, len(sizes))
 	for i, sz := range sizes {
-		off, err := tl.Alloc(sz)
-		if err != nil {
-			t.Fatalf("Alloc(%d): %v", sz, err)
+		off, size := h.alloc(sz)
+		if size == 0 {
+			t.Fatalf("alloc(%d) failed", sz)
 		}
 		offs[i] = off
-		if got := tl.UsableSize(off); got < sz {
-			t.Fatalf("UsableSize(%d) = %d < requested %d", off, got, sz)
+		if got := size - headerSize; got < sz {
+			t.Fatalf("block at %d holds %d < requested %d", off, got, sz)
 		}
 	}
 	// Allocations must not overlap: write a distinct byte pattern to each.
-	a := tl.arena
+	a := h.arena
 	for i, off := range offs {
 		buf := a.Slice(off, sizes[i])
 		for j := range buf {
@@ -150,10 +175,10 @@ func TestTLSFVariableSizes(t *testing.T) {
 		}
 	}
 	for _, off := range offs {
-		tl.Free(off)
+		h.free(off)
 	}
-	if err := tl.CheckConsistency(); err != nil {
-		t.Fatal(err)
+	if used := heapUsed(t, h); used != 0 {
+		t.Fatalf("heap holds %d bytes after freeing everything", used)
 	}
 }
 
@@ -162,85 +187,100 @@ func TestTLSFVariableSizes(t *testing.T) {
 func TestTLSFRandomized(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tl := NewTLSF(NewArena(1 << 18))
-		type alloc struct{ off, size int64 }
-		var live []alloc
+		h := newHeap(1 << 18)
+		var live []int64
+		size := map[int64]int64{} // offset → block bytes alloc reported
+		var held int64            // bytes of the blocks in live
 		for i := 0; i < 300; i++ {
 			if len(live) > 0 && rng.Intn(2) == 0 {
 				j := rng.Intn(len(live))
-				tl.Free(live[j].off)
+				h.free(live[j])
+				held -= size[live[j]]
 				live[j] = live[len(live)-1]
 				live = live[:len(live)-1]
 			} else {
-				sz := int64(1 + rng.Intn(8000))
-				off, err := tl.Alloc(sz)
-				if err != nil {
+				off, n := h.alloc(int64(1 + rng.Intn(8000)))
+				if n == 0 {
 					continue // exhausted; fine
 				}
-				live = append(live, alloc{off, sz})
+				size[off] = n
+				held += n
+				live = append(live, off)
 			}
 		}
-		if err := tl.CheckConsistency(); err != nil {
-			t.Logf("seed %d: %v", seed, err)
+		if used, err := h.check(); err != nil || used != held {
+			t.Logf("seed %d: chain holds %d bytes, %d reported: %v", seed, used, held, err)
 			return false
 		}
-		for _, l := range live {
-			tl.Free(l.off)
+		for _, off := range live {
+			h.free(off)
 		}
-		if tl.Used() != 0 {
-			t.Logf("seed %d: leaked %d bytes", seed, tl.Used())
-			return false
+		used, err := h.check()
+		if used != 0 || err != nil {
+			t.Logf("seed %d: %d bytes left after freeing everything: %v", seed, used, err)
 		}
-		return tl.CheckConsistency() == nil
+		return used == 0 && err == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestTLSFConcurrent: goroutines that take the heap's lock around each
+// call, as ShardedTLSF does, leave it consistent and empty.
 func TestTLSFConcurrent(t *testing.T) {
-	tl := NewTLSF(NewArena(4 << 20))
-	done := make(chan error, 8)
+	h := newHeap(4 << 20)
+	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
+		wg.Add(1)
 		go func(g int) {
+			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
+			free := func(off int64) {
+				h.mu.Lock()
+				defer h.mu.Unlock()
+				h.free(off)
+			}
 			var offs []int64
 			for i := 0; i < 200; i++ {
-				if off, err := tl.Alloc(int64(64 + rng.Intn(1024))); err == nil {
+				h.mu.Lock()
+				off, size := h.alloc(int64(64 + rng.Intn(1024)))
+				h.mu.Unlock()
+				if size > 0 {
 					offs = append(offs, off)
 				}
 				if len(offs) > 4 {
-					tl.Free(offs[0])
+					free(offs[0])
 					offs = offs[1:]
 				}
 			}
 			for _, off := range offs {
-				tl.Free(off)
+				free(off)
 			}
-			done <- nil
 		}(g)
 	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if tl.Used() != 0 {
-		t.Fatalf("leaked %d bytes after concurrent workload", tl.Used())
-	}
-	if err := tl.CheckConsistency(); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if used := heapUsed(t, h); used != 0 {
+		t.Fatalf("leaked %d bytes after concurrent workload", used)
 	}
 }
 
+// BenchmarkTLSFAllocFree times one shard heap's alloc and free, each under
+// the heap's lock, without the allocator's byte counter.
 func BenchmarkTLSFAllocFree(b *testing.B) {
-	tl := NewTLSF(NewArena(64 << 20))
+	h := newHeap(64 << 20)
 	b.ReportAllocs()
 	b.ResetTimer() // the 64 MiB arena is set-up, not the allocator
 	for i := 0; i < b.N; i++ {
-		off, err := tl.Alloc(4096)
-		if err != nil {
-			b.Fatal(err)
+		h.mu.Lock()
+		off, size := h.alloc(4096)
+		h.mu.Unlock()
+		if size == 0 {
+			b.Fatal("alloc(4096) failed")
 		}
-		tl.Free(off)
+		h.mu.Lock()
+		h.free(off)
+		h.mu.Unlock()
 	}
 }
 
@@ -253,11 +293,11 @@ func BenchmarkTLSFAllocFree(b *testing.B) {
 // its arena free (TestQueriesUnderMemoryPressure under -race).
 func TestTLSFReusesExactFitHole(t *testing.T) {
 	const page = 32 << 10
-	tl := NewTLSF(NewArena(8 * (page + 64)))
+	h := newHeap(8 * (page + 64))
 	var offs []int64
 	for {
-		off, err := tl.Alloc(page)
-		if err != nil {
+		off, size := h.alloc(page)
+		if size == 0 {
 			break
 		}
 		offs = append(offs, off)
@@ -269,15 +309,15 @@ func TestTLSFReusesExactFitHole(t *testing.T) {
 	// allocated neighbours, so nothing coalesces.
 	holes := 0
 	for i := 1; i < len(offs)-1; i += 2 {
-		tl.Free(offs[i])
+		h.free(offs[i])
 		holes++
 	}
 	for i := 0; i < holes; i++ {
-		if _, err := tl.Alloc(page); err != nil {
-			t.Fatalf("allocation %d of %d failed with %d exact-fit holes free: %v", i+1, holes, holes-i, err)
+		if _, size := h.alloc(page); size == 0 {
+			t.Fatalf("allocation %d of %d failed with %d exact-fit holes free", i+1, holes, holes-i)
 		}
 	}
-	if _, err := tl.Alloc(page); err == nil {
+	if _, size := h.alloc(page); size > 0 {
 		t.Fatal("allocated more pages than were freed")
 	}
 }

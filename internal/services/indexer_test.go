@@ -123,7 +123,7 @@ func TestIndexedWriterInSmallPool(t *testing.T) {
 			}
 			t.Cleanup(func() { _ = arr.RemoveAll() })
 			bp, err := core.NewPool(core.PoolConfig{Memory: 4*pageSize + pageSize/2, Array: arr,
-				AllocShards: 1, AllocTimeout: 2 * time.Second})
+				AllocTimeout: 2 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -319,7 +319,7 @@ func TestShuffleRegionReleaseNotBehindAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = arr.RemoveAll() })
-	bp, err := core.NewPool(core.PoolConfig{Memory: pageSize + pageSize/2, Array: arr, AllocShards: 1, AllocTimeout: timeout})
+	bp, err := core.NewPool(core.PoolConfig{Memory: pageSize + pageSize/2, Array: arr, AllocTimeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
