@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"pangea/internal/disk"
 	"pangea/internal/pfs"
 )
 
@@ -12,13 +11,6 @@ import (
 // quota rather than by pool memory: evicting other tenants would not help,
 // so the refusal must not arm the eviction daemon's reclaim budget.
 var errSpecQuota = errors.New("core: speculation refused by quota")
-
-// loadQueueDepth bounds how many page reads may be pending on one drive.
-// Prefetch submission stops when a drive's queue is full (Submit blocks the
-// hinting goroutine, which issues at most a window's worth of pages), so
-// speculation can never buffer unbounded frames ahead of what the drives
-// deliver.
-const loadQueueDepth = 32
 
 // DefaultReadAheadPerDrive scales the automatic read-ahead window with the
 // disk array when PoolConfig.ReadAhead is zero: two pages in flight per
@@ -42,35 +34,14 @@ type loadOp struct {
 	err  error // the read's outcome, seen by every coalesced waiter
 }
 
-// loadPipeline fans page loads out across the disk array with one bounded
-// queue — and its lazy reader goroutines — per drive, the read-side twin of
-// the spill pipeline: the paged file layer places pages round-robin across
-// the array, so N drives deliver ~N× read bandwidth to a scan whose window
-// keeps them all busy. Two reads of a drive run at once and may finish in
-// either order; each publishes its own page through finishLoad. The queues
-// are separate from the spill writers' so a burst of speculative reads never
-// queues behind victim write-backs (and vice versa); on one drive, reads and
-// writes still share the drive's time model, as they would the device.
-type loadPipeline struct {
-	bp     *BufferPool
-	queues []*disk.Queue // one per drive, indexed like the Array
-}
-
-func newLoadPipeline(bp *BufferPool, arr *disk.Array) *loadPipeline {
-	lp := &loadPipeline{bp: bp, queues: make([]*disk.Queue, arr.Len())}
-	for i := range lp.queues {
-		lp.queues[i] = disk.NewQueue(loadQueueDepth)
-	}
-	return lp
-}
-
-// submit queues one speculative page read on the page's drive. The frame at
-// off is already carved and charged to the set; the drive's reader fills it
-// and publishes the outcome through finishLoad.
-func (lp *loadPipeline) submit(s *LocalitySet, num, off int64, loc pfs.PageLoc, op *loadOp) {
-	bp := lp.bp
+// submitLoad queues one speculative page read on the page's drive. The
+// frame at off is already carved and charged to the set; the drive's reader
+// fills it and publishes the outcome through finishLoad. Two reads of a
+// drive run at once and may finish in either order; each publishes its own
+// page.
+func (bp *BufferPool) submitLoad(s *LocalitySet, num, off int64, loc pfs.PageLoc, op *loadOp) {
 	bp.stats.PrefetchesIssued.Add(1)
-	lp.queues[loc.Drive].Submit(func() {
+	bp.loads[loc.Drive].Submit(func() {
 		err := s.file.ReadPageAt(loc, num, bp.arena.Slice(off, s.pageSize))
 		s.finishLoad(num, op, off, err, true)
 	})
@@ -172,7 +143,7 @@ func (s *LocalitySet) prefetchOne(num int64) (issued, stop, starved bool) {
 		s.cancelLoad(num, op)
 		return false, true, !errors.Is(err, errSpecQuota)
 	}
-	bp.load.submit(s, num, off, loc, op)
+	bp.submitLoad(s, num, off, loc, op)
 	return true, false, false
 }
 

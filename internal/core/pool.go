@@ -81,8 +81,8 @@ type BufferPool struct {
 	nextID   SetID
 
 	evictor *evictor
-	spill   *spillPipeline
-	load    *loadPipeline
+	spills  driveQueues // victim write-backs
+	loads   driveQueues // speculative page reads
 
 	// readAhead is the resolved PoolConfig.ReadAhead window (0 = automatic
 	// read-ahead disabled). Immutable after NewPool.
@@ -160,8 +160,8 @@ func NewPool(cfg PoolConfig) (*BufferPool, error) {
 	}
 	bp.alloc = memory.NewShardedTLSF(arena, 0)
 	bp.evictor = newEvictor(bp)
-	bp.spill = newSpillPipeline(bp, cfg.Array)
-	bp.load = newLoadPipeline(bp, cfg.Array)
+	bp.spills = newDriveQueues(cfg.Array)
+	bp.loads = newDriveQueues(cfg.Array)
 	return bp, nil
 }
 
@@ -722,7 +722,7 @@ func (bp *BufferPool) evictVictims(victims []PageRef) bool {
 		s.mu.Unlock()
 		claimed = true
 		if spill {
-			bp.spill.submit(s, p)
+			bp.submitSpill(s, p)
 		} else {
 			bp.settle(s, p, nil)
 			freed = true

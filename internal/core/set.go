@@ -132,19 +132,6 @@ func (s *LocalitySet) SetCurrentOp(op CurrentOperation) {
 	s.mu.Unlock()
 }
 
-// SetPinnedLocation marks the set's Location attribute: a pinned set is
-// never chosen for eviction.
-func (s *LocalitySet) SetPinnedLocation(pinned bool) {
-	s.mu.Lock()
-	s.attrs.Pinned = pinned
-	s.mu.Unlock()
-	if !pinned && s.pool.evictor.waiters.Load() > 0 {
-		// The whole set just became eligible for eviction; wake blocked
-		// allocations so their retry re-kicks the daemon.
-		s.pool.evictor.broadcast(nil)
-	}
-}
-
 // SetReadOnce stamps the per-page Lifetime attribute (Attributes.ReadOnce):
 // each page will be read exactly once, and its reader's Retire ends it. The
 // stamp is refused on write-through sets — their pages are user data that

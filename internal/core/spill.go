@@ -6,44 +6,46 @@ import (
 	"pangea/internal/disk"
 )
 
-// spillQueueDepth bounds how many page write-backs may be pending on one
-// drive. A full queue blocks the daemon's submission loop, so eviction can
-// never buffer unbounded page references ahead of what the drives drain.
-const spillQueueDepth = 32
+// driveQueueDepth bounds how many jobs may be pending on one drive's queue.
+// A full queue blocks its submitter — the eviction daemon's submission loop,
+// or the goroutine hinting a read-ahead window, which issues at most a
+// window's worth of pages — so neither eviction nor speculation can buffer
+// unbounded pages ahead of what the drives drain.
+const driveQueueDepth = 32
 
-// spillPipeline fans victim write-back out across the disk array with one
-// bounded queue — and its lazy writer goroutines — per drive. The paged file
-// layer places pages round-robin across the array precisely so that N
-// drives deliver ~N× write bandwidth (paper §4); writing victims serially
-// from the daemon forfeited that, stalling every blocked allocator behind
-// single-drive spill I/O. A drive's queue keeps two writes at the drive
-// (disk.Queue), so one's completion work overlaps the other's device time
-// and two victims on one drive may settle in either order — completion is
-// per page; jobs on different drives land concurrently.
-type spillPipeline struct {
-	bp     *BufferPool
-	queues []*disk.Queue // one per drive, indexed like the Array
-}
+// driveQueues is one bounded disk.Queue — and its lazy worker goroutines —
+// per drive, indexed like the Array. The paged file layer places pages
+// round-robin across the array precisely so that N drives deliver ~N×
+// bandwidth (paper §4); writing victims serially from the daemon forfeited
+// that, stalling every blocked allocator behind single-drive spill I/O. A
+// drive's queue keeps two jobs at the drive (disk.Queue), so one's
+// completion work overlaps the other's device time and two jobs on one
+// drive may finish in either order; jobs on different drives run
+// concurrently. The pool keeps one set for victim write-backs and one for
+// page loads, so a burst of speculative reads never queues behind
+// write-backs (and vice versa); on one drive, reads and writes still share
+// the drive's time model, as they would the device.
+type driveQueues []*disk.Queue
 
-func newSpillPipeline(bp *BufferPool, arr *disk.Array) *spillPipeline {
-	sp := &spillPipeline{bp: bp, queues: make([]*disk.Queue, arr.Len())}
-	for i := range sp.queues {
-		sp.queues[i] = disk.NewQueue(spillQueueDepth)
+func newDriveQueues(arr *disk.Array) driveQueues {
+	qs := make(driveQueues, arr.Len())
+	for i := range qs {
+		qs[i] = disk.NewQueue(driveQueueDepth)
 	}
-	return sp
+	return qs
 }
 
-// submit queues the write-back of p, a dirty victim of set s held under an
-// eviction claim (so its bytes cannot be touched mid-flight), on its drive's
-// writer and returns; it blocks only while that drive's queue is full. The
+// submitSpill queues the write-back of p, a dirty victim of set s held under
+// an eviction claim (so its bytes cannot be touched mid-flight), on its
+// drive's writer and returns; it blocks only while that drive's queue is full. The
 // write's completion alone ends the claim: it frees the frame — or, if the
 // write failed, keeps the page resident and dirty — and tells the daemon's
 // waiters the outcome. A landed write re-kicks the daemon, since demand may
 // still exceed what is free or in flight; a failed one only reports, as a
 // failed round always did, and the waiters' own retries ask for the next
 // round.
-func (sp *spillPipeline) submit(s *LocalitySet, p *Page) {
-	bp, e := sp.bp, sp.bp.evictor
+func (bp *BufferPool) submitSpill(s *LocalitySet, p *Page) {
+	e := bp.evictor
 	// Placement is the only step that needs the file's index lock. It fails
 	// only when the drive's data file cannot be created: the page stays
 	// resident and dirty, as after a failed write.
@@ -55,7 +57,7 @@ func (sp *spillPipeline) submit(s *LocalitySet, p *Page) {
 	}
 	bp.stats.SpillsInFlight.Add(1)
 	e.inFlight.Add(p.size)
-	sp.queues[loc.Drive].Submit(func() {
+	bp.spills[loc.Drive].Submit(func() {
 		err := s.file.WritePageAt(loc, p.num, p.Bytes())
 		if err == nil {
 			bp.stats.Spills.Add(1)

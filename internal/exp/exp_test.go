@@ -365,7 +365,7 @@ func TestS11ZoneMapSkipsPages(t *testing.T) {
 				t.Errorf("cold sel=%s drives=%s: zone map skipped no pages over clustered data", sel, drives)
 			}
 			if skips[off] != 0 {
-				t.Errorf("cold sel=%s drives=%s: HintNoPrune scan skipped %v pages, want 0", sel, drives, skips[off])
+				t.Errorf("cold sel=%s drives=%s: scan with the zone map detached skipped %v pages, want 0", sel, drives, skips[off])
 			}
 			if reads[on] >= reads[off] {
 				t.Errorf("cold sel=%s drives=%s: maps on read %v pages, off read %v — pruning saved no I/O",

@@ -133,7 +133,7 @@ func microindexIndex(spec services.MicroindexSpec) factIndex {
 // loadFacts builds a pool over drives drives — unthrottled and twice the
 // data when warm, calibrated and a quarter of it when cold, never under 8
 // pages — and writes rows into its write-through "facts" set, columnar or
-// row. Each side index in idx rides the writer's seal hooks, is saved as a
+// row. Each side index in idx rides the writer, is saved as a
 // pfs side object, detached and reloaded from it: the lifecycle a restarted
 // worker goes through. done removes the drives.
 func loadFacts(o Options, tag string, rows [][]byte, drives int, warm, columnar bool, idx ...factIndex) (bp *core.BufferPool, set *core.LocalitySet, done func(), err error) {
@@ -184,6 +184,22 @@ func loadFacts(o Options, tag string, rows [][]byte, drives int, warm, columnar 
 		}
 	}
 	return bp, set, done, nil
+}
+
+// detach takes the side indexes under tags off the set and returns what
+// puts them back. A scan prunes by the indexes its set carries, so this is
+// how the side-index experiments run their baselines.
+func detach(set *core.LocalitySet, tags ...string) (restore func()) {
+	saved := make([]any, len(tags))
+	for i, tag := range tags {
+		saved[i] = set.SideIndex(tag)
+		set.SetSideIndex(tag, nil)
+	}
+	return func() {
+		for i, tag := range tags {
+			set.SetSideIndex(tag, saved[i])
+		}
+	}
 }
 
 // rangeTruth checks one date-range pass against what the generator implies:

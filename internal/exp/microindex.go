@@ -19,10 +19,10 @@ import (
 const s12Stride = 7919 // prime, coprime with both workload sizes
 
 // S12Microindex measures point lookups on a non-clustered key column
-// through the predicate scan API, three ways: with the microindex
-// (HintNone), with zone-map blooms alone (HintNoIndex), and unpruned
-// (HintNoPrune). Both side objects are built incrementally by one writer's
-// chained hooks, persisted, dropped, and reloaded from pfs before the
+// through the predicate scan API, three ways: with both side indexes
+// attached, with the microindex detached (zone-map blooms alone), and with
+// both detached (unpruned). Both side objects are built incrementally by one
+// writer, persisted, dropped, and reloaded from pfs before the
 // sweep — the restarted-worker lifecycle. The microindex variant must pin
 // strictly fewer pages than the bloom variant, and a full-range scan must
 // never consult the index at all.
@@ -44,9 +44,16 @@ func S12Microindex(o Options) (*Table, error) {
 		"the key column is a permutation of 0..n-1: every page spans nearly the whole key domain, so min/max never prunes and the per-page blooms are saturated",
 		"variant=index consults the microindex (candidate pages, and the rows to test on each, up front); zonemap probes every page's bloom; noprune visits everything",
 		"pages visited counts pages the scan actually evaluated rows on (zone-map checks minus skips per variant); page reads counts pages read off the drives",
-		"both side objects ride one writer's chained seal hooks, are persisted to pfs, and are reloaded from the side objects before the sweep",
+		"both side objects ride one writer, are persisted to pfs, and are reloaded from the side objects before the sweep",
 		"every lookup's matched count and value are cross-checked against the generator; the full-range scan must match all rows and leave the index counters untouched")
 	return t, nil
+}
+
+// s12Detached names, for each variant, the side indexes its scans run
+// without.
+var s12Detached = map[string][]string{
+	"zonemap": {services.MicroindexTag},
+	"noprune": {services.MicroindexTag, services.ZoneMapTag},
 }
 
 // s12Key is row i's key in an n-row table.
@@ -78,18 +85,12 @@ func s12Config(o Options, t *Table, nRows int, mode string, nLookups int) error 
 				return err
 			}
 		}
-		hint := query.HintNone
-		switch variant {
-		case "zonemap":
-			hint = query.HintNoIndex
-		case "noprune":
-			hint = query.HintNoPrune
-		}
+		restore := detach(set, s12Detached[variant]...)
 		baseReads := set.Stats().LoadReads.Load()
 		baseChecks, baseSkips := set.ZoneMapChecks(), set.ZoneMapSkips()
 		start := time.Now()
 		for _, i := range probe {
-			res, err := sumPass(query.ScanSpec{Set: set, Threads: 1, Pred: query.ColEq{Col: 0, V: s12Key(i, nRows)}, Hint: hint})
+			res, err := sumPass(query.ScanSpec{Set: set, Threads: 1, Pred: query.ColEq{Col: 0, V: s12Key(i, nRows)}})
 			if err != nil {
 				return err
 			}
@@ -99,6 +100,7 @@ func s12Config(o Options, t *Table, nRows int, mode string, nLookups int) error 
 			}
 		}
 		elapsed := time.Since(start)
+		restore()
 		reads := set.Stats().LoadReads.Load() - baseReads
 		v := (set.ZoneMapChecks() - baseChecks) - (set.ZoneMapSkips() - baseSkips)
 		if variant == "noprune" {
@@ -117,14 +119,16 @@ func s12Config(o Options, t *Table, nRows int, mode string, nLookups int) error 
 	// the index, and the unanswerable predicate never consults it.
 	if warm {
 		baseIdx := set.Stats().IndexChecks.Load()
-		for _, hint := range []query.ScanHint{query.HintNone, query.HintNoPrune} {
+		for _, variant := range []string{"index", "noprune"} {
+			restore := detach(set, s12Detached[variant]...)
 			res, err := sumPass(query.ScanSpec{Set: set, Threads: s10Threads,
-				Pred: query.ColRange{Col: 0, Lo: 0, Hi: uint64(nRows)}, Hint: hint})
+				Pred: query.ColRange{Col: 0, Lo: 0, Hi: uint64(nRows)}})
+			restore()
 			if err != nil {
 				return err
 			}
 			if res.matched != int64(nRows) {
-				return fmt.Errorf("s12 %s full-range hint %d: matched %d rows, want %d", mode, hint, res.matched, nRows)
+				return fmt.Errorf("s12 %s full-range %s: matched %d rows, want %d", mode, variant, res.matched, nRows)
 			}
 		}
 		if set.Stats().IndexChecks.Load() != baseIdx {

@@ -17,8 +17,8 @@ import (
 
 // S11ZoneMap measures zone-map page skipping through the predicate scan
 // API: the same selective scan-filter-agg at 0.1/1/10% selectivity with
-// pruning on vs off (HintNoPrune), warm and cold, at 1 and 4 drives. The
-// set's zone map is built incrementally by the writer's append hooks,
+// the zone map attached vs detached, warm and cold, at 1 and 4 drives. The
+// set's zone map is built incrementally by the writer,
 // persisted as a pfs side object, and reloaded from it before scanning —
 // the full lifecycle. With maps on, a cold selective scan should issue
 // roughly selectivity × the page reads of the unpruned scan (the skip
@@ -44,7 +44,7 @@ func S11ZoneMap(o Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"date column is clustered (monotone per-mil), so page min/max ranges are tight and selective ranges prune",
-		"maps=off runs the identical predicate with HintNoPrune: same rows, no page skipping — the baseline",
+		"maps=off runs the identical predicate with the zone map detached: same rows, no page skipping — the baseline",
 		"page reads counts pages actually read off the drives (demand + prefetch); pages skipped is the zone-map counter delta",
 		"the zone map is built at append time, persisted as a pfs side object, and reloaded from it before the sweep",
 		"matched counts and value sums are cross-checked against the generator every scan")
@@ -64,9 +64,8 @@ func s11Config(o Options, t *Table, rows [][]byte, date func(int) uint16, mode s
 
 	for _, cutoff := range []uint16{1, 10, 100} {
 		var matched [2]int64
-		for i, hint := range []query.ScanHint{query.HintNone, query.HintNoPrune} {
-			maps := []string{"on", "off"}[i]
-			spec := query.ScanSpec{Set: set, Threads: s10Threads, Pred: s10Pred(cutoff), Hint: hint}
+		for i, maps := range []string{"on", "off"} {
+			spec := query.ScanSpec{Set: set, Threads: s10Threads, Pred: s10Pred(cutoff)}
 			if !warm {
 				if err := s9Chill(bp, set, factPageSize); err != nil {
 					return err
@@ -78,14 +77,19 @@ func s11Config(o Options, t *Table, rows [][]byte, date func(int) uint16, mode s
 					return err
 				}
 			}
+			restore := func() {}
+			if maps == "off" {
+				restore = detach(set, services.ZoneMapTag)
+			}
 			baseReads := set.Stats().LoadReads.Load()
 			baseSkips := set.ZoneMapSkips()
 			start := time.Now()
 			res, err := sumPass(spec)
+			elapsed := time.Since(start)
+			restore()
 			if err != nil {
 				return err
 			}
-			elapsed := time.Since(start)
 			reads := set.Stats().LoadReads.Load() - baseReads
 			skips := set.ZoneMapSkips() - baseSkips
 

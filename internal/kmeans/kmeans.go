@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"pangea/internal/cluster"
@@ -124,9 +123,11 @@ func Run(e *query.Executor, inputSet string, cfg Config) (*Model, error) {
 	recSize := 8 * (cfg.Dim + 1)
 
 	// --- Initialization: compute norms, materialize transient job data,
-	// sample initial centroids (first K distinct points by node order).
+	// sample initial centroids (the first K points each scan thread sees,
+	// taken in node then thread order). Each scan thread writes its own
+	// pages through its own SeqWriter, the paper's one writer a thread.
 	start := time.Now()
-	centSamples := make([][][]float64, len(e.Workers))
+	centSamples := make([][][][]float64, len(e.Workers)) // node, thread, sample
 	err := e.Parallel(func(node int, w *cluster.Worker) error {
 		in, err := e.Set(node, inputSet)
 		if err != nil {
@@ -140,13 +141,18 @@ func Run(e *query.Executor, inputSet string, cfg Config) (*Model, error) {
 		if err != nil {
 			return err
 		}
-		wtr := services.NewSeqWriter(out)
-		var mu sync.Mutex
-		rec := make([]byte, recSize)
-		point := make([]float64, cfg.Dim)
-		err = (query.ScanSpec{Set: in, Threads: cfg.Threads}).Run(func(_ int, raw []byte) error {
-			mu.Lock()
-			defer mu.Unlock()
+		wtrs := make([]*services.SeqWriter, cfg.Threads)
+		recs := make([][]byte, cfg.Threads)
+		points := make([][]float64, cfg.Threads)
+		for t := range wtrs {
+			wtrs[t] = services.NewSeqWriter(out)
+			recs[t] = make([]byte, recSize)
+			points[t] = make([]float64, cfg.Dim)
+		}
+		samples := make([][][]float64, cfg.Threads)
+		centSamples[node] = samples
+		err = (query.ScanSpec{Set: in, Threads: cfg.Threads}).Run(func(t int, raw []byte) error {
+			rec, point := recs[t], points[t]
 			DecodePoint(raw, point)
 			var norm float64
 			for _, v := range point {
@@ -154,13 +160,15 @@ func Run(e *query.Executor, inputSet string, cfg Config) (*Model, error) {
 			}
 			binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(norm))
 			copy(rec[8:], raw)
-			if len(centSamples[node]) < cfg.K {
-				centSamples[node] = append(centSamples[node], append([]float64(nil), point...))
+			if len(samples[t]) < cfg.K {
+				samples[t] = append(samples[t], append([]float64(nil), point...))
 			}
-			return wtr.Add(rec)
+			return wtrs[t].Add(rec)
 		})
-		if cerr := wtr.Close(); err == nil {
-			err = cerr
+		for _, wtr := range wtrs {
+			if cerr := wtr.Close(); err == nil {
+				err = cerr
+			}
 		}
 		return err
 	})
@@ -168,10 +176,12 @@ func Run(e *query.Executor, inputSet string, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("kmeans: initialization: %w", err)
 	}
 	var centroids [][]float64
-	for _, samples := range centSamples {
-		for _, s := range samples {
-			if len(centroids) < cfg.K {
-				centroids = append(centroids, s)
+	for _, threads := range centSamples {
+		for _, samples := range threads {
+			for _, s := range samples {
+				if len(centroids) < cfg.K {
+					centroids = append(centroids, s)
+				}
 			}
 		}
 	}

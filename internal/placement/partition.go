@@ -71,20 +71,3 @@ func DispatchRandom(cl *cluster.Client, addrs []string, set string, records [][]
 	}
 	return s.Close()
 }
-
-// PartitionSet runs a partition computation (§7): it streams the source set
-// from every worker and sends each record to the node owning its partition
-// in the target set, which must already exist on every worker, and seals
-// the target. It returns the number of records moved.
-func PartitionSet(cl *cluster.Client, addrs []string, source, target string, part *Partitioner) (int64, error) {
-	s := NewSender(cl, addrs, target)
-	var n int64
-	err := Stream(cl, addrs, source, func(_ int, rec []byte) error {
-		n++
-		return s.Send(part.NodeOf(rec, len(addrs)), rec)
-	})
-	if ferr := s.Close(); err == nil {
-		err = ferr
-	}
-	return n, err
-}

@@ -88,7 +88,10 @@ func twoPartitioners(numPartitions int) []*Partitioner {
 	}
 }
 
-func TestPartitionSetRoutesByKey(t *testing.T) {
+// TestBuildGroupRoutesByKey: BuildGroup is §7's partition computation. Each
+// record of its replica lands on the node owning its partition, every key
+// stays on one node, and the replica holds every record once.
+func TestBuildGroupRoutesByKey(t *testing.T) {
 	_, addrs, cl := startCluster(t, 3)
 	if err := cl.CreateSet("src", 64<<10, 0); err != nil {
 		t.Fatal(err)
@@ -98,23 +101,19 @@ func TestPartitionSetRoutesByKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := &Partitioner{Scheme: "hash(orderkey)", NumPartitions: 12, Key: keyOrder}
-	if err := cl.CreateSet("dst", 64<<10, 0); err != nil {
-		t.Fatal(err)
-	}
-	n, err := PartitionSet(cl, addrs, "src", "dst", part)
+	g, err := BuildGroup(cl, addrs, "src", []*Partitioner{part}, rowSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 600 {
-		t.Errorf("moved %d records, want 600", n)
+	if g.Total != 600 {
+		t.Errorf("streamed %d records, want 600", g.Total)
 	}
 	// Every record on node i must belong to a partition owned by node i,
 	// and all records with one key must share a node (co-location).
 	keyNode := make(map[uint64]int)
-	var total int
+	seen := make(map[uint64]bool)
 	for i, addr := range addrs {
-		err := cl.FetchSet(addr, "dst", func(rec []byte) error {
-			total++
+		err := cl.FetchSet(addr, g.Members[1].Set, func(rec []byte) error {
 			node := part.NodeOf(rec, len(addrs))
 			if node != i {
 				t.Errorf("record on node %d belongs to node %d", i, node)
@@ -124,14 +123,19 @@ func TestPartitionSetRoutesByKey(t *testing.T) {
 				t.Errorf("key %d split across nodes %d and %d", k, prev, i)
 			}
 			keyNode[k] = i
+			id := binary.LittleEndian.Uint64(rec[16:24])
+			if seen[id] {
+				t.Errorf("record %d stored twice", id)
+			}
+			seen[id] = true
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if total != 600 {
-		t.Errorf("target holds %d records, want 600", total)
+	if len(seen) != 600 {
+		t.Errorf("replica holds %d records, want 600", len(seen))
 	}
 }
 

@@ -50,9 +50,9 @@ func TestScanSpecIndexPointLookup(t *testing.T) {
 		t.Fatalf("need a multi-page set for this test, got %d pages", npages)
 	}
 
-	count := func(pred Predicate, hint ScanHint) int64 {
+	count := func(pred Predicate) int64 {
 		t.Helper()
-		got, err := ScanSpec{Set: set, Threads: 2, Pred: pred, Hint: hint}.CountBatches(nil)
+		got, err := ScanSpec{Set: set, Threads: 2, Pred: pred}.CountBatches(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,16 +62,19 @@ func TestScanSpecIndexPointLookup(t *testing.T) {
 	// from the counter deltas it caused.
 	pred := ColEq{Col: 1, V: 4242}
 
-	// Zone-map-only baseline: blooms over ~340 distinct keys per page are
-	// nearly saturated, so most pages survive the probe.
+	// Zone-map-only baseline, the microindex detached: blooms over ~340
+	// distinct keys per page are nearly saturated, so most pages survive the
+	// probe.
 	zc0, zs0 := set.ZoneMapChecks(), set.ZoneMapSkips()
 	ic0 := set.Stats().IndexChecks.Load()
-	if got := count(pred, HintNoIndex); got != 1 {
-		t.Fatalf("zone-map-only point lookup found %d rows, want 1", got)
-	}
+	withDetached(set, zoneMapOnly, func() {
+		if got := count(pred); got != 1 {
+			t.Fatalf("zone-map-only point lookup found %d rows, want 1", got)
+		}
+	})
 	bloomVisited := (set.ZoneMapChecks() - zc0) - (set.ZoneMapSkips() - zs0)
 	if set.Stats().IndexChecks.Load() != ic0 {
-		t.Error("HintNoIndex still consulted the microindex")
+		t.Error("a scan with the microindex detached still consulted it")
 	}
 	if set.ZoneMapChecks()-zc0 != npages {
 		t.Errorf("zone-map-only scan checked %d pages, want all %d", set.ZoneMapChecks()-zc0, npages)
@@ -81,7 +84,7 @@ func TestScanSpecIndexPointLookup(t *testing.T) {
 	// the zone map then only sees that candidate.
 	ic0, ih0 := set.Stats().IndexChecks.Load(), set.IndexHits()
 	zc0 = set.ZoneMapChecks()
-	if got := count(pred, HintNone); got != 1 {
+	if got := count(pred); got != 1 {
 		t.Fatalf("indexed point lookup found %d rows, want 1", got)
 	}
 	checks, hits := set.Stats().IndexChecks.Load()-ic0, set.IndexHits()-ih0
@@ -100,9 +103,11 @@ func TestScanSpecIndexPointLookup(t *testing.T) {
 	}
 
 	// Equivalence with the unpruned truth, row path included.
-	if got := count(pred, HintNoPrune); got != 1 {
-		t.Fatalf("unpruned point lookup found %d rows, want 1", got)
-	}
+	withDetached(set, unpruned, func() {
+		if got := count(pred); got != 1 {
+			t.Fatalf("unpruned point lookup found %d rows, want 1", got)
+		}
+	})
 	var rowN atomic.Int64
 	err := ScanSpec{Set: set, Threads: 2, Pred: pred}.Run(func(_ int, r Row) error {
 		if rowGroup(r) != 4242 {
@@ -122,7 +127,7 @@ func TestScanSpecIndexPointLookup(t *testing.T) {
 	// answered by postings, so the index is never consulted and every row
 	// still arrives.
 	ic0 = set.Stats().IndexChecks.Load()
-	if got := count(ColRange{Col: 0, Lo: 0, Hi: 1 << 40}, HintNone); got != n {
+	if got := count(ColRange{Col: 0, Lo: 0, Hi: 1 << 40}); got != n {
 		t.Errorf("full-range scan found %d rows, want %d", got, n)
 	}
 	if set.Stats().IndexChecks.Load() != ic0 {
@@ -177,22 +182,31 @@ func TestScanSpecIndexEquivalenceRandom(t *testing.T) {
 				truth++
 			}
 		}
-		for _, hint := range []ScanHint{HintNone, HintNoIndex, HintNoPrune} {
-			got, err := ScanSpec{Set: colSet, Threads: 2, Pred: pred, Hint: hint}.CountBatches(nil)
+		for _, v := range []struct {
+			name     string
+			detached []string
+		}{{"indexed", nil}, {"zone-map-only", zoneMapOnly}, {"unpruned", unpruned}} {
+			var got int64
+			var err error
+			withDetached(colSet, v.detached, func() {
+				got, err = ScanSpec{Set: colSet, Threads: 2, Pred: pred}.CountBatches(nil)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != truth {
-				t.Errorf("pred %d hint %d: batch scan found %d rows, want %d", pi, hint, got, truth)
+				t.Errorf("pred %d %s: batch scan found %d rows, want %d", pi, v.name, got, truth)
 			}
 			var rn atomic.Int64
-			err = ScanSpec{Set: rowSet, Threads: 2, Pred: pred, Schema: testSchema(), Hint: hint}.
-				Run(func(int, Row) error { rn.Add(1); return nil })
+			withDetached(rowSet, v.detached, func() {
+				err = ScanSpec{Set: rowSet, Threads: 2, Pred: pred, Schema: testSchema()}.
+					Run(func(int, Row) error { rn.Add(1); return nil })
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rn.Load() != truth {
-				t.Errorf("pred %d hint %d: row scan found %d rows, want %d", pi, hint, rn.Load(), truth)
+				t.Errorf("pred %d %s: row scan found %d rows, want %d", pi, v.name, rn.Load(), truth)
 			}
 		}
 	}
@@ -353,10 +367,10 @@ func TestLaneSeededScansMatchUnpruned(t *testing.T) {
 	}
 
 	// ids scans the set and returns the selected rows' ids, ascending.
-	ids := func(set *core.LocalitySet, pred Predicate, hint ScanHint) []uint32 {
+	ids := func(set *core.LocalitySet, pred Predicate) []uint32 {
 		t.Helper()
 		perThread := make([][]uint32, 2)
-		err := ScanSpec{Set: set, Threads: 2, Pred: pred, Schema: testSchema(), Hint: hint}.RunBatches(func(th int, b *Batch) error {
+		err := ScanSpec{Set: set, Threads: 2, Pred: pred, Schema: testSchema()}.RunBatches(func(th int, b *Batch) error {
 			for _, i := range b.Sel() {
 				perThread[th] = append(perThread[th], b.U32(0, int(i)))
 			}
@@ -380,13 +394,15 @@ func TestLaneSeededScansMatchUnpruned(t *testing.T) {
 		}
 		for _, set := range []*core.LocalitySet{colSet, rowSet} {
 			ic, ih, zc := set.Stats().IndexChecks.Load(), set.IndexHits(), set.ZoneMapChecks()
-			got := ids(set, pred, HintNone)
+			got := ids(set, pred)
 			checks, hits, zchecks := set.Stats().IndexChecks.Load()-ic, set.IndexHits()-ih, set.ZoneMapChecks()-zc
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s, pred %d %#v: indexed scan selected %d rows, the reference %d", set.Name(), k, pred, len(got), len(want))
 			}
-			if unpruned := ids(set, pred, HintNoPrune); !slices.Equal(unpruned, want) {
-				t.Fatalf("%s, pred %d: unpruned scan selected %d rows, the reference %d", set.Name(), k, len(unpruned), len(want))
+			var whole []uint32
+			withDetached(set, unpruned, func() { whole = ids(set, pred) })
+			if !slices.Equal(whole, want) {
+				t.Fatalf("%s, pred %d: unpruned scan selected %d rows, the reference %d", set.Name(), k, len(whole), len(want))
 			}
 			if indexAnswers(pred) {
 				answered++

@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/binary"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -190,9 +191,8 @@ func TestPredicateEquivalence(t *testing.T) {
 }
 
 // TestScanSpecPrunesPages: over clustered data with a zone map attached, a
-// selective range scan skips pages — counters prove it — while returning
-// exactly the rows the unpruned scan returns; HintNoPrune and predicates on
-// unsummarized shapes leave the counters alone.
+// selective range scan skips pages — counters prove it — and predicates on
+// unsummarized shapes leave the skip counter alone.
 func TestScanSpecPrunesPages(t *testing.T) {
 	bp := newPool(t, 32<<20)
 	rows := testRows(20000) // id is monotone: clustered for pruning
@@ -202,9 +202,9 @@ func TestScanSpecPrunesPages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	count := func(set *core.LocalitySet, pred Predicate, hint ScanHint) int64 {
+	count := func(set *core.LocalitySet, pred Predicate) int64 {
 		t.Helper()
-		n, err := ScanSpec{Set: set, Threads: 2, Pred: pred, Hint: hint}.CountBatches(nil)
+		n, err := ScanSpec{Set: set, Threads: 2, Pred: pred}.CountBatches(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,25 +213,22 @@ func TestScanSpecPrunesPages(t *testing.T) {
 	pred := ColRange{Col: 0, Lo: 500, Hi: 1500}
 
 	checks0, skips0 := colSet.ZoneMapChecks(), colSet.ZoneMapSkips()
-	pruned := count(colSet, pred, HintNone)
+	pruned := count(colSet, pred)
 	checks1, skips1 := colSet.ZoneMapChecks(), colSet.ZoneMapSkips()
 	if checks1 == checks0 || skips1 == skips0 {
 		t.Errorf("selective scan: checks %d->%d skips %d->%d, want both to advance",
 			checks0, checks1, skips0, skips1)
 	}
-	if full := count(colSet, pred, HintNoPrune); pruned != full {
-		t.Errorf("pruned scan found %d rows, unpruned %d", pruned, full)
+	if pruned != 1000 {
+		t.Errorf("pruned scan found %d rows, want 1000", pruned)
 	}
-	if colSet.ZoneMapSkips() != skips1 {
-		t.Error("HintNoPrune still skipped pages")
-	}
-	if got := count(colSet, pred, HintNone); got != pruned {
+	if got := count(colSet, pred); got != pruned {
 		t.Errorf("repeat pruned scan found %d rows, want %d", got, pruned)
 	}
 	// An unselective range prunes nothing but still checks every page.
 	preSkips := colSet.ZoneMapSkips()
 	preChecks := colSet.ZoneMapChecks()
-	if got := count(colSet, ColRange{Col: 0, Lo: 0, Hi: 1 << 40}, HintNone); got != int64(len(rows)) {
+	if got := count(colSet, ColRange{Col: 0, Lo: 0, Hi: 1 << 40}); got != int64(len(rows)) {
 		t.Errorf("full-range scan found %d rows, want %d", got, len(rows))
 	}
 	if colSet.ZoneMapSkips() != preSkips {
@@ -259,6 +256,58 @@ func TestScanSpecPrunesPages(t *testing.T) {
 	}
 	if rowSet.ZoneMapSkips() == 0 {
 		t.Error("row-set scan skipped no pages over clustered data")
+	}
+}
+
+// TestScanWithoutZoneMapVisitsEveryPage: with its zone map detached a set is
+// scanned whole — every page reaches the scan and no zone map is checked —
+// and the scan selects exactly the rows the pruned scan selects.
+func TestScanWithoutZoneMapVisitsEveryPage(t *testing.T) {
+	bp := newPool(t, 32<<20)
+	rows := testRows(20000) // id is monotone: clustered for pruning
+	set := loadColSet(t, bp, "c", rows)
+	if _, err := services.EnsureZoneMap(set, services.ZoneMapSpec{Schema: testSchema()}); err != nil {
+		t.Fatal(err)
+	}
+	// scan returns the ids the scan selects, ascending, and the pages it
+	// visited.
+	scan := func() (ids []uint32, pages int64) {
+		t.Helper()
+		var mu sync.Mutex
+		err := ScanSpec{Set: set, Threads: 2, Pred: ColRange{Col: 0, Lo: 500, Hi: 1500}}.RunBatches(func(_ int, b *Batch) error {
+			mu.Lock()
+			defer mu.Unlock()
+			pages++
+			for _, i := range b.Sel() {
+				ids = append(ids, b.U32(0, int(i)))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(ids)
+		return ids, pages
+	}
+	pruned, prunedPages := scan()
+	if prunedPages >= set.NumPages() {
+		t.Fatalf("the pruned scan visited %d of %d pages; the test needs it to skip some", prunedPages, set.NumPages())
+	}
+	var whole []uint32
+	var wholePages int64
+	checks, skips := set.ZoneMapChecks(), set.ZoneMapSkips()
+	withDetached(set, []string{services.ZoneMapTag}, func() { whole, wholePages = scan() })
+	if wholePages != set.NumPages() {
+		t.Errorf("the scan without a zone map visited %d of %d pages", wholePages, set.NumPages())
+	}
+	if set.ZoneMapChecks() != checks || set.ZoneMapSkips() != skips {
+		t.Error("the scan without a zone map checked one")
+	}
+	if !slices.Equal(whole, pruned) || len(pruned) != 1000 {
+		t.Errorf("the scan without a zone map selected %d rows, the pruned scan %d, want the same 1000", len(whole), len(pruned))
+	}
+	if _, ok := set.SideIndex(services.ZoneMapTag).(*services.ZoneMap); !ok {
+		t.Error("the zone map was not put back")
 	}
 }
 

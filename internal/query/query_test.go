@@ -43,6 +43,30 @@ func loadSet(t *testing.T, bp *core.BufferPool, name string, rows []Row) *core.L
 	return s
 }
 
+// withDetached runs fn with the side indexes under tags taken off the set,
+// then puts them back: a scan prunes by the indexes the set carries, so this
+// is how a test scans it without some of them.
+func withDetached(set *core.LocalitySet, tags []string, fn func()) {
+	saved := make([]any, len(tags))
+	for i, tag := range tags {
+		saved[i] = set.SideIndex(tag)
+		set.SetSideIndex(tag, nil)
+	}
+	defer func() {
+		for i, tag := range tags {
+			set.SetSideIndex(tag, saved[i])
+		}
+	}()
+	fn()
+}
+
+// unpruned and zoneMapOnly are the tags withDetached takes off for a scan
+// that prunes nothing and for one that prunes by the zone map alone.
+var (
+	unpruned    = []string{services.MicroindexTag, services.ZoneMapTag}
+	zoneMapOnly = []string{services.MicroindexTag}
+)
+
 // row encodes (id, group, amount).
 func mkRow(id, group, amount uint32) Row {
 	r := make(Row, 12)

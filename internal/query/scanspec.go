@@ -9,23 +9,6 @@ import (
 	"pangea/internal/services"
 )
 
-// ScanHint tunes how a ScanSpec executes.
-type ScanHint int
-
-const (
-	// HintNone lets the scan use every optimization it can see.
-	HintNone ScanHint = iota
-	// HintNoPrune evaluates the predicate against every row but never
-	// consults zone maps or microindexes — the baseline side of
-	// page-skipping experiments, and an escape hatch if a summary is ever
-	// suspected stale.
-	HintNoPrune
-	// HintNoIndex consults zone maps but never the microindex — the
-	// zone-map-only side of point-lookup experiments, isolating what the
-	// index adds over bloom pruning.
-	HintNoIndex
-)
-
 // ScanSpec is the one scan entry point: a declarative description — which
 // set, how many worker threads, what predicate — executed batch-at-a-time by
 // RunBatches over either page layout; Run hands the selected rows of each
@@ -33,13 +16,15 @@ const (
 // the end.
 //
 // Because the predicate is algebraic rather than an opaque closure, the
-// scan prunes before it reads: if the set carries a zone map (see
-// services.AttachZoneMap / EnsureZoneMap), pages the predicate provably
-// cannot match are dropped from the page list up front — never pinned,
-// never read — and never in the scan's read-ahead window, so the drives only
-// speculate on pages the scan will consume. On a selective scan of a
-// clustered column that is most of the set; on an unselective one the
-// prune pass costs a map lookup per page and changes nothing.
+// scan prunes before it reads, by the side indexes the set carries and by
+// nothing else: a microindex (services.AttachMicroindex / EnsureMicroindex)
+// narrows the page list to the pages its answer names, and a zone map
+// (services.AttachZoneMap / EnsureZoneMap) drops the pages the predicate
+// provably cannot match. Pruned pages are never pinned, never read and never
+// in the scan's read-ahead window, so the drives only speculate on pages the
+// scan will consume. On a selective scan of a clustered column that is most
+// of the set; on an unselective one the prune pass costs a map lookup per
+// page and changes nothing. A set with no index attached is scanned whole.
 //
 // The zero value of everything but Set is usable: Threads defaults to 1, a
 // nil Pred scans every row, and Schema is derived from the set's column
@@ -55,7 +40,6 @@ type ScanSpec struct {
 	// and those of the batch a row page is presented as. Optional for
 	// columnar sets (the set knows its widths).
 	Schema []services.ColumnSpec
-	Hint   ScanHint
 }
 
 // batchPool holds the scan threads' batches between scans (see RunBatches).
@@ -92,10 +76,10 @@ func (sp ScanSpec) schema() ([]services.ColumnSpec, error) {
 
 // pages runs the pruning passes and returns the page list the scan will
 // visit, and the microindex's answer (see PointIndex) when it gave one. With
-// a predicate and pruning allowed, the set's microindex (if attached and
-// covering — its answers are authoritative, so a stale index is never
-// consulted) first narrows the list to the pages its answer names, then the
-// zone map drops candidates whose summaries exclude a match. Surviving pages
+// a predicate, the set's microindex (if attached and covering — its answers
+// are authoritative, so a stale index is never consulted) first narrows the
+// list to the pages its answer names, then the zone map (if attached) drops
+// candidates whose summaries exclude a match. Surviving pages
 // are the scan's demand reads and — because the scan's cursor hints only from
 // its own list — the only pages it reads ahead, so concurrent predicate scans
 // of one set cannot mask each other. Pages evaluated against the index count
@@ -108,18 +92,16 @@ func (sp ScanSpec) schema() ([]services.ColumnSpec, error) {
 // place — every list it sees is the scan's own (PageNums and pagesOf return
 // fresh copies).
 func (sp ScanSpec) pages() (nums []int64, locs []uint64) {
-	if sp.Pred == nil || sp.Hint == HintNoPrune {
+	if sp.Pred == nil {
 		return sp.Set.PageNums(), nil
 	}
 	answered := false
-	if sp.Hint != HintNoIndex {
-		n := sp.Set.NumPages()
-		if idx, ok := sp.Set.SideIndex(services.MicroindexTag).(PointIndex); ok && idx.Covers(n) {
-			if locs, answered = sp.Pred.indexPages(idx); answered {
-				nums = pagesOf(locs)
-				sp.Set.Stats().IndexChecks.Add(n)
-				sp.Set.Stats().IndexHits.Add(int64(len(nums)))
-			}
+	n := sp.Set.NumPages()
+	if idx, ok := sp.Set.SideIndex(services.MicroindexTag).(PointIndex); ok && idx.Covers(n) {
+		if locs, answered = sp.Pred.indexPages(idx); answered {
+			nums = pagesOf(locs)
+			sp.Set.Stats().IndexChecks.Add(n)
+			sp.Set.Stats().IndexHits.Add(int64(len(nums)))
 		}
 	}
 	if !answered {

@@ -164,18 +164,6 @@ func (p *ColumnarPage) Col(c int) []byte {
 	return p.buf[p.offs[c] : p.offs[c]+p.nrows*p.widths[c]]
 }
 
-// AppendRow materializes row i back into record form (the concatenation of
-// its column values) by appending to dst, and returns the extended slice.
-// This is the late-materialization sink: sinks that need whole rows call it
-// only for rows that survived selection.
-func (p *ColumnarPage) AppendRow(dst []byte, i int) []byte {
-	for c, w := range p.widths {
-		off := p.offs[c] + i*w
-		dst = append(dst, p.buf[off:off+w]...)
-	}
-	return dst
-}
-
 // initColumnarPage stamps the header of a fresh columnar page buffer.
 func initColumnarPage(buf []byte, widths []int, capacity int) {
 	le := binary.LittleEndian

@@ -76,9 +76,6 @@ func TestColumnarRoundTrip(t *testing.T) {
 			rec = append(rec, keys[i*4:i*4+4]...)
 			rec = append(rec, tags[i*2:i*2+2]...)
 			rec = append(rec, vals[i*8:i*8+8]...)
-			if got := cp.AppendRow(nil, i); !bytes.Equal(got, rec) {
-				t.Fatalf("AppendRow %d = %x, want column concatenation %x", i, got, rec)
-			}
 			fromCols = append(fromCols, rec)
 		}
 		if err := s.Unpin(p, false); err != nil {
@@ -228,27 +225,17 @@ func TestColumnarSpillReload(t *testing.T) {
 	}
 }
 
-// TestColumnarOnSealHook: the writer's seal hook sees every page, pinned
-// and fully described — the surface the zone-map roadmap item builds on.
-func TestColumnarOnSealHook(t *testing.T) {
+// TestColumnarIndexFoldsEverySealedPage: a side index riding a columnar
+// writer folds every page it seals, fully described: once Close returns the
+// zone map covers the set, its pages hold every row, and each page's column
+// ranges are the page's own.
+func TestColumnarIndexFoldsEverySealedPage(t *testing.T) {
 	bp := newPool(t, 1<<20)
 	s := mkColSet(t, bp, "c", 512)
 	w := NewSeqWriter(s)
-	rowsSeen := 0
-	pages := 0
-	w.OnSeal = func(num int64, page []byte) {
-		p, err := OpenColumnarPage(page)
-		if err != nil {
-			t.Error(err) // the hook runs on the writer's indexer goroutine
-			return
-		}
-		pages++
-		rowsSeen += p.NumRows()
-		// A min over a column vector — what a zone-map builder would do.
-		keys := p.Col(0)
-		for i := 0; i < p.NumRows(); i++ {
-			_ = binary.LittleEndian.Uint32(keys[i*4:])
-		}
+	z, err := AttachZoneMap(w, ZoneMapSpec{Schema: zmSchema()})
+	if err != nil {
+		t.Fatal(err)
 	}
 	const n = 123
 	for i := 0; i < n; i++ {
@@ -259,12 +246,17 @@ func TestColumnarOnSealHook(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if int64(pages) != s.NumPages() {
-		t.Errorf("hook saw %d pages, set has %d", pages, s.NumPages())
+	if np := s.NumPages(); np < 2 || !z.Covers(np) || int64(z.NumPages()) != np {
+		t.Fatalf("zone map holds %d pages of the set's %d, want all of several", z.NumPages(), np)
 	}
-	if rowsSeen != n {
-		t.Errorf("hook saw %d rows, want %d", rowsSeen, n)
+	rows := int64(0)
+	for _, p := range z.pages {
+		rows += p.rows
 	}
+	if rows != n {
+		t.Errorf("zone map folded %d rows, want %d", rows, n)
+	}
+	zmCheckRanges(t, s, z)
 }
 
 // TestColumnarEveryWidthRoundTrips: the writer's store and the walk's

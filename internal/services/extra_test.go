@@ -281,8 +281,9 @@ func TestHashBufferCustomCombiner(t *testing.T) {
 	}
 }
 
-// TestVirtualHashBufferValueSizeEnforced: mismatched value widths are
-// rejected up front.
+// TestVirtualHashBufferValueSizeEnforced: every slot the buffer hands out,
+// fresh or found, is the configured value width, and Result merges values of
+// that width.
 func TestVirtualHashBufferValueSizeEnforced(t *testing.T) {
 	bp := newPool(t, 1<<20)
 	set := mkSet(t, bp, "vs", 32<<10)
@@ -290,13 +291,29 @@ func TestVirtualHashBufferValueSizeEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Upsert([]byte("k"), make([]byte, 8)); err == nil {
-		t.Error("wrong value size must be rejected")
+	for i, wantFresh := range []bool{true, false} {
+		slot, fresh, err := h.Slot([]byte("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh != wantFresh || len(slot) != 16 {
+			t.Errorf("Slot %d: %d-byte slot, fresh=%v; want 16 bytes, fresh=%v", i, len(slot), fresh, wantFresh)
+		}
+		slot[15] = byte(i + 1)
 	}
-	if err := h.Upsert([]byte("k"), make([]byte, 16)); err != nil {
-		t.Errorf("correct value size rejected: %v", err)
+	if slot, fresh := h.SlotIn([]byte("k")); fresh || len(slot) != 16 {
+		t.Errorf("SlotIn: %d-byte slot, fresh=%v; want 16 bytes, not fresh", len(slot), fresh)
 	}
-	_ = h.Close()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := h.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := got["k"]; len(v) != 16 || v[15] != 2 {
+		t.Errorf("Result[k] = %x, want 16 bytes ending in 02", v)
+	}
 }
 
 func TestNewVirtualHashBufferValidation(t *testing.T) {

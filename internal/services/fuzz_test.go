@@ -64,9 +64,8 @@ func FuzzColumnarPageReset(f *testing.F) {
 		if err := p.Reset(data); err != nil {
 			return
 		}
-		// The view parsed: exercise every zero-copy accessor. Any panic
-		// here is a decoder validation hole.
-		var row []byte
+		// The view parsed: exercise every zero-copy accessor and the
+		// record walk. Any panic here is a decoder validation hole.
 		for c := 0; c < p.NumCols(); c++ {
 			seg := p.Col(c)
 			if len(seg) != p.NumRows()*p.Width(c) {
@@ -74,11 +73,24 @@ func FuzzColumnarPageReset(f *testing.F) {
 					c, len(seg), p.NumRows(), p.Width(c))
 			}
 		}
-		for i := 0; i < p.NumRows(); i++ {
-			row = p.AppendRow(row[:0], i)
-			if len(row) != p.RowSize() {
-				t.Fatalf("row %d materialized to %d bytes, RowSize is %d", i, len(row), p.RowSize())
+		i := 0
+		err := WalkPage(data, func(rec []byte) error {
+			if len(rec) != p.RowSize() {
+				t.Fatalf("row %d materialized to %d bytes, RowSize is %d", i, len(rec), p.RowSize())
 			}
+			off := 0
+			for c := 0; c < p.NumCols(); c++ {
+				w := p.Width(c)
+				if !bytes.Equal(rec[off:off+w], p.Col(c)[i*w:(i+1)*w]) {
+					t.Fatalf("row %d column %d: walked %x, column holds %x", i, c, rec[off:off+w], p.Col(c)[i*w:(i+1)*w])
+				}
+				off += w
+			}
+			i++
+			return nil
+		})
+		if err != nil || i != p.NumRows() {
+			t.Fatalf("WalkPage gave %d of %d rows of a page Reset accepted: %v", i, p.NumRows(), err)
 		}
 	})
 }
@@ -231,6 +243,31 @@ func hugePageCountSeed(t testing.TB) []byte {
 	return data
 }
 
+// decodeZoneMap and decodeMicroindex decode a persisted side object the way
+// EnsureZoneMap and EnsureMicroindex read one back: a fresh index for the
+// spec, filled by unmarshal.
+func decodeZoneMap(data []byte, spec ZoneMapSpec) (*ZoneMap, error) {
+	z, err := NewZoneMap(spec)
+	if err == nil {
+		err = z.unmarshal(data)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return z, nil
+}
+
+func decodeMicroindex(data []byte, spec MicroindexSpec) (*Microindex, error) {
+	m, err := NewMicroindex(spec)
+	if err == nil {
+		err = m.unmarshal(data)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // TestLoadZoneMapRejectsCorruptPageTable pins the shared decoder's page-table
 // checks on the zone-map format: the npages size-computation overflow (its
 // regression test), and the bounds the microindex decoder always had that
@@ -252,15 +289,15 @@ func TestLoadZoneMapRejectsCorruptPageTable(t *testing.T) {
 		"has trailing bytes":                   append(validZoneMapSeed(t), 0, 0, 0, 0, 0, 0, 0, 0),
 		"has a trailing unclaimed page record": append(validZoneMapSeed(t), make([]byte, 120)...),
 	} {
-		if _, err := LoadZoneMap(data, fuzzZoneSpec()); err == nil {
-			t.Errorf("LoadZoneMap accepted a map that %s", name)
+		if _, err := decodeZoneMap(data, fuzzZoneSpec()); err == nil {
+			t.Errorf("the zone-map decoder accepted a map that %s", name)
 		}
 	}
 }
 
 // TestZoneMapRoundTrip pins the happy path the fuzzer mutates from.
 func TestZoneMapRoundTrip(t *testing.T) {
-	z, err := LoadZoneMap(validZoneMapSeed(t), fuzzZoneSpec())
+	z, err := decodeZoneMap(validZoneMapSeed(t), fuzzZoneSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +356,8 @@ func hugeMicroindexCountSeed(t testing.TB) []byte {
 
 // TestLoadMicroindexRejectsHugePageCount pins the npages bound.
 func TestLoadMicroindexRejectsHugePageCount(t *testing.T) {
-	if _, err := LoadMicroindex(hugeMicroindexCountSeed(t), fuzzMISpec()); err == nil {
-		t.Fatal("LoadMicroindex accepted an index claiming 2^61 pages")
+	if _, err := decodeMicroindex(hugeMicroindexCountSeed(t), fuzzMISpec()); err == nil {
+		t.Fatal("the microindex decoder accepted an index claiming 2^61 pages")
 	}
 }
 
@@ -348,15 +385,15 @@ func TestLoadMicroindexRejectsCorruptPairs(t *testing.T) {
 		"a lane of an invalid page": patch(pairs+7*16+8, 2<<32),
 		"more pairs than bytes":     patch(count, 1<<60),
 	} {
-		if _, err := LoadMicroindex(data, fuzzMISpec()); err == nil {
-			t.Errorf("LoadMicroindex accepted an index with %s", name)
+		if _, err := decodeMicroindex(data, fuzzMISpec()); err == nil {
+			t.Errorf("the microindex decoder accepted an index with %s", name)
 		}
 	}
 }
 
 // TestMicroindexSeedRoundTrip pins the happy path the fuzzer mutates from.
 func TestMicroindexSeedRoundTrip(t *testing.T) {
-	m, err := LoadMicroindex(validMicroindexSeed(t), fuzzMISpec())
+	m, err := decodeMicroindex(validMicroindexSeed(t), fuzzMISpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +421,7 @@ func FuzzLoadMicroindex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := LoadMicroindex(data, fuzzMISpec())
+		m, err := decodeMicroindex(data, fuzzMISpec())
 		if err != nil {
 			return
 		}
@@ -416,7 +453,7 @@ func FuzzLoadMicroindex(f *testing.F) {
 				}
 			}
 		}
-		if _, lerr := LoadMicroindex(m.Marshal(), fuzzMISpec()); lerr != nil {
+		if _, lerr := decodeMicroindex(m.Marshal(), fuzzMISpec()); lerr != nil {
 			t.Fatalf("re-marshal of an accepted index was rejected: %v", lerr)
 		}
 	})
@@ -431,7 +468,7 @@ func FuzzLoadZoneMap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		z, err := LoadZoneMap(data, fuzzZoneSpec())
+		z, err := decodeZoneMap(data, fuzzZoneSpec())
 		if err != nil {
 			return
 		}

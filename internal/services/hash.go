@@ -214,32 +214,13 @@ func NewVirtualHashBuffer(set *core.LocalitySet, k, valSize int, combine Combine
 	}, nil
 }
 
-// Upsert inserts key with value val, or combines val into the key's current
-// value if the key is present in the partition's active page. Keys spilled
-// earlier are merged by Result, so Upsert is the paper's find/insert/set
-// flow in one call.
-func (h *VirtualHashBuffer) Upsert(key, val []byte) error {
-	if len(val) != h.valSize {
-		return fmt.Errorf("services: value size %d, buffer configured for %d", len(val), h.valSize)
-	}
-	slot, fresh, err := h.Slot(key)
-	if err != nil {
-		return err
-	}
-	if fresh {
-		copy(slot, val)
-	} else {
-		h.combine(slot, val)
-	}
-	return nil
-}
-
-// Slot returns the key's value in its partition's active page for the
-// caller to fold into in place, inserting a zeroed one (fresh=true) if the
-// key is not there — it may still exist in a retired page; Result merges the
-// partials. The slice aliases the pinned page and stays valid until the
-// buffer retires a page (Retires moves) or closes: a full page is retired
-// when a key that is not on it arrives, by this call or by Upsert.
+// Slot is the paper's find/insert/set flow in one call: it returns the
+// key's valSize-byte value in its partition's active page for the caller to
+// fold into in place, inserting a zeroed one (fresh=true) if the key is not
+// there — it may still exist in a retired page; Result merges the partials.
+// The slice aliases the pinned page and stays valid until the buffer retires
+// a page (Retires moves) or closes: a full page is retired when a key that
+// is not on it arrives.
 func (h *VirtualHashBuffer) Slot(key []byte) (val []byte, fresh bool, err error) {
 	// One hash serves both levels: its high half picks the root partition,
 	// its low half the bucket within the partition's page.
@@ -295,22 +276,6 @@ func (h *VirtualHashBuffer) slotIn(r, hash uint64, key []byte) (val []byte, fres
 // Retires counts the pages the buffer has retired. A slot Slot or SlotIn
 // returned is valid while the count stands still.
 func (h *VirtualHashBuffer) Retires() uint64 { return h.retires }
-
-// Find returns a copy of the key's value in its partition's active page. ok
-// is false if the key is absent there (it may still exist in spilled
-// partials).
-func (h *VirtualHashBuffer) Find(key []byte) (val []byte, ok bool) {
-	hash := fnv1a(key)
-	hp := h.parts[(hash>>32)%h.k]
-	if hp == nil {
-		return nil, false
-	}
-	off := hp.find(hash, key)
-	if off == 0 {
-		return nil, false
-	}
-	return append([]byte(nil), hp.value(off)...), true
-}
 
 // Close unpins all active pages. Call before Result.
 func (h *VirtualHashBuffer) Close() error {
@@ -410,15 +375,6 @@ func (b *Int64HashBuffer) Upsert(key []byte, v int64) error {
 	}
 	binary.LittleEndian.PutUint64(slot, uint64(v))
 	return nil
-}
-
-// Find looks the key up in its partition's active page.
-func (b *Int64HashBuffer) Find(key []byte) (int64, bool) {
-	v, ok := b.h.Find(key)
-	if !ok {
-		return 0, false
-	}
-	return int64(binary.LittleEndian.Uint64(v)), true
 }
 
 // Close unpins active pages.

@@ -51,10 +51,25 @@ func TestIndexerKeepsWriteThroughFault(t *testing.T) {
 	}
 }
 
+// foldOrder wraps a side index's summarizer and records the pages folded
+// into it, in the order the writer's indexer folds them.
+type foldOrder struct {
+	summarizer
+	pages []int64
+}
+
+func (f *foldOrder) fold(sum []byte, num int64, c foldCol, vals []uint64) {
+	if n := len(f.pages); n == 0 || f.pages[n-1] != num {
+		f.pages = append(f.pages, num)
+	}
+	f.summarizer.fold(sum, num, c, vals)
+}
+
 // TestCloseLeavesIndexSealed: when Close returns, the indexer has folded
-// every page, in page order, and the microindex is sealed — it covers the
-// set and holds no tail, so a Lookup has nothing left to sort. No index work
-// is left to run after the writer's Close.
+// every page into the attached microindex, in page order and while the page
+// was pinned (the postings are the rows' own), and the index is sealed — it
+// covers the set and holds no tail, so a Lookup has nothing left to sort. No
+// index work is left to run after the writer's Close.
 func TestCloseLeavesIndexSealed(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
 		t.Run(map[bool]string{false: "row", true: "columnar"}[columnar], func(t *testing.T) {
@@ -68,12 +83,12 @@ func TestCloseLeavesIndexSealed(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := NewSeqWriter(set)
-			var sealed []int64
-			w.OnSeal = func(num int64, _ []byte) { sealed = append(sealed, num) }
 			m, err := AttachMicroindex(w, miSpec())
 			if err != nil {
 				t.Fatal(err)
 			}
+			order := &foldOrder{summarizer: m.sum}
+			m.sum = order
 			for i := 0; i < 1000; i++ {
 				if err := w.Add(colRec(i)); err != nil {
 					t.Fatal(err)
@@ -86,13 +101,13 @@ func TestCloseLeavesIndexSealed(t *testing.T) {
 			if np < 2 {
 				t.Fatalf("the set has %d pages; the test needs several", np)
 			}
-			for i, num := range sealed {
+			for i, num := range order.pages {
 				if num != int64(i) {
-					t.Fatalf("the seal hook saw pages %v, want 0..%d in order", sealed, np-1)
+					t.Fatalf("the index folded pages %v, want 0..%d in order", order.pages, np-1)
 				}
 			}
-			if int64(len(sealed)) != np {
-				t.Errorf("the seal hook saw %d pages, the set has %d", len(sealed), np)
+			if int64(len(order.pages)) != np {
+				t.Errorf("the index folded %d pages, the set has %d", len(order.pages), np)
 			}
 			if !m.Covers(np) {
 				t.Errorf("microindex covers %d of %d pages after Close", m.NumPages(), np)

@@ -298,19 +298,6 @@ func (m *Microindex) decodeBody(data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// LoadMicroindex parses a serialized microindex and verifies it was built
-// for spec.
-func LoadMicroindex(data []byte, spec MicroindexSpec) (*Microindex, error) {
-	m, err := NewMicroindex(spec)
-	if err == nil {
-		err = m.unmarshal(data)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // AttachMicroindex wires page-at-a-time index maintenance into a sequential
 // writer and registers the index on the writer's set (see
 // attachSideIndex).

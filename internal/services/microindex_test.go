@@ -114,7 +114,7 @@ func TestMicroindexPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := LoadMicroindex(m.Marshal(), miSpec())
+	loaded, err := decodeMicroindex(m.Marshal(), miSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMicroindexPersistRoundTrip(t *testing.T) {
 	// Reshaped spec: the persisted object no longer matches, Ensure rebuilds.
 	set.SetSideIndex(MicroindexTag, nil)
 	reshaped := MicroindexSpec{Schema: zmSchema(), Cols: []int{0}}
-	if _, err := LoadMicroindex(m.Marshal(), reshaped); err == nil {
+	if _, err := decodeMicroindex(m.Marshal(), reshaped); err == nil {
 		t.Error("loading under a reshaped spec must error")
 	}
 	if _, err := EnsureMicroindex(set, reshaped); err != nil {
@@ -212,7 +212,7 @@ func TestCoversCountsThePrefix(t *testing.T) {
 
 func mustReload(t *testing.T, m *Microindex) *Microindex {
 	t.Helper()
-	loaded, err := LoadMicroindex(m.Marshal(), miSpec())
+	loaded, err := decodeMicroindex(m.Marshal(), miSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,10 @@ func mustReload(t *testing.T, m *Microindex) *Microindex {
 }
 
 // TestDualHooksBothFire is the regression test for the hook-composability
-// fix: attaching a zone map and a microindex to one writer must chain the
-// seal/append hooks, not overwrite them — before attachSideIndex chained them,
-// the second Attach silently disconnected the first. Both side objects must
-// come out complete and exact, for both layouts, alongside a caller's own
-// pre-existing hook.
+// fix: attaching a zone map and a microindex to one writer must fold both,
+// not let one displace the other — before attachSideIndex chained them, the
+// second Attach silently disconnected the first. Both side objects must come
+// out complete and exact, for both layouts.
 func TestDualHooksBothFire(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
 		name := map[bool]string{false: "row", true: "columnar"}[columnar]
@@ -240,9 +239,6 @@ func TestDualHooksBothFire(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := NewSeqWriter(set)
-			// A hook the caller installed before either Attach must survive.
-			callerSaw := 0
-			w.OnSeal = func(int64, []byte) { callerSaw++ }
 			z, err := AttachZoneMap(w, ZoneMapSpec{Schema: zmSchema(), BloomCols: []int{1}})
 			if err != nil {
 				t.Fatal(err)
@@ -261,9 +257,6 @@ func TestDualHooksBothFire(t *testing.T) {
 				t.Fatal(err)
 			}
 			np := set.NumPages()
-			if callerSaw == 0 {
-				t.Error("attaching side objects disconnected the caller's own hook")
-			}
 			if !z.Covers(np) {
 				t.Errorf("zone map covers %d of %d pages — its hook was displaced", int64(z.NumPages()), np)
 			}
@@ -380,7 +373,7 @@ func TestMicroindexBuildsAgree(t *testing.T) {
 			if err := rebuilt.rebuildFromScan(set, set.NumPages()); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := LoadMicroindex(hooked.Marshal(), diffSpec())
+			loaded, err := decodeMicroindex(hooked.Marshal(), diffSpec())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -448,7 +441,7 @@ func TestMicroindexNotesInAnyOrder(t *testing.T) {
 	lookup(7, 2<<32|LaneAll, 4<<32|LaneAll)
 
 	noteRows(t, m, 5, colRec(2)) // unsealed when Marshal runs
-	loaded, err := LoadMicroindex(m.Marshal(), miSpec())
+	loaded, err := decodeMicroindex(m.Marshal(), miSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +604,7 @@ func TestMicroindexV1ObjectHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := v1Object(t, m)
-	if _, err := LoadMicroindex(old, miSpec()); err == nil {
+	if _, err := decodeMicroindex(old, miSpec()); err == nil {
 		t.Fatal("a v1 object loaded as v2")
 	}
 	if err := set.WriteSideObject(MicroindexTag, old); err != nil {

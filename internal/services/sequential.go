@@ -20,22 +20,14 @@ type SeqWriter struct {
 	*RecordWriter
 	set *core.LocalitySet
 
-	// OnSeal, when set, is called with each sealed page's number and bytes,
-	// in either layout, while the page is still pinned. It runs on the
-	// writer's indexer goroutine, one page at a time in page order, while
-	// the writer fills its next page, before the side indexes attached to
-	// the writer fold the page; the indexer unpins each page once both
-	// return.
-	OnSeal func(pageNum int64, page []byte)
-
 	pages setPages  // the RecordWriter's page source
 	sides sideFolds // the side indexes attached to the writer
-	idx   *indexer  // started at the first page sealed with a hook; nil after Close
+	idx   *indexer  // started at the first page sealed with an index attached; nil after Close
 }
 
 // setPages is a SeqWriter's page source: the set's own NewPage and Unpin.
-// A writer with a seal hook hands each sealed page to its indexer instead of
-// unpinning it; one without keeps the unpin inline.
+// A writer with side indexes attached hands each sealed page to its indexer
+// instead of unpinning it; one without keeps the unpin inline.
 type setPages struct {
 	w *SeqWriter
 	p *core.Page
@@ -53,22 +45,13 @@ func (s *setPages) NewPage() ([]byte, error) {
 func (s *setPages) Release() error {
 	p, w := s.p, s.w
 	s.p = nil
-	if w.OnSeal == nil && len(w.sides.xs) == 0 {
+	if len(w.sides.xs) == 0 {
 		return w.set.Unpin(p, true)
 	}
 	if w.idx == nil {
-		w.idx = startIndexer(w.set, w.seal)
+		w.idx = startIndexer(w.set, &w.sides)
 	}
 	return w.idx.hand(p)
-}
-
-// seal is a sealed page's hook, on the indexer goroutine: the caller's own,
-// then every attached side index's fold.
-func (w *SeqWriter) seal(num int64, page []byte) {
-	if w.OnSeal != nil {
-		w.OnSeal(num, page)
-	}
-	w.sides.note(num, page)
 }
 
 // NewSeqWriter attaches a sequential allocator to the set.
@@ -82,7 +65,7 @@ func NewSeqWriter(set *core.LocalitySet) *SeqWriter {
 }
 
 // Close seals the current page — compacted to its records and shrunk to
-// them, before any seal hook sees it — and releases it, waits for the
+// them, before any side index folds it — and releases it, waits for the
 // indexer to fold and unpin every page handed to it, seals the side
 // indexes and clears the set's current operation. It returns the first
 // error of the release, or of any unpin the indexer made.
@@ -103,14 +86,14 @@ func (w *SeqWriter) Close() error {
 	return err
 }
 
-// indexer is the goroutine a SeqWriter with a seal hook hands its sealed,
-// still-pinned pages to: it runs the hook on each, in page order, then
-// unpins it, so the side-index folds overlap the writer filling its next
+// indexer is the goroutine a SeqWriter with side indexes attached hands its
+// sealed, still-pinned pages to: it folds each into the indexes, in page
+// order, then unpins it, so the folds overlap the writer filling its next
 // page. The hand-off has one slot, so a writer holds at most three pages
 // pinned: the open one, one waiting and one being folded.
 type indexer struct {
 	set   *core.LocalitySet
-	seal  func(pageNum int64, page []byte)
+	sides *sideFolds
 	pages chan *core.Page
 	done  chan struct{} // closed when run returns
 
@@ -118,8 +101,8 @@ type indexer struct {
 	err error // the first Unpin error
 }
 
-func startIndexer(set *core.LocalitySet, seal func(pageNum int64, page []byte)) *indexer {
-	x := &indexer{set: set, seal: seal, pages: make(chan *core.Page, 1), done: make(chan struct{})}
+func startIndexer(set *core.LocalitySet, sides *sideFolds) *indexer {
+	x := &indexer{set: set, sides: sides, pages: make(chan *core.Page, 1), done: make(chan struct{})}
 	go x.run()
 	return x
 }
@@ -130,7 +113,7 @@ func startIndexer(set *core.LocalitySet, seal func(pageNum int64, page []byte)) 
 func (x *indexer) run() {
 	defer close(x.done)
 	for p := range x.pages {
-		x.seal(p.Num(), p.Bytes())
+		x.sides.note(p.Num(), p.Bytes())
 		if err := x.set.Unpin(p, true); err != nil {
 			x.mu.Lock()
 			if x.err == nil {

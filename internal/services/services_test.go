@@ -505,19 +505,31 @@ func TestHashBufferSpillsAndReAggregates(t *testing.T) {
 	}
 }
 
+// TestHashBufferFindActivePage: a key upserted twice is found, combined, in
+// its partition's active page (SlotIn reports it as not fresh), and Result
+// reads it back while an absent key stays absent.
 func TestHashBufferFindActivePage(t *testing.T) {
 	bp := newPool(t, 1<<20)
 	s := mkSet(t, bp, "f", 32<<10)
 	h, _ := NewInt64HashBuffer(s, 1, Sum)
 	_ = h.Upsert([]byte("a"), 7)
 	_ = h.Upsert([]byte("a"), 5)
-	if v, ok := h.Find([]byte("a")); !ok || v != 12 {
-		t.Errorf("Find(a) = %d,%v want 12,true", v, ok)
+	if slot, fresh := h.h.SlotIn([]byte("a")); fresh || slot == nil || binary.LittleEndian.Uint64(slot) != 12 {
+		t.Errorf("SlotIn(a) = %x fresh=%v, want 12 in the active page", slot, fresh)
 	}
-	if _, ok := h.Find([]byte("missing")); ok {
-		t.Error("Find(missing) should be false")
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
 	}
-	_ = h.Close()
+	got, err := h.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := got["a"]; !ok || v != 12 {
+		t.Errorf("Result[a] = %d,%v want 12,true", v, ok)
+	}
+	if _, ok := got["missing"]; ok || len(got) != 1 {
+		t.Errorf("Result = %v, want only a", got)
+	}
 }
 
 func TestHashBufferPropertySumMatchesMap(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 )
 
 // A side index is per-set scan metadata kept beside the data pages: folded a
-// sealed page at a time by the sequential writers' seal hooks and by
+// sealed page at a time by the sequential writers it rides and by
 // rebuilds, persisted as one pfs side object, registered on the set under the
 // same tag so predicate scans find it, and healed by a full-scan rebuild when
 // the persisted object is absent, torn or stale. That lifecycle is shared
@@ -525,10 +525,9 @@ func (s *sideIndex) Save(set *core.LocalitySet) error {
 // on the writer's indexer goroutine, beside the writer rather than in its
 // path — and x seals at close, once Close has waited for every fold, so when
 // Close returns x covers every page and is sealed. Every index attached to
-// one writer folds through the same parse of each page (sideFolds), after
-// the caller's own seal hook. x is registered as the set's side index for
-// its kind so predicate scans find it; call Save after the writer closes to
-// persist it.
+// one writer folds through the same parse of each page (sideFolds). x is
+// registered as the set's side index for its kind so predicate scans find
+// it; call Save after the writer closes to persist it.
 func attachSideIndex(w *SeqWriter, x sideIndexer) error {
 	s := x.base()
 	if w.widths != nil && !slices.Equal(w.widths, s.widths) {

@@ -208,19 +208,6 @@ func (z *ZoneMap) MayContain(pageNum int64, col int, v uint64) bool {
 	return true
 }
 
-// LoadZoneMap parses a serialized zone map and verifies it was built for
-// spec.
-func LoadZoneMap(data []byte, spec ZoneMapSpec) (*ZoneMap, error) {
-	z, err := NewZoneMap(spec)
-	if err == nil {
-		err = z.unmarshal(data)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return z, nil
-}
-
 // AttachZoneMap wires page-at-a-time zone-map maintenance into a sequential
 // writer and registers the map on the writer's set (see attachSideIndex).
 func AttachZoneMap(w *SeqWriter, spec ZoneMapSpec) (*ZoneMap, error) {

@@ -136,7 +136,7 @@ func TestZoneMapBloomExcludesSparseValues(t *testing.T) {
 		recs = append(recs, rec)
 	}
 	noteRows(t, z, 0, recs...)
-	loaded, err := LoadZoneMap(z.Marshal(), spec)
+	loaded, err := decodeZoneMap(z.Marshal(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestZoneMapPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := LoadZoneMap(z.Marshal(), ZoneMapSpec{Schema: zmSchema()})
+	loaded, err := decodeZoneMap(z.Marshal(), ZoneMapSpec{Schema: zmSchema()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestZoneMapPersistRoundTrip(t *testing.T) {
 	// Reshaped spec: the persisted object no longer matches, Ensure rebuilds.
 	set.SetSideIndex(ZoneMapTag, nil)
 	reshaped := ZoneMapSpec{Schema: MakeSchema([]string{"key", "tag"}, []int{4, 2})}
-	if _, err := LoadZoneMap(z.Marshal(), reshaped); err == nil {
+	if _, err := decodeZoneMap(z.Marshal(), reshaped); err == nil {
 		t.Error("loading under a reshaped spec must error")
 	}
 	if _, err := EnsureZoneMap(set, reshaped); err != nil {
